@@ -3,15 +3,19 @@
 
 GO ?= go
 
-.PHONY: all build vet test race race-core bench benchall tables examples clean
+.PHONY: all build fmt-check vet test race race-core bench-check bench benchall tables examples clean
 
-# Tier-1 gate: build + vet + full test suite + race detector on the
-# concurrency-bearing packages (the scheduler's teams/barriers and the
-# compiled-schedule executor).
-all: build vet test race-core
+# Tier-1 gate: format + build + vet + full test suite + race detector on the
+# concurrency-bearing packages + the separately-moduled benchmark still
+# compiling against this tree. CI (.github/workflows/ci.yml) runs these same
+# targets.
+all: fmt-check build vet test race-core bench-check
 
 build:
 	$(GO) build ./...
+
+fmt-check:
+	@test -z "$$(gofmt -l .)" || { echo "gofmt -l reports:"; gofmt -l .; exit 1; }
 
 vet:
 	$(GO) vet ./...
@@ -24,6 +28,12 @@ race:
 
 race-core:
 	$(GO) test -race ./internal/sched/... ./internal/exec/... ./internal/stencil/... ./internal/mpdata/... ./internal/solver/... ./internal/serve/... ./internal/tune/... ./internal/fleet/... ./internal/stream/...
+
+# bench/ is its own Go module, outside ./... : vet it and run its short tests
+# so API drift against what it uses of fleet, serve and serveclient is caught
+# here, not in a benchmark run.
+bench-check:
+	cd bench && $(GO) vet . && $(GO) test -short .
 
 # Run the compute benchmarks and append the results to BENCH_compute.json
 # (see docs/PERFORMANCE.md for the trajectory format).

@@ -131,23 +131,23 @@ type jobOutcome struct {
 // summaryJSON is the -json report consumed by scripts/serve-bench.sh and the
 // BENCH_serve.json trajectory.
 type summaryJSON struct {
-	Label          string             `json:"label,omitempty"`
-	Jobs           int                `json:"jobs"`
-	OK             int                `json:"ok"`
-	Failed         int                `json:"failed"`
-	Canceled       int                `json:"canceled"`
-	RetriedRejects int64              `json:"retried_rejections"`
-	Reroutes       int                `json:"reroutes"`
-	WallSeconds    float64            `json:"wall_seconds"`
-	JobsPerSecond  float64            `json:"jobs_per_second"`
-	P50Ms          float64            `json:"p50_ms"`
-	P90Ms          float64            `json:"p90_ms"`
-	P99Ms          float64            `json:"p99_ms"`
-	MaxMs          float64            `json:"max_ms"`
-	CacheHits      int                `json:"cache_hits"`
-	CacheHitRate   float64            `json:"cache_hit_rate"`
-	SLOMs          float64            `json:"slo_ms,omitempty"`
-	SLOAttainment  float64            `json:"slo_attainment,omitempty"`
+	Label          string  `json:"label,omitempty"`
+	Jobs           int     `json:"jobs"`
+	OK             int     `json:"ok"`
+	Failed         int     `json:"failed"`
+	Canceled       int     `json:"canceled"`
+	RetriedRejects int64   `json:"retried_rejections"`
+	Reroutes       int     `json:"reroutes"`
+	WallSeconds    float64 `json:"wall_seconds"`
+	JobsPerSecond  float64 `json:"jobs_per_second"`
+	P50Ms          float64 `json:"p50_ms"`
+	P90Ms          float64 `json:"p90_ms"`
+	P99Ms          float64 `json:"p99_ms"`
+	MaxMs          float64 `json:"max_ms"`
+	CacheHits      int     `json:"cache_hits"`
+	CacheHitRate   float64 `json:"cache_hit_rate"`
+	SLOMs          float64 `json:"slo_ms,omitempty"`
+	SLOAttainment  float64 `json:"slo_attainment,omitempty"`
 	// PerSolver breaks successful-job latency (and SLO attainment when -slo
 	// is set) down by catalog solver — the mixed-traffic view of a -solvers
 	// rotation.

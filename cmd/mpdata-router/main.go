@@ -1,9 +1,11 @@
 // Command mpdata-router runs the fleet coordinator: it consistent-hashes
 // jobs by their engine CacheKey across N mpdata-serve replicas (cache
 // affinity: a warm compiled engine for a given spec lives somewhere in the
-// fleet), steals work onto ring successors when the home replica's queue is
-// saturated, aggregates fleet-wide backpressure into one honest 429, and
-// reroutes jobs off replicas that die or drain mid-job.
+// fleet, and no replica is given more specs than its engine cache holds),
+// follows each job on its replica's event stream so completion is pushed
+// rather than polled, steals work onto ring successors when the home
+// replica's queue is saturated, aggregates fleet-wide backpressure into one
+// honest 429, and reroutes jobs off replicas that die or drain mid-job.
 //
 //	mpdata-serve -addr 127.0.0.1:8081 &
 //	mpdata-serve -addr 127.0.0.1:8082 &
@@ -47,7 +49,7 @@ func main() {
 	vnodes := flag.Int("vnodes", 64, "virtual nodes per replica on the hash ring")
 	healthInterval := flag.Duration("health-interval", 250*time.Millisecond, "replica health probe period")
 	failThreshold := flag.Int("fail-threshold", 2, "consecutive probe failures before a replica leaves the ring")
-	pollInterval := flag.Duration("poll-interval", 50*time.Millisecond, "per-job status poll period")
+	pollInterval := flag.Duration("poll-interval", 50*time.Millisecond, "fallback pause: job completion is pushed over the replica's event stream; when a stream is refused or breaks the router asks for the job's status and waits this long before following again")
 	maxReroutes := flag.Int("max-reroutes", 3, "replica-fault re-placements per job before it fails")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful drain window on SIGTERM")
 	flag.Parse()

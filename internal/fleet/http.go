@@ -23,8 +23,13 @@ import (
 //	GET  /metrics              fleet text exposition
 //	GET  /healthz              200 with >= 1 healthy replica, else 503
 //
-// SSE progress streams are a replica concern; the router reports step
-// progress through the status poll instead.
+// There is no events route: the router is itself the follower of each
+// replica's SSE stream (GET /v1/jobs/{id}/events on the replica pushes
+// progress and the terminal "done" with its result, see Router.follow), and
+// folds what it hears into the routed job, so a client polling GET
+// /v1/jobs/{id} here sees a step or a completion as soon as the replica
+// reported it. Finished jobs stay answerable for the most recent
+// serve.TerminalRetention of them; an older id is a 404.
 func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", r.handleSubmit)

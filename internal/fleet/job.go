@@ -16,11 +16,8 @@ type Job struct {
 	ID   string
 	Spec serve.Spec
 
-	// key is the consistent-hash point of the job's engine CacheKey; home
-	// is the ring owner at placement time (steal accounting compares the
-	// actual placement against it).
-	key  uint64
-	home string
+	// key is the consistent-hash point of the job's engine CacheKey.
+	key uint64
 
 	ctx    context.Context
 	cancel context.CancelCauseFunc
@@ -33,7 +30,6 @@ type Job struct {
 	replica  string // member name currently (or last) running the job
 	remoteID string // replica-side job id of the current placement
 	reroutes int    // replica faults survived
-	stolen   bool   // true if any placement landed off-home
 
 	done chan struct{}
 }
@@ -72,12 +68,9 @@ func (j *Job) place(memberName, remoteID string) {
 	j.replica = memberName
 	j.remoteID = remoteID
 	j.state = serve.StateRunning
-	if memberName != j.home {
-		j.stolen = true
-	}
 }
 
-// placement returns the member name and replica-side id the watcher polls.
+// placement returns the member name and replica-side id the watcher follows.
 func (j *Job) placement() (memberName, remoteID string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -92,7 +85,7 @@ func (j *Job) noteReroute() int {
 	return j.reroutes
 }
 
-// progress folds a replica status poll into the router-side view.
+// progress folds a replica's step count into the router-side view.
 func (j *Job) progress(step int) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -104,18 +97,16 @@ func (j *Job) progress(step int) {
 // finish performs the terminal transition exactly once, reporting whether
 // this call did it — the exactly-once guarantee the failure-injection test
 // asserts (a replica completing a job the router already gave up on cannot
-// double-count).
+// double-count). Done is closed by the router, after its own bookkeeping.
 func (j *Job) finish(state serve.JobState, errMsg string, result *serve.Result) bool {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if j.state.Terminal() {
-		j.mu.Unlock()
 		return false
 	}
 	j.state = state
 	j.errMsg = errMsg
 	j.result = result
-	j.mu.Unlock()
-	close(j.done)
 	return true
 }
 

@@ -56,9 +56,12 @@ type Options struct {
 	// FailThreshold is the consecutive probe/transport failures that take
 	// a replica out of the placement ring (0 = 2).
 	FailThreshold int
-	// PollInterval is the per-job status poll period (0 = 50ms).
+	// PollInterval is the fallback pause (0 = 50ms). A job's completion is
+	// pushed over its replica's event stream; only when that stream cannot
+	// be opened or breaks does the watcher ask for the job's status, and
+	// this is how long it then waits before trying the stream again.
 	PollInterval time.Duration
-	// PollFailLimit is the consecutive status-poll failures that declare
+	// PollFailLimit is the consecutive failed status requests that declare
 	// the placement dead and reroute the job (0 = 3).
 	PollFailLimit int
 	// MaxReroutes bounds the replica-fault re-placements per job (0 = 3);
@@ -105,8 +108,10 @@ type Router struct {
 
 	mu      sync.Mutex
 	members map[string]*member
-	ring    *ring // healthy members only
-	jobs    map[string]*Job
+	ring    *ring           // healthy members only
+	homes   *homes          // sticky, capacity-aware key→home choices over the ring
+	jobs    map[string]*Job // in flight, plus the finished ones retired still holds
+	retired serve.Retention
 	nextID  uint64
 
 	inflight atomic.Int64
@@ -119,7 +124,10 @@ type Router struct {
 	closeOnce sync.Once
 }
 
-// NewRouter builds the coordinator and starts the membership health loop.
+// NewRouter builds the coordinator, probes every replica once — so the first
+// placement already knows each one's cache capacity — and starts the
+// membership health loop. An unreachable replica delays it by at most one
+// HealthInterval.
 func NewRouter(opts Options) (*Router, error) {
 	opts = opts.withDefaults()
 	if len(opts.Replicas) == 0 {
@@ -129,6 +137,7 @@ func NewRouter(opts Options) (*Router, error) {
 		opts:    opts,
 		metrics: &Metrics{},
 		members: make(map[string]*member, len(opts.Replicas)),
+		homes:   newHomes(),
 		jobs:    make(map[string]*Job),
 		stop:    make(chan struct{}),
 	}
@@ -146,6 +155,7 @@ func NewRouter(opts Options) (*Router, error) {
 		return nil, fmt.Errorf("fleet: at least one replica URL is required")
 	}
 	r.rebuildRing()
+	r.probeAll()
 	r.healthWG.Add(1)
 	go r.healthLoop()
 	return r, nil
@@ -192,16 +202,25 @@ func (r *Router) healthyCount() (int, int) {
 	return n, len(r.members)
 }
 
-// placementOrder resolves the key's ring successors to live members: the
-// home replica first, then the work-stealing fallbacks.
+// placementOrder resolves the key to live members: its home first — the ring
+// owner, or the successor the homes table settled the key on because the
+// owner's engine cache was full — then the other ring successors in order as
+// the work-stealing fallbacks.
 func (r *Router) placementOrder(key uint64) []*member {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	names := r.ring.successors(key, len(r.members))
+	home := r.homes.resolve(key, names, func(name string) int {
+		stats, _ := r.members[name].Stats()
+		return stats.CacheCapacity
+	})
 	out := make([]*member, 0, len(names))
+	if home != "" {
+		out = append(out, r.members[home])
+	}
 	for _, n := range names {
-		if m := r.members[n]; m != nil {
-			out = append(out, m)
+		if n != home {
+			out = append(out, r.members[n])
 		}
 	}
 	return out
@@ -237,7 +256,6 @@ func (r *Router) Submit(ctx context.Context, spec serve.Spec) (*Job, error) {
 	r.nextID++
 	id := fmt.Sprintf("f%08d", r.nextID)
 	j := newFleetJob(id, spec, key)
-	j.home = r.ring.owner(key)
 	r.jobs[id] = j
 	r.mu.Unlock()
 
@@ -273,7 +291,9 @@ func (r *Router) placeOnce(ctx context.Context, j *Job) (*member, serve.JobStatu
 		minHint time.Duration = -1
 	)
 	for i, m := range order {
-		st, err := m.client.Submit(ctx, j.Spec)
+		mctx, release := m.whileUp(ctx)
+		st, err := m.client.Submit(mctx, j.Spec)
+		release()
 		if err == nil {
 			r.metrics.Placements.Add(1)
 			if i > 0 {
@@ -317,97 +337,118 @@ func (r *Router) placeOnce(ctx context.Context, j *Job) (*member, serve.JobStatu
 	return nil, serve.JobStatus{}, ErrNoReplicas
 }
 
-// watch follows one routed job to its terminal state: polling the placement,
-// folding progress into the router-side view, forwarding cancellation, and
-// rerouting on replica faults. It is the only goroutine that transitions the
-// job, so reroutes are sequential and the terminal transition is unique.
+// watch follows one routed job to its terminal state: one placement after
+// another, classifying how each ended, forwarding cancellation, and rerouting
+// on replica faults. It is the only goroutine that transitions the job, so
+// reroutes are sequential and the terminal transition is unique.
 func (r *Router) watch(j *Job) {
 	defer r.jobsWG.Done()
 	defer r.inflight.Add(-1)
 
-	pollFails := 0
 	for {
-		select {
-		case <-j.ctx.Done():
+		memberName, remoteID := j.placement()
+		st, err := r.follow(j, r.memberByName(memberName), remoteID)
+		var fault string
+		switch {
+		case j.ctx.Err() != nil:
 			r.cancelRemote(j)
 			r.finishJob(j, serve.StateCanceled, cancelCause(j.ctx), nil)
 			return
+		case err != nil:
+			fault = fmt.Sprintf("replica %s lost (last error: %v)", memberName, err)
+		case st.State == serve.StateSucceeded:
+			if st.Result != nil {
+				if st.Result.CacheHit {
+					r.metrics.CacheHits.Add(1)
+				} else {
+					r.metrics.CacheMisses.Add(1)
+				}
+			}
+			r.finishJob(j, serve.StateSucceeded, "", st.Result)
+			return
+		case st.State == serve.StateFailed && strings.Contains(st.Error, serve.DrainAbortReason):
+			// The replica's drain aborted the job — a replica fault, not a
+			// job failure: re-run it elsewhere.
+			fault = fmt.Sprintf("replica %s drain-aborted the job", memberName)
+		case st.State == serve.StateFailed:
+			r.finishJob(j, serve.StateFailed, st.Error, nil)
+			return
+		case strings.Contains(st.Error, "deadline"):
+			// Canceled by the job's own deadline: honest terminal cancellation.
+			r.finishJob(j, serve.StateCanceled, st.Error, nil)
+			return
 		default:
+			// Canceled by a replica shutdown the job did not ask for.
+			fault = fmt.Sprintf("replica %s canceled the job during shutdown (%s)", memberName, st.Error)
+		}
+		if !r.reroute(j, fault) {
+			return
+		}
+	}
+}
+
+// follow watches one placement until the replica-side job is terminal and
+// returns that final status; an error means the placement is lost — the
+// replica died, restarted without the job or was marked down — or the routed
+// job itself was canceled (j.ctx says which).
+//
+// Completion is pushed: the replica's event stream is opened right after
+// placement, its progress events are folded into the routed job, and its
+// "done" event carries the final state and result. A status request is made
+// only when the stream was refused or ended without "done"; it tells a dead
+// replica (transport errors, counted toward PollFailLimit and struck against
+// the member), a restarted one (404) and a front without event streams (the
+// job's status comes back fine) apart, and after the PollInterval pause the
+// stream is tried again.
+func (r *Router) follow(j *Job, m *member, remoteID string) (serve.JobStatus, error) {
+	ctx, release := m.whileUp(j.ctx)
+	defer release()
+
+	fails := 0
+	for {
+		var done *serve.Event
+		_ = m.client.Events(ctx, remoteID, func(ev serve.Event) bool {
+			j.progress(ev.Step)
+			if ev.Type == "done" {
+				done = &ev
+			}
+			return true
+		})
+		// A "done" that says succeeded but carries no result comes from a
+		// replica older than the field: fetch the result the old way.
+		if done != nil && (done.State != serve.StateSucceeded || done.Result != nil) {
+			return serve.JobStatus{State: done.State, Step: done.Step, Error: done.Error, Result: done.Result}, nil
 		}
 
-		memberName, remoteID := j.placement()
-		m := r.memberByName(memberName)
-		st, err := m.client.Status(j.ctx, remoteID)
-		if err != nil {
-			if j.ctx.Err() != nil {
-				continue // the ctx branch above finishes the job
+		st, err := m.client.Status(ctx, remoteID)
+		var apiErr *serveclient.APIError
+		answered := errors.As(err, &apiErr) // the replica spoke HTTP, if only to refuse
+		switch {
+		case err == nil && st.State.Terminal():
+			return st, nil
+		case err == nil:
+			j.progress(st.Step)
+			fails = 0
+		case ctx.Err() != nil:
+			return st, context.Cause(ctx)
+		case answered && apiErr.StatusCode == 404:
+			// The replica restarted without the job: a fault, not a miss.
+			return st, err
+		case !answered:
+			// Transport error: strike toward the member's threshold.
+			if m.fault(r.opts.FailThreshold) {
+				r.opts.Logf("replica %s unreachable while watching %s: %v", m.name, j.ID, err)
+				r.rebuildRing()
 			}
-			var apiErr *serveclient.APIError
-			if errors.As(err, &apiErr) && apiErr.StatusCode == 404 {
-				// The replica restarted without the job: a fault, not a miss.
-				pollFails = r.opts.PollFailLimit
-			} else if !errors.As(err, &apiErr) {
-				// Transport error: strike toward the member's threshold.
-				if m.fault(r.opts.FailThreshold) {
-					r.opts.Logf("replica %s unreachable while watching %s: %v", m.name, j.ID, err)
-					r.rebuildRing()
-				}
-				pollFails++
-			} else {
-				pollFails++ // 5xx etc: count, tolerate transients
-			}
-			if pollFails >= r.opts.PollFailLimit || !m.Healthy() {
-				if !r.reroute(j, fmt.Sprintf("replica %s lost (last error: %v)", memberName, err)) {
-					return
-				}
-				pollFails = 0
-			} else if serveclient.SleepContext(j.ctx, r.opts.PollInterval) != nil {
-				continue
-			}
-			continue
+			fails++
+		default:
+			fails++ // 5xx etc: count, tolerate transients
 		}
-		pollFails = 0
-		j.progress(st.Step)
-
-		if st.State.Terminal() {
-			switch st.State {
-			case serve.StateSucceeded:
-				if st.Result != nil {
-					if st.Result.CacheHit {
-						r.metrics.CacheHits.Add(1)
-					} else {
-						r.metrics.CacheMisses.Add(1)
-					}
-				}
-				r.finishJob(j, serve.StateSucceeded, "", st.Result)
-				return
-			case serve.StateFailed:
-				if strings.Contains(st.Error, serve.DrainAbortReason) {
-					// The replica's drain aborted the job — a replica fault,
-					// not a job failure: re-run it elsewhere.
-					if !r.reroute(j, fmt.Sprintf("replica %s drain-aborted the job", memberName)) {
-						return
-					}
-					continue
-				}
-				r.finishJob(j, serve.StateFailed, st.Error, nil)
-				return
-			case serve.StateCanceled:
-				if j.ctx.Err() != nil || strings.Contains(st.Error, "deadline") {
-					// The router's client canceled it, or the job's own
-					// deadline expired: honest terminal cancellation.
-					r.finishJob(j, serve.StateCanceled, st.Error, nil)
-					return
-				}
-				// Canceled by a replica shutdown the job did not ask for.
-				if !r.reroute(j, fmt.Sprintf("replica %s canceled the job during shutdown (%s)", memberName, st.Error)) {
-					return
-				}
-				continue
-			}
+		if err != nil && (fails >= r.opts.PollFailLimit || !m.Healthy()) {
+			return st, err
 		}
-		if serveclient.SleepContext(j.ctx, r.opts.PollInterval) != nil {
-			continue
+		if serveclient.SleepContext(ctx, r.opts.PollInterval) != nil {
+			return st, context.Cause(ctx)
 		}
 	}
 }
@@ -498,6 +539,11 @@ func (r *Router) finishJob(j *Job, state serve.JobState, errMsg string, result *
 	if !j.finish(state, errMsg, result) {
 		return
 	}
+	r.mu.Lock()
+	if expired := r.retired.Retire(j.ID); expired != "" {
+		delete(r.jobs, expired)
+	}
+	r.mu.Unlock()
 	switch state {
 	case serve.StateSucceeded:
 		r.metrics.Succeeded.Add(1)
@@ -507,6 +553,8 @@ func (r *Router) finishJob(j *Job, state serve.JobState, errMsg string, result *
 	case serve.StateCanceled:
 		r.metrics.Canceled.Add(1)
 	}
+	// Last: whoever wakes on Done finds the counters and registry settled.
+	close(j.done)
 }
 
 // cancelCause extracts the cancellation reason of a job context.
@@ -599,10 +647,14 @@ func (r *Router) Close() {
 	r.shutdown()
 }
 
-// shutdown stops the health loop (idempotent).
+// shutdown stops the health loop and drops the members' idle connections
+// (idempotent).
 func (r *Router) shutdown() {
 	r.closeOnce.Do(func() {
 		close(r.stop)
 		r.healthWG.Wait()
+		for _, m := range r.memberList() {
+			m.close()
+		}
 	})
 }

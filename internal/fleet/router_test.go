@@ -2,6 +2,7 @@ package fleet_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -10,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -340,8 +342,15 @@ func TestFleetFailureInjection(t *testing.T) {
 		if st := waitFleetJob(t, j); st != serve.StateSucceeded {
 			t.Fatalf("job %d finished %s after replica kill: %s", i, st, router.Status(j).Error)
 		}
-		if got := router.Status(j).Replica; got == victimURL {
-			t.Fatalf("job %d reports the dead replica %s as its placement", i, got)
+		st := router.Status(j)
+		if st.Replica == victimURL {
+			t.Fatalf("job %d reports the dead replica %s as its placement", i, st.Replica)
+		}
+		// Every job's event stream ended without "done" when the victim
+		// died: each is rerouted exactly once, not once per broken stream
+		// and failed status request.
+		if st.Reroutes != 1 {
+			t.Fatalf("job %d survived %d reroutes, want exactly 1", i, st.Reroutes)
 		}
 	}
 
@@ -350,8 +359,8 @@ func TestFleetFailureInjection(t *testing.T) {
 		t.Fatalf("terminal counters: %d succeeded, %d failed, %d canceled — want %d/0/0 (exactly-once)",
 			m.Succeeded.Load(), m.Failed.Load(), m.Canceled.Load(), jobs)
 	}
-	if m.Rerouted.Load() == 0 {
-		t.Fatal("no reroutes counted although the home replica was killed mid-run")
+	if m.Rerouted.Load() != jobs {
+		t.Fatalf("fleet_reroutes_total = %d, want %d: one per job on the killed replica", m.Rerouted.Load(), jobs)
 	}
 
 	// The health checker must have evicted the victim from the membership.
@@ -502,5 +511,342 @@ func TestFleetHTTPDialect(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != 200 {
 		t.Fatalf("GET /v1/fleet = %d", resp.StatusCode)
+	}
+}
+
+// TestFleetCompletionIsPushed: the router learns of a job's end from the
+// replica's event stream, not from a poll. With the fallback pause set to 10 s
+// a gated job must be terminal on the router — progress folded in, result
+// attached — within a fraction of a second of the gate opening.
+func TestFleetCompletionIsPushed(t *testing.T) {
+	gate := make(chan struct{})
+	replicas, urls := startReplicas(t, 2, serve.Options{Slots: 1, EngineFactory: blockFactory(gate, 0)})
+	opts := fastRouterOptions(urls, t)
+	opts.PollInterval = 10 * time.Second
+	router, err := fleet.NewRouter(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+
+	j, err := router.Submit(context.Background(), fleetSpec(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitReplicaRunning(t, replicas[router.Status(j).Replica], 1)
+	gate <- struct{}{} // one step: its progress event must reach the router too
+	deadline := time.Now().Add(5 * time.Second)
+	for router.Status(j).Step != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("step progress never pushed to the router (status %+v)", router.Status(j))
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	opened := time.Now()
+	close(gate)
+	select {
+	case <-j.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatalf("job not terminal on the router 5 s after the gate opened (PollInterval is 10 s): completion is not pushed")
+	}
+	t.Logf("terminal on the router %s after the gate opened", time.Since(opened))
+	st := router.Status(j)
+	if st.State != serve.StateSucceeded || st.Result == nil || st.Result.Steps != 3 || st.Step != 3 {
+		t.Fatalf("pushed final status = %+v, want succeeded at step 3 with the result attached", st)
+	}
+}
+
+// withoutEvents fronts a replica the way a proxy that cannot stream would:
+// the events route answers code, everything else passes through.
+func withoutEvents(h http.Handler, code int) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/events") {
+			http.Error(w, `{"error":"no event streams here"}`, code)
+			return
+		}
+		h.ServeHTTP(w, r)
+	})
+}
+
+// TestFleetPollFallbackWithoutEvents: replicas whose front refuses the event
+// stream (501 from one, 404 from the other) still complete their jobs — the
+// watcher falls back to asking for the status every PollInterval.
+func TestFleetPollFallbackWithoutEvents(t *testing.T) {
+	var urls []string
+	for _, code := range []int{http.StatusNotImplemented, http.StatusNotFound} {
+		srv := serve.NewServer(serve.Options{Slots: 1, EngineFactory: blockFactory(closedGate(), 2*time.Millisecond), Logf: t.Logf})
+		hs := httptest.NewServer(withoutEvents(srv.Handler(), code))
+		t.Cleanup(func() {
+			hs.Close()
+			srv.Close()
+		})
+		urls = append(urls, hs.URL)
+	}
+	router, err := fleet.NewRouter(fastRouterOptions(urls, t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+
+	// Distinct grids spread the jobs over both fronts.
+	served := map[string]int{}
+	for i := 0; i < 8; i++ {
+		spec := fleetSpec(3)
+		spec.Grid = fmt.Sprintf("%dx16x8", 16+8*i)
+		j, err := router.Submit(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := waitFleetJob(t, j); st != serve.StateSucceeded {
+			t.Fatalf("job %d finished %s without event streams: %s", i, st, router.Status(j).Error)
+		}
+		st := router.Status(j)
+		if st.Result == nil || st.Result.Steps != 3 || st.Reroutes != 0 {
+			t.Fatalf("job %d: %+v, want a 3-step result and no reroute", i, st)
+		}
+		served[st.Replica]++
+	}
+	if len(served) != 2 {
+		t.Fatalf("jobs ran on %v, want both fronts (501 and 404) exercised", served)
+	}
+	if m := router.Metrics(); m.Rerouted.Load() != 0 || m.Failed.Load() != 0 {
+		t.Fatalf("%d reroutes, %d failures through the poll fallback, want 0/0", m.Rerouted.Load(), m.Failed.Load())
+	}
+}
+
+// halfOpen fronts a replica that can go half-open: while hung is set it
+// accepts every request and never answers (until release closes or the client
+// gives up); otherwise requests pass through.
+func halfOpen(h http.Handler, hung *atomic.Bool, release <-chan struct{}) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if hung.Load() {
+			select {
+			case <-release:
+			case <-r.Context().Done():
+			}
+			return
+		}
+		h.ServeHTTP(w, r)
+	})
+}
+
+// TestFleetHalfOpenReplica: a replica that accepted a job and then stops
+// answering — connections stay open, nothing comes back — must not hold the
+// job. Once the health loop marks it down, the follow on it is canceled and
+// the job is rerouted; afterwards no goroutine is left behind.
+func TestFleetHalfOpenReplica(t *testing.T) {
+	before := runtime.NumGoroutine()
+
+	gate := make(chan struct{})
+	release := make(chan struct{})
+	hung := map[string]*atomic.Bool{}
+	var urls []string
+	var closers []func()
+	for i := 0; i < 2; i++ {
+		srv := serve.NewServer(serve.Options{Slots: 1, EngineFactory: blockFactory(gate, 0), Logf: t.Logf})
+		flag := new(atomic.Bool)
+		hs := httptest.NewServer(halfOpen(srv.Handler(), flag, release))
+		hung[hs.URL] = flag
+		urls = append(urls, hs.URL)
+		closers = append(closers, func() {
+			hs.CloseClientConnections()
+			hs.Close()
+			srv.Close()
+		})
+	}
+	opts := fastRouterOptions(urls, t)
+	opts.PollInterval = 10 * time.Second // nothing below may depend on polling
+	router, err := fleet.NewRouter(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	j, err := router.Submit(context.Background(), fleetSpec(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	home := router.Status(j).Replica
+	// The follow is open and silent (the job waits at the gate) when the
+	// replica goes half-open: new requests hang, the open stream says nothing.
+	hung[home].Store(true)
+
+	deadline := time.Now().Add(10 * time.Second)
+	for router.Status(j).Replica == home {
+		if time.Now().After(deadline) {
+			t.Fatalf("job still on the half-open replica after 10 s (state %s)", j.State())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	close(gate)
+	if st := waitFleetJob(t, j); st != serve.StateSucceeded {
+		t.Fatalf("rerouted job finished %s: %s", st, router.Status(j).Error)
+	}
+	if st := router.Status(j); st.Reroutes != 1 {
+		t.Fatalf("job survived %d reroutes, want 1", st.Reroutes)
+	}
+
+	router.Close()
+	close(release)
+	for _, c := range closers {
+		c()
+	}
+	leakDeadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(leakDeadline) {
+		runtime.GC()
+		if runtime.NumGoroutine() <= before+3 {
+			return
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	t.Fatalf("goroutines: %d before, %d after — leak", before, runtime.NumGoroutine())
+}
+
+// TestFleetTerminalJobRetention pins the router's registry bound, the same
+// as a replica's: jobs in flight are always kept, of the finished ones the
+// most recent serve.TerminalRetention, and an older id answers 404.
+func TestFleetTerminalJobRetention(t *testing.T) {
+	held := make(chan struct{})
+	_, urls := startReplicas(t, 1, serve.Options{
+		Slots: 2,
+		// The 7-step job blocks until the test ends; every other job free-runs.
+		EngineFactory: func(ns serve.NormSpec) (serve.Engine, error) {
+			if ns.Steps == 7 {
+				return blockFactory(held, 0)(ns)
+			}
+			return blockFactory(closedGate(), 0)(ns)
+		},
+	})
+	defer close(held)
+	opts := fastRouterOptions(urls, t)
+	opts.Logf = nil
+	router, err := fleet.NewRouter(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+	ctx := context.Background()
+
+	inflight, err := router.Submit(ctx, fleetSpec(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const extra = 10
+	var ids []string
+	for i := 0; i < serve.TerminalRetention+extra; i++ {
+		j, err := router.Submit(ctx, fleetSpec(1))
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		waitFleetJob(t, j)
+		ids = append(ids, j.ID)
+	}
+
+	if _, ok := router.Job(inflight.ID); !ok {
+		t.Fatalf("in-flight job %s (the oldest id) was dropped from the registry", inflight.ID)
+	}
+	for i, id := range ids {
+		_, ok := router.Job(id)
+		if want := i >= extra; ok != want {
+			t.Fatalf("finished job %d of %d (%s): present = %v, want %v", i, len(ids), id, ok, want)
+		}
+	}
+	rec := httptest.NewRecorder()
+	router.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/jobs/"+ids[0], nil))
+	if rec.Code != http.StatusNotFound {
+		t.Fatalf("GET of an expired job id = %d, want 404", rec.Code)
+	}
+}
+
+// TestFleetPlacementOnHalfOpenReplica: a submission whose home went
+// half-open before the health loop noticed must not hang on it either — the
+// placement request is canceled when the replica is marked down, and the walk
+// moves on to the next replica.
+func TestFleetPlacementOnHalfOpenReplica(t *testing.T) {
+	release := make(chan struct{})
+	defer close(release)
+	var hung atomic.Bool
+	var urls []string
+	for i := 0; i < 2; i++ {
+		srv := serve.NewServer(serve.Options{Slots: 1, EngineFactory: blockFactory(closedGate(), 0), Logf: t.Logf})
+		h := srv.Handler()
+		if i == 0 { // only the first replica ever hangs
+			h = halfOpen(h, &hung, release)
+		}
+		hs := httptest.NewServer(h)
+		t.Cleanup(func() {
+			hs.CloseClientConnections()
+			hs.Close()
+			srv.Close()
+		})
+		urls = append(urls, hs.URL)
+	}
+	router, err := fleet.NewRouter(fastRouterOptions(urls, t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+
+	// Eight distinct classes: some are owned by the replica about to hang.
+	hung.Store(true)
+	start := time.Now()
+	for i := 0; i < 8; i++ {
+		spec := fleetSpec(1)
+		spec.Grid = fmt.Sprintf("%dx16x8", 16+8*i)
+		j, err := router.Submit(context.Background(), spec)
+		if err != nil {
+			t.Fatalf("submit %d with a half-open replica in the ring: %v", i, err)
+		}
+		if st := waitFleetJob(t, j); st != serve.StateSucceeded || router.Status(j).Replica != urls[1] {
+			t.Fatalf("job %d finished %s on %s, want succeeded on the live replica %s", i, st, router.Status(j).Replica, urls[1])
+		}
+	}
+	if took := time.Since(start); took > 10*time.Second {
+		t.Fatalf("8 submissions took %s: placement hung on the half-open replica", took)
+	}
+}
+
+// TestFleetOlderReplica runs a job through a replica from before this
+// protocol: its "done" event carries no result and its stats advertise no
+// cache capacity. The router must fetch the result with a status request
+// rather than report a succeeded job without one.
+func TestFleetOlderReplica(t *testing.T) {
+	final := serve.JobStatus{ID: "j1", State: serve.StateSucceeded, Step: 2, Steps: 2,
+		Result: &serve.Result{Steps: 2, Checksums: serve.Checksums{Sum: 42}, CacheHit: true}}
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, _ *http.Request) {
+		w.WriteHeader(http.StatusAccepted)
+		fmt.Fprint(w, `{"id":"j1","state":"queued","steps":2}`)
+	})
+	mux.HandleFunc("GET /v1/jobs/j1/events", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/event-stream")
+		fmt.Fprint(w, "event: done\ndata: {\"type\":\"done\",\"state\":\"succeeded\",\"step\":2,\"steps\":2}\n\n")
+	})
+	mux.HandleFunc("GET /v1/jobs/j1", func(w http.ResponseWriter, _ *http.Request) {
+		_ = json.NewEncoder(w).Encode(final)
+	})
+	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, _ *http.Request) {
+		fmt.Fprint(w, `{"queue_depth":0,"queue_capacity":64,"slots_total":1}`)
+	})
+	hs := httptest.NewServer(mux)
+	defer hs.Close()
+	router, err := fleet.NewRouter(fastRouterOptions([]string{hs.URL}, t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+
+	j, err := router.Submit(context.Background(), fleetSpec(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitFleetJob(t, j); st != serve.StateSucceeded {
+		t.Fatalf("job finished %s: %s", st, router.Status(j).Error)
+	}
+	if res := router.Status(j).Result; res == nil || res.Checksums.Sum != 42 {
+		t.Fatalf("result through an older replica = %+v, want the one its status route returns", res)
+	}
+	if hits := router.Metrics().CacheHits.Load(); hits != 1 {
+		t.Fatalf("fleet cache hits = %d, want 1 (read from the fetched result)", hits)
 	}
 }

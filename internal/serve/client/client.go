@@ -176,20 +176,27 @@ func (c *Client) Events(ctx context.Context, id string, fn func(serve.Event) boo
 		return &APIError{StatusCode: resp.StatusCode, Message: "events stream refused"}
 	}
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	// The scanner starts at its small default and grows on demand: most
+	// events are ~100 bytes, a "done" carrying a profiled result a few KiB,
+	// and one follow is opened per routed job.
+	sc.Buffer(nil, 1<<20)
 	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, "data: ") {
+		data, ok := bytes.CutPrefix(sc.Bytes(), []byte("data: "))
+		if !ok {
 			continue
 		}
 		var ev serve.Event
-		if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &ev); err != nil {
+		if err := json.Unmarshal(data, &ev); err != nil {
 			return fmt.Errorf("serveclient: bad event payload: %w", err)
 		}
 		if !fn(ev) {
 			return nil
 		}
 		if ev.Type == "done" {
+			// The stream ends after "done": read on to its EOF so the
+			// transport can reuse the connection for the next follow.
+			for sc.Scan() {
+			}
 			return nil
 		}
 	}

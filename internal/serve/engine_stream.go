@@ -291,11 +291,10 @@ func (e *streamEngine) Info() EngineInfo {
 // ones kept on disk for resumption.
 func (e *streamEngine) Close() {
 	if e.streamer != nil {
-		if e.named {
-			_ = e.streamer.Close()
-		} else {
-			_ = e.streamer.Remove()
-		}
+		// Close before the removal below, always: it stops the tile engines'
+		// workers and unmaps the plane files, which deleting the directory
+		// under a live streamer does not.
+		_ = e.streamer.Close()
 		e.streamer = nil
 	}
 	if !e.named {

@@ -43,6 +43,14 @@ type Event struct {
 	Tiles int `json:"tiles,omitempty"`
 	// Error carries the failure (or cancellation reason) verbatim.
 	Error string `json:"error,omitempty"`
+	// Result rides on the "done" event of a succeeded job, so a follower
+	// (the fleet router) needs no second request to fetch it.
+	Result *Result `json:"result,omitempty"`
+}
+
+// doneEvent is the terminal event of a job whose final status is st.
+func doneEvent(st JobStatus) Event {
+	return Event{Type: "done", State: st.State, Step: st.Step, Steps: st.Steps, Error: st.Error, Result: st.Result}
 }
 
 // Result is the payload of GET /v1/jobs/{id}/result for a finished job.
@@ -247,22 +255,26 @@ func (j *Job) progressTiles(step, tile, tiles int) {
 
 // finish performs the terminal transition exactly once, reporting whether
 // this call did it; extra calls (e.g. a cancel racing a natural completion)
-// are ignored.
+// are ignored. The transition is not announced yet: the server settles its
+// counters and registry first and then calls announce, so whoever wakes on
+// Done or on the "done" event finds them already consistent with it.
 func (j *Job) finish(state JobState, errMsg string, result *Result, now time.Time) bool {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if j.state.Terminal() {
-		j.mu.Unlock()
 		return false
 	}
 	j.state = state
 	j.errMsg = errMsg
 	j.result = result
 	j.finished = now
-	step := j.step
-	j.mu.Unlock()
-	j.publish(Event{Type: "done", State: state, Step: step, Steps: j.ns.Steps, Error: errMsg})
-	close(j.done)
 	return true
+}
+
+// announce publishes the terminal event and closes Done, once, after finish.
+func (j *Job) announce() {
+	j.publish(doneEvent(j.status()))
+	close(j.done)
 }
 
 // publish fans an event out to the subscribers. Slow subscribers drop
@@ -306,4 +318,31 @@ func (j *Job) status() JobStatus {
 		Result: j.result,
 		Spec:   j.Spec,
 	}
+}
+
+// TerminalRetention is how many finished jobs a process keeps answerable by
+// id. Jobs in flight are always kept; of the finished ones only the most
+// recent TerminalRetention are, and an older id answers 404 — a result is
+// meant to be fetched soon after the job ends, and a registry that never
+// forgets grows without limit in a long-lived binary. The server and the
+// fleet router apply the same bound.
+const TerminalRetention = 4096
+
+// Retention is the FIFO window behind that bound: the ids of the most recent
+// TerminalRetention finished jobs, in finish order. The zero value is ready.
+type Retention struct {
+	ids  []string
+	next int
+}
+
+// Retire records a finished job's id and returns the id that left the window
+// to make room ("" while the window is still filling).
+func (r *Retention) Retire(id string) (expired string) {
+	if len(r.ids) < TerminalRetention {
+		r.ids = append(r.ids, id)
+		return ""
+	}
+	expired, r.ids[r.next] = r.ids[r.next], id
+	r.next = (r.next + 1) % TerminalRetention
+	return expired
 }

@@ -233,6 +233,7 @@ func (p *Pool) returnToken() {
 // PoolStats is a snapshot of the pool's gauges and counters.
 type PoolStats struct {
 	Capacity  int
+	MaxCached int
 	Busy      int
 	Idle      int
 	Hits      uint64
@@ -246,6 +247,7 @@ func (p *Pool) Stats() PoolStats {
 	defer p.mu.Unlock()
 	return PoolStats{
 		Capacity:  p.capacity,
+		MaxCached: p.maxCached,
 		Busy:      p.busy,
 		Idle:      p.nIdle,
 		Hits:      p.hits,

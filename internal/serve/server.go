@@ -66,9 +66,10 @@ type Server struct {
 	metrics *Metrics
 	tuner   *tune.Tuner
 
-	mu     sync.Mutex
-	jobs   map[string]*Job
-	nextID uint64
+	mu      sync.Mutex
+	jobs    map[string]*Job // in flight, plus the finished ones retired still holds
+	retired Retention
+	nextID  uint64
 
 	running  atomic.Int64
 	draining atomic.Bool
@@ -177,6 +178,10 @@ type ReplicaStats struct {
 	Draining      bool   `json:"draining"`
 	CacheHits     uint64 `json:"cache_hits"`
 	CacheMisses   uint64 `json:"cache_misses"`
+	// CacheCapacity is the idle-engine cache bound (Options.MaxCached
+	// resolved): how many distinct job classes the replica keeps warm. The
+	// router homes at most this many cache keys here.
+	CacheCapacity int    `json:"cache_capacity"`
 	Succeeded     uint64 `json:"succeeded"`
 	Failed        uint64 `json:"failed"`
 }
@@ -193,6 +198,7 @@ func (s *Server) Stats() ReplicaStats {
 		Draining:      s.draining.Load(),
 		CacheHits:     ps.Hits,
 		CacheMisses:   ps.Misses,
+		CacheCapacity: ps.MaxCached,
 		Succeeded:     s.metrics.Succeeded.Load(),
 		Failed:        s.metrics.Failed.Load(),
 	}
@@ -286,8 +292,16 @@ func (s *Server) runJob(j *Job) {
 		return
 	}
 	s.running.Add(1)
-	defer s.running.Add(-1)
+	state, errMsg, result := s.leaseAndExecute(j)
+	// Off the gauge before the terminal transition, not after: whoever sees
+	// the job done must not still find it counted as running.
+	s.running.Add(-1)
+	s.finishJob(j, state, errMsg, result)
+}
 
+// leaseAndExecute runs a job that is already marked running and returns its
+// terminal transition for the caller to perform.
+func (s *Server) leaseAndExecute(j *Job) (JobState, string, *Result) {
 	queueWait := j.started.Sub(j.created)
 	// With a tuner, the engine lease happens under the tuned (canonical)
 	// spec: the cache stores the best-known configuration for the class,
@@ -296,18 +310,16 @@ func (s *Server) runJob(j *Job) {
 	lease, err := s.pool.Acquire(j.ctx, tuned)
 	if err != nil {
 		if j.ctx.Err() != nil {
-			s.finishJob(j, j.terminalOnCancel(), j.cancelCause(), nil)
-		} else {
-			s.finishJob(j, StateFailed, err.Error(), nil)
+			return j.terminalOnCancel(), j.cancelCause(), nil
 		}
-		return
+		return StateFailed, err.Error(), nil
 	}
 	reuse, state, errMsg, result := s.executeJob(j, lease, tuned, dec, queueWait)
 	// Release before the terminal transition: once a job reports done, a
 	// healthy engine is already back in the cache, so an immediate follow-up
 	// job with the same key hits instead of compiling a duplicate.
 	lease.Release(reuse)
-	s.finishJob(j, state, errMsg, result)
+	return state, errMsg, result
 }
 
 // tuneSpec maps a job's spec to the configuration it should run as. Without
@@ -502,6 +514,11 @@ func (s *Server) finishJob(j *Job, state JobState, errMsg string, result *Result
 	if !j.finish(state, errMsg, result, time.Now()) {
 		return
 	}
+	s.mu.Lock()
+	if expired := s.retired.Retire(j.ID); expired != "" {
+		delete(s.jobs, expired)
+	}
+	s.mu.Unlock()
 	switch state {
 	case StateSucceeded:
 		s.metrics.JobSucceeded(j.ns.Solver)
@@ -511,6 +528,7 @@ func (s *Server) finishJob(j *Job, state JobState, errMsg string, result *Result
 	case StateCanceled:
 		s.metrics.JobCanceled(j.ns.Solver)
 	}
+	j.announce()
 	s.jobsWG.Done()
 }
 
@@ -772,7 +790,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if st.State.Terminal() {
-		writeEvent(Event{Type: "done", State: st.State, Step: st.Step, Steps: st.Steps, Error: st.Error})
+		writeEvent(doneEvent(st))
 		return
 	}
 	for {
@@ -801,8 +819,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 				}
 				break
 			}
-			st := s.Status(j)
-			writeEvent(Event{Type: "done", State: st.State, Step: st.Step, Steps: st.Steps, Error: st.Error})
+			writeEvent(doneEvent(s.Status(j)))
 			return
 		case <-r.Context().Done():
 			return

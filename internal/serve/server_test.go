@@ -786,3 +786,55 @@ func TestNoGoroutineLeak(t *testing.T) {
 	}
 	t.Fatalf("goroutines: %d before, %d after drain — leak", before, runtime.NumGoroutine())
 }
+
+// TestTerminalJobRetention pins the registry bound: a job in flight is kept
+// however old it is, of the finished jobs exactly the most recent
+// serve.TerminalRetention stay answerable, and an older id is gone (404 at
+// the API).
+func TestTerminalJobRetention(t *testing.T) {
+	held := make(chan struct{})
+	open := make(chan struct{})
+	close(open)
+	srv := serve.NewServer(serve.Options{
+		Slots: 2, Logf: t.Logf,
+		// The 7-step job blocks until the test ends; every other job free-runs.
+		EngineFactory: func(ns serve.NormSpec) (serve.Engine, error) {
+			if ns.Steps == 7 {
+				return gatedFactory(held)(ns)
+			}
+			return gatedFactory(open)(ns)
+		},
+	})
+	defer srv.Close()
+	defer close(held)
+
+	inflight, err := srv.Submit(smallSpec(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const extra = 10
+	var ids []string
+	for i := 0; i < serve.TerminalRetention+extra; i++ {
+		j, err := srv.Submit(smallSpec(1))
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		waitTerminal(t, j)
+		ids = append(ids, j.ID)
+	}
+
+	if _, ok := srv.Job(inflight.ID); !ok {
+		t.Fatalf("in-flight job %s (the oldest id) was dropped from the registry", inflight.ID)
+	}
+	for i, id := range ids {
+		_, ok := srv.Job(id)
+		if want := i >= extra; ok != want {
+			t.Fatalf("finished job %d of %d (%s): present = %v, want %v", i, len(ids), id, ok, want)
+		}
+	}
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/jobs/"+ids[0], nil))
+	if rec.Code != 404 {
+		t.Fatalf("GET of an expired job id = %d, want 404", rec.Code)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -212,5 +213,60 @@ func TestStreamedResumeAfterCancel(t *testing.T) {
 	}
 	if st1 == serve.StateCanceled && res.Stream.ResumedSteps == 0 && res.Stream.TilesDone == 0 {
 		t.Fatalf("resumed job did no work and resumed no steps: %+v", res.Stream)
+	}
+}
+
+// spillMappings counts this process's live memory mappings of files under
+// dir (-1 where /proc/self/maps does not exist).
+func spillMappings(dir string) int {
+	maps, err := os.ReadFile("/proc/self/maps")
+	if err != nil {
+		return -1
+	}
+	return strings.Count(string(maps), dir)
+}
+
+// TestStreamedJobsReleaseTheirStores is the regression test of a leak: the
+// streamed engine's Close deleted an anonymous store without closing its
+// streamer first, so every streamed job left its two plane-file mappings,
+// their descriptors and its tile engines' worker goroutines behind. After N
+// anonymous streamed jobs the process must be back at its baseline.
+func TestStreamedJobsReleaseTheirStores(t *testing.T) {
+	spill := t.TempDir()
+	srv := serve.NewServer(serve.Options{Slots: 1, SpillDir: spill})
+	defer srv.Close()
+	spec := streamTestSpec(2)
+	spec.Streamed = true
+	spec.MemoryBudgetMB = 1
+
+	run := func() {
+		t.Helper()
+		j, err := srv.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := waitTerminal(t, j); st != serve.StateSucceeded {
+			t.Fatalf("streamed job: %s (%s)", st, srv.Status(j).Error)
+		}
+	}
+	baseGoroutines, baseMappings := runtime.NumGoroutine(), spillMappings(spill)
+	for i := 0; i < 5; i++ {
+		run()
+	}
+
+	// The engine is closed before its job turns terminal; its workers may
+	// take a moment longer to return.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseGoroutines && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > baseGoroutines {
+		t.Errorf("goroutines: %d before the streamed jobs, %d after — tile-engine workers leaked", baseGoroutines, n)
+	}
+	if n := spillMappings(spill); n > baseMappings {
+		t.Errorf("plane-file mappings under %s: %d before the streamed jobs, %d after — stores not closed", spill, baseMappings, n)
+	}
+	if entries, err := os.ReadDir(spill); err != nil || len(entries) != 0 {
+		t.Errorf("spill root after the jobs: %v (err %v), want empty", entries, err)
 	}
 }

@@ -1,6 +1,7 @@
 package serve_test
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -173,5 +174,89 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	if st.Running != 1 || st.SlotsBusy != 1 {
 		t.Fatalf("busy stats = %+v, want 1 running on 1 busy slot", st)
+	}
+}
+
+// TestDoneEventCarriesResultAndStatsCarryCapacity pins the two wire fields the
+// fleet router's push path reads: the terminal "done" event of a succeeded job
+// carries its result (live stream and replay alike; a failed job's carries
+// none), and /v1/stats advertises the engine-cache capacity.
+func TestDoneEventCarriesResultAndStatsCarryCapacity(t *testing.T) {
+	gate := make(chan struct{})
+	srv := serve.NewServer(serve.Options{
+		Slots: 1, MaxCached: 3, EngineFactory: gatedFactory(gate), Logf: t.Logf,
+	})
+	defer srv.Close()
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	client := serveclient.New(hs.URL)
+	ctx := t.Context()
+
+	lastEvent := func(id string, onFirst func()) serve.Event {
+		t.Helper()
+		var last serve.Event
+		if err := client.Events(ctx, id, func(ev serve.Event) bool {
+			if onFirst != nil {
+				onFirst()
+				onFirst = nil
+			}
+			last = ev
+			return true
+		}); err != nil {
+			t.Fatalf("events stream of %s: %v", id, err)
+		}
+		return last
+	}
+
+	st, err := client.Submit(ctx, smallSpec(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A second job, canceled while the first still holds the slot: its done
+	// event has no result to carry.
+	bad, err := client.Submit(ctx, smallSpec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := client.Cancel(ctx, bad.ID); err != nil {
+		t.Fatal(err)
+	}
+	if ev := lastEvent(bad.ID, nil); ev.Type != "done" || ev.State != serve.StateCanceled || ev.Result != nil {
+		t.Fatalf("canceled job's last event = %+v, want done/canceled without a result", ev)
+	}
+
+	// Open the gate only once the stream is attached: the done event below
+	// is the live one, not the replay.
+	live := lastEvent(st.ID, func() { close(gate) })
+	for name, ev := range map[string]serve.Event{"live": live, "replayed": lastEvent(st.ID, nil)} {
+		if ev.Type != "done" || ev.State != serve.StateSucceeded {
+			t.Fatalf("%s last event = %+v, want done/succeeded", name, ev)
+		}
+		if ev.Result == nil || ev.Result.Steps != 2 || ev.Result.Checksums.Sum != 1 {
+			t.Fatalf("%s done event result = %+v, want the job's result (2 steps, sum 1)", name, ev.Result)
+		}
+	}
+	polled, err := client.Result(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *polled.Result != *live.Result {
+		t.Fatalf("done event result %+v differs from the polled result %+v", live.Result, polled.Result)
+	}
+
+	resp, err := http.Get(hs.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var raw map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := raw["cache_capacity"].(float64); !ok || got != 3 {
+		t.Fatalf("/v1/stats cache_capacity = %v, want 3 (MaxCached)", raw["cache_capacity"])
+	}
+	if def := serve.NewPool(1, 0, nil).Stats().MaxCached; def != 8 {
+		t.Fatalf("default cache capacity = %d, want 8", def)
 	}
 }

@@ -128,8 +128,8 @@ type Checksums struct {
 // written with grid.WriteFileAtomic after each tile's planes are synced, so
 // a kill at any instant resumes on the correct tile.
 type checkpoint struct {
-	Version    int    `json:"version"`
-	Domain     [3]int `json:"domain"`
+	Version int    `json:"version"`
+	Domain  [3]int `json:"domain"`
 	// Solver records which catalog entry wrote the store; resume rejects a
 	// run requesting a different solver (the planes would be meaningless).
 	Solver     string  `json:"solver"`
@@ -705,8 +705,10 @@ func (s *Streamer) runSweepPipelined(sweep int) error {
 	loadCh := make(chan loadMsg, 1)
 	writeCh := make(chan writeMsg, 1)
 	writeDone := make(chan error, 1)
+	loaderDone := make(chan struct{})
 
 	go func() { // loader: stays one tile ahead of compute
+		defer close(loaderDone)
 		defer close(loadCh)
 		for t := s.ck.Tile; t < tiles; t++ {
 			var buf []float64
@@ -783,6 +785,10 @@ func (s *Streamer) runSweepPipelined(sweep int) error {
 	close(stop)
 	close(writeCh)
 	werr := <-writeDone
+	// Join the loader too: on an abort or error it may still be inside a
+	// plane read, and the caller is free to Close (unmap) the files as soon
+	// as this returns.
+	<-loaderDone
 	if computeErr != nil {
 		return computeErr
 	}

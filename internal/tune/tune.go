@@ -299,7 +299,11 @@ func (t *Tuner) best(p *problem, reqIdx int, steps int) int {
 		if i == reqIdx || !feasible(&p.cands[i], steps) {
 			continue
 		}
-		if s := p.score(&p.cands[i]); s < bestScore {
+		// A later candidate must win by more than rounding: after a single
+		// observation an unmeasured candidate with the same modeled cost
+		// scores modeled*(measured/modeled), which lands an ulp either side
+		// of the measured one and would flip the choice at random.
+		if s := p.score(&p.cands[i]); s < bestScore*(1-1e-9) {
 			bestIdx, bestScore = i, s
 		}
 	}
