@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check vet test race race-core bench-check bench benchall tables examples clean
+.PHONY: all build fmt-check vet test race race-core bench-check bench-smoke bench benchall tables report examples clean
 
 # Tier-1 gate: format + build + vet + full test suite + race detector on the
 # concurrency-bearing packages + the separately-moduled benchmark still
@@ -34,6 +34,15 @@ race-core:
 # here, not in a benchmark run.
 bench-check:
 	cd bench && $(GO) vet . && $(GO) test -short .
+
+# Benchstat-style regression smoke (CI's "Bench smoke" step): one iteration of
+# the compute benchmarks, compared by benchjson against the last run recorded
+# in BENCH_compute.json without writing to it. Timing deltas are advisory;
+# the target fails only on allocs/op > 0 — the compiled-schedule backend's
+# hard invariant.
+bench-smoke: SHELL := /bin/bash
+bench-smoke:
+	set -o pipefail; $(GO) test -run '^$$' -bench '^BenchmarkCompute' -benchmem -benchtime 1x . | $(GO) run ./cmd/benchjson -smoke -o BENCH_compute.json
 
 # Run the compute benchmarks and append the results to BENCH_compute.json
 # (see docs/PERFORMANCE.md for the trajectory format).

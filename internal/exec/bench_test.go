@@ -11,36 +11,50 @@ import (
 
 // BenchmarkScheduleBuild measures the plan-time cost of compiling a full
 // one-step execution schedule (region decomposition, interior/border-piece
-// splits, barrier placement) for the islands strategy on a two-node machine —
-// the price paid once per Runner so the steady-state loop pays none of it.
+// splits, barrier placement) on a two-node machine — the price paid once per
+// Runner so the steady-state loop pays none of it. One arm per execution
+// shape, all through the single compileSchedule entry point: compile cost is
+// the only time the shape of the sweeper list can move.
 func BenchmarkScheduleBuild(b *testing.B) {
 	domain := grid.Sz(128, 64, 16)
 	m, err := topology.UV2000(2)
 	if err != nil {
 		b.Fatal(err)
 	}
-	state := mpdata.NewState(domain)
-	state.SetGaussian(64, 32, 8, 4, 1, 0.1)
-	state.SetUniformVelocity(0.2, 0.1, 0.05)
-	prog := mpdata.NewProgram()
-	r, err := NewRunner(Config{
-		Machine: m, Strategy: IslandsOfCores, Boundary: stencil.Clamp, Steps: 1, BlockI: 16,
-	}, prog, state.InputMap(), mpdata.InPsi)
-	if err != nil {
-		b.Fatal(err)
+	arms := []struct {
+		name string
+		cfg  Config
+	}{
+		{"islands", Config{Strategy: IslandsOfCores}},
+		{"plus31d", Config{Strategy: Plus31D}},
+		{"core-islands", Config{Strategy: IslandsOfCores, CoreIslands: true}},
 	}
-	defer r.Close()
-	out := state.InputMap()[mpdata.InPsi]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s, err := compileSchedule(r.plan, prog, r.sch.Teams, r.envs, r.workerEnvs, out, mpdata.InPsi, r.halo, "")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(s.items) == 0 {
-			b.Fatal("empty schedule")
-		}
+	for _, arm := range arms {
+		b.Run(arm.name, func(b *testing.B) {
+			state := mpdata.NewState(domain)
+			state.SetGaussian(64, 32, 8, 4, 1, 0.1)
+			state.SetUniformVelocity(0.2, 0.1, 0.05)
+			prog := mpdata.NewProgram()
+			cfg := arm.cfg
+			cfg.Machine, cfg.Boundary, cfg.Steps, cfg.BlockI = m, stencil.Clamp, 1, 16
+			r, err := NewRunner(cfg, prog, state.InputMap(), mpdata.InPsi)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer r.Close()
+			out := state.InputMap()[mpdata.InPsi]
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s, err := compileSchedule(r.plan, prog, r.haloEnvs, out, mpdata.InPsi, r.halo, "")
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(s.items) == 0 {
+					b.Fatal("empty schedule")
+				}
+			}
+		})
 	}
 }
 

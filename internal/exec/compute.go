@@ -26,17 +26,14 @@ type Runner struct {
 	sch      *sched.Scheduler
 	inputs   map[string]*grid.Field
 	feedback string
-	// envs holds one execution environment per island (a single shared
-	// one for Original and Plus31D). Island environments own private
+	// haloEnvs holds one execution environment per plan sweeper, in sweeper
+	// order — the order of the halo geometry and of the compiled schedule: a
+	// single shared one for Original and Plus31D, one per island, or one
+	// per core for core-level sub-islands. Island environments own private
 	// stage arrays — the islands' independence is structural, not just
-	// scheduled. In the swap+halo feedback mode each island environment
-	// additionally owns a private double-buffered copy of the feedback
-	// field (see halo.go).
-	envs []*stencil.Env
-	// workerEnvs holds per-core environments when core-level sub-islands
-	// are enabled: each worker's intermediates are private, mirroring the
-	// per-core cache partitions the sub-islands represent.
-	workerEnvs [][]*stencil.Env
+	// scheduled — and in the swap+halo feedback mode additionally a private
+	// double-buffered copy of the feedback field (see halo.go).
+	haloEnvs []*stencil.Env
 	// schedule is the compiled one-step program; stepFns are the per-team
 	// worker closures dispatched every step (built once, so the dispatch
 	// allocates nothing). With temporal blocking one dispatch advances
@@ -54,14 +51,12 @@ type Runner struct {
 	// point of the block), so per-step hooks and KSteps > 1 are mutually
 	// exclusive semantics the driver must choose between.
 	OnStepEnd func(step int)
-	// halo is the swap+halo exchange geometry (nil outside that mode);
-	// haloEnvs flattens the private environments in the geometry's order,
-	// and swapPairs precomputes each environment's (feedback, output)
-	// field pair so the per-step driver swap allocates nothing. fbStale
-	// marks the shared feedback grid as lagging the private buffers
-	// (cleared by SyncFeedback).
+	// halo is the swap+halo exchange geometry (nil outside that mode), and
+	// swapPairs precomputes each environment's (feedback, output) field
+	// pair so the per-step driver swap allocates nothing. fbStale marks the
+	// shared feedback grid as lagging the private buffers (cleared by
+	// SyncFeedback).
 	halo      *haloGeom
-	haloEnvs  []*stencil.Env
 	swapPairs [][2]*grid.Field
 	fbStale   bool
 	// prof is the runtime profiler state (nil = profiling off, the
@@ -100,15 +95,15 @@ func NewRunner(cfg Config, prog *stencil.KernelProgram, inputs map[string]*grid.
 		inputs:   inputs,
 		feedback: feedback,
 	}
-	// Decide the island strategies' feedback mode before building the
-	// environments: swap+halo gives every island environment a private
-	// double-buffered feedback field (initialized from the shared grid),
-	// published per step by an O(1) buffer swap plus halo-strip pulls.
-	// Infeasible geometries (parts narrower than the step halo) fall back
-	// to the whole-part publish copies, recording the reason.
+	// Decide the private environments' feedback mode before building them:
+	// swap+halo gives every one a private double-buffered feedback field
+	// (initialized from the shared grid), published per step by an O(1)
+	// buffer swap plus halo-strip pulls. Infeasible geometries (parts
+	// narrower than the step halo) fall back to the whole-part publish
+	// copies, recording the reason.
 	var halo *haloGeom
 	var haloReason string
-	if cfg.Strategy == IslandsOfCores {
+	if !p.sharedEnv() {
 		switch {
 		case cfg.DisableHaloExchange:
 			haloReason = "disabled by Config.DisableHaloExchange"
@@ -118,57 +113,34 @@ func NewRunner(cfg Config, prog *stencil.KernelProgram, inputs map[string]*grid.
 			// (planKSteps falls back to ksteps=1 when that is infeasible).
 			halo = p.khalo
 		default:
-			halo, haloReason = haloGeometry(islandOwned(p), p.analysis.InputExtents[feedback], p.domain, cfg.Boundary)
+			halo, haloReason = haloGeometry(p.owned(), p.analysis.InputExtents[feedback], p.domain, cfg.Boundary)
 		}
 	}
-	// envInputs returns the step-input binding of one island environment:
-	// the shared fields, with the feedback input replaced by a private
-	// clone in swap+halo mode.
-	envInputs := func() map[string]*grid.Field {
-		if halo == nil {
-			return inputs
-		}
-		priv := make(map[string]*grid.Field, len(inputs))
-		for k, v := range inputs {
-			priv[k] = v
-		}
-		priv[feedback] = fb.Clone()
-		return priv
-	}
-	if cfg.CoreIslands {
-		for i := range p.parts {
-			var envs []*stencil.Env
-			for w := 0; w < cfg.Machine.Nodes[i].Cores; w++ {
-				env, err := stencil.NewEnv(&prog.Program, fb.Size, envInputs())
-				if err != nil {
-					r.Close()
-					return nil, err
-				}
-				env.BC = cfg.Boundary
-				envs = append(envs, env)
+	for range p.sweepers {
+		// The step-input binding of one environment: the shared fields,
+		// with the feedback input replaced by a private clone in swap+halo
+		// mode.
+		envInputs := inputs
+		if halo != nil {
+			envInputs = make(map[string]*grid.Field, len(inputs))
+			for k, v := range inputs {
+				envInputs[k] = v
 			}
-			r.workerEnvs = append(r.workerEnvs, envs)
-			r.haloEnvs = append(r.haloEnvs, envs...)
+			envInputs[feedback] = fb.Clone()
 		}
-	} else {
-		for range p.parts {
-			env, err := stencil.NewEnv(&prog.Program, fb.Size, envInputs())
-			if err != nil {
-				r.Close()
-				return nil, err
-			}
-			env.BC = cfg.Boundary
-			r.envs = append(r.envs, env)
+		env, err := stencil.NewEnv(&prog.Program, fb.Size, envInputs)
+		if err != nil {
+			r.Close()
+			return nil, err
 		}
-		r.haloEnvs = r.envs
-	}
-	if halo != nil {
-		r.halo = halo
-		for _, env := range r.haloEnvs {
+		env.BC = cfg.Boundary
+		r.haloEnvs = append(r.haloEnvs, env)
+		if halo != nil {
 			r.swapPairs = append(r.swapPairs, [2]*grid.Field{env.Field(feedback), env.Field(prog.Output)})
 		}
 	}
-	r.schedule, err = compileSchedule(p, prog, r.sch.Teams, r.envs, r.workerEnvs, fb, feedback, halo, haloReason)
+	r.halo = halo
+	r.schedule, err = compileSchedule(p, prog, r.haloEnvs, fb, feedback, halo, haloReason)
 	if err != nil {
 		r.Close()
 		return nil, err
@@ -288,7 +260,7 @@ func (r *Runner) Run() (err error) {
 		r.sch.RunFns(fns)
 		switch r.schedule.mode {
 		case FeedbackSwap:
-			grid.SwapData(r.inputs[r.feedback], r.envs[0].Field(r.prog.Output))
+			grid.SwapData(r.inputs[r.feedback], r.haloEnvs[0].Field(r.prog.Output))
 		case FeedbackSwapHalo:
 			// The workers have already pulled the halo strips into each
 			// island's output buffer (after the global join, so every

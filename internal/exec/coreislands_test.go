@@ -124,7 +124,7 @@ func TestWorkerRegionProperties(t *testing.T) {
 		total := 0
 		for b := range p.blocks[i] {
 			for _, sub := range subs {
-				r := p.workerRegion(i, out, b, sub)
+				r := p.workerRegionAt(0, i, out, b, sub)
 				total += r.Cells()
 				if !p.spans[i][out][b].ContainsRegion(r) {
 					t.Fatalf("worker region %v escapes span %v", r, p.spans[i][out][b])

@@ -78,30 +78,11 @@ func (r *Runner) DescribeSchedule() string {
 		walk = fmt.Sprintf("%d-step block", st.KSteps)
 	}
 	for t, team := range r.sch.Teams {
-		kernels, copies, swaps, waits := 0, 0, 0, 0
-		for w, items := range r.schedule.items[t] {
-			for i := range items {
-				switch items[i].kind {
-				case kernelItem:
-					kernels++
-				case copyItem:
-					copies++
-				case swapItem:
-					// One fused swap-barrier crossing = one swap per
-					// team; unsynchronized core-level swaps are one per
-					// worker (see ScheduleStats.SwapItems).
-					if items[i].bar == nil || w == 0 {
-						swaps++
-					}
-				case barrierItem:
-					waits++
-				}
-			}
-		}
+		ts := st.Teams[t]
 		fmt.Fprintf(&b, "  team %2d (%d workers): %d kernel items, %d copy items, %d barrier waits per %s",
-			team.ID, team.Size(), kernels, copies, waits, walk)
-		if swaps > 0 {
-			fmt.Fprintf(&b, " (%d inner swaps)", swaps)
+			team.ID, team.Size(), ts.KernelItems, ts.CopyItems, ts.BarrierWaits, walk)
+		if ts.SwapItems > 0 {
+			fmt.Fprintf(&b, " (%d inner swaps)", ts.SwapItems)
 		}
 		b.WriteByte('\n')
 	}

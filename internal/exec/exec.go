@@ -197,6 +197,47 @@ func CheckKSteps(cfg Config, prog *stencil.Program, domain grid.Size) error {
 	return nil
 }
 
+// joinKind names the barrier a sweeper's workers meet at between phases.
+type joinKind uint8
+
+const (
+	// joinGlobal is the machine-wide barrier: the sweeper is every core of
+	// the machine on the one shared environment, so the step output needs no
+	// exchange — the driver swaps it into the feedback input.
+	joinGlobal joinKind = iota
+	// joinTeam is the team's own barrier: the sweeper is one island.
+	joinTeam
+	// joinNone is a single worker with nothing to join: a core-level
+	// sub-island.
+	joinNone
+)
+
+// workerID addresses one worker of the scheduler: its team and its index
+// within the team.
+type workerID struct{ team, worker int }
+
+// sweeper is the set of workers that share one stencil.Env, one join barrier
+// and one owned output region, and walk that region's (inner step x block x
+// fused group) sweep together. The four execution shapes differ only in this
+// list: Original is one sweeper of all cores whose phase units are cut along
+// i, Plus31D the same cut along j, the islands strategy one sweeper per team,
+// core-level sub-islands one per worker — where "split across one worker"
+// and "no barrier" are simply what a 1-worker sweeper does.
+type sweeper struct {
+	// island indexes plan.parts / blocks / spansK: the blocks the sweeper
+	// walks and the wavefront spans it restricts.
+	island int
+	// owned is the output region the sweeper publishes: the island's part,
+	// or a worker's j-slice of it.
+	owned grid.Region
+	// workers are the sweeper's members; phase units, publish copies and
+	// halo strips are cut into one chunk per member, in this order.
+	workers []workerID
+	// dim is the dimension phase units are cut along.
+	dim  int
+	join joinKind
+}
+
 // plan captures the geometry shared by both backends: the island partition,
 // the block decomposition, and the per-stage wavefront spans.
 type plan struct {
@@ -213,6 +254,9 @@ type plan struct {
 	// spans[i][s][b] is the region of stage s computed in block b of
 	// island i.
 	spans [][][]grid.Region
+	// sweepers lists who sweeps what, in the order the halo geometry, the
+	// runner's environment list and the schedule compiler all share.
+	sweepers []sweeper
 	// ksteps is the effective temporal-blocking factor: 1 unless
 	// Config.KSteps > 1 was requested and is feasible, in which case the
 	// requested value. kstepReason records why a requested factor fell back
@@ -271,13 +315,27 @@ func newPlan(cfg Config, prog *stencil.Program, domain grid.Size) (*plan, error)
 		blockI = decomp.ChooseBlock(domain, cfg.Machine.Nodes[0].LLCBytes, cfg.LiveArrays).BI
 	}
 	whole := grid.WholeRegion(domain)
+	// teams[t] lists the workers of node t's work team (sched.New builds one
+	// team per node, numbering cores team by team).
+	teams := make([][]workerID, cfg.Machine.NumNodes())
+	var cores []workerID
+	for t, node := range cfg.Machine.Nodes {
+		for w := 0; w < node.Cores; w++ {
+			teams[t] = append(teams[t], workerID{t, w})
+		}
+		cores = append(cores, teams[t]...)
+	}
+	// This switch is the one place the strategies differ: the partition, the
+	// blocking, and who sweeps it.
 	switch cfg.Strategy {
 	case Original:
 		p.parts = []grid.Region{whole}
 		p.blocks = [][]grid.Region{{whole}}
+		p.sweepers = []sweeper{{owned: whole, workers: cores, dim: 0, join: joinGlobal}}
 	case Plus31D:
 		p.parts = []grid.Region{whole}
 		p.blocks = [][]grid.Region{decomp.BlocksAlongI(whole, blockI)}
+		p.sweepers = []sweeper{{owned: whole, workers: cores, dim: 1, join: joinGlobal}}
 	case IslandsOfCores:
 		n := cfg.Machine.NumNodes()
 		if cfg.IslandGrid != [2]int{} {
@@ -302,6 +360,13 @@ func newPlan(cfg Config, prog *stencil.Program, domain grid.Size) (*plan, error)
 		p.blocks = make([][]grid.Region, n)
 		for i, part := range p.parts {
 			p.blocks[i] = decomp.BlocksAlongI(part, blockI)
+			if !cfg.CoreIslands {
+				p.sweepers = append(p.sweepers, sweeper{island: i, owned: part, workers: teams[i], dim: 1, join: joinTeam})
+				continue
+			}
+			for w, sub := range decomp.SplitDim(part, 1, len(teams[i])) {
+				p.sweepers = append(p.sweepers, sweeper{island: i, owned: sub, workers: teams[i][w : w+1], dim: 1, join: joinNone})
+			}
 		}
 	}
 
@@ -348,7 +413,7 @@ func (p *plan) planKSteps() {
 		return
 	}
 	fext := p.analysis.InputExtents[fb]
-	owned := islandOwned(p)
+	owned := p.owned()
 	if p.cfg.Boundary == stencil.Periodic && !fext.IsZero() {
 		dims := [3]int{p.domain.NI, p.domain.NJ, p.domain.NK}
 		lo := [3]int{fext.ILo, fext.JLo, fext.KLo}
@@ -404,21 +469,39 @@ func (p *plan) targetAt(d int, out grid.Region) grid.Region {
 	return p.fext.Scale(d).Apply(out).Clamp(p.domain)
 }
 
+// owned returns every sweeper's output region, in sweeper order — the
+// partition the halo geometry is derived over.
+func (p *plan) owned() []grid.Region {
+	out := make([]grid.Region, len(p.sweepers))
+	for e := range p.sweepers {
+		out[e] = p.sweepers[e].owned
+	}
+	return out
+}
+
+// sharedEnv reports whether the plan's one sweeper is the whole machine on
+// the shared environment (Original, Plus31D) — as opposed to islands on
+// private environments, which must join and exchange after computing.
+func (p *plan) sharedEnv() bool { return p.sweepers[0].join == joinGlobal }
+
+// span returns the region of stage s that sweeper sw computes in block b of
+// its island, for the inner step at distance d from a k-block's final step.
+// A team-level sweeper owns the island's whole part, for which the
+// sub-island restriction is the identity: it gets the island's span itself.
+func (p *plan) span(sw *sweeper, d, s, b int) grid.Region {
+	return p.workerRegionAt(d, sw.island, s, b, sw.owned)
+}
+
 // stageChunks returns the per-worker chunks of stage s's span in block b of
-// island i, split along dim across n workers. It is the single source of the
-// worker-level decomposition: the compiled compute schedule executes these
-// chunks and the model backend prices them.
+// island i, split along dim across n workers — what the model backend prices
+// for the original strategy (the same decomp.SplitDim cut the compiled
+// schedule makes of each phase unit).
 func (p *plan) stageChunks(island, s, b, dim, n int) []grid.Region {
 	return decomp.SplitDim(p.spans[island][s][b], dim, n)
 }
 
-// islandCells returns the total cells island i computes for stage s
-// (including redundant trapezoids).
-func (p *plan) islandCells(i, s int) int64 {
-	return p.islandCellsAt(0, i, s)
-}
-
-// islandCellsAt is islandCells for the inner step at distance d from a
+// islandCellsAt returns the total cells island i computes for stage s
+// (including redundant trapezoids) in the inner step at distance d from a
 // k-block's final step (d = 0 is the plain one-step geometry).
 func (p *plan) islandCellsAt(d, i, s int) int64 {
 	var c int64
@@ -429,7 +512,7 @@ func (p *plan) islandCellsAt(d, i, s int) int64 {
 }
 
 // islandCellsAvg returns island i's per-step cell count for stage s averaged
-// over the inner steps of a temporal block (equal to islandCells at k=1) —
+// over the inner steps of a temporal block (islandCellsAt(0, ...) at k=1) —
 // the per-step redundancy the model prices under temporal blocking.
 func (p *plan) islandCellsAvg(i, s int) float64 {
 	var c int64
@@ -439,18 +522,13 @@ func (p *plan) islandCellsAvg(i, s int) float64 {
 	return float64(c) / float64(p.ksteps)
 }
 
-// workerRegion restricts a stage span of island i to the j-trapezoid of one
+// workerRegionAt restricts a stage span of island i to the j-trapezoid of one
 // core's sub-island: the worker owning output sub-region sub computes stage
 // s on the span's i/k ranges but only on sub grown by the stage's j-extent
-// (clamped into the span) — the core-level islands of the paper's §6.
-func (p *plan) workerRegion(i, s, b int, sub grid.Region) grid.Region {
-	return p.workerRegionAt(0, i, s, b, sub)
-}
-
-// workerRegionAt is workerRegion for the inner step at distance d from a
-// k-block's final step: the sub-island's own output target is sub grown by d
-// feedback extents, and the stage span comes from the same inner step's
-// island geometry.
+// (clamped into the span) — the core-level islands of the paper's §6. d is
+// the inner step's distance from a k-block's final step: the sub-island's own
+// output target is sub grown by d feedback extents, and the stage span comes
+// from the same inner step's island geometry.
 func (p *plan) workerRegionAt(d, i, s, b int, sub grid.Region) grid.Region {
 	span := p.spansK[d][i][s][b]
 	if span.Empty() || sub.Empty() {
@@ -467,13 +545,9 @@ func (p *plan) workerRegionAt(d, i, s, b int, sub grid.Region) grid.Region {
 	return out
 }
 
-// coreIslandCells returns the total cells island i computes for stage s when
-// its part is further split into n core-level sub-islands along j.
-func (p *plan) coreIslandCells(i, s, n int) int64 {
-	return p.coreIslandCellsAt(0, i, s, n)
-}
-
-// coreIslandCellsAt is coreIslandCells for the inner step at distance d.
+// coreIslandCellsAt returns the total cells island i computes for stage s in
+// the inner step at distance d when its part is further split into n
+// core-level sub-islands along j.
 func (p *plan) coreIslandCellsAt(d, i, s, n int) int64 {
 	subs := decomp.SplitDim(p.parts[i], 1, n)
 	var c int64
@@ -486,7 +560,7 @@ func (p *plan) coreIslandCellsAt(d, i, s, n int) int64 {
 }
 
 // coreIslandCellsAvg averages coreIslandCellsAt over a temporal block's
-// inner steps (equal to coreIslandCells at k=1).
+// inner steps.
 func (p *plan) coreIslandCellsAvg(i, s, n int) float64 {
 	var c int64
 	for d := 0; d < p.ksteps; d++ {

@@ -196,17 +196,3 @@ func mergeIvals(segs []ival) []ival {
 	}
 	return out
 }
-
-// islandOwned returns the flattened output regions of the island strategies'
-// private environments: one per team, or one per worker when core-level
-// sub-islands are enabled — the same splits the schedule compiler publishes.
-func islandOwned(p *plan) []grid.Region {
-	if !p.cfg.CoreIslands {
-		return p.parts
-	}
-	var owned []grid.Region
-	for i, part := range p.parts {
-		owned = append(owned, splitPart(part, p.cfg.Machine.Nodes[i].Cores)...)
-	}
-	return owned
-}

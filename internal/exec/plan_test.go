@@ -78,7 +78,7 @@ func TestPlanSoundness(t *testing.T) {
 					return false // (2)
 				}
 			}
-			outCells += int(pl.islandCells(i, out))
+			outCells += int(pl.islandCellsAt(0, i, out))
 		}
 		return outCells == domain.Cells() // (3)
 	}

@@ -11,13 +11,6 @@ import (
 	"islands/internal/stencil"
 )
 
-// splitPart cuts an island part into one output sub-region per worker along
-// j — the decomposition both the publish copies and the core-level
-// sub-islands use.
-func splitPart(part grid.Region, n int) []grid.Region {
-	return decomp.SplitDim(part, 1, n)
-}
-
 // This file implements the compiled-schedule executor: at NewRunner time the
 // full (island, block, stage, worker) -> region decomposition of one time
 // step — including the interior/border split that split kernels would
@@ -27,7 +20,9 @@ func splitPart(part grid.Region, n int) []grid.Region {
 // its precompiled items, and per-stage joins are reusable sense-reversing
 // barriers (sched.Barrier) instead of a channel dispatch+join through
 // sched.Team.Run. This is the schedule-once/execute-many discipline of
-// time-skewed stencil frameworks, applied to the paper's three strategies.
+// time-skewed stencil frameworks, applied to the paper's strategies — which
+// differ only in the plan's sweeper list (exec.go); one loop nest
+// (compileSweeps) and one epilogue (compileFeedback) compile them all.
 
 type itemKind uint8
 
@@ -89,9 +84,8 @@ type phaseInfo struct {
 
 // Schedule is a compiled one-step execution program: for every worker of
 // every team, the ordered work items of one time step. It is built once per
-// Runner and reused for every step; the model backend shares the plan's
-// decomposition helpers (plan.stageChunks) so both backends price and
-// execute the same geometry.
+// Runner and reused for every step; the model backend prices the same plan
+// geometry (parts, blocks, spans) the compiler walks.
 type Schedule struct {
 	// items[t][w] is the step program of worker w of team t. With temporal
 	// blocking (ksteps > 1) one walk of items advances ksteps time steps —
@@ -223,12 +217,14 @@ func runItems(items []schedItem) {
 	}
 }
 
-// scheduleCompiler accumulates per-worker item lists while walking a plan.
+// scheduleCompiler accumulates per-worker item lists while walking a plan's
+// sweeper list.
 type scheduleCompiler struct {
-	p     *plan
-	prog  *stencil.KernelProgram
-	teams []*sched.Team
-	out   *grid.Field
+	p    *plan
+	prog *stencil.KernelProgram
+	// envs[e] is sweeper e's environment (Runner.haloEnvs).
+	envs []*stencil.Env
+	out  *grid.Field
 	// exts[s] is stage s's combined input extent, the interior-split
 	// boundary width (identical to what splitKernel uses at run time).
 	exts []stencil.Extent
@@ -241,13 +237,13 @@ type scheduleCompiler struct {
 	// pinned coordinates share one clone across stages and blocks.
 	binds map[bindKey]*stencil.Env
 	// curPhase is the profiling phase stamped onto emitted items; the
-	// compile loops set it to a group's phase before emitting the group's
-	// units, and leave it pointing at the just-finished phase when
+	// compile loop sets it to a group's phase before emitting the group's
+	// units, and leaves it pointing at the just-finished phase when
 	// emitting the barrier that seals it.
 	curPhase int32
 	// phaseByGroup maps a fused group and its inner-step distance d (from
 	// the temporal block's final step; always 0 without temporal blocking)
-	// to its phase id, so a group swept once per block and team still
+	// to its phase id, so a group swept once per block and sweeper still
 	// aggregates into a single phase per inner step. Keying by d rather
 	// than by inner-step index lets the remainder program — whose r inner
 	// steps are the tail of the k-block's geometry — share the k-block's
@@ -283,33 +279,36 @@ type bindKey struct {
 	pin    [3]int
 }
 
-func newScheduleCompiler(p *plan, prog *stencil.KernelProgram, teams []*sched.Team, out *grid.Field) *scheduleCompiler {
-	c := &scheduleCompiler{p: p, prog: prog, teams: teams, out: out, sch: &Schedule{},
+func newScheduleCompiler(p *plan, prog *stencil.KernelProgram, envs []*stencil.Env, out *grid.Field) (*scheduleCompiler, error) {
+	groups, err := p.fuse.CompileGroups(prog)
+	if err != nil {
+		return nil, err
+	}
+	c := &scheduleCompiler{p: p, prog: prog, envs: envs, out: out, groups: groups,
+		sch: &Schedule{stages: len(prog.Stages), groups: len(groups),
+			ksteps: p.ksteps, kstepReason: p.kstepReason},
 		binds:        make(map[bindKey]*stencil.Env),
 		phaseByGroup: make(map[groupKey]int32),
 		phaseByLabel: make(map[string]int32),
-		tbars:        make([]*sched.Barrier, len(teams))}
+		tbars:        make([]*sched.Barrier, p.cfg.Machine.NumNodes())}
 	c.exts = make([]stencil.Extent, len(prog.Stages))
 	for s := range prog.Stages {
 		c.exts[s] = stencil.InputsExtent(prog.Stages[s].Inputs)
 	}
-	c.sch.items = make([][][]schedItem, len(teams))
-	for t, team := range teams {
-		c.sch.items[t] = make([][]schedItem, team.Size())
-	}
-	return c
+	c.sch.items = c.newProgram()
+	return c, nil
 }
 
-// totalCores returns the worker count across all teams.
-func (c *scheduleCompiler) totalCores() int {
-	n := 0
-	for _, t := range c.teams {
-		n += t.Size()
+// newProgram allocates one empty item list per worker of every team.
+func (c *scheduleCompiler) newProgram() [][][]schedItem {
+	prog := make([][][]schedItem, c.p.cfg.Machine.NumNodes())
+	for t, node := range c.p.cfg.Machine.Nodes {
+		prog[t] = make([][]schedItem, node.Cores)
 	}
-	return n
+	return prog
 }
 
-// addKernel appends stage s over region r to worker (t, w), pre-splitting
+// addKernel appends stage s over region r to worker wk, pre-splitting
 // split-kernel stages at plan time. The interior runs the fast path on the
 // plain environment; the boundary shell is decomposed into pinned pieces
 // (stencil.BorderPieces), each of which also runs the fast path — on an
@@ -318,21 +317,21 @@ func (c *scheduleCompiler) totalCores() int {
 // the elements the generic AtP path would, so results stay bit-identical to
 // the combined kernel while the per-cell boundary checks disappear from the
 // steady-state loop entirely.
-func (c *scheduleCompiler) addKernel(t, w, s int, env *stencil.Env, r grid.Region) {
+func (c *scheduleCompiler) addKernel(wk workerID, s int, env *stencil.Env, r grid.Region) {
 	if r.Empty() {
 		return
 	}
 	fast, _, ok := c.prog.SplitPaths(s)
 	if !ok {
-		c.push(t, w, schedItem{kind: kernelItem, kern: c.prog.Kernels[s], env: env, reg: r})
+		c.push(wk, schedItem{kind: kernelItem, kern: c.prog.Kernels[s], env: env, reg: r})
 		return
 	}
 	interior, pieces := stencil.BorderPieces(r, c.exts[s], c.p.domain)
 	if !interior.Empty() {
-		c.push(t, w, schedItem{kind: kernelItem, kern: fast, env: env, reg: interior})
+		c.push(wk, schedItem{kind: kernelItem, kern: fast, env: env, reg: interior})
 	}
 	for _, pc := range pieces {
-		c.push(t, w, schedItem{kind: kernelItem, kern: fast, env: c.bindEnv(env, pc), reg: pc.Region})
+		c.push(wk, schedItem{kind: kernelItem, kern: fast, env: c.bindEnv(env, pc), reg: pc.Region})
 	}
 }
 
@@ -392,14 +391,47 @@ func (c *scheduleCompiler) groupUnits(gi int, span func(s int) grid.Region) []ph
 	return units
 }
 
-// addUnit appends one phase unit over region r to worker (t, w). Fused
-// units mirror addKernel's interior/border treatment with the group's
-// merged extent: the interior runs the group kernel on the plain
-// environment, pinned border pieces run it on border-bound clones, so every
-// member stays bit-identical to its per-stage execution.
-func (c *scheduleCompiler) addUnit(t, w int, u phaseUnit, env *stencil.Env, r grid.Region) {
+// phaseUnits enumerates the work of fused group gi in block b of sweeper sw
+// at inner-step distance d: the group's units over the sweeper's spans, plus
+// the periodic wrap-band sweeps (wrap.go) of the member stages — first-block
+// boxes at b == 0, last-block boxes at the last block, and the block's own
+// j/k-image boxes. Band units are per-stage (never fused) and disjoint from
+// every same-phase write, so they ride in the group's phase like any other
+// unit. bands is stageWrapBands(sw, d), computed once per inner step.
+func (c *scheduleCompiler) phaseUnits(sw *sweeper, bands []*wrapBands, d, b, gi int) []phaseUnit {
+	units := c.groupUnits(gi, func(s int) grid.Region { return c.p.span(sw, d, s, b) })
+	if bands == nil {
+		return units
+	}
+	for _, s := range c.p.fuse.Groups[gi].Stages {
+		w := bands[s]
+		if w == nil {
+			continue
+		}
+		add := func(boxes []grid.Region) {
+			for _, r := range boxes {
+				units = append(units, phaseUnit{idx: s, reg: r})
+			}
+		}
+		if b == 0 {
+			add(w.first)
+		}
+		if b == len(w.perBlock)-1 {
+			add(w.last)
+		}
+		add(w.perBlock[b])
+	}
+	return units
+}
+
+// addUnit appends one phase unit over region r to worker wk. Fused units
+// mirror addKernel's interior/border treatment with the group's merged
+// extent: the interior runs the group kernel on the plain environment,
+// pinned border pieces run it on border-bound clones, so every member stays
+// bit-identical to its per-stage execution.
+func (c *scheduleCompiler) addUnit(wk workerID, u phaseUnit, env *stencil.Env, r grid.Region) {
 	if !u.fused {
-		c.addKernel(t, w, u.idx, env, r)
+		c.addKernel(wk, u.idx, env, r)
 		return
 	}
 	if r.Empty() {
@@ -408,10 +440,10 @@ func (c *scheduleCompiler) addUnit(t, w int, u phaseUnit, env *stencil.Env, r gr
 	ge := &c.groups[u.idx]
 	interior, pieces := stencil.BorderPieces(r, c.p.fuse.Groups[u.idx].Ext, c.p.domain)
 	if !interior.Empty() {
-		c.push(t, w, schedItem{kind: kernelItem, kern: ge.Fast, env: env, reg: interior})
+		c.push(wk, schedItem{kind: kernelItem, kern: ge.Fast, env: env, reg: interior})
 	}
 	for _, pc := range pieces {
-		c.push(t, w, schedItem{kind: kernelItem, kern: ge.Fast, env: c.bindEnv(env, pc), reg: pc.Region})
+		c.push(wk, schedItem{kind: kernelItem, kern: ge.Fast, env: c.bindEnv(env, pc), reg: pc.Region})
 	}
 }
 
@@ -427,22 +459,13 @@ func (c *scheduleCompiler) bindEnv(env *stencil.Env, pc stencil.BorderPiece) *st
 	return b
 }
 
-func (c *scheduleCompiler) push(t, w int, it schedItem) {
+func (c *scheduleCompiler) push(wk workerID, it schedItem) {
 	it.phase = c.curPhase
+	prog := c.sch.items
 	if c.rem {
-		c.sch.remainder[t][w] = append(c.sch.remainder[t][w], it)
-		return
+		prog = c.sch.remainder
 	}
-	c.sch.items[t][w] = append(c.sch.items[t][w], it)
-}
-
-// beginRemainder switches emission to the schedule's remainder program.
-func (c *scheduleCompiler) beginRemainder() {
-	c.rem = true
-	c.sch.remainder = make([][][]schedItem, len(c.teams))
-	for t, team := range c.teams {
-		c.sch.remainder[t] = make([][]schedItem, team.Size())
-	}
+	prog[wk.team][wk.worker] = append(prog[wk.team][wk.worker], it)
 }
 
 // newPhase registers a profiling phase and returns its id.
@@ -494,404 +517,208 @@ func (c *scheduleCompiler) newBarrier(n int) *sched.Barrier {
 	return b
 }
 
-// teamBarrier returns (creating on first use) team t's phase barrier; the
-// remainder program waits at the same object as the k-block.
-func (c *scheduleCompiler) teamBarrier(t int) *sched.Barrier {
-	if c.tbars[t] == nil {
-		c.tbars[t] = c.newBarrier(c.teams[t].Size())
-	}
-	return c.tbars[t]
-}
-
 // globalBarrier returns (creating on first use) the machine-wide barrier.
 func (c *scheduleCompiler) globalBarrier() *sched.Barrier {
 	if c.gbar == nil {
-		c.gbar = c.newBarrier(c.totalCores())
+		c.gbar = c.newBarrier(c.p.cfg.Machine.TotalCores())
 	}
 	return c.gbar
 }
 
-// addGlobalBarrier appends one wait at bar to every worker of every team.
-func (c *scheduleCompiler) addGlobalBarrier(bar *sched.Barrier) {
-	for t, team := range c.teams {
-		for w := 0; w < team.Size(); w++ {
-			c.push(t, w, schedItem{kind: barrierItem, bar: bar})
+// joinBarrier returns the barrier sweeper sw's workers meet at between
+// phases (creating it on first use; the remainder program waits at the same
+// objects as the k-block), nil for a sweeper with nothing to join.
+func (c *scheduleCompiler) joinBarrier(sw *sweeper) *sched.Barrier {
+	switch sw.join {
+	case joinGlobal:
+		return c.globalBarrier()
+	case joinTeam:
+		t := sw.workers[0].team
+		if c.tbars[t] == nil {
+			c.tbars[t] = c.newBarrier(len(sw.workers))
+		}
+		return c.tbars[t]
+	}
+	return nil
+}
+
+// addBarrier appends one wait at bar to every worker of sweeper sw.
+func (c *scheduleCompiler) addBarrier(sw *sweeper, bar *sched.Barrier) {
+	for _, wk := range sw.workers {
+		c.push(wk, schedItem{kind: barrierItem, bar: bar})
+	}
+}
+
+// addCopy appends the copy of region reg from src into dst, cut along dim
+// into one chunk per worker of sweeper sw.
+func (c *scheduleCompiler) addCopy(sw *sweeper, dst, src *grid.Field, reg grid.Region, dim int) {
+	chunks := decomp.SplitDim(reg, dim, len(sw.workers))
+	for i, wk := range sw.workers {
+		if !chunks[i].Empty() {
+			c.push(wk, schedItem{kind: copyItem, dst: dst, src: src, reg: chunks[i]})
 		}
 	}
 }
 
-// addTeamBarrier appends one wait at bar to every worker of team t.
-func (c *scheduleCompiler) addTeamBarrier(t int, bar *sched.Barrier) {
-	for w := 0; w < c.teams[t].Size(); w++ {
-		c.push(t, w, schedItem{kind: barrierItem, bar: bar})
-	}
-}
-
-// appendWrapUnits appends the periodic wrap-band sweeps (wrap.go) of a fused
-// group's member stages for block b: first-block boxes at b == 0, last-block
-// boxes at b == nblocks-1, and the block's own j/k-image boxes. Band units
-// are per-stage (never fused) and disjoint from every same-phase write, so
-// they ride in the group's phase like any other unit.
-func appendWrapUnits(units []phaseUnit, bands []*wrapBands, members []int, b, nblocks int) []phaseUnit {
-	if bands == nil {
-		return units
-	}
-	for _, s := range members {
-		w := bands[s]
-		if w == nil {
-			continue
-		}
-		if b == 0 {
-			for _, r := range w.first {
-				units = append(units, phaseUnit{idx: s, reg: r})
-			}
-		}
-		if b == nblocks-1 {
-			for _, r := range w.last {
-				units = append(units, phaseUnit{idx: s, reg: r})
-			}
-		}
-		for _, r := range w.perBlock[b] {
-			units = append(units, phaseUnit{idx: s, reg: r})
-		}
-	}
-	return units
-}
-
-// compileSchedule builds the compiled one-step program for the runner's
-// strategy. envs/workerEnvs mirror Runner's environment layout. Work items
-// and barriers are emitted per fused group — one interior/border split, one
+// compileSchedule builds the compiled one-step program of a plan: envs[e] is
+// the environment of plan sweeper e (Runner.haloEnvs). Work items and
+// barriers are emitted per fused group — one interior/border split, one
 // phase barrier, one set of halo regions per group — so stage fusion cuts
 // MPDATA's per-block phases 17 -> 7 (back to 17 with Config.DisableFusion).
-func compileSchedule(p *plan, prog *stencil.KernelProgram, teams []*sched.Team,
-	envs []*stencil.Env, workerEnvs [][]*stencil.Env, out *grid.Field,
+func compileSchedule(p *plan, prog *stencil.KernelProgram, envs []*stencil.Env, out *grid.Field,
 	feedback string, halo *haloGeom, haloReason string) (*Schedule, error) {
-	c := newScheduleCompiler(p, prog, teams, out)
-	c.halo, c.haloReason = halo, haloReason
-	c.feedback = feedback
-	groups, err := p.fuse.CompileGroups(prog)
+	c, err := newScheduleCompiler(p, prog, envs, out)
 	if err != nil {
 		return nil, err
 	}
-	c.groups = groups
-	c.sch.stages = len(prog.Stages)
-	c.sch.groups = len(groups)
-	c.sch.ksteps = p.ksteps
-	c.sch.kstepReason = p.kstepReason
-	compile := func(kk int) {
-		switch {
-		case p.cfg.Strategy == Original:
-			c.compileOriginal(envs[0])
-		case p.cfg.Strategy == Plus31D:
-			c.compilePlus31D(envs[0])
-		case p.cfg.CoreIslands:
-			c.compileCoreIslands(workerEnvs, kk)
-		default:
-			c.compileIslands(envs, kk)
-		}
-	}
-	compile(p.ksteps)
+	c.halo, c.haloReason = halo, haloReason
+	c.feedback = feedback
+	c.compileSweeps(p.ksteps)
+	c.compileFeedback()
 	c.sch.wrapReason = p.wrapReason
 	if rem := p.cfg.Steps % p.ksteps; p.ksteps > 1 && rem > 0 {
 		// The trailing sub-block runs the last rem inner steps of the same
 		// trapezoid geometry (distances rem-1 .. 0), waiting at the same
 		// barriers and accounted to the same phase ids as the k-block.
-		c.beginRemainder()
-		compile(rem)
+		c.rem = true
+		c.sch.remainder = c.newProgram()
+		c.compileSweeps(rem)
+		c.compileFeedback()
 		c.sch.remSteps = rem
 	}
 	return c.sch, nil
 }
 
-// blockSpan returns the span accessor of block b of island i.
-func (c *scheduleCompiler) blockSpan(island, b int) func(s int) grid.Region {
-	return c.blockSpanAt(0, island, b)
-}
-
-// blockSpanAt returns the span accessor of block b of island i for the inner
-// step at distance d from a temporal block's final step.
-func (c *scheduleCompiler) blockSpanAt(d, island, b int) func(s int) grid.Region {
-	return func(s int) grid.Region { return c.p.spansK[d][island][s][b] }
-}
-
-// compileOriginal: every fused group sweeps the whole domain chunked along i
-// over all cores of the machine; consecutive groups meet at a machine-wide
-// barrier. Feedback is a buffer swap performed by the driver after the step
-// join (replacing the full-grid copyFeedback sweep).
-func (c *scheduleCompiler) compileOriginal(env *stencil.Env) {
-	cores := c.totalCores()
-	global := c.globalBarrier()
-	first := true
-	for gi := range c.p.fuse.Groups {
-		units := c.groupUnits(gi, c.blockSpan(0, 0))
-		if len(units) == 0 {
-			continue
-		}
-		if !first {
-			// curPhase still names the previous group: the wait here
-			// measures that group's straggler time.
-			c.addGlobalBarrier(global)
-		}
-		first = false
-		c.curPhase = c.groupPhase(gi, 0)
-		for _, u := range units {
-			chunks := decomp.SplitDim(u.reg, 0, cores)
-			for t, team := range c.teams {
-				for w := 0; w < team.Size(); w++ {
-					c.addUnit(t, w, u, env, chunks[team.Cores[w]])
-				}
-			}
-		}
-	}
-	c.sch.mode = FeedbackSwap
-}
-
-// compilePlus31D: cache blocks in sequence; within a block every fused group
-// is chunked along j over all cores with a machine-wide barrier per group.
-func (c *scheduleCompiler) compilePlus31D(env *stencil.Env) {
-	cores := c.totalCores()
-	global := c.globalBarrier()
-	nblocks := len(c.p.blocks[0])
-	bands := c.p.stageWrapBands(c.p.parts[0],
-		func(s, b int) grid.Region { return c.p.spans[0][s][b] }, nblocks)
-	first := true
-	for b := range c.p.blocks[0] {
-		for gi := range c.p.fuse.Groups {
-			units := c.groupUnits(gi, c.blockSpan(0, b))
-			units = appendWrapUnits(units, bands, c.p.fuse.Groups[gi].Stages, b, nblocks)
-			if len(units) == 0 {
-				continue
-			}
-			if !first {
-				c.addGlobalBarrier(global)
-			}
-			first = false
-			c.curPhase = c.groupPhase(gi, 0)
-			for _, u := range units {
-				chunks := decomp.SplitDim(u.reg, 1, cores)
-				for t, team := range c.teams {
-					for w := 0; w < team.Size(); w++ {
-						c.addUnit(t, w, u, env, chunks[team.Cores[w]])
-					}
-				}
-			}
-		}
-	}
-	c.sch.mode = FeedbackSwap
-}
-
-// compileIslands: each team walks its island's blocks and fused groups with
-// per-group team barriers; a single global barrier separates compute from
-// the publish copies (islands read each other's feedback halos, so no
-// island may publish before all have finished computing). With temporal
-// blocking (kk > 1) each team runs kk full step bodies back to back — the
-// inner step at distance d from the block's final step sweeping the
-// d-widened trapezoids of plan.spansK[d] — separated only by island-local
-// barrier crossings around a private feedback/output buffer swap; the global
-// join, the halo-strip exchange and the driver swap then happen once per
-// block instead of once per step.
-func (c *scheduleCompiler) compileIslands(envs []*stencil.Env, kk int) {
-	for t, team := range c.teams {
-		n := team.Size()
-		tbar := c.teamBarrier(t)
-		nblocks := len(c.p.blocks[t])
+// compileSweeps is the one compute loop of every strategy: each sweeper walks
+// its island's blocks and fused groups, every non-empty group's units cut
+// into one chunk per worker along the sweeper's dimension, consecutive
+// groups meeting at the sweeper's join barrier — machine-wide for the shared
+// environment of Original and Plus31D, the team's own for an island, none
+// for a core-level sub-island, which sweeps its private j-trapezoids with no
+// synchronization at all. With temporal blocking (kk > 1) a sweeper runs kk
+// full step bodies back to back — the inner step at distance d from the
+// block's final step sweeping the d-widened trapezoids of plan.spansK[d] —
+// separated only by a swap of its private feedback/output buffers; the global
+// join, the halo-strip exchange and the driver swap (compileFeedback) then
+// happen once per block instead of once per step.
+func (c *scheduleCompiler) compileSweeps(kk int) {
+	for e := range c.p.sweepers {
+		sw, env := &c.p.sweepers[e], c.envs[e]
+		bar := c.joinBarrier(sw)
 		first := true
 		for j := 0; j < kk; j++ {
 			d := kk - 1 - j
-			bands := c.p.stageWrapBands(c.p.targetAt(d, c.p.parts[t]),
-				func(s, b int) grid.Region { return c.p.spansK[d][t][s][b] }, nblocks)
+			bands := c.p.stageWrapBands(sw, d)
 			if j > 0 {
 				// Between inner steps: a single fused crossing — every
-				// worker arrives at the team barrier (the wait measures
+				// worker arrives at the join barrier (the wait measures
 				// the previous group's imbalance), the last arriver swaps
-				// the island's private feedback/output buffers, and the
+				// the sweeper's private feedback/output buffers, and the
 				// release publishes the swap into the next step's sweeps.
+				// A lone worker just swaps.
 				c.curPhase = c.syntheticPhase("inner-swap")
-				fb, out := envs[t].Field(c.feedback), envs[t].Field(c.prog.Output)
-				do := func() { grid.SwapData(fb, out) }
-				for w := 0; w < n; w++ {
-					c.push(t, w, schedItem{kind: swapItem, bar: tbar,
-						dst: fb, src: out, do: do})
+				fb, out := env.Field(c.feedback), env.Field(c.prog.Output)
+				it := schedItem{kind: swapItem, bar: bar, dst: fb, src: out}
+				if bar != nil {
+					it.do = func() { grid.SwapData(fb, out) }
+				}
+				for _, wk := range sw.workers {
+					c.push(wk, it)
 				}
 				first = true
 			}
-			for b := range c.p.blocks[t] {
-				for gi := range c.p.fuse.Groups {
-					units := c.groupUnits(gi, c.blockSpanAt(d, t, b))
-					units = appendWrapUnits(units, bands, c.p.fuse.Groups[gi].Stages, b, nblocks)
+			for b := range c.p.blocks[sw.island] {
+				for gi := range c.groups {
+					units := c.phaseUnits(sw, bands, d, b, gi)
 					if len(units) == 0 {
 						continue
 					}
-					if !first {
-						c.addTeamBarrier(t, tbar)
+					if !first && bar != nil {
+						// curPhase still names the previous group: the wait
+						// here measures that group's straggler time.
+						c.addBarrier(sw, bar)
 					}
 					first = false
 					c.curPhase = c.groupPhase(gi, d)
 					for _, u := range units {
-						chunks := decomp.SplitDim(u.reg, 1, n)
-						for w := 0; w < n; w++ {
-							c.addUnit(t, w, u, envs[t], chunks[w])
+						chunks := decomp.SplitDim(u.reg, sw.dim, len(sw.workers))
+						for i, wk := range sw.workers {
+							c.addUnit(wk, u, env, chunks[i])
 						}
 					}
 				}
 			}
 		}
 	}
-	// The end-of-compute machine-wide join gets its own phase: its wait is
-	// the inter-island imbalance (the paper's phase-5 synchronization),
-	// not any single group's.
-	c.curPhase = c.syntheticPhase("global-join")
-	c.addGlobalBarrier(c.globalBarrier())
-	if c.halo != nil {
-		// swap+halo: team t's workers pull only the neighbor-facing
-		// strips of island t's step halo from the owners' freshly
-		// computed output buffers into island t's own output field
-		// (disjoint from every kernel write and every other strip); the
-		// driver then swaps each island's feedback/output buffers.
-		c.compileHaloExchange(func(e int) *stencil.Env { return envs[e] },
-			func(e int) (int, int, bool) { return e, c.teams[e].Size(), true })
-		return
-	}
-	c.sch.mode = FeedbackCopy
-	c.sch.fallbackReason = c.haloReason
-	c.curPhase = c.syntheticPhase("publish")
-	for t, team := range c.teams {
-		n := team.Size()
-		src := envs[t].Field(c.prog.Output)
-		chunks := splitPart(c.p.parts[t], n)
-		for w := 0; w < n; w++ {
-			if !chunks[w].Empty() {
-				c.push(t, w, schedItem{kind: copyItem, dst: c.out, src: src, reg: chunks[w]})
-			}
-		}
-	}
 }
 
-// compileHaloExchange emits the swap+halo feedback phase: for every private
-// environment (indexed in the halo geometry's flattened order), the strips
-// it pulls from the owners' output fields. envOf maps a flattened index to
-// its environment; teamOf maps it to (team, team size, split): team-level
-// environments split each strip across the team's workers along its longest
-// dimension (the same parallelism the publish copies had), worker-level
-// environments (core islands) run their own strips whole.
-func (c *scheduleCompiler) compileHaloExchange(envOf func(int) *stencil.Env, teamOf func(int) (int, int, bool)) {
+// compileFeedback is the one epilogue: how the walk's output becomes the next
+// walk's feedback input. The shared environment needs nothing compiled — the
+// driver swaps its output buffer in after the step join (replacing a
+// full-grid copy sweep). Private environments read each other's feedback
+// halos, so none may publish before all have finished computing: a single
+// machine-wide join, which gets its own phase — its wait is the inter-island
+// imbalance (the paper's phase-5 synchronization), not any single group's.
+// Then, in swap+halo mode, every sweeper's workers pull only the
+// neighbor-facing strips of its step halo from the owners' freshly computed
+// output buffers into its own output field (disjoint from every kernel write
+// and every other strip), each strip cut along its longest dimension, and
+// the driver swaps each environment's feedback/output buffers; on fallback
+// they copy the sweeper's whole owned region into the shared feedback grid.
+func (c *scheduleCompiler) compileFeedback() {
+	if c.p.sharedEnv() {
+		c.sch.mode = FeedbackSwap
+		return
+	}
+	c.curPhase = c.syntheticPhase("global-join")
+	for e := range c.p.sweepers {
+		c.addBarrier(&c.p.sweepers[e], c.globalBarrier())
+	}
+	if c.halo == nil {
+		c.sch.mode = FeedbackCopy
+		c.sch.fallbackReason = c.haloReason
+		c.curPhase = c.syntheticPhase("publish")
+		for e := range c.p.sweepers {
+			sw := &c.p.sweepers[e]
+			c.addCopy(sw, c.out, c.envs[e].Field(c.prog.Output), sw.owned, sw.dim)
+		}
+		return
+	}
 	c.sch.mode = FeedbackSwapHalo
 	c.sch.haloStrips = c.halo.stripCount
 	c.sch.haloBytes = c.halo.stripBytes
 	c.curPhase = c.syntheticPhase("halo-exchange")
-	for e := range c.halo.owned {
-		dst := envOf(e).Field(c.prog.Output)
-		t, n, split := teamOf(e)
+	for e := range c.p.sweepers {
+		dst := c.envs[e].Field(c.prog.Output)
 		for _, s := range c.halo.strips[e] {
-			src := envOf(s.owner).Field(c.prog.Output)
-			if split {
-				chunks := decomp.SplitDim(s.reg, decomp.LongestDim(s.reg), n)
-				for w := 0; w < n; w++ {
-					if !chunks[w].Empty() {
-						c.push(t, w, schedItem{kind: copyItem, dst: dst, src: src, reg: chunks[w]})
-					}
-				}
-			} else {
-				c.push(t, c.workerOf(e, t), schedItem{kind: copyItem, dst: dst, src: src, reg: s.reg})
-			}
+			c.addCopy(&c.p.sweepers[e], dst, c.envs[s.owner].Field(c.prog.Output), s.reg, decomp.LongestDim(s.reg))
 		}
 	}
 }
 
-// workerOf converts a flattened environment index to its worker index
-// within team t (core-islands flattening: teams in order, workers within).
-func (c *scheduleCompiler) workerOf(e, t int) int {
-	for i := 0; i < t; i++ {
-		e -= c.teams[i].Size()
-	}
-	return e
-}
-
-// compileCoreIslands: every worker is its own sub-island sweeping all blocks
-// and fused groups over its private j-trapezoids with no synchronization
-// until the global end-of-compute barrier, then publishes its exact
-// sub-part. Fusion brings no barrier savings here (there are none to cut);
-// the fused sweeps still share their member stages' input streams. With
-// temporal blocking (kk > 1) each sub-island runs kk step bodies back to
-// back over its d-widened trapezoids, swapping its own private
-// feedback/output pair between inner steps with no synchronization at all —
-// the block stays barrier-free until the global join.
-func (c *scheduleCompiler) compileCoreIslands(workerEnvs [][]*stencil.Env, kk int) {
-	for t, team := range c.teams {
-		n := team.Size()
-		subs := splitPart(c.p.parts[t], n)
-		nblocks := len(c.p.blocks[t])
-		for w := 0; w < n; w++ {
-			env := workerEnvs[t][w]
-			for j := 0; j < kk; j++ {
-				d := kk - 1 - j
-				bands := c.p.stageWrapBands(c.p.targetAt(d, subs[w]),
-					func(s, b int) grid.Region { return c.p.workerRegionAt(d, t, s, b, subs[w]) }, nblocks)
-				if j > 0 {
-					c.curPhase = c.syntheticPhase("inner-swap")
-					c.push(t, w, schedItem{kind: swapItem,
-						dst: env.Field(c.feedback), src: env.Field(c.prog.Output)})
-				}
-				for b := range c.p.blocks[t] {
-					for gi := range c.p.fuse.Groups {
-						span := func(s int) grid.Region { return c.p.workerRegionAt(d, t, s, b, subs[w]) }
-						c.curPhase = c.groupPhase(gi, d)
-						units := c.groupUnits(gi, span)
-						units = appendWrapUnits(units, bands, c.p.fuse.Groups[gi].Stages, b, nblocks)
-						for _, u := range units {
-							c.addUnit(t, w, u, env, u.reg)
-						}
-					}
-				}
-			}
-		}
-	}
-	c.curPhase = c.syntheticPhase("global-join")
-	c.addGlobalBarrier(c.globalBarrier())
-	if c.halo != nil {
-		// swap+halo at worker granularity: each sub-island pulls its own
-		// j/i halo strips — from teammates' sub-parts and from the
-		// neighbor islands' workers alike — then the driver swaps every
-		// worker's private feedback/output buffers.
-		flatTeam := make([]int, 0, c.totalCores())
-		for t, team := range c.teams {
-			for w := 0; w < team.Size(); w++ {
-				flatTeam = append(flatTeam, t)
-			}
-		}
-		c.compileHaloExchange(
-			func(e int) *stencil.Env { return workerEnvs[flatTeam[e]][c.workerOf(e, flatTeam[e])] },
-			func(e int) (int, int, bool) { return flatTeam[e], 0, false })
-		return
-	}
-	c.sch.mode = FeedbackCopy
-	c.sch.fallbackReason = c.haloReason
-	c.curPhase = c.syntheticPhase("publish")
-	for t, team := range c.teams {
-		n := team.Size()
-		subs := splitPart(c.p.parts[t], n)
-		for w := 0; w < n; w++ {
-			if !subs[w].Empty() {
-				c.push(t, w, schedItem{kind: copyItem, dst: c.out, src: workerEnvs[t][w].Field(c.prog.Output), reg: subs[w]})
-			}
-		}
-	}
+// TeamStats counts one team's items in one walk of the main program. A fused
+// swap-barrier crossing (every team worker arrives, the last arriver swaps)
+// is one swap per team, an unsynchronized core-level swap one per worker:
+// SwapItems counts swaps performed, not items emitted.
+type TeamStats struct {
+	KernelItems  int
+	CopyItems    int
+	SwapItems    int
+	BarrierWaits int
 }
 
 // ScheduleStats summarizes a compiled schedule for inspection. Item counts
 // cover one walk of the main program — one time step without temporal
 // blocking, one k-block of KSteps steps with it.
 type ScheduleStats struct {
-	// KernelItems / CopyItems / SwapItems / BarrierWaits count items summed
-	// over all workers; Barriers counts distinct barrier objects.
-	// SwapItems counts swaps performed, not items emitted: a fused
-	// swap-barrier crossing (every team worker arrives, the last arriver
-	// swaps) is one swap per team, an unsynchronized core-level swap is
-	// one per worker.
+	// KernelItems / CopyItems / SwapItems / BarrierWaits total the per-team
+	// counts of Teams (indexed like the scheduler's teams) over all
+	// workers; Barriers counts distinct barrier objects.
 	KernelItems  int
 	CopyItems    int
 	SwapItems    int
 	BarrierWaits int
+	Teams        []TeamStats
 	Barriers     int
 	// MaxItemsPerWorker is the longest per-worker step program.
 	MaxItemsPerWorker int
@@ -923,12 +750,13 @@ type ScheduleStats struct {
 
 // Stats summarizes the schedule.
 func (s *Schedule) Stats() ScheduleStats {
-	st := ScheduleStats{Barriers: len(s.barriers),
+	st := ScheduleStats{Barriers: len(s.barriers), Teams: make([]TeamStats, len(s.items)),
 		Feedback: s.mode, SwapFeedback: s.mode == FeedbackSwap,
 		HaloStrips: s.haloStrips, HaloBytes: s.haloBytes, FallbackReason: s.fallbackReason,
 		Stages: s.stages, PhaseGroups: s.groups,
-		KSteps: s.ksteps, KStepFallbackReason: s.kstepReason}
-	for _, team := range s.items {
+		KSteps: s.ksteps, KStepFallbackReason: s.kstepReason, RemainderSteps: s.remSteps}
+	for t, team := range s.items {
+		ts := &st.Teams[t]
 		for w, items := range team {
 			if len(items) > st.MaxItemsPerWorker {
 				st.MaxItemsPerWorker = len(items)
@@ -936,24 +764,23 @@ func (s *Schedule) Stats() ScheduleStats {
 			for i := range items {
 				switch items[i].kind {
 				case kernelItem:
-					st.KernelItems++
+					ts.KernelItems++
 				case copyItem:
-					st.CopyItems++
+					ts.CopyItems++
 				case swapItem:
-					// A fused swap-barrier appears in every worker's
-					// program but performs one swap per crossing; count
-					// it once per team. Unsynchronized core-level swaps
-					// (bar == nil) are one swap per worker.
 					if items[i].bar == nil || w == 0 {
-						st.SwapItems++
+						ts.SwapItems++
 					}
 				case barrierItem:
-					st.BarrierWaits++
+					ts.BarrierWaits++
 				}
 			}
 		}
+		st.KernelItems += ts.KernelItems
+		st.CopyItems += ts.CopyItems
+		st.SwapItems += ts.SwapItems
+		st.BarrierWaits += ts.BarrierWaits
 	}
-	st.RemainderSteps = s.remSteps
 	return st
 }
 

@@ -225,19 +225,21 @@ func (p *plan) wrapBandsFor(s int, target grid.Region, spans []grid.Region) *wra
 	return w
 }
 
-// stageWrapBands computes the wrap bands of every stage for one island or
-// core sub-island at inner-step distance d. Returns nil when no stage needs
-// bands (the common case: Clamp, Original strategy, or single-stage
-// programs whose stage extents are zero).
-func (p *plan) stageWrapBands(target grid.Region, span func(s, b int) grid.Region, blocks int) []*wrapBands {
-	if p.cfg.Boundary != stencil.Periodic || p.cfg.Strategy == Original {
+// stageWrapBands computes the wrap bands of every stage for one sweeper at
+// inner-step distance d. Returns nil when no stage needs bands (the common
+// case: Clamp, single-stage programs whose stage extents are zero, or the
+// unblocked Original strategy, whose one whole-domain span already covers
+// every image and has no block order to repair).
+func (p *plan) stageWrapBands(sw *sweeper, d int) []*wrapBands {
+	if p.cfg.Boundary != stencil.Periodic {
 		return nil
 	}
+	target := p.targetAt(d, sw.owned)
 	var out []*wrapBands
-	spans := make([]grid.Region, blocks)
+	spans := make([]grid.Region, len(p.blocks[sw.island]))
 	for s := range p.prog.Stages {
-		for b := 0; b < blocks; b++ {
-			spans[b] = span(s, b)
+		for b := range spans {
+			spans[b] = p.span(sw, d, s, b)
 		}
 		w := p.wrapBandsFor(s, target, spans)
 		if w != nil && out == nil {

@@ -11,13 +11,15 @@ import (
 )
 
 // TestWrapBandUnitsDisjoint pins the schedule compiler's same-phase write
-// invariant for the periodic wrap bands (wrap.go): within one block's phase
-// of one island, a stage's wrap-band boxes must be pairwise disjoint and
-// disjoint from the stage's own span. Units of a phase are chunked across
-// the team's workers independently, so any overlap is a write-write data
-// race between workers (the regression this test pins produced bogus
-// Subtract pieces when a block span partially overlapped a band box —
-// Subtract requires containment).
+// invariant under periodic boundaries, on the compiler's own enumeration:
+// for every (sweeper, inner step, block, fused group) the compile loop
+// visits, the regions phaseUnits hands out for any one stage — the fused
+// sweep, the members' leftover strips and the wrap bands (wrap.go) — must be
+// pairwise disjoint. Units of a phase are chunked across the sweeper's
+// workers independently, so any overlap is a write-write data race between
+// workers (the regression this test pins produced bogus Subtract pieces when
+// a block span partially overlapped a band box — Subtract requires
+// containment).
 func TestWrapBandUnitsDisjoint(t *testing.T) {
 	m2, err := topology.UV2000(2)
 	if err != nil {
@@ -32,80 +34,85 @@ func TestWrapBandUnitsDisjoint(t *testing.T) {
 		name   string
 		domain grid.Size
 		cfg    Config
+		// kstepsWant is the temporal-blocking factor the plan must keep:
+		// under a periodic boundary k > 1 survives only where every island
+		// spans the wrapped dimensions.
+		kstepsWant int
 	}{
-		{"islands-a", grid.Sz(24, 18, 8), Config{Machine: m2, Strategy: IslandsOfCores, BlockI: 5}},
-		{"islands-b", grid.Sz(24, 18, 8), Config{Machine: m2, Strategy: IslandsOfCores, BlockI: 5, Variant: decomp.VariantB}},
-		{"islands-2d", grid.Sz(20, 18, 8), Config{Machine: m4, Strategy: IslandsOfCores, BlockI: 5, IslandGrid: [2]int{2, 2}}},
-		{"plus31d", grid.Sz(24, 18, 8), Config{Machine: m2, Strategy: Plus31D, BlockI: 5}},
-		{"islands-a-k2", grid.Sz(48, 24, 8), Config{Machine: m2, Strategy: IslandsOfCores, BlockI: 8, KSteps: 2}},
+		{"islands-a", grid.Sz(24, 18, 8), Config{Machine: m2, Strategy: IslandsOfCores, BlockI: 5}, 1},
+		{"islands-b", grid.Sz(24, 18, 8), Config{Machine: m2, Strategy: IslandsOfCores, BlockI: 5, Variant: decomp.VariantB}, 1},
+		{"islands-2d", grid.Sz(20, 18, 8), Config{Machine: m4, Strategy: IslandsOfCores, BlockI: 5, IslandGrid: [2]int{2, 2}}, 1},
+		{"plus31d", grid.Sz(24, 18, 8), Config{Machine: m2, Strategy: Plus31D, BlockI: 5}, 1},
+		{"original", grid.Sz(24, 18, 8), Config{Machine: m2, Strategy: Original}, 1},
+		{"islands-a-k2", grid.Sz(48, 24, 8), Config{Machine: m2, Strategy: IslandsOfCores, BlockI: 8, KSteps: 2}, 1},
+		{"islands-1node-k2", grid.Sz(24, 18, 8), Config{Machine: topology.SingleSocket(), Strategy: IslandsOfCores, BlockI: 5, KSteps: 2}, 2},
+		{"core-islands", grid.Sz(24, 18, 8), Config{Machine: m2, Strategy: IslandsOfCores, BlockI: 5, CoreIslands: true}, 1},
+		{"core-islands-k2", grid.Sz(24, 64, 8), Config{Machine: m2, Strategy: IslandsOfCores, BlockI: 5, CoreIslands: true, KSteps: 2}, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg
 			cfg.Boundary = stencil.Periodic
 			cfg.Steps = 1
-			if err := cfg.Validate(); err != nil {
-				t.Fatal(err)
-			}
 			p, err := newPlan(cfg, &kp.Program, tc.domain)
 			if err != nil {
 				t.Fatal(err)
 			}
-			checked := 0
-			for ti := range p.parts {
-				nblocks := len(p.blocks[ti])
+			if p.ksteps != tc.kstepsWant {
+				t.Fatalf("plan keeps ksteps=%d (%s), want %d", p.ksteps, p.kstepReason, tc.kstepsWant)
+			}
+			c, err := newScheduleCompiler(p, kp, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			banded := 0
+			for e := range p.sweepers {
+				sw := &p.sweepers[e]
 				for d := 0; d < p.ksteps; d++ {
-					bands := p.stageWrapBands(p.targetAt(d, p.parts[ti]),
-						func(s, b int) grid.Region { return p.spansK[d][ti][s][b] }, nblocks)
-					if bands == nil {
-						continue
+					bands := p.stageWrapBands(sw, d)
+					if bands != nil {
+						banded++
 					}
-					for b := 0; b < nblocks; b++ {
-						for s := range p.prog.Stages {
-							var regs []grid.Region
-							var srcs []string
-							if sp := p.spansK[d][ti][s][b]; !sp.Empty() {
-								regs = append(regs, sp)
-								srcs = append(srcs, "span")
-							}
-							w := bands[s]
-							if w == nil {
-								continue
-							}
-							if b == 0 {
-								for _, r := range w.first {
-									regs = append(regs, r)
-									srcs = append(srcs, "first")
-								}
-							}
-							if b == nblocks-1 {
-								for _, r := range w.last {
-									regs = append(regs, r)
-									srcs = append(srcs, "last")
-								}
-							}
-							for _, r := range w.perBlock[b] {
-								regs = append(regs, r)
-								srcs = append(srcs, "perBlock")
-							}
-							for x := 0; x < len(regs); x++ {
-								for y := x + 1; y < len(regs); y++ {
-									if ov := regs[x].Intersect(regs[y]); !ov.Empty() {
-										t.Errorf("island %d d=%d block %d stage %q: %s %v and %s %v overlap at %v",
-											ti, d, b, p.prog.Stages[s].Name, srcs[x], regs[x], srcs[y], regs[y], ov)
+					for b := range p.blocks[sw.island] {
+						for gi := range c.groups {
+							units := c.phaseUnits(sw, bands, d, b, gi)
+							for _, s := range p.fuse.Groups[gi].Stages {
+								var regs []grid.Region
+								for _, u := range units {
+									if writesStage(c, u, s) {
+										regs = append(regs, u.reg)
 									}
 								}
-							}
-							if len(regs) > 1 {
-								checked++
+								for x := range regs {
+									for y := x + 1; y < len(regs); y++ {
+										if ov := regs[x].Intersect(regs[y]); !ov.Empty() {
+											t.Errorf("sweeper %d d=%d block %d stage %q: units %v and %v overlap at %v",
+												e, d, b, p.prog.Stages[s].Name, regs[x], regs[y], ov)
+										}
+									}
+								}
 							}
 						}
 					}
 				}
 			}
-			if checked == 0 {
-				t.Fatalf("no banded phases checked — the case no longer exercises wrap bands")
+			if wantBands := cfg.Strategy != Original; (banded > 0) != wantBands {
+				t.Fatalf("%d banded (sweeper, inner step) pairs, want bands: %v — the case no longer exercises what it names", banded, wantBands)
 			}
 		})
 	}
+}
+
+// writesStage reports whether phase unit u writes stage s's output: a fused
+// unit sweeps every fast member of its group, any other unit its one stage.
+func writesStage(c *scheduleCompiler, u phaseUnit, s int) bool {
+	if !u.fused {
+		return u.idx == s
+	}
+	for _, m := range c.groups[u.idx].FastMembers {
+		if m == s {
+			return true
+		}
+	}
+	return false
 }

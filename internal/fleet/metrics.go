@@ -1,9 +1,10 @@
 package fleet
 
 import (
-	"fmt"
 	"io"
 	"sync/atomic"
+
+	"islands/internal/serve"
 )
 
 // Metrics is the router's instrumentation: fleet-level job counters plus the
@@ -36,28 +37,18 @@ type fleetGauges struct {
 
 // write renders the Prometheus text exposition format.
 func (m *Metrics) write(w io.Writer, g fleetGauges) {
-	c := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-	c("fleet_jobs_submitted_total", "Jobs accepted and placed by the router.", m.Submitted.Load())
-	c("fleet_jobs_rejected_total", "Jobs rejected because every healthy replica was saturated (aggregate 429).", m.Rejected.Load())
-	c("fleet_jobs_succeeded_total", "Jobs that completed successfully somewhere in the fleet.", m.Succeeded.Load())
-	c("fleet_jobs_failed_total", "Jobs that failed for job-side reasons (kernel failure, reroute budget exhausted).", m.Failed.Load())
-	c("fleet_jobs_canceled_total", "Jobs canceled by the client or their own deadline.", m.Canceled.Load())
-	c("fleet_placements_total", "Replica submissions that were accepted (first placements and reroutes).", m.Placements.Load())
-	c("fleet_steals_total", "Placements that landed off the key's home replica (work stealing).", m.Steals.Load())
-	c("fleet_reroutes_total", "Replica faults survived: jobs re-placed and re-run on another replica.", m.Rerouted.Load())
-	c("fleet_cache_hits_total", "Job results that reused a warm compiled engine somewhere in the fleet.", m.CacheHits.Load())
-	c("fleet_cache_misses_total", "Job results that compiled a fresh engine.", m.CacheMisses.Load())
-	gauge("fleet_replicas_healthy", "Replicas currently accepting placements.", int64(g.ReplicasHealthy))
-	gauge("fleet_replicas_total", "Configured replicas, healthy or not.", int64(g.ReplicasTotal))
-	gauge("fleet_jobs_inflight", "Jobs placed but not yet terminal.", int64(g.JobsInflight))
-	draining := int64(0)
-	if g.Draining {
-		draining = 1
-	}
-	gauge("fleet_draining", "1 while the router drains (no admissions).", draining)
+	serve.WriteCounter(w, "fleet_jobs_submitted_total", "Jobs accepted and placed by the router.", m.Submitted.Load())
+	serve.WriteCounter(w, "fleet_jobs_rejected_total", "Jobs rejected because every healthy replica was saturated (aggregate 429).", m.Rejected.Load())
+	serve.WriteCounter(w, "fleet_jobs_succeeded_total", "Jobs that completed successfully somewhere in the fleet.", m.Succeeded.Load())
+	serve.WriteCounter(w, "fleet_jobs_failed_total", "Jobs that failed for job-side reasons (kernel failure, reroute budget exhausted).", m.Failed.Load())
+	serve.WriteCounter(w, "fleet_jobs_canceled_total", "Jobs canceled by the client or their own deadline.", m.Canceled.Load())
+	serve.WriteCounter(w, "fleet_placements_total", "Replica submissions that were accepted (first placements and reroutes).", m.Placements.Load())
+	serve.WriteCounter(w, "fleet_steals_total", "Placements that landed off the key's home replica (work stealing).", m.Steals.Load())
+	serve.WriteCounter(w, "fleet_reroutes_total", "Replica faults survived: jobs re-placed and re-run on another replica.", m.Rerouted.Load())
+	serve.WriteCounter(w, "fleet_cache_hits_total", "Job results that reused a warm compiled engine somewhere in the fleet.", m.CacheHits.Load())
+	serve.WriteCounter(w, "fleet_cache_misses_total", "Job results that compiled a fresh engine.", m.CacheMisses.Load())
+	serve.WriteGauge(w, "fleet_replicas_healthy", "Replicas currently accepting placements.", int64(g.ReplicasHealthy))
+	serve.WriteGauge(w, "fleet_replicas_total", "Configured replicas, healthy or not.", int64(g.ReplicasTotal))
+	serve.WriteGauge(w, "fleet_jobs_inflight", "Jobs placed but not yet terminal.", int64(g.JobsInflight))
+	serve.WriteBoolGauge(w, "fleet_draining", "1 while the router drains (no admissions).", g.Draining)
 }

@@ -209,14 +209,29 @@ type gauges struct {
 	StreamDiskBW float64
 }
 
+// WriteCounter renders one unlabeled counter family — HELP, TYPE and value
+// lines — in the Prometheus text exposition format. The fleet router's
+// exposition is written with the same three helpers.
+func WriteCounter(w io.Writer, name, help string, v uint64) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
+}
+
+// WriteGauge renders one unlabeled integer gauge family.
+func WriteGauge(w io.Writer, name, help string, v int64) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
+}
+
+// WriteBoolGauge renders a condition as a 0/1 gauge family.
+func WriteBoolGauge(w io.Writer, name, help string, on bool) {
+	v := int64(0)
+	if on {
+		v = 1
+	}
+	WriteGauge(w, name, help, v)
+}
+
 // write renders the Prometheus text exposition format.
 func (m *Metrics) write(w io.Writer, g gauges) {
-	c := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
 	// Snapshot the per-solver counters once; each serve_jobs_* family below
 	// emits its unlabeled total (stable for existing scrapers) followed by
 	// one {solver=...} series per label seen.
@@ -232,7 +247,7 @@ func (m *Metrics) write(w io.Writer, g gauges) {
 	}
 	m.mu.Unlock()
 	jc := func(name, help string, total uint64, per func(*solverJobCounters) uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, total)
+		WriteCounter(w, name, help, total)
 		for i, label := range solverLabels {
 			fmt.Fprintf(w, "%s{solver=%q} %d\n", name, label, per(solverCounts[i]))
 		}
@@ -247,37 +262,29 @@ func (m *Metrics) write(w io.Writer, g gauges) {
 		func(c *solverJobCounters) uint64 { return c.Failed.Load() })
 	jc("serve_jobs_canceled_total", "Jobs canceled or expired (deadline, drain).", m.Canceled.Load(),
 		func(c *solverJobCounters) uint64 { return c.Canceled.Load() })
-	c("serve_steps_total", "Completed simulation time steps across all jobs.", m.StepsRun.Load())
-	gauge("serve_jobs_running", "Jobs currently executing on a runner slot.", int64(g.Running))
-	gauge("serve_queue_depth", "Jobs waiting for admission.", int64(g.QueueDepth))
-	gauge("serve_queue_capacity", "Maximum queue depth before rejection.", int64(g.QueueCapacity))
-	gauge("serve_slots_busy", "Runner slots currently leased.", int64(g.SlotsBusy))
-	gauge("serve_slots_total", "Runner slot capacity.", int64(g.SlotsTotal))
-	c("serve_schedule_cache_hits_total", "Jobs that reused a cached compiled runner.", g.CacheHits)
-	c("serve_schedule_cache_misses_total", "Jobs that compiled a fresh runner.", g.CacheMisses)
-	c("serve_schedule_cache_evictions_total", "Cached runners discarded by the LRU bound.", g.CacheEvicted)
-	gauge("serve_schedule_cache_size", "Idle compiled runners currently cached.", int64(g.CacheSize))
-	draining := int64(0)
-	if g.Draining {
-		draining = 1
-	}
-	gauge("serve_draining", "1 while the server drains (no admissions).", draining)
-	enabled := int64(0)
-	if g.TunerEnabled {
-		enabled = 1
-	}
-	gauge("serve_tuner_enabled", "1 when the autotuner maps job specs to tuned configs.", enabled)
-	c("serve_tuner_decisions_total", "Tuning decisions taken for served jobs.", g.TunerDecisions)
-	c("serve_tuner_tuned_total", "Decisions that substituted a different config than requested.", g.TunerTuned)
-	c("serve_tuner_explored_total", "Decisions that ran an exploration probe.", g.TunerExplored)
-	c("serve_tuner_pinned_total", "Jobs that opted out of tuning via spec pin.", m.TunerPinned.Load())
-	c("serve_tuner_seed_errors_total", "Problem classes whose candidate seeding failed (passthrough).", g.TunerSeedErrors)
-	gauge("serve_tuner_classes", "Distinct problem classes the tuner has seen.", int64(g.TunerClasses))
-	c("serve_stream_jobs_total", "Streamed (out-of-core) jobs that completed successfully.", m.StreamJobs.Load())
-	c("serve_stream_tiles_total", "Tile residencies completed by streamed jobs.", m.StreamTiles.Load())
-	c("serve_stream_bytes_read_total", "Bytes read from spill stores by streamed jobs.", m.StreamBytesRead.Load())
-	c("serve_stream_bytes_written_total", "Bytes written to spill stores by streamed jobs.", m.StreamBytesWritten.Load())
-	c("serve_stream_resumed_total", "Streamed jobs that resumed a named store's checkpoint.", m.StreamResumed.Load())
+	WriteCounter(w, "serve_steps_total", "Completed simulation time steps across all jobs.", m.StepsRun.Load())
+	WriteGauge(w, "serve_jobs_running", "Jobs currently executing on a runner slot.", int64(g.Running))
+	WriteGauge(w, "serve_queue_depth", "Jobs waiting for admission.", int64(g.QueueDepth))
+	WriteGauge(w, "serve_queue_capacity", "Maximum queue depth before rejection.", int64(g.QueueCapacity))
+	WriteGauge(w, "serve_slots_busy", "Runner slots currently leased.", int64(g.SlotsBusy))
+	WriteGauge(w, "serve_slots_total", "Runner slot capacity.", int64(g.SlotsTotal))
+	WriteCounter(w, "serve_schedule_cache_hits_total", "Jobs that reused a cached compiled runner.", g.CacheHits)
+	WriteCounter(w, "serve_schedule_cache_misses_total", "Jobs that compiled a fresh runner.", g.CacheMisses)
+	WriteCounter(w, "serve_schedule_cache_evictions_total", "Cached runners discarded by the LRU bound.", g.CacheEvicted)
+	WriteGauge(w, "serve_schedule_cache_size", "Idle compiled runners currently cached.", int64(g.CacheSize))
+	WriteBoolGauge(w, "serve_draining", "1 while the server drains (no admissions).", g.Draining)
+	WriteBoolGauge(w, "serve_tuner_enabled", "1 when the autotuner maps job specs to tuned configs.", g.TunerEnabled)
+	WriteCounter(w, "serve_tuner_decisions_total", "Tuning decisions taken for served jobs.", g.TunerDecisions)
+	WriteCounter(w, "serve_tuner_tuned_total", "Decisions that substituted a different config than requested.", g.TunerTuned)
+	WriteCounter(w, "serve_tuner_explored_total", "Decisions that ran an exploration probe.", g.TunerExplored)
+	WriteCounter(w, "serve_tuner_pinned_total", "Jobs that opted out of tuning via spec pin.", m.TunerPinned.Load())
+	WriteCounter(w, "serve_tuner_seed_errors_total", "Problem classes whose candidate seeding failed (passthrough).", g.TunerSeedErrors)
+	WriteGauge(w, "serve_tuner_classes", "Distinct problem classes the tuner has seen.", int64(g.TunerClasses))
+	WriteCounter(w, "serve_stream_jobs_total", "Streamed (out-of-core) jobs that completed successfully.", m.StreamJobs.Load())
+	WriteCounter(w, "serve_stream_tiles_total", "Tile residencies completed by streamed jobs.", m.StreamTiles.Load())
+	WriteCounter(w, "serve_stream_bytes_read_total", "Bytes read from spill stores by streamed jobs.", m.StreamBytesRead.Load())
+	WriteCounter(w, "serve_stream_bytes_written_total", "Bytes written to spill stores by streamed jobs.", m.StreamBytesWritten.Load())
+	WriteCounter(w, "serve_stream_resumed_total", "Streamed jobs that resumed a named store's checkpoint.", m.StreamResumed.Load())
 	fmt.Fprintf(w, "# HELP serve_stream_disk_bw_bytes Live disk-bandwidth EWMA pricing streamed residencies (bytes/s).\n# TYPE serve_stream_disk_bw_bytes gauge\nserve_stream_disk_bw_bytes %g\n", g.StreamDiskBW)
 
 	fmt.Fprintf(w, "# HELP serve_step_seconds Per-step wall latency by strategy.\n# TYPE serve_step_seconds histogram\n")

@@ -24,5 +24,7 @@ tmp=$(mktemp)
 trap 'rm -f "$tmp"' EXIT
 
 go test -run '^$' -bench '^BenchmarkCompute|^BenchmarkStream' -benchmem -benchtime "${BENCHTIME:-30x}" . | tee "$tmp"
+# Plan-time cost per execution shape (allocates by design; never smoke-gated).
+go test -run '^$' -bench '^BenchmarkScheduleBuild' -benchmem -benchtime "${BENCHTIME:-30x}" ./internal/exec | tee -a "$tmp"
 go run ./cmd/benchjson -match Benchmark -o BENCH_compute.json \
 	-label "$label" -commit "$commit" <"$tmp"
