@@ -35,14 +35,19 @@ race-core:
 bench-check:
 	cd bench && $(GO) vet . && $(GO) test -short .
 
-# Benchstat-style regression smoke (CI's "Bench smoke" step): one iteration of
-# the compute benchmarks, compared by benchjson against the last run recorded
-# in BENCH_compute.json without writing to it. Timing deltas are advisory;
-# the target fails only on allocs/op > 0 — the compiled-schedule backend's
-# hard invariant.
+# Benchstat-style regression smoke (CI's "Bench smoke" step): 200 iterations
+# of the compute benchmarks (about a minute), compared by benchjson against the
+# last run recorded in BENCH_compute.json without writing to it. Timing deltas
+# are advisory; the target fails only on allocs/op > 0 — the compiled-schedule
+# backend's hard invariant. 200, not 1: allocs/op is an integer mean of the
+# process's mallocs over the iterations, and while the Go runtime fills its
+# per-P sudog caches for the parked workers (sched.Team.worker's select) a
+# random arm makes up to ~80 allocations that are not the step loop's — 1-32
+# allocs/op at 1x, still 1-3 at 20x, 0 at 200x. A step loop that allocates
+# does so every step and reads >= 8 allocs/op at any iteration count.
 bench-smoke: SHELL := /bin/bash
 bench-smoke:
-	set -o pipefail; $(GO) test -run '^$$' -bench '^BenchmarkCompute' -benchmem -benchtime 1x . | $(GO) run ./cmd/benchjson -smoke -o BENCH_compute.json
+	set -o pipefail; $(GO) test -run '^$$' -bench '^BenchmarkCompute' -benchmem -benchtime 200x . | $(GO) run ./cmd/benchjson -smoke -o BENCH_compute.json
 
 # Run the compute benchmarks and append the results to BENCH_compute.json
 # (see docs/PERFORMANCE.md for the trajectory format).

@@ -71,6 +71,14 @@ type Runner struct {
 // NewRunner prepares an execution. The feedback name selects the step input
 // that receives the program output after every step (psi for MPDATA).
 func NewRunner(cfg Config, prog *stencil.KernelProgram, inputs map[string]*grid.Field, feedback string) (*Runner, error) {
+	return NewRunnerIn(nil, cfg, prog, inputs, feedback)
+}
+
+// NewRunnerIn is NewRunner with every field the runner allocates — each
+// environment's stage arrays and private feedback buffer — taken from arena
+// (nil = the heap). Runners built in one rewound arena share its storage and
+// must never run concurrently.
+func NewRunnerIn(arena *grid.Arena, cfg Config, prog *stencil.KernelProgram, inputs map[string]*grid.Field, feedback string) (*Runner, error) {
 	fb, ok := inputs[feedback]
 	if !ok {
 		return nil, fmt.Errorf("exec: feedback input %q not provided", feedback)
@@ -87,6 +95,12 @@ func NewRunner(cfg Config, prog *stencil.KernelProgram, inputs map[string]*grid.
 		p.ksteps = 1
 		p.khalo = nil
 		p.spansK = p.spansK[:1]
+		if cfg.Keep != (grid.Region{}) && p.windowReason == "" && cfg.Steps > 1 {
+			// The plan honoured the window on the strength of the k-block
+			// this override just took away.
+			return nil, fmt.Errorf("exec: Config.Keep with %d steps needs the program's declared feedback input %q, got %q",
+				cfg.Steps, p.prog.Feedback, feedback)
+		}
 	}
 	r := &Runner{
 		plan:     p,
@@ -126,9 +140,11 @@ func NewRunner(cfg Config, prog *stencil.KernelProgram, inputs map[string]*grid.
 			for k, v := range inputs {
 				envInputs[k] = v
 			}
-			envInputs[feedback] = fb.Clone()
+			priv := arena.NewField(fb.Name(), fb.Size)
+			priv.CopyFrom(fb)
+			envInputs[feedback] = priv
 		}
-		env, err := stencil.NewEnv(&prog.Program, fb.Size, envInputs)
+		env, err := stencil.NewEnvIn(arena, &prog.Program, fb.Size, envInputs)
 		if err != nil {
 			r.Close()
 			return nil, err
@@ -187,16 +203,19 @@ func (r *Runner) Close() { r.sch.Close() }
 // Plan exposes the execution geometry (islands, blocks, spans) for
 // inspection by tests and reports.
 func (r *Runner) Plan() *PlanInfo {
-	return &PlanInfo{
-		Parts:  r.plan.parts,
-		Blocks: r.plan.blocks,
-	}
+	info := &PlanInfo{Parts: r.plan.parts, Blocks: r.plan.blocks}
+	_, info.OutputCells = r.plan.runCells()
+	return info
 }
 
 // PlanInfo is the externally visible execution geometry.
 type PlanInfo struct {
 	Parts  []grid.Region
 	Blocks [][]grid.Region
+	// OutputCells is the cells of the program's output one Run computes: the
+	// owned cells once per step plus the redundant growth of the trapezoids
+	// under the earlier inner steps of each k-block.
+	OutputCells int64
 }
 
 // Schedule exposes the compiled one-step execution schedule.

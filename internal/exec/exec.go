@@ -119,6 +119,16 @@ type Config struct {
 	// i on node i — the adjacency-preserving assignment on the UV's
 	// linear blade layout). A permutation models a scattered affinity.
 	NodeOrder []int
+	// Keep, when non-zero, is the window of the final output the caller will
+	// read: the plan partitions Keep instead of the domain, so the backward
+	// extents sweep exactly the time-skewed trapezoid under the window and
+	// nothing outside it. Cells outside Keep are unspecified after Run, which
+	// is why the window holds only while one Run is a single block (Steps <=
+	// the effective KSteps): a second block would read them. Otherwise the
+	// plan partitions the whole domain as without a window and records why
+	// (ScheduleStats.WindowFallbackReason). Internal: internal/stream sets it
+	// to a tile's owned planes; no spec field, flag or variable reaches it.
+	Keep grid.Region
 }
 
 // params resolves the model constants for this plan.
@@ -266,8 +276,14 @@ type plan struct {
 	kstepReason string
 	// wrapReason records why periodic wrap bands (see wrap.go) were skipped
 	// for some dimension — a stage halo wider than the domain. Empty on the
-	// clamp boundary and whenever the bands compiled as designed.
+	// clamp boundary and whenever the bands compiled as designed. Surfaced
+	// through ScheduleStats.WrapFallbackReason.
 	wrapReason string
+	// windowReason records why a requested Config.Keep was not honoured and
+	// the whole domain partitioned instead (ScheduleStats.
+	// WindowFallbackReason); empty when no window was requested or parts
+	// partitions it.
+	windowReason string
 	// fext is the feedback input's one-step extent (ksteps > 1 only): the
 	// per-inner-step growth of the time-skewed trapezoids.
 	fext stencil.Extent
@@ -293,13 +309,20 @@ type plan struct {
 
 // newPlan builds the execution geometry for a config, program and domain.
 func newPlan(cfg Config, prog *stencil.Program, domain grid.Size) (*plan, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	analysis, err := stencil.Analyze(prog)
 	if err != nil {
 		return nil, err
 	}
+	return newPlanWith(cfg, prog, analysis, domain)
+}
+
+// newPlanWith is newPlan for a caller that already holds prog's analysis
+// (the residency search builds several plans per pick).
+func newPlanWith(cfg Config, prog *stencil.Program, analysis *stencil.HaloAnalysis, domain grid.Size) (*plan, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	var err error
 	p := &plan{cfg: cfg, prog: prog, analysis: analysis, domain: domain}
 	if cfg.DisableFusion {
 		p.fuse = stencil.SingletonFusion(prog)
@@ -310,11 +333,47 @@ func newPlan(cfg Config, prog *stencil.Program, domain grid.Size) (*plan, error)
 		}
 	}
 
+	whole := grid.WholeRegion(domain)
+	keep := cfg.Keep
+	if keep == (grid.Region{}) {
+		keep = whole
+	} else if keep.Empty() || !whole.ContainsRegion(keep) {
+		return nil, fmt.Errorf("exec: Config.Keep %v is not a non-empty part of domain %v", keep, domain)
+	}
+	err = p.partition(keep)
+	if keep != whole && (err != nil || cfg.Steps > p.ksteps) {
+		// The window holds only for a single-block Run. Fall back loudly to
+		// the whole-domain partition — the plan of the same config without
+		// Keep — and record why.
+		var reason string
+		switch {
+		case err != nil:
+			reason = err.Error()
+		case p.kstepReason != "":
+			reason = fmt.Sprintf("%d steps do not run as one block (ksteps fell back to 1: %s)", cfg.Steps, p.kstepReason)
+		default:
+			reason = fmt.Sprintf("%d steps run as blocks of %d, and every block but the last needs the whole domain", cfg.Steps, p.ksteps)
+		}
+		err = p.partition(whole)
+		p.windowReason = reason
+	}
+	if err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// partition builds the plan's geometry over the output window keep (the whole
+// domain, or Config.Keep): the island parts that tile it, their blocks and
+// sweepers, the per-stage wavefront spans and the k-step geometry. Everything
+// downstream — spans, halo strips, feedback sync and reload boxes — derives
+// from the parts, so a window narrows them all at once.
+func (p *plan) partition(keep grid.Region) error {
+	cfg, prog, domain := p.cfg, p.prog, p.domain
 	blockI := cfg.BlockI
 	if blockI <= 0 {
 		blockI = decomp.ChooseBlock(domain, cfg.Machine.Nodes[0].LLCBytes, cfg.LiveArrays).BI
 	}
-	whole := grid.WholeRegion(domain)
 	// teams[t] lists the workers of node t's work team (sched.New builds one
 	// team per node, numbering cores team by team).
 	teams := make([][]workerID, cfg.Machine.NumNodes())
@@ -327,37 +386,47 @@ func newPlan(cfg Config, prog *stencil.Program, domain grid.Size) (*plan, error)
 	}
 	// This switch is the one place the strategies differ: the partition, the
 	// blocking, and who sweeps it.
+	p.sweepers = nil
 	switch cfg.Strategy {
 	case Original:
-		p.parts = []grid.Region{whole}
-		p.blocks = [][]grid.Region{{whole}}
-		p.sweepers = []sweeper{{owned: whole, workers: cores, dim: 0, join: joinGlobal}}
+		p.parts = []grid.Region{keep}
+		p.blocks = [][]grid.Region{{keep}}
+		p.sweepers = []sweeper{{owned: keep, workers: cores, dim: 0, join: joinGlobal}}
 	case Plus31D:
-		p.parts = []grid.Region{whole}
-		p.blocks = [][]grid.Region{decomp.BlocksAlongI(whole, blockI)}
-		p.sweepers = []sweeper{{owned: whole, workers: cores, dim: 1, join: joinGlobal}}
+		p.parts = []grid.Region{keep}
+		p.blocks = [][]grid.Region{decomp.BlocksAlongI(keep, blockI)}
+		p.sweepers = []sweeper{{owned: keep, workers: cores, dim: 1, join: joinGlobal}}
 	case IslandsOfCores:
 		n := cfg.Machine.NumNodes()
+		// The islands tile the window: partition a domain of its size, then
+		// shift the parts to where it sits.
+		size := grid.Sz(keep.I1-keep.I0, keep.J1-keep.J0, keep.K1-keep.K0)
 		if cfg.IslandGrid != [2]int{} {
 			pi, pj := cfg.IslandGrid[0], cfg.IslandGrid[1]
 			if pi <= 0 || pj <= 0 || pi*pj != n {
-				return nil, fmt.Errorf("exec: island grid %dx%d must multiply to the node count %d", pi, pj, n)
+				return fmt.Errorf("exec: island grid %dx%d must multiply to the node count %d", pi, pj, n)
 			}
-			if domain.NI < pi || domain.NJ < pj {
-				return nil, fmt.Errorf("exec: island grid %dx%d does not fit domain %v", pi, pj, domain)
+			if size.NI < pi || size.NJ < pj {
+				return fmt.Errorf("exec: island grid %dx%d does not fit domain %v", pi, pj, size)
 			}
-			p.parts = decomp.Partition2D(domain, pi, pj)
+			p.parts = decomp.Partition2D(size, pi, pj)
 		} else {
-			partDim := domain.NI
+			partDim := size.NI
 			if cfg.Variant == decomp.VariantB {
-				partDim = domain.NJ
+				partDim = size.NJ
 			}
 			if partDim < n {
-				return nil, fmt.Errorf("exec: cannot place %d islands along a dimension of %d cells", n, partDim)
+				return fmt.Errorf("exec: cannot place %d islands along a dimension of %d cells", n, partDim)
 			}
-			p.parts = decomp.Partition1D(domain, n, cfg.Variant)
+			p.parts = decomp.Partition1D(size, n, cfg.Variant)
 		}
 		p.blocks = make([][]grid.Region, n)
+		for i := range p.parts {
+			part := &p.parts[i]
+			part.I0, part.I1 = part.I0+keep.I0, part.I1+keep.I0
+			part.J0, part.J1 = part.J0+keep.J0, part.J1+keep.J0
+			part.K0, part.K1 = part.K0+keep.K0, part.K1+keep.K0
+		}
 		for i, part := range p.parts {
 			p.blocks[i] = decomp.BlocksAlongI(part, blockI)
 			if !cfg.CoreIslands {
@@ -385,7 +454,7 @@ func newPlan(cfg Config, prog *stencil.Program, domain grid.Size) (*plan, error)
 		}
 	}
 	p.planKSteps()
-	return p, nil
+	return nil
 }
 
 // planKSteps decides the effective temporal-blocking factor and builds the
@@ -397,7 +466,7 @@ func newPlan(cfg Config, prog *stencil.Program, domain grid.Size) (*plan, error)
 // otherwise alias cells another island computed, which the block-local swap
 // cannot reproduce. Any violation falls back to k=1 with a recorded reason.
 func (p *plan) planKSteps() {
-	p.ksteps = 1
+	p.ksteps, p.kstepReason, p.khalo = 1, "", nil
 	p.spansK = [][][][]grid.Region{p.spans}
 	k := p.cfg.KSteps
 	if k <= 1 || p.cfg.Strategy != IslandsOfCores {
@@ -520,6 +589,34 @@ func (p *plan) islandCellsAvg(i, s int) float64 {
 		c += p.islandCellsAt(d, i, s)
 	}
 	return float64(c) / float64(p.ksteps)
+}
+
+// runCells returns the stage cells one Run computes — every stage over every
+// inner step's trapezoid, redundant growth included — and the output stage's
+// share of them: the cells of each inner step's target. It is what the
+// compiled schedule's kernel items cover (periodic wrap bands aside), which
+// is how the stream cost model prices a tile.
+func (p *plan) runCells() (stages, output int64) {
+	blocks, rem := p.cfg.Steps/p.ksteps, p.cfg.Steps%p.ksteps
+	for d := 0; d < p.ksteps; d++ {
+		walks := int64(blocks)
+		if d < rem {
+			walks++
+		}
+		for i := range p.parts {
+			for s := range p.prog.Stages {
+				cells := p.islandCellsAt(d, i, s)
+				if p.cfg.CoreIslands {
+					cells = p.coreIslandCellsAt(d, i, s, p.cfg.Machine.Nodes[i].Cores)
+				}
+				stages += walks * cells
+				if p.prog.Stages[s].Name == p.prog.Output {
+					output += walks * cells
+				}
+			}
+		}
+	}
+	return stages, output
 }
 
 // workerRegionAt restricts a stage span of island i to the j-trapezoid of one

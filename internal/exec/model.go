@@ -257,6 +257,13 @@ func model(cfg Config, prog *stencil.Program, domain grid.Size, trace bool) (*Mo
 	if err != nil {
 		return nil, err
 	}
+	return modelPlan(p, trace)
+}
+
+// modelPlan prices an already built plan.
+func modelPlan(p *plan, trace bool) (*ModelResult, error) {
+	cfg, prog, domain := p.cfg, p.prog, p.domain
+	var err error
 	p.trace = trace
 	res := &ModelResult{
 		Config:      cfg,

@@ -122,8 +122,10 @@ type Schedule struct {
 	fallbackReason string
 	// wrapReason records why periodic wrap bands were skipped for some
 	// dimension (stage halo wider than the domain); empty when the bands
-	// compiled (or were not needed).
-	wrapReason string
+	// compiled (or were not needed). windowReason records why a requested
+	// Config.Keep window was not honoured.
+	wrapReason   string
+	windowReason string
 	// stages and groups record the program's stage count and the number of
 	// fused phase groups the schedule compiles them into (equal when
 	// fusion is disabled).
@@ -575,7 +577,7 @@ func compileSchedule(p *plan, prog *stencil.KernelProgram, envs []*stencil.Env, 
 	c.feedback = feedback
 	c.compileSweeps(p.ksteps)
 	c.compileFeedback()
-	c.sch.wrapReason = p.wrapReason
+	c.sch.wrapReason, c.sch.windowReason = p.wrapReason, p.windowReason
 	if rem := p.cfg.Steps % p.ksteps; p.ksteps > 1 && rem > 0 {
 		// The trailing sub-block runs the last rem inner steps of the same
 		// trapezoid geometry (distances rem-1 .. 0), waiting at the same
@@ -746,6 +748,12 @@ type ScheduleStats struct {
 	HaloStrips     int
 	HaloBytes      int64
 	FallbackReason string
+	// WrapFallbackReason says why the periodic wrap bands of some dimension
+	// were skipped (a stage halo wider than the domain; results near that
+	// seam then lag the sequential reference). WindowFallbackReason says why
+	// a Config.Keep window was not honoured and the whole domain is swept.
+	WrapFallbackReason   string
+	WindowFallbackReason string
 }
 
 // Stats summarizes the schedule.
@@ -754,7 +762,8 @@ func (s *Schedule) Stats() ScheduleStats {
 		Feedback: s.mode, SwapFeedback: s.mode == FeedbackSwap,
 		HaloStrips: s.haloStrips, HaloBytes: s.haloBytes, FallbackReason: s.fallbackReason,
 		Stages: s.stages, PhaseGroups: s.groups,
-		KSteps: s.ksteps, KStepFallbackReason: s.kstepReason, RemainderSteps: s.remSteps}
+		KSteps: s.ksteps, KStepFallbackReason: s.kstepReason, RemainderSteps: s.remSteps,
+		WrapFallbackReason: s.wrapReason, WindowFallbackReason: s.windowReason}
 	for t, team := range s.items {
 		ts := &st.Teams[t]
 		for w, items := range team {
@@ -803,6 +812,12 @@ func (st ScheduleStats) String() string {
 	}
 	if st.KStepFallbackReason != "" {
 		fmt.Fprintf(&b, " (ksteps fallback: %s)", st.KStepFallbackReason)
+	}
+	if st.WrapFallbackReason != "" {
+		fmt.Fprintf(&b, " (wrap fallback: %s)", st.WrapFallbackReason)
+	}
+	if st.WindowFallbackReason != "" {
+		fmt.Fprintf(&b, " (window fallback: %s)", st.WindowFallbackReason)
 	}
 	return b.String()
 }

@@ -204,6 +204,43 @@ func TestScheduleDigests(t *testing.T) {
 		}
 	}
 
+	// Owned-window rows (Config.Keep), appended so the whole-domain rows above
+	// keep their place: one Run is one block (Steps == k), on a window inside
+	// the domain and on one at its top i face; the last row needs a second
+	// block and compiles the whole-domain fallback with its reason.
+	for _, sc := range strategies {
+		switch sc.name {
+		case "original", "plus31d", "islands-a", "core-islands-wide":
+		default:
+			continue
+		}
+		d := sc.domain
+		windows := []struct {
+			name string
+			keep grid.Region
+		}{
+			{"interior", grid.Box(4, d.NI-6, 0, d.NJ, 0, d.NK)},
+			{"top", grid.Box(d.NI-19, d.NI, 0, d.NJ, 0, d.NK)},
+		}
+		for _, bc := range boundaries {
+			for _, k := range []int{1, 2, 3} {
+				if k > 1 && sc.cfg.Strategy != IslandsOfCores {
+					continue
+				}
+				for _, w := range windows {
+					cfg := sc.cfg
+					cfg.Boundary, cfg.KSteps, cfg.Steps = bc.bc, k, k
+					cfg.BlockI, cfg.Keep = 5, w.keep
+					sum, n := scheduleDigest(t, cfg, d)
+					fmt.Fprintf(&out, "%-44s items=%-6d %s\n", fmt.Sprintf("keep/%s/%s/k%d/%s", sc.name, bc.name, k, w.name), n, sum)
+				}
+			}
+		}
+	}
+	fallback := Config{Machine: m2, Strategy: IslandsOfCores, KSteps: 2, Steps: 5, BlockI: 5, Keep: grid.Box(4, 31, 0, 22, 0, 7)}
+	sum, n := scheduleDigest(t, fallback, odd)
+	fmt.Fprintf(&out, "%-44s items=%-6d %s\n", "keep/islands-a/clamp/k2/steps5-fallback", n, sum)
+
 	golden := filepath.Join("testdata", "schedule_digests.txt")
 	if *updateDigests {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {

@@ -48,6 +48,13 @@ func TestWrapBandUnitsDisjoint(t *testing.T) {
 		{"islands-1node-k2", grid.Sz(24, 18, 8), Config{Machine: topology.SingleSocket(), Strategy: IslandsOfCores, BlockI: 5, KSteps: 2}, 2},
 		{"core-islands", grid.Sz(24, 18, 8), Config{Machine: m2, Strategy: IslandsOfCores, BlockI: 5, CoreIslands: true}, 1},
 		{"core-islands-k2", grid.Sz(24, 64, 8), Config{Machine: m2, Strategy: IslandsOfCores, BlockI: 5, CoreIslands: true, KSteps: 2}, 1},
+		// Owned-window plans (Config.Keep): the islands tile a window at a
+		// domain face, so their wrap images land outside every part.
+		{"islands-a-keep-top", grid.Sz(24, 18, 8), Config{Machine: m2, Strategy: IslandsOfCores, BlockI: 5, Keep: grid.Box(10, 24, 0, 18, 0, 8)}, 1},
+		{"islands-a-keep-bottom", grid.Sz(24, 18, 8), Config{Machine: m2, Strategy: IslandsOfCores, BlockI: 5, Keep: grid.Box(0, 13, 0, 18, 0, 8)}, 1},
+		{"islands-b-keep-part-j", grid.Sz(24, 18, 8), Config{Machine: m2, Strategy: IslandsOfCores, BlockI: 5, Variant: decomp.VariantB, Keep: grid.Box(0, 24, 3, 15, 0, 8)}, 1},
+		{"plus31d-keep-top", grid.Sz(24, 18, 8), Config{Machine: m2, Strategy: Plus31D, BlockI: 5, Keep: grid.Box(10, 24, 0, 18, 0, 8)}, 1},
+		{"core-islands-keep-top", grid.Sz(24, 18, 8), Config{Machine: m2, Strategy: IslandsOfCores, BlockI: 5, CoreIslands: true, Keep: grid.Box(10, 24, 0, 18, 0, 8)}, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -57,6 +64,9 @@ func TestWrapBandUnitsDisjoint(t *testing.T) {
 			p, err := newPlan(cfg, &kp.Program, tc.domain)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if p.windowReason != "" {
+				t.Fatalf("window not honoured: %s", p.windowReason)
 			}
 			if p.ksteps != tc.kstepsWant {
 				t.Fatalf("plan keeps ksteps=%d (%s), want %d", p.ksteps, p.kstepReason, tc.kstepsWant)

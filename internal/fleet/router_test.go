@@ -589,9 +589,12 @@ func TestFleetPollFallbackWithoutEvents(t *testing.T) {
 	}
 	defer router.Close()
 
-	// Distinct grids spread the jobs over both fronts.
+	// Distinct grids spread the jobs over both fronts — where each lands
+	// depends on the ring hash of this run's random httptest ports, so keep
+	// submitting new grids past the first 8 until both fronts have served
+	// (all of 64 keys on one front of two is a 2^-63 event).
 	served := map[string]int{}
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 64 && (i < 8 || len(served) < 2); i++ {
 		spec := fleetSpec(3)
 		spec.Grid = fmt.Sprintf("%dx16x8", 16+8*i)
 		j, err := router.Submit(context.Background(), spec)

@@ -128,6 +128,47 @@ func NewField(name string, s Size) *Field {
 	return &Field{Size: s, Data: make([]float64, s.Cells()), name: name}
 }
 
+// Arena hands out field storage from one backing array, so that several sets
+// of fields of which only one is in use at a time — the out-of-core tile
+// engines of one streamed run, one per tile shape — occupy the memory of the
+// largest set. A nil Arena allocates every field on the heap.
+type Arena struct {
+	buf     []float64
+	off     int
+	spilled int
+}
+
+// NewArena allocates an arena of the given capacity in cells.
+func NewArena(cells int) *Arena { return &Arena{buf: make([]float64, cells)} }
+
+// Rewind makes the arena hand its storage out from the start again. Fields
+// made afterwards alias those made before, and start with their contents.
+func (a *Arena) Rewind() { a.off = 0 }
+
+// NewField returns a field of the given size backed by the arena — with
+// unspecified contents once the arena has been rewound — or, once the arena is
+// exhausted, a zero-filled one from the heap, counted in Cells.
+func (a *Arena) NewField(name string, s Size) *Field {
+	if a == nil {
+		return NewField(name, s)
+	}
+	if !s.Valid() {
+		panic(fmt.Sprintf("grid: invalid field size %v", s))
+	}
+	n := s.Cells()
+	if a.off+n > len(a.buf) {
+		a.spilled += n
+		return NewField(name, s)
+	}
+	f := &Field{Size: s, Data: a.buf[a.off : a.off+n : a.off+n], name: name}
+	a.off += n
+	return f
+}
+
+// Cells returns the storage the arena's fields have occupied: its capacity
+// plus whatever spilled to the heap.
+func (a *Arena) Cells() int { return len(a.buf) + a.spilled }
+
 // Name returns the field's diagnostic name.
 func (f *Field) Name() string { return f.name }
 

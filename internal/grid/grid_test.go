@@ -386,3 +386,40 @@ func TestSwapData(t *testing.T) {
 	}()
 	SwapData(a, NewField("c", Sz(1, 1, 1)))
 }
+
+// TestArena: fields of one layout are disjoint, a rewound arena hands the same
+// storage out again (the next layout aliases the previous one and sees its
+// contents), an exhausted arena spills to zeroed heap fields and counts them,
+// and a nil arena is the heap.
+func TestArena(t *testing.T) {
+	small, big := Sz(2, 3, 4), Sz(3, 3, 4)
+	a := NewArena(small.Cells() + big.Cells())
+	f, g := a.NewField("f", small), a.NewField("g", big)
+	f.Fill(1)
+	g.Fill(2)
+	if f.Sum() != float64(small.Cells()) || g.Sum() != 2*float64(big.Cells()) {
+		t.Fatalf("fields of one layout overlap: sums %v, %v", f.Sum(), g.Sum())
+	}
+	if a.Cells() != small.Cells()+big.Cells() {
+		t.Fatalf("Cells = %d before any spill", a.Cells())
+	}
+	spill := a.NewField("spill", small)
+	if spill.Sum() != 0 || a.Cells() != 2*small.Cells()+big.Cells() {
+		t.Fatalf("spilled field: sum %v, arena cells %d", spill.Sum(), a.Cells())
+	}
+
+	a.Rewind()
+	h := a.NewField("h", big)
+	if h.Name() != "h" || h.Size != big || h.At(0, 0, 0) != 1 || h.At(2, 2, 3) != 2 {
+		t.Fatalf("rewound arena did not hand out the same storage: %v ... %v", h.At(0, 0, 0), h.At(2, 2, 3))
+	}
+	h.Fill(7)
+	if f.At(1, 2, 3) != 7 {
+		t.Fatal("fields made before and after Rewind do not alias")
+	}
+
+	var none *Arena
+	if z := none.NewField("z", small); len(z.Data) != small.Cells() || z.Sum() != 0 {
+		t.Fatal("nil arena did not allocate a zeroed heap field")
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"islands/internal/exec"
+	"islands/internal/stencil"
 	"islands/internal/stream"
 	"islands/internal/tune"
 )
@@ -127,15 +128,11 @@ func (e *streamEngine) budgetMB() int {
 // pickResidency chooses tile width and k: a named store's checkpoint wins
 // (resume validation rejects changed geometry), otherwise the cost model
 // picks under the budget using the server's live disk-bandwidth estimate.
-func (e *streamEngine) pickResidency(cfg exec.Config) (tilePlanes, k int, label string, err error) {
+func (e *streamEngine) pickResidency(cfg exec.Config, prog *stencil.Program) (tilePlanes, k int, label string, err error) {
 	if e.named {
 		if tp, ck, ok := stream.StoredResidency(e.dir); ok {
 			return tp, ck, fmt.Sprintf("checkpointed w%dk%d", tp, ck), nil
 		}
-	}
-	prog, err := classProgram(classOf(e.ns))
-	if err != nil {
-		return 0, 0, "", err
 	}
 	knobs := tune.KnobsOf(cfg, e.ns.Domain)
 	budget := int64(e.budgetMB()) << 20
@@ -163,7 +160,16 @@ func (e *streamEngine) Reset() error {
 	if err != nil {
 		return err
 	}
-	tilePlanes, k, label, err := e.pickResidency(cfg)
+	// One program build serves the residency pick and the streamer.
+	entry, err := e.ns.SolverEntry()
+	if err != nil {
+		return err
+	}
+	prog, err := entry.NewProgram(e.ns.SolverOptions())
+	if err != nil {
+		return err
+	}
+	tilePlanes, k, label, err := e.pickResidency(cfg, &prog.Program)
 	if err != nil {
 		return err
 	}
@@ -176,6 +182,7 @@ func (e *streamEngine) Reset() error {
 		Solver:     e.ns.Solver,
 		IORD:       e.ns.IORD,
 		Unlimited:  e.ns.Unlimited,
+		Program:    prog,
 		TilePlanes: tilePlanes,
 		Resume:     e.named,
 		Progress: func(p stream.Progress) {

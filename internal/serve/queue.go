@@ -60,9 +60,11 @@ func (q *queue) push(j *Job) error {
 }
 
 // pop blocks until a job is available (returning the FIFO head) or the queue
-// is closed (returning nil). Jobs whose context is already done are skipped
-// and returned to the caller via the skipped slice so the server can mark
-// them canceled outside the queue lock.
+// is closed (returning nil and nothing skipped). Jobs whose context is already
+// done are skipped and returned to the caller via the skipped slice so the
+// server can mark them canceled outside the queue lock — at once, with a nil
+// job, when nothing else is queued: whoever canceled them may be waiting for
+// exactly that (Server.Close waits for every job before it closes the queue).
 func (q *queue) pop() (j *Job, skipped []*Job) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -76,7 +78,7 @@ func (q *queue) pop() (j *Job, skipped []*Job) {
 			}
 			return head, skipped
 		}
-		if q.closed {
+		if q.closed || len(skipped) > 0 {
 			return nil, skipped
 		}
 		q.cond.Wait()

@@ -80,6 +80,39 @@ func TestQueuePopSkipsCanceled(t *testing.T) {
 	}
 }
 
+// TestQueuePopHandsSkippedOverBeforeBlocking: a canceled job that was the only
+// one queued comes back from pop at once, not when the next job or the close
+// arrives — Server.Close cancels every job and then waits for the dispatchers
+// to finish them before it closes the queue, so a pop that held on to its
+// skipped jobs while it waited deadlocked the shutdown (seen as
+// TestFleetFailureInjection hanging in Server.Close under -race).
+func TestQueuePopHandsSkippedOverBeforeBlocking(t *testing.T) {
+	q := newQueue(4, time.Second)
+	a := qjob(t, "a")
+	if err := q.push(a); err != nil {
+		t.Fatal(err)
+	}
+	a.Cancel("test")
+	type popped struct {
+		j       *Job
+		skipped []*Job
+	}
+	done := make(chan popped, 1)
+	go func() {
+		j, skipped := q.pop()
+		done <- popped{j, skipped}
+	}()
+	select {
+	case p := <-done:
+		if p.j != nil || len(p.skipped) != 1 || p.skipped[0] != a {
+			t.Fatalf("pop = %v, skipped %v; want no job and [a]", p.j, p.skipped)
+		}
+	case <-time.After(2 * time.Second):
+		q.close()
+		t.Fatal("pop kept the canceled job to itself and blocked")
+	}
+}
+
 func TestQueueRemove(t *testing.T) {
 	q := newQueue(4, time.Second)
 	a, b := qjob(t, "a"), qjob(t, "b")

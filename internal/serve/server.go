@@ -279,7 +279,10 @@ func (s *Server) dispatch() {
 			s.finishJob(sk, sk.terminalOnCancel(), sk.cancelCause(), nil)
 		}
 		if j == nil {
-			return
+			if len(skipped) == 0 {
+				return // queue closed
+			}
+			continue
 		}
 		s.runJob(j)
 	}

@@ -59,7 +59,9 @@ type StreamSupport struct {
 	SeedPlane func(dst []float64, global grid.Size, gi int)
 	// FillWindow writes the non-feedback inputs of a tile state whose local
 	// plane li corresponds to global plane gi(li). The feedback planes come
-	// from the store; everything else is recomputed analytically. May be nil
+	// from the store; everything else is recomputed analytically — every cell
+	// of every other input, each time: the tile engines of a run share their
+	// storage, so a field holds nothing from the previous tile. May be nil
 	// when the feedback field is the solver's only input.
 	FillWindow func(st *State, global grid.Size, gi func(li int) int)
 }

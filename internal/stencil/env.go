@@ -197,6 +197,12 @@ func (e *Env) OffsetStride(o Offset) int {
 // NewEnv creates an execution environment for prog on the given domain,
 // binding the provided step-input fields and allocating stage outputs.
 func NewEnv(prog *Program, domain grid.Size, inputs map[string]*grid.Field) (*Env, error) {
+	return NewEnvIn(nil, prog, domain, inputs)
+}
+
+// NewEnvIn is NewEnv with the stage outputs allocated from arena (nil = the
+// heap).
+func NewEnvIn(arena *grid.Arena, prog *Program, domain grid.Size, inputs map[string]*grid.Field) (*Env, error) {
 	env := &Env{Domain: domain, fields: make(map[string]*grid.Field)}
 	for _, name := range prog.StepInputs {
 		f, ok := inputs[name]
@@ -210,7 +216,7 @@ func NewEnv(prog *Program, domain grid.Size, inputs map[string]*grid.Field) (*En
 	}
 	for i := range prog.Stages {
 		name := prog.Stages[i].Name
-		env.fields[name] = grid.NewField(name, domain)
+		env.fields[name] = arena.NewField(name, domain)
 	}
 	return env, nil
 }

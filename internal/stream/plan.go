@@ -15,7 +15,10 @@
 // domain interior) propagates at most one step-extent per step and dies in
 // the discarded halo shell. Real domain edges coincide with tile edges, so
 // the boundary condition is applied exactly where the resident run applies
-// it; under a periodic i-boundary the halo planes are loaded mod NI. See
+// it; under a periodic i-boundary the halo planes are loaded mod NI. The
+// tile engine computes no more than that trapezoid wherever it can run the
+// k steps as one block: its output window (exec.Config.Keep) is the owned
+// planes, so the halo planes are read and never recomputed. See
 // docs/STREAMING.md.
 //
 // Because the halo argument holds regardless of the boundary condition, the

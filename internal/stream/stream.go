@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,6 +47,9 @@ type Options struct {
 	// MPDATA options, as in serving.
 	IORD      int
 	Unlimited bool
+	// Program, when the caller already built the solver's program for these
+	// options (to pick the residency, say), spares New building it again.
+	Program *stencil.KernelProgram
 	// TilePlanes bounds each tile's owned i-planes (0 = one whole-domain
 	// tile). The resident footprint scales with TilePlanes + k-step halo.
 	TilePlanes int
@@ -95,6 +99,16 @@ type Stats struct {
 	IOTime   time.Duration
 	Prefetch bool
 	Mmap     bool
+	// OutputCells counts the cells of the streamed field the tile engines
+	// computed this process: per tile visit, its owned planes once per step
+	// plus the redundant trapezoid growth of the earlier inner steps (see
+	// docs/STREAMING.md "Tile geometry").
+	OutputCells int64
+	// PeakEngineBytes is the field storage the run's tile engines occupy —
+	// all shapes together, since they share one arena. It stays within the
+	// engine term of exec.StreamResidentBytes: exec.StreamEngineFields fields
+	// of the widest tile.
+	PeakEngineBytes int64
 }
 
 // DiskBW returns the observed disk throughput in bytes/s (0 until any I/O).
@@ -161,17 +175,19 @@ func StoredResidency(dir string) (tilePlanes, k int, ok bool) {
 	return ck.TilePlanes, ck.K, true
 }
 
-// engineKey identifies a compiled tile engine: tiles sharing a loaded width
-// and per-residency step count reuse one runner (at most three distinct keys
-// per sweep in practice — interior, edge, and remainder tiles).
+// engineKey identifies a compiled tile engine: tiles sharing a loaded width,
+// the owned window's place in it and the per-residency step count reuse one
+// runner (at most three distinct keys per sweep in practice — first,
+// interior and last tiles).
 type engineKey struct {
-	extNI int
-	steps int
+	extNI, extLo, width, steps int
 }
 
 type tileEngine struct {
 	state  *solver.State
 	runner *exec.Runner
+	// outputCells is what one Run computes of the streamed field.
+	outputCells int64
 }
 
 // Streamer drives one streamed run. It is not safe for concurrent use except
@@ -185,7 +201,15 @@ type Streamer struct {
 	files [2]*grid.PlaneFile
 	ck    checkpoint
 
+	// engines holds the compiled tile engines. Their fields all come from
+	// arena, rewound before each build: the shapes alias one another's
+	// storage, so the run holds one widest engine's memory however many
+	// shapes it compiles, and only one engine may be built or run at a time.
+	// setup joins the goroutine that builds the first sweep's shapes while the
+	// store is seeded; every other use of engines and arena waits for it.
 	engines map[engineKey]*tileEngine
+	arena   *grid.Arena
+	setup   sync.WaitGroup
 
 	// Reusable pipeline buffers: two load + two writeback, sized for the
 	// widest tile, allocated once.
@@ -228,9 +252,11 @@ func New(o Options) (*Streamer, error) {
 	if entry.MPDATAOptions && o.IORD <= 0 {
 		o.IORD = mpdata.DefaultOptions().IORD
 	}
-	prog, err := entry.NewProgram(solver.Options{IORD: o.IORD, Unlimited: o.Unlimited})
-	if err != nil {
-		return nil, err
+	prog := o.Program
+	if prog == nil {
+		if prog, err = entry.NewProgram(solver.Options{IORD: o.IORD, Unlimited: o.Unlimited}); err != nil {
+			return nil, err
+		}
 	}
 	analysis, err := stencil.Analyze(&prog.Program)
 	if err != nil {
@@ -266,6 +292,7 @@ func New(o Options) (*Streamer, error) {
 	s.stats.Prefetch = !o.NoPrefetch
 
 	if err := s.openStore(); err != nil {
+		_ = s.Close()
 		return nil, err
 	}
 	if !o.NoMmap {
@@ -276,7 +303,7 @@ func New(o Options) (*Streamer, error) {
 		}
 	}
 
-	planeCells := int(grid.PlaneBytes(tileSize(o.Domain, 1)) / grid.CellBytes)
+	planeCells := int(grid.PlaneBytes(o.Domain) / grid.CellBytes)
 	maxCells := plan.MaxResidentPlanes() * planeCells
 	ownedCells := min(plan.TilePlanes, o.Domain.NI) * planeCells
 	s.loadFree = make(chan []float64, 2)
@@ -286,11 +313,6 @@ func New(o Options) (*Streamer, error) {
 		s.writeFree <- make([]float64, ownedCells)
 	}
 	return s, nil
-}
-
-// tileSize is the sub-domain of a tile loading extNI planes.
-func tileSize(domain grid.Size, extNI int) grid.Size {
-	return grid.Size{NI: extNI, NJ: domain.NJ, NK: domain.NK}
 }
 
 // checkIslandWidth rejects plans whose narrowest tile cannot host the
@@ -321,7 +343,11 @@ func (s *Streamer) openStore() error {
 	ckPath := filepath.Join(s.o.Dir, checkpointFile)
 	if s.o.Resume {
 		if raw, err := os.ReadFile(ckPath); err == nil {
-			return s.resumeStore(raw)
+			if err := s.resumeStore(raw); err != nil {
+				return err
+			}
+			s.precompile(s.ck.Sweep, s.ck.Tile)
+			return nil
 		} else if !errors.Is(err, os.ErrNotExist) {
 			return err
 		}
@@ -333,26 +359,93 @@ func (s *Streamer) openStore() error {
 	if s.files[1], err = grid.CreatePlaneFile(filepath.Join(s.o.Dir, psiFile1), s.o.Domain); err != nil {
 		return err
 	}
-	// Seed sweep 0's input with the solver's initial condition one plane at
-	// a time, folding the cells into the mass accumulator in the same flat
-	// order as a resident Field.Sum — the conservation baseline is
-	// bit-identical.
-	plane := make([]float64, grid.PlaneBytes(s.o.Domain)/grid.CellBytes)
-	var acc grid.SumAccumulator
-	for i := 0; i < s.o.Domain.NI; i++ {
-		s.entry.Stream.SeedPlane(plane, s.o.Domain, i)
-		for _, v := range plane {
-			acc.Add(v)
-		}
-		if err := s.files[0].WritePlanes(plane, i, 1); err != nil {
-			return err
-		}
+	// The first tiles' engines compile while the store is seeded, instead of
+	// inside tiles 0 and 1.
+	s.precompile(0, 0)
+	massIn, err := s.seedStore()
+	if err != nil {
+		return err
 	}
 	if err := s.files[0].Sync(); err != nil {
 		return err
 	}
-	s.ck = s.checkpointAt(0, 0, acc.Value())
+	s.ck = s.checkpointAt(0, 0, massIn)
 	return s.writeCheckpoint()
+}
+
+// seedChunk is how many planes the seeding pipeline generates per hand-off.
+const seedChunk = 16
+
+// seedStore fills sweep 0's input with the solver's initial condition and
+// returns its mass. The planes of a chunk are generated on every core (the
+// initial condition is transcendental per cell); the caller's goroutine then
+// folds the chunk into the mass accumulator and writes it out while the next
+// chunk is generated. The fold visits the cells in the same flat order as a
+// resident Field.Sum, so the conservation baseline is bit-identical.
+func (s *Streamer) seedStore() (float64, error) {
+	ni := s.o.Domain.NI
+	planeCells := int(grid.PlaneBytes(s.o.Domain) / grid.CellBytes)
+	type chunk struct {
+		lo, n int
+		buf   []float64
+	}
+	free := make(chan []float64, 2)
+	ready := make(chan chunk)
+	for n := 0; n < cap(free); n++ {
+		free <- make([]float64, seedChunk*planeCells)
+	}
+	workers := min(runtime.GOMAXPROCS(0), seedChunk)
+	go func() {
+		defer close(ready)
+		for lo := 0; lo < ni; lo += seedChunk {
+			c := chunk{lo: lo, n: min(seedChunk, ni-lo), buf: <-free}
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for p := w; p < c.n; p += workers {
+						s.entry.Stream.SeedPlane(c.buf[p*planeCells:(p+1)*planeCells], s.o.Domain, c.lo+p)
+					}
+				}(w)
+			}
+			wg.Wait()
+			ready <- c
+		}
+	}()
+	var acc grid.SumAccumulator
+	var err error
+	for c := range ready {
+		// After a write error keep draining, so the generator can finish.
+		if err == nil {
+			cells := c.buf[:c.n*planeCells]
+			for _, v := range cells {
+				acc.Add(v)
+			}
+			err = s.files[0].WritePlanes(cells, c.lo, c.n)
+		}
+		free <- c.buf
+	}
+	return acc.Value(), err
+}
+
+// precompile builds, on its own goroutine, the engines of every tile shape the
+// sweep still has to visit from the given tile on. A failed build is left for
+// the tile that needs it to repeat and report.
+func (s *Streamer) precompile(sweep, tile int) {
+	if sweep >= s.plan.Sweeps {
+		return
+	}
+	steps := s.plan.KEffAt(sweep)
+	s.setup.Add(1)
+	go func() {
+		defer s.setup.Done()
+		for t := tile; t < len(s.plan.Tiles); t++ {
+			if _, err := s.buildEngine(s.engineKeyOf(t, steps)); err != nil {
+				return
+			}
+		}
+	}()
 }
 
 // checkpointAt builds the progress record for the next unit of work.
@@ -502,33 +595,52 @@ func (s *Streamer) Run() error {
 	return nil
 }
 
-// engine returns (building on first use) the compiled tile engine for a
-// loaded width and step count.
-func (s *Streamer) engine(extNI, steps int) (*tileEngine, error) {
-	key := engineKey{extNI, steps}
+// engineKeyOf returns the engine shape tile t runs on when advanced steps
+// steps.
+func (s *Streamer) engineKeyOf(t, steps int) engineKey {
+	_, extLo, extNI := s.plan.tileGeom(t)
+	return engineKey{extNI: extNI, extLo: extLo, width: s.plan.Tiles[t].Width(), steps: steps}
+}
+
+// engine returns (building on first use) the compiled tile engine of a shape,
+// once the set-up goroutine has handed the engines over.
+func (s *Streamer) engine(key engineKey) (*tileEngine, error) {
+	s.setup.Wait()
+	return s.buildEngine(key)
+}
+
+// buildEngine compiles the engine of a shape unless it exists: a runner whose
+// output window (exec.Config.Keep) is the tile's owned planes, so each inner
+// step sweeps the trapezoid under them and not the loaded rectangle. The step
+// inputs are allocated here rather than by the entry's NewState so that they,
+// too, come from the shared arena; Stream.FillWindow rewrites every one but
+// the feedback field before each tile, which the store supplies.
+func (s *Streamer) buildEngine(key engineKey) (*tileEngine, error) {
 	if e, ok := s.engines[key]; ok {
 		return e, nil
 	}
-	cfg := s.o.Exec
-	cfg.Steps = steps
-	// Let the runner temporal-block the residency internally when the
-	// strategy supports it; infeasible geometries fall back to k=1 inside
-	// the runner (bit-identical either way).
-	if cfg.Strategy == exec.IslandsOfCores {
-		cfg.KSteps = steps
-	} else {
-		cfg.KSteps = 0
+	cfg, size := exec.StreamTileConfig(s.o.Exec, key.steps, s.o.Domain, key.extLo, key.width, key.extNI)
+	prog := &s.prog.Program
+	if s.arena == nil {
+		// One widest-tile engine's worth of fields, allocated (and zeroed)
+		// here so that it, too, overlaps the store seeding.
+		widest := grid.Sz(s.plan.MaxResidentPlanes(), s.o.Domain.NJ, s.o.Domain.NK)
+		s.arena = grid.NewArena(exec.StreamEngineFields(s.o.Exec, prog) * widest.Cells())
 	}
-	state, err := s.entry.NewState(tileSize(s.o.Domain, extNI))
+	s.arena.Rewind()
+	state := &solver.State{Domain: size, Inputs: make(map[string]*grid.Field, len(prog.StepInputs)), Feedback: prog.Feedback}
+	for _, name := range prog.StepInputs {
+		state.Inputs[name] = s.arena.NewField(name, size)
+	}
+	runner, err := exec.NewRunnerIn(s.arena, cfg, s.prog, state.Inputs, state.Feedback)
 	if err != nil {
 		return nil, err
 	}
-	runner, err := exec.NewRunner(cfg, s.prog, state.Inputs, state.Feedback)
-	if err != nil {
-		return nil, err
-	}
-	e := &tileEngine{state: state, runner: runner}
+	e := &tileEngine{state: state, runner: runner, outputCells: runner.Plan().OutputCells}
 	s.engines[key] = e
+	s.statsMu.Lock()
+	s.stats.PeakEngineBytes = int64(s.arena.Cells()) * grid.CellBytes
+	s.statsMu.Unlock()
 	return e, nil
 }
 
@@ -552,7 +664,7 @@ func (s *Streamer) loadTile(in *grid.PlaneFile, t int, buf []float64) (int64, er
 // buf, leaving the owned output planes in out.
 func (s *Streamer) computeTile(sweep, t, steps int, buf, out []float64) error {
 	base, extLo, extNI := s.plan.tileGeom(t)
-	eng, err := s.engine(extNI, steps)
+	eng, err := s.engine(s.engineKeyOf(t, steps))
 	if err != nil {
 		return err
 	}
@@ -578,6 +690,7 @@ func (s *Streamer) computeTile(sweep, t, steps int, buf, out []float64) error {
 	s.mu.Unlock()
 	s.statsMu.Lock()
 	s.stats.Compute += time.Since(c0)
+	s.stats.OutputCells += eng.outputCells
 	s.statsMu.Unlock()
 	if runErr != nil {
 		if s.aborted.Load() {
@@ -844,6 +957,7 @@ func (s *Streamer) ReadResult() (*grid.Field, error) {
 // Close releases the engines and the store's file handles. The spill data
 // and checkpoint stay on disk (for resume); call Remove to delete them.
 func (s *Streamer) Close() error {
+	s.setup.Wait()
 	for _, e := range s.engines {
 		e.runner.Close()
 	}

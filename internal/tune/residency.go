@@ -48,23 +48,23 @@ func PickResidency(m *topology.Machine, prog *stencil.Program, class Class, knob
 	domain := class.Domain
 	budget := float64(budgetBytes)
 
-	// Whole domain resident? Then streaming is pure overhead.
-	whole, err := exec.StreamResidentBytes(cfg, prog, domain, domain.NI, 1)
+	// One analysis serves every probe of the search and every plan priced.
+	an, err := stencil.Analyze(prog)
 	if err != nil {
 		return nil, err
 	}
-	if whole <= budget {
+	fext, err := exec.StreamHalo(prog, an)
+	if err != nil {
+		return nil, err
+	}
+
+	// Whole domain resident? Then streaming is pure overhead.
+	if exec.StreamResidentBytes(cfg, prog, fext, domain, domain.NI, 1) <= budget {
 		return &Residency{
 			Resident: true, TilePlanes: domain.NI, K: steps,
 			Label: "resident",
 		}, nil
 	}
-
-	an, err := stencil.Analyze(prog)
-	if err != nil {
-		return nil, err
-	}
-	fext := an.InputExtents[prog.Feedback]
 
 	var best *Residency
 	var lastErr error
@@ -86,26 +86,16 @@ func PickResidency(m *topology.Machine, prog *stencil.Program, class Class, knob
 		}
 		// Binary search the widest tile fitting the budget.
 		lo := 1
-		fits := func(w int) (bool, error) {
-			b, err := exec.StreamResidentBytes(cfg, prog, domain, w, k)
-			if err != nil {
-				return false, err
-			}
-			return b <= budget, nil
+		fits := func(w int) bool {
+			return exec.StreamResidentBytes(cfg, prog, fext, domain, w, k) <= budget
 		}
-		if ok, err := fits(lo); err != nil {
-			return nil, err
-		} else if !ok {
+		if !fits(lo) {
 			lastErr = fmt.Errorf("tune: residency: a one-plane tile at k=%d needs more than the %d-byte budget", k, budgetBytes)
 			continue
 		}
 		for lo < hi {
 			mid := (lo + hi + 1) / 2
-			ok, err := fits(mid)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
+			if fits(mid) {
 				lo = mid
 			} else {
 				hi = mid - 1
@@ -116,7 +106,7 @@ func PickResidency(m *topology.Machine, prog *stencil.Program, class Class, knob
 			widths = append(widths, half)
 		}
 		for _, w := range widths {
-			cost, err := exec.StreamCost(cfg, prog, domain, steps, exec.StreamChoice{TilePlanes: w, K: k}, diskBW)
+			cost, err := exec.StreamCost(cfg, prog, an, domain, steps, exec.StreamChoice{TilePlanes: w, K: k}, diskBW)
 			if err != nil {
 				lastErr = err
 				continue

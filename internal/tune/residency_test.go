@@ -26,6 +26,15 @@ func residencySetup(t *testing.T) (*topology.Machine, *stencil.Program, Class, K
 	return m, &prog.Program, class, knobs
 }
 
+func feedbackHalo(t *testing.T, prog *stencil.Program) stencil.Extent {
+	t.Helper()
+	an, err := stencil.Analyze(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return an.InputExtents[prog.Feedback]
+}
+
 func TestPickResidencyResident(t *testing.T) {
 	m, prog, class, knobs := residencySetup(t)
 	r, err := PickResidency(m, prog, class, knobs, 20, 1<<40, 0)
@@ -40,10 +49,7 @@ func TestPickResidencyResident(t *testing.T) {
 func TestPickResidencyUnderBudget(t *testing.T) {
 	m, prog, class, knobs := residencySetup(t)
 	cfg := ApplyKnobs(class.BaseConfig(m), knobs)
-	whole, err := exec.StreamResidentBytes(cfg, prog, class.Domain, class.Domain.NI, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	whole := exec.StreamResidentBytes(cfg, prog, feedbackHalo(t, prog), class.Domain, class.Domain.NI, 1)
 	budget := int64(whole / 6)
 	r, err := PickResidency(m, prog, class, knobs, 20, budget, 0)
 	if err != nil {
@@ -66,10 +72,7 @@ func TestPickResidencyUnderBudget(t *testing.T) {
 func TestPickResidencySlowDiskPrefersLargerK(t *testing.T) {
 	m, prog, class, knobs := residencySetup(t)
 	cfg := ApplyKnobs(class.BaseConfig(m), knobs)
-	whole, err := exec.StreamResidentBytes(cfg, prog, class.Domain, class.Domain.NI, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	whole := exec.StreamResidentBytes(cfg, prog, feedbackHalo(t, prog), class.Domain, class.Domain.NI, 1)
 	budget := int64(whole / 4)
 	slow, err := PickResidency(m, prog, class, knobs, 32, budget, 1e6)
 	if err != nil {
@@ -110,7 +113,7 @@ func TestStreamCostGeometryMatchesPlanner(t *testing.T) {
 	for _, bc := range []stencil.Boundary{stencil.Clamp, stencil.Periodic} {
 		for _, c := range []exec.StreamChoice{{TilePlanes: 5, K: 1}, {TilePlanes: 8, K: 2}, {TilePlanes: 13, K: 4}} {
 			cfg := exec.Config{Machine: m, Strategy: exec.Original, Boundary: bc, Steps: 1}
-			cost, err := exec.StreamCost(cfg, prog, domain, 12, c, 0)
+			cost, err := exec.StreamCost(cfg, prog, an, domain, 12, c, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
