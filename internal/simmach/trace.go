@@ -83,7 +83,8 @@ func (s *Sim) Timeline(res *Result, width int) string {
 		}
 		sb.WriteString("|\n")
 	}
-	// Per-tag summary, largest first.
+	// Per-tag summary, largest first; equal times in tag order, so the text
+	// does not depend on map iteration.
 	type tt struct {
 		tag string
 		t   float64
@@ -92,7 +93,12 @@ func (s *Sim) Timeline(res *Result, width int) string {
 	for tag, t := range s.TagTimes() {
 		tags = append(tags, tt{tag, t})
 	}
-	sort.Slice(tags, func(i, j int) bool { return tags[i].t > tags[j].t })
+	sort.Slice(tags, func(i, j int) bool {
+		if tags[i].t != tags[j].t {
+			return tags[i].t > tags[j].t
+		}
+		return tags[i].tag < tags[j].tag
+	})
 	for _, e := range tags {
 		fmt.Fprintf(&sb, "  %-20s %10.4gs busy\n", e.tag, e.t)
 	}
