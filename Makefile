@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check vet test race race-core bench-check bench-smoke bench benchall tables report examples clean
+.PHONY: all build fmt-check vet test race race-core bench-check bench-smoke bench benchall loc tables report examples clean
 
 # Tier-1 gate: format + build + vet + full test suite + race detector on the
 # concurrency-bearing packages + the separately-moduled benchmark still
@@ -56,6 +56,11 @@ bench:
 
 benchall:
 	$(GO) test -bench . -benchmem ./...
+
+# The line count the simplicity PRs report (ROADMAP aim 2): non-test Go
+# outside bench/, comments and blank lines included.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 
 # Regenerate the paper's evaluation tables on the simulated UV 2000.
 tables:

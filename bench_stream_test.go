@@ -1,20 +1,16 @@
 package islands
 
 // Out-of-core streaming benchmarks (docs/STREAMING.md): the same domain and
-// step count advanced three ways —
+// step count advanced two ways —
 //
-//	BenchmarkStreamResident         — one whole-domain tile (TilePlanes=0),
-//	                                  the in-memory baseline through the
-//	                                  store machinery
-//	BenchmarkStreamTiled            — many budget-sized tiles with the
-//	                                  double-buffered prefetch pipeline
-//	BenchmarkStreamTiledNoPrefetch  — the same tiling with load, compute
-//	                                  and writeback serialized (ablation)
+//	BenchmarkStreamResident  — one whole-domain tile (TilePlanes=0), the
+//	                           in-memory baseline through the store machinery
+//	BenchmarkStreamTiled     — many budget-sized tiles through the
+//	                           double-buffered load/writeback pipeline
 //
-// The figure of merit is cells/s; the tiled arms also report their
-// compute/I-O overlap efficiency. The prefetch arm existing to beat the
-// serial arm is the point of the pipeline, and BENCH_compute.json records
-// both so the gap is reviewable over time.
+// The figure of merit is cells/s; the tiled arm also reports its
+// compute/I-O overlap efficiency — the share of wall time the pipeline did
+// not leave exposed to a load or writeback stall.
 //
 // These names deliberately do not share the ^BenchmarkCompute prefix: the CI
 // bench-smoke gate fails on allocs/op > 0, a compiled-schedule invariant the
@@ -33,7 +29,7 @@ import (
 // streamBench runs the standard problem through a fresh tile store per
 // iteration. The domain comfortably fits in memory — the benchmark isolates
 // the streaming machinery's overhead and overlap, not real disk pressure.
-func streamBench(b *testing.B, tilePlanes int, noPrefetch bool) {
+func streamBench(b *testing.B, tilePlanes int) {
 	b.Helper()
 	domain := grid.Sz(192, 32, 16)
 	const steps = 4
@@ -53,7 +49,6 @@ func streamBench(b *testing.B, tilePlanes int, noPrefetch bool) {
 			Exec:       cfg,
 			Domain:     domain,
 			TilePlanes: tilePlanes,
-			NoPrefetch: noPrefetch,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -74,6 +69,5 @@ func streamBench(b *testing.B, tilePlanes int, noPrefetch bool) {
 	}
 }
 
-func BenchmarkStreamResident(b *testing.B)        { streamBench(b, 0, false) }
-func BenchmarkStreamTiled(b *testing.B)           { streamBench(b, 32, false) }
-func BenchmarkStreamTiledNoPrefetch(b *testing.B) { streamBench(b, 32, true) }
+func BenchmarkStreamResident(b *testing.B) { streamBench(b, 0) }
+func BenchmarkStreamTiled(b *testing.B)    { streamBench(b, 32) }

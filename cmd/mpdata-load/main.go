@@ -207,9 +207,9 @@ func main() {
 		log.Fatal("-budget-mb and -stream-id require -streamed")
 	}
 	// Validate every (strategy, grid, solver) template once, client-side,
-	// with the same helpers the server uses — a bad flag (a non-streamable
-	// solver under -streamed, a grid violating a solver's domain constraint)
-	// fails fast instead of 100 times.
+	// by the server's own admission check — a bad flag (a non-streamable
+	// solver under -streamed, a grid violating a solver's domain constraint,
+	// -steps no multiple of -ksteps) fails fast instead of 100 times.
 	template := serve.Spec{
 		Steps: *steps, Processors: *p, KSteps: *ksteps, Pin: *pin,
 		Streamed: *streamed, MemoryBudgetMB: *budgetMB,

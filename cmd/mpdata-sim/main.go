@@ -17,7 +17,6 @@ import (
 	"log"
 	"os"
 
-	"islands"
 	"islands/internal/advisor"
 	"islands/internal/exec"
 	"islands/internal/grid"
@@ -26,19 +25,66 @@ import (
 	"islands/internal/solver"
 	"islands/internal/stencil"
 	"islands/internal/stream"
-	"islands/internal/topology"
-	"islands/internal/tune"
 )
 
-// solverProgram builds the configured catalog solver's kernel program. IORD
-// reaches only entries with MPDATA options (the flag is rejected for the
-// rest before this runs).
-func solverProgram(entry *solver.Entry, cfg islands.Config) (*stencil.KernelProgram, error) {
-	opt := solver.Options{}
-	if entry.MPDATAOptions {
-		opt.IORD = cfg.IORD
+// run is the one description every mode derives from: the flags as a
+// normalized job spec, with its catalog entry and kernel program resolved.
+type run struct {
+	ns    serve.NormSpec
+	entry *solver.Entry
+	kp    *stencil.KernelProgram
+}
+
+// newRun validates the spec (serve.Spec.Normalize is the only validator) and
+// builds the solver's program once for whichever mode runs.
+func newRun(spec serve.Spec) (*run, error) {
+	ns, err := spec.Normalize()
+	if err != nil {
+		return nil, err
 	}
-	return entry.NewProgram(opt)
+	entry, err := ns.SolverEntry()
+	if err != nil {
+		return nil, err
+	}
+	kp, err := entry.NewProgram(ns.SolverOptions())
+	if err != nil {
+		return nil, err
+	}
+	return &run{ns: ns, entry: entry, kp: kp}, nil
+}
+
+// execConfig is the executor configuration of the whole run under key — the
+// run's own, or a strategy arm of it. ExecConfig compiles one dispatch unit
+// per Run for the server's step loop; the CLI advances every step in one Run.
+func (r *run) execConfig(key serve.CacheKey) (exec.Config, error) {
+	ec, err := key.ExecConfig()
+	ec.Steps = r.ns.Steps
+	return ec, err
+}
+
+// arm is one strategy configuration of the -schedule and -profile sweeps.
+type arm struct {
+	name        string
+	strategy    exec.Strategy
+	coreIslands bool
+}
+
+var arms = []arm{
+	{"original", exec.Original, false},
+	{"(3+1)D", exec.Plus31D, false},
+	{"islands-of-cores", exec.IslandsOfCores, false},
+	{"islands-of-cores+core-islands", exec.IslandsOfCores, true},
+}
+
+// armConfig is the run's configuration with the strategy replaced by the
+// arm's; the temporal-blocking request reaches the islands arms only.
+func (r *run) armConfig(a arm) (exec.Config, error) {
+	key := r.ns.Key()
+	key.Strategy, key.CoreIslands = a.strategy, a.coreIslands
+	if a.strategy != exec.IslandsOfCores {
+		key.KSteps = 1
+	}
+	return r.execConfig(key)
 }
 
 func main() {
@@ -72,168 +118,83 @@ func main() {
 	dump := flag.String("dump", "", "write the final psi field to this file (grid field format)")
 	streamBudget := flag.Int("stream-budget-mb", 0, "run out of core under this resident-memory budget in MiB: the domain is streamed through disk-backed tiles (0 = resident; docs/STREAMING.md)")
 	spillDir := flag.String("spill-dir", "", "spill directory for -stream-budget-mb (\"\" = a private temp dir, removed afterwards)")
-	streamNoPrefetch := flag.Bool("stream-noprefetch", false, "disable the stream's double-buffered prefetch pipeline (ablation)")
 	plan := flag.Bool("plan", false, "print the execution geometry (islands, blocks, redundancy) and exit")
 	schedule := flag.Bool("schedule", false, "print every strategy's compiled schedule and feedback-publish table (mode, halo strips, bytes per step) and exit")
 	topo := flag.Bool("topology", false, "print the simulated machine description and exit")
 	flag.Parse()
 
-	// Flag validation is shared with internal/serve (the job-spec boundary),
-	// so the CLI and the server reject bad inputs with identical diagnostics.
-	entry, err := solver.Lookup(*solverFlag)
+	spec := serve.Spec{
+		Grid: *gridFlag, Solver: *solverFlag, Steps: *steps, Strategy: *strategyFlag,
+		Processors: *p, Placement: *placementFlag, Variant: *variantFlag,
+		CoreIslands: *coreIslands, KSteps: *ksteps,
+		Streamed: *streamBudget != 0, MemoryBudgetMB: *streamBudget,
+	}
+	// -iord's default belongs to the solvers that read it; the spec rejects
+	// the option on the others, so only an explicit -iord is passed on.
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "iord" {
+			spec.IORD = *iord
+		}
+	})
+	r, err := newRun(spec)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if !entry.MPDATAOptions {
-		// Mirror the spec layer: MPDATA-only options are rejected, not
-		// silently ignored, for solvers that do not consume them.
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "iord" {
-				log.Fatalf("-iord applies only to the mpdata solver, not %q", entry.Name)
-			}
-		})
-	}
-	domain, err := serve.ParseGrid(*gridFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if entry.CheckDomain != nil {
-		if err := entry.CheckDomain(domain); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if err := serve.ValidateSteps(*steps); err != nil {
-		log.Fatal(err)
-	}
-	if err := serve.ValidateProcessors(*p); err != nil {
-		log.Fatal(err)
-	}
-	strategy, err := serve.ParseStrategy(*strategyFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
-	placement, err := serve.ParsePlacement(*placementFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
-	variant, err := serve.ParseVariant(*variantFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if *ksteps < 0 {
-		log.Fatalf("ksteps must be non-negative, got %d", *ksteps)
-	}
-	if *ksteps > 1 {
-		if strategy != islands.IslandsOfCores {
-			log.Fatal("ksteps > 1 requires the islands strategy")
-		}
-		// Reject a k the compiled schedule would silently drop to 1 — the
-		// same exec.CheckKSteps gate (and error text) the serve job spec
-		// applies at submission.
-		m, err := topology.UV2000(*p)
-		if err != nil {
-			log.Fatal(err)
-		}
-		kp, err := entry.NewProgram(solver.Options{IORD: *iord})
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := exec.CheckKSteps(exec.Config{
-			Machine: m, Strategy: strategy, Placement: placement, Variant: variant,
-			Boundary: islands.Clamp, Steps: *steps, CoreIslands: *coreIslands, KSteps: *ksteps,
-		}, &kp.Program, domain); err != nil {
-			log.Fatal(err)
-		}
-	}
+	ns, prog := r.ns, &r.kp.Program
 
-	cfg := islands.Config{
-		Processors:  *p,
-		Strategy:    strategy,
-		Placement:   placement,
-		Variant:     variant,
-		Boundary:    islands.Clamp,
-		Steps:       *steps,
-		CoreIslands: *coreIslands,
-		KSteps:      *ksteps,
-		IORD:        *iord,
-	}
-
-	if *streamBudget > 0 {
-		if *ksteps > 1 {
-			log.Fatal("-ksteps does not combine with -stream-budget-mb (the residency picker derives k from the budget)")
-		}
-		if err := runStreamed(entry, domain, cfg, *streamBudget, *spillDir, *streamNoPrefetch); err != nil {
+	if ns.Streamed {
+		if err := runStreamed(ns, *spillDir); err != nil {
 			log.Fatal(err)
 		}
 		return
 	}
 
 	if *tuneFlag {
-		if err := runTune(entry, domain, cfg, *tuneSeed); err != nil {
+		if err := runTune(r, *tuneSeed); err != nil {
 			log.Fatal(err)
 		}
 		return
 	}
 
+	ec, err := r.execConfig(ns.Key())
+	if err != nil {
+		log.Fatal(err)
+	}
+
 	if *advise {
-		m, err := topology.UV2000(*p)
+		cands, err := advisor.Advise(ec.Machine, prog, ns.Domain, ns.Steps)
 		if err != nil {
 			log.Fatal(err)
 		}
-		kp, err := solverProgram(entry, cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cands, err := advisor.Advise(m, &kp.Program, domain, *steps)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("strategy advice for %s %v, %d steps on %d sockets:\n", entry.Name, domain, *steps, *p)
+		fmt.Printf("strategy advice for %s %v, %d steps on %d sockets:\n", ns.Solver, ns.Domain, ns.Steps, ns.Processors)
 		fmt.Print(advisor.Report(cands))
 		return
 	}
 
 	if *profile || *traceOut != "" {
-		if err := runProfiled(entry, domain, cfg, *profile, *traceOut); err != nil {
+		if err := runProfiled(r, *profile, *traceOut); err != nil {
 			log.Fatal(err)
 		}
 		return
 	}
 
 	if *schedule {
-		if err := runScheduleReport(entry, domain, cfg); err != nil {
+		if err := runScheduleReport(r); err != nil {
 			log.Fatal(err)
 		}
 		return
 	}
 
 	fmt.Printf("%s %v, %d steps, %s on %d x Xeon E5-4627v2 (%s placement, variant %v)\n",
-		entry.Name, domain, *steps, strategy, *p, placement, variant)
+		ns.Solver, ns.Domain, ns.Steps, ns.Strategy, ns.Processors, ns.Placement, ns.Variant)
 
 	if *topo {
-		m, err := topology.UV2000(*p)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Print(m.Describe())
+		fmt.Print(ec.Machine.Describe())
 		return
 	}
 
 	if *plan {
-		m, err := topology.UV2000(*p)
-		if err != nil {
-			log.Fatal(err)
-		}
-		kp, err := solverProgram(entry, cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		prog := &kp.Program
-		out, err := exec.DescribePlan(exec.Config{
-			Machine: m, Strategy: strategy, Placement: placement,
-			Variant: variant, Boundary: islands.Clamp, Steps: *steps,
-			CoreIslands: *coreIslands, KSteps: *ksteps,
-		}, prog, domain)
+		out, err := exec.DescribePlan(ec, prog, ns.Domain)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -242,133 +203,51 @@ func main() {
 	}
 
 	if *compute {
-		if entry.Name == solver.DefaultName {
-			sim, err := islands.NewSimulation(domain, cfg)
-			if err != nil {
-				log.Fatal(err)
-			}
-			ci := float64(domain.NI) / 2
-			cj := float64(domain.NJ) / 2
-			ck := float64(domain.NK) / 2
-			sim.State.SetGaussian(ci, cj, ck, float64(domain.NK)/4, 1, 0.1)
-			sim.State.SetRotationVelocityZ(0.5 / (ci + cj))
-			before := sim.State.Psi.Sum()
-			if err := sim.Run(); err != nil {
-				log.Fatal(err)
-			}
-			after := sim.State.Psi.Sum()
-			fmt.Printf("computation: done; mass %.6f -> %.6f (drift %.2e), min %.3e\n",
-				before, after, (after-before)/before, sim.State.Psi.Min())
-			if *dump != "" {
-				if err := grid.SaveField(*dump, sim.State.Psi); err != nil {
-					log.Fatal(err)
-				}
-				fmt.Printf("final field written to %s\n", *dump)
-			}
-		} else if err := runSolverCompute(entry, domain, cfg, *dump); err != nil {
+		if err := runCompute(r, ec, *dump); err != nil {
 			log.Fatal(err)
 		}
 	} else if *dump != "" {
 		log.Fatal("-dump requires -compute=true")
 	}
 
-	if entry.Name == solver.DefaultName {
-		pred, err := islands.Predict(domain, cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("modeled UV 2000 time:   %.3f s (%.1f Gflop/s sustained, %.1f%% of peak)\n",
-			pred.Time, pred.SustainedGflops, pred.UtilizationPct)
-		fmt.Printf("memory traffic:         %.2f GB (%.2f GB over NUMAlink)\n",
-			pred.MemTrafficGB, pred.RemoteTrafficGB)
-		if strategy == islands.IslandsOfCores {
-			fmt.Printf("redundant computation:  %.2f%% extra elements\n", pred.ExtraElementsPct)
-		}
-	} else {
-		// The machine model prices any catalog program: exec.Model is the
-		// same call islands.Predict wraps for MPDATA.
-		m, err := topology.UV2000(*p)
-		if err != nil {
-			log.Fatal(err)
-		}
-		kp, err := solverProgram(entry, cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		res, err := exec.Model(exec.Config{
-			Machine: m, Strategy: strategy, Placement: placement,
-			Variant: variant, Boundary: cfg.Boundary, Steps: *steps,
-			CoreIslands: *coreIslands, KSteps: *ksteps,
-		}, &kp.Program, domain)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("modeled UV 2000 time:   %.3f s (%.1f Gflop/s sustained, %.1f%% of peak)\n",
-			res.TotalTime, res.SustainedFlops()/1e9, 100*res.SustainedFlops()/m.PeakFlops())
-		fmt.Printf("memory traffic:         %.2f GB (%.2f GB over NUMAlink)\n",
-			res.MemTrafficBytes/1e9, res.RemoteTrafficBytes/1e9)
-		if strategy == islands.IslandsOfCores {
-			fmt.Printf("redundant computation:  %.2f%% extra elements\n", res.ExtraElementsPct)
-		}
+	// The machine model prices any catalog program.
+	res, err := exec.Model(ec, prog, ns.Domain)
+	if err != nil {
+		log.Fatal(err)
 	}
-
-	if *counters || *modelTrace {
-		m, err := topology.UV2000(*p)
+	fmt.Printf("modeled UV 2000 time:   %.3f s (%.1f Gflop/s sustained, %.1f%% of peak)\n",
+		res.TotalTime, res.SustainedFlops()/1e9, 100*res.SustainedFlops()/ec.Machine.PeakFlops())
+	fmt.Printf("memory traffic:         %.2f GB (%.2f GB over NUMAlink)\n",
+		res.MemTrafficBytes/1e9, res.RemoteTrafficBytes/1e9)
+	if ns.Strategy == exec.IslandsOfCores {
+		fmt.Printf("redundant computation:  %.2f%% extra elements\n", res.ExtraElementsPct)
+	}
+	if *counters {
+		fmt.Println()
+		fmt.Print(perf.CountersTable(ec.Machine, res).Render())
+	}
+	if *modelTrace {
+		_, timeline, err := exec.ModelTrace(ec, prog, ns.Domain, 100)
 		if err != nil {
 			log.Fatal(err)
 		}
-		kp, err := solverProgram(entry, cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		prog := &kp.Program
-		ec := exec.Config{
-			Machine: m, Strategy: strategy, Placement: placement,
-			Variant: variant, Steps: *steps, CoreIslands: *coreIslands,
-			KSteps: *ksteps,
-		}
-		if *counters {
-			r, err := exec.Model(ec, prog, domain)
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Println()
-			fmt.Print(perf.CountersTable(m, r).Render())
-		}
-		if *modelTrace {
-			_, timeline, err := exec.ModelTrace(ec, prog, domain, 100)
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Println()
-			fmt.Print(timeline)
-		}
+		fmt.Println()
+		fmt.Print(timeline)
 	}
 }
 
-// runSolverCompute executes a non-default catalog solver's standard problem
-// on the compiled islands platform and prints the conservation summary. The
-// field sum is a physical invariant only where the scheme conserves it (mass
-// for SWE, total density for LBM); it is printed for every solver as a cheap
-// reproducibility checksum either way.
-func runSolverCompute(entry *solver.Entry, domain islands.Size, cfg islands.Config, dump string) error {
-	m, err := topology.UV2000(cfg.Processors)
+// runCompute executes the solver's standard problem on the compiled islands
+// platform and prints the conservation summary. The field sum is a physical
+// invariant only where the scheme conserves it (mass for MPDATA and SWE, total
+// density for LBM); it is printed for every solver as a cheap reproducibility
+// checksum either way, under the name the streamed mode and the served
+// checksums give it.
+func runCompute(r *run, ec exec.Config, dump string) error {
+	state, err := r.entry.NewProblemState(r.ns.Domain)
 	if err != nil {
 		return err
 	}
-	kp, err := solverProgram(entry, cfg)
-	if err != nil {
-		return err
-	}
-	state, err := entry.NewProblemState(domain)
-	if err != nil {
-		return err
-	}
-	runner, err := exec.NewRunner(exec.Config{
-		Machine: m, Strategy: cfg.Strategy, Placement: cfg.Placement,
-		Variant: cfg.Variant, Boundary: cfg.Boundary, Steps: cfg.Steps,
-		CoreIslands: cfg.CoreIslands, KSteps: cfg.KSteps,
-	}, kp, state.Inputs, state.Feedback)
+	runner, err := exec.NewRunner(ec, r.kp, state.Inputs, state.Feedback)
 	if err != nil {
 		return err
 	}
@@ -384,7 +263,7 @@ func runSolverCompute(entry *solver.Entry, domain islands.Size, cfg islands.Conf
 	if before != 0 {
 		drift = (after - before) / before
 	}
-	fmt.Printf("computation: done; field sum %.6f -> %.6f (drift %.2e), min %.3e\n",
+	fmt.Printf("computation: done; mass %.6f -> %.6f (drift %.2e), min %.3e\n",
 		before, after, drift, out.Min())
 	if dump != "" {
 		if err := grid.SaveField(dump, out); err != nil {
@@ -395,81 +274,41 @@ func runSolverCompute(entry *solver.Entry, domain islands.Size, cfg islands.Conf
 	return nil
 }
 
-// runStreamed executes the computation out of core (docs/STREAMING.md): the
-// residency picker chooses the widest tile and temporal factor k fitting the
-// memory budget, the domain spills to a disk-backed plane store, and the
-// stream drives tiles through a resident engine with double-buffered
-// prefetch. The checksums printed are bit-identical to the resident run's.
-func runStreamed(entry *solver.Entry, domain islands.Size, cfg islands.Config, budgetMB int, dir string, noPrefetch bool) error {
-	m, err := topology.UV2000(cfg.Processors)
-	if err != nil {
-		return err
-	}
-	kp, err := solverProgram(entry, cfg)
-	if err != nil {
-		return err
-	}
-	iord := 0
-	if entry.MPDATAOptions {
-		iord = cfg.IORD
-	}
-	class := tune.Class{
-		Solver: entry.Name, Domain: domain, Processors: cfg.Processors,
-		Variant: cfg.Variant, Boundary: cfg.Boundary, IORD: iord,
-	}
-	ec := tune.ApplyKnobs(class.BaseConfig(m), tune.Knobs{
-		Strategy: cfg.Strategy, CoreIslands: cfg.CoreIslands, Placement: cfg.Placement,
-	}.Canon())
+// runStreamed executes the computation out of core (docs/STREAMING.md):
+// serve.OpenStream picks the widest tile and temporal factor k fitting the
+// memory budget (or keeps an explicit spill dir's checkpointed ones), the
+// domain spills to a disk-backed plane store, and the stream drives tiles
+// through a resident engine with double-buffered prefetch. The checksums
+// printed are bit-identical to the resident run's.
+func runStreamed(ns serve.NormSpec, dir string) error {
 	temp := dir == ""
-	var tilePlanes, k int
-	if tp, ck, ok := stream.StoredResidency(dir); !temp && ok {
-		// An explicit spill dir with a checkpoint resumes: the recorded
-		// residency wins (resume validation rejects changed geometry).
-		fmt.Printf("residency: resuming %s with its checkpointed w=%d k=%d\n", dir, tp, ck)
-		tilePlanes, k = tp, ck
-	} else {
-		r, err := tune.PickResidency(m, &kp.Program, class, tune.KnobsOf(ec, domain), cfg.Steps, int64(budgetMB)<<20, 0)
-		if err != nil {
-			return err
-		}
-		tilePlanes, k = 0, cfg.Steps
-		if r.Resident {
-			fmt.Printf("residency: whole domain fits the %d MiB budget; streaming one degenerate tile\n", budgetMB)
-		} else {
-			fmt.Printf("residency: %s under %d MiB (modeled %.3f s, overlap bound %.0f%%)\n",
-				r.Label, budgetMB, r.Cost.TotalSec, r.Cost.OverlapBound*100)
-			tilePlanes, k = r.TilePlanes, r.K
-		}
-	}
 	if temp {
+		var err error
 		if dir, err = os.MkdirTemp("", "mpdata-stream-"); err != nil {
 			return err
 		}
+		defer os.RemoveAll(dir)
 	}
-	ec.Steps = cfg.Steps
-	ec.KSteps = k
-	st, err := stream.New(stream.Options{
-		Dir: dir, Exec: ec, Domain: domain, Solver: entry.Name, IORD: iord,
-		TilePlanes: tilePlanes, NoPrefetch: noPrefetch, Resume: !temp,
-	})
+	// An explicit spill dir is kept, and a checkpoint found in it resumes.
+	st, picked, err := serve.OpenStream(ns, stream.Options{Dir: dir, Resume: !temp}, ns.MemoryBudgetMB, 0)
 	if err != nil {
 		return err
 	}
-	cleanup := st.Close
-	if temp {
-		cleanup = func() error {
-			err := st.Remove()
-			_ = os.RemoveAll(dir)
-			return err
-		}
+	defer st.Close()
+	switch {
+	case picked == nil:
+		fmt.Printf("residency: resuming %s with its checkpointed w=%d k=%d\n", dir, st.Plan().TilePlanes, st.Plan().K)
+	case picked.Resident:
+		fmt.Printf("residency: whole domain fits the %d MiB budget; streaming one degenerate tile\n", ns.MemoryBudgetMB)
+	default:
+		fmt.Printf("residency: %s under %d MiB (modeled %.3f s, overlap bound %.0f%%)\n",
+			picked.Label, ns.MemoryBudgetMB, picked.Cost.TotalSec, picked.Cost.OverlapBound*100)
 	}
 	if err := st.Run(); err != nil {
-		_ = cleanup()
 		return err
 	}
 	ck, err := st.Checksums()
 	if err != nil {
-		_ = cleanup()
 		return err
 	}
 	fmt.Printf("computation: done; mass %.6f -> %.6f (drift %.2e), min %.3e\n",
@@ -479,7 +318,7 @@ func runStreamed(entry *solver.Entry, domain islands.Size, cfg islands.Config, b
 	if !temp {
 		fmt.Printf("spill store kept in %s (rerun resumes from its checkpoint)\n", dir)
 	}
-	return cleanup()
+	return st.Close()
 }
 
 // runScheduleReport compiles every strategy at the configured grid and
@@ -487,134 +326,100 @@ func runStreamed(entry *solver.Entry, domain islands.Size, cfg islands.Config, b
 // items, barriers, feedback mode — for swap+halo the strip count and bytes
 // per step, for a refused exchange the fallback reason) followed by the
 // feedback-publish summary table.
-func runScheduleReport(entry *solver.Entry, domain islands.Size, cfg islands.Config) error {
-	m, err := topology.UV2000(cfg.Processors)
-	if err != nil {
-		return err
-	}
-	kp, err := solverProgram(entry, cfg)
-	if err != nil {
-		return err
-	}
-	cases := []profiledCase{
-		{"original", islands.Original, false},
-		{"(3+1)D", islands.Plus31D, false},
-		{"islands-of-cores", islands.IslandsOfCores, false},
-		{"islands-of-cores+core-islands", islands.IslandsOfCores, true},
-	}
-	fmt.Printf("compiled schedules: %s %v on %d sockets\n\n", entry.Name, domain, cfg.Processors)
-	rows := make([]perf.FeedbackRow, 0, len(cases))
-	for _, c := range cases {
-		ec := exec.Config{
-			Machine: m, Strategy: c.strategy, Placement: cfg.Placement,
-			Variant: cfg.Variant, Boundary: islands.Clamp, Steps: cfg.Steps,
-			CoreIslands: c.coreIslands,
-		}
-		if c.strategy == islands.IslandsOfCores {
-			ec.KSteps = cfg.KSteps
-		}
-		state, err := entry.NewState(domain)
+func runScheduleReport(r *run) error {
+	fmt.Printf("compiled schedules: %s %v on %d sockets\n\n", r.ns.Solver, r.ns.Domain, r.ns.Processors)
+	rows := make([]perf.FeedbackRow, 0, len(arms))
+	for _, a := range arms {
+		ec, err := r.armConfig(a)
 		if err != nil {
-			return fmt.Errorf("%s: %w", c.name, err)
+			return err
 		}
-		runner, err := exec.NewRunner(ec, kp, state.Inputs, state.Feedback)
+		state, err := r.entry.NewState(r.ns.Domain)
 		if err != nil {
-			return fmt.Errorf("%s: %w", c.name, err)
+			return fmt.Errorf("%s: %w", a.name, err)
 		}
-		fmt.Printf("=== %s ===\n%s\n", c.name, runner.DescribeSchedule())
-		rows = append(rows, perf.FeedbackRow{Name: c.name, Stats: runner.Schedule().Stats()})
+		runner, err := exec.NewRunner(ec, r.kp, state.Inputs, state.Feedback)
+		if err != nil {
+			return fmt.Errorf("%s: %w", a.name, err)
+		}
+		fmt.Printf("=== %s ===\n%s\n", a.name, runner.DescribeSchedule())
+		rows = append(rows, perf.FeedbackRow{Name: a.name, Stats: runner.Schedule().Stats()})
 		runner.Close()
 	}
-	fmt.Print(perf.FeedbackTable(domain, rows).Render())
+	fmt.Print(perf.FeedbackTable(r.ns.Domain, rows).Render())
 	return nil
-}
-
-// profiledCase is one strategy configuration of the -profile sweep.
-type profiledCase struct {
-	name        string
-	strategy    islands.Strategy
-	coreIslands bool
 }
 
 // runProfiled executes real computations with the runtime profiler enabled.
 // With report=true it sweeps all strategies and prints the per-phase,
 // per-island and measured-vs-model tables; with tracePath set it additionally
 // (or only) writes the configured strategy's Chrome trace-event timeline.
-func runProfiled(entry *solver.Entry, domain islands.Size, cfg islands.Config, report bool, tracePath string) error {
-	m, err := topology.UV2000(cfg.Processors)
-	if err != nil {
-		return err
-	}
-	kp, err := solverProgram(entry, cfg)
-	if err != nil {
-		return err
-	}
-	cases := []profiledCase{
-		{"original", islands.Original, false},
-		{"(3+1)D", islands.Plus31D, false},
-		{"islands-of-cores", islands.IslandsOfCores, false},
-		{"islands-of-cores+core-islands", islands.IslandsOfCores, true},
-	}
+func runProfiled(r *run, report bool, tracePath string) error {
+	ns := r.ns
+	cases := arms
 	if !report {
 		// Trace-only mode: just the configured strategy.
-		cases = []profiledCase{{cfg.Strategy.String(), cfg.Strategy, cfg.CoreIslands}}
+		cases = []arm{{ns.Strategy.String(), ns.Strategy, ns.CoreIslands}}
 	}
-	fmt.Printf("runtime profile: %s %v, %d steps on %d sockets\n\n", entry.Name, domain, cfg.Steps, cfg.Processors)
-	for _, c := range cases {
-		ec := exec.Config{
-			Machine: m, Strategy: c.strategy, Placement: cfg.Placement,
-			Variant: cfg.Variant, Boundary: islands.Clamp, Steps: cfg.Steps,
-			CoreIslands: c.coreIslands,
+	fmt.Printf("runtime profile: %s %v, %d steps on %d sockets\n\n", ns.Solver, ns.Domain, ns.Steps, ns.Processors)
+	for _, a := range cases {
+		armTrace := ""
+		if a.strategy == ns.Strategy && a.coreIslands == ns.CoreIslands {
+			armTrace = tracePath
 		}
-		if c.strategy == islands.IslandsOfCores {
-			ec.KSteps = cfg.KSteps
+		if err := profileArm(r, a, report, armTrace); err != nil {
+			return fmt.Errorf("%s: %w", a.name, err)
 		}
-		state, err := entry.NewProblemState(domain)
+	}
+	return nil
+}
+
+// profileArm runs one strategy arm under the profiler, prints its share of the
+// -profile report and, given a tracePath, writes the arm's timeline there.
+func profileArm(r *run, a arm, report bool, tracePath string) error {
+	ec, err := r.armConfig(a)
+	if err != nil {
+		return err
+	}
+	state, err := r.entry.NewProblemState(r.ns.Domain)
+	if err != nil {
+		return err
+	}
+	runner, err := exec.NewRunner(ec, r.kp, state.Inputs, state.Feedback)
+	if err != nil {
+		return err
+	}
+	defer runner.Close()
+	runner.EnableProfile(tracePath != "")
+	if err := runner.Run(); err != nil {
+		return err
+	}
+	prof := runner.Profile()
+	if report {
+		fmt.Print(perf.ProfileTable(a.name, prof).Render())
+		fmt.Println()
+		fmt.Print(perf.IslandTable(a.name, prof).Render())
+		res, _, err := exec.ModelTrace(ec, &r.kp.Program, r.ns.Domain, 1)
 		if err != nil {
-			return fmt.Errorf("%s: %w", c.name, err)
+			return fmt.Errorf("model: %w", err)
 		}
-		runner, err := exec.NewRunner(ec, kp, state.Inputs, state.Feedback)
+		fmt.Println()
+		fmt.Print(perf.ProfileVsModelTable(a.name, prof, res.TagTimes()).Render())
+		fmt.Println()
+	}
+	if tracePath != "" {
+		f, err := os.Create(tracePath)
 		if err != nil {
-			return fmt.Errorf("%s: %w", c.name, err)
+			return err
 		}
-		wantTrace := tracePath != "" && c.strategy == cfg.Strategy && c.coreIslands == cfg.CoreIslands
-		runner.EnableProfile(wantTrace)
-		if err := runner.Run(); err != nil {
-			runner.Close()
-			return fmt.Errorf("%s: %w", c.name, err)
+		if err := runner.WriteTrace(f); err != nil {
+			f.Close()
+			return err
 		}
-		prof := runner.Profile()
-		if report {
-			fmt.Print(perf.ProfileTable(c.name, prof).Render())
-			fmt.Println()
-			fmt.Print(perf.IslandTable(c.name, prof).Render())
-			res, _, err := exec.ModelTrace(ec, &kp.Program, domain, 1)
-			if err != nil {
-				runner.Close()
-				return fmt.Errorf("%s: model: %w", c.name, err)
-			}
-			fmt.Println()
-			fmt.Print(perf.ProfileVsModelTable(c.name, prof, res.TagTimes()).Render())
-			fmt.Println()
+		if err := f.Close(); err != nil {
+			return err
 		}
-		if wantTrace {
-			f, err := os.Create(tracePath)
-			if err != nil {
-				runner.Close()
-				return err
-			}
-			if err := runner.WriteTrace(f); err != nil {
-				f.Close()
-				runner.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				runner.Close()
-				return err
-			}
-			fmt.Printf("trace of %s written to %s (load in chrome://tracing or Perfetto)\n", c.name, tracePath)
-		}
-		runner.Close()
+		fmt.Printf("trace of %s written to %s (load in chrome://tracing or Perfetto)\n", a.name, tracePath)
 	}
 	return nil
 }

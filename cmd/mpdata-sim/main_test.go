@@ -84,8 +84,8 @@ func TestGolden(t *testing.T) {
 	for _, c := range cliCases {
 		t.Run(c.name, func(t *testing.T) {
 			tmp := t.TempDir()
-			var got string
-			for n := 0; n < 1 || (c.twice && n < 2); n++ {
+			got := runCase(t, bin, tmp, c)
+			if c.twice {
 				got = runCase(t, bin, tmp, c)
 			}
 			path := filepath.Join("testdata", c.name+".golden")

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"islands"
 	"islands/internal/exec"
-	"islands/internal/solver"
-	"islands/internal/topology"
+	"islands/internal/serve"
 	"islands/internal/tune"
 )
 
@@ -21,53 +19,34 @@ const calibrationSteps = 4
 // ranking, measure every eligible candidate with a short calibration run
 // through the real compiled engine, and print the measured trajectory plus
 // the winning configuration.
-func runTune(entry *solver.Entry, domain islands.Size, cfg islands.Config, seed int64) error {
-	m, err := topology.UV2000(cfg.Processors)
+func runTune(r *run, seed int64) error {
+	ns, prog := r.ns, &r.kp.Program
+	ec, err := r.execConfig(ns.Key())
 	if err != nil {
 		return err
 	}
-	kp, err := solverProgram(entry, cfg)
-	if err != nil {
-		return err
-	}
-	prog := &kp.Program
-	iord := 0
-	if entry.MPDATAOptions {
-		iord = cfg.IORD
-	}
-	class := tune.Class{
-		Solver:     entry.Name,
-		Domain:     domain,
-		Processors: cfg.Processors,
-		Variant:    cfg.Variant,
-		Boundary:   cfg.Boundary,
-		IORD:       iord,
-	}
+	class := serve.ClassOf(ns)
 	tn, err := tune.New(tune.Options{
 		Seed: seed,
 		Seeder: func(c tune.Class) ([]tune.Candidate, error) {
-			return tune.SeedCandidates(m, prog, c)
+			return tune.SeedCandidates(ec.Machine, prog, c)
 		},
 	})
 	if err != nil {
 		return err
 	}
-	base := class.BaseConfig(m)
-	req := tune.KnobsOf(exec.Config{
-		Machine: m, Strategy: cfg.Strategy, Placement: cfg.Placement,
-		Variant: cfg.Variant, Boundary: cfg.Boundary, CoreIslands: cfg.CoreIslands,
-		KSteps: cfg.KSteps, Steps: cfg.Steps,
-	}, domain)
+	base := class.BaseConfig(ec.Machine)
+	req := tune.KnobsOf(ec, ns.Domain)
 
 	// Seed the class (Best is greedy and side-effect free apart from
 	// seeding) so the modeled ranking can be printed before any run.
-	tn.Best(class, req, cfg.Steps)
+	tn.Best(class, req, ns.Steps)
 	snap := tn.Snapshot(class)
 	if snap == nil {
-		return fmt.Errorf("tune: candidate seeding failed for %v", domain)
+		return fmt.Errorf("tune: candidate seeding failed for %v", ns.Domain)
 	}
 	fmt.Printf("autotune: %s %v, %d steps on %d sockets (seed %d)\n",
-		entry.Name, domain, cfg.Steps, cfg.Processors, seed)
+		ns.Solver, ns.Domain, ns.Steps, ns.Processors, seed)
 	fmt.Printf("modeled ranking (%d feasible candidates):\n", len(snap))
 	for i, c := range snap {
 		marker := ""
@@ -85,11 +64,11 @@ func runTune(entry *solver.Entry, domain islands.Size, cfg islands.Config, seed 
 		ec := tune.ApplyKnobs(base, k)
 		kblock := max(k.KSteps, 1)
 		ec.Steps = kblock // one dispatch advances one temporal block
-		state, err := entry.NewProblemState(domain)
+		state, err := r.entry.NewProblemState(ns.Domain)
 		if err != nil {
 			return tune.Observation{}, err
 		}
-		runner, err := exec.NewRunner(ec, kp, state.Inputs, state.Feedback)
+		runner, err := exec.NewRunner(ec, r.kp, state.Inputs, state.Feedback)
 		if err != nil {
 			return tune.Observation{}, err
 		}
@@ -115,7 +94,7 @@ func runTune(entry *solver.Entry, domain islands.Size, cfg islands.Config, seed 
 			label(k), obs.StepSeconds*1e3, obs.ImbalancePct)
 		return obs, nil
 	}
-	dec, err := tn.Calibrate(class, req, cfg.Steps, measure)
+	dec, err := tn.Calibrate(class, req, ns.Steps, measure)
 	if err != nil {
 		return err
 	}

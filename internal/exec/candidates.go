@@ -98,16 +98,16 @@ func CheckConfig(cfg Config, prog *stencil.Program, domain grid.Size) error {
 // BlockI resolves to on a machine: the LLC-derived default when blockI <= 0,
 // otherwise blockI clamped to the domain's i extent (wider blocks produce the
 // identical single-block decomposition, so clamping canonicalizes aliases).
-func ResolveBlockI(m *topology.Machine, domain grid.Size, blockI, liveArrays int) int {
+func ResolveBlockI(m *topology.Machine, domain grid.Size, blockI int) int {
 	if blockI <= 0 {
-		return decomp.ChooseBlock(domain, m.Nodes[0].LLCBytes, liveArrays).BI
+		return decomp.ChooseBlock(domain, m.Nodes[0].LLCBytes, 0).BI
 	}
 	return min(blockI, domain.NI)
 }
 
 // EnumerateCandidates builds every feasible configuration over the space's
-// knob axes for the machine, program and domain. The base config supplies the
-// non-tunable fields (Boundary, Variant, Steps, ablation flags, ModelParams);
+// knob axes for the machine, program and domain. The base config supplies
+// every field that is not a knob (Boundary, Variant, Steps, ModelParams);
 // Machine and the tuned knobs are overwritten per candidate. Candidates come
 // back in deterministic order: strategy-major, then placement, block, k. Only
 // feasible configs are returned — every result passes Config.Validate,

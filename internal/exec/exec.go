@@ -60,8 +60,6 @@ type Config struct {
 	// The product must equal the machine's node count. Zero means the 1D
 	// partitioning selected by Variant.
 	IslandGrid [2]int
-	// LiveArrays sizes the (3+1)D cache blocks (0 = default).
-	LiveArrays int
 	// BlockI overrides the computed (3+1)D block width (0 = derive from
 	// the node's LLC capacity). Tests use it to force multi-block runs
 	// on small grids.
@@ -372,7 +370,7 @@ func (p *plan) partition(keep grid.Region) error {
 	cfg, prog, domain := p.cfg, p.prog, p.domain
 	blockI := cfg.BlockI
 	if blockI <= 0 {
-		blockI = decomp.ChooseBlock(domain, cfg.Machine.Nodes[0].LLCBytes, cfg.LiveArrays).BI
+		blockI = decomp.ChooseBlock(domain, cfg.Machine.Nodes[0].LLCBytes, 0).BI
 	}
 	// teams[t] lists the workers of node t's work team (sched.New builds one
 	// team per node, numbering cores team by team).

@@ -5,12 +5,73 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
 
 	"islands/internal/serve"
 )
+
+// stubEngine is an engine nothing is asked of but to be closed.
+type stubEngine struct{ serve.Engine }
+
+func (stubEngine) Close() {}
+
+// TestAffinityKeyIsTheEngineIdentity: what does not shape an engine (steps,
+// pin, profile, timeout_ms) moves neither the ring point nor the pool key, so
+// such jobs share a home replica and its cached engine; every field of
+// serve.CacheKey moves both, so a field added to the identity cannot be left
+// out of the hash.
+func TestAffinityKeyIsTheEngineIdentity(t *testing.T) {
+	base, err := serve.Spec{Grid: "32x16x8", Steps: 2, Processors: 2}.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := serve.Spec{Grid: "32x16x8", Steps: 7, Processors: 2, Pin: true, Profile: true, TimeoutMs: 9000}.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if affinityKey(base) != affinityKey(other) {
+		t.Error("steps, pin, profile or timeout_ms moved the ring point")
+	}
+	builds := 0
+	pool := serve.NewPool(1, 2, func(serve.NormSpec) (serve.Engine, error) {
+		builds++
+		return stubEngine{}, nil
+	})
+	defer pool.Close()
+	for _, ns := range []serve.NormSpec{base, other} {
+		l, err := pool.Acquire(context.Background(), ns)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.Release(true)
+	}
+	if builds != 1 {
+		t.Errorf("the two jobs compiled %d engines, want one shared", builds)
+	}
+
+	fields := reflect.TypeOf(serve.CacheKey{})
+	for i := 0; i < fields.NumField(); i++ {
+		changed := base
+		v := reflect.ValueOf(&changed.CacheKey).Elem().Field(i)
+		if v.Kind() == reflect.Struct { // Domain
+			v = v.Field(0)
+		}
+		switch v.Kind() {
+		case reflect.Bool:
+			v.SetBool(!v.Bool())
+		case reflect.String:
+			v.SetString(v.String() + "x")
+		default: // the int-kinded fields and enums
+			v.SetInt(v.Int() + 1)
+		}
+		if changed.Key() == base.Key() || affinityKey(changed) == affinityKey(base) {
+			t.Errorf("changing CacheKey.%s leaves the pool key or the ring point where it was", fields.Field(i).Name)
+		}
+	}
+}
 
 // TestHomesFillToCapacity: whatever order the ring prefers the members in,
 // 2k distinct keys over two members of capacity k land k/k, every key keeps

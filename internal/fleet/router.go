@@ -226,10 +226,10 @@ func (r *Router) placementOrder(key uint64) []*member {
 	return out
 }
 
-// affinityKey hashes a normalized spec's engine CacheKey onto the ring. Jobs
-// with identical compiled-schedule identities (grid, strategy, topology,
-// blocking, ablation flags — everything serve.CacheKey holds) share a hash
-// point and therefore a home replica, which is what keeps the fleet-wide
+// affinityKey hashes a normalized spec's engine identity onto the ring: the
+// serve.CacheKey value it holds, whole, so no field of the identity can be
+// missing from the hash. Jobs that would lease the same cached engine share a
+// hash point and therefore a home replica, which is what keeps the fleet-wide
 // engine-cache hit rate at the single-server level.
 func affinityKey(ns serve.NormSpec) uint64 {
 	return hashString(fmt.Sprintf("%v", ns.Key()))
@@ -243,7 +243,7 @@ func affinityKey(ns serve.NormSpec) uint64 {
 // or a validation error for a bad spec. On success a watcher goroutine
 // follows the job to its terminal state, rerouting on replica faults.
 func (r *Router) Submit(ctx context.Context, spec serve.Spec) (*Job, error) {
-	ns, err := spec.Normalize()
+	ns, err := spec.Admit()
 	if err != nil {
 		return nil, err
 	}

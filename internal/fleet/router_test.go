@@ -484,6 +484,12 @@ func TestFleetHTTPDialect(t *testing.T) {
 	if _, err := client.Submit(ctx, serve.Spec{Grid: "0x0x0", Steps: 1}); !errors.As(err, &apiErr) || apiErr.StatusCode != 400 {
 		t.Fatalf("bad spec through router = %v, want 400", err)
 	}
+	// The router admits by the replicas' rule, with their words.
+	const wholeBlocks = "steps 5 is not a multiple of ksteps 2 (served jobs advance whole k-step blocks)"
+	if _, err := client.Submit(ctx, serve.Spec{Grid: "32x16x8", Steps: 5, KSteps: 2}); !errors.As(err, &apiErr) ||
+		apiErr.StatusCode != 400 || apiErr.Message != wholeBlocks {
+		t.Fatalf("remainder block through router = %v, want 400 %q", err, wholeBlocks)
+	}
 	if _, err := client.Status(ctx, "f99999999"); !errors.As(err, &apiErr) || apiErr.StatusCode != 404 {
 		t.Fatalf("unknown job through router = %v, want 404", err)
 	}

@@ -29,11 +29,6 @@ func StreamTable(plan *stream.Plan, st stream.Stats) *Table {
 	t.AddRow("write stall [ms]", "%.1f", []float64{ms(st.WriteStall)})
 	t.AddRow("wall [ms]", "%.1f", []float64{ms(st.Wall)})
 	t.AddRow("overlap efficiency [%]", "%.1f", []float64{st.OverlapEfficiency() * 100})
-	prefetch := 0.0
-	if st.Prefetch {
-		prefetch = 1
-	}
-	t.AddRow("prefetch (1=on)", "%.0f", []float64{prefetch})
 	mmap := 0.0
 	if st.Mmap {
 		mmap = 1

@@ -6,6 +6,7 @@ import (
 	"islands/internal/exec"
 	"islands/internal/grid"
 	"islands/internal/solver"
+	"islands/internal/stencil"
 )
 
 // Engine is one pre-warmed, reusable execution slot: a compiled runner (with
@@ -82,10 +83,9 @@ type solverEngine struct {
 }
 
 // CheckKSteps verifies a temporal-blocking request would actually compile at
-// the requested k for the spec's solver program — the shared feasibility
-// gate behind both the server's spec validation and mpdata-sim -ksteps, so
-// both reject an infeasible k with the same executor error text.
-func (n NormSpec) CheckKSteps() error {
+// the requested k for the solver's program — Normalize's feasibility gate,
+// which rejects an infeasible k with the executor's own error text.
+func (n CacheKey) CheckKSteps() error {
 	if n.KSteps <= 1 {
 		return nil
 	}
@@ -93,15 +93,22 @@ func (n NormSpec) CheckKSteps() error {
 	if err != nil {
 		return err
 	}
-	entry, err := n.SolverEntry()
-	if err != nil {
-		return err
-	}
-	prog, err := entry.NewProgram(n.SolverOptions())
+	_, prog, err := n.program()
 	if err != nil {
 		return err
 	}
 	return exec.CheckKSteps(ec, &prog.Program, n.Domain)
+}
+
+// program resolves the catalog entry and builds its kernel program for the
+// key's options.
+func (n CacheKey) program() (*solver.Entry, *stencil.KernelProgram, error) {
+	entry, err := n.SolverEntry()
+	if err != nil {
+		return nil, nil, err
+	}
+	prog, err := entry.NewProgram(n.SolverOptions())
+	return entry, prog, err
 }
 
 // NewSolverEngine compiles the spec's catalog solver — the pool's default
@@ -112,11 +119,7 @@ func NewSolverEngine(n NormSpec) (Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	entry, err := n.SolverEntry()
-	if err != nil {
-		return nil, err
-	}
-	prog, err := entry.NewProgram(n.SolverOptions())
+	entry, prog, err := n.program()
 	if err != nil {
 		return nil, err
 	}

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"islands/internal/exec"
-	"islands/internal/stencil"
 	"islands/internal/stream"
 	"islands/internal/tune"
 )
@@ -55,7 +54,6 @@ type StreamReport struct {
 	// observed store throughput.
 	OverlapEfficiency float64 `json:"overlap_efficiency"`
 	DiskBWBytes       float64 `json:"disk_bw_bytes,omitempty"`
-	Prefetch          bool    `json:"prefetch"`
 	Mmap              bool    `json:"mmap"`
 	// ResumedSteps counts steps already durable when the store opened
 	// (nonzero only when a named store resumed).
@@ -117,7 +115,7 @@ func newStreamEngine(srv *Server, ns NormSpec) (Engine, error) {
 	return e, nil
 }
 
-// budgetBytes resolves the job's effective memory budget.
+// budgetMB resolves the job's effective memory budget.
 func (e *streamEngine) budgetMB() int {
 	if e.ns.MemoryBudgetMB > 0 {
 		return e.ns.MemoryBudgetMB
@@ -125,27 +123,47 @@ func (e *streamEngine) budgetMB() int {
 	return e.srv.streamBudgetMB()
 }
 
-// pickResidency chooses tile width and k: a named store's checkpoint wins
-// (resume validation rejects changed geometry), otherwise the cost model
-// picks under the budget using the server's live disk-bandwidth estimate.
-func (e *streamEngine) pickResidency(cfg exec.Config, prog *stencil.Program) (tilePlanes, k int, label string, err error) {
-	if e.named {
-		if tp, ck, ok := stream.StoredResidency(e.dir); ok {
-			return tp, ck, fmt.Sprintf("checkpointed w%dk%d", tp, ck), nil
+// OpenStream opens the streamed run of a spec: the one place a residency is
+// chosen and mapped onto stream.Options. The caller supplies what is its own
+// in o (Dir, Resume, Progress); the engine configuration, solver program and
+// residency come from ns. A checkpoint found in o.Dir under o.Resume keeps its
+// recorded residency (resume validation rejects changed geometry) and the
+// returned Residency is nil; otherwise tune.PickResidency chooses under
+// budgetMB, priced at diskBW bytes/s (0 = the model's default), and a domain
+// that fits the budget whole streams as one degenerate tile (k = the whole
+// run) rather than through a distinct code path.
+func OpenStream(ns NormSpec, o stream.Options, budgetMB int, diskBW float64) (*stream.Streamer, *tune.Residency, error) {
+	cfg, err := ns.ExecConfig()
+	if err != nil {
+		return nil, nil, err
+	}
+	// One program build serves the residency pick and the streamer.
+	_, prog, err := ns.program()
+	if err != nil {
+		return nil, nil, err
+	}
+	var picked *tune.Residency
+	var tilePlanes, k int
+	stored := false
+	if o.Resume {
+		tilePlanes, k, stored = stream.StoredResidency(o.Dir)
+	}
+	if !stored {
+		picked, err = tune.PickResidency(cfg.Machine, &prog.Program, ClassOf(ns), tune.KnobsOf(cfg, ns.Domain), ns.Steps, int64(budgetMB)<<20, diskBW)
+		if err != nil {
+			return nil, nil, fmt.Errorf("no streaming residency under %d MiB: %w", budgetMB, err)
+		}
+		tilePlanes, k = picked.TilePlanes, picked.K
+		if picked.Resident {
+			tilePlanes, k = 0, ns.Steps
 		}
 	}
-	knobs := tune.KnobsOf(cfg, e.ns.Domain)
-	budget := int64(e.budgetMB()) << 20
-	r, err := tune.PickResidency(cfg.Machine, prog, classOf(e.ns), knobs, e.ns.Steps, budget, e.srv.diskBWEstimate())
-	if err != nil {
-		return 0, 0, "", fmt.Errorf("serve: no streaming residency under %d MiB: %w", e.budgetMB(), err)
-	}
-	if r.Resident {
-		// The whole domain fits the budget: run a degenerate single-tile
-		// stream (k = the whole run) rather than a distinct code path.
-		return 0, e.ns.Steps, r.Label, nil
-	}
-	return r.TilePlanes, r.K, r.Label, nil
+	cfg.Steps = ns.Steps
+	cfg.KSteps = k
+	o.Exec, o.Domain, o.Program, o.TilePlanes = cfg, ns.Domain, prog, tilePlanes
+	o.Solver, o.IORD, o.Unlimited = ns.Solver, ns.IORD, ns.Unlimited
+	st, err := stream.New(o)
+	return st, picked, err
 }
 
 // Reset opens (or resumes) the spill store and prepares the streamer.
@@ -156,35 +174,9 @@ func (e *streamEngine) Reset() error {
 		_ = e.streamer.Close()
 		e.streamer = nil
 	}
-	cfg, err := e.ns.ExecConfig()
-	if err != nil {
-		return err
-	}
-	// One program build serves the residency pick and the streamer.
-	entry, err := e.ns.SolverEntry()
-	if err != nil {
-		return err
-	}
-	prog, err := entry.NewProgram(e.ns.SolverOptions())
-	if err != nil {
-		return err
-	}
-	tilePlanes, k, label, err := e.pickResidency(cfg, &prog.Program)
-	if err != nil {
-		return err
-	}
-	cfg.Steps = e.ns.Steps
-	cfg.KSteps = k
-	st, err := stream.New(stream.Options{
-		Dir:        e.dir,
-		Exec:       cfg,
-		Domain:     e.ns.Domain,
-		Solver:     e.ns.Solver,
-		IORD:       e.ns.IORD,
-		Unlimited:  e.ns.Unlimited,
-		Program:    prog,
-		TilePlanes: tilePlanes,
-		Resume:     e.named,
+	st, picked, err := OpenStream(e.ns, stream.Options{
+		Dir:    e.dir,
+		Resume: e.named,
 		Progress: func(p stream.Progress) {
 			e.mu.Lock()
 			sink := e.sink
@@ -197,20 +189,23 @@ func (e *streamEngine) Reset() error {
 				})
 			}
 		},
-	})
+	}, e.budgetMB(), e.srv.diskBWEstimate())
 	if err != nil {
 		return err
 	}
 	e.streamer = st
 	plan := st.Plan()
 	e.report = &StreamReport{
-		Residency:    label,
+		Residency:    fmt.Sprintf("checkpointed w%dk%d", plan.TilePlanes, plan.K),
 		TilePlanes:   plan.TilePlanes,
 		K:            plan.K,
 		Tiles:        len(plan.Tiles),
 		Sweeps:       plan.Sweeps,
 		BudgetMB:     e.budgetMB(),
 		ResumedSteps: st.ResumedSteps(),
+	}
+	if picked != nil {
+		e.report.Residency = picked.Label
 	}
 	if e.named {
 		e.report.StoreDir = e.dir
@@ -258,7 +253,6 @@ func (e *streamEngine) Report() *StreamReport {
 	e.report.BytesWritten = st.BytesWritten
 	e.report.OverlapEfficiency = st.OverlapEfficiency()
 	e.report.DiskBWBytes = st.DiskBW()
-	e.report.Prefetch = st.Prefetch
 	e.report.Mmap = st.Mmap
 	return e.report
 }

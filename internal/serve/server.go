@@ -214,7 +214,7 @@ func (s *Server) QueueDepth() int { return s.queue.depth() }
 // ErrDraining while the server drains, an *ErrQueueFull when the queue is at
 // depth, or a validation error for a bad spec.
 func (s *Server) Submit(spec Spec) (*Job, error) {
-	ns, err := spec.Normalize()
+	ns, err := spec.Admit()
 	if err != nil {
 		return nil, err
 	}
@@ -347,7 +347,7 @@ func (s *Server) tuneSpec(ns NormSpec) (NormSpec, *tune.Decision) {
 	if !ok {
 		return ns, nil
 	}
-	dec := s.tuner.Decide(classOf(ns), req, ns.Steps)
+	dec := s.tuner.Decide(ClassOf(ns), req, ns.Steps)
 	return applyKnobs(ns, dec.Knobs), &dec
 }
 
@@ -412,7 +412,7 @@ func (s *Server) executeJob(j *Job, lease *Lease, tuned NormSpec, dec *tune.Deci
 		}
 	} else {
 		// One engine Step is one dispatch unit: a whole k-step block under
-		// temporal blocking (Normalize — and the tuner's feasibility filter —
+		// temporal blocking (Admit — and the tuner's feasibility filter —
 		// guarantee the stride divides Steps).
 		stride := tuned.StepsPerDispatch()
 		for st := 0; st < j.ns.Steps; st += stride {
@@ -473,7 +473,7 @@ func (s *Server) executeJob(j *Job, lease *Lease, tuned NormSpec, dec *tune.Deci
 		eng.SetProfiling(false)
 	}
 	if s.tuner != nil && dec != nil && steps > 0 {
-		s.tuner.Observe(classOf(j.ns), tune.Observation{
+		s.tuner.Observe(ClassOf(j.ns), tune.Observation{
 			Knobs:        dec.Knobs,
 			StepSeconds:  wall.Seconds() / float64(steps),
 			ImbalancePct: imbalance,

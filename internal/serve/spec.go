@@ -20,9 +20,9 @@ import (
 	"islands/internal/topology"
 )
 
-// Validation bounds shared by the server and the CLIs: absurd requests are
-// rejected with a diagnostic at the spec boundary instead of reaching the
-// allocator or panicking deep inside NewRunner.
+// Validation bounds of Normalize: absurd requests are rejected with a
+// diagnostic at the spec boundary instead of reaching the allocator or
+// panicking deep inside NewRunner.
 const (
 	// MaxGridCells bounds the domain a resident (in-memory) job may claim;
 	// larger domains are rejected with an *ErrGridTooLarge pointing at the
@@ -60,9 +60,9 @@ func (e *ErrGridTooLarge) Error() string {
 	return fmt.Sprintf(`grid %s (%s) exceeds the resident limit of %d cells; resubmit with "streamed": true (and a memory_budget_mb) to run it out of core`, e.Grid, cells, e.Limit)
 }
 
-// Spec is one simulation job request: the wire format of POST /v1/jobs and
-// the validated form of the mpdata-sim flags. The zero value of every
-// optional field selects the documented default.
+// Spec describes one run: the wire format of POST /v1/jobs, and what
+// mpdata-sim builds from its flags. The zero value of every optional field
+// selects the documented default.
 type Spec struct {
 	// Grid is the domain size as "NIxNJxNK" (e.g. "128x64x16"). Required.
 	Grid string `json:"grid"`
@@ -87,11 +87,11 @@ type Spec struct {
 	CoreIslands bool `json:"core_islands,omitempty"`
 	// KSteps temporally blocks the island strategies: islands advance
 	// KSteps full time steps on private buffers between global joins
-	// (0 or 1 = step at a time). Requires the islands strategy, a steps
-	// count divisible by KSteps (served jobs advance whole blocks), and a
+	// (0 or 1 = step at a time). Requires the islands strategy and a
 	// partition wide enough to carry the k-step halo — an infeasible k is
-	// rejected at submission with the executor's fallback reason rather
-	// than silently running at k=1.
+	// rejected with the executor's fallback reason rather than silently
+	// running at k=1. A served job also needs a steps count divisible by
+	// KSteps (Admit).
 	KSteps int `json:"ksteps,omitempty"`
 	// IORD is the MPDATA order, 1..4 (0 = the paper's default of 2).
 	IORD int `json:"iord,omitempty"`
@@ -99,10 +99,6 @@ type Spec struct {
 	Unlimited bool `json:"unlimited,omitempty"`
 	// BlockI overrides the (3+1)D block width (0 = size from cache).
 	BlockI int `json:"block_i,omitempty"`
-	// DisableFusion turns off stage fusion (ablation knob).
-	DisableFusion bool `json:"disable_fusion,omitempty"`
-	// DisableHaloExchange forces the whole-part publish copies (ablation).
-	DisableHaloExchange bool `json:"disable_halo_exchange,omitempty"`
 	// Pin opts the job out of autotuning: it runs exactly as specified
 	// even when the server's tuner knows a faster configuration for the
 	// same problem class (docs/TUNING.md). No effect without a tuner.
@@ -129,37 +125,21 @@ type Spec struct {
 	StreamID string `json:"stream_id,omitempty"`
 }
 
-// NormSpec is a validated, fully defaulted spec in the executor's types.
+// NormSpec is a validated, fully defaulted spec in the executor's types: the
+// identity of the engine that runs it, plus the fields that do not shape an
+// engine.
 type NormSpec struct {
-	Domain grid.Size
-	// Solver is the canonical catalog name (never empty after Normalize).
-	Solver              string
-	Steps               int
-	Strategy            exec.Strategy
-	Processors          int
-	Placement           grid.PlacementPolicy
-	Variant             decomp.Variant
-	Boundary            stencil.Boundary
-	CoreIslands         bool
-	KSteps              int
-	IORD                int
-	Unlimited           bool
-	BlockI              int
-	DisableFusion       bool
-	DisableHaloExchange bool
-	Pin                 bool
-	Profile             bool
-	TimeoutMs           int
-	Streamed            bool
-	MemoryBudgetMB      int
-	StreamID            string
+	CacheKey
+	Steps     int
+	Pin       bool
+	Profile   bool
+	TimeoutMs int
 }
 
 // ParseGrid parses "NIxNJxNK", rejecting non-positive extents and products
 // over MaxStreamCells (the largest any job class accepts) with a typed
-// *ErrGridTooLarge. It is the shared -grid validator of mpdata-sim and the
-// server; the tighter resident bound is applied by Normalize, which knows
-// whether the job is streamed.
+// *ErrGridTooLarge. The tighter resident bound is applied by Normalize, which
+// knows whether the job is streamed.
 func ParseGrid(s string) (grid.Size, error) {
 	var ni, nj, nk int
 	var tail string
@@ -238,8 +218,7 @@ func ParseBoundary(s string) (stencil.Boundary, error) {
 	}
 }
 
-// ValidateSteps rejects non-positive and absurd step counts — the shared
-// -steps validator of mpdata-sim and the server.
+// ValidateSteps rejects non-positive and absurd step counts.
 func ValidateSteps(steps int) error {
 	if steps <= 0 {
 		return fmt.Errorf("steps must be positive, got %d", steps)
@@ -250,8 +229,8 @@ func ValidateSteps(steps int) error {
 	return nil
 }
 
-// ValidateProcessors rejects non-positive and out-of-range socket counts —
-// the shared -p validator (1..14 UV 2000 sockets, 8 workers each).
+// ValidateProcessors rejects non-positive and out-of-range socket counts
+// (1..14 UV 2000 sockets, 8 workers each).
 func ValidateProcessors(p int) error {
 	if p <= 0 {
 		return fmt.Errorf("processors (worker teams) must be positive, got %d", p)
@@ -263,8 +242,9 @@ func ValidateProcessors(p int) error {
 }
 
 // Normalize validates the spec and resolves every field to the executor's
-// types, applying the documented defaults. CLI and server reject bad specs
-// through this single path, so both produce identical diagnostics.
+// types, applying the documented defaults. It is the only validator of a run:
+// mpdata-sim, the server, the router and the load generator all reject a bad
+// spec here, with the same diagnostic.
 func (s Spec) Normalize() (NormSpec, error) {
 	var n NormSpec
 	var err error
@@ -327,9 +307,6 @@ func (s Spec) Normalize() (NormSpec, error) {
 		if n.Strategy != exec.IslandsOfCores {
 			return n, fmt.Errorf("ksteps > 1 requires the islands strategy")
 		}
-		if n.Steps%n.KSteps != 0 {
-			return n, fmt.Errorf("steps %d is not a multiple of ksteps %d (served jobs advance whole k-step blocks)", n.Steps, n.KSteps)
-		}
 	}
 	if !entry.MPDATAOptions {
 		// The scheme knobs are MPDATA-specific; a non-default value on
@@ -354,8 +331,6 @@ func (s Spec) Normalize() (NormSpec, error) {
 		return n, fmt.Errorf("block_i must be non-negative, got %d", s.BlockI)
 	}
 	n.BlockI = s.BlockI
-	n.DisableFusion = s.DisableFusion
-	n.DisableHaloExchange = s.DisableHaloExchange
 	n.Pin = s.Pin
 	n.Profile = s.Profile
 	if s.TimeoutMs < 0 {
@@ -388,8 +363,7 @@ func (s Spec) Normalize() (NormSpec, error) {
 		return n, nil
 	}
 	// With every field resolved, reject a temporal-blocking factor the
-	// compiled schedule would silently drop to 1 — same check and error
-	// text as mpdata-sim -ksteps.
+	// compiled schedule would silently drop to 1.
 	if err := n.CheckKSteps(); err != nil {
 		return n, err
 	}
@@ -416,15 +390,26 @@ func validateStreamID(id string) error {
 	return nil
 }
 
-// Validate checks the spec without returning the normalized form.
+// Admit normalizes a spec submitted as a job and applies the one rule that is
+// about serving rather than about the run: a cached engine dispatches whole
+// k-step blocks, so the step count must be a multiple of ksteps.
+func (s Spec) Admit() (NormSpec, error) {
+	n, err := s.Normalize()
+	if err == nil && n.Steps%n.KSteps != 0 {
+		err = fmt.Errorf("steps %d is not a multiple of ksteps %d (served jobs advance whole k-step blocks)", n.Steps, n.KSteps)
+	}
+	return n, err
+}
+
+// Validate reports whether a server would admit the spec.
 func (s Spec) Validate() error {
-	_, err := s.Normalize()
+	_, err := s.Admit()
 	return err
 }
 
-// StrategyName is the metrics/report label of the normalized strategy
+// StrategyName is the metrics/report label of the strategy
 // ("islands+core-islands" when the §6 extension is on).
-func (n NormSpec) StrategyName() string {
+func (n CacheKey) StrategyName() string {
 	name := n.Strategy.String()
 	if n.CoreIslands {
 		name += "+core-islands"
@@ -432,31 +417,33 @@ func (n NormSpec) StrategyName() string {
 	return name
 }
 
-// CacheKey identifies a compiled runner: every spec field that shapes the
-// compiled schedule, the environments or the halo geometry — KSteps
-// included, since the temporal block structure, widened halo shells and
-// inner-swap items are all compiled in. Steps, Profile and TimeoutMs are
-// deliberately excluded — a cached runner advances one k-step block (one
-// step when KSteps <= 1) per dispatch, so jobs of any length (and any
-// deadline) reuse it.
+// CacheKey identifies a compiled engine: every field of a run that shapes the
+// compiled schedule, the environments or the halo geometry — KSteps included,
+// since the temporal block structure, widened halo shells and inner-swap items
+// are all compiled in. The pool caches engines under it and the fleet router
+// hashes it, so a field added here keys both. A run's remaining fields
+// (NormSpec's Steps, Pin, Profile, TimeoutMs) stay out: a cached engine
+// advances one k-step block (one step when KSteps <= 1) per dispatch, so jobs
+// of any length and any deadline reuse it.
 type CacheKey struct {
 	Domain grid.Size
-	// Solver keys the cache (and the fleet router's affinity hash, which
-	// hashes the whole key): engines compile one solver's program and are
-	// never shared across catalog entries.
-	Solver              string
-	Strategy            exec.Strategy
-	Processors          int
-	Placement           grid.PlacementPolicy
-	Variant             decomp.Variant
-	Boundary            stencil.Boundary
-	CoreIslands         bool
-	KSteps              int
-	IORD                int
-	Unlimited           bool
-	BlockI              int
-	DisableFusion       bool
-	DisableHaloExchange bool
+	// Solver is the canonical catalog name (never empty after Normalize):
+	// engines compile one solver's program and are never shared across
+	// catalog entries.
+	Solver      string
+	Strategy    exec.Strategy
+	Processors  int
+	Placement   grid.PlacementPolicy
+	Variant     decomp.Variant
+	Boundary    stencil.Boundary
+	CoreIslands bool
+	KSteps      int
+	IORD        int
+	Unlimited   bool
+	BlockI      int
+	// DisableFusion is no spec field: only the tuner's nofuse candidates set
+	// it, on the key a job's engine is leased under.
+	DisableFusion bool
 	// Streamed jobs never share an engine with resident jobs of the same
 	// geometry (their engine is a tile streamer, not a whole-domain
 	// runner), and two streamed jobs share one only for the same store and
@@ -466,73 +453,53 @@ type CacheKey struct {
 	StreamID       string
 }
 
-// Key returns the schedule-cache key of the normalized spec.
-func (n NormSpec) Key() CacheKey {
-	return CacheKey{
-		Domain:              n.Domain,
-		Solver:              n.Solver,
-		Strategy:            n.Strategy,
-		Processors:          n.Processors,
-		Placement:           n.Placement,
-		Variant:             n.Variant,
-		Boundary:            n.Boundary,
-		CoreIslands:         n.CoreIslands,
-		KSteps:              n.KSteps,
-		IORD:                n.IORD,
-		Unlimited:           n.Unlimited,
-		BlockI:              n.BlockI,
-		DisableFusion:       n.DisableFusion,
-		DisableHaloExchange: n.DisableHaloExchange,
-		Streamed:            n.Streamed,
-		MemoryBudgetMB:      n.MemoryBudgetMB,
-		StreamID:            n.StreamID,
-	}
-}
+// Key returns the identity of the engine that runs the spec.
+func (n NormSpec) Key() CacheKey { return n.CacheKey }
 
-// ExecConfig builds the executor configuration of the normalized spec with
-// the runner compiled for one dispatch unit per Run: one k-step block under
-// temporal blocking, one step otherwise. Progress, deadlines and engine
-// reuse all meet between dispatches.
-func (n NormSpec) ExecConfig() (exec.Config, error) {
+// ExecConfig builds the executor configuration of the engine with the runner
+// compiled for one dispatch unit per Run: one k-step block under temporal
+// blocking, one step otherwise. Progress, deadlines and engine reuse all meet
+// between dispatches; a caller that runs the whole job in one Run sets Steps
+// on the result.
+func (n CacheKey) ExecConfig() (exec.Config, error) {
 	m, err := topology.UV2000(n.Processors)
 	if err != nil {
 		return exec.Config{}, err
 	}
 	return exec.Config{
-		Machine:             m,
-		Strategy:            n.Strategy,
-		Placement:           n.Placement,
-		Variant:             n.Variant,
-		Boundary:            n.Boundary,
-		Steps:               max(n.KSteps, 1),
-		BlockI:              n.BlockI,
-		CoreIslands:         n.CoreIslands,
-		KSteps:              n.KSteps,
-		DisableFusion:       n.DisableFusion,
-		DisableHaloExchange: n.DisableHaloExchange,
+		Machine:       m,
+		Strategy:      n.Strategy,
+		Placement:     n.Placement,
+		Variant:       n.Variant,
+		Boundary:      n.Boundary,
+		Steps:         max(n.KSteps, 1),
+		BlockI:        n.BlockI,
+		CoreIslands:   n.CoreIslands,
+		KSteps:        n.KSteps,
+		DisableFusion: n.DisableFusion,
 	}, nil
 }
 
 // StepsPerDispatch is the number of time steps one engine Step advances: the
 // temporal block size, or 1 without temporal blocking.
-func (n NormSpec) StepsPerDispatch() int { return max(n.KSteps, 1) }
+func (n CacheKey) StepsPerDispatch() int { return max(n.KSteps, 1) }
 
-// SolverEntry resolves the spec's catalog entry. Normalize canonicalized the
-// name, so a lookup failure on a normalized spec is a programming error.
-func (n NormSpec) SolverEntry() (*solver.Entry, error) {
+// SolverEntry resolves the catalog entry. Normalize canonicalized the name,
+// so a lookup failure on a normalized spec is a programming error.
+func (n CacheKey) SolverEntry() (*solver.Entry, error) {
 	return solver.Lookup(n.Solver)
 }
 
-// SolverOptions are the spec's program-build options in the catalog's form
+// SolverOptions are the program-build options in the catalog's form
 // (zero-valued for solvers without MPDATA options).
-func (n NormSpec) SolverOptions() solver.Options {
+func (n CacheKey) SolverOptions() solver.Options {
 	return solver.Options{IORD: n.IORD, Unlimited: n.Unlimited}
 }
 
-// ConfigLabel names the spec's execution configuration in the advisor's
-// candidate vocabulary ("islands 1D-A k=4 b=16", ...) — the
-// requested-vs-tuned label of job results and load reports.
-func (n NormSpec) ConfigLabel() string {
+// ConfigLabel names the execution configuration in the advisor's candidate
+// vocabulary ("islands 1D-A k=4 b=16", ...) — the requested-vs-tuned label
+// of job results and load reports.
+func (n CacheKey) ConfigLabel() string {
 	ec, err := n.ExecConfig()
 	if err != nil {
 		return n.StrategyName()

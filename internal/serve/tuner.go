@@ -64,20 +64,19 @@ func classProgram(c tune.Class) (*stencil.Program, error) {
 	return &prog.Program, nil
 }
 
-// classOf maps a normalized spec to its tuner problem class — the fields a
+// ClassOf maps a normalized spec to its tuner problem class — the fields a
 // tuned configuration must preserve. The solver is a class axis: each
 // catalog entry has its own stage graph and cost profile, so rankings never
 // mix across solvers.
-func classOf(ns NormSpec) tune.Class {
+func ClassOf(ns NormSpec) tune.Class {
 	return tune.Class{
-		Solver:              ns.Solver,
-		Domain:              ns.Domain,
-		Processors:          ns.Processors,
-		Variant:             ns.Variant,
-		Boundary:            ns.Boundary,
-		IORD:                ns.IORD,
-		Unlimited:           ns.Unlimited,
-		DisableHaloExchange: ns.DisableHaloExchange,
+		Solver:     ns.Solver,
+		Domain:     ns.Domain,
+		Processors: ns.Processors,
+		Variant:    ns.Variant,
+		Boundary:   ns.Boundary,
+		IORD:       ns.IORD,
+		Unlimited:  ns.Unlimited,
 	}
 }
 

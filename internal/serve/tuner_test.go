@@ -171,7 +171,7 @@ func TestServerTunerNeverWorseThanRequested(t *testing.T) {
 	if !ok {
 		t.Fatal("requestedKnobs failed")
 	}
-	class := classOf(ns)
+	class := ClassOf(ns)
 	// First decision may substitute the model's favorite; report the
 	// requested knobs as dramatically faster than anything modeled.
 	d := tn.Decide(class, req, ns.Steps)

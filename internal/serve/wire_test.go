@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -12,6 +13,37 @@ import (
 	"islands/internal/serve"
 	serveclient "islands/internal/serve/client"
 )
+
+// TestSubmitRejectionsOnTheWire pins two 400s of POST /v1/jobs. The ablation
+// fields are no part of the wire format: a spec carrying one is refused by
+// name, not run with the field ignored. And the whole-blocks rule is applied
+// where a job is admitted (Spec.Admit): Normalize alone accepts the same spec,
+// which mpdata-sim runs with a remainder block.
+func TestSubmitRejectionsOnTheWire(t *testing.T) {
+	srv := serve.NewServer(serve.Options{Slots: 1, EngineFactory: gatedFactory(make(chan struct{})), Logf: t.Logf})
+	defer srv.Close()
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	for _, c := range []struct{ body, want string }{
+		{`{"grid":"32x16x8","steps":1,"disable_fusion":true}`, `unknown field \"disable_fusion\"`},
+		{`{"grid":"32x16x8","steps":1,"disable_halo_exchange":true}`, `unknown field \"disable_halo_exchange\"`},
+		{`{"grid":"32x16x8","steps":5,"ksteps":2}`, "steps 5 is not a multiple of ksteps 2 (served jobs advance whole k-step blocks)"},
+	} {
+		resp, err := http.Post(hs.URL+"/v1/jobs", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var raw strings.Builder
+		_, _ = io.Copy(&raw, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(raw.String(), c.want) {
+			t.Errorf("POST %s = %d %s, want 400 mentioning %s", c.body, resp.StatusCode, raw.String(), c.want)
+		}
+	}
+	if _, err := (serve.Spec{Grid: "32x16x8", Steps: 5, KSteps: 2}).Normalize(); err != nil {
+		t.Errorf("Normalize rejects a remainder block: %v", err)
+	}
+}
 
 func TestRetryAfterSeconds(t *testing.T) {
 	cases := []struct {

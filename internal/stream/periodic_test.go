@@ -67,7 +67,7 @@ func TestStreamIslandsPeriodicSolverExact(t *testing.T) {
 			t.Errorf("steps=%d: resident islands+periodic differs from solver by %v, want bit-identical", steps, d)
 		}
 
-		s, err := New(Options{Dir: t.TempDir(), Exec: cfg, Domain: domain, TilePlanes: 2, NoPrefetch: true})
+		s, err := New(Options{Dir: t.TempDir(), Exec: cfg, Domain: domain, TilePlanes: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

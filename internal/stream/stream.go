@@ -53,11 +53,6 @@ type Options struct {
 	// TilePlanes bounds each tile's owned i-planes (0 = one whole-domain
 	// tile). The resident footprint scales with TilePlanes + k-step halo.
 	TilePlanes int
-	// NoPrefetch disables the double-buffered load/writeback pipeline:
-	// load, compute and write run sequentially (the ablation arm).
-	NoPrefetch bool
-	// NoMmap forces the pread path even where mmap is available.
-	NoMmap bool
 	// Resume continues from a compatible checkpoint in Dir when one
 	// exists (a fresh store is built otherwise). An incompatible
 	// checkpoint is an error, never silently overwritten.
@@ -85,20 +80,21 @@ type Stats struct {
 	BytesWritten  int64
 	// LoadStall/WriteStall is time compute spent waiting on the loader /
 	// writeback; Compute is time inside the engines; Wall covers whole
-	// sweeps. With prefetch the stalls shrink toward zero as I/O hides
-	// behind compute; the NoPrefetch ablation pays them in full.
+	// sweeps. The stalls are the I/O the pipeline left exposed: they shrink
+	// toward zero as loads and writebacks hide behind compute.
 	LoadStall  time.Duration
 	WriteStall time.Duration
 	Compute    time.Duration
 	Wall       time.Duration
 	// IOTime is the time actually spent inside plane reads, writes and
-	// syncs (summed across the loader and writer, which overlap compute
-	// under prefetch). BytesRead+BytesWritten over IOTime is the store's
-	// observed disk throughput — what the serving layer's bandwidth EWMA
-	// feeds back into residency pricing.
-	IOTime   time.Duration
-	Prefetch bool
-	Mmap     bool
+	// syncs (summed across the loader and writer, which overlap compute).
+	// BytesRead+BytesWritten over IOTime is the store's observed disk
+	// throughput — what the serving layer's bandwidth EWMA feeds back into
+	// residency pricing.
+	IOTime time.Duration
+	// Mmap reports that plane reads go through a mapping; false where the
+	// platform has none and reads fall back to pread.
+	Mmap bool
 	// OutputCells counts the cells of the streamed field the tile engines
 	// computed this process: per tile visit, its owned planes once per step
 	// plus the redundant trapezoid growth of the earlier inner steps (see
@@ -289,17 +285,14 @@ func New(o Options) (*Streamer, error) {
 	s := &Streamer{o: o, plan: plan, entry: entry, prog: prog, engines: make(map[engineKey]*tileEngine)}
 	s.stats.Tiles = len(plan.Tiles)
 	s.stats.Sweeps = plan.Sweeps
-	s.stats.Prefetch = !o.NoPrefetch
 
 	if err := s.openStore(); err != nil {
 		_ = s.Close()
 		return nil, err
 	}
-	if !o.NoMmap {
-		for _, f := range s.files {
-			if ok, err := f.EnableMmap(); err == nil && ok {
-				s.stats.Mmap = true
-			}
+	for _, f := range s.files {
+		if ok, err := f.EnableMmap(); err == nil && ok {
+			s.stats.Mmap = true
 		}
 	}
 
@@ -568,12 +561,7 @@ func (s *Streamer) RunSweep() error {
 	}
 	sweep := s.ck.Sweep
 	t0 := time.Now()
-	var err error
-	if s.o.NoPrefetch {
-		err = s.runSweepSerial(sweep)
-	} else {
-		err = s.runSweepPipelined(sweep)
-	}
+	err := s.runSweepPipelined(sweep)
 	s.statsMu.Lock()
 	s.stats.Wall += time.Since(t0)
 	s.statsMu.Unlock()
@@ -753,44 +741,6 @@ func (s *Streamer) reportProgress(sweep, t int) {
 		Tile: t, Tiles: len(s.plan.Tiles),
 		StepsDone: done,
 	})
-}
-
-// runSweepSerial is the prefetch-disabled ablation: load, compute and write
-// strictly in sequence, attributing the exposed I/O time to the stalls.
-func (s *Streamer) runSweepSerial(sweep int) error {
-	in, out := s.files[sweep%2], s.files[(sweep+1)%2]
-	kEff := s.plan.KEffAt(sweep)
-	buf := <-s.loadFree
-	wbuf := <-s.writeFree
-	defer func() { s.loadFree <- buf; s.writeFree <- wbuf }()
-	for t := s.ck.Tile; t < len(s.plan.Tiles); t++ {
-		if s.aborted.Load() {
-			return s.abortErr()
-		}
-		l0 := time.Now()
-		nr, err := s.loadTile(in, t, buf)
-		s.statsMu.Lock()
-		s.stats.LoadStall += time.Since(l0)
-		s.stats.BytesRead += nr
-		s.statsMu.Unlock()
-		if err != nil {
-			return err
-		}
-		if err := s.computeTile(sweep, t, kEff, buf, wbuf); err != nil {
-			return err
-		}
-		w0 := time.Now()
-		nw, err := s.writeTile(out, sweep, t, wbuf)
-		s.statsMu.Lock()
-		s.stats.WriteStall += time.Since(w0)
-		s.stats.BytesWritten += nw
-		s.statsMu.Unlock()
-		if err != nil {
-			return err
-		}
-		s.reportProgress(sweep, t)
-	}
-	return nil
 }
 
 // runSweepPipelined overlaps the next tile's load and the previous tile's

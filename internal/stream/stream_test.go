@@ -155,35 +155,6 @@ func TestStreamedMatchesResident(t *testing.T) {
 	}
 }
 
-// TestStreamNoPrefetchIdentical pins the ablation arm to the same bits.
-func TestStreamNoPrefetchIdentical(t *testing.T) {
-	machine, err := topology.UV2000(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	domain := grid.Sz(20, 7, 5)
-	cfg := exec.Config{Machine: machine, Strategy: exec.IslandsOfCores, Boundary: stencil.Periodic, Steps: 6, KSteps: 2}
-	want, _ := residentRun(t, cfg, domain, 0, false)
-	for _, noPrefetch := range []bool{false, true} {
-		s, err := New(Options{Dir: t.TempDir(), Exec: cfg, Domain: domain, TilePlanes: 4, NoPrefetch: noPrefetch})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Run(); err != nil {
-			t.Fatal(err)
-		}
-		got, err := s.ReadResult()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := grid.MaxAbsDiff(got, want); d != 0 {
-			t.Fatalf("noPrefetch=%v: max diff %v, want bit-identical", noPrefetch, d)
-		}
-		s.Close()
-		s.Remove()
-	}
-}
-
 // TestStreamResumeMidSweep kills a run after its first tile (via an abort
 // from the progress hook), then resumes from the durable checkpoint and
 // asserts the restart lands on the correct tile and the final field is
@@ -199,7 +170,7 @@ func TestStreamResumeMidSweep(t *testing.T) {
 
 	var s1 *Streamer
 	s1, err = New(Options{
-		Dir: dir, Exec: cfg, Domain: domain, TilePlanes: 5, NoPrefetch: true,
+		Dir: dir, Exec: cfg, Domain: domain, TilePlanes: 5,
 		Progress: func(p Progress) {
 			if p.Sweep == 0 && p.Tile == 0 {
 				s1.Abort("test kill")

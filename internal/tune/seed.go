@@ -25,11 +25,10 @@ func (c Class) Machine() (*topology.Machine, error) {
 // unit); callers set their own step count.
 func (c Class) BaseConfig(m *topology.Machine) exec.Config {
 	return exec.Config{
-		Machine:             m,
-		Variant:             c.Variant,
-		Boundary:            c.Boundary,
-		DisableHaloExchange: c.DisableHaloExchange,
-		Steps:               1,
+		Machine:  m,
+		Variant:  c.Variant,
+		Boundary: c.Boundary,
+		Steps:    1,
 	}
 }
 
@@ -47,7 +46,7 @@ func KnobsOf(cfg exec.Config, domain grid.Size) Knobs {
 		Placement:     cfg.Placement,
 	}
 	if cfg.Machine != nil && cfg.Strategy != exec.Original {
-		k.BlockI = exec.ResolveBlockI(cfg.Machine, domain, cfg.BlockI, cfg.LiveArrays)
+		k.BlockI = exec.ResolveBlockI(cfg.Machine, domain, cfg.BlockI)
 	}
 	if cfg.Strategy == exec.Original {
 		k.BlockI = 0

@@ -49,10 +49,6 @@ type Class struct {
 	// options (zero for the rest).
 	IORD      int
 	Unlimited bool
-	// DisableHaloExchange is the publish ablation — a class axis, not a
-	// knob, because turning it off behind an ablation request would defeat
-	// the ablation.
-	DisableHaloExchange bool
 }
 
 // Knobs are the tunable configuration axes: every field toggles behavior

@@ -5,11 +5,11 @@
 # (BenchmarkCompute{Islands,CoreIslands}K{1,2,4,8}), whose per-arm
 # "modeled-speedup-x" metric records the paper machine's predicted payoff
 # of k-step blocking next to the measured host numbers, and the out-of-core
-# streaming arms (BenchmarkStream{Resident,Tiled,TiledNoPrefetch}; see
-# docs/STREAMING.md), where the tiled-with-prefetch arm beating the serial
-# ablation is the double-buffered pipeline's reason to exist. The Stream
-# arms are excluded from the CI allocs/op smoke gate by name — tile
-# streaming allocates by design. Usage:
+# streaming arms (BenchmarkStream{Resident,Tiled}; see docs/STREAMING.md),
+# where the tiled arm's overlap-% is the share of wall time the
+# double-buffered pipeline kept free of I/O stalls. The Stream arms are
+# excluded from the CI allocs/op smoke gate by name — tile streaming
+# allocates by design. Usage:
 #
 #   scripts/bench.sh [label]
 #
