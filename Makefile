@@ -3,13 +3,13 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check vet test race race-core bench-check bench-smoke bench benchall loc tables report examples clean
+.PHONY: all build fmt-check vet test race race-core cross-check bench-check bench-smoke bench benchall loc tables report examples clean
 
 # Tier-1 gate: format + build + vet + full test suite + race detector on the
 # concurrency-bearing packages + the separately-moduled benchmark still
 # compiling against this tree. CI (.github/workflows/ci.yml) runs these same
 # targets.
-all: fmt-check build vet test race-core bench-check
+all: fmt-check build vet test race-core cross-check bench-check
 
 build:
 	$(GO) build ./...
@@ -28,6 +28,14 @@ race:
 
 race-core:
 	$(GO) test -race ./internal/sched/... ./internal/exec/... ./internal/stencil/... ./internal/mpdata/... ./internal/solver/... ./internal/serve/... ./internal/tune/... ./internal/fleet/... ./internal/stream/...
+
+# internal/mpdata's fused kernels have AVX2 bodies on amd64 and a scalar-only
+# build everywhere else (and at GOAMD64=v3): compile everything for arm64 and
+# for amd64 v3 and vet the package there, so the builds no amd64 machine runs
+# cannot rot. Cross-compiling pure Go needs nothing but the toolchain.
+cross-check:
+	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/mpdata/
+	GOAMD64=v3 $(GO) build ./... && GOAMD64=v3 $(GO) vet ./internal/mpdata/
 
 # bench/ is its own Go module, outside ./... : vet it and run its short tests
 # so API drift against what it uses of fleet, serve and serveclient is caught

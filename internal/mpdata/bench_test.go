@@ -2,6 +2,7 @@ package mpdata
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"islands/internal/grid"
@@ -56,56 +57,60 @@ func BenchmarkFullStep(b *testing.B) {
 	b.ReportMetric(cells*229*float64(b.N)/b.Elapsed().Seconds()/1e9, "Gflop/s")
 }
 
-// BenchmarkFusedRows contrasts each registered hand-fused row kernel with
-// running its member stages' fast paths back to back over the same interior
-// region. The gap is the pure traversal/bounds-check saving of stage fusion,
-// isolated from scheduling and barriers.
+// BenchmarkFusedRows measures each registered hand-fused kernel on the shape
+// the repository's benchmark runs (bench/: 128x128x16, standard problem, clamp):
+// the interior plus the k = NK-1 border piece — 14-cell rows, and the one-cell
+// rows of a k-pinned piece. Arms: the member stages' fast paths back to back
+// (what fusion saves), the fused scalar body, the fused AVX2 body.
 func BenchmarkFusedRows(b *testing.B) {
-	domain := grid.Sz(64, 64, 64)
+	domain := grid.Sz(128, 128, 16)
 	state := NewState(domain)
-	state.SetGaussian(32, 32, 32, 8, 1, 0.1)
-	state.SetUniformVelocity(0.2, 0.15, -0.1)
-	kp := NewProgram()
-	env, err := stencil.NewEnv(&kp.Program, domain, state.InputMap())
+	state.SetStandardProblem()
+	scalar, vector := programWithBody(b, false), programWithBody(b, vectorAvailable)
+	env, err := stencil.NewEnv(&scalar.Program, domain, state.InputMap())
 	if err != nil {
 		b.Fatal(err)
 	}
+	env.BC = stencil.Clamp
 	whole := grid.WholeRegion(domain)
-	for _, k := range kp.Kernels {
+	for _, k := range scalar.Kernels {
 		k(env, whole)
 	}
-	region := grid.Box(4, 60, 4, 60, 4, 60)
-	rate := func(b *testing.B) {
-		b.ReportMetric(float64(region.Cells())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mcells/s")
-	}
-	for fi := range kp.Fused {
-		fk := &kp.Fused[fi]
-		label := fk.Stages[0]
-		for _, s := range fk.Stages[1:] {
-			label += "+" + s
+	for fi := range scalar.Fused {
+		fk := &scalar.Fused[fi]
+		interior, pieces := stencil.BorderPieces(whole, fusedExtent(scalar, fk), domain)
+		var face stencil.BorderPiece
+		for _, pc := range pieces {
+			if pc.Pinned == [3]bool{false, false, true} && pc.Pin[2] == domain.NK-1 {
+				face = pc
+			}
 		}
-		fasts := make([]stencil.Kernel, len(fk.Stages))
-		for i, name := range fk.Stages {
-			fast, _, ok := kp.SplitPaths(kp.StageIndex(name))
+		bound := env.BindPiece(face)
+		cells := float64(interior.Cells() + face.Region.Cells())
+		arm := func(name string, kernels ...stencil.Kernel) {
+			b.Run(strings.Join(fk.Stages, "+")+"/"+name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					for _, kern := range kernels {
+						kern(env, interior)
+						kern(bound, face.Region)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(cells*float64(b.N)), "ns/cell")
+			})
+		}
+		var members []stencil.Kernel
+		for _, name := range fk.Stages {
+			fast, _, ok := scalar.SplitPaths(scalar.StageIndex(name))
 			if !ok {
 				b.Fatalf("stage %q has no split fast path", name)
 			}
-			fasts[i] = fast
+			members = append(members, fast)
 		}
-		b.Run(label+"/separate", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for _, fast := range fasts {
-					fast(env, region)
-				}
-			}
-			rate(b)
-		})
-		b.Run(label+"/fused", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				fk.Fast(env, region)
-			}
-			rate(b)
-		})
+		arm("separate", members...)
+		arm("scalar", fk.Fast)
+		if vectorAvailable {
+			arm("vector", vector.Fused[fi].Fast)
+		}
 	}
 }
 

@@ -13,12 +13,55 @@ import (
 // Env.Step/OffsetStride, so the compiled schedule can run them unchanged on
 // pinned border pieces; rows are re-sliced so the inner loops carry no
 // per-element bounds checks.
+//
+// Each kernel has two bodies computing the same bits: the scalar row loop, and
+// an AVX2 body (fused_amd64.s) called once for the whole region.
+// useVector, read when the kernel is built, picks between them. The per-stage
+// kernels of program.go — the sequential reference and the unfused strips —
+// are scalar only, so every fused-against-unfused comparison checks the
+// assembly against independent Go.
+
+// rowGeom is the shape of a non-empty region as a vector body walks it:
+// planes of rows of n cells, the strides in bytes.
+type rowGeom struct {
+	n, rows, planes        int
+	rowStride, planeStride int
+}
+
+// vecRegion is a region prepared for a vector body: its shape, the flat index
+// of its first cell and the number of cells from there to its last.
+type vecRegion struct {
+	rowGeom
+	first, span int
+}
+
+func vecRegionOf(domain grid.Size, r grid.Region) (g vecRegion, ok bool) {
+	if r.Empty() {
+		return g, false
+	}
+	planeCells := domain.NJ * domain.NK
+	g.n, g.rows, g.planes = r.K1-r.K0, r.J1-r.J0, r.I1-r.I0
+	g.rowStride, g.planeStride = domain.NK*grid.CellBytes, planeCells*grid.CellBytes
+	g.first = r.I0*planeCells + r.J0*domain.NK + r.K0
+	g.span = (g.planes-1)*planeCells + (g.rows-1)*domain.NK + g.n
+	return g, true
+}
+
+// at returns the stream pointer for a stream whose first cell is s[first+o].
+// The slice expression is the bounds proof for everything the vector body
+// will touch through it — one check per stream and region instead of one per
+// cell — so a region reaching outside the fields panics here, in Go.
+func (g *vecRegion) at(s []float64, o int) *float64 {
+	lo := g.first + o
+	return &s[lo : lo+g.span : len(s)][0]
+}
 
 // fusedDonorFluxes computes the three donor-cell flux stages of one pass in
 // a single sweep: psi is streamed once for all three face directions.
 //
 //go:noinline
 func fusedDonorFluxes(f1n, f2n, f3n, u1n, u2n, u3n, psiName string) stencil.FusedKernel {
+	vec := useVector
 	fast := func(env *stencil.Env, r grid.Region) {
 		psi := env.Field(psiName).Data
 		u1 := env.Field(u1n).Data
@@ -30,6 +73,16 @@ func fusedDonorFluxes(f1n, f2n, f3n, u1n, u2n, u3n, psiName string) stencil.Fuse
 		d1 := env.OffsetStride(off(1, 0, 0))
 		d2 := env.OffsetStride(off(0, 1, 0))
 		d3 := env.OffsetStride(off(0, 0, 1))
+		if vec {
+			if g, ok := vecRegionOf(env.Domain, r); ok {
+				donorFluxesAVX2(&[10]*float64{
+					g.at(psi, 0), g.at(psi, d1), g.at(psi, d2), g.at(psi, d3),
+					g.at(u1, 0), g.at(u2, 0), g.at(u3, 0),
+					g.at(o1, 0), g.at(o2, 0), g.at(o3, 0),
+				}, g.rowGeom)
+			}
+			return
+		}
 		nk := r.K1 - r.K0
 		stencil.ForEachRow(env.Domain, r, func(_, _, base int) {
 			p0 := psi[base : base+nk : base+nk]
@@ -65,6 +118,7 @@ func fusedDonorFluxes(f1n, f2n, f3n, u1n, u2n, u3n, psiName string) stencil.Fuse
 //
 //go:noinline
 func fusedExtrema(maxName, minName, curName string) stencil.FusedKernel {
+	vec := useVector
 	fast := func(env *stencil.Env, r grid.Region) {
 		psi := env.Field(InPsi).Data
 		cur := env.Field(curName).Data
@@ -73,6 +127,18 @@ func fusedExtrema(maxName, minName, curName string) stencil.FusedKernel {
 		siN, siP := env.Step(0, -1), env.Step(0, 1)
 		sjN, sjP := env.Step(1, -1), env.Step(1, 1)
 		skN, skP := env.Step(2, -1), env.Step(2, 1)
+		if vec {
+			if g, ok := vecRegionOf(env.Domain, r); ok {
+				extremaAVX2(&[16]*float64{
+					g.at(psi, 0), g.at(cur, 0),
+					g.at(psi, siN), g.at(cur, siN), g.at(psi, siP), g.at(cur, siP),
+					g.at(psi, sjN), g.at(cur, sjN), g.at(psi, sjP), g.at(cur, sjP),
+					g.at(psi, skN), g.at(cur, skN), g.at(psi, skP), g.at(cur, skP),
+					g.at(omx, 0), g.at(omn, 0),
+				}, g.rowGeom)
+			}
+			return
+		}
 		nk := r.K1 - r.K0
 		stencil.ForEachRow(env.Domain, r, func(_, _, base int) {
 			for n := base; n < base+nk; n++ {
@@ -107,6 +173,7 @@ func fusedExtrema(maxName, minName, curName string) stencil.FusedKernel {
 //
 //go:noinline
 func fusedPseudoVel(v1n, v2n, v3n, curName, u1n, u2n, u3n string) stencil.FusedKernel {
+	vec := useVector
 	fast := func(env *stencil.Env, r grid.Region) {
 		ps := env.Field(curName).Data
 		h := env.Field(InH).Data
@@ -119,6 +186,31 @@ func fusedPseudoVel(v1n, v2n, v3n, curName, u1n, u2n, u3n string) stencil.FusedK
 			d := unit(dim)
 			pos[dim] = env.OffsetStride(d)
 			neg[dim] = env.OffsetStride(off(-d.DI, -d.DJ, -d.DK))
+		}
+		if vec {
+			g, ok := vecRegionOf(env.Domain, r)
+			if !ok {
+				return
+			}
+			var tab [66]*float64
+			for dir := 0; dir < 3; dir++ {
+				ad, bd := (dir+1)%3, (dir+2)%3
+				sd := pos[dir]
+				saP, saN := pos[ad], neg[ad]
+				sbP, sbN := pos[bd], neg[bd]
+				u, ua, ub := us[dir], us[ad], us[bd]
+				copy(tab[22*dir:], []*float64{
+					g.at(u, 0), g.at(h, 0), g.at(h, sd),
+					g.at(ps, 0), g.at(ps, sd),
+					g.at(ps, saP), g.at(ps, sd+saP), g.at(ps, saN), g.at(ps, sd+saN),
+					g.at(ps, sbP), g.at(ps, sd+sbP), g.at(ps, sbN), g.at(ps, sd+sbN),
+					g.at(ua, 0), g.at(ua, saN), g.at(ua, sd), g.at(ua, sd+saN),
+					g.at(ub, 0), g.at(ub, sbN), g.at(ub, sd), g.at(ub, sd+sbN),
+					g.at(outs[dir], 0),
+				})
+			}
+			pseudoVelAVX2(&tab, g.rowGeom)
+			return
 		}
 		nk := r.K1 - r.K0
 		stencil.ForEachRow(env.Domain, r, func(_, _, base int) {
@@ -162,6 +254,7 @@ func fusedPseudoVel(v1n, v2n, v3n, curName, u1n, u2n, u3n string) stencil.FusedK
 //
 //go:noinline
 func fusedLimiterFluxes(inName, outName, curName, v1n, v2n, v3n string) stencil.FusedKernel {
+	vec := useVector
 	fast := func(env *stencil.Env, r grid.Region) {
 		v1 := env.Field(v1n).Data
 		v2 := env.Field(v2n).Data
@@ -172,6 +265,16 @@ func fusedLimiterFluxes(inName, outName, curName, v1n, v2n, v3n string) stencil.
 		siN, siP := env.Step(0, -1), env.Step(0, 1)
 		sjN, sjP := env.Step(1, -1), env.Step(1, 1)
 		skN, skP := env.Step(2, -1), env.Step(2, 1)
+		if vec {
+			if g, ok := vecRegionOf(env.Domain, r); ok {
+				limiterFluxesAVX2(&[15]*float64{
+					g.at(v1, 0), g.at(v1, siN), g.at(v2, 0), g.at(v2, sjN), g.at(v3, 0), g.at(v3, skN),
+					g.at(ps, 0), g.at(ps, siN), g.at(ps, siP), g.at(ps, sjN), g.at(ps, sjP), g.at(ps, skN), g.at(ps, skP),
+					g.at(oin, 0), g.at(oout, 0),
+				}, g.rowGeom)
+			}
+			return
+		}
 		nk := r.K1 - r.K0
 		stencil.ForEachRow(env.Domain, r, func(_, _, base int) {
 			for n := base; n < base+nk; n++ {
@@ -196,6 +299,7 @@ func fusedLimiterFluxes(inName, outName, curName, v1n, v2n, v3n string) stencil.
 //
 //go:noinline
 func fusedLimitedFluxes(g1n, g2n, g3n, v1n, v2n, v3n, curName, buName, bdName string) stencil.FusedKernel {
+	vec := useVector
 	fast := func(env *stencil.Env, r grid.Region) {
 		v1 := env.Field(v1n).Data
 		v2 := env.Field(v2n).Data
@@ -209,6 +313,17 @@ func fusedLimitedFluxes(g1n, g2n, g3n, v1n, v2n, v3n, curName, buName, bdName st
 		d1 := env.OffsetStride(off(1, 0, 0))
 		d2 := env.OffsetStride(off(0, 1, 0))
 		d3 := env.OffsetStride(off(0, 0, 1))
+		if vec {
+			if g, ok := vecRegionOf(env.Domain, r); ok {
+				limitedFluxesAVX2(&[18]*float64{
+					g.at(ps, 0), g.at(bu, 0), g.at(bd, 0),
+					g.at(ps, d1), g.at(bu, d1), g.at(bd, d1), g.at(v1, 0), g.at(o1, 0),
+					g.at(ps, d2), g.at(bu, d2), g.at(bd, d2), g.at(v2, 0), g.at(o2, 0),
+					g.at(ps, d3), g.at(bu, d3), g.at(bd, d3), g.at(v3, 0), g.at(o3, 0),
+				}, g.rowGeom)
+			}
+			return
+		}
 		nk := r.K1 - r.K0
 		stencil.ForEachRow(env.Domain, r, func(_, _, base int) {
 			p0 := ps[base : base+nk : base+nk]

@@ -1,0 +1,449 @@
+// Copyright (c) 2026 The islands authors. MIT License; see LICENSE.
+
+//go:build amd64 && !amd64.v3
+
+// AVX2 plane bodies of the five hand-fused MPDATA kernels of fused.go, and
+// the CPU probe that enables them.
+//
+// Every body has the same shape. The Go wrapper hands it a table of stream
+// pointers (one per field row the Go loop reads or writes, already displaced
+// by the stencil offset and bounds-checked against its field for the whole
+// region) and the region's geometry g: planes of rows of n cells, rowStride
+// and planeStride bytes apart. The body walks planes x rows x 4-wide vectors
+// and finishes each row with a VMASKMOVPD tail of 1-3 cells, so every n >= 1
+// is handled and no byte is touched outside
+// [pointer, pointer + (planes-1)*planeStride + (rows-1)*rowStride + n*8).
+//
+// The results are the scalar loop's, bit for bit, by construction: the same
+// operations in the same association, VDIVPD (no reciprocal), no FMA, and
+//
+//	maxf(a, b)  =  VMAXPD b, a, dst    (a is the first source: on a tie, +-0 or
+//	minf(a, b)  =  VMINPD b, a, dst     NaN both return the second, b, which is
+//	                                    "if a > b { return a }; return b")
+//	absf(x)     =  x XOR (signbit AND (x < 0))    (keeps absf(-0) = -0)
+//
+// In Go operand order the last register is the destination and the one
+// before it Intel's first source: VSUBPD b, a, dst is dst = a - b.
+
+#include "textflag.h"
+
+DATA fusedConsts<>+0(SB)/8, $0.5
+DATA fusedConsts<>+8(SB)/8, $0.25
+DATA fusedConsts<>+16(SB)/8, $1.0
+DATA fusedConsts<>+24(SB)/8, $1e-15 // Eps
+DATA fusedConsts<>+32(SB)/8, $0x8000000000000000
+GLOBL fusedConsts<>(SB), RODATA|NOPTR, $40
+
+// Four set lanes, then four clear: the 32 bytes at offset (4-rem)*8 mask the
+// first rem lanes.
+DATA tailMasks<>+0(SB)/8, $0xffffffffffffffff
+DATA tailMasks<>+8(SB)/8, $0xffffffffffffffff
+DATA tailMasks<>+16(SB)/8, $0xffffffffffffffff
+DATA tailMasks<>+24(SB)/8, $0xffffffffffffffff
+DATA tailMasks<>+32(SB)/8, $0
+DATA tailMasks<>+40(SB)/8, $0
+DATA tailMasks<>+48(SB)/8, $0
+DATA tailMasks<>+56(SB)/8, $0
+GLOBL tailMasks<>(SB), RODATA|NOPTR, $64
+
+// Registers common to all bodies:
+//
+//	DI   stream pointer table        R8   rowStride      R11  rows
+//	SI   byte offset of the vector   R9   n              R12  planes left
+//	CX   cells left in the row       R10  row offset     R13  planeStride
+//	DX   rows left in the plane      AX   scratch        BX   plane offset
+//	Y14  0.0                         Y15  tail mask
+
+// Stream i of the table, at the current vector: whole, masked by Y15, and its
+// first cell in every lane. A one-cell tail loads that way because a 32-byte
+// window at the last cell of a row straddles a cache line, and on the k = NK-1
+// border pieces (all rows one cell) the line it drags in is never used.
+#define LDU(i, y) MOVQ ((i)*8)(DI), AX; VMOVUPD (AX)(SI*1), y
+#define STU(y, i) MOVQ ((i)*8)(DI), AX; VMOVUPD y, (AX)(SI*1)
+#define LDM(i, y) MOVQ ((i)*8)(DI), AX; VMASKMOVPD (AX)(SI*1), Y15, y
+#define STM(y, i) MOVQ ((i)*8)(DI), AX; VMASKMOVPD y, Y15, (AX)(SI*1)
+#define LD1(i, y) MOVQ ((i)*8)(DI), AX; VBROADCASTSD (AX)(SI*1), y
+
+#define ARGS \
+	MOVQ p+0(FP), DI; \
+	MOVQ g_n+8(FP), R9; \
+	MOVQ g_rows+16(FP), R11; \
+	MOVQ g_planes+24(FP), R12; \
+	MOVQ g_rowStride+32(FP), R8; \
+	MOVQ g_planeStride+40(FP), R13; \
+	XORQ BX, BX; \
+	VXORPD Y14, Y14, Y14
+
+// Y15 = the mask of the first CX (1-3) lanes; leaves CX negated.
+#define TAIL_MASK \
+	LEAQ tailMasks<>+32(SB), AX; \
+	NEGQ CX; \
+	VMOVDQU (AX)(CX*8), Y15
+
+// One row: BODY(LDU, STU) on each whole vector, then the tail, BODY(LD1, STM)
+// on one cell and BODY(LDM, STM) on two or three.
+#define ROW(BODY) \
+	MOVQ R10, SI; \
+	MOVQ R9, CX; \
+vec: \
+	CMPQ CX, $4; \
+	JLT  tail; \
+	BODY(LDU, STU); \
+	ADDQ $32, SI; \
+	SUBQ $4, CX; \
+	JMP  vec; \
+tail: \
+	TESTQ CX, CX; \
+	JZ   rowdone; \
+	TAIL_MASK; \
+	CMPQ CX, $-1; \
+	JNE  tail23; \
+	BODY(LD1, STM); \
+	JMP  rowdone; \
+tail23: \
+	BODY(LDM, STM); \
+rowdone:
+
+// The region: ROWS (one or more ROWs, leaving DI as it found it) on every row
+// of every plane.
+#define REGION(ROWS) \
+plane: \
+	MOVQ BX, R10; \
+	MOVQ R11, DX; \
+row: \
+	ROWS; \
+	ADDQ R8, R10; \
+	DECQ DX; \
+	JNZ  row; \
+	ADDQ R13, BX; \
+	DECQ R12; \
+	JNZ  plane; \
+	VZEROUPPER; \
+	RET
+
+// donor(a, b, u) = maxf(u, 0)*a + minf(u, 0)*b with a in Y0, u in yu, b
+// stream pd; stored to stream out. Clobbers Y5-Y7.
+#define DONOR(LD, ST, yu, pd, out) \
+	VMAXPD Y14, yu, Y5; \
+	VMINPD Y14, yu, Y6; \
+	VMULPD Y0, Y5, Y5; \
+	LD(pd, Y7); \
+	VMULPD Y7, Y6, Y6; \
+	VADDPD Y6, Y5, Y5; \
+	ST(Y5, out)
+
+// func donorFluxesAVX2(p *[10]*float64, g rowGeom)
+//
+// fusedDonorFluxes, per cell x of a row:
+//
+//	r1[x] = donor(p0[x], p1[x], w1[x])
+//	r2[x] = donor(p0[x], p2[x], w2[x])
+//	r3[x] = donor(p0[x], p3[x], w3[x])
+//
+// Streams: 0 p0, 1-3 p1..p3 (psi at +i, +j, +k), 4-6 w1..w3, 7-9 r1..r3.
+#define DONOR_FLUXES(LD, ST) \
+	LD(0, Y0); \
+	LD(4, Y1); \
+	DONOR(LD, ST, Y1, 1, 7); \
+	LD(5, Y1); \
+	DONOR(LD, ST, Y1, 2, 8); \
+	LD(6, Y1); \
+	DONOR(LD, ST, Y1, 3, 9)
+
+TEXT ·donorFluxesAVX2(SB), NOSPLIT, $0-48
+	ARGS
+	REGION(ROW(DONOR_FLUXES))
+
+// "if v > mx { mx = v }; if v < mn { mn = v }" for stream i, mx in Y0, mn in Y1.
+#define EXTREMUM(LD, i) \
+	LD(i, Y2); \
+	VMAXPD Y0, Y2, Y0; \
+	VMINPD Y1, Y2, Y1
+
+// func extremaAVX2(p *[16]*float64, g rowGeom)
+//
+// fusedExtrema, per cell n: mx = mn = psi[n], then the 13 values
+//
+//	cur[n], psi[n+siN], cur[n+siN], psi[n+siP], cur[n+siP],
+//	psi[n+sjN], cur[n+sjN], psi[n+sjP], cur[n+sjP],
+//	psi[n+skN], cur[n+skN], psi[n+skP], cur[n+skP]
+//
+// folded in that order; omx[n] = mx, omn[n] = mn.
+//
+// Streams: 0 psi[n], 1-13 the values above in order, 14 omx, 15 omn.
+#define EXTREMA(LD, ST) \
+	LD(0, Y0); \
+	VMOVAPD Y0, Y1; \
+	EXTREMUM(LD, 1); \
+	EXTREMUM(LD, 2); \
+	EXTREMUM(LD, 3); \
+	EXTREMUM(LD, 4); \
+	EXTREMUM(LD, 5); \
+	EXTREMUM(LD, 6); \
+	EXTREMUM(LD, 7); \
+	EXTREMUM(LD, 8); \
+	EXTREMUM(LD, 9); \
+	EXTREMUM(LD, 10); \
+	EXTREMUM(LD, 11); \
+	EXTREMUM(LD, 12); \
+	EXTREMUM(LD, 13); \
+	ST(Y0, 14); \
+	ST(Y1, 15)
+
+TEXT ·extremaAVX2(SB), NOSPLIT, $0-48
+	ARGS
+	REGION(ROW(EXTREMA))
+
+// A division site names its registers twice, as Y and as X, and the body's
+// DIV parameter picks the width. VDIVPD is the one instruction here whose
+// cost is per lane — two cycles a double at any width — and pseudo-velocity
+// is bound by it, so a tail of one or two cells divides at 128 bits and pays
+// for two lanes, not four; everything else in that tail stays 256 bits wide
+// under the mask (lanes 2 and 3 of a quotient come back zero, and are dead).
+#define DIVY(yb, ya, yq, xb, xa, xq) VDIVPD yb, ya, yq
+#define DIVX(yb, ya, yq, xb, xa, xq) VDIVPD xb, xa, xq
+
+// y = 0.5 * (P - M) / (P + M + Eps) with P = streams p0 + p1, M = streams
+// m0 + m1: the cross-gradient terms bA and bB; x is y's low half. Clobbers
+// Y5-Y7.
+#define CROSS_GRADIENT(LD, DIV, p0, p1, m0, m1, y, x) \
+	LD(p0, Y5); \
+	LD(p1, Y6); \
+	VADDPD Y6, Y5, Y5; \
+	LD(m0, Y6); \
+	LD(m1, Y7); \
+	VADDPD Y7, Y6, Y6; \
+	VSUBPD Y6, Y5, y; \
+	VMULPD y, Y12, y; \
+	VADDPD Y6, Y5, Y5; \
+	VADDPD Y13, Y5, Y5; \
+	DIV(Y5, y, y, X5, x, x)
+
+// y = 0.25 * (s0 + s1 + s2 + s3), streams added left to right: the face
+// averages uaBar and ubBar. Clobbers Y5, Y6.
+#define FACE_AVERAGE(LD, s0, s1, s2, s3, y) \
+	LD(s0, Y5); \
+	LD(s1, Y6); \
+	VADDPD Y6, Y5, Y5; \
+	LD(s2, Y6); \
+	VADDPD Y6, Y5, Y5; \
+	LD(s3, Y6); \
+	VADDPD Y6, Y5, Y5; \
+	VMULPD Y5, Y11, y
+
+// func pseudoVelAVX2(p *[66]*float64, g rowGeom)
+//
+// fusedPseudoVel, per row and direction dir (a, b the transverse ones), per
+// cell n:
+//
+//	uf := u[n]
+//	hbar := 0.5 * (h[n] + h[n+sd])
+//	p0, pd := ps[n], ps[n+sd]
+//	aTerm := (pd - p0) / (pd + p0 + Eps)
+//	paP := ps[n+saP] + ps[n+sd+saP]
+//	paM := ps[n+saN] + ps[n+sd+saN]
+//	bA := 0.5 * (paP - paM) / (paP + paM + Eps)
+//	pbP := ps[n+sbP] + ps[n+sd+sbP]
+//	pbM := ps[n+sbN] + ps[n+sd+sbN]
+//	bB := 0.5 * (pbP - pbM) / (pbP + pbM + Eps)
+//	uaBar := 0.25 * (ua[n] + ua[n+saN] + ua[n+sd] + ua[n+sd+saN])
+//	ubBar := 0.25 * (ub[n] + ub[n+sbN] + ub[n+sd] + ub[n+sd+sbN])
+//	au := absf(uf)
+//	out[n] = au*(1-au/hbar)*aTerm - uf*(uaBar*bA+ubBar*bB)/hbar
+//
+// Streams, 22 per direction, three directions in a row: 0 u[n], 1 h[n],
+// 2 h[n+sd], 3 ps[n], 4 ps[n+sd], 5 ps[n+saP], 6 ps[n+sd+saP], 7 ps[n+saN],
+// 8 ps[n+sd+saN], 9 ps[n+sbP], 10 ps[n+sd+sbP], 11 ps[n+sbN],
+// 12 ps[n+sd+sbN], 13 ua[n], 14 ua[n+saN], 15 ua[n+sd], 16 ua[n+sd+saN],
+// 17 ub[n], 18 ub[n+sbN], 19 ub[n+sd], 20 ub[n+sd+sbN], 21 out[n].
+//
+// Y9 signbit, Y10 1.0, Y11 0.25, Y12 0.5, Y13 Eps.
+#define PSEUDO_VEL(LD, ST, DIV) \
+	LD(1, Y0); \
+	LD(2, Y1); \
+	VADDPD Y1, Y0, Y0; \
+	VMULPD Y0, Y12, Y0; /* Y0 = hbar */ \
+	LD(3, Y1); \
+	LD(4, Y2); \
+	VSUBPD Y1, Y2, Y3; \
+	VADDPD Y1, Y2, Y2; \
+	VADDPD Y13, Y2, Y2; \
+	DIV(Y2, Y3, Y3, X2, X3, X3); /* Y3 = aTerm */ \
+	CROSS_GRADIENT(LD, DIV, 5, 6, 7, 8, Y1, X1); \
+	FACE_AVERAGE(LD, 13, 14, 15, 16, Y2); \
+	VMULPD Y1, Y2, Y1; /* Y1 = uaBar*bA */ \
+	CROSS_GRADIENT(LD, DIV, 9, 10, 11, 12, Y2, X2); \
+	FACE_AVERAGE(LD, 17, 18, 19, 20, Y4); \
+	VMULPD Y2, Y4, Y2; /* Y2 = ubBar*bB */ \
+	VADDPD Y2, Y1, Y1; \
+	LD(0, Y2); /* Y2 = uf */ \
+	VMULPD Y1, Y2, Y1; \
+	DIV(Y0, Y1, Y1, X0, X1, X1); /* Y1 = uf*(uaBar*bA+ubBar*bB)/hbar */ \
+	VCMPPD $1, Y14, Y2, Y4; \
+	VANDPD Y9, Y4, Y4; \
+	VXORPD Y4, Y2, Y2; /* Y2 = au */ \
+	DIV(Y0, Y2, Y4, X0, X2, X4); \
+	VSUBPD Y4, Y10, Y4; \
+	VMULPD Y4, Y2, Y2; \
+	VMULPD Y3, Y2, Y2; /* Y2 = au*(1-au/hbar)*aTerm */ \
+	VSUBPD Y1, Y2, Y2; \
+	ST(Y2, 21)
+
+// The row in the three directions, one stream block each; R14 counts them.
+// ROW with the tail split further: only three cells divide at full width.
+#define PSEUDO_VEL_ROWS \
+	MOVQ $3, R14; \
+dir: \
+	MOVQ R10, SI; \
+	MOVQ R9, CX; \
+vec: \
+	CMPQ CX, $4; \
+	JLT  tail; \
+	PSEUDO_VEL(LDU, STU, DIVY); \
+	ADDQ $32, SI; \
+	SUBQ $4, CX; \
+	JMP  vec; \
+tail: \
+	TESTQ CX, CX; \
+	JZ   rowdone; \
+	TAIL_MASK; \
+	CMPQ CX, $-2; \
+	JEQ  tail2; \
+	JLT  tail3; \
+	PSEUDO_VEL(LD1, STM, DIVX); \
+	JMP  rowdone; \
+tail2: \
+	PSEUDO_VEL(LDM, STM, DIVX); \
+	JMP  rowdone; \
+tail3: \
+	PSEUDO_VEL(LDM, STM, DIVY); \
+rowdone: \
+	ADDQ $(22*8), DI; \
+	DECQ R14; \
+	JNZ  dir; \
+	SUBQ $(66*8), DI
+
+TEXT ·pseudoVelAVX2(SB), NOSPLIT, $0-48
+	ARGS
+	VBROADCASTSD fusedConsts<>+0(SB), Y12
+	VBROADCASTSD fusedConsts<>+8(SB), Y11
+	VBROADCASTSD fusedConsts<>+16(SB), Y10
+	VBROADCASTSD fusedConsts<>+24(SB), Y13
+	VBROADCASTSD fusedConsts<>+32(SB), Y9
+	REGION(PSEUDO_VEL_ROWS)
+
+// One face direction of fusedLimiterFluxes: v at the cell (stream vc) and at
+// its low neighbour (vn), ps at the low (pn) and high (pp) neighbours. Leaves
+// A = maxf(v[n+sN], 0)*ps[n+sN] in Y3, B = minf(v[n], 0)*ps[n+sP] in Y4 and
+// (maxf(v[n], 0) - minf(v[n+sN], 0))*p0 in Y5. Clobbers Y1, Y2, Y6.
+#define LIMITER_FACE(LD, vc, vn, pn, pp) \
+	LD(vc, Y1); \
+	LD(vn, Y2); \
+	VMAXPD Y14, Y2, Y3; \
+	LD(pn, Y6); \
+	VMULPD Y6, Y3, Y3; \
+	VMINPD Y14, Y1, Y4; \
+	LD(pp, Y6); \
+	VMULPD Y6, Y4, Y4; \
+	VMAXPD Y14, Y1, Y5; \
+	VMINPD Y14, Y2, Y6; \
+	VSUBPD Y6, Y5, Y5; \
+	VMULPD Y0, Y5, Y5
+
+// func limiterFluxesAVX2(p *[15]*float64, g rowGeom)
+//
+// fusedLimiterFluxes, per cell n:
+//
+//	oin[n] = maxf(v1[n+siN], 0)*ps[n+siN] - minf(v1[n], 0)*ps[n+siP] +
+//		maxf(v2[n+sjN], 0)*ps[n+sjN] - minf(v2[n], 0)*ps[n+sjP] +
+//		maxf(v3[n+skN], 0)*ps[n+skN] - minf(v3[n], 0)*ps[n+skP]
+//	p0 := ps[n]
+//	oout[n] = (maxf(v1[n], 0)-minf(v1[n+siN], 0))*p0 +
+//		(maxf(v2[n], 0)-minf(v2[n+sjN], 0))*p0 +
+//		(maxf(v3[n], 0)-minf(v3[n+skN], 0))*p0
+//
+// Streams: 0 v1[n], 1 v1[n+siN], 2 v2[n], 3 v2[n+sjN], 4 v3[n], 5 v3[n+skN],
+// 6 ps[n], 7 ps[n+siN], 8 ps[n+siP], 9 ps[n+sjN], 10 ps[n+sjP],
+// 11 ps[n+skN], 12 ps[n+skP], 13 oin, 14 oout.
+#define LIMITER_FLUXES(LD, ST) \
+	LD(6, Y0); \
+	LIMITER_FACE(LD, 0, 1, 7, 8); \
+	VSUBPD Y4, Y3, Y7; /* Y7 = oin so far */ \
+	VMOVAPD Y5, Y8; /* Y8 = oout so far */ \
+	LIMITER_FACE(LD, 2, 3, 9, 10); \
+	VADDPD Y3, Y7, Y7; \
+	VSUBPD Y4, Y7, Y7; \
+	VADDPD Y5, Y8, Y8; \
+	LIMITER_FACE(LD, 4, 5, 11, 12); \
+	VADDPD Y3, Y7, Y7; \
+	VSUBPD Y4, Y7, Y7; \
+	VADDPD Y5, Y8, Y8; \
+	ST(Y7, 13); \
+	ST(Y8, 14)
+
+TEXT ·limiterFluxesAVX2(SB), NOSPLIT, $0-48
+	ARGS
+	REGION(ROW(LIMITER_FLUXES))
+
+// One face direction of fusedLimitedFluxes, streams b+0 pd, b+1 bud, b+2 bdd,
+// b+3 vf, b+4 out; p0 in Y0, bu0 in Y8, bd0 in Y9, 1.0 in Y10.
+#define LIMITED_FACE(LD, ST, b) \
+	LD(b+3, Y1); \
+	LD(b+1, Y2); \
+	VMINPD Y2, Y9, Y2; \
+	VMINPD Y2, Y10, Y2; \
+	VMAXPD Y14, Y1, Y3; \
+	VMULPD Y3, Y2, Y2; /* Y2 = cPos*maxf(v, 0) */ \
+	LD(b+2, Y3); \
+	VMINPD Y3, Y8, Y3; \
+	VMINPD Y3, Y10, Y3; \
+	VMINPD Y14, Y1, Y4; \
+	VMULPD Y4, Y3, Y3; /* Y3 = cNeg*minf(v, 0) */ \
+	VADDPD Y3, Y2, Y1; /* Y1 = vm */ \
+	DONOR(LD, ST, Y1, b+0, b+4)
+
+// func limitedFluxesAVX2(p *[18]*float64, g rowGeom)
+//
+// fusedLimitedFluxes, per cell x of a row and face direction:
+//
+//	v := vf[x]
+//	vm := minf(1, minf(bd0[x], bud[x]))*maxf(v, 0) +
+//		minf(1, minf(bu0[x], bdd[x]))*minf(v, 0)
+//	out[x] = donor(p0[x], pd[x], vm)
+//
+// Streams: 0 p0, 1 bu0, 2 bd0, then five per direction (see LIMITED_FACE)
+// from 3, 8 and 13.
+#define LIMITED_FLUXES(LD, ST) \
+	LD(0, Y0); \
+	LD(1, Y8); \
+	LD(2, Y9); \
+	LIMITED_FACE(LD, ST, 3); \
+	LIMITED_FACE(LD, ST, 8); \
+	LIMITED_FACE(LD, ST, 13)
+
+TEXT ·limitedFluxesAVX2(SB), NOSPLIT, $0-48
+	ARGS
+	VBROADCASTSD fusedConsts<>+16(SB), Y10
+	REGION(ROW(LIMITED_FLUXES))
+
+// func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL leaf+0(FP), AX
+	MOVL sub+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() (eax, edx uint32)
+//
+// XCR0, the extended states the operating system saves; only valid once
+// CPUID reports OSXSAVE.
+TEXT ·xgetbv(SB), NOSPLIT, $0-8
+	XORL CX, CX
+	XGETBV
+	MOVL AX, eax+0(FP)
+	MOVL DX, edx+4(FP)
+	RET

@@ -1,6 +1,7 @@
 package mpdata
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -97,58 +98,25 @@ func TestDefaultProgramRegistersFusedKernels(t *testing.T) {
 }
 
 // TestFusedKernelsMatchMemberFastPaths verifies each registered hand-fused
-// kernel is bit-identical to running its member stages' fast paths, on the
-// interior and on pinned border pieces under both boundary conditions.
+// kernel, scalar body and vector body, is bit-identical to running its member
+// stages' fast paths, on the interior and on pinned border pieces under both
+// boundary conditions.
 func TestFusedKernelsMatchMemberFastPaths(t *testing.T) {
 	domain := grid.Sz(9, 7, 6)
-	for _, bc := range []stencil.Boundary{stencil.Clamp, stencil.Periodic} {
-		kp := NewProgram()
-		env := fusedTestEnv(t, kp, domain, bc)
-		for fi := range kp.Fused {
-			fk := &kp.Fused[fi]
-			members := make([]int, len(fk.Stages))
-			for i, name := range fk.Stages {
-				members[i] = kp.StageIndex(name)
-			}
-			// The group's merged extent bounds the interior where every
-			// member's fast path is valid.
-			var ext stencil.Extent
-			for _, s := range members {
-				ext = ext.Max(stencil.InputsExtent(kp.Stages[s].Inputs))
-			}
-			interior, pieces := stencil.BorderPieces(grid.WholeRegion(domain), ext, domain)
-			runOn := func(e *stencil.Env, r grid.Region) {
-				// Reference: member fast paths, recorded then restored.
-				refs := make([][]float64, len(members))
-				for i, s := range members {
-					fast, _, ok := kp.SplitPaths(s)
-					if !ok {
-						t.Fatalf("member %q lost its split form", fk.Stages[i])
-					}
-					fast(e, r)
-					out := env.Field(fk.Stages[i]).Data
-					refs[i] = append([]float64(nil), out...)
-					for n := range out {
-						out[n] = -12345
+	for _, vector := range []bool{false, true} {
+		t.Run(map[bool]string{false: "scalar", true: "vector"}[vector], func(t *testing.T) {
+			kp := programWithBody(t, vector)
+			for _, bc := range []stencil.Boundary{stencil.Clamp, stencil.Periodic} {
+				env := fusedTestEnv(t, kp, domain, bc)
+				for fi := range kp.Fused {
+					interior, pieces := stencil.BorderPieces(grid.WholeRegion(domain), fusedExtent(kp, &kp.Fused[fi]), domain)
+					what := fmt.Sprintf("bc=%v", bc)
+					diffFused(t, kp, fi, env, env, interior, what)
+					for _, pc := range pieces {
+						diffFused(t, kp, fi, env, env.BindPiece(pc), pc.Region, what)
 					}
 				}
-				fk.Fast(e, r)
-				for i := range members {
-					out := env.Field(fk.Stages[i]).Data
-					stencil.ForEach(r, func(ii, jj, kk int) {
-						n := (ii*domain.NJ+jj)*domain.NK + kk
-						if out[n] != refs[i][n] {
-							t.Fatalf("bc=%v fused %v member %q differs at (%d,%d,%d): %g vs %g",
-								bc, fk.Stages, fk.Stages[i], ii, jj, kk, out[n], refs[i][n])
-						}
-					})
-					copy(out, refs[i])
-				}
 			}
-			runOn(env, interior)
-			for _, pc := range pieces {
-				runOn(env.BindPiece(pc), pc.Region)
-			}
-		}
+		})
 	}
 }

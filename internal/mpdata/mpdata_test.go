@@ -2,6 +2,7 @@ package mpdata
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"islands/internal/grid"
@@ -361,5 +362,38 @@ func TestSolverStepsCounter(t *testing.T) {
 	s.Step(3)
 	if s.Steps != 5 {
 		t.Fatalf("Steps = %d, want 5", s.Steps)
+	}
+}
+
+// TestStandardProblemWindowKeepsEveryCellsExpression: the fill runs on plane
+// chunks across the cores; each cell must still carry the bits of the serial
+// per-cell expressions at its global coordinates, whole domain or tile window,
+// with more cores than planes or fewer.
+func TestStandardProblemWindowKeepsEveryCellsExpression(t *testing.T) {
+	global := grid.Sz(11, 7, 5)
+	ci, cj, ck := float64(global.NI)/2, float64(global.NJ)/2, float64(global.NK)/2
+	omega := 0.5 / (ci + cj)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, c := range []struct{ ni, lo, procs int }{{11, 0, 1}, {11, 0, 3}, {4, 6, 2}, {2, 9, 8}} {
+		runtime.GOMAXPROCS(c.procs)
+		s := NewState(grid.Sz(c.ni, global.NJ, global.NK))
+		for _, f := range []*grid.Field{s.Psi, s.U1, s.U2, s.U3, s.H} {
+			f.Fill(-7)
+		}
+		s.StandardProblemWindow(global, func(li int) int { return li + c.lo })
+		stencil.ForEach(grid.WholeRegion(s.Domain), func(i, j, k int) {
+			want := map[*grid.Field]float64{
+				s.Psi: standardPsiAt(i+c.lo, j, k, ci, cj, ck, float64(global.NK)/4),
+				s.U1:  -omega * (float64(j) + 0.5 - cj),
+				s.U2:  omega * (float64(i+c.lo) + 0.5 - ci),
+				s.U3:  0,
+				s.H:   1,
+			}
+			for f, w := range want {
+				if got := f.At(i, j, k); math.Float64bits(got) != math.Float64bits(w) {
+					t.Fatalf("window %+v: %s(%d,%d,%d) = %v, want %v", c, f.Name(), i, j, k, got, w)
+				}
+			}
+		})
 	}
 }

@@ -3,6 +3,8 @@ package mpdata
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 
 	"islands/internal/grid"
 	"islands/internal/stencil"
@@ -116,16 +118,16 @@ func (s *State) SetStandardProblem() {
 // to global plane gi(li). Every cell is evaluated with the exact expressions
 // of the full-domain fill at its global coordinates, so the tile's planes are
 // bit-identical to the corresponding planes of SetStandardProblem on the
-// global domain (the streamed-vs-resident identity rests on this).
+// global domain (the streamed-vs-resident identity rests on this). The planes
+// are filled on every core; gi is called from several goroutines at once.
 func (s *State) StandardProblemWindow(global grid.Size, gi func(li int) int) {
-	ci := float64(global.NI) / 2
-	cj := float64(global.NJ) / 2
-	ck := float64(global.NK) / 2
-	sigma := float64(global.NK) / 4
-	s.Psi.FillFunc(func(i, j, k int) float64 {
-		return standardPsiAt(gi(i), j, k, ci, cj, ck, sigma)
+	planeCells := s.Domain.NJ * s.Domain.NK
+	forPlaneChunks(s.Domain.NI, func(i0, i1 int) {
+		for i := i0; i < i1; i++ {
+			StandardPsiPlane(s.Psi.Data[i*planeCells:(i+1)*planeCells], global, gi(i))
+		}
+		s.standardVelocities(global, gi, i0, i1)
 	})
-	s.StandardVelocitiesWindow(global, gi)
 }
 
 // StandardVelocitiesWindow fills only the velocity and density fields of the
@@ -134,19 +136,44 @@ func (s *State) StandardProblemWindow(global grid.Size, gi func(li int) int) {
 // on-disk store, but the analytic velocities are cheaper to recompute at
 // global coordinates than to spill and reload.
 func (s *State) StandardVelocitiesWindow(global grid.Size, gi func(li int) int) {
+	forPlaneChunks(s.Domain.NI, func(i0, i1 int) { s.standardVelocities(global, gi, i0, i1) })
+}
+
+// standardVelocities fills planes [i0, i1) of the velocity and density
+// fields: solid-body rotation evaluated at face centers, as in
+// SetRotationVelocityZ but at global plane indices.
+func (s *State) standardVelocities(global grid.Size, gi func(li int) int, i0, i1 int) {
 	ci := float64(global.NI) / 2
 	cj := float64(global.NJ) / 2
 	omega := 0.5 / (ci + cj)
-	// Solid-body rotation evaluated at face centers, as in
-	// SetRotationVelocityZ but at global plane indices.
-	s.U1.FillFunc(func(i, j, k int) float64 {
-		return -omega * (float64(j) + 0.5 - cj)
-	})
-	s.U2.FillFunc(func(i, j, k int) float64 {
-		return omega * (float64(gi(i)) + 0.5 - ci)
-	})
-	s.U3.Fill(0)
-	s.H.Fill(1)
+	u1, u2, u3, h := s.U1.Data, s.U2.Data, s.U3.Data, s.H.Data
+	n := i0 * s.Domain.NJ * s.Domain.NK
+	for i := i0; i < i1; i++ {
+		atI := omega * (float64(gi(i)) + 0.5 - ci)
+		for j := 0; j < s.Domain.NJ; j++ {
+			atJ := -omega * (float64(j) + 0.5 - cj)
+			for k := 0; k < s.Domain.NK; k++ {
+				u1[n], u2[n], u3[n], h[n] = atJ, atI, 0, 1
+				n++
+			}
+		}
+	}
+}
+
+// forPlaneChunks cuts the i-planes [0, ni) into one contiguous chunk per core
+// and runs fill on all of them at once, returning when every chunk is done.
+func forPlaneChunks(ni int, fill func(i0, i1 int)) {
+	workers := min(runtime.GOMAXPROCS(0), ni)
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			fill(w*ni/workers, (w+1)*ni/workers)
+		}(w)
+	}
+	fill(0, ni/workers)
+	wg.Wait()
 }
 
 // standardPsiAt is the standard problem's initial psi at global cell (i,j,k):
