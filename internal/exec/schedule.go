@@ -311,14 +311,7 @@ func (c *scheduleCompiler) newProgram() [][][]schedItem {
 }
 
 // addKernel appends stage s over region r to worker wk, pre-splitting
-// split-kernel stages at plan time. The interior runs the fast path on the
-// plain environment; the boundary shell is decomposed into pinned pieces
-// (stencil.BorderPieces), each of which also runs the fast path — on an
-// environment clone bound to the piece, whose resolved steps fold the
-// boundary condition into the flat strides. Every cell thus reads exactly
-// the elements the generic AtP path would, so results stay bit-identical to
-// the combined kernel while the per-cell boundary checks disappear from the
-// steady-state loop entirely.
+// split-kernel stages at plan time (addSplit).
 func (c *scheduleCompiler) addKernel(wk workerID, s int, env *stencil.Env, r grid.Region) {
 	if r.Empty() {
 		return
@@ -328,12 +321,31 @@ func (c *scheduleCompiler) addKernel(wk workerID, s int, env *stencil.Env, r gri
 		c.push(wk, schedItem{kind: kernelItem, kern: c.prog.Kernels[s], env: env, reg: r})
 		return
 	}
-	interior, pieces := stencil.BorderPieces(r, c.exts[s], c.p.domain)
+	c.addSplit(wk, fast, c.prog.RowCapable(s), c.exts[s], env, r)
+}
+
+// addSplit appends fast-path kernel kern, reading within ext, over region r
+// to worker wk. The interior runs on the plain environment; the boundary
+// shell is decomposed into pinned pieces (stencil.BorderPieces), each of
+// which also runs the fast path — on an environment clone bound to the piece,
+// whose resolved steps fold the boundary condition into the flat strides.
+// Every cell thus reads exactly the elements the generic AtP path would, so
+// results stay bit-identical to the combined kernel while the per-cell
+// boundary checks disappear from the steady-state loop entirely. A
+// row-capable kernel computes the k faces inside its rows, so its region is
+// cut in i and j only (stencil.RowPieces): no item of it is a column of
+// one-cell rows, a cache line apart each.
+func (c *scheduleCompiler) addSplit(wk workerID, kern stencil.Kernel, rows bool, ext stencil.Extent, env *stencil.Env, r grid.Region) {
+	split := stencil.BorderPieces
+	if rows {
+		split = stencil.RowPieces
+	}
+	interior, pieces := split(r, ext, c.p.domain)
 	if !interior.Empty() {
-		c.push(wk, schedItem{kind: kernelItem, kern: fast, env: env, reg: interior})
+		c.push(wk, schedItem{kind: kernelItem, kern: kern, env: env, reg: interior})
 	}
 	for _, pc := range pieces {
-		c.push(wk, schedItem{kind: kernelItem, kern: fast, env: c.bindEnv(env, pc), reg: pc.Region})
+		c.push(wk, schedItem{kind: kernelItem, kern: kern, env: c.bindEnv(env, pc), reg: pc.Region})
 	}
 }
 
@@ -350,12 +362,11 @@ type phaseUnit struct {
 
 // groupUnits decomposes one fused group's work into phase units, given the
 // per-stage spans (the same regions the unfused schedule would sweep).
-// When the group has at least two split-path members, their spans'
-// intersection runs the fused kernel — every member in one sweep, sharing
-// the input streams — and each member's leftover strips (the wavefront
-// trapezoids differ per stage) run that member's own fast path. Every
-// member thus computes exactly the cells of its unfused span, keeping the
-// schedule bit-identical to per-stage execution.
+// The intersection of the split-path members' spans runs the group kernel —
+// every member in one sweep, sharing the input streams — and each member's
+// leftover strips (the wavefront trapezoids differ per stage) run that
+// member's own fast path. Every member thus computes exactly the cells of its
+// unfused span, keeping the schedule bit-identical to per-stage execution.
 func (c *scheduleCompiler) groupUnits(gi int, span func(s int) grid.Region) []phaseUnit {
 	ge := &c.groups[gi]
 	var units []phaseUnit
@@ -369,7 +380,7 @@ func (c *scheduleCompiler) groupUnits(gi int, span func(s int) grid.Region) []ph
 			add(phaseUnit{idx: s, reg: span(s)})
 		}
 	}
-	if ge.Fast != nil && len(ge.FastMembers) > 1 {
+	if ge.Fast != nil {
 		common := span(ge.FastMembers[0])
 		for _, s := range ge.FastMembers[1:] {
 			common = common.Intersect(span(s))
@@ -426,11 +437,9 @@ func (c *scheduleCompiler) phaseUnits(sw *sweeper, bands []*wrapBands, d, b, gi 
 	return units
 }
 
-// addUnit appends one phase unit over region r to worker wk. Fused units
-// mirror addKernel's interior/border treatment with the group's merged
-// extent: the interior runs the group kernel on the plain environment,
-// pinned border pieces run it on border-bound clones, so every member stays
-// bit-identical to its per-stage execution.
+// addUnit appends one phase unit over region r to worker wk. Fused units get
+// addKernel's interior/border treatment with the group's merged extent, so
+// every member stays bit-identical to its per-stage execution.
 func (c *scheduleCompiler) addUnit(wk workerID, u phaseUnit, env *stencil.Env, r grid.Region) {
 	if !u.fused {
 		c.addKernel(wk, u.idx, env, r)
@@ -440,13 +449,7 @@ func (c *scheduleCompiler) addUnit(wk workerID, u phaseUnit, env *stencil.Env, r
 		return
 	}
 	ge := &c.groups[u.idx]
-	interior, pieces := stencil.BorderPieces(r, c.p.fuse.Groups[u.idx].Ext, c.p.domain)
-	if !interior.Empty() {
-		c.push(wk, schedItem{kind: kernelItem, kern: ge.Fast, env: env, reg: interior})
-	}
-	for _, pc := range pieces {
-		c.push(wk, schedItem{kind: kernelItem, kern: ge.Fast, env: c.bindEnv(env, pc), reg: pc.Region})
-	}
+	c.addSplit(wk, ge.Fast, ge.Rows, c.p.fuse.Groups[u.idx].Ext, env, r)
 }
 
 // bindEnv returns env bound to piece pc, reusing clones across pieces with

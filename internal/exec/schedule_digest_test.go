@@ -25,10 +25,11 @@ var updateDigests = flag.Bool("update", false, "rewrite testdata/schedule_digest
 // stage it is and how the environment it was handed resolves offsets (the
 // Step probes fingerprint a border-piece binding). Walking a compiled
 // schedule's kernel items through these stubs therefore spells out what the
-// schedule would execute without depending on function identity.
+// schedule would execute without depending on function identity. Each kernel
+// keeps its row capability, which decides how its regions are cut.
 func recordingProgram(log *[]string) *stencil.KernelProgram {
 	src := mpdata.NewProgram()
-	kp := &stencil.KernelProgram{Program: src.Program}
+	kp := &stencil.KernelProgram{Program: src.Program, FastRows: src.FastRows}
 	stub := func(tag string) stencil.Kernel {
 		return func(env *stencil.Env, _ grid.Region) {
 			var steps []int
@@ -51,7 +52,7 @@ func recordingProgram(log *[]string) *stencil.KernelProgram {
 		kp.SlowKernels = append(kp.SlowKernels, slow)
 	}
 	for _, fk := range src.Fused {
-		kp.Fused = append(kp.Fused, stencil.FusedKernel{Stages: fk.Stages,
+		kp.Fused = append(kp.Fused, stencil.FusedKernel{Stages: fk.Stages, Rows: fk.Rows,
 			Fast: stub("fused(" + strings.Join(fk.Stages, ",") + ")")})
 	}
 	return kp

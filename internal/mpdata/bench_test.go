@@ -57,11 +57,21 @@ func BenchmarkFullStep(b *testing.B) {
 	b.ReportMetric(cells*229*float64(b.N)/b.Elapsed().Seconds()/1e9, "Gflop/s")
 }
 
-// BenchmarkFusedRows measures each registered hand-fused kernel on the shape
-// the repository's benchmark runs (bench/: 128x128x16, standard problem, clamp):
-// the interior plus the k = NK-1 border piece — 14-cell rows, and the one-cell
-// rows of a k-pinned piece. Arms: the member stages' fast paths back to back
-// (what fusion saves), the fused scalar body, the fused AVX2 body.
+// BenchmarkFusedRows measures each registered group kernel on the shape the
+// repository's benchmark runs (bench/: 128x128x16, standard problem, clamp):
+// the (i,j) interior over the whole k range — 16-cell rows whose two end cells
+// read across a k face. ns/cell, arms:
+//
+//	separate  the member stages' scalar fast paths back to back, piecewise
+//	          (what fusion saves)
+//	scalar    the kernel's scalar body, whole rows
+//	pieces    its AVX2 body piecewise, as a schedule ran it before the kernels
+//	          were row-capable: the k interior (14-cell rows), then the k = 0
+//	          and k = NK-1 faces as k-pinned pieces of one-cell rows
+//	faces     those two pieces alone, per face cell
+//	rows      the AVX2 body once over the whole rows, end cells riding along
+//
+// pieces, faces and rows run the scalar body where there is no AVX2.
 func BenchmarkFusedRows(b *testing.B) {
 	domain := grid.Sz(128, 128, 16)
 	state := NewState(domain)
@@ -76,26 +86,37 @@ func BenchmarkFusedRows(b *testing.B) {
 	for _, k := range scalar.Kernels {
 		k(env, whole)
 	}
+	type visit struct {
+		env *stencil.Env
+		reg grid.Region
+	}
 	for fi := range scalar.Fused {
 		fk := &scalar.Fused[fi]
-		interior, pieces := stencil.BorderPieces(whole, fusedExtent(scalar, fk), domain)
-		var face stencil.BorderPiece
+		ext := fusedExtent(scalar, fk)
+		rows, _ := stencil.RowPieces(whole, ext, domain)
+		interior, pieces := stencil.BorderPieces(rows, ext, domain)
+		piecewise, faces := []visit{{env, interior}}, []visit(nil)
 		for _, pc := range pieces {
-			if pc.Pinned == [3]bool{false, false, true} && pc.Pin[2] == domain.NK-1 {
-				face = pc
-			}
+			faces = append(faces, visit{env.BindPiece(pc), pc.Region})
 		}
-		bound := env.BindPiece(face)
-		cells := float64(interior.Cells() + face.Region.Cells())
-		arm := func(name string, kernels ...stencil.Kernel) {
+		piecewise = append(piecewise, faces...)
+		arm := func(name string, visits []visit, kernels ...stencil.Kernel) {
+			cells := 0
+			for _, v := range visits {
+				cells += v.reg.Cells()
+			}
+			if cells == 0 {
+				return // a pointwise kernel has no faces
+			}
 			b.Run(strings.Join(fk.Stages, "+")+"/"+name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					for _, kern := range kernels {
-						kern(env, interior)
-						kern(bound, face.Region)
+						for _, v := range visits {
+							kern(v.env, v.reg)
+						}
 					}
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(cells*float64(b.N)), "ns/cell")
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(cells)*float64(b.N)), "ns/cell")
 			})
 		}
 		var members []stencil.Kernel
@@ -106,11 +127,11 @@ func BenchmarkFusedRows(b *testing.B) {
 			}
 			members = append(members, fast)
 		}
-		arm("separate", members...)
-		arm("scalar", fk.Fast)
-		if vectorAvailable {
-			arm("vector", vector.Fused[fi].Fast)
-		}
+		arm("separate", piecewise, members...)
+		arm("scalar", []visit{{env, rows}}, fk.Fast)
+		arm("pieces", piecewise, vector.Fused[fi].Fast)
+		arm("faces", faces, vector.Fused[fi].Fast)
+		arm("rows", []visit{{env, rows}}, vector.Fused[fi].Fast)
 	}
 }
 

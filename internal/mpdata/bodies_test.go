@@ -157,3 +157,35 @@ func TestOutOfRangeRegionFailsTheSchedule(t *testing.T) {
 		}
 	})
 }
+
+// TestScheduleDoesNotDependOnTheBody: row capability is data on the
+// registrations, not the CPU probe, so the schedule an engine compiles — what
+// `mpdata-sim -schedule` prints and the digests pin — is the same whichever
+// body the kernels were built with.
+func TestScheduleDoesNotDependOnTheBody(t *testing.T) {
+	if !mpdata.VectorAvailable() {
+		t.Skip("no AVX2 bodies in this build or on this CPU")
+	}
+	machine, err := topology.UV2000(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	domain := grid.Sz(24, 12, 9)
+	var described [2]string
+	for i, vector := range []bool{false, true} {
+		mpdata.WithBody(vector, func() {
+			state := mpdata.NewState(domain)
+			r, err := exec.NewRunner(exec.Config{
+				Machine: machine, Strategy: exec.IslandsOfCores, Boundary: stencil.Clamp, Steps: 2,
+			}, mpdata.NewProgram(), state.InputMap(), mpdata.InPsi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			described[i] = r.DescribeSchedule()
+		})
+	}
+	if described[0] != described[1] {
+		t.Fatalf("the compiled schedule depends on the body:\nscalar: %s\nvector: %s", described[0], described[1])
+	}
+}

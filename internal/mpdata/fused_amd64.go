@@ -2,26 +2,38 @@
 
 package mpdata
 
-// The AVX2 bodies of fused_amd64.s. Each takes the stream pointers of a
-// non-empty region (see vecRegion.at for the bounds proof behind every entry)
-// and its geometry, and touches no byte of any stream outside the cells the
-// proof covers. The build tag excludes GOAMD64=v3: there the compiler fuses
-// multiply-adds in the scalar kernels, and the two would no longer agree.
+// The AVX2 bodies of fused_amd64.s. Each takes the stream pointers of a pass
+// over a non-empty region — a table of three sections, the row bodies, the
+// k = 0 end cells and the k = NK-1 end cells (see vecRegion.at for the bounds
+// proof behind every entry) — the body's geometry, whose rows, planes and
+// strides the end cells share, and which end sections are present (bit 0,
+// bit 1; an absent section is never read). It touches no byte of any stream
+// outside the cells the proofs cover. The build tag excludes GOAMD64=v3: there
+// the compiler fuses multiply-adds in the scalar kernels, and the two would no
+// longer agree.
 
 //go:noescape
-func donorFluxesAVX2(p *[10]*float64, g rowGeom)
+func donorFluxesAVX2(p *[30]*float64, g rowGeom, ends int)
 
 //go:noescape
-func extremaAVX2(p *[16]*float64, g rowGeom)
+func extremaAVX2(p *[48]*float64, g rowGeom, ends int)
 
 //go:noescape
-func pseudoVelAVX2(p *[66]*float64, g rowGeom)
+func pseudoVelAVX2(p *[198]*float64, g rowGeom, ends int)
 
 //go:noescape
-func limiterFluxesAVX2(p *[15]*float64, g rowGeom)
+func limiterFluxesAVX2(p *[45]*float64, g rowGeom, ends int)
 
 //go:noescape
-func limitedFluxesAVX2(p *[18]*float64, g rowGeom)
+func limitedFluxesAVX2(p *[54]*float64, g rowGeom, ends int)
+
+//go:noescape
+func fluxDivergenceAVX2(p *[27]*float64, g rowGeom, ends int)
+
+// betasAVX2 is pointwise: one section, no end cells.
+//
+//go:noescape
+func betasAVX2(p *[8]*float64, g rowGeom)
 
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 

@@ -2,8 +2,8 @@
 
 //go:build amd64 && !amd64.v3
 
-// AVX2 plane bodies of the five hand-fused MPDATA kernels of fused.go, and
-// the CPU probe that enables them.
+// AVX2 plane bodies of the MPDATA group kernels of fused.go, and the CPU
+// probe that enables them.
 //
 // Every body has the same shape. The Go wrapper hands it a table of stream
 // pointers (one per field row the Go loop reads or writes, already displaced
@@ -13,6 +13,13 @@
 // and finishes each row with a VMASKMOVPD tail of 1-3 cells, so every n >= 1
 // is handled and no byte is touched outside
 // [pointer, pointer + (planes-1)*planeStride + (rows-1)*rowStride + n*8).
+//
+// Rows are whole: the table has three sections of the same streams — the row
+// bodies, then the k = 0 end cell and the k = NK-1 end cell of every row,
+// whose pointers carry the offsets of an environment pinned at that k — and
+// ends says which end sections are present (bit 0, bit 1). After a row's body
+// each present end runs the same operations on one lane at the row's offset,
+// while the row's lines are still in L1; an absent section is never read.
 //
 // The results are the scalar loop's, bit for bit, by construction: the same
 // operations in the same association, VDIVPD (no reciprocal), no FMA, and
@@ -55,15 +62,17 @@ GLOBL tailMasks<>(SB), RODATA|NOPTR, $64
 //	Y14  0.0                         Y15  tail mask
 
 // Stream i of the table, at the current vector: whole, masked by Y15, and its
-// first cell in every lane. A one-cell tail loads that way because a 32-byte
-// window at the last cell of a row straddles a cache line, and on the k = NK-1
-// border pieces (all rows one cell) the line it drags in is never used.
+// first cell in every lane. One cell — a one-cell tail, an end cell — loads
+// that way because a 32-byte window at the last cell of a row straddles a
+// cache line, and the line it drags in may never be used.
 #define LDU(i, y) MOVQ ((i)*8)(DI), AX; VMOVUPD (AX)(SI*1), y
 #define STU(y, i) MOVQ ((i)*8)(DI), AX; VMOVUPD y, (AX)(SI*1)
 #define LDM(i, y) MOVQ ((i)*8)(DI), AX; VMASKMOVPD (AX)(SI*1), Y15, y
 #define STM(y, i) MOVQ ((i)*8)(DI), AX; VMASKMOVPD y, Y15, (AX)(SI*1)
 #define LD1(i, y) MOVQ ((i)*8)(DI), AX; VBROADCASTSD (AX)(SI*1), y
 
+// Every macro that names an argument is defined here, above the first
+// routine: vet's asmdecl attributes a #define to the TEXT before it.
 #define ARGS \
 	MOVQ p+0(FP), DI; \
 	MOVQ g_n+8(FP), R9; \
@@ -80,15 +89,24 @@ GLOBL tailMasks<>(SB), RODATA|NOPTR, $64
 	NEGQ CX; \
 	VMOVDQU (AX)(CX*8), Y15
 
-// One row: BODY(LDU, STU) on each whole vector, then the tail, BODY(LD1, STM)
-// on one cell and BODY(LDM, STM) on two or three.
+// A division site names its registers twice, as Y and as X, and a body's DIV
+// parameter picks the width. VDIVPD is the one instruction here whose cost is
+// per lane — two cycles a double at any width — so one or two cells divide at
+// 128 bits and pay for two lanes, not four; everything else in such a tail
+// stays 256 bits wide under the mask (lanes 2 and 3 of a quotient come back
+// zero, and are dead).
+#define DIVY(yb, ya, yq, xb, xa, xq) VDIVPD yb, ya, yq
+#define DIVX(yb, ya, yq, xb, xa, xq) VDIVPD xb, xa, xq
+
+// One row body: BODY(LDU, STU, DIVY) on each whole vector, then the tail,
+// BODY(LD1, STM, DIVX) on one cell, BODY(LDM, STM, ...) on two or three.
 #define ROW(BODY) \
 	MOVQ R10, SI; \
 	MOVQ R9, CX; \
 vec: \
 	CMPQ CX, $4; \
 	JLT  tail; \
-	BODY(LDU, STU); \
+	BODY(LDU, STU, DIVY); \
 	ADDQ $32, SI; \
 	SUBQ $4, CX; \
 	JMP  vec; \
@@ -96,22 +114,52 @@ tail: \
 	TESTQ CX, CX; \
 	JZ   rowdone; \
 	TAIL_MASK; \
-	CMPQ CX, $-1; \
-	JNE  tail23; \
-	BODY(LD1, STM); \
+	CMPQ CX, $-2; \
+	JEQ  tail2; \
+	JLT  tail3; \
+	BODY(LD1, STM, DIVX); \
 	JMP  rowdone; \
-tail23: \
-	BODY(LDM, STM); \
+tail2: \
+	BODY(LDM, STM, DIVX); \
+	JMP  rowdone; \
+tail3: \
+	BODY(LDM, STM, DIVY); \
 rowdone:
 
-// The region: ROWS (one or more ROWs, leaving DI as it found it) on every row
-// of every plane.
-#define REGION(ROWS) \
+// The end cells of the row just walked: for each section ends names, BODY on
+// one lane at the row's offset, through that section's streams, N*8 and
+// 2*N*8 bytes up the table.
+#define ENDS(BODY, N) \
+	TESTQ $1, ends+48(FP); \
+	JZ   lodone; \
+	ADDQ $((N)*8), DI; \
+	MOVQ R10, SI; \
+	VMOVDQU tailMasks<>+24(SB), Y15; \
+	BODY(LD1, STM, DIVX); \
+	SUBQ $((N)*8), DI; \
+lodone: \
+	TESTQ $2, ends+48(FP); \
+	JZ   hidone; \
+	ADDQ $((N)*16), DI; \
+	MOVQ R10, SI; \
+	VMOVDQU tailMasks<>+24(SB), Y15; \
+	BODY(LD1, STM, DIVX); \
+	SUBQ $((N)*16), DI; \
+hidone:
+
+// A whole row of a body with N streams a section.
+#define ROWS(BODY, N) \
+	ROW(BODY); \
+	ENDS(BODY, N)
+
+// The region: WALK (a row's ROWS, leaving DI as it found it) on every row of
+// every plane.
+#define REGION(WALK) \
 plane: \
 	MOVQ BX, R10; \
 	MOVQ R11, DX; \
 row: \
-	ROWS; \
+	WALK; \
 	ADDQ R8, R10; \
 	DECQ DX; \
 	JNZ  row; \
@@ -132,7 +180,7 @@ row: \
 	VADDPD Y6, Y5, Y5; \
 	ST(Y5, out)
 
-// func donorFluxesAVX2(p *[10]*float64, g rowGeom)
+// func donorFluxesAVX2(p *[30]*float64, g rowGeom, ends int)
 //
 // fusedDonorFluxes, per cell x of a row:
 //
@@ -141,7 +189,7 @@ row: \
 //	r3[x] = donor(p0[x], p3[x], w3[x])
 //
 // Streams: 0 p0, 1-3 p1..p3 (psi at +i, +j, +k), 4-6 w1..w3, 7-9 r1..r3.
-#define DONOR_FLUXES(LD, ST) \
+#define DONOR_FLUXES(LD, ST, DIV) \
 	LD(0, Y0); \
 	LD(4, Y1); \
 	DONOR(LD, ST, Y1, 1, 7); \
@@ -150,9 +198,9 @@ row: \
 	LD(6, Y1); \
 	DONOR(LD, ST, Y1, 3, 9)
 
-TEXT ·donorFluxesAVX2(SB), NOSPLIT, $0-48
+TEXT ·donorFluxesAVX2(SB), NOSPLIT, $0-56
 	ARGS
-	REGION(ROW(DONOR_FLUXES))
+	REGION(ROWS(DONOR_FLUXES, 10))
 
 // "if v > mx { mx = v }; if v < mn { mn = v }" for stream i, mx in Y0, mn in Y1.
 #define EXTREMUM(LD, i) \
@@ -160,7 +208,7 @@ TEXT ·donorFluxesAVX2(SB), NOSPLIT, $0-48
 	VMAXPD Y0, Y2, Y0; \
 	VMINPD Y1, Y2, Y1
 
-// func extremaAVX2(p *[16]*float64, g rowGeom)
+// func extremaAVX2(p *[48]*float64, g rowGeom, ends int)
 //
 // fusedExtrema, per cell n: mx = mn = psi[n], then the 13 values
 //
@@ -171,7 +219,7 @@ TEXT ·donorFluxesAVX2(SB), NOSPLIT, $0-48
 // folded in that order; omx[n] = mx, omn[n] = mn.
 //
 // Streams: 0 psi[n], 1-13 the values above in order, 14 omx, 15 omn.
-#define EXTREMA(LD, ST) \
+#define EXTREMA(LD, ST, DIV) \
 	LD(0, Y0); \
 	VMOVAPD Y0, Y1; \
 	EXTREMUM(LD, 1); \
@@ -190,18 +238,9 @@ TEXT ·donorFluxesAVX2(SB), NOSPLIT, $0-48
 	ST(Y0, 14); \
 	ST(Y1, 15)
 
-TEXT ·extremaAVX2(SB), NOSPLIT, $0-48
+TEXT ·extremaAVX2(SB), NOSPLIT, $0-56
 	ARGS
-	REGION(ROW(EXTREMA))
-
-// A division site names its registers twice, as Y and as X, and the body's
-// DIV parameter picks the width. VDIVPD is the one instruction here whose
-// cost is per lane — two cycles a double at any width — and pseudo-velocity
-// is bound by it, so a tail of one or two cells divides at 128 bits and pays
-// for two lanes, not four; everything else in that tail stays 256 bits wide
-// under the mask (lanes 2 and 3 of a quotient come back zero, and are dead).
-#define DIVY(yb, ya, yq, xb, xa, xq) VDIVPD yb, ya, yq
-#define DIVX(yb, ya, yq, xb, xa, xq) VDIVPD xb, xa, xq
+	REGION(ROWS(EXTREMA, 16))
 
 // y = 0.5 * (P - M) / (P + M + Eps) with P = streams p0 + p1, M = streams
 // m0 + m1: the cross-gradient terms bA and bB; x is y's low half. Clobbers
@@ -231,7 +270,7 @@ TEXT ·extremaAVX2(SB), NOSPLIT, $0-48
 	VADDPD Y6, Y5, Y5; \
 	VMULPD Y5, Y11, y
 
-// func pseudoVelAVX2(p *[66]*float64, g rowGeom)
+// func pseudoVelAVX2(p *[198]*float64, g rowGeom, ends int)
 //
 // fusedPseudoVel, per row and direction dir (a, b the transverse ones), per
 // cell n:
@@ -251,7 +290,7 @@ TEXT ·extremaAVX2(SB), NOSPLIT, $0-48
 //	au := absf(uf)
 //	out[n] = au*(1-au/hbar)*aTerm - uf*(uaBar*bA+ubBar*bB)/hbar
 //
-// Streams, 22 per direction, three directions in a row: 0 u[n], 1 h[n],
+// Streams, 22 per direction, three directions in a row (66 a section): 0 u[n], 1 h[n],
 // 2 h[n+sd], 3 ps[n], 4 ps[n+sd], 5 ps[n+saP], 6 ps[n+sd+saP], 7 ps[n+saN],
 // 8 ps[n+sd+saN], 9 ps[n+sbP], 10 ps[n+sd+sbP], 11 ps[n+sbN],
 // 12 ps[n+sd+sbN], 13 ua[n], 14 ua[n+saN], 15 ua[n+sd], 16 ua[n+sd+saN],
@@ -290,40 +329,18 @@ TEXT ·extremaAVX2(SB), NOSPLIT, $0-48
 	ST(Y2, 21)
 
 // The row in the three directions, one stream block each; R14 counts them.
-// ROW with the tail split further: only three cells divide at full width.
+// Each direction walks the body and then its end cells, whose blocks sit a
+// section (66 streams) up the table from the direction's own.
 #define PSEUDO_VEL_ROWS \
 	MOVQ $3, R14; \
 dir: \
-	MOVQ R10, SI; \
-	MOVQ R9, CX; \
-vec: \
-	CMPQ CX, $4; \
-	JLT  tail; \
-	PSEUDO_VEL(LDU, STU, DIVY); \
-	ADDQ $32, SI; \
-	SUBQ $4, CX; \
-	JMP  vec; \
-tail: \
-	TESTQ CX, CX; \
-	JZ   rowdone; \
-	TAIL_MASK; \
-	CMPQ CX, $-2; \
-	JEQ  tail2; \
-	JLT  tail3; \
-	PSEUDO_VEL(LD1, STM, DIVX); \
-	JMP  rowdone; \
-tail2: \
-	PSEUDO_VEL(LDM, STM, DIVX); \
-	JMP  rowdone; \
-tail3: \
-	PSEUDO_VEL(LDM, STM, DIVY); \
-rowdone: \
+	ROWS(PSEUDO_VEL, 66); \
 	ADDQ $(22*8), DI; \
 	DECQ R14; \
 	JNZ  dir; \
 	SUBQ $(66*8), DI
 
-TEXT ·pseudoVelAVX2(SB), NOSPLIT, $0-48
+TEXT ·pseudoVelAVX2(SB), NOSPLIT, $0-56
 	ARGS
 	VBROADCASTSD fusedConsts<>+0(SB), Y12
 	VBROADCASTSD fusedConsts<>+8(SB), Y11
@@ -350,7 +367,7 @@ TEXT ·pseudoVelAVX2(SB), NOSPLIT, $0-48
 	VSUBPD Y6, Y5, Y5; \
 	VMULPD Y0, Y5, Y5
 
-// func limiterFluxesAVX2(p *[15]*float64, g rowGeom)
+// func limiterFluxesAVX2(p *[45]*float64, g rowGeom, ends int)
 //
 // fusedLimiterFluxes, per cell n:
 //
@@ -365,7 +382,7 @@ TEXT ·pseudoVelAVX2(SB), NOSPLIT, $0-48
 // Streams: 0 v1[n], 1 v1[n+siN], 2 v2[n], 3 v2[n+sjN], 4 v3[n], 5 v3[n+skN],
 // 6 ps[n], 7 ps[n+siN], 8 ps[n+siP], 9 ps[n+sjN], 10 ps[n+sjP],
 // 11 ps[n+skN], 12 ps[n+skP], 13 oin, 14 oout.
-#define LIMITER_FLUXES(LD, ST) \
+#define LIMITER_FLUXES(LD, ST, DIV) \
 	LD(6, Y0); \
 	LIMITER_FACE(LD, 0, 1, 7, 8); \
 	VSUBPD Y4, Y3, Y7; /* Y7 = oin so far */ \
@@ -381,9 +398,9 @@ TEXT ·pseudoVelAVX2(SB), NOSPLIT, $0-48
 	ST(Y7, 13); \
 	ST(Y8, 14)
 
-TEXT ·limiterFluxesAVX2(SB), NOSPLIT, $0-48
+TEXT ·limiterFluxesAVX2(SB), NOSPLIT, $0-56
 	ARGS
-	REGION(ROW(LIMITER_FLUXES))
+	REGION(ROWS(LIMITER_FLUXES, 15))
 
 // One face direction of fusedLimitedFluxes, streams b+0 pd, b+1 bud, b+2 bdd,
 // b+3 vf, b+4 out; p0 in Y0, bu0 in Y8, bd0 in Y9, 1.0 in Y10.
@@ -402,7 +419,7 @@ TEXT ·limiterFluxesAVX2(SB), NOSPLIT, $0-48
 	VADDPD Y3, Y2, Y1; /* Y1 = vm */ \
 	DONOR(LD, ST, Y1, b+0, b+4)
 
-// func limitedFluxesAVX2(p *[18]*float64, g rowGeom)
+// func limitedFluxesAVX2(p *[54]*float64, g rowGeom, ends int)
 //
 // fusedLimitedFluxes, per cell x of a row and face direction:
 //
@@ -413,7 +430,7 @@ TEXT ·limiterFluxesAVX2(SB), NOSPLIT, $0-48
 //
 // Streams: 0 p0, 1 bu0, 2 bd0, then five per direction (see LIMITED_FACE)
 // from 3, 8 and 13.
-#define LIMITED_FLUXES(LD, ST) \
+#define LIMITED_FLUXES(LD, ST, DIV) \
 	LD(0, Y0); \
 	LD(1, Y8); \
 	LD(2, Y9); \
@@ -421,10 +438,80 @@ TEXT ·limiterFluxesAVX2(SB), NOSPLIT, $0-48
 	LIMITED_FACE(LD, ST, 8); \
 	LIMITED_FACE(LD, ST, 13)
 
-TEXT ·limitedFluxesAVX2(SB), NOSPLIT, $0-48
+TEXT ·limitedFluxesAVX2(SB), NOSPLIT, $0-56
 	ARGS
 	VBROADCASTSD fusedConsts<>+16(SB), Y10
-	REGION(ROW(LIMITED_FLUXES))
+	REGION(ROWS(LIMITED_FLUXES, 18))
+
+// func fluxDivergenceAVX2(p *[27]*float64, g rowGeom, ends int)
+//
+// fluxDivergence, per cell x of a row:
+//
+//	div := a0[x] - ai[x] + c0[x] - cj[x] + e0[x] - ek[x]
+//	row[x] = b0[x] - div/hh[x]
+//
+// Streams: 0 b0, 1 hh, 2 a0, 3 ai, 4 c0, 5 cj, 6 e0, 7 ek (the three fluxes
+// at the cell and at its low neighbour), 8 row.
+#define FLUX_DIVERGENCE(LD, ST, DIV) \
+	LD(2, Y0); \
+	LD(3, Y1); \
+	VSUBPD Y1, Y0, Y0; \
+	LD(4, Y1); \
+	VADDPD Y1, Y0, Y0; \
+	LD(5, Y1); \
+	VSUBPD Y1, Y0, Y0; \
+	LD(6, Y1); \
+	VADDPD Y1, Y0, Y0; \
+	LD(7, Y1); \
+	VSUBPD Y1, Y0, Y0; /* Y0 = div */ \
+	LD(1, Y1); \
+	DIV(Y1, Y0, Y0, X1, X0, X0); \
+	LD(0, Y1); \
+	VSUBPD Y0, Y1, Y1; \
+	ST(Y1, 8)
+
+TEXT ·fluxDivergenceAVX2(SB), NOSPLIT, $0-56
+	ARGS
+	REGION(ROWS(FLUX_DIVERGENCE, 9))
+
+// One limiter coefficient of fusedBetas: (e - p) from stream e, negated when
+// FLIP is NEGATE, times h over (f + Eps) from stream f, stored to stream out;
+// p in Y0, h in Y1, Eps in Y13, signbit in Y9. The negation is a sign-bit
+// XOR, as the compiler's: -(+0) is -0, and a NaN comes out with its sign
+// flipped — the one place a second NaN pattern is made, so the product names
+// the difference as its first source, as the compiler's MULSD h, diff does:
+// where both are NaN the difference's survives.
+#define KEEP(y)
+#define NEGATE(y) VXORPD Y9, y, y
+#define BETA(LD, ST, DIV, FLIP, e, f, out) \
+	LD(e, Y2); \
+	VSUBPD Y0, Y2, Y2; \
+	FLIP(Y2); \
+	VMULPD Y1, Y2, Y2; \
+	LD(f, Y3); \
+	VADDPD Y13, Y3, Y3; \
+	DIV(Y3, Y2, Y2, X3, X2, X2); \
+	ST(Y2, out)
+
+// func betasAVX2(p *[8]*float64, g rowGeom)
+//
+// fusedBetas, per cell x of a row:
+//
+//	up[x] = (emx[x] - p[x]) * hh[x] / (fi[x] + Eps)
+//	dn[x] = -(emn[x] - p[x]) * hh[x] / (fo[x] + Eps)
+//
+// Streams: 0 emx, 1 emn, 2 p, 3 hh, 4 fi, 5 fo, 6 up, 7 dn.
+#define BETAS(LD, ST, DIV) \
+	LD(2, Y0); \
+	LD(3, Y1); \
+	BETA(LD, ST, DIV, KEEP, 0, 4, 6); \
+	BETA(LD, ST, DIV, NEGATE, 1, 5, 7)
+
+TEXT ·betasAVX2(SB), NOSPLIT, $0-48
+	ARGS
+	VBROADCASTSD fusedConsts<>+24(SB), Y13
+	VBROADCASTSD fusedConsts<>+32(SB), Y9
+	REGION(ROW(BETAS))
 
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24

@@ -6,8 +6,10 @@ package mpdata
 // runs its scalar loop, and the stubs below are never called.
 var useVector = false
 
-func donorFluxesAVX2(*[10]*float64, rowGeom)   { panic("mpdata: no vector bodies in this build") }
-func extremaAVX2(*[16]*float64, rowGeom)       { panic("mpdata: no vector bodies in this build") }
-func pseudoVelAVX2(*[66]*float64, rowGeom)     { panic("mpdata: no vector bodies in this build") }
-func limiterFluxesAVX2(*[15]*float64, rowGeom) { panic("mpdata: no vector bodies in this build") }
-func limitedFluxesAVX2(*[18]*float64, rowGeom) { panic("mpdata: no vector bodies in this build") }
+func donorFluxesAVX2(*[30]*float64, rowGeom, int)    { panic("mpdata: no vector bodies in this build") }
+func extremaAVX2(*[48]*float64, rowGeom, int)        { panic("mpdata: no vector bodies in this build") }
+func pseudoVelAVX2(*[198]*float64, rowGeom, int)     { panic("mpdata: no vector bodies in this build") }
+func limiterFluxesAVX2(*[45]*float64, rowGeom, int)  { panic("mpdata: no vector bodies in this build") }
+func limitedFluxesAVX2(*[54]*float64, rowGeom, int)  { panic("mpdata: no vector bodies in this build") }
+func fluxDivergenceAVX2(*[27]*float64, rowGeom, int) { panic("mpdata: no vector bodies in this build") }
+func betasAVX2(*[8]*float64, rowGeom)                { panic("mpdata: no vector bodies in this build") }

@@ -71,8 +71,8 @@ func TestMPDATAFusionPlanIsSevenGroups(t *testing.T) {
 
 func TestDefaultProgramRegistersFusedKernels(t *testing.T) {
 	kp := NewProgram()
-	if len(kp.Fused) != 5 {
-		t.Fatalf("default program registers %d fused kernels, want 5", len(kp.Fused))
+	if len(kp.Fused) != 8 {
+		t.Fatalf("default program registers %d fused kernels, want 8", len(kp.Fused))
 	}
 	fp, err := stencil.PlanFusion(&kp.Program)
 	if err != nil {

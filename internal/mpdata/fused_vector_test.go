@@ -94,10 +94,15 @@ const poison = -12345.678
 // diffFused runs fused kernel fi of kp over region r of e (base, or a border
 // binding of it) and requires every output field — the cells outside r
 // included, which neither side may touch — to carry the bits the member
-// stages' scalar fast paths leave there. The outputs are restored afterwards.
+// stages' scalar fast paths leave there. The members run piecewise along k,
+// as a schedule runs a kernel that is not row-capable: the cells of r at a k
+// face the kernel reads across are one-cell-deep pieces of their own, on e
+// pinned at that k. The outputs are restored afterwards.
 func diffFused(t testing.TB, kp *stencil.KernelProgram, fi int, base, e *stencil.Env, r grid.Region, what string) {
 	t.Helper()
 	fk := &kp.Fused[fi]
+	ext := fusedExtent(kp, fk)
+	body, faces := stencil.BorderPieces(r, stencil.Extent{KLo: ext.KLo, KHi: ext.KHi}, base.Domain)
 	outs := make([][]float64, len(fk.Stages))
 	saved := make([][]float64, len(fk.Stages))
 	refs := make([][]float64, len(fk.Stages))
@@ -118,7 +123,13 @@ func diffFused(t testing.TB, kp *stencil.KernelProgram, fi int, base, e *stencil
 		if !ok {
 			t.Fatalf("member %q has no split form", name)
 		}
-		fast(e, r)
+		if !body.Empty() {
+			fast(e, body)
+		}
+		for _, pc := range faces {
+			pinned := e.PinK(pc.Pin[2])
+			fast(&pinned, pc.Region)
+		}
 		refs[i] = append([]float64(nil), outs[i]...)
 	}
 	fillAll(poison)
@@ -194,16 +205,83 @@ func TestVectorBodiesMatchScalarMembers(t *testing.T) {
 	}
 }
 
+// kRanges lists the k ranges a region of a domain nk deep is cut to in the
+// rows-form tests: whole rows (both faces), rows touching one face or neither,
+// and the one-cell-deep regions at each face.
+func kRanges(nk int) [][2]int {
+	out := [][2]int{{0, nk}}
+	if nk >= 2 {
+		out = append(out, [2]int{0, nk - 1}, [2]int{1, nk}, [2]int{0, 1}, [2]int{nk - 1, nk})
+	}
+	if nk >= 3 {
+		out = append(out, [2]int{1, nk - 1})
+	}
+	return out
+}
+
+// TestRowsFormMatchesPiecewiseMembers is the differential test of the end
+// cells: every fused kernel, on either body, handed regions with k unpinned —
+// the interior and the (i,j)-pinned pieces of stencil.RowPieces, whole and cut
+// down, over the k ranges of kRanges — against its members' scalar fast paths
+// run piecewise, the faces on k-pinned environments. Domains from one cell
+// deep (every row is one end cell) through 2 (two end cells, no body) to 17,
+// both boundary conditions, ordinary data and data salted with the specials.
+func TestRowsFormMatchesPiecewiseMembers(t *testing.T) {
+	for _, vector := range []bool{false, true} {
+		t.Run(map[bool]string{false: "scalar", true: "vector"}[vector], func(t *testing.T) {
+			kp := programWithBody(t, vector)
+			for _, nk := range []int{1, 2, 3, 5, 8, 16, 17} {
+				domain := grid.Sz(5, 6, nk)
+				whole := grid.WholeRegion(domain)
+				for _, bc := range []stencil.Boundary{stencil.Clamp, stencil.Periodic} {
+					for _, density := range []float64{0, 0.3} {
+						rng := rand.New(rand.NewSource(int64(100*nk) + int64(10*density) + int64(bc)))
+						env, err := stencil.NewEnv(&kp.Program, domain, NewState(domain).InputMap())
+						if err != nil {
+							t.Fatal(err)
+						}
+						env.BC = bc
+						fillSpecial(env, kp, rng, density)
+						for fi := range kp.Fused {
+							what := fmt.Sprintf("rows nk=%d bc=%v specials=%g", nk, bc, density)
+							interior, pieces := stencil.RowPieces(whole, fusedExtent(kp, &kp.Fused[fi]), domain)
+							type bound struct {
+								env *stencil.Env
+								reg grid.Region
+							}
+							cases := []bound{{env, interior}}
+							for _, pc := range pieces {
+								cases = append(cases, bound{env.BindPiece(pc), pc.Region})
+							}
+							for _, c := range cases {
+								for _, kr := range kRanges(nk) {
+									r := c.reg
+									r.K0, r.K1 = kr[0], kr[1]
+									diffFused(t, kp, fi, env, c.env, r, what)
+									cut := subRegion(r, 1+rng.Intn(3), 1+rng.Intn(4), nk, rng)
+									diffFused(t, kp, fi, env, c.env, cut, what+" cut")
+								}
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
 // fuzzFused is the fuzz half: the fuzzer draws the data (seed, density of
-// special values), the boundary condition, and a region — the interior or
-// one border piece, cut down to a box it also draws. The seed corpus is
-// committed under testdata/fuzz.
+// special values), the boundary condition, the domain's depth (1..19 cells of
+// k) and a region — the interior or one border piece of the pinned
+// decomposition, or, past those, the interior or one (i,j)-pinned piece of the
+// rows decomposition, whose k range is whole — cut down to a box it also
+// draws. The seed corpus is committed under testdata/fuzz.
 func fuzzFused(f *testing.F, stage string) {
-	domain := grid.Sz(5, 7, 19)
-	whole := grid.WholeRegion(domain)
-	f.Fuzz(func(t *testing.T, seed int64, density uint8, periodic bool, piece, planes, rows, nk uint8) {
+	f.Fuzz(func(t *testing.T, seed int64, density uint8, periodic bool, depth, piece, planes, rows, nk uint8) {
 		kp := programWithBody(t, true)
 		fi := fusedKernelNamed(t, kp, stage)
+		domain := grid.Sz(5, 7, 1+int(depth)%19)
+		whole := grid.WholeRegion(domain)
 		rng := rand.New(rand.NewSource(seed))
 		env, err := stencil.NewEnv(&kp.Program, domain, NewState(domain).InputMap())
 		if err != nil {
@@ -214,10 +292,22 @@ func fuzzFused(f *testing.F, stage string) {
 			env.BC = stencil.Periodic
 		}
 		fillSpecial(env, kp, rng, float64(density)/255)
-		interior, pieces := stencil.BorderPieces(whole, fusedExtent(kp, &kp.Fused[fi]), domain)
+		ext := fusedExtent(kp, &kp.Fused[fi])
+		interior, pinned := stencil.BorderPieces(whole, ext, domain)
+		rowInterior, rowPieces := stencil.RowPieces(whole, ext, domain)
 		e, r := env, interior
-		if n := int(piece) % (len(pieces) + 1); n > 0 {
-			e, r = env.BindPiece(pieces[n-1]), pieces[n-1].Region
+		switch n := int(piece) % (len(pinned) + len(rowPieces) + 2); {
+		case n == 0:
+		case n <= len(pinned):
+			e, r = env.BindPiece(pinned[n-1]), pinned[n-1].Region
+		case n == len(pinned)+1:
+			r = rowInterior
+		default:
+			pc := rowPieces[n-len(pinned)-2]
+			e, r = env.BindPiece(pc), pc.Region
+		}
+		if r.Empty() {
+			t.Skip("this domain has no such region")
 		}
 		r = subRegion(r, 1+int(planes)%5, 1+int(rows)%7, 1+int(nk)%19, rng)
 		diffFused(t, kp, fi, env, e, r, fmt.Sprintf("seed=%d bc=%v", seed, env.BC))
@@ -229,6 +319,8 @@ func FuzzVectorExtrema(f *testing.F)       { fuzzFused(f, "psiMax") }
 func FuzzVectorPseudoVel(f *testing.F)     { fuzzFused(f, "v1") }
 func FuzzVectorLimiterFluxes(f *testing.F) { fuzzFused(f, "fluxIn") }
 func FuzzVectorLimitedFluxes(f *testing.F) { fuzzFused(f, "g1") }
+func FuzzVectorPsiNew(f *testing.F)        { fuzzFused(f, "psiNew") }
+func FuzzVectorBetaPair(f *testing.F)      { fuzzFused(f, "betaUp") }
 
 // TestVectorWrapperPanicsOutsideTheFields: a region reaching one cell past
 // the fields must fail the wrapper's slice expression, in Go, before the
@@ -265,21 +357,30 @@ func TestVectorWrapperPanicsOutsideTheFields(t *testing.T) {
 	}
 }
 
-// TestVectorWrappersAllocateNothing: the stream tables live on the stack, so
-// the compiled step loop stays allocation-free with the vector bodies in it.
+// TestVectorWrappersAllocateNothing: the stream tables, the passes and the pinned
+// environments of the end cells live on the stack, so the compiled step loop
+// stays allocation-free with either body in it — on a region clear of the k
+// faces, on whole rows (both end cells riding along) and on the one-cell-deep
+// region whose ends get a pass of their own.
 func TestVectorWrappersAllocateNothing(t *testing.T) {
-	kp := programWithBody(t, true)
 	domain := grid.Sz(8, 8, 8)
 	state := NewState(domain)
 	state.SetStandardProblem()
-	env, err := stencil.NewEnv(&kp.Program, domain, state.InputMap())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for fi := range kp.Fused {
-		fk := &kp.Fused[fi]
-		if n := testing.AllocsPerRun(20, func() { fk.Fast(env, grid.Box(1, 7, 1, 7, 1, 7)) }); n != 0 {
-			t.Errorf("fused %v allocates %v times per call", fk.Stages, n)
-		}
+	for _, vector := range []bool{false, true} {
+		t.Run(map[bool]string{false: "scalar", true: "vector"}[vector], func(t *testing.T) {
+			kp := programWithBody(t, vector)
+			env, err := stencil.NewEnv(&kp.Program, domain, state.InputMap())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for fi := range kp.Fused {
+				fk := &kp.Fused[fi]
+				for _, r := range []grid.Region{grid.Box(1, 7, 1, 7, 1, 7), grid.Box(1, 7, 1, 7, 0, 8), grid.Box(1, 7, 1, 7, 0, 1)} {
+					if n := testing.AllocsPerRun(20, func() { fk.Fast(env, r) }); n != 0 {
+						t.Errorf("fused %v allocates %v times per call on %v", fk.Stages, n, r)
+					}
+				}
+			}
+		})
 	}
 }

@@ -67,10 +67,11 @@ func NewProgramWithOptions(o Options) (*stencil.KernelProgram, error) {
 		fluxStage("f3", InU3, 0, 0, 1),
 		psiStarStage(),
 	}
-	// Hand-fused sibling kernels for the stage-fusion compiler: collected
+	// Hand-written group kernels for the stage-fusion compiler: collected
 	// alongside the stages, registered after the program validates.
 	fused := []stencil.FusedKernel{
 		fusedDonorFluxes("f1", "f2", "f3", InU1, InU2, InU3, InPsi),
+		fluxDivergence("psiStar", InPsi, "f1", "f2", "f3"),
 	}
 	register := func(kp *stencil.KernelProgram, err error) (*stencil.KernelProgram, error) {
 		if err != nil {
@@ -91,6 +92,7 @@ func NewProgramWithOptions(o Options) (*stencil.KernelProgram, error) {
 	if o.IORD == 1 {
 		// Donor-cell only: the upwind update writes the output directly.
 		stages[3] = psiNewStageNamed(OutPsi, InPsi, "f1", "f2", "f3")
+		fused[1] = fluxDivergence(OutPsi, InPsi, "f1", "f2", "f3")
 		return register(stencil.BuildProgram("mpdata-iord1", StepInputs(), OutPsi, stages))
 	}
 	// cur names the field holding the current best solution; v1..v3 the
@@ -125,6 +127,7 @@ func NewProgramWithOptions(o Options) (*stencil.KernelProgram, error) {
 				fusedExtrema(mx, mn, cur),
 				fusedPseudoVel(nv1, nv2, nv3, cur, v1, v2, v3),
 				fusedLimiterFluxes(fin, fout, cur, nv1, nv2, nv3),
+				fusedBetas(bu, bd, cur, mx, mn, fin, fout),
 				fusedLimitedFluxes(g1, g2, g3, nv1, nv2, nv3, cur, bu, bd),
 			)
 		} else {
@@ -146,6 +149,7 @@ func NewProgramWithOptions(o Options) (*stencil.KernelProgram, error) {
 			out = s("psiOut")
 		}
 		stages = append(stages, psiNewStageNamed(out, cur, g1, g2, g3))
+		fused = append(fused, fluxDivergence(out, cur, g1, g2, g3))
 		cur = out
 		v1, v2, v3 = nv1, nv2, nv3
 	}

@@ -2,6 +2,7 @@ package perf
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"islands/internal/exec"
@@ -76,35 +77,44 @@ func IslandTable(strategy string, prof *exec.Profile) *Table {
 	return t
 }
 
-// ProfileVsModelTable compares where core-time goes in a measured run against
-// the traced machine model's prediction for the same configuration. Measured
-// kernel and copy time maps onto the model's compute, halo and fill
-// categories (the model prices remote pulls and first-touch fills that the
-// real run pays inside its kernels); measured spin+park maps onto the model's
-// barrier category. Both columns are percentages of accounted core-time.
+// ProfileVsModelTable compares where a measured run's time goes against the
+// traced machine model's prediction for the same configuration. The model
+// prices one core per worker; a host usually has fewer, and a worker
+// goroutine without a core waits at its barrier without costing anything. So
+// the measured column is of core time — what the run had: its wall time on
+// min(workers, GOMAXPROCS) cores — with work the kernel and copy time
+// (mapping onto the model's compute, halo and fill: the model prices remote
+// pulls and first-touch fills that the real run pays inside its kernels) and
+// idle/wait the rest, against the model's barrier category. The last column
+// keeps the share of goroutine time (compute against compute+spin+park over
+// all workers): with more workers than cores it reads mostly wait whatever
+// the cores are doing, and is not a measure of lost time.
 func ProfileVsModelTable(strategy string, prof *exec.Profile, modelTags map[string]float64) *Table {
+	return profileVsModelTable(strategy, prof, modelTags, runtime.GOMAXPROCS(0))
+}
+
+func profileVsModelTable(strategy string, prof *exec.Profile, modelTags map[string]float64, procs int) *Table {
 	var compute, barrier time.Duration
 	for _, ph := range prof.Phases {
 		compute += ph.Compute
 		barrier += ph.Barrier()
 	}
-	measured := map[string]float64{"work": 0, "barrier": 0}
+	cores := min(prof.Workers, procs)
+	var work, ofGoroutines float64
+	if coreTime := float64(prof.Wall) * float64(cores); coreTime > 0 {
+		work = min(100, 100*float64(compute)/coreTime)
+	}
 	if total := compute + barrier; total > 0 {
-		measured["work"] = 100 * float64(compute) / float64(total)
-		measured["barrier"] = 100 * float64(barrier) / float64(total)
+		ofGoroutines = 100 * float64(compute) / float64(total)
 	}
 	shares := CategorizeTagTimes(modelTags)
-	model := map[string]float64{
-		"work":    shares["compute"] + shares["halo"] + shares["fill"],
-		"barrier": shares["barrier"],
-	}
 	t := &Table{
-		Title: fmt.Sprintf("Measured vs model core-time [%%]: %s (work = compute+halo+fill)",
-			strategy),
+		Title: fmt.Sprintf("Measured vs model core-time [%%]: %s on %d cores (work = compute+halo+fill)",
+			strategy, cores),
 		ColHead: "category",
-		Cols:    []string{"measured", "model"},
+		Cols:    []string{"measured", "model", "of goroutine time"},
 	}
-	t.AddRow("work", "%.1f", []float64{measured["work"], model["work"]})
-	t.AddRow("barrier", "%.1f", []float64{measured["barrier"], model["barrier"]})
+	t.AddRow("work", "%.1f", []float64{work, shares["compute"] + shares["halo"] + shares["fill"], ofGoroutines})
+	t.AddRow("idle/wait", "%.1f", []float64{100 - work, shares["barrier"], 100 - ofGoroutines})
 	return t
 }

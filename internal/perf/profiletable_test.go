@@ -91,29 +91,45 @@ func TestProfileVsModelTable(t *testing.T) {
 		"fill":      10,
 		"barrier":   20,
 	}
-	tbl := ProfileVsModelTable("islands-of-cores", sampleProfile(), tags)
-	if len(tbl.Rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(tbl.Rows))
+	// 16 workers on 12 cores for 40 ms of wall: 480 ms of core time, 400 of
+	// them in kernels. The 16 goroutines account 520 ms, 120 of them waiting.
+	tbl := profileVsModelTable("islands-of-cores", sampleProfile(), tags, 12)
+	if len(tbl.Rows) != 2 || tbl.Rows[0].Label != "work" || tbl.Rows[1].Label != "idle/wait" {
+		t.Fatalf("rows = %+v, want work and idle/wait", tbl.Rows)
 	}
-	work, barrier := tbl.Rows[0], tbl.Rows[1]
-	// Measured: compute 400 of 520 = 76.9%, barrier 120 of 520 = 23.1%.
-	if got := work.Values[0]; got < 76.8 || got > 77.0 {
-		t.Fatalf("measured work = %v, want ~76.9", got)
+	if got := strings.Join(tbl.Cols, "|"); got != "measured|model|of goroutine time" {
+		t.Fatalf("columns = %s", got)
 	}
-	if got := work.Values[1]; got != 80 {
-		t.Fatalf("model work = %v, want 80", got)
+	if !strings.Contains(tbl.Title, "on 12 cores") {
+		t.Fatalf("title %q does not name the cores the shares are of", tbl.Title)
 	}
-	if got := barrier.Values[0]; got < 23.0 || got > 23.2 {
-		t.Fatalf("measured barrier = %v, want ~23.1", got)
-	}
-	if got := barrier.Values[1]; got != 20 {
-		t.Fatalf("model barrier = %v, want 20", got)
-	}
-	// Each column sums to ~100.
-	for col := 0; col < 2; col++ {
-		sum := work.Values[col] + barrier.Values[col]
-		if sum < 99.9 || sum > 100.1 {
-			t.Fatalf("column %d sums to %v, want 100", col, sum)
+	near := func(what string, got, want float64) {
+		t.Helper()
+		if got < want-0.05 || got > want+0.05 {
+			t.Fatalf("%s = %v, want ~%v", what, got, want)
 		}
+	}
+	work, idle := tbl.Rows[0], tbl.Rows[1]
+	near("measured work", work.Values[0], 100*400.0/480.0)
+	near("measured idle/wait", idle.Values[0], 100*80.0/480.0)
+	near("model work", work.Values[1], 80)
+	near("model barrier", idle.Values[1], 20)
+	near("work of goroutine time", work.Values[2], 100*400.0/520.0)
+	near("wait of goroutine time", idle.Values[2], 100*120.0/520.0)
+
+	// The reading this table used to give: 16 goroutines on 2 cores, the
+	// cores busy throughout, is work 100 % — not the 10 % the goroutines'
+	// own time says.
+	p := sampleProfile()
+	p.Wall = 200 * time.Millisecond
+	p.Phases[2].Park = 2800 * time.Millisecond
+	oversubscribed := profileVsModelTable("islands-of-cores", p, tags, 2)
+	near("oversubscribed work", oversubscribed.Rows[0].Values[0], 100)
+	near("oversubscribed work of goroutine time", oversubscribed.Rows[0].Values[2], 100*400.0/3305.0)
+
+	// Fewer workers than cores: the run never had more cores than workers.
+	p.Workers = 1
+	if one := profileVsModelTable("original", p, tags, 8); !strings.Contains(one.Title, "on 1 cores") {
+		t.Fatalf("title %q, want the single worker's one core", one.Title)
 	}
 }

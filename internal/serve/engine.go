@@ -79,8 +79,12 @@ type solverEngine struct {
 	state  *solver.State
 	out    *grid.Field
 	runner *exec.Runner
-	massIn float64
-	synced bool
+	// massIn is the sum of the problem fill, taken at the first Reset: the
+	// fill is a pure function of the engine's key, so every later Reset
+	// writes the same field and a second serial pass over it buys nothing.
+	massIn  float64
+	hasMass bool
+	synced  bool
 }
 
 // CheckKSteps verifies a temporal-blocking request would actually compile at
@@ -145,7 +149,9 @@ func (e *solverEngine) Reset() error {
 	// The swap+halo feedback mode keeps private feedback buffers per
 	// island; re-import the freshly written shared field (no-op otherwise).
 	e.runner.ReloadFeedback()
-	e.massIn = e.out.Sum()
+	if !e.hasMass {
+		e.massIn, e.hasMass = e.out.Sum(), true
+	}
 	e.synced = true
 	return nil
 }

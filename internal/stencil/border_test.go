@@ -1,6 +1,7 @@
 package stencil
 
 import (
+	"math/rand"
 	"testing"
 
 	"islands/internal/grid"
@@ -28,43 +29,111 @@ func TestBorderPiecesTiling(t *testing.T) {
 		if interior != wantInterior {
 			t.Fatalf("region %v: interior %v, want %v", r, interior, wantInterior)
 		}
-		// Count coverage of every cell of the clamped region.
-		rc := r.Clamp(domain)
-		seen := make(map[[3]int]int)
-		mark := func(reg grid.Region) {
-			for i := reg.I0; i < reg.I1; i++ {
-				for j := reg.J0; j < reg.J1; j++ {
-					for k := reg.K0; k < reg.K1; k++ {
-						seen[[3]int{i, j, k}]++
-					}
-				}
+		requireTiling(t, r.Clamp(domain), interior, pieces)
+	}
+}
+
+// requireTiling checks that interior and pieces tile rc exactly — every cell
+// covered once — and that every piece pins at least one dimension, each
+// pinned dimension at a single coordinate.
+func requireTiling(t *testing.T, rc, interior grid.Region, pieces []BorderPiece) {
+	t.Helper()
+	seen := make(map[[3]int]int)
+	mark := func(reg grid.Region) {
+		ForEach(reg, func(i, j, k int) { seen[[3]int{i, j, k}]++ })
+	}
+	mark(interior)
+	for _, p := range pieces {
+		mark(p.Region)
+		for d := 0; d < 3; d++ {
+			lo := [3]int{p.Region.I0, p.Region.J0, p.Region.K0}[d]
+			hi := [3]int{p.Region.I1, p.Region.J1, p.Region.K1}[d]
+			if p.Pinned[d] && (hi-lo != 1 || p.Pin[d] != lo) {
+				t.Fatalf("region %v: pinned dim %d of piece %+v is not a single coordinate", rc, d, p)
 			}
 		}
-		mark(interior)
+		if p.Pinned == [3]bool{} {
+			t.Fatalf("region %v: piece %+v pins no dimension", rc, p)
+		}
+	}
+	covered := 0
+	for c, n := range seen {
+		if n != 1 {
+			t.Fatalf("region %v: cell %v covered %d times", rc, c, n)
+		}
+		covered++
+	}
+	if covered != int(rc.Cells()) {
+		t.Fatalf("region %v: covered %d cells, want %d", rc, covered, rc.Cells())
+	}
+}
+
+// TestRowPiecesKeepRowsWhole is the property a row-capable kernel's
+// decomposition must have, on random domains, regions and extents of at most
+// one cell: the interior and the pieces tile the region exactly and pairwise
+// disjoint, none is pinned along k, each spans the region's whole k range,
+// there are at most 9 of them, and the (i,j) cut is the one BorderPieces
+// makes. PinK then supplies what the k cut would have: a piece's environment
+// pinned at a face resolves every offset as the environment bound to the
+// corresponding piece of the full decomposition.
+func TestRowPiecesKeepRowsWhole(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for n := 0; n < 300; n++ {
+		domain := grid.Sz(1+rng.Intn(6), 1+rng.Intn(6), 1+rng.Intn(6))
+		ext := Extent{ILo: rng.Intn(2), IHi: rng.Intn(2), JLo: rng.Intn(2), JHi: rng.Intn(2), KLo: rng.Intn(2), KHi: rng.Intn(2)}
+		span := func(n int) (int, int) {
+			lo := rng.Intn(n)
+			return lo, lo + 1 + rng.Intn(n-lo)
+		}
+		var r grid.Region
+		r.I0, r.I1 = span(domain.NI)
+		r.J0, r.J1 = span(domain.NJ)
+		r.K0, r.K1 = span(domain.NK)
+		interior, pieces := RowPieces(r, ext, domain)
+		requireTiling(t, r, interior, pieces)
+		if len(pieces) > 8 {
+			t.Fatalf("%v ext %+v: %d pieces, want at most 8 beside the interior", r, ext, len(pieces))
+		}
 		for _, p := range pieces {
-			mark(p.Region)
+			if p.Pinned[2] || p.Region.K0 != r.K0 || p.Region.K1 != r.K1 {
+				t.Fatalf("%v ext %+v: piece %+v cuts k", r, ext, p)
+			}
+		}
+		if !interior.Empty() && (interior.K0 != r.K0 || interior.K1 != r.K1) {
+			t.Fatalf("%v ext %+v: interior %v cuts k", r, ext, interior)
+		}
+
+		// Every piece of the full decomposition lies in one row piece (or the
+		// row interior) with the same (i,j) pins, and PinK at its k recovers
+		// its binding.
+		env := &Env{Domain: domain, BC: Boundary(n % 2)}
+		rows := append([]BorderPiece{{Region: interior}}, pieces...)
+		_, full := BorderPieces(r, ext, domain)
+		for _, fp := range full {
+			var home *BorderPiece
+			for i := range rows {
+				if rows[i].Region.Intersect(fp.Region) == fp.Region {
+					home = &rows[i]
+				}
+			}
+			if home == nil || home.Pinned[0] != fp.Pinned[0] || home.Pinned[1] != fp.Pinned[1] {
+				t.Fatalf("%v ext %+v: piece %+v has no row piece with its (i,j) pins", r, ext, fp)
+			}
+			if !fp.Pinned[2] {
+				continue
+			}
+			want, got := env.BindPiece(fp), env.BindPiece(*home).PinK(fp.Pin[2])
+			if !got.KPinned() {
+				t.Fatal("PinK left k unpinned")
+			}
 			for d := 0; d < 3; d++ {
-				lo := [3]int{p.Region.I0, p.Region.J0, p.Region.K0}[d]
-				hi := [3]int{p.Region.I1, p.Region.J1, p.Region.K1}[d]
-				if p.Pinned[d] {
-					if hi-lo != 1 || p.Pin[d] != lo {
-						t.Fatalf("region %v: pinned dim %d of piece %+v is not a single coordinate", r, d, p)
+				for delta := -2; delta <= 2; delta++ {
+					if got.Step(d, delta) != want.Step(d, delta) {
+						t.Fatalf("%v ext %+v piece %+v: Step(%d,%d) under PinK = %d, bound to the piece %d",
+							r, ext, fp, d, delta, got.Step(d, delta), want.Step(d, delta))
 					}
 				}
 			}
-			if p.Pinned == [3]bool{} {
-				t.Fatalf("region %v: piece %+v pins no dimension", r, p)
-			}
-		}
-		covered := 0
-		for c, n := range seen {
-			if n != 1 {
-				t.Fatalf("region %v: cell %v covered %d times", r, c, n)
-			}
-			covered++
-		}
-		if covered != int(rc.Cells()) {
-			t.Fatalf("region %v: covered %d cells, want %d", r, covered, rc.Cells())
 		}
 	}
 }

@@ -10,6 +10,16 @@ import (
 // from the environment. Kernels must write exactly the cells of r in the
 // stage's own output field and read only at the stage's declared offsets —
 // tests cross-check declared patterns against actual behaviour.
+//
+// A Fast kernel may additionally be row-capable (KernelStage.Rows,
+// FusedKernel.Rows). Handed an environment that is not pinned along k and a
+// region reaching a k face it reads across (k < its own extent's KLo, or
+// k >= NK - KHi), such a kernel computes those end cells itself, inside the
+// visit of the row they end, resolving their reads through the same
+// environment pinned at that k (Env.PinK) — the offsets a k-pinned border
+// piece would resolve, so every cell keeps its bits. A schedule compiler then
+// cuts a row-capable kernel's region in i and j only (RowPieces): rows stay
+// whole, and no piece is a strided column of one-cell rows.
 type Kernel func(env *Env, r grid.Region)
 
 // KernelStage pairs a Stage description with its executable kernel. Stages
@@ -25,6 +35,8 @@ type KernelStage struct {
 	// InteriorSplit with the stage's input extent) and Slow on the border
 	// shell. Nil means the stage has no split form.
 	Fast, Slow Kernel
+	// Rows marks Fast as row-capable (see Kernel).
+	Rows bool
 }
 
 // KernelProgram is a Program whose stages carry executable kernels.
@@ -35,7 +47,9 @@ type KernelProgram struct {
 	// for stages without a split form); parallel to Program.Stages.
 	FastKernels []Kernel
 	SlowKernels []Kernel
-	// Fused lists hand-fused sibling kernels (see FusedKernel). The fusion
+	// FastRows marks the row-capable entries of FastKernels (nil = none).
+	FastRows []bool
+	// Fused lists hand-written group kernels (see FusedKernel). The fusion
 	// planner applies a registration whenever all its member stages land in
 	// the same fused group; otherwise the members run their individual fast
 	// paths, so registrations are an optimization, never a requirement.
@@ -47,11 +61,15 @@ type KernelProgram struct {
 // common inputs. Fast must be equivalent to running every member's fast
 // kernel over the region, and — like the per-stage fast paths — must resolve
 // offsets through Env.Step/OffsetStride so it stays exact on pinned border
-// pieces.
+// pieces. A registration naming a single stage is that stage's fast path as
+// the compiled schedule runs it; the stage's own Fast/Slow/Kernel, which the
+// unfused strips and a sequential reference run, are left alone.
 type FusedKernel struct {
 	// Stages names the member stages, in program order.
 	Stages []string
 	Fast   Kernel
+	// Rows marks Fast as row-capable (see Kernel).
+	Rows bool
 }
 
 // SplitPaths returns stage s's pre-split kernel paths, or ok=false when the
@@ -61,6 +79,11 @@ func (p *KernelProgram) SplitPaths(s int) (fast, slow Kernel, ok bool) {
 		return nil, nil, false
 	}
 	return p.FastKernels[s], p.SlowKernels[s], true
+}
+
+// RowCapable reports whether stage s's fast path is row-capable.
+func (p *KernelProgram) RowCapable(s int) bool {
+	return p.FastRows != nil && p.FastRows[s]
 }
 
 // BuildProgram assembles a KernelProgram from kernel stages.
@@ -73,6 +96,7 @@ func BuildProgram(name string, stepInputs []string, output string, stages []Kern
 		kp.Kernels = append(kp.Kernels, ks.Kernel)
 		kp.FastKernels = append(kp.FastKernels, ks.Fast)
 		kp.SlowKernels = append(kp.SlowKernels, ks.Slow)
+		kp.FastRows = append(kp.FastRows, ks.Rows)
 	}
 	if err := kp.Validate(); err != nil {
 		return nil, err
@@ -88,12 +112,12 @@ func BuildProgram(name string, stepInputs []string, output string, stages []Kern
 	return kp, nil
 }
 
-// RegisterFused validates and registers a hand-fused sibling kernel: every
+// RegisterFused validates and registers a hand-written group kernel: every
 // member must exist, carry a split kernel form (the fused kernel replaces
 // the members' fast paths), and no member may read another member's output.
 func (p *KernelProgram) RegisterFused(fk FusedKernel) error {
-	if len(fk.Stages) < 2 {
-		return fmt.Errorf("stencil: fused kernel needs at least two stages, got %d", len(fk.Stages))
+	if len(fk.Stages) == 0 {
+		return fmt.Errorf("stencil: fused kernel names no stage")
 	}
 	if fk.Fast == nil {
 		return fmt.Errorf("stencil: fused kernel %v has no kernel", fk.Stages)
@@ -149,6 +173,19 @@ type Env struct {
 	pinned [3]bool
 	pin    [3]int
 }
+
+// PinK returns e additionally pinned at coordinate k of the k dimension,
+// keeping any binding along i and j: the environment a row-capable kernel
+// resolves a row's end cell through. It is returned by value, so a kernel
+// pins without allocating.
+func (e *Env) PinK(k int) Env {
+	c := *e
+	c.pinned[2], c.pin[2] = true, k
+	return c
+}
+
+// KPinned reports whether e is bound to a piece pinned along k.
+func (e *Env) KPinned() bool { return e.pinned[2] }
 
 // BindPiece returns a shallow clone of e bound to the given border piece.
 // The clone shares e's fields (and thus observes buffer swaps); only offset

@@ -200,15 +200,19 @@ type GroupExec struct {
 	Fast Kernel
 	// FastMembers lists the stage indices Fast computes, ascending.
 	FastMembers []int
+	// Rows reports that Fast is row-capable (see Kernel): every kernel it
+	// chains is.
+	Rows bool
 	// Generic lists members with no fast/slow split form.
 	Generic []int
 }
 
-// CompileGroups builds one GroupExec per fused group. Hand-fused kernels
+// CompileGroups builds one GroupExec per fused group. Hand-written kernels
 // registered on the program (KernelProgram.Fused) are matched greedily:
 // a registered kernel applies when all its member stages fall into the same
 // group and none has been claimed by an earlier registration; unmatched
-// members fall back to their individual fast paths.
+// members fall back to their individual fast paths. A group served by a
+// single kernel gets that kernel as its Fast, unwrapped.
 func (fp *FusionPlan) CompileGroups(kp *KernelProgram) ([]GroupExec, error) {
 	if &kp.Program != fp.Program {
 		// Accept value-identical programs too (tests build both).
@@ -228,6 +232,7 @@ func (fp *FusionPlan) CompileGroups(kp *KernelProgram) ([]GroupExec, error) {
 			}
 		}
 		var parts []Kernel
+		rows := true
 		for fi := range kp.Fused {
 			fk := &kp.Fused[fi]
 			idxs := make([]int, 0, len(fk.Stages))
@@ -248,16 +253,22 @@ func (fp *FusionPlan) CompileGroups(kp *KernelProgram) ([]GroupExec, error) {
 				ge.FastMembers = append(ge.FastMembers, s)
 			}
 			parts = append(parts, fk.Fast)
+			rows = rows && fk.Rows
 		}
 		for _, s := range g.Stages {
 			if unclaimed[s] {
 				parts = append(parts, kp.FastKernels[s])
+				rows = rows && kp.RowCapable(s)
 				ge.FastMembers = append(ge.FastMembers, s)
 			}
 		}
 		sortInts(ge.FastMembers)
-		if len(parts) > 0 {
-			ps := parts
+		switch ps := parts; len(ps) {
+		case 0:
+		case 1:
+			ge.Fast, ge.Rows = ps[0], rows
+		default:
+			ge.Rows = rows
 			ge.Fast = func(env *Env, r grid.Region) {
 				for _, p := range ps {
 					p(env, r)

@@ -352,7 +352,7 @@ func TestRegisterFusedValidation(t *testing.T) {
 		name string
 		fk   FusedKernel
 	}{
-		{"single stage", FusedKernel{Stages: []string{"x"}, Fast: nop}},
+		{"no stage", FusedKernel{Fast: nop}},
 		{"nil kernel", FusedKernel{Stages: []string{"x", "y"}}},
 		{"unknown stage", FusedKernel{Stages: []string{"x", "nope"}, Fast: nop}},
 		{"no split form", FusedKernel{Stages: []string{"x", "z"}, Fast: nop}},
@@ -374,5 +374,60 @@ func TestRegisterFusedValidation(t *testing.T) {
 	}
 	if err := dep.RegisterFused(FusedKernel{Stages: []string{"x2", "y2"}, Fast: nop}); err == nil {
 		t.Error("RegisterFused accepted dependent members")
+	}
+}
+
+// TestCompileGroupsPrefersASingleStageRegistration: a registration naming one
+// stage is that stage's fast path as a compiled group runs it — the group's
+// Fast is the registered kernel itself, not the stage's own — and a group is
+// row-capable exactly when every kernel it chains is.
+func TestCompileGroupsPrefersASingleStageRegistration(t *testing.T) {
+	kp := splitSibling(t)
+	var ran []string
+	mark := func(tag string) Kernel {
+		return func(*Env, grid.Region) { ran = append(ran, tag) }
+	}
+	kp.FastKernels[0], kp.FastKernels[1] = mark("x/fast"), mark("y/fast")
+	if err := kp.RegisterFused(FusedKernel{Stages: []string{"x"}, Fast: mark("x/registered"), Rows: true}); err != nil {
+		t.Fatal(err)
+	}
+	domain := grid.Sz(3, 2, 4)
+	env, err := NewEnv(&kp.Program, domain, map[string]*grid.Field{"in": grid.NewField("in", domain)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups, err := SingletonFusion(&kp.Program).CompileGroups(kp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups[0].Fast(env, grid.WholeRegion(domain))
+	groups[1].Fast(env, grid.WholeRegion(domain))
+	if got := fmt.Sprint(ran); got != "[x/registered y/fast]" {
+		t.Fatalf("singleton groups ran %s, want the registration for x and y's own fast path", got)
+	}
+	if !groups[0].Rows || groups[1].Rows {
+		t.Fatalf("singleton groups row-capable = %v, %v; want true (registered so), false (y's stage is not)", groups[0].Rows, groups[1].Rows)
+	}
+
+	// Fused, x's registration and y's own fast path share a group: it is
+	// row-capable only once y's stage is too.
+	fp, err := PlanFusion(&kp.Program)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, yRows := range []bool{false, true} {
+		kp.FastRows[1] = yRows
+		groups, err := fp.CompileGroups(kp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ran = nil
+		groups[0].Fast(env, grid.WholeRegion(domain))
+		if got := fmt.Sprint(ran); got != "[x/registered y/fast]" {
+			t.Fatalf("fused group ran %s", got)
+		}
+		if groups[0].Rows != yRows {
+			t.Fatalf("group of a row-capable registration and y (rows=%v) reports Rows=%v", yRows, groups[0].Rows)
+		}
 	}
 }

@@ -110,6 +110,15 @@ func BorderPieces(r grid.Region, e Extent, domain grid.Size) (interior grid.Regi
 	return interior, pieces
 }
 
+// RowPieces is BorderPieces for a row-capable kernel (see Kernel): the region
+// is cut along i and j only, so the interior and every piece span r's whole k
+// range and none is pinned along k — the interior plus at most eight pieces
+// for extents of one cell, instead of up to 26. The k faces are the kernel's.
+func RowPieces(r grid.Region, e Extent, domain grid.Size) (interior grid.Region, pieces []BorderPiece) {
+	e.KLo, e.KHi = 0, 0
+	return BorderPieces(r, e, domain)
+}
+
 // Subtract returns up to six disjoint rectangles that tile r minus inner.
 // inner must be contained in r (or empty, in which case r is returned
 // whole). The decomposition mirrors InteriorSplit's shell: i-slabs below and
