@@ -3,13 +3,13 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check vet test race race-core cross-check bench-check bench-smoke bench benchall loc tables report examples clean
+.PHONY: all build fmt-check vet test race race-core cross-check bench-check bench-smoke bench benchall loc tables report report-check examples clean
 
 # Tier-1 gate: format + build + vet + full test suite + race detector on the
 # concurrency-bearing packages + the separately-moduled benchmark still
-# compiling against this tree. CI (.github/workflows/ci.yml) runs these same
-# targets.
-all: fmt-check build vet test race-core cross-check bench-check
+# compiling against this tree + the committed report matching the code. CI
+# (.github/workflows/ci.yml) runs these same targets.
+all: fmt-check build vet test race-core cross-check bench-check report-check
 
 build:
 	$(GO) build ./...
@@ -70,13 +70,19 @@ benchall:
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 
-# Regenerate the paper's evaluation tables on the simulated UV 2000.
+# The paper's evaluation on the simulated UV 2000, every table with the
+# published numbers interleaved: `make tables` prints it, `make report`
+# rewrites the committed report.md, and `make report-check` fails when
+# report.md no longer matches what the code prints (the full P = 1..14
+# sweep, about 11 s).
 tables:
 	$(GO) run ./cmd/paper-tables
 
-# Full paper-vs-model report with the published numbers interleaved.
 report:
-	$(GO) run ./cmd/experiments -o report.md
+	$(GO) run ./cmd/paper-tables > report.md
+
+report-check:
+	tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT && $(GO) run ./cmd/paper-tables > "$$tmp" && cmp "$$tmp" report.md
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"testing"
 
-	"islands/internal/advisor"
 	"islands/internal/decomp"
 	"islands/internal/exec"
 	"islands/internal/grid"
@@ -100,7 +99,8 @@ func BenchmarkClusterScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkAdvisor measures the full configuration search.
+// BenchmarkAdvisor measures the full configuration search of the strategy
+// advice: exec.RankCandidates over the advisor space at P=14.
 func BenchmarkAdvisor(b *testing.B) {
 	m, err := topology.UV2000(14)
 	if err != nil {
@@ -108,7 +108,7 @@ func BenchmarkAdvisor(b *testing.B) {
 	}
 	prog := &mpdata.NewProgram().Program
 	for i := 0; i < b.N; i++ {
-		if _, err := advisor.Advise(m, prog, grid.Sz(512, 256, 32), 10); err != nil {
+		if _, err := exec.RankCandidates(m, prog, grid.Sz(512, 256, 32), exec.Config{Steps: 10}, exec.AdvisorSpace()); err != nil {
 			b.Fatal(err)
 		}
 	}

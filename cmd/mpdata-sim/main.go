@@ -17,7 +17,6 @@ import (
 	"log"
 	"os"
 
-	"islands/internal/advisor"
 	"islands/internal/exec"
 	"islands/internal/grid"
 	"islands/internal/perf"
@@ -162,12 +161,12 @@ func main() {
 	}
 
 	if *advise {
-		cands, err := advisor.Advise(ec.Machine, prog, ns.Domain, ns.Steps)
+		ranked, err := exec.RankCandidates(ec.Machine, prog, ns.Domain, exec.Config{Steps: ns.Steps}, exec.AdvisorSpace())
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("strategy advice for %s %v, %d steps on %d sockets:\n", ns.Solver, ns.Domain, ns.Steps, ns.Processors)
-		fmt.Print(advisor.Report(cands))
+		fmt.Print(adviceReport(ranked))
 		return
 	}
 
@@ -234,6 +233,25 @@ func main() {
 		fmt.Println()
 		fmt.Print(timeline)
 	}
+}
+
+// adviceReport renders a RankCandidates ranking: the recommendation, then
+// every candidate with its modeled time, its speedup over the slowest and its
+// cost structure.
+func adviceReport(ranked []*exec.ModelResult) string {
+	if len(ranked) == 0 {
+		return "no feasible configuration\n"
+	}
+	best, slowest := ranked[0], ranked[len(ranked)-1]
+	s := fmt.Sprintf("recommended: %s (%.3f s)\n", exec.CandidateLabel(best.Config), best.TotalTime)
+	if k := best.Config.KSteps; k > 1 {
+		s += fmt.Sprintf("  temporal blocking pays here: set KSteps=%d — one global join per %d steps buys back its redundant compute\n", k, k)
+	}
+	for i, r := range ranked {
+		s += fmt.Sprintf("  %2d. %-26s %9.3f s  %5.1fx  %s\n",
+			i+1, exec.CandidateLabel(r.Config), r.TotalTime, slowest.TotalTime/r.TotalTime, r.Rationale())
+	}
+	return s
 }
 
 // runCompute executes the solver's standard problem on the compiled islands

@@ -59,12 +59,12 @@ func BenchmarkScheduleBuild(b *testing.B) {
 }
 
 // BenchmarkPublish isolates the feedback-publish cost of the island
-// strategies at the compute-benchmark grid size: the same step run once with
-// the halo-strip exchange (per-island buffer swap + O(halo surface) strips)
-// and once with the whole-part publish copies it replaced
-// (Config.DisableHaloExchange). The ns/op gap between the two arms is the
-// publish-path saving inside an otherwise identical step; halo-bytes/step vs
-// part-bytes/step shows why.
+// strategies at the compute-benchmark grid size: one step of islands and of
+// core sub-islands, both publishing by the per-island buffer swap plus
+// O(halo surface) strips. halo-bytes/step against the parts' bytes shows what
+// the exchange moves instead of whole parts. (The copy publish remains only as
+// the fallback of parts narrower than the step halo, so it has no arm of the
+// same geometry to compare with.)
 func BenchmarkPublish(b *testing.B) {
 	domain := grid.Sz(128, 64, 16)
 	m, err := topology.UV2000(2)
@@ -74,12 +74,9 @@ func BenchmarkPublish(b *testing.B) {
 	arms := []struct {
 		name        string
 		coreIslands bool
-		disable     bool
 	}{
-		{"islands/halo-strip", false, false},
-		{"islands/copy-publish", false, true},
-		{"core-islands/halo-strip", true, false},
-		{"core-islands/copy-publish", true, true},
+		{"islands/halo-strip", false},
+		{"core-islands/halo-strip", true},
 	}
 	for _, arm := range arms {
 		b.Run(arm.name, func(b *testing.B) {
@@ -89,19 +86,14 @@ func BenchmarkPublish(b *testing.B) {
 			r, err := NewRunner(Config{
 				Machine: m, Strategy: IslandsOfCores, CoreIslands: arm.coreIslands,
 				Boundary: stencil.Clamp, Steps: 1, BlockI: 16,
-				DisableHaloExchange: arm.disable,
 			}, mpdata.NewProgram(), state.InputMap(), mpdata.InPsi)
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer r.Close()
 			st := r.Schedule().Stats()
-			wantMode := FeedbackSwapHalo
-			if arm.disable {
-				wantMode = FeedbackCopy
-			}
-			if st.Feedback != wantMode {
-				b.Fatalf("feedback mode = %v (reason %q), want %v", st.Feedback, st.FallbackReason, wantMode)
+			if st.Feedback != FeedbackSwapHalo {
+				b.Fatalf("feedback mode = %v (reason %q), want swap+halo", st.Feedback, st.FallbackReason)
 			}
 			if err := r.Run(); err != nil { // warm up first-touch and lazy init
 				b.Fatal(err)
@@ -113,15 +105,12 @@ func BenchmarkPublish(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			if st.Feedback == FeedbackSwapHalo {
-				b.ReportMetric(float64(st.HaloBytes), "halo-bytes/step")
-			} else {
-				var partBytes int64
-				for _, p := range r.plan.parts {
-					partBytes += int64(p.Cells()) * grid.CellBytes
-				}
-				b.ReportMetric(float64(partBytes), "part-bytes/step")
+			var partBytes int64
+			for _, p := range r.plan.parts {
+				partBytes += int64(p.Cells()) * grid.CellBytes
 			}
+			b.ReportMetric(float64(st.HaloBytes), "halo-bytes/step")
+			b.ReportMetric(float64(partBytes), "part-bytes/step")
 		})
 	}
 }

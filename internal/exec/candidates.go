@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"sort"
 
 	"islands/internal/decomp"
 	"islands/internal/grid"
@@ -10,15 +11,18 @@ import (
 )
 
 // This file exposes the executor's configuration space as data: which
-// configurations are feasible for a machine/program/domain triple, and a
-// stable human-readable label for each. The advisor ranks these candidates on
-// the machine model; the autotuner (internal/tune) additionally measures the
-// promising ones through the compiled compute backend. Every knob the
-// enumeration toggles — strategy, CoreIslands, BlockI, KSteps, fusion,
-// placement — is bit-identity-preserving by construction, so any candidate is
-// a legal substitute for any other with the same program and domain.
+// configurations are feasible for a machine/program/domain triple, a stable
+// human-readable label for each, and their ranking on the machine model
+// (RankCandidates — the paper's §6 "management of the correlation between
+// computation and communication costs"). The advice of islands.Advise and
+// mpdata-sim -advise is that ranking; the autotuner (internal/tune) seeds from
+// it and additionally measures the promising candidates through the compiled
+// compute backend. Every knob the enumeration toggles — strategy,
+// CoreIslands, BlockI, KSteps, fusion, placement — is bit-identity-preserving
+// by construction, so any candidate is a legal substitute for any other with
+// the same program and domain.
 
-// CandidateSpace selects which knob axes EnumerateCandidates explores.
+// CandidateSpace selects which knob axes RankCandidates explores.
 type CandidateSpace struct {
 	// BlockIs lists the (3+1)D block widths to try for the blocked
 	// strategies. 0 means "derive from the node's LLC" (the executor
@@ -72,9 +76,10 @@ func TuneSpace(m *topology.Machine, domain grid.Size) CandidateSpace {
 	}
 }
 
-// AdvisorSpace returns the advisor's candidate space: the historical mapping
-// sweep (1D A/B, every 2D factorization, core sub-islands) with k in
-// {1,2,4,8} at the default block width and parallel first-touch placement.
+// AdvisorSpace returns the candidate space of the strategy advice
+// (islands.Advise, mpdata-sim -advise): the historical mapping sweep (1D A/B,
+// every 2D factorization, core sub-islands) with k in {1,2,4,8} at the
+// default block width and parallel first-touch placement.
 func AdvisorSpace() CandidateSpace {
 	return CandidateSpace{
 		BlockIs:    []int{0},
@@ -105,14 +110,54 @@ func ResolveBlockI(m *topology.Machine, domain grid.Size, blockI int) int {
 	return min(blockI, domain.NI)
 }
 
-// EnumerateCandidates builds every feasible configuration over the space's
-// knob axes for the machine, program and domain. The base config supplies
-// every field that is not a knob (Boundary, Variant, Steps, ModelParams);
-// Machine and the tuned knobs are overwritten per candidate. Candidates come
-// back in deterministic order: strategy-major, then placement, block, k. Only
-// feasible configs are returned — every result passes Config.Validate,
-// CheckConfig, and (for k > 1) CheckKSteps.
-func EnumerateCandidates(m *topology.Machine, prog *stencil.Program, domain grid.Size, base Config, space CandidateSpace) []Config {
+// RankCandidates prices every feasible configuration of the space on the
+// machine model and returns the results fastest first: a stable sort by
+// modeled time, so equal times keep the enumeration order. Each result carries
+// its Config; CandidateLabel names it and Rationale explains its cost. The
+// base config supplies every field that is not a knob (Boundary, Variant,
+// Steps, ModelParams) and base.Steps must be positive.
+func RankCandidates(m *topology.Machine, prog *stencil.Program, domain grid.Size, base Config, space CandidateSpace) ([]*ModelResult, error) {
+	if base.Steps <= 0 {
+		return nil, fmt.Errorf("exec: steps must be positive, got %d", base.Steps)
+	}
+	cfgs := enumerateCandidates(m, prog, domain, base, space)
+	out := make([]*ModelResult, 0, len(cfgs))
+	for _, cfg := range cfgs {
+		r, err := Model(cfg, prog, domain)
+		if err != nil {
+			return nil, fmt.Errorf("exec: pricing %s: %w", CandidateLabel(cfg), err)
+		}
+		out = append(out, r)
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].TotalTime < out[j].TotalTime })
+	return out, nil
+}
+
+// Rationale describes a priced configuration's cost structure in one line.
+func (r *ModelResult) Rationale() string {
+	switch {
+	case r.Config.Strategy == Original:
+		return fmt.Sprintf("memory-bound: %.1f GB of main-memory traffic, %.1f GB over NUMAlink",
+			r.MemTrafficBytes/1e9, r.RemoteTrafficBytes/1e9)
+	case r.Config.Strategy == Plus31D:
+		return fmt.Sprintf("cache-blocked but machine-wide: per-stage sync and remote halo pulls dominate (%.1f GB NUMAlink)",
+			r.RemoteTrafficBytes/1e9)
+	case r.Config.KSteps > 1:
+		return fmt.Sprintf("temporally blocked islands: barriers amortized over %d-step blocks for %.2f%% redundant elements, %.1f GB NUMAlink",
+			r.Config.KSteps, r.ExtraElementsPct, r.RemoteTrafficBytes/1e9)
+	default:
+		return fmt.Sprintf("independent islands: %.2f%% redundant elements, %.1f GB NUMAlink",
+			r.ExtraElementsPct, r.RemoteTrafficBytes/1e9)
+	}
+}
+
+// enumerateCandidates builds every feasible configuration over the space's
+// knob axes for the machine, program and domain. Machine and the tuned knobs
+// are overwritten per candidate. Candidates come back in deterministic order:
+// strategy-major, then placement, block, k. Only feasible configs are
+// returned — every result passes Config.Validate, CheckConfig, and (for k > 1)
+// CheckKSteps.
+func enumerateCandidates(m *topology.Machine, prog *stencil.Program, domain grid.Size, base Config, space CandidateSpace) []Config {
 	blocks := space.BlockIs
 	if len(blocks) == 0 {
 		blocks = []int{0}
@@ -125,15 +170,10 @@ func EnumerateCandidates(m *topology.Machine, prog *stencil.Program, domain grid
 	if len(placements) == 0 {
 		placements = []grid.PlacementPolicy{grid.FirstTouchParallel}
 	}
-	steps := base.Steps
-	if steps <= 0 {
-		steps = 1
-	}
 
 	var out []Config
 	add := func(cfg Config) {
 		cfg.Machine = m
-		cfg.Steps = steps
 		if CheckConfig(cfg, prog, domain) != nil {
 			return
 		}

@@ -118,15 +118,12 @@ func NewRunnerIn(arena *grid.Arena, cfg Config, prog *stencil.KernelProgram, inp
 	var halo *haloGeom
 	var haloReason string
 	if !p.sharedEnv() {
-		switch {
-		case cfg.DisableHaloExchange:
-			haloReason = "disabled by Config.DisableHaloExchange"
-		case p.ksteps > 1:
+		if p.ksteps > 1 {
 			// k-step execution always runs in swap+halo mode, with the
 			// strips and re-import boxes widened to the k-step extent
 			// (planKSteps falls back to ksteps=1 when that is infeasible).
 			halo = p.khalo
-		default:
+		} else {
 			halo, haloReason = haloGeometry(p.owned(), p.analysis.InputExtents[feedback], p.domain, cfg.Boundary)
 		}
 	}

@@ -75,15 +75,6 @@ type Config struct {
 	// (stencil.PlanFusion), cutting per-block phase barriers 17 -> 7 for
 	// MPDATA. Tests and benchmarks use it as the fusion ablation.
 	DisableFusion bool
-	// DisableHaloExchange turns off the island strategies' swap+halo
-	// feedback mode: every island publishes its whole part into the
-	// shared feedback grid by region copies after the global barrier, as
-	// in the pre-halo-exchange executor. The default (false) gives each
-	// island a private double-buffered feedback field published by an
-	// O(1) buffer swap plus halo-strip copies sized by the stencil's
-	// step halo (see halo.go) whenever the partition geometry allows it.
-	// Tests and benchmarks use it as the publish ablation.
-	DisableHaloExchange bool
 	// CoreIslands applies the islands idea inside each island (the
 	// paper's §6 future work): every core of a work team becomes a
 	// sub-island that computes its own j-trapezoids redundantly instead
@@ -101,11 +92,10 @@ type Config struct {
 	// step-at-a-time execution. KSteps > 1 requires the islands-of-cores
 	// strategy and a program with a declared Feedback input; when the
 	// partition cannot carry the k-step halo (parts narrower than
-	// fext.Scale(k), Config.DisableHaloExchange, or periodic wrap reads
-	// that would cross island ownership mid-block) the runner falls back
-	// loudly to k=1 and records the reason (ScheduleStats.
-	// KStepFallbackReason). Results are bit-identical to k=1 execution for
-	// every k.
+	// fext.Scale(k), or periodic wrap reads that would cross island
+	// ownership mid-block) the runner falls back loudly to k=1 and records
+	// the reason (ScheduleStats.KStepFallbackReason). Results are
+	// bit-identical to k=1 execution for every k.
 	KSteps int
 	// ModelParams overrides the machine-model constants for sensitivity
 	// studies (nil = the calibrated defaults of params.go).
@@ -473,10 +463,6 @@ func (p *plan) planKSteps() {
 	fb := p.prog.Feedback
 	if fb == "" {
 		p.kstepReason = fmt.Sprintf("program %q declares no feedback input", p.prog.Name)
-		return
-	}
-	if p.cfg.DisableHaloExchange {
-		p.kstepReason = "disabled by Config.DisableHaloExchange"
 		return
 	}
 	fext := p.analysis.InputExtents[fb]

@@ -137,9 +137,10 @@ func TestHaloGeometryFallbacks(t *testing.T) {
 
 // TestHaloVsCopyBitIdentity is the cross-mode equivalence gate: for both
 // island strategies, boundary conditions, 1D and 2D partitions and awkward
-// domains, the swap+halo schedule must reproduce the copy-publish schedule
-// bit-for-bit — including the narrow-part cases where swap+halo itself
-// falls back and both runs take the copy path.
+// domains, the island-private publish — swap+halo where the geometry carries
+// the step halo, the whole-part copy publish on the narrow-part cases where
+// it falls back — must reproduce the shared-grid original strategy
+// bit-for-bit, so the two publish modes agree with each other through it.
 func TestHaloVsCopyBitIdentity(t *testing.T) {
 	m, err := topology.UV2000(3)
 	if err != nil {
@@ -173,18 +174,17 @@ func TestHaloVsCopyBitIdentity(t *testing.T) {
 				cfg := tc.cfg
 				cfg.Boundary = bc
 				cfg.Steps = steps
-				halo := runStrategyStats(t, cfg, tc.domain)
-				cfg.DisableHaloExchange = true
-				copied := runStrategyStats(t, cfg, tc.domain)
-				if d := grid.MaxAbsDiff(halo.psi, copied.psi); d != 0 {
-					t.Fatalf("swap+halo differs from copy publish: max |diff| = %g", d)
+				got := runStrategyStats(t, cfg, tc.domain)
+				shared := Config{Machine: cfg.Machine, Strategy: Original, Boundary: bc, Steps: steps}
+				if d := grid.MaxAbsDiff(got.psi, runStrategy(t, shared, tc.domain)); d != 0 {
+					t.Fatalf("%v publish differs from the shared grid: max |diff| = %g", got.stats.Feedback, d)
 				}
-				if gotHalo := halo.stats.Feedback == FeedbackSwapHalo; gotHalo != tc.wantHalo {
-					t.Fatalf("feedback mode = %v (reason %q), want halo=%v",
-						halo.stats.Feedback, halo.stats.FallbackReason, tc.wantHalo)
+				want := FeedbackCopy
+				if tc.wantHalo {
+					want = FeedbackSwapHalo
 				}
-				if copied.stats.Feedback != FeedbackCopy {
-					t.Fatalf("ablated feedback mode = %v, want copy", copied.stats.Feedback)
+				if got.stats.Feedback != want {
+					t.Fatalf("feedback mode = %v (reason %q), want %v", got.stats.Feedback, got.stats.FallbackReason, want)
 				}
 			})
 		}
@@ -277,13 +277,18 @@ func TestHaloHookRoundTrip(t *testing.T) {
 	orig.Strategy = Original
 	isl := base
 	isl.Strategy = IslandsOfCores
-	ablated := isl
-	ablated.DisableHaloExchange = true
+	// Core sub-islands split 16 j-cells over 8 workers, narrower than the
+	// step halo: the copy publish.
+	narrow := isl
+	narrow.CoreIslands = true
+	if st := runStrategyStats(t, narrow, domain).stats; st.Feedback != FeedbackCopy {
+		t.Fatalf("core sub-islands on %v publish by %v, want copy", domain, st.Feedback)
+	}
 	wantPsi := run(orig)
 	if d := grid.MaxAbsDiff(wantPsi, run(isl)); d != 0 {
 		t.Fatalf("hooked swap+halo differs from original by %g", d)
 	}
-	if d := grid.MaxAbsDiff(wantPsi, run(ablated)); d != 0 {
+	if d := grid.MaxAbsDiff(wantPsi, run(narrow)); d != 0 {
 		t.Fatalf("hooked copy publish differs from original by %g", d)
 	}
 }

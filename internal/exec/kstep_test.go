@@ -241,12 +241,6 @@ func TestKStepFallbackReasons(t *testing.T) {
 			"periodic wrap along i crosses island ownership mid-block",
 		},
 		{
-			"disabled-halo-exchange",
-			Config{Machine: m2, Strategy: IslandsOfCores, Boundary: stencil.Clamp, Steps: 4, KSteps: 2, BlockI: 7, DisableHaloExchange: true},
-			grid.Sz(48, 20, 8),
-			"disabled by Config.DisableHaloExchange",
-		},
-		{
 			"part-too-narrow",
 			Config{Machine: m2, Strategy: IslandsOfCores, Boundary: stencil.Clamp, Steps: 4, KSteps: 4, BlockI: 5},
 			grid.Sz(20, 20, 8),

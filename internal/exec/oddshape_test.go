@@ -134,18 +134,4 @@ func TestDescribeSchedule(t *testing.T) {
 	if out := r3.DescribeSchedule(); !strings.Contains(out, "halo fallback") {
 		t.Fatalf("DescribeSchedule does not surface the fallback:\n%s", out)
 	}
-
-	// The ablation knob forces the same fallback and says so.
-	state4 := freshState(domain)
-	r4, err := NewRunner(Config{
-		Machine: m, Strategy: IslandsOfCores, Boundary: stencil.Clamp, Steps: 1, BlockI: 8,
-		DisableHaloExchange: true,
-	}, mpdata.NewProgram(), state4.InputMap(), mpdata.InPsi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r4.Close()
-	if st4 := r4.Schedule().Stats(); st4.Feedback != FeedbackCopy || !strings.Contains(st4.FallbackReason, "DisableHaloExchange") {
-		t.Fatalf("disabled-exchange schedule: feedback=%v reason=%q", st4.Feedback, st4.FallbackReason)
-	}
 }

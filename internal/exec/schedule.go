@@ -18,10 +18,10 @@ import (
 // list per worker. The steady-state step loop then performs no region
 // arithmetic, no closure construction and no allocations: every worker walks
 // its precompiled items, and per-stage joins are reusable sense-reversing
-// barriers (sched.Barrier) instead of a channel dispatch+join through
-// sched.Team.Run. This is the schedule-once/execute-many discipline of
-// time-skewed stencil frameworks, applied to the paper's strategies — which
-// differ only in the plan's sweeper list (exec.go); one loop nest
+// barriers (sched.Barrier) instead of a channel dispatch+join per stage. This
+// is the schedule-once/execute-many discipline of time-skewed stencil
+// frameworks, applied to the paper's strategies — which differ only in the
+// plan's sweeper list (exec.go); one loop nest
 // (compileSweeps) and one epilogue (compileFeedback) compile them all.
 
 type itemKind uint8
@@ -72,9 +72,9 @@ type schedItem struct {
 // phaseInfo labels one profiling phase of a compiled schedule.
 type phaseInfo struct {
 	// label names the phase: the fused group's member stages joined with
-	// "+" (matching perf.FusionTable rows; inner steps of a temporal block
-	// before the final one carry an "@-d" suffix, d steps before the
-	// global join), or a synthetic name for the non-compute phases
+	// "+" (inner steps of a temporal block before the final one carry an
+	// "@-d" suffix, d steps before the global join), or a synthetic name
+	// for the non-compute phases
 	// ("global-join", "halo-exchange", "publish", "inner-swap").
 	label string
 	// group is the fused-group index behind a compute phase, -1 for the
@@ -117,8 +117,8 @@ type Schedule struct {
 	haloStrips int
 	haloBytes  int64
 	// fallbackReason records, in copy mode, why the halo-strip exchange
-	// was not compiled (infeasible geometry or Config.DisableHaloExchange)
-	// — the loud half of the fallback rule.
+	// was not compiled (a part narrower than the step halo, or a halo wider
+	// than the domain) — the loud half of the fallback rule.
 	fallbackReason string
 	// wrapReason records why periodic wrap bands were skipped for some
 	// dimension (stage halo wider than the domain); empty when the bands
@@ -493,7 +493,7 @@ func (c *scheduleCompiler) syntheticPhase(label string) int32 {
 
 // groupPhase returns (creating on first use) the phase of fused group gi at
 // inner-step distance d, labeled with the member stage names joined by "+" —
-// the same labels perf.FusionTable and DescribeSchedule use — plus an "@-d"
+// the labels DescribeSchedule uses — plus an "@-d"
 // suffix for the temporal-block inner steps before the final one (d steps
 // before the global join), so imbalance tables stay meaningful per inner
 // step.

@@ -140,7 +140,7 @@ func scheduleDigest(t *testing.T, cfg Config, domain grid.Size) (string, int) {
 
 // TestScheduleDigests pins the compiled schedules structurally: the golden
 // file holds one digest per configuration of the strategy x boundary x k x
-// fusion x feedback-mode matrix on an odd-shaped multi-block grid, generated
+// fusion matrix on an odd-shaped multi-block grid, generated
 // with -update. A refactor of the schedule compiler must leave it
 // byte-identical — "same schedule" item for item, not only same output.
 func TestScheduleDigests(t *testing.T) {
@@ -185,21 +185,16 @@ func TestScheduleDigests(t *testing.T) {
 					continue // rejected by Config.Validate
 				}
 				for _, nofuse := range []bool{false, true} {
-					for _, nohalo := range []bool{false, true} {
-						cfg := sc.cfg
-						cfg.Boundary, cfg.KSteps = bc.bc, k
-						cfg.BlockI, cfg.Steps = 5, 5 // k=2 and k=3 both leave a remainder
-						cfg.DisableFusion, cfg.DisableHaloExchange = nofuse, nohalo
-						name := fmt.Sprintf("%s/%s/k%d", sc.name, bc.name, k)
-						if nofuse {
-							name += "/nofuse"
-						}
-						if nohalo {
-							name += "/nohalo"
-						}
-						sum, n := scheduleDigest(t, cfg, sc.domain)
-						fmt.Fprintf(&out, "%-44s items=%-6d %s\n", name, n, sum)
+					cfg := sc.cfg
+					cfg.Boundary, cfg.KSteps = bc.bc, k
+					cfg.BlockI, cfg.Steps = 5, 5 // k=2 and k=3 both leave a remainder
+					cfg.DisableFusion = nofuse
+					name := fmt.Sprintf("%s/%s/k%d", sc.name, bc.name, k)
+					if nofuse {
+						name += "/nofuse"
 					}
+					sum, n := scheduleDigest(t, cfg, sc.domain)
+					fmt.Fprintf(&out, "%-44s items=%-6d %s\n", name, n, sum)
 				}
 			}
 		}

@@ -2,6 +2,7 @@ package perf
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"islands/internal/decomp"
@@ -44,11 +45,18 @@ func BreakdownTable(prog *stencil.Program, domain grid.Size, p, steps int) (*Tab
 }
 
 // CategorizeTagTimes folds the simulator's per-tag busy times into the four
-// activity categories and normalizes them to percentages.
+// activity categories and normalizes them to percentages. Tags are summed in
+// sorted order, so the shares are the same to the last bit on every run.
 func CategorizeTagTimes(tags map[string]float64) map[string]float64 {
 	out := map[string]float64{"compute": 0, "halo": 0, "barrier": 0, "fill": 0}
+	names := make([]string, 0, len(tags))
+	for tag := range tags {
+		names = append(names, tag)
+	}
+	sort.Strings(names)
 	var total float64
-	for tag, tm := range tags {
+	for _, tag := range names {
+		tm := tags[tag]
 		total += tm
 		switch {
 		case strings.Contains(tag, "halo"):

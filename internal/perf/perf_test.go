@@ -181,22 +181,6 @@ func TestTrafficTable(t *testing.T) {
 	}
 }
 
-func TestFig2Series(t *testing.T) {
-	s := smallSweep(3)
-	times, speedups, err := s.Fig2Series()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(times) != 3 || len(speedups) != 2 {
-		t.Fatalf("series counts wrong: %d, %d", len(times), len(speedups))
-	}
-	for name, series := range times {
-		if len(series) != 3 {
-			t.Fatalf("series %q has %d points", name, len(series))
-		}
-	}
-}
-
 func TestSpeedups(t *testing.T) {
 	got := Speedups([]float64{10, 9}, []float64{2, 3})
 	if got[0] != 5 || got[1] != 3 {

@@ -236,22 +236,3 @@ func CountersTable(m *topology.Machine, r *exec.ModelResult) *Table {
 	t.AddRow("total NUMAlink", "%.2f", []float64{r.RemoteTrafficBytes / 1e9})
 	return t
 }
-
-// Fig2Series returns the two panels of Fig. 2 as (times per strategy,
-// speedups): the same data as Table 3 arranged for plotting.
-func (s *Sweep) Fig2Series() (times map[string][]float64, speedups map[string][]float64, err error) {
-	t3, err := s.Table3()
-	if err != nil {
-		return nil, nil, err
-	}
-	times = map[string][]float64{
-		"original": t3.Rows[0].Values,
-		"(3+1)D":   t3.Rows[1].Values,
-		"islands":  t3.Rows[2].Values,
-	}
-	speedups = map[string][]float64{
-		"S_pr": t3.Rows[3].Values,
-		"S_ov": t3.Rows[4].Values,
-	}
-	return times, speedups, nil
-}

@@ -81,7 +81,7 @@ func TestBarrierWaitProfiledMatchesWait(t *testing.T) {
 	bar := NewBarrier(workers)
 
 	errs := make(chan string, workers)
-	team.Run(func(w int) {
+	dispatchWait(team, func(w int) {
 		for p := 0; p < phases; p++ {
 			spin, park := bar.WaitProfiled()
 			if spin < 0 || park < 0 {

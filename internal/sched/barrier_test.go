@@ -16,7 +16,7 @@ func TestBarrierPhases(t *testing.T) {
 	bar := NewBarrier(workers)
 
 	var done [phases]atomic.Int32
-	team.Run(func(w int) {
+	dispatchWait(team, func(w int) {
 		for p := 0; p < phases; p++ {
 			done[p].Add(1)
 			bar.Wait()
@@ -77,24 +77,29 @@ func TestNewBarrierPanicsOnZero(t *testing.T) {
 	NewBarrier(0)
 }
 
-// TestRunFns checks that each team executes its own function exactly once per
-// worker, and that a length mismatch panics.
+// TestRunFns checks that team i runs fns[i] (the teams differ in size, so a
+// function run by the wrong team is counted the wrong number of times) and
+// that a length mismatch panics.
 func TestRunFns(t *testing.T) {
-	s := NewSized(3, 4)
+	s := &Scheduler{}
+	for i, core := 0, 0; i < 3; i++ {
+		s.Teams = append(s.Teams, NewTeam(i, i, i+1, core))
+		core += i + 1
+	}
 	defer s.Close()
 
 	var counts [3]atomic.Int32
 	fns := make([]func(int), 3)
 	for i := range fns {
-		i := i
 		fns[i] = func(w int) { counts[i].Add(1) }
 	}
-	for round := 0; round < 5; round++ {
+	const rounds = 5
+	for round := 0; round < rounds; round++ {
 		s.RunFns(fns)
 	}
 	for i := range counts {
-		if got := counts[i].Load(); got != 5*4 {
-			t.Fatalf("team %d ran %d times, want %d", i, got, 20)
+		if got, want := counts[i].Load(), int32(rounds*(i+1)); got != want {
+			t.Fatalf("fns[%d] ran %d times, want %d", i, got, want)
 		}
 	}
 
@@ -112,7 +117,7 @@ func TestDispatchWaitAllocFree(t *testing.T) {
 	team := NewTeam(0, 0, 4, 0)
 	defer team.Close()
 	fn := func(w int) {}
-	team.Run(fn) // warm up
+	dispatchWait(team, fn) // warm up
 	allocs := testing.AllocsPerRun(100, func() {
 		team.Dispatch(fn)
 		team.Wait()
@@ -133,7 +138,7 @@ func TestBarrierWaitDo(t *testing.T) {
 	bar := NewBarrier(workers)
 
 	var serial atomic.Int32
-	team.Run(func(w int) {
+	dispatchWait(team, func(w int) {
 		for p := 0; p < phases; p++ {
 			bar.WaitDo(func() { serial.Add(1) })
 			if got := serial.Load(); got < int32(p+1) {

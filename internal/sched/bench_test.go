@@ -3,8 +3,8 @@ package sched
 import "testing"
 
 // benchWorkers mirrors one island of the simulated UV 2000 (8 cores/node), so
-// BenchmarkTeamBarrier and BenchmarkTeamRun compare the two per-stage
-// synchronization mechanisms at the team size the compute backend uses.
+// BenchmarkTeamBarrier and BenchmarkTeamRun compare the two synchronization
+// mechanisms at the team size the compute backend uses.
 const benchWorkers = 8
 
 // BenchmarkTeamBarrier measures one phase crossing of a reusable barrier:
@@ -16,16 +16,17 @@ func BenchmarkTeamBarrier(b *testing.B) {
 	bar := NewBarrier(benchWorkers)
 	b.ReportAllocs()
 	b.ResetTimer()
-	t.Run(func(w int) {
+	dispatchWait(t, func(w int) {
 		for i := 0; i < b.N; i++ {
 			bar.Wait()
 		}
 	})
 }
 
-// BenchmarkTeamRun measures one dispatch+join round trip through the team's
-// work channels: the per-stage cost of the pre-compiled-schedule executor,
-// for comparison with BenchmarkTeamBarrier.
+// BenchmarkTeamRun measures one Dispatch+Wait round trip through the team's
+// work channels: the once-per-step dispatch of the compiled-schedule
+// executor (and the per-stage cost of the executor before it), for
+// comparison with BenchmarkTeamBarrier.
 func BenchmarkTeamRun(b *testing.B) {
 	t := NewTeam(0, 0, benchWorkers, 0)
 	defer t.Close()
@@ -33,6 +34,7 @@ func BenchmarkTeamRun(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t.Run(fn)
+		t.Dispatch(fn)
+		t.Wait()
 	}
 }

@@ -4,8 +4,9 @@
 // the role of threads; affinity is logical (core IDs mapped to the simulated
 // machine's NUMA nodes), because the Go runtime cannot pin OS threads to
 // cores — see DESIGN.md §2 for the substitution argument. The scheduler
-// provides work teams (one per island), SPMD dispatch within a team, and
-// machine-wide dispatch across teams.
+// provides one work team per island with SPMD dispatch within it, one
+// per-team function dispatch joined across the machine (RunFns), and the
+// reusable phase barriers the compiled schedules synchronize on.
 package sched
 
 import (
@@ -28,8 +29,8 @@ const barrierSpin = 32
 
 // Barrier is a reusable sense-reversing phase barrier: n participants call
 // Wait repeatedly, and each call returns only once all n have arrived at the
-// same phase. Unlike a dispatch+join through Team.Run, a phase crossing
-// performs no channel operations and no allocations — it is the cheap
+// same phase. Unlike a Team dispatch+join, a phase crossing performs no
+// channel operations and no allocations — it is the cheap
 // per-stage synchronization point of a compiled execution schedule.
 //
 // Abort poisons the barrier: it releases every current and future waiter by
@@ -201,8 +202,8 @@ func (b *Barrier) Abort() {
 func (b *Barrier) Aborted() bool { return b.aborted.Load() }
 
 // Team is a fixed group of workers (one per core of an island) executing
-// SPMD regions. Run dispatches a function to every worker and joins — a
-// dispatch+join pair is the team barrier between stencil stages.
+// SPMD regions: Dispatch hands a function to every worker, Wait (or
+// WaitRecover) joins them.
 type Team struct {
 	ID int
 	// Node is the NUMA node this team is bound to (logical affinity).
@@ -216,7 +217,7 @@ type Team struct {
 	wg   sync.WaitGroup
 	quit chan struct{}
 	once sync.Once
-	// panicked holds the first panic value recovered in a worker; Run
+	// panicked holds the first panic value recovered in a worker; Wait
 	// re-panics with it on the dispatching goroutine, so a panicking
 	// kernel fails the caller instead of killing the process from an
 	// anonymous goroutine.
@@ -272,16 +273,6 @@ func (t *Team) runOne(fn func(worker int), w int) {
 	fn(w)
 }
 
-// Run executes fn(worker) on every worker and returns when all are done.
-// It must not be called concurrently on the same team. A panic in any
-// worker is re-raised here after the join; the team is considered poisoned
-// afterwards (shared state under a panicking parallel region is undefined)
-// and every later Run re-raises the same panic.
-func (t *Team) Run(fn func(worker int)) {
-	t.Dispatch(fn)
-	t.Wait()
-}
-
 // Dispatch sends fn to every worker without waiting for completion. Sending
 // an existing func value performs no allocation, so a caller holding
 // precompiled per-team closures can drive the whole machine alloc-free.
@@ -294,8 +285,9 @@ func (t *Team) Dispatch(fn func(worker int)) {
 	}
 }
 
-// Wait joins a Dispatch, re-raising the first worker panic (the team is
-// poisoned afterwards, like Run).
+// Wait joins a Dispatch, re-raising the first worker panic. The team is
+// poisoned afterwards (shared state under a panicking parallel region is
+// undefined): every later Wait re-raises the same panic.
 func (t *Team) Wait() {
 	t.wg.Wait()
 	if p := t.panicked.Load(); p != nil {
@@ -334,40 +326,6 @@ func New(m *topology.Machine) *Scheduler {
 	return s
 }
 
-// NewSized builds a scheduler of p teams with coresPer workers each, without
-// a machine description (used by tests and examples).
-func NewSized(p, coresPer int) *Scheduler {
-	if p <= 0 {
-		panic("sched: need at least one team")
-	}
-	s := &Scheduler{}
-	for i := 0; i < p; i++ {
-		s.Teams = append(s.Teams, NewTeam(i, i, coresPer, i*coresPer))
-	}
-	return s
-}
-
-// TotalCores returns the number of workers across all teams.
-func (s *Scheduler) TotalCores() int {
-	n := 0
-	for _, t := range s.Teams {
-		n += t.Size()
-	}
-	return n
-}
-
-// RunAll executes fn(team, worker) SPMD across every worker of every team
-// and joins. It dispatches directly to the persistent workers (no goroutine
-// per team), joins every team before returning, and re-raises the first
-// worker panic only after all teams have quiesced.
-func (s *Scheduler) RunAll(fn func(team, worker int)) {
-	for _, t := range s.Teams {
-		t := t
-		t.Dispatch(func(w int) { fn(t.ID, w) })
-	}
-	s.joinAll()
-}
-
 // RunFns dispatches fns[t] to every worker of team t and joins the whole
 // machine. With closures precompiled once (per team, not per call), a RunFns
 // round performs no allocations — it is the steady-state dispatch of the
@@ -380,12 +338,8 @@ func (s *Scheduler) RunFns(fns []func(worker int)) {
 	for i, t := range s.Teams {
 		t.Dispatch(fns[i])
 	}
-	s.joinAll()
-}
-
-// joinAll waits for every team and re-raises the first recorded panic after
-// all workers have quiesced (so no dispatch is left dangling).
-func (s *Scheduler) joinAll() {
+	// Join every team before re-raising the first recorded panic, so no
+	// dispatch is left dangling.
 	var p any
 	for _, t := range s.Teams {
 		if r := t.WaitRecover(); r != nil && p == nil {
@@ -397,31 +351,9 @@ func (s *Scheduler) joinAll() {
 	}
 }
 
-// RunTeams executes one driver function per team concurrently and joins when
-// every driver returns — the island dispatch: each driver runs its island's
-// time-step phases independently, and the join is the paper's global
-// synchronization (phase 5).
-func (s *Scheduler) RunTeams(fn func(t *Team)) {
-	var wg sync.WaitGroup
-	wg.Add(len(s.Teams))
-	for _, t := range s.Teams {
-		t := t
-		go func() {
-			defer wg.Done()
-			fn(t)
-		}()
-	}
-	wg.Wait()
-}
-
 // Close terminates all teams.
 func (s *Scheduler) Close() {
 	for _, t := range s.Teams {
 		t.Close()
 	}
-}
-
-// String describes the team layout.
-func (s *Scheduler) String() string {
-	return fmt.Sprintf("scheduler{%d teams, %d cores}", len(s.Teams), s.TotalCores())
 }

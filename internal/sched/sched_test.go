@@ -2,18 +2,23 @@ package sched
 
 import (
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 
 	"islands/internal/topology"
 )
 
+// dispatchWait runs fn on every worker of the team and joins: one team run.
+func dispatchWait(team *Team, fn func(worker int)) {
+	team.Dispatch(fn)
+	team.Wait()
+}
+
 func TestTeamRunVisitsEveryWorker(t *testing.T) {
 	team := NewTeam(0, 0, 8, 0)
 	defer team.Close()
 	var seen [8]int32
-	team.Run(func(w int) { atomic.AddInt32(&seen[w], 1) })
+	dispatchWait(team, func(w int) { atomic.AddInt32(&seen[w], 1) })
 	for w, c := range seen {
 		if c != 1 {
 			t.Fatalf("worker %d ran %d times, want 1", w, c)
@@ -26,8 +31,8 @@ func TestTeamRunIsABarrier(t *testing.T) {
 	defer team.Close()
 	var counter int64
 	for round := 0; round < 10; round++ {
-		team.Run(func(w int) { atomic.AddInt64(&counter, 1) })
-		// After Run returns, all 4 increments of this round are visible.
+		dispatchWait(team, func(w int) { atomic.AddInt64(&counter, 1) })
+		// After Wait returns, all 4 increments of this round are visible.
 		if got := atomic.LoadInt64(&counter); got != int64(4*(round+1)) {
 			t.Fatalf("round %d: counter = %d, want %d", round, got, 4*(round+1))
 		}
@@ -54,57 +59,48 @@ func TestSchedulerFromMachine(t *testing.T) {
 	}
 	s := New(m)
 	defer s.Close()
-	if len(s.Teams) != 3 || s.TotalCores() != 24 {
-		t.Fatalf("scheduler layout wrong: %s", s)
+	if len(s.Teams) != 3 {
+		t.Fatalf("scheduler has %d teams, want 3", len(s.Teams))
 	}
 	// Core IDs are contiguous per node, matching topology.CoreNode.
+	cores := 0
 	for _, team := range s.Teams {
 		for _, c := range team.Cores {
 			if m.CoreNode(c) != team.Node {
 				t.Fatalf("core %d of team %d maps to node %d", c, team.ID, m.CoreNode(c))
 			}
 		}
+		cores += team.Size()
+	}
+	if cores != 24 {
+		t.Fatalf("scheduler has %d cores, want 24", cores)
 	}
 }
 
+// TestRunAllCoversAllWorkers checks that every RunFns round runs every (team,
+// worker) pair exactly once, and that the machine-wide join makes a round's
+// effects visible when RunFns returns.
 func TestRunAllCoversAllWorkers(t *testing.T) {
-	s := NewSized(3, 4)
+	const teams, workers, rounds = 3, 4, 5
+	s := &Scheduler{}
+	for i := 0; i < teams; i++ {
+		s.Teams = append(s.Teams, NewTeam(i, i, workers, i*workers))
+	}
 	defer s.Close()
-	var mu sync.Mutex
-	seen := map[[2]int]int{}
-	s.RunAll(func(team, worker int) {
-		mu.Lock()
-		seen[[2]int{team, worker}]++
-		mu.Unlock()
-	})
-	if len(seen) != 12 {
-		t.Fatalf("saw %d (team,worker) pairs, want 12", len(seen))
-	}
-	for k, v := range seen {
-		if v != 1 {
-			t.Fatalf("pair %v ran %d times", k, v)
-		}
-	}
-}
 
-func TestRunTeamsIndependentProgress(t *testing.T) {
-	s := NewSized(4, 2)
-	defer s.Close()
-	var rounds [4]int32
-	s.RunTeams(func(team *Team) {
-		// Each team runs a different number of internal barriers —
-		// teams must not block each other.
-		for r := 0; r <= team.ID; r++ {
-			team.Run(func(w int) {
-				if w == 0 {
-					atomic.AddInt32(&rounds[team.ID], 1)
+	var seen [teams][workers]atomic.Int32
+	fns := make([]func(int), teams)
+	for i := range fns {
+		fns[i] = func(w int) { seen[i][w].Add(1) }
+	}
+	for round := 1; round <= rounds; round++ {
+		s.RunFns(fns)
+		for i := range seen {
+			for w := range seen[i] {
+				if got := seen[i][w].Load(); got != int32(round) {
+					t.Fatalf("after round %d: team %d worker %d ran %d times", round, i, w, got)
 				}
-			})
-		}
-	})
-	for id, r := range rounds {
-		if int(r) != id+1 {
-			t.Fatalf("team %d did %d rounds, want %d", id, r, id+1)
+			}
 		}
 	}
 }
@@ -124,15 +120,6 @@ func TestNewTeamPanicsOnZeroWorkers(t *testing.T) {
 	NewTeam(0, 0, 0, 0)
 }
 
-func TestNewSizedPanicsOnZeroTeams(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewSized(0, 1)
-}
-
 func TestWorkerPanicPropagates(t *testing.T) {
 	team := NewTeam(0, 0, 4, 0)
 	defer team.Close()
@@ -145,7 +132,7 @@ func TestWorkerPanicPropagates(t *testing.T) {
 			t.Fatalf("panic payload = %v", r)
 		}
 	}()
-	team.Run(func(w int) {
+	dispatchWait(team, func(w int) {
 		if w == 2 {
 			panic("boom")
 		}

@@ -10,7 +10,7 @@ import (
 )
 
 // This file bridges the tuner's knob space to the executor: seeding a class
-// from the machine model over exec.EnumerateCandidates, and converting
+// from the machine model's ranking (exec.RankCandidates), and converting
 // between Knobs and exec.Config. The program is supplied by the caller (the
 // serving layer builds the class's MPDATA program), so tune stays free of
 // any one stencil application.
@@ -68,29 +68,22 @@ func ApplyKnobs(base exec.Config, k Knobs) exec.Config {
 	return cfg
 }
 
-// SeedCandidates enumerates the feasible knob combinations for a class's
-// machine/program/domain (exec.TuneSpace: strategy x CoreIslands x BlockI x
-// feasible KSteps x fusion x placement), prices each on the machine model,
-// and returns them ranked by modeled per-step cost. This is the default
-// Seeder behind NewModelSeeder; BlockI comes back explicit so candidate
-// knobs are canonical cache keys.
+// SeedCandidates is exec.RankCandidates over a class's machine/program/domain
+// and exec.TuneSpace (strategy x CoreIslands x BlockI x feasible KSteps x
+// fusion x placement) as tuner candidates, ranked by modeled per-step cost.
+// This is the default Seeder behind NewModelSeeder; BlockI comes back
+// explicit so candidate knobs are canonical cache keys.
 func SeedCandidates(m *topology.Machine, prog *stencil.Program, class Class) ([]Candidate, error) {
-	base := class.BaseConfig(m)
-	cfgs := exec.EnumerateCandidates(m, prog, class.Domain, base, exec.TuneSpace(m, class.Domain))
-	if len(cfgs) == 0 {
+	ranked, err := exec.RankCandidates(m, prog, class.Domain, class.BaseConfig(m), exec.TuneSpace(m, class.Domain))
+	if err != nil {
+		return nil, err
+	}
+	if len(ranked) == 0 {
 		return nil, fmt.Errorf("tune: no feasible candidate for %v on %d nodes", class.Domain, m.NumNodes())
 	}
-	out := make([]Candidate, 0, len(cfgs))
-	for _, cfg := range cfgs {
-		r, err := exec.Model(cfg, prog, class.Domain)
-		if err != nil {
-			return nil, fmt.Errorf("tune: modeling %s: %w", exec.CandidateLabel(cfg), err)
-		}
-		out = append(out, Candidate{
-			Knobs:       KnobsOf(cfg, class.Domain),
-			Label:       exec.CandidateLabel(cfg),
-			ModeledStep: r.StepTime,
-		})
+	out := make([]Candidate, len(ranked))
+	for i, r := range ranked {
+		out[i] = Candidate{Knobs: KnobsOf(r.Config, class.Domain), Label: exec.CandidateLabel(r.Config), ModeledStep: r.StepTime}
 	}
 	return out, nil
 }

@@ -15,20 +15,19 @@
 //     (internal/topology, internal/simmach, internal/perf).
 //
 // The quickest entry points are Simulation (run MPDATA numerically with any
-// strategy) and Predict (price a configuration on the simulated machine).
-// See examples/ for runnable programs and EXPERIMENTS.md for the
-// paper-versus-model comparison.
+// strategy), Predict (price a configuration on the simulated machine) and
+// Advise (rank every configuration by modeled time). See examples/ for
+// runnable programs; cmd/paper-tables prints the paper's evaluation tables
+// and EXPERIMENTS.md compares them with the published numbers.
 package islands
 
 import (
 	"fmt"
 
-	"islands/internal/advisor"
 	"islands/internal/decomp"
 	"islands/internal/exec"
 	"islands/internal/grid"
 	"islands/internal/mpdata"
-	"islands/internal/perf"
 	"islands/internal/stencil"
 	"islands/internal/topology"
 )
@@ -277,72 +276,6 @@ func Predict(domain Size, cfg Config) (*Prediction, error) {
 	}, nil
 }
 
-// Table is a rendered paper table.
-type Table = perf.Table
-
-// PaperSweep prepares the evaluation sweep of the paper: the 1024x512x64
-// grid, 50 time steps, P = 1..maxP UV 2000 processors. Use its Table1,
-// Table3, Table4, VariantTable and Fig2Series methods to regenerate the
-// evaluation section.
-func PaperSweep(maxP int) *perf.Sweep {
-	prog := &mpdata.NewProgram().Program
-	return perf.NewSweep(prog, grid.Sz(1024, 512, 64), 50, maxP)
-}
-
-// PaperTable2 regenerates Table 2 at the paper's scale.
-func PaperTable2(maxP int) (*Table, error) {
-	prog := &mpdata.NewProgram().Program
-	return perf.Table2(prog, grid.Sz(1024, 512, 64), maxP)
-}
-
-// PaperTrafficTable regenerates the §3.2 single-socket traffic comparison.
-func PaperTrafficTable() (*Table, error) {
-	prog := &mpdata.NewProgram().Program
-	return perf.TrafficTable(prog)
-}
-
-// PaperRooflineTable classifies every MPDATA stage against the UV 2000
-// socket's machine balance and reports the whole-program arithmetic
-// intensities of the original and cache-blocked executions.
-func PaperRooflineTable() (*Table, error) {
-	m, err := topology.UV2000(1)
-	if err != nil {
-		return nil, err
-	}
-	prog := &mpdata.NewProgram().Program
-	return perf.RooflineTable(prog, m.Nodes[0]), nil
-}
-
-// PaperWeakScalingTable grows the domain with the processor count (73
-// i-columns per island — the paper's per-island share at P=14).
-func PaperWeakScalingTable(maxP int) (*Table, error) {
-	prog := &mpdata.NewProgram().Program
-	return perf.WeakScalingTable(prog, 73, grid.Sz(0, 512, 64), 50, maxP)
-}
-
-// PaperDomainSweepTable prices the islands strategy at P=14 over a range of
-// domain widths, showing the redundancy fraction and efficiency versus
-// problem size.
-func PaperDomainSweepTable() (*Table, error) {
-	prog := &mpdata.NewProgram().Program
-	return perf.DomainSweepTable(prog, 14, []int{256, 512, 1024, 2048, 4096}, grid.Sz(0, 512, 64), 50)
-}
-
-// PaperAffinityTable is the §4.2 affinity ablation: adjacent versus
-// scattered island placement on a two-IRU cluster.
-func PaperAffinityTable() (*Table, error) {
-	prog := &mpdata.NewProgram().Program
-	return perf.AffinityTable(prog, grid.Sz(512, 256, 32), 50)
-}
-
-// PaperBreakdownTable attributes each strategy's core time to activity
-// categories (compute+stream, halo stalls, barriers, fills) at P=8 on the
-// paper's grid — the quantitative form of §5's explanation.
-func PaperBreakdownTable() (*Table, error) {
-	prog := &mpdata.NewProgram().Program
-	return perf.BreakdownTable(prog, grid.Sz(1024, 512, 64), 8, 50)
-}
-
 // Recommendation is one ranked configuration from Advise.
 type Recommendation struct {
 	// Name labels the configuration ("islands 7x2", "original", ...).
@@ -363,16 +296,16 @@ func Advise(domain Size, p, steps int) ([]Recommendation, error) {
 		return nil, err
 	}
 	prog := &mpdata.NewProgram().Program
-	cands, err := advisor.Advise(m, prog, domain, steps)
+	ranked, err := exec.RankCandidates(m, prog, domain, exec.Config{Steps: steps}, exec.AdvisorSpace())
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Recommendation, len(cands))
-	for i := range cands {
+	out := make([]Recommendation, len(ranked))
+	for i, r := range ranked {
 		out[i] = Recommendation{
-			Name:      cands[i].Name,
-			Time:      cands[i].Time(),
-			Rationale: cands[i].Rationale(),
+			Name:      exec.CandidateLabel(r.Config),
+			Time:      r.TotalTime,
+			Rationale: r.Rationale(),
 		}
 	}
 	return out, nil

@@ -3,6 +3,9 @@ package islands
 import (
 	"math"
 	"testing"
+
+	"islands/internal/mpdata"
+	"islands/internal/perf"
 )
 
 func TestSimulationRunConserves(t *testing.T) {
@@ -77,6 +80,37 @@ func TestPredictOrdering(t *testing.T) {
 	}
 }
 
+// TestPaperTable2Public checks Table 2 at the paper's domain as
+// cmd/paper-tables prints it: linear growth, variant B twice variant A,
+// small absolute values (paper A: 3.21% at 14 islands; the 17-stage graph
+// yields 2.76%).
+func TestPaperTable2Public(t *testing.T) {
+	tab, err := perf.Table2(&mpdata.NewProgram().Program, Sz(1024, 512, 64), 14)
+	if err != nil {
+		t.Fatal(err)
+	}
+	va := tab.Rows[0].Values
+	vb := tab.Rows[1].Values
+	if va[13] < 2 || va[13] > 4 {
+		t.Fatalf("variant A at 14 islands: %.2f%%, want 2-4%%", va[13])
+	}
+	if r := vb[13] / va[13]; math.Abs(r-2) > 0.05 {
+		t.Fatalf("B/A ratio %.3f, want ~2", r)
+	}
+}
+
+// TestPaperTrafficTablePublic checks the shape of the §3.2 single-socket
+// traffic comparison as cmd/paper-tables prints it.
+func TestPaperTrafficTablePublic(t *testing.T) {
+	tab, err := perf.TrafficTable(&mpdata.NewProgram().Program)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tab.Rows) != 3 {
+		t.Fatalf("traffic table rows = %d", len(tab.Rows))
+	}
+}
+
 func TestPredictValidation(t *testing.T) {
 	if _, err := Predict(Sz(8, 8, 8), Config{Processors: 1}); err == nil {
 		t.Fatal("expected error for zero steps")
@@ -86,33 +120,5 @@ func TestPredictValidation(t *testing.T) {
 	}
 	if _, err := NewSimulation(Sz(8, 8, 8), Config{Processors: 0, Steps: 1}); err == nil {
 		t.Fatal("expected error for zero processors")
-	}
-}
-
-func TestPaperTable2Public(t *testing.T) {
-	tab, err := PaperTable2(14)
-	if err != nil {
-		t.Fatal(err)
-	}
-	va := tab.Rows[0].Values
-	vb := tab.Rows[1].Values
-	// The paper's Table 2: linear growth, variant B twice variant A,
-	// small absolute values (A: 3.21% at 14 islands; our 17-stage graph
-	// yields 2.76%).
-	if va[13] < 2 || va[13] > 4 {
-		t.Fatalf("variant A at 14 islands: %.2f%%, want 2-4%%", va[13])
-	}
-	if r := vb[13] / va[13]; math.Abs(r-2) > 0.05 {
-		t.Fatalf("B/A ratio %.3f, want ~2", r)
-	}
-}
-
-func TestPaperTrafficTablePublic(t *testing.T) {
-	tab, err := PaperTrafficTable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 3 {
-		t.Fatalf("traffic table rows = %d", len(tab.Rows))
 	}
 }
