@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check vet test race race-core cross-check bench-check bench-smoke bench benchall loc tables report report-check examples clean
+.PHONY: all build fmt-check vet test race race-core cross-check fuzz-smoke bench-check bench-smoke bench benchall loc tables report report-check examples clean
 
 # Tier-1 gate: format + build + vet + full test suite + race detector on the
 # concurrency-bearing packages + the separately-moduled benchmark still
@@ -36,6 +36,15 @@ race-core:
 cross-check:
 	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/mpdata/
 	GOAMD64=v3 $(GO) build ./... && GOAMD64=v3 $(GO) vet ./internal/mpdata/
+
+# The AVX2 bodies are bit-identical to their scalar oracles by differential
+# fuzzing, and the committed seeds alone (go test) only replay the corpus:
+# run each FuzzVector* target of internal/mpdata for 5 s — go test fuzzes one
+# target per call. About 40 s; CI runs it, `make all` does not.
+fuzz-smoke:
+	for t in $$($(GO) test -list '^FuzzVector' ./internal/mpdata | grep '^Fuzz'); do \
+		$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime 5s ./internal/mpdata || exit 1; \
+	done
 
 # bench/ is its own Go module, outside ./... : vet it and run its short tests
 # so API drift against what it uses of fleet, serve and serveclient is caught

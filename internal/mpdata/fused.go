@@ -162,9 +162,10 @@ func fusedExtrema(maxName, minName, curName string) stencil.FusedKernel {
 // fusedPseudoVel computes the three antidiffusive pseudo-velocity stages —
 // the widest and most expensive stencils of the program — in one row sweep.
 // Each direction's sub-loop is the exact operation sequence of the member
-// fast path (pseudoVelStageNamed), so results are bit-identical; the shared
-// iterate and depth rows stay in L1 across the three passes instead of being
-// re-streamed from L2 per stage.
+// fast path (pseudoVelStageNamed), one division per face over the common
+// denominator, so results are bit-identical; the shared iterate and depth rows
+// stay in L1 across the three passes instead of being re-streamed from L2 per
+// stage.
 //
 //go:noinline
 func fusedPseudoVel(v1n, v2n, v3n, curName, u1n, u2n, u3n string) stencil.FusedKernel {
@@ -229,21 +230,21 @@ func fusedPseudoVel(v1n, v2n, v3n, curName, u1n, u2n, u3n string) stencil.FusedK
 						hbar := 0.5 * (h[n] + h[n+sd])
 
 						p0, pd := ps[n], ps[n+sd]
-						aTerm := (pd - p0) / (pd + p0 + Eps)
+						xA, yA := pd-p0, pd+p0+Eps
 
 						paP := ps[n+saP] + ps[n+sd+saP]
 						paM := ps[n+saN] + ps[n+sd+saN]
-						bA := 0.5 * (paP - paM) / (paP + paM + Eps)
+						xa, ya := paP-paM, paP+paM+Eps
 
 						pbP := ps[n+sbP] + ps[n+sd+sbP]
 						pbM := ps[n+sbN] + ps[n+sd+sbN]
-						bB := 0.5 * (pbP - pbM) / (pbP + pbM + Eps)
+						xb, yb := pbP-pbM, pbP+pbM+Eps
 
 						uaBar := 0.25 * (ua[n] + ua[n+saN] + ua[n+sd] + ua[n+sd+saN])
 						ubBar := 0.25 * (ub[n] + ub[n+sbN] + ub[n+sd] + ub[n+sd+sbN])
 
-						au := absf(uf)
-						out[n] = au*(1-au/hbar)*aTerm - uf*(uaBar*bA+ubBar*bB)/hbar
+						au, yab := absf(uf), ya*yb
+						out[n] = (au*(hbar-au)*xA*yab - 0.5*uf*(uaBar*xa*yb+ubBar*xb*ya)*yA) / (hbar * yA * yab)
 					}
 				}
 			})

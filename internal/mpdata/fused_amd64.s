@@ -242,25 +242,21 @@ TEXT ·extremaAVX2(SB), NOSPLIT, $0-56
 	ARGS
 	REGION(ROWS(EXTREMA, 16))
 
-// y = 0.5 * (P - M) / (P + M + Eps) with P = streams p0 + p1, M = streams
-// m0 + m1: the cross-gradient terms bA and bB; x is y's low half. Clobbers
-// Y5-Y7.
-#define CROSS_GRADIENT(LD, DIV, p0, p1, m0, m1, y, x) \
+// One cross gradient, B = 0.5*(P - M)/(P + M + Eps) with P = streams p0 + p1
+// and M = streams m0 + m1, returned undivided: x = Ubar*(P - M), the numerator
+// already weighted by the transverse face average Ubar = 0.25*(s0 + s1 + s2 +
+// s3) (streams added left to right), and y = P + M + Eps, the denominator.
+// x and y are neither Y5 nor Y6. Clobbers Y5-Y7.
+#define CROSS_GRADIENT(LD, p0, p1, m0, m1, s0, s1, s2, s3, x, y) \
 	LD(p0, Y5); \
 	LD(p1, Y6); \
 	VADDPD Y6, Y5, Y5; \
 	LD(m0, Y6); \
 	LD(m1, Y7); \
 	VADDPD Y7, Y6, Y6; \
-	VSUBPD Y6, Y5, y; \
-	VMULPD y, Y12, y; \
-	VADDPD Y6, Y5, Y5; \
-	VADDPD Y13, Y5, Y5; \
-	DIV(Y5, y, y, X5, x, x)
-
-// y = 0.25 * (s0 + s1 + s2 + s3), streams added left to right: the face
-// averages uaBar and ubBar. Clobbers Y5, Y6.
-#define FACE_AVERAGE(LD, s0, s1, s2, s3, y) \
+	VSUBPD Y6, Y5, x; \
+	VADDPD Y6, Y5, y; \
+	VADDPD Y13, y, y; \
 	LD(s0, Y5); \
 	LD(s1, Y6); \
 	VADDPD Y6, Y5, Y5; \
@@ -268,27 +264,29 @@ TEXT ·extremaAVX2(SB), NOSPLIT, $0-56
 	VADDPD Y6, Y5, Y5; \
 	LD(s3, Y6); \
 	VADDPD Y6, Y5, Y5; \
-	VMULPD Y5, Y11, y
+	VMULPD Y5, Y11, Y5; \
+	VMULPD x, Y5, x
 
 // func pseudoVelAVX2(p *[198]*float64, g rowGeom, ends int)
 //
 // fusedPseudoVel, per row and direction dir (a, b the transverse ones), per
-// cell n:
+// cell n — one division, over the common denominator of the three ratios and
+// both 1/hbar:
 //
 //	uf := u[n]
 //	hbar := 0.5 * (h[n] + h[n+sd])
 //	p0, pd := ps[n], ps[n+sd]
-//	aTerm := (pd - p0) / (pd + p0 + Eps)
+//	xA, yA := pd-p0, pd+p0+Eps
 //	paP := ps[n+saP] + ps[n+sd+saP]
 //	paM := ps[n+saN] + ps[n+sd+saN]
-//	bA := 0.5 * (paP - paM) / (paP + paM + Eps)
+//	xa, ya := paP-paM, paP+paM+Eps
 //	pbP := ps[n+sbP] + ps[n+sd+sbP]
 //	pbM := ps[n+sbN] + ps[n+sd+sbN]
-//	bB := 0.5 * (pbP - pbM) / (pbP + pbM + Eps)
+//	xb, yb := pbP-pbM, pbP+pbM+Eps
 //	uaBar := 0.25 * (ua[n] + ua[n+saN] + ua[n+sd] + ua[n+sd+saN])
 //	ubBar := 0.25 * (ub[n] + ub[n+sbN] + ub[n+sd] + ub[n+sd+sbN])
-//	au := absf(uf)
-//	out[n] = au*(1-au/hbar)*aTerm - uf*(uaBar*bA+ubBar*bB)/hbar
+//	au, yab := absf(uf), ya*yb
+//	out[n] = (au*(hbar-au)*xA*yab - 0.5*uf*(uaBar*xa*yb+ubBar*xb*ya)*yA) / (hbar * yA * yab)
 //
 // Streams, 22 per direction, three directions in a row (66 a section): 0 u[n], 1 h[n],
 // 2 h[n+sd], 3 ps[n], 4 ps[n+sd], 5 ps[n+saP], 6 ps[n+sd+saP], 7 ps[n+saN],
@@ -296,7 +294,7 @@ TEXT ·extremaAVX2(SB), NOSPLIT, $0-56
 // 12 ps[n+sd+sbN], 13 ua[n], 14 ua[n+saN], 15 ua[n+sd], 16 ua[n+sd+saN],
 // 17 ub[n], 18 ub[n+sbN], 19 ub[n+sd], 20 ub[n+sd+sbN], 21 out[n].
 //
-// Y9 signbit, Y10 1.0, Y11 0.25, Y12 0.5, Y13 Eps.
+// Y9 signbit, Y11 0.25, Y12 0.5, Y13 Eps.
 #define PSEUDO_VEL(LD, ST, DIV) \
 	LD(1, Y0); \
 	LD(2, Y1); \
@@ -304,29 +302,31 @@ TEXT ·extremaAVX2(SB), NOSPLIT, $0-56
 	VMULPD Y0, Y12, Y0; /* Y0 = hbar */ \
 	LD(3, Y1); \
 	LD(4, Y2); \
-	VSUBPD Y1, Y2, Y3; \
+	VSUBPD Y1, Y2, Y3; /* Y3 = xA */ \
 	VADDPD Y1, Y2, Y2; \
-	VADDPD Y13, Y2, Y2; \
-	DIV(Y2, Y3, Y3, X2, X3, X3); /* Y3 = aTerm */ \
-	CROSS_GRADIENT(LD, DIV, 5, 6, 7, 8, Y1, X1); \
-	FACE_AVERAGE(LD, 13, 14, 15, 16, Y2); \
-	VMULPD Y1, Y2, Y1; /* Y1 = uaBar*bA */ \
-	CROSS_GRADIENT(LD, DIV, 9, 10, 11, 12, Y2, X2); \
-	FACE_AVERAGE(LD, 17, 18, 19, 20, Y4); \
-	VMULPD Y2, Y4, Y2; /* Y2 = ubBar*bB */ \
-	VADDPD Y2, Y1, Y1; \
-	LD(0, Y2); /* Y2 = uf */ \
-	VMULPD Y1, Y2, Y1; \
-	DIV(Y0, Y1, Y1, X0, X1, X1); /* Y1 = uf*(uaBar*bA+ubBar*bB)/hbar */ \
-	VCMPPD $1, Y14, Y2, Y4; \
-	VANDPD Y9, Y4, Y4; \
-	VXORPD Y4, Y2, Y2; /* Y2 = au */ \
-	DIV(Y0, Y2, Y4, X0, X2, X4); \
-	VSUBPD Y4, Y10, Y4; \
-	VMULPD Y4, Y2, Y2; \
-	VMULPD Y3, Y2, Y2; /* Y2 = au*(1-au/hbar)*aTerm */ \
-	VSUBPD Y1, Y2, Y2; \
-	ST(Y2, 21)
+	VADDPD Y13, Y2, Y2; /* Y2 = yA */ \
+	CROSS_GRADIENT(LD, 5, 6, 7, 8, 13, 14, 15, 16, Y1, Y4); /* Y1 = uaBar*xa, Y4 = ya */ \
+	CROSS_GRADIENT(LD, 9, 10, 11, 12, 17, 18, 19, 20, Y7, Y8); /* Y7 = ubBar*xb, Y8 = yb */ \
+	VMULPD Y8, Y1, Y1; \
+	VMULPD Y4, Y7, Y7; \
+	VADDPD Y7, Y1, Y1; /* Y1 = uaBar*xa*yb+ubBar*xb*ya */ \
+	VMULPD Y8, Y4, Y4; /* Y4 = yab */ \
+	LD(0, Y5); /* Y5 = uf */ \
+	VMULPD Y5, Y12, Y6; \
+	VMULPD Y1, Y6, Y6; \
+	VMULPD Y2, Y6, Y6; /* Y6 = 0.5*uf*(uaBar*xa*yb+ubBar*xb*ya)*yA */ \
+	VCMPPD $1, Y14, Y5, Y7; \
+	VANDPD Y9, Y7, Y7; \
+	VXORPD Y7, Y5, Y5; /* Y5 = au */ \
+	VSUBPD Y5, Y0, Y7; \
+	VMULPD Y7, Y5, Y5; \
+	VMULPD Y3, Y5, Y5; \
+	VMULPD Y4, Y5, Y5; /* Y5 = au*(hbar-au)*xA*yab */ \
+	VSUBPD Y6, Y5, Y5; \
+	VMULPD Y2, Y0, Y0; \
+	VMULPD Y4, Y0, Y0; /* Y0 = hbar*yA*yab */ \
+	DIV(Y0, Y5, Y5, X0, X5, X5); \
+	ST(Y5, 21)
 
 // The row in the three directions, one stream block each; R14 counts them.
 // Each direction walks the body and then its end cells, whose blocks sit a
@@ -344,7 +344,6 @@ TEXT ·pseudoVelAVX2(SB), NOSPLIT, $0-56
 	ARGS
 	VBROADCASTSD fusedConsts<>+0(SB), Y12
 	VBROADCASTSD fusedConsts<>+8(SB), Y11
-	VBROADCASTSD fusedConsts<>+16(SB), Y10
 	VBROADCASTSD fusedConsts<>+24(SB), Y13
 	VBROADCASTSD fusedConsts<>+32(SB), Y9
 	REGION(PSEUDO_VEL_ROWS)

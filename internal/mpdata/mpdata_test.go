@@ -2,6 +2,7 @@ package mpdata
 
 import (
 	"math"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -396,4 +397,111 @@ func TestStandardProblemWindowKeepsEveryCellsExpression(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestPseudoVelocityMatchesTheOldExpression bounds the move to one division
+// per face. The kernels take the pseudo velocity over a common denominator;
+// the five-division form they replaced lives on only here, as a math oracle.
+// A seeded sweep fills ψ with zeros and values log-uniform in [1e-300, 1e90],
+// h in [1e-3, 1e3] and the Courant numbers in [-1, 1], runs the three
+// pseudo-velocity stages (fast interior, boundary shell) and requires every
+// face value finite and within 1e-14·(|A term| + |cross term|) of the old
+// expression's. Both terms are differences — |U|·A − |U|²/h̄·A and
+// U·Ū_a·B_a/h̄ + U·Ū_b·B_b/h̄ — that cancel where their parts are close, and
+// the two forms round those parts differently; so a term's size here is the
+// sum of its parts' magnitudes, the scale a rounding error is relative to.
+// Where ψ is tiny next to its neighbours (below ≈ 1e-278 at ordinary sizes)
+// a product in the new numerator falls into the subnormals and keeps only an
+// absolute accuracy of a few units of the smallest subnormal; the common
+// denominator is at least h̄·Eps³, so the bound has the floor
+// 16·2⁻¹⁰⁷⁴/(h̄·Eps³), about 8e-278 at h̄ = 1.
+func TestPseudoVelocityMatchesTheOldExpression(t *testing.T) {
+	stages := []stencil.KernelStage{
+		pseudoVelStageNamed("v1", 0, InPsi, InU1, InU2, InU3),
+		pseudoVelStageNamed("v2", 1, InPsi, InU1, InU2, InU3),
+		pseudoVelStageNamed("v3", 2, InPsi, InU1, InU2, InU3),
+	}
+	kp, err := stencil.BuildProgram("pseudo-velocity", StepInputs(), "v3", stages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	domain := grid.Sz(9, 8, 7)
+	whole := grid.WholeRegion(domain)
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		state := NewState(domain)
+		uniform := func(lo, hi float64) float64 { return lo + (hi-lo)*rng.Float64() }
+		state.Psi.FillFunc(func(i, j, k int) float64 {
+			if rng.Intn(4) == 0 {
+				return 0
+			}
+			return math.Pow(10, uniform(-300, 90))
+		})
+		state.H.FillFunc(func(i, j, k int) float64 { return math.Pow(10, uniform(-3, 3)) })
+		for _, u := range []*grid.Field{state.U1, state.U2, state.U3} {
+			u.FillFunc(func(i, j, k int) float64 { return uniform(-1, 1) })
+		}
+		env, err := stencil.NewEnv(&kp.Program, domain, state.InputMap())
+		if err != nil {
+			t.Fatal(err)
+		}
+		env.BC = stencil.Clamp
+		if seed%2 == 0 {
+			env.BC = stencil.Periodic
+		}
+		for _, kern := range kp.Kernels {
+			kern(env, whole)
+		}
+		for dir, name := range []string{"v1", "v2", "v3"} {
+			out := env.Field(name)
+			stencil.ForEach(whole, func(i, j, k int) {
+				got := out.At(i, j, k)
+				want, aSize, crossSize, hbar := oldPseudoVelocity(env, dir, i, j, k)
+				if math.IsNaN(got) || math.IsInf(got, 0) {
+					t.Fatalf("seed %d %s(%d,%d,%d) = %v", seed, name, i, j, k, got)
+				}
+				floor := 16 * math.SmallestNonzeroFloat64 / (hbar * Eps * Eps * Eps)
+				if d := math.Abs(got - want); d > 1e-14*(aSize+crossSize)+floor {
+					t.Fatalf("seed %d %s(%d,%d,%d) = %v, the five-division form gives %v (A term size %v, cross term size %v)",
+						seed, name, i, j, k, got, want, aSize, crossSize)
+				}
+			})
+		}
+	}
+}
+
+// oldPseudoVelocity evaluates the antidiffusive velocity at (i,j,k) in
+// direction dir as the kernels did before the common denominator,
+//
+//	v = |U|·(1 − |U|/h̄)·A − U·(Ū_a·B_a + Ū_b·B_b)/h̄
+//
+// with A, B_a and B_b each divided out, and returns v, the sizes of its two
+// terms (the sums of their parts' magnitudes) and h̄.
+func oldPseudoVelocity(env *stencil.Env, dir, i, j, k int) (v, aSize, crossSize, hbar float64) {
+	us := [3]*grid.Field{env.Field(InU1), env.Field(InU2), env.Field(InU3)}
+	ps, h := env.Field(InPsi), env.Field(InH)
+	d, a, b := unit(dir), unit((dir+1)%3), unit((dir+2)%3)
+	at := func(f *grid.Field, o ...stencil.Offset) float64 {
+		di, dj, dk := i, j, k
+		for _, x := range o {
+			di, dj, dk = di+x.DI, dj+x.DJ, dk+x.DK
+		}
+		return env.AtP(f, di, dj, dk)
+	}
+	na, nb := off(-a.DI, -a.DJ, -a.DK), off(-b.DI, -b.DJ, -b.DK)
+	uf, ua, ub := at(us[dir]), us[(dir+1)%3], us[(dir+2)%3]
+	hbar = 0.5 * (at(h) + at(h, d))
+	p0, pd := at(ps), at(ps, d)
+	aTerm := (pd - p0) / (pd + p0 + Eps)
+	paP, paM := at(ps, a)+at(ps, d, a), at(ps, na)+at(ps, d, na)
+	bA := 0.5 * (paP - paM) / (paP + paM + Eps)
+	pbP, pbM := at(ps, b)+at(ps, d, b), at(ps, nb)+at(ps, d, nb)
+	bB := 0.5 * (pbP - pbM) / (pbP + pbM + Eps)
+	uaBar := 0.25 * (at(ua) + at(ua, na) + at(ua, d) + at(ua, d, na))
+	ubBar := 0.25 * (at(ub) + at(ub, nb) + at(ub, d) + at(ub, d, nb))
+	au := absf(uf)
+	v = au*(1-au/hbar)*aTerm - uf*(uaBar*bA+ubBar*bB)/hbar
+	aSize = au * (1 + au/hbar) * math.Abs(aTerm)
+	crossSize = au * (math.Abs(uaBar*bA) + math.Abs(ubBar*bB)) / hbar
+	return v, aSize, crossSize, hbar
 }

@@ -238,9 +238,16 @@ func extremaStageNamed(name string, isMax bool, curName string) stencil.KernelSt
 //
 //	v = |U|·(1 − |U|/h̄)·A − U·(Ū_a·B_a + Ū_b·B_b)/h̄
 //
-// with A the normalized gradient of the iterate along dir at the face,
-// B_a/B_b the normalized cross gradients, and Ū the four-point face averages
-// of the transverse velocities.
+// with A = x_A/y_A the normalized gradient of the iterate along dir at the
+// face, B_a = ½·x_a/y_a and B_b = ½·x_b/y_b the normalized cross gradients,
+// and Ū the four-point face averages of the transverse velocities. The three
+// ratios and both 1/h̄ are taken over one common denominator,
+//
+//	v = (|U|·(h̄ − |U|)·x_A·y_a·y_b − ½·U·(Ū_a·x_a·y_b + Ū_b·x_b·y_a)·y_A) / (h̄·y_A·y_a·y_b)
+//
+// so a face costs one division instead of five (docs/NUMERICS.md §3 gives its
+// range and its drift from the five-division form). fusedPseudoVel and the
+// AVX2 body evaluate exactly this association.
 func pseudoVelStageNamed(name string, dir int, curName, v1Name, v2Name, v3Name string) stencil.KernelStage {
 	// unit vectors: d is the stage direction, a and b the transverse ones.
 	d := unit(dir)
@@ -285,25 +292,25 @@ func pseudoVelStageNamed(name string, dir int, curName, v1Name, v2Name, v3Name s
 
 			p0 := ps.At(i, j, k)
 			pd := at(ps, d, i, j, k)
-			// A: normalized gradient along dir.
-			aTerm := (pd - p0) / (pd + p0 + Eps)
+			// A = xA/yA: normalized gradient along dir.
+			xA, yA := pd-p0, pd+p0+Eps
 
-			// B_a: normalized cross gradient along a at the face.
+			// B_a = ½·xa/ya: normalized cross gradient along a at the face.
 			paP := at(ps, a, i, j, k) + at(ps, add(d, a), i, j, k)
 			paM := at(ps, neg(a), i, j, k) + at(ps, add(d, neg(a)), i, j, k)
-			bA := 0.5 * (paP - paM) / (paP + paM + Eps)
+			xa, ya := paP-paM, paP+paM+Eps
 
 			pbP := at(ps, b, i, j, k) + at(ps, add(d, b), i, j, k)
 			pbM := at(ps, neg(b), i, j, k) + at(ps, add(d, neg(b)), i, j, k)
-			bB := 0.5 * (pbP - pbM) / (pbP + pbM + Eps)
+			xb, yb := pbP-pbM, pbP+pbM+Eps
 
 			uaBar := 0.25 * (ua.At(i, j, k) + at(ua, neg(a), i, j, k) +
 				at(ua, d, i, j, k) + at(ua, add(d, neg(a)), i, j, k))
 			ubBar := 0.25 * (ub.At(i, j, k) + at(ub, neg(b), i, j, k) +
 				at(ub, d, i, j, k) + at(ub, add(d, neg(b)), i, j, k))
 
-			au := absf(uf)
-			v := au*(1-au/hbar)*aTerm - uf*(uaBar*bA+ubBar*bB)/hbar
+			au, yab := absf(uf), ya*yb
+			v := (au*(hbar-au)*xA*yab - 0.5*uf*(uaBar*xa*yb+ubBar*xb*ya)*yA) / (hbar * yA * yab)
 			out.Set(i, j, k, v)
 		})
 	}
@@ -329,21 +336,21 @@ func pseudoVelStageNamed(name string, dir int, curName, v1Name, v2Name, v3Name s
 				hbar := 0.5 * (h[n] + h[n+sd])
 
 				p0, pd := ps[n], ps[n+sd]
-				aTerm := (pd - p0) / (pd + p0 + Eps)
+				xA, yA := pd-p0, pd+p0+Eps
 
 				paP := ps[n+saP] + ps[n+sd+saP]
 				paM := ps[n+saN] + ps[n+sd+saN]
-				bA := 0.5 * (paP - paM) / (paP + paM + Eps)
+				xa, ya := paP-paM, paP+paM+Eps
 
 				pbP := ps[n+sbP] + ps[n+sd+sbP]
 				pbM := ps[n+sbN] + ps[n+sd+sbN]
-				bB := 0.5 * (pbP - pbM) / (pbP + pbM + Eps)
+				xb, yb := pbP-pbM, pbP+pbM+Eps
 
 				uaBar := 0.25 * (ua[n] + ua[n+saN] + ua[n+sd] + ua[n+sd+saN])
 				ubBar := 0.25 * (ub[n] + ub[n+sbN] + ub[n+sd] + ub[n+sd+sbN])
 
-				au := absf(uf)
-				out[n] = au*(1-au/hbar)*aTerm - uf*(uaBar*bA+ubBar*bB)/hbar
+				au, yab := absf(uf), ya*yb
+				out[n] = (au*(hbar-au)*xA*yab - 0.5*uf*(uaBar*xa*yb+ubBar*xb*ya)*yA) / (hbar * yA * yab)
 			}
 		})
 	}

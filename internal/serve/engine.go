@@ -79,11 +79,13 @@ type solverEngine struct {
 	state  *solver.State
 	out    *grid.Field
 	runner *exec.Runner
-	// massIn is the sum of the problem fill, taken at the first Reset: the
-	// fill is a pure function of the engine's key, so every later Reset
-	// writes the same field and a second serial pass over it buys nothing.
+	// written are the state fields a step can change (writtenFields); first
+	// holds their problem fill, copied at the first Reset. The fill is a pure
+	// function of the engine's key, so a later Reset copies first back
+	// instead of recomputing it, and massIn, the fill's sum, is taken once.
+	written []*grid.Field
+	first   []*grid.Field
 	massIn  float64
-	hasMass bool
 	synced  bool
 }
 
@@ -136,7 +138,22 @@ func NewSolverEngine(n NormSpec) (Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &solverEngine{ns: n, entry: entry, state: state, out: state.Output(), runner: runner}, nil
+	return &solverEngine{ns: n, entry: entry, state: state, out: state.Output(), runner: runner,
+		written: writtenFields(&prog.Program, state)}, nil
+}
+
+// writtenFields derives from the program which state fields its steps write:
+// the feedback field the output is swapped into, plus any step input a stage
+// writes. Every other input is only read, so it keeps its first fill for the
+// engine's lifetime.
+func writtenFields(prog *stencil.Program, st *solver.State) []*grid.Field {
+	fields := []*grid.Field{st.Output()}
+	for _, s := range prog.Stages {
+		if s.Name != st.Feedback && prog.IsStepInput(s.Name) {
+			fields = append(fields, st.Inputs[s.Name])
+		}
+	}
+	return fields
 }
 
 // Reset writes the solver's standard problem (for mpdata: the Gaussian blob
@@ -144,14 +161,25 @@ func NewSolverEngine(n NormSpec) (Engine, error) {
 // re-imports them into the islands' private halo buffers. The same fill is
 // what streamed jobs seed their spill stores with, so a streamed job's
 // checksums are bit-comparable to a resident run.
+//
+// Only the first Reset runs the fill; it keeps a copy of the fields a step
+// writes, and every later Reset copies those back without allocating — the
+// fields no step writes (mpdata's velocities and h) still hold the first fill.
 func (e *solverEngine) Reset() error {
-	e.entry.SetProblem(e.state)
+	if e.first == nil {
+		e.entry.SetProblem(e.state)
+		for _, f := range e.written {
+			e.first = append(e.first, f.Clone())
+		}
+		e.massIn = e.out.Sum()
+	} else {
+		for i, f := range e.written {
+			f.CopyFrom(e.first[i])
+		}
+	}
 	// The swap+halo feedback mode keeps private feedback buffers per
 	// island; re-import the freshly written shared field (no-op otherwise).
 	e.runner.ReloadFeedback()
-	if !e.hasMass {
-		e.massIn, e.hasMass = e.out.Sum(), true
-	}
 	e.synced = true
 	return nil
 }

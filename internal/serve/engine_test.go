@@ -3,6 +3,10 @@ package serve
 import (
 	"math"
 	"testing"
+
+	"islands/internal/exec"
+	"islands/internal/grid"
+	"islands/internal/solver"
 )
 
 // TestChecksumsMatchFieldReductions: the engine's single walk over the
@@ -82,4 +86,83 @@ func TestResetKeepsTheInitialMass(t *testing.T) {
 			t.Errorf("%s: mass drift %x, fresh %x", name, math.Float64bits(got.MassDrift), math.Float64bits(want.MassDrift))
 		}
 	}
+}
+
+// TestResetRestoresTheFirstFill: only an engine's first Reset runs the
+// problem fill; later ones copy back the fields its steps wrote. Every catalog
+// solver under every strategy must repeat a fresh engine's job bit for bit
+// after each such Reset — through swap+halo too, where the restored field has
+// to reach the islands' private buffers — and a restoring Reset allocates
+// nothing.
+func TestResetRestoresTheFirstFill(t *testing.T) {
+	const steps = 3
+	strategies := []Spec{
+		{Strategy: "original"}, {Strategy: "3+1d"},
+		{Strategy: "islands"}, {Strategy: "islands", CoreIslands: true},
+	}
+	swapHalo := 0
+	for _, name := range solver.Names() {
+		entry, err := solver.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The k extent the entry's component packing accepts.
+		nk := 7
+		for _, c := range []int{7, 9, 3, 2} {
+			if entry.CheckDomain == nil || entry.CheckDomain(grid.Sz(32, 16, c)) == nil {
+				nk = c
+				break
+			}
+		}
+		for _, spec := range strategies {
+			spec.Solver, spec.Grid, spec.Steps = name, grid.Sz(32, 16, nk).String(), steps
+			ns, err := spec.Normalize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng, err := NewSolverEngine(ns)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func() Checksums {
+				t.Helper()
+				if err := eng.Reset(); err != nil {
+					t.Fatal(err)
+				}
+				for s := 0; s < steps; s++ {
+					if err := eng.Step(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return eng.Checksums()
+			}
+			label := name + " " + ns.StrategyName()
+			fresh := run()
+			for job := 2; job <= 3; job++ {
+				if got := run(); !sameBits(got, fresh) {
+					t.Errorf("%s: job %d on the engine reports %+v, its first job %+v", label, job, got, fresh)
+				}
+			}
+			if n := testing.AllocsPerRun(5, func() { _ = eng.Reset() }); n != 0 {
+				t.Errorf("%s: a restoring Reset allocates %v times", label, n)
+			}
+			if eng.(*solverEngine).runner.Schedule().Feedback() == exec.FeedbackSwapHalo {
+				swapHalo++
+			}
+			eng.Close()
+		}
+	}
+	if swapHalo == 0 {
+		t.Fatal("no case compiled swap+halo: the restore into private feedback buffers went unchecked")
+	}
+}
+
+// sameBits compares checksums bit for bit (a NaN equals itself).
+func sameBits(a, b Checksums) bool {
+	for _, p := range [][2]float64{{a.Sum, b.Sum}, {a.Min, b.Min}, {a.Max, b.Max}, {a.MassDrift, b.MassDrift}} {
+		if math.Float64bits(p[0]) != math.Float64bits(p[1]) {
+			return false
+		}
+	}
+	return true
 }

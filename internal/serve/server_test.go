@@ -398,9 +398,25 @@ func TestCancelRunningMidStep(t *testing.T) {
 
 // TestCancelRunningRealEngine drives the real barrier-abort path end to end:
 // a long MPDATA job is canceled mid-run and must come back canceled promptly.
+// Its engine is a cached one, already holding the copy of its first fill that
+// later Resets restore; poisoned, it is still discarded — the next job of the
+// key compiles afresh and reproduces the first job's checksums.
 func TestCancelRunningRealEngine(t *testing.T) {
 	srv := serve.NewServer(serve.Options{Slots: 1, Logf: t.Logf})
 	defer srv.Close()
+
+	short := func() *serve.Result {
+		t.Helper()
+		j, err := srv.Submit(serve.Spec{Grid: "48x32x8", Steps: 3, Processors: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := waitTerminal(t, j); st != serve.StateSucceeded {
+			t.Fatalf("short job state = %s, err %q", st, srv.Status(j).Error)
+		}
+		return srv.Status(j).Result
+	}
+	first := short()
 
 	j, err := srv.Submit(serve.Spec{Grid: "48x32x8", Steps: 100000, Processors: 2})
 	if err != nil {
@@ -415,6 +431,17 @@ func TestCancelRunningRealEngine(t *testing.T) {
 	done := srv.Status(j)
 	if done.Step >= 100000 {
 		t.Fatalf("job ran to completion (%d steps) despite the cancel", done.Step)
+	}
+
+	after := short()
+	if after.CacheHit {
+		t.Fatal("the job after the cancel hit the cache; the poisoned engine was restored and reused")
+	}
+	if after.Checksums != first.Checksums {
+		t.Fatalf("fresh engine after the cancel: %+v, the first job reported %+v", after.Checksums, first.Checksums)
+	}
+	if ps := srv.PoolStats(); ps.Hits != 1 || ps.Misses != 2 {
+		t.Fatalf("pool hits/misses = %d/%d, want 1/2 (the canceled job reused the first engine, the next compiled)", ps.Hits, ps.Misses)
 	}
 }
 
