@@ -11,7 +11,9 @@ import (
 
 // BenchmarkStage measures each of the 17 kernels over an interior region,
 // exercising the stride-based fast paths. Cell rates document the per-stage
-// cost structure (the pseudo-velocity stages dominate).
+// cost structure: the pseudo-velocity stages dominate, each with one
+// division per cell over its common denominator (five before; NUMERICS.md
+// §3).
 func BenchmarkStage(b *testing.B) {
 	domain := grid.Sz(64, 64, 64)
 	state := NewState(domain)
