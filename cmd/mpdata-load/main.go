@@ -173,7 +173,7 @@ func main() {
 	steps := flag.Int("steps", 5, "time steps per job")
 	p := flag.Int("p", 2, "simulated UV 2000 sockets per job")
 	strategies := flag.String("strategies", "original,3+1d,islands,islands+core", "comma-separated strategy rotation (suffix +core for core islands)")
-	solversFlag := flag.String("solvers", "mpdata", "comma-separated catalog solver rotation for mixed-solver traffic (see stencil-info -solvers)")
+	solversFlag := flag.String("solvers", "mpdata", "comma-separated catalog solver rotation for mixed-solver traffic (docs/SOLVERS.md)")
 	ksteps := flag.Int("ksteps", 0, "temporal blocking factor requested per job (islands strategies only)")
 	pin := flag.Bool("pin", false, "pin jobs to the requested config (opt out of server-side autotuning)")
 	streamed := flag.Bool("streamed", false, "submit streamed (out-of-core) jobs: the server tiles each domain under -budget-mb (docs/STREAMING.md)")

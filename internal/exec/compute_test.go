@@ -203,10 +203,6 @@ func TestTraversalCounts(t *testing.T) {
 	if got := OriginalTraversals(&prog.Program); got != 80 {
 		t.Fatalf("OriginalTraversals = %d, want 80", got)
 	}
-	// (5+1) arrays * spill factor 3 = 18 sweeps: the paper's 30 GB.
-	if got := BlockedTraversalEquivalent(&prog.Program); got != 18 {
-		t.Fatalf("BlockedTraversalEquivalent = %v, want 18", got)
-	}
 }
 
 func TestUsefulFlops(t *testing.T) {

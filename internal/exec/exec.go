@@ -668,10 +668,3 @@ func OriginalTraversals(prog *stencil.Program) int {
 	}
 	return n
 }
-
-// BlockedTraversalEquivalent returns the per-step main-memory traffic of the
-// blocked strategies in units of full-array sweeps: the 5 inputs and 1
-// output, inflated by cache spills (reproducing the paper's 30 GB).
-func BlockedTraversalEquivalent(prog *stencil.Program) float64 {
-	return float64(len(prog.StepInputs)+1) * SpillFactor
-}

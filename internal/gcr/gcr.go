@@ -17,7 +17,6 @@ import (
 	"math"
 
 	"islands/internal/grid"
-	"islands/internal/stencil"
 )
 
 // Operator applies a linear operator to src over region r, writing dst.
@@ -25,8 +24,7 @@ type Operator func(dst, src *grid.Field, r grid.Region)
 
 // Laplacian returns the standard 7-point negative Laplacian with unit grid
 // spacing and homogeneous Dirichlet boundaries (reads outside the domain are
-// zero): dst = 6·src − Σ neighbours. Interior cells use unchecked flat
-// indexing; the boundary shell falls back to guarded reads.
+// zero): dst = 6·src − Σ neighbours.
 func Laplacian(domain grid.Size) Operator {
 	at := func(f *grid.Field, i, j, k int) float64 {
 		if i < 0 || i >= domain.NI || j < 0 || j >= domain.NJ || k < 0 || k >= domain.NK {
@@ -34,7 +32,7 @@ func Laplacian(domain grid.Size) Operator {
 		}
 		return f.At(i, j, k)
 	}
-	slow := func(dst, src *grid.Field, r grid.Region) {
+	return func(dst, src *grid.Field, r grid.Region) {
 		for i := r.I0; i < r.I1; i++ {
 			for j := r.J0; j < r.J1; j++ {
 				for k := r.K0; k < r.K1; k++ {
@@ -42,66 +40,6 @@ func Laplacian(domain grid.Size) Operator {
 						at(src, i-1, j, k) - at(src, i+1, j, k) -
 						at(src, i, j-1, k) - at(src, i, j+1, k) -
 						at(src, i, j, k-1) - at(src, i, j, k+1)
-					dst.Set(i, j, k, v)
-				}
-			}
-		}
-	}
-	one := stencil.Extent{ILo: 1, IHi: 1, JLo: 1, JHi: 1, KLo: 1, KHi: 1}
-	return func(dst, src *grid.Field, r grid.Region) {
-		interior, border := stencil.InteriorSplit(r, one, domain)
-		if !interior.Empty() {
-			s, d := src.Data, dst.Data
-			si, sj, _ := stencil.Strides(domain)
-			nk := interior.K1 - interior.K0
-			stencil.ForEachRow(domain, interior, func(_, _, base int) {
-				for n := base; n < base+nk; n++ {
-					d[n] = 6*s[n] - s[n-si] - s[n+si] - s[n-sj] - s[n+sj] - s[n-1] - s[n+1]
-				}
-			})
-		}
-		for _, b := range border {
-			slow(dst, src, b)
-		}
-	}
-}
-
-// VariableCoeff returns the EULAG-style variable-coefficient elliptic
-// operator A·x = −div(h·grad x) discretized with arithmetic-mean face
-// coefficients on the 7-point stencil, homogeneous Dirichlet boundaries. With h ≡ 1 it
-// reduces exactly to Laplacian. The operator is symmetric positive definite
-// for positive h, so GCR applies unchanged.
-func VariableCoeff(domain grid.Size, h *grid.Field) Operator {
-	if h.Size != domain {
-		panic(fmt.Sprintf("gcr: coefficient field %v does not match domain %v", h.Size, domain))
-	}
-	// face returns the coefficient on the face between a cell and its
-	// neighbour (arithmetic mean; outside cells mirror the boundary cell).
-	face := func(i, j, k, ni, nj, nk int) float64 {
-		c := h.At(i, j, k)
-		if ni < 0 || ni >= domain.NI || nj < 0 || nj >= domain.NJ || nk < 0 || nk >= domain.NK {
-			return c
-		}
-		return 0.5 * (c + h.At(ni, nj, nk))
-	}
-	at := func(f *grid.Field, i, j, k int) float64 {
-		if i < 0 || i >= domain.NI || j < 0 || j >= domain.NJ || k < 0 || k >= domain.NK {
-			return 0
-		}
-		return f.At(i, j, k)
-	}
-	return func(dst, src *grid.Field, r grid.Region) {
-		for i := r.I0; i < r.I1; i++ {
-			for j := r.J0; j < r.J1; j++ {
-				for k := r.K0; k < r.K1; k++ {
-					c := src.At(i, j, k)
-					var v float64
-					v += face(i, j, k, i-1, j, k) * (c - at(src, i-1, j, k))
-					v += face(i, j, k, i+1, j, k) * (c - at(src, i+1, j, k))
-					v += face(i, j, k, i, j-1, k) * (c - at(src, i, j-1, k))
-					v += face(i, j, k, i, j+1, k) * (c - at(src, i, j+1, k))
-					v += face(i, j, k, i, j, k-1) * (c - at(src, i, j, k-1))
-					v += face(i, j, k, i, j, k+1) * (c - at(src, i, j, k+1))
 					dst.Set(i, j, k, v)
 				}
 			}

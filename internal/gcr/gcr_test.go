@@ -281,76 +281,3 @@ func TestSmootherReducesResidual(t *testing.T) {
 		last = cur
 	}
 }
-
-// TestVariableCoeffReducesToLaplacian: with h = 1 the variable-coefficient
-// operator is exactly the constant one.
-func TestVariableCoeffReducesToLaplacian(t *testing.T) {
-	domain := grid.Sz(10, 8, 6)
-	h := grid.NewField("h", domain)
-	h.Fill(1)
-	u := grid.NewField("u", domain)
-	u.FillFunc(func(i, j, k int) float64 { return float64((i*3+j*5+k*7)%13) - 6 })
-	a := grid.NewField("a", domain)
-	b := grid.NewField("b", domain)
-	whole := grid.WholeRegion(domain)
-	Laplacian(domain)(a, u, whole)
-	VariableCoeff(domain, h)(b, u, whole)
-	if d := grid.MaxAbsDiff(a, b); d > 1e-12 {
-		t.Fatalf("h=1 variable operator differs from Laplacian by %g", d)
-	}
-}
-
-// TestVariableCoeffSolve: GCR solves the variable-coefficient problem on a
-// manufactured solution.
-func TestVariableCoeffSolve(t *testing.T) {
-	domain := grid.Sz(14, 12, 10)
-	h := grid.NewField("h", domain)
-	h.FillFunc(func(i, j, k int) float64 { return 1 + 0.5*float64(k)/float64(domain.NK) })
-	op := VariableCoeff(domain, h)
-
-	exact, _ := manufactured(domain)
-	b := grid.NewField("b", domain)
-	op(b, exact, grid.WholeRegion(domain))
-
-	s := NewSolver(domain, op, Options{Tol: 1e-10, MaxIter: 2000})
-	x := grid.NewField("x", domain)
-	res, err := s.Solve(x, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatalf("did not converge: %+v", res)
-	}
-	if d := grid.MaxAbsDiff(exact, x); d > 1e-7 {
-		t.Fatalf("variable-coefficient solution error %g", d)
-	}
-}
-
-// TestVariableCoeffSymmetric: the discretization stays symmetric for
-// non-constant positive h (required for GCR's optimality).
-func TestVariableCoeffSymmetric(t *testing.T) {
-	domain := grid.Sz(6, 6, 6)
-	h := grid.NewField("h", domain)
-	h.FillFunc(func(i, j, k int) float64 { return 1 + 0.1*float64(i+2*j+3*k) })
-	op := VariableCoeff(domain, h)
-	whole := grid.WholeRegion(domain)
-	u := grid.NewField("u", domain)
-	v := grid.NewField("v", domain)
-	u.FillFunc(func(i, j, k int) float64 { return float64((i*5+j*3+k*7)%11) - 5 })
-	v.FillFunc(func(i, j, k int) float64 { return float64((i*2+j*9+k)%7) - 3 })
-	au := grid.NewField("au", domain)
-	av := grid.NewField("av", domain)
-	op(au, u, whole)
-	op(av, v, whole)
-	dot := func(a, b *grid.Field) float64 {
-		var s float64
-		for n := range a.Data {
-			s += a.Data[n] * b.Data[n]
-		}
-		return s
-	}
-	d1, d2 := dot(au, v), dot(u, av)
-	if diff := d1 - d2; diff > 1e-9 || diff < -1e-9 {
-		t.Fatalf("variable operator not symmetric: %v vs %v", d1, d2)
-	}
-}

@@ -259,28 +259,6 @@ func abs(x float64) float64 {
 	return x
 }
 
-// SumRegion returns the compensated sum over a region.
-func (f *Field) SumRegion(r Region) float64 {
-	r = r.Clamp(f.Size)
-	var sum, comp float64
-	for i := r.I0; i < r.I1; i++ {
-		for j := r.J0; j < r.J1; j++ {
-			base := f.Index(i, j, r.K0)
-			for k := r.K0; k < r.K1; k++ {
-				v := f.Data[base+k-r.K0]
-				t := sum + v
-				if abs(sum) >= abs(v) {
-					comp += (sum - t) + v
-				} else {
-					comp += (v - t) + sum
-				}
-				sum = t
-			}
-		}
-	}
-	return sum + comp
-}
-
 // Min returns the minimum cell value.
 func (f *Field) Min() float64 {
 	m := math.Inf(1)

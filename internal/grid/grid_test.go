@@ -173,26 +173,6 @@ func TestFieldSumKahan(t *testing.T) {
 	}
 }
 
-func TestSumRegionMatchesManual(t *testing.T) {
-	f := NewField("x", Size{4, 4, 4})
-	f.FillFunc(func(i, j, k int) float64 { return float64(i + j + k) })
-	r := Region{1, 3, 1, 3, 1, 3}
-	var want float64
-	for i := 1; i < 3; i++ {
-		for j := 1; j < 3; j++ {
-			for k := 1; k < 3; k++ {
-				want += float64(i + j + k)
-			}
-		}
-	}
-	if got := f.SumRegion(r); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("SumRegion = %v, want %v", got, want)
-	}
-	if got := f.SumRegion(WholeRegion(f.Size)); math.Abs(got-f.Sum()) > 1e-12 {
-		t.Fatalf("SumRegion(whole) = %v, want Sum() = %v", got, f.Sum())
-	}
-}
-
 func TestMinMaxDiff(t *testing.T) {
 	a := NewField("a", Size{2, 2, 2})
 	b := NewField("b", Size{2, 2, 2})

@@ -88,29 +88,3 @@ func TestLoadFieldMissingFile(t *testing.T) {
 		t.Fatal("expected error for missing file")
 	}
 }
-
-func TestRenderSlice(t *testing.T) {
-	f := NewField("blob", Sz(6, 8, 2))
-	f.FillFunc(func(i, j, k int) float64 {
-		if k == 0 && i >= 2 && i < 4 && j >= 3 && j < 5 {
-			return 9
-		}
-		return 1
-	})
-	out := RenderSlice(f, 0)
-	if !strings.Contains(out, "blob k=0") || !strings.Contains(out, "@") {
-		t.Fatalf("render missing parts:\n%s", out)
-	}
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 7 { // header + 6 rows
-		t.Fatalf("render has %d lines, want 7:\n%s", len(lines), out)
-	}
-	// Constant slice: all lowest-ramp characters, no crash on zero span.
-	flat := RenderSlice(f, 1)
-	if strings.ContainsAny(flat[strings.Index(flat, "\n")+1:], "@#%") {
-		t.Fatalf("constant slice rendered non-minimum marks:\n%s", flat)
-	}
-	if !strings.Contains(RenderSlice(f, 5), "out of range") {
-		t.Fatal("out-of-range slice not reported")
-	}
-}

@@ -231,26 +231,6 @@ func (p *PlaneFile) Close() error {
 	return p.f.Close()
 }
 
-// SumPlanes accumulates every cell of the file into acc in flat i-major
-// order — the same visitation order as Field.Sum, so the streamed checksum of
-// a stored field is bit-identical to the resident one. The scan reuses one
-// plane-sized buffer.
-func (p *PlaneFile) SumPlanes(acc *SumAccumulator, buf []float64) error {
-	planeCells := int(PlaneBytes(p.size) / CellBytes)
-	if len(buf) < planeCells {
-		buf = make([]float64, planeCells)
-	}
-	for i := 0; i < p.size.NI; i++ {
-		if err := p.ReadPlanes(buf, i, 1); err != nil {
-			return err
-		}
-		for _, v := range buf[:planeCells] {
-			acc.Add(v)
-		}
-	}
-	return nil
-}
-
 // WriteFileAtomic writes data to path with the crash-safety contract of the
 // streamed checkpoint: the bytes go to a same-directory temp file first,
 // fsync makes them durable, an atomic rename publishes them, and a directory

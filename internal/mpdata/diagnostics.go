@@ -49,32 +49,6 @@ func TotalVariation(f *grid.Field) float64 {
 	return tv
 }
 
-// ErrorNorms holds the three standard error norms against a reference.
-type ErrorNorms struct {
-	L1, L2, LInf float64
-}
-
-// Errors computes the error norms of got against want (cell-averaged L1/L2).
-func Errors(want, got *grid.Field) ErrorNorms {
-	if want.Size != got.Size {
-		panic(fmt.Sprintf("mpdata: size mismatch %v vs %v", want.Size, got.Size))
-	}
-	var e ErrorNorms
-	var sum1, sum2 float64
-	for n := range want.Data {
-		d := math.Abs(got.Data[n] - want.Data[n])
-		sum1 += d
-		sum2 += d * d
-		if d > e.LInf {
-			e.LInf = d
-		}
-	}
-	cells := float64(len(want.Data))
-	e.L1 = sum1 / cells
-	e.L2 = math.Sqrt(sum2 / cells)
-	return e
-}
-
 // SetCosineBell places a compactly supported cosine bell of the given radius
 // (in cells) and amplitude at (ci,cj,ck) over a background value — smoother
 // than a sphere, sharper than a Gaussian; a standard advection test profile.

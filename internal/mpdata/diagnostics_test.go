@@ -67,31 +67,6 @@ func TestLimiterIsTVD(t *testing.T) {
 	}
 }
 
-func TestErrorsNorms(t *testing.T) {
-	a := grid.NewField("a", grid.Sz(2, 2, 2))
-	b := grid.NewField("b", grid.Sz(2, 2, 2))
-	b.Data[3] = 2 // one cell differs by 2
-	e := Errors(a, b)
-	if math.Abs(e.L1-0.25) > 1e-15 {
-		t.Fatalf("L1 = %v, want 0.25", e.L1)
-	}
-	if math.Abs(e.L2-math.Sqrt(0.5)) > 1e-15 {
-		t.Fatalf("L2 = %v", e.L2)
-	}
-	if e.LInf != 2 {
-		t.Fatalf("LInf = %v, want 2", e.LInf)
-	}
-}
-
-func TestErrorsPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Errors(grid.NewField("a", grid.Sz(2, 2, 2)), grid.NewField("b", grid.Sz(3, 2, 2)))
-}
-
 func TestCosineBell(t *testing.T) {
 	state := NewState(grid.Sz(32, 32, 8))
 	state.SetCosineBell(16, 16, 4, 6, 2, 0.1)

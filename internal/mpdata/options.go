@@ -25,16 +25,6 @@ func DefaultOptions() Options {
 	return Options{IORD: 2, NonOscillatory: true}
 }
 
-// StageCount returns the number of stages the options produce:
-// 4 for the donor pass, plus 13 (limited) or 7 (unlimited) per correction.
-func (o Options) StageCount() int {
-	per := 7
-	if o.NonOscillatory {
-		per = 13
-	}
-	return 4 + (o.IORD-1)*per
-}
-
 // Validate checks the options.
 func (o Options) Validate() error {
 	if o.IORD < 1 {

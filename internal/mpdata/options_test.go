@@ -33,9 +33,6 @@ func TestStageCounts(t *testing.T) {
 		{Options{IORD: 3}, 18},
 	}
 	for _, c := range cases {
-		if got := c.o.StageCount(); got != c.want {
-			t.Errorf("StageCount(%+v) = %d, want %d", c.o, got, c.want)
-		}
 		kp, err := NewProgramWithOptions(c.o)
 		if err != nil {
 			t.Fatalf("build %+v: %v", c.o, err)

@@ -163,82 +163,37 @@ func ParseGrid(s string) (grid.Size, error) {
 	return sz, nil
 }
 
+// The spec's enum fields by name, matched case-insensitively after trimming;
+// "" is each field's default.
+var (
+	strategies = map[string]exec.Strategy{
+		"original": exec.Original,
+		"3+1d":     exec.Plus31D, "(3+1)d": exec.Plus31D, "blocked": exec.Plus31D,
+		"islands": exec.IslandsOfCores, "islands-of-cores": exec.IslandsOfCores, "": exec.IslandsOfCores,
+	}
+	placements = map[string]grid.PlacementPolicy{
+		"serial": grid.FirstTouchSerial, "first-touch-serial": grid.FirstTouchSerial,
+		"parallel": grid.FirstTouchParallel, "first-touch": grid.FirstTouchParallel,
+		"first-touch-parallel": grid.FirstTouchParallel, "": grid.FirstTouchParallel,
+		"interleaved": grid.Interleaved,
+	}
+	variants   = map[string]decomp.Variant{"a": decomp.VariantA, "": decomp.VariantA, "b": decomp.VariantB}
+	boundaries = map[string]stencil.Boundary{"clamp": stencil.Clamp, "": stencil.Clamp, "periodic": stencil.Periodic}
+)
+
+// parseName resolves one enum field of a spec; hint lists the accepted names.
+func parseName[T any](field, s, hint string, names map[string]T) (T, error) {
+	v, ok := names[strings.ToLower(strings.TrimSpace(s))]
+	if !ok {
+		return v, fmt.Errorf("unknown %s %q (%s)", field, s, hint)
+	}
+	return v, nil
+}
+
 // ParseStrategy maps the spec's strategy names (and the CLI aliases) to the
 // executor's enum. An empty string selects the islands strategy.
 func ParseStrategy(s string) (exec.Strategy, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "original":
-		return exec.Original, nil
-	case "3+1d", "(3+1)d", "blocked":
-		return exec.Plus31D, nil
-	case "islands", "islands-of-cores", "":
-		return exec.IslandsOfCores, nil
-	default:
-		return 0, fmt.Errorf("unknown strategy %q (original, 3+1d, islands)", s)
-	}
-}
-
-// ParsePlacement maps the placement names to the page placement policies.
-// An empty string selects parallel first touch.
-func ParsePlacement(s string) (grid.PlacementPolicy, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "serial", "first-touch-serial":
-		return grid.FirstTouchSerial, nil
-	case "parallel", "first-touch", "first-touch-parallel", "":
-		return grid.FirstTouchParallel, nil
-	case "interleaved":
-		return grid.Interleaved, nil
-	default:
-		return 0, fmt.Errorf("unknown placement %q (serial, parallel, interleaved)", s)
-	}
-}
-
-// ParseVariant maps "A"/"B" to the 1D island mapping variant ("" = A).
-func ParseVariant(s string) (decomp.Variant, error) {
-	switch strings.ToUpper(strings.TrimSpace(s)) {
-	case "A", "":
-		return decomp.VariantA, nil
-	case "B":
-		return decomp.VariantB, nil
-	default:
-		return 0, fmt.Errorf("unknown variant %q (A = i dimension, B = j)", s)
-	}
-}
-
-// ParseBoundary maps "clamp"/"periodic" to the boundary condition ("" =
-// clamp).
-func ParseBoundary(s string) (stencil.Boundary, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "clamp", "":
-		return stencil.Clamp, nil
-	case "periodic":
-		return stencil.Periodic, nil
-	default:
-		return 0, fmt.Errorf("unknown boundary %q (clamp, periodic)", s)
-	}
-}
-
-// ValidateSteps rejects non-positive and absurd step counts.
-func ValidateSteps(steps int) error {
-	if steps <= 0 {
-		return fmt.Errorf("steps must be positive, got %d", steps)
-	}
-	if steps > MaxSteps {
-		return fmt.Errorf("steps %d exceeds the supported maximum %d", steps, MaxSteps)
-	}
-	return nil
-}
-
-// ValidateProcessors rejects non-positive and out-of-range socket counts
-// (1..14 UV 2000 sockets, 8 workers each).
-func ValidateProcessors(p int) error {
-	if p <= 0 {
-		return fmt.Errorf("processors (worker teams) must be positive, got %d", p)
-	}
-	if p > MaxProcessors {
-		return fmt.Errorf("processors %d exceeds the UV 2000's %d sockets", p, MaxProcessors)
-	}
-	return nil
+	return parseName("strategy", s, "original, 3+1d, islands", strategies)
 }
 
 // Normalize validates the spec and resolves every field to the executor's
@@ -269,8 +224,11 @@ func (s Spec) Normalize() (NormSpec, error) {
 	if !n.Streamed && cells > MaxGridCells {
 		return n, &ErrGridTooLarge{Grid: s.Grid, Cells: cells, Limit: MaxGridCells}
 	}
-	if err = ValidateSteps(s.Steps); err != nil {
-		return n, err
+	if s.Steps <= 0 {
+		return n, fmt.Errorf("steps must be positive, got %d", s.Steps)
+	}
+	if s.Steps > MaxSteps {
+		return n, fmt.Errorf("steps %d exceeds the supported maximum %d", s.Steps, MaxSteps)
 	}
 	n.Steps = s.Steps
 	if n.Strategy, err = ParseStrategy(s.Strategy); err != nil {
@@ -280,16 +238,19 @@ func (s Spec) Normalize() (NormSpec, error) {
 	if n.Processors == 0 {
 		n.Processors = 2
 	}
-	if err = ValidateProcessors(n.Processors); err != nil {
+	if n.Processors < 0 {
+		return n, fmt.Errorf("processors (worker teams) must be positive, got %d", n.Processors)
+	}
+	if n.Processors > MaxProcessors {
+		return n, fmt.Errorf("processors %d exceeds the UV 2000's %d sockets", n.Processors, MaxProcessors)
+	}
+	if n.Placement, err = parseName("placement", s.Placement, "serial, parallel, interleaved", placements); err != nil {
 		return n, err
 	}
-	if n.Placement, err = ParsePlacement(s.Placement); err != nil {
+	if n.Variant, err = parseName("variant", s.Variant, "A = i dimension, B = j", variants); err != nil {
 		return n, err
 	}
-	if n.Variant, err = ParseVariant(s.Variant); err != nil {
-		return n, err
-	}
-	if n.Boundary, err = ParseBoundary(s.Boundary); err != nil {
+	if n.Boundary, err = parseName("boundary", s.Boundary, "clamp, periodic", boundaries); err != nil {
 		return n, err
 	}
 	if s.CoreIslands && n.Strategy != exec.IslandsOfCores {

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -142,4 +144,48 @@ func TestParseGridAgreesWithCLI(t *testing.T) {
 			t.Fatalf("ParseGrid(%q) accepted", bad)
 		}
 	}
+}
+
+// FuzzSpecAdmit drives arbitrary bytes through the decoding POST /v1/jobs
+// applies and then Spec.Admit: no input may panic, and every admitted spec
+// must lie inside the documented bounds and yield an executor configuration.
+// The seeds in testdata/fuzz/FuzzSpecAdmit are the bodies the wire tests and
+// scripts/serve-smoke.sh send.
+func FuzzSpecAdmit(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var spec Spec
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if dec.Decode(&spec) != nil {
+			return
+		}
+		// Admitting ksteps > 1 plans the k-step schedule, in time linear in
+		// NI / block_i: keep the plans small enough to fuzz at speed.
+		if sz, err := ParseGrid(spec.Grid); err == nil && spec.KSteps > 1 && sz.NI > 1<<12 {
+			t.Skip()
+		}
+		ns, err := spec.Admit()
+		if err != nil {
+			return
+		}
+		limit := MaxGridCells
+		if ns.Streamed {
+			limit = MaxStreamCells
+		}
+		if cells := int64(ns.Domain.NI) * int64(ns.Domain.NJ) * int64(ns.Domain.NK); cells < 1 || cells > limit {
+			t.Fatalf("admitted %d cells (limit %d): %s", cells, limit, body)
+		}
+		if ns.Steps < 1 || ns.Steps > MaxSteps {
+			t.Fatalf("admitted %d steps: %s", ns.Steps, body)
+		}
+		if ns.Processors < 1 || ns.Processors > MaxProcessors {
+			t.Fatalf("admitted %d processors: %s", ns.Processors, body)
+		}
+		if ns.KSteps < 1 || ns.Steps%ns.KSteps != 0 {
+			t.Fatalf("admitted %d steps in blocks of %d: %s", ns.Steps, ns.KSteps, body)
+		}
+		if _, err := ns.ExecConfig(); err != nil {
+			t.Fatalf("admitted spec has no executor configuration (%v): %s", err, body)
+		}
+	})
 }

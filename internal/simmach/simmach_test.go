@@ -27,9 +27,6 @@ func TestSingleFlow(t *testing.T) {
 	if !almostEq(res.ResourceUnits[r], 50) {
 		t.Fatalf("units = %v, want 50", res.ResourceUnits[r])
 	}
-	if !almostEq(res.ResourceBusy[r], 5) {
-		t.Fatalf("busy = %v, want 5", res.ResourceBusy[r])
-	}
 }
 
 func TestFairSharingUnequalDemands(t *testing.T) {
@@ -323,24 +320,6 @@ func TestUnitsConservation(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestUtilizationAndTopResources(t *testing.T) {
-	s := New()
-	r := s.AddResource("mem", 10)
-	p := s.AddProc("p")
-	p.Add(Item{Flows: []Flow{{Demand: 50, Resources: []int{r}}}}, Item{Delay: 5})
-	res, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(res.Utilization(r, s), 0.5) {
-		t.Fatalf("utilization = %v, want 0.5", res.Utilization(r, s))
-	}
-	top := res.TopResources(s, 1)
-	if len(top) != 1 || !strings.Contains(top[0], "mem") {
-		t.Fatalf("top = %v", top)
 	}
 }
 

@@ -72,7 +72,7 @@ type Entry struct {
 	// Name is the catalog key ("mpdata", "heat", ...): lowercase, stable,
 	// part of engine cache keys and the fleet routing hash.
 	Name string
-	// Description is the one-line catalog summary (stencil-info, docs).
+	// Description is the one-line catalog summary docs/SOLVERS.md lists.
 	Description string
 	// MPDATAOptions reports that Options.IORD/Unlimited select this entry's
 	// program build. False rejects them at the spec boundary.

@@ -5,32 +5,6 @@ import (
 	"strings"
 )
 
-// DOT renders the program's stage dependency graph in Graphviz format:
-// step inputs as boxes, stages as ellipses labeled with their flop counts,
-// edges labeled with the read extents. Feed it to `dot -Tsvg` to visualize
-// the heterogeneous structure the paper's Fig. 1 sketches.
-func (p *Program) DOT() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "digraph %q {\n  rankdir=TB;\n", p.Name)
-	for _, in := range p.StepInputs {
-		fmt.Fprintf(&b, "  %q [shape=box];\n", in)
-	}
-	for i := range p.Stages {
-		st := &p.Stages[i]
-		fmt.Fprintf(&b, "  %q [label=\"%d. %s\\n%d flops\"];\n", st.Name, i+1, st.Name, st.Flops)
-		for _, in := range st.Inputs {
-			e := OffsetsExtent(in.Offsets)
-			label := ""
-			if !e.IsZero() {
-				label = e.String()
-			}
-			fmt.Fprintf(&b, "  %q -> %q [label=%q];\n", in.From, st.Name, label)
-		}
-	}
-	b.WriteString("}\n")
-	return b.String()
-}
-
 // Describe renders a text table of the program: one row per stage with its
 // inputs, read extents, flop count, and — when an analysis is supplied —
 // the halo extent relative to the program output.

@@ -5,26 +5,6 @@ import (
 	"testing"
 )
 
-func TestDOTOutput(t *testing.T) {
-	prog := &Fig1Program().Program
-	dot := prog.DOT()
-	for _, want := range []string{
-		`digraph "fig1"`,
-		`"in" [shape=box]`,
-		`"in" -> "A"`,
-		`"A" -> "B"`,
-		`"B" -> "C"`,
-		"2 flops",
-	} {
-		if !strings.Contains(dot, want) {
-			t.Fatalf("DOT missing %q:\n%s", want, dot)
-		}
-	}
-	if !strings.HasSuffix(dot, "}\n") {
-		t.Fatal("DOT not terminated")
-	}
-}
-
 func TestDescribeWithAnalysis(t *testing.T) {
 	prog := &Fig1Program().Program
 	h, err := Analyze(prog)

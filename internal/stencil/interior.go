@@ -158,11 +158,6 @@ func ForEachRow(domain grid.Size, r grid.Region, fn func(i, j, base int)) {
 	}
 }
 
-// Strides returns the flat-index displacements of one step in i, j and k.
-func Strides(domain grid.Size) (si, sj, sk int) {
-	return domain.NJ * domain.NK, domain.NK, 1
-}
-
 // OffsetStride converts an offset to a flat-index displacement.
 func OffsetStride(domain grid.Size, o Offset) int {
 	return (o.DI*domain.NJ+o.DJ)*domain.NK + o.DK

@@ -1,11 +1,14 @@
 package stream
 
 import (
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"islands/internal/exec"
 	"islands/internal/grid"
@@ -354,4 +357,70 @@ func TestStreamStoreLifecycle(t *testing.T) {
 	if _, err := os.Stat(dir); !os.IsNotExist(err) {
 		t.Fatalf("spill dir survived Remove: %v", err)
 	}
+}
+
+// TestNewFailsCleanAfterSetupStarted covers New's error path after the set-up
+// goroutine has started: openStore launches precompile, seeds the store, and
+// only then writes the first checkpoint. A non-empty directory at the
+// checkpoint path makes that write's atomic rename fail. New must return the
+// rename error having joined the goroutine and closed what it opened: no
+// goroutine, descriptor, mapping or temp file of the store outlives the call.
+func TestNewFailsCleanAfterSetupStarted(t *testing.T) {
+	machine, err := topology.UV2000(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	domain := grid.Sz(24, 6, 4)
+	cfg := exec.Config{Machine: machine, Strategy: exec.IslandsOfCores, Boundary: stencil.Clamp, Steps: 4, KSteps: 2}
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, checkpointFile, "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	baseGoroutines := runtime.NumGoroutine()
+
+	s, err := New(Options{Dir: dir, Exec: cfg, Domain: domain, TilePlanes: 6})
+	if err == nil {
+		s.Close()
+		t.Fatal("New succeeded with a directory at the checkpoint path")
+	}
+	var linkErr *os.LinkError
+	if !errors.As(err, &linkErr) || linkErr.Op != "rename" {
+		t.Fatalf("New = %v, want the checkpoint rename's error", err)
+	}
+
+	// Closed runners' workers may take a moment to return.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseGoroutines && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > baseGoroutines {
+		t.Errorf("goroutines: %d before New, %d after its failure", baseGoroutines, n)
+	}
+	fds, maps := openUnder(t, dir)
+	if fds != 0 || maps != 0 {
+		t.Errorf("after the failed New: %d descriptors and %d mappings of files under the store", fds, maps)
+	}
+	if partials, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(partials) != 0 {
+		t.Errorf("checkpoint partials left behind: %v", partials)
+	}
+}
+
+// openUnder counts this process's open descriptors and memory mappings of
+// files under dir.
+func openUnder(t *testing.T, dir string) (fds, maps int) {
+	t.Helper()
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skip("no /proc/self to inspect")
+	}
+	for _, e := range ents {
+		if target, err := os.Readlink(filepath.Join("/proc/self/fd", e.Name())); err == nil && strings.HasPrefix(target, dir) {
+			fds++
+		}
+	}
+	raw, err := os.ReadFile("/proc/self/maps")
+	if err != nil {
+		t.Skip("no /proc/self/maps to inspect")
+	}
+	return fds, strings.Count(string(raw), dir)
 }

@@ -79,7 +79,3 @@ func ClusterOfUV(irus, nodesPerIRU int) (*Machine, error) {
 	}
 	return m, nil
 }
-
-// IRUOfNode returns the IRU index hosting the given NUMA node of a cluster
-// built with nodesPerIRU nodes per IRU.
-func IRUOfNode(node, nodesPerIRU int) int { return node / nodesPerIRU }

@@ -56,9 +56,21 @@ func TestClusterValidation(t *testing.T) {
 	}
 }
 
+// TestIRUOfNode: ClusterOfUV numbers its nodes IRU by IRU, so node n sits in
+// IRU n / nodesPerIRU and reaches exactly its IRU mates without crossing the
+// cluster switch (at most 4 hops), odd IRU sizes included.
 func TestIRUOfNode(t *testing.T) {
-	if IRUOfNode(0, 4) != 0 || IRUOfNode(3, 4) != 0 || IRUOfNode(4, 4) != 1 || IRUOfNode(11, 4) != 2 {
-		t.Fatal("IRUOfNode mapping wrong")
+	const irus, per = 3, 5
+	m, err := ClusterOfUV(irus, per)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for a := 0; a < irus*per; a++ {
+		for b := 0; b < irus*per; b++ {
+			if same, local := a/per == b/per, m.Hops(a, b) <= 4; same != local {
+				t.Fatalf("nodes %d and %d: same IRU %v but %d hops apart", a, b, same, m.Hops(a, b))
+			}
+		}
 	}
 }
 

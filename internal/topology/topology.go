@@ -6,7 +6,6 @@ package topology
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -112,26 +111,6 @@ func (m *Machine) PathLatency(a, b int) float64 {
 		l += m.Links[id].Latency
 	}
 	return l
-}
-
-// Diameter returns the maximum hop count between the given NUMA nodes
-// (all nodes when the list is empty).
-func (m *Machine) Diameter(nodes []int) int {
-	if len(nodes) == 0 {
-		nodes = make([]int, len(m.Nodes))
-		for i := range nodes {
-			nodes[i] = i
-		}
-	}
-	d := 0
-	for _, a := range nodes {
-		for _, b := range nodes {
-			if h := m.hops[a][b]; h > d {
-				d = h
-			}
-		}
-	}
-	return d
 }
 
 // DiameterLatency returns the maximum path latency between the given NUMA
@@ -357,8 +336,8 @@ func Symmetric(p int, linkBW, linkLatency float64) (*Machine, error) {
 // between NUMA nodes.
 func (m *Machine) Describe() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s: %d NUMA nodes, %d cores, %s peak\n",
-		m.Name, m.NumNodes(), m.TotalCores(), GflopsString(m.PeakFlops()))
+	fmt.Fprintf(&b, "%s: %d NUMA nodes, %d cores, %.1f Gflop/s peak\n",
+		m.Name, m.NumNodes(), m.TotalCores(), m.PeakFlops()/1e9)
 	for _, n := range m.Nodes {
 		fmt.Fprintf(&b, "  node %2d (blade %d): %d cores @ %.1f GHz, %.1f GB/s mem, %d MiB LLC\n",
 			n.ID, n.Blade, n.Cores, n.ClockGHz, n.MemBWBytes/1e9, n.LLCBytes>>20)
@@ -376,15 +355,4 @@ func (m *Machine) Describe() string {
 	}
 	b.WriteByte('\n')
 	return b.String()
-}
-
-// GflopsString formats flop/s as Gflop/s with one decimal.
-func GflopsString(flops float64) string {
-	return fmt.Sprintf("%.1f Gflop/s", flops/1e9)
-}
-
-// RoundGflops converts flop/s to Gflop/s rounded to one decimal, for table
-// output.
-func RoundGflops(flops float64) float64 {
-	return math.Round(flops/1e8) / 10
 }

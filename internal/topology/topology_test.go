@@ -74,12 +74,6 @@ func TestUV2000Routing(t *testing.T) {
 	if got := m.Hops(5, 5); got != 0 {
 		t.Fatalf("self hops = %d, want 0", got)
 	}
-	if got := m.Diameter(nil); got != 4 {
-		t.Fatalf("diameter = %d, want 4", got)
-	}
-	if got := m.Diameter([]int{0, 1}); got != 2 {
-		t.Fatalf("diameter(blade 0) = %d, want 2", got)
-	}
 	// Path latency accumulates per hop.
 	if got, want := m.PathLatency(0, 13), 4*nl6HopLatency; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("path latency = %v, want %v", got, want)
@@ -180,12 +174,14 @@ func TestDiameterLatencySubset(t *testing.T) {
 	}
 }
 
+// TestGflopsFormat: Describe states the peak in Gflop/s with one decimal.
 func TestGflopsFormat(t *testing.T) {
-	if got := GflopsString(105.6e9); got != "105.6 Gflop/s" {
-		t.Fatalf("GflopsString = %q", got)
+	m, err := UV2000(1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := RoundGflops(42.74e9); got != 42.7 {
-		t.Fatalf("RoundGflops = %v", got)
+	if want := "8 cores, 105.6 Gflop/s peak\n"; !strings.Contains(m.Describe(), want) {
+		t.Fatalf("describe missing %q:\n%s", want, m.Describe())
 	}
 }
 

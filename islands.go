@@ -28,6 +28,7 @@ import (
 	"islands/internal/exec"
 	"islands/internal/grid"
 	"islands/internal/mpdata"
+	"islands/internal/serve"
 	"islands/internal/stencil"
 	"islands/internal/topology"
 )
@@ -75,7 +76,7 @@ type Machine = topology.Machine
 
 // UV2000 returns the paper's machine with p of its 14 NUMA nodes
 // (8-core Xeon E5-4627v2 each, NUMAlink 6 interconnect).
-func UV2000(p int) (*Machine, error) { return topology.UV2000(p) }
+var UV2000 = topology.UV2000
 
 // Size is a 3D grid extent.
 type Size = grid.Size
@@ -119,35 +120,29 @@ type Config struct {
 	Unlimited bool
 }
 
-// mpdataOptions translates the public knobs to the solver's options.
-func (c Config) mpdataOptions() mpdata.Options {
-	o := mpdata.DefaultOptions()
-	if c.IORD != 0 {
-		o.IORD = c.IORD
+// engine resolves the configuration on a domain the way every other front end
+// does: as the serve.CacheKey of an MPDATA engine, whose ExecConfig and
+// catalog program are the one road from a run description to an executor.
+// The whole run advances in one Run, and IslandGrid, which no key carries,
+// is the facade's own.
+func (c Config) engine(domain Size) (exec.Config, *stencil.KernelProgram, error) {
+	key := serve.CacheKey{
+		Domain: domain, Solver: "mpdata", Strategy: c.Strategy, Processors: c.Processors,
+		Placement: c.Placement, Variant: c.Variant, Boundary: c.Boundary,
+		CoreIslands: c.CoreIslands, KSteps: c.KSteps, IORD: c.IORD, Unlimited: c.Unlimited,
+		BlockI: c.BlockI,
 	}
-	if c.Unlimited {
-		o.NonOscillatory = false
-	}
-	return o
-}
-
-func (c Config) execConfig() (exec.Config, error) {
-	m, err := topology.UV2000(c.Processors)
+	ec, err := key.ExecConfig()
 	if err != nil {
-		return exec.Config{}, err
+		return exec.Config{}, nil, err
 	}
-	return exec.Config{
-		Machine:     m,
-		Strategy:    c.Strategy,
-		Placement:   c.Placement,
-		Variant:     c.Variant,
-		Boundary:    c.Boundary,
-		Steps:       c.Steps,
-		BlockI:      c.BlockI,
-		IslandGrid:  c.IslandGrid,
-		CoreIslands: c.CoreIslands,
-		KSteps:      c.KSteps,
-	}, nil
+	ec.Steps, ec.IslandGrid = c.Steps, c.IslandGrid
+	entry, err := key.SolverEntry()
+	if err != nil {
+		return exec.Config{}, nil, err
+	}
+	prog, err := entry.NewProgram(key.SolverOptions())
+	return ec, prog, err
 }
 
 // Simulation is an MPDATA run: a state (fields) plus an execution strategy.
@@ -161,8 +156,7 @@ type Simulation struct {
 	// of the block's last completed step.
 	OnStep func(step int)
 
-	cfg    Config
-	runner *exec.Runner
+	cfg Config
 }
 
 // NewSimulation allocates an MPDATA simulation on the given domain. The
@@ -182,11 +176,7 @@ func NewSimulation(domain Size, cfg Config) (*Simulation, error) {
 // strategy, performing the real numerical computation in parallel. The
 // result lands in s.State.Psi.
 func (s *Simulation) Run() error {
-	ec, err := s.cfg.execConfig()
-	if err != nil {
-		return err
-	}
-	prog, err := mpdata.NewProgramWithOptions(s.cfg.mpdataOptions())
+	ec, prog, err := s.cfg.engine(s.State.Domain)
 	if err != nil {
 		return err
 	}
@@ -196,7 +186,6 @@ func (s *Simulation) Run() error {
 	}
 	defer runner.Close()
 	runner.OnStepEnd = s.OnStep
-	s.runner = runner
 	if err := runner.Run(); err != nil {
 		return err
 	}
@@ -209,7 +198,7 @@ func (s *Simulation) Run() error {
 
 // Save writes the simulation state (all five fields and the completed-step
 // counter, derived from the configured steps if Run finished) to a
-// checkpoint file readable by Load and by cmd/field-info -checkpoint.
+// checkpoint file readable by Load.
 func (s *Simulation) Save(path string, completedSteps int) error {
 	return mpdata.SaveCheckpoint(path, s.State, completedSteps)
 }
@@ -253,11 +242,7 @@ func Predict(domain Size, cfg Config) (*Prediction, error) {
 	if cfg.Steps <= 0 {
 		return nil, fmt.Errorf("islands: Steps must be positive")
 	}
-	ec, err := cfg.execConfig()
-	if err != nil {
-		return nil, err
-	}
-	kp, err := mpdata.NewProgramWithOptions(cfg.mpdataOptions())
+	ec, kp, err := cfg.engine(domain)
 	if err != nil {
 		return nil, err
 	}
@@ -291,12 +276,11 @@ type Recommendation struct {
 // paper's §6 "management of the correlation between computation and
 // communication costs" as a library call.
 func Advise(domain Size, p, steps int) ([]Recommendation, error) {
-	m, err := topology.UV2000(p)
+	ec, kp, err := Config{Processors: p}.engine(domain)
 	if err != nil {
 		return nil, err
 	}
-	prog := &mpdata.NewProgram().Program
-	ranked, err := exec.RankCandidates(m, prog, domain, exec.Config{Steps: steps}, exec.AdvisorSpace())
+	ranked, err := exec.RankCandidates(ec.Machine, &kp.Program, domain, exec.Config{Steps: steps}, exec.AdvisorSpace())
 	if err != nil {
 		return nil, err
 	}

@@ -329,8 +329,10 @@ echo "serve-smoke: phase 3 OK (crash survived, resumed_total=$resumed, clean dra
 # must serve end-to-end — solver-aware cache keys and routing hash — and the
 # replica's per-solver metric labels must account for each of them.
 
-go build -o "$bindir/stencil-info" ./cmd/stencil-info
-catalog=$("$bindir/stencil-info" -solvers | tail -n +2 | awk '{print $1}')
+# The catalog's names come from mpdata-sim's unknown-solver diagnostic,
+# "... (catalog: mpdata, gcr, ...)", which its reject_solver golden pins.
+go build -o "$bindir/mpdata-sim" ./cmd/mpdata-sim
+catalog=$("$bindir/mpdata-sim" -solver '?' 2>&1 | sed -n 's/.*(catalog: \(.*\))$/\1/p' | tr -d ,)
 
 # Solvers that pack components along k need their own grid (docs/SOLVERS.md);
 # everything else runs the shared phase-1 grid.
