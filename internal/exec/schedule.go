@@ -407,8 +407,8 @@ func (c *scheduleCompiler) groupUnits(gi int, span func(s int) grid.Region) []ph
 // phaseUnits enumerates the work of fused group gi in block b of sweeper sw
 // at inner-step distance d: the group's units over the sweeper's spans, plus
 // the periodic wrap-band sweeps (wrap.go) of the member stages — first-block
-// boxes at b == 0, last-block boxes at the last block, and the block's own
-// j/k-image boxes. Band units are per-stage (never fused) and disjoint from
+// boxes at b == 0, forward-image boxes at the block holding the stage's top
+// plane, and the block's own j/k-image boxes. Band units are per-stage (never fused) and disjoint from
 // every same-phase write, so they ride in the group's phase like any other
 // unit. bands is stageWrapBands(sw, d), computed once per inner step.
 func (c *scheduleCompiler) phaseUnits(sw *sweeper, bands []*wrapBands, d, b, gi int) []phaseUnit {
@@ -429,8 +429,8 @@ func (c *scheduleCompiler) phaseUnits(sw *sweeper, bands []*wrapBands, d, b, gi 
 		if b == 0 {
 			add(w.first)
 		}
-		if b == len(w.perBlock)-1 {
-			add(w.last)
+		if b == w.top {
+			add(w.fwd)
 		}
 		add(w.perBlock[b])
 	}

@@ -38,8 +38,12 @@ import (
 //     (each stage cell is a pure function of final earlier-stage values), so
 //     cross-phase recomputation is benign.
 //   - Images of the forward i-overhang not covered by the main region (cells
-//     at the bottom of the i axis) are swept in the LAST block's phase, by
-//     which point the top-of-dimension values they read backward exist.
+//     at the bottom of the i axis) are swept in the phase of the block that
+//     holds the stage's top plane. The top-of-dimension values they read
+//     backward exist by then (earlier stages lead the wavefront), and their
+//     readers, the next stage's top planes, come no earlier. That block is
+//     not always the last one: when the last block is a single plane, the
+//     wavefront lead has swept the stage's top plane one block before.
 //   - Images of the j/k overhangs (core sub-islands at a j face, variant-B
 //     parts) are swept per block, restricted to the block span's i range, so
 //     the i-wavefront invariant orders their cross-block reads exactly like
@@ -58,18 +62,20 @@ import (
 // then stay as they were before this fix.
 
 // wrapBands holds the periodic wrap-image sweeps of one stage for one island
-// (or core sub-island): boxes attached to the first and last block's phase,
-// and per-block j/k-image boxes.
+// (or core sub-island): boxes attached to the first block's phase, forward
+// image boxes attached to the phase of block top, and per-block j/k-image
+// boxes.
 type wrapBands struct {
-	first, last []grid.Region
-	perBlock    [][]grid.Region
+	first, fwd []grid.Region
+	top        int
+	perBlock   [][]grid.Region
 }
 
 func (w *wrapBands) empty() bool {
 	if w == nil {
 		return true
 	}
-	if len(w.first) > 0 || len(w.last) > 0 {
+	if len(w.first) > 0 || len(w.fwd) > 0 {
 		return false
 	}
 	for _, boxes := range w.perBlock {
@@ -175,16 +181,22 @@ func (p *plan) wrapBandsFor(s int, target grid.Region, spans []grid.Region) *wra
 			}
 		}
 	}
-	// Uncovered forward i-image: attached to the last block, whose phase runs
-	// after the top-of-dimension cells it reads backward were computed.
+	// Uncovered forward i-image: attached to the block whose span holds the
+	// stage's top plane, the phase that computes the top-of-dimension cells
+	// the image reads backward, before the next stage reads the image.
 	if di.hiExt[0] < di.hiExt[1] {
+		w.top = len(spans) - 1
+		for b, span := range spans {
+			if !span.Empty() && (spans[w.top].Empty() || span.I1 > spans[w.top].I1) {
+				w.top = b
+			}
+		}
 		for _, js := range jSegs {
 			for _, ks := range kSegs {
 				box := withK(withJ(base, js), ks)
 				box.I0, box.I1 = di.hiExt[0], di.hiExt[1]
-				last := spans[len(spans)-1]
-				for _, piece := range stencil.Subtract(box, box.Intersect(last)) {
-					w.last = append(w.last, piece)
+				for _, piece := range stencil.Subtract(box, box.Intersect(spans[w.top])) {
+					w.fwd = append(w.fwd, piece)
 				}
 			}
 		}
