@@ -8,6 +8,7 @@ import (
 	"islands/internal/grid"
 	"islands/internal/solver"
 	"islands/internal/stencil"
+	"islands/internal/topology"
 )
 
 // Engine is one pre-warmed, reusable execution slot: a compiled runner (with
@@ -44,11 +45,22 @@ type Engine interface {
 
 // EngineInfo is the compiled schedule's effective temporal blocking: KSteps
 // as actually compiled, plus the executor's reason when a requested factor
-// fell back to 1 — what the mpdata-load silent-fallback gate audits.
+// fell back to 1 — what the mpdata-load silent-fallback gate audits. Workers
+// and BlockI are the executed shape: the team size of each island on the
+// host, and the (3+1)D block width the schedule compiled (0 when the
+// strategy does not block, or when it varies per tile of a streamed run).
 type EngineInfo struct {
 	KSteps        int    `json:"ksteps"`
 	KStepFallback string `json:"kstep_fallback,omitempty"`
+	Workers       int    `json:"workers,omitempty"`
+	BlockI        int    `json:"block_i,omitempty"`
 }
+
+// host is the machine engines execute on. Engines compile for the priced
+// UV 2000 reshaped by host().Run: one island per priced socket, the host's
+// CPUs shared out over the islands, blocks sized to their private caches.
+// Tests substitute fixed hosts.
+var host = topology.ThisHost
 
 // EngineFactory builds an engine for a normalized spec. The server's default
 // factory compiles the spec's catalog solver; tests substitute deterministic
@@ -87,6 +99,8 @@ type solverEngine struct {
 	first   []*grid.Field
 	massIn  float64
 	synced  bool
+	// workers and blockI are the executed shape Info reports.
+	workers, blockI int
 }
 
 // CheckKSteps verifies a temporal-blocking request would actually compile at
@@ -119,13 +133,15 @@ func (n CacheKey) program() (*solver.Entry, *stencil.KernelProgram, error) {
 }
 
 // NewSolverEngine compiles the spec's catalog solver — the pool's default
-// factory. The compile cost this pays (schedule, environments, halo strips)
-// is exactly what the cache amortizes across repeat jobs.
+// factory — on the host's shape (host). The compile cost this pays
+// (schedule, environments, halo strips) is exactly what the cache amortizes
+// across repeat jobs.
 func NewSolverEngine(n NormSpec) (Engine, error) {
 	ec, err := n.ExecConfig()
 	if err != nil {
 		return nil, err
 	}
+	ec.Machine = host().Run(ec.Machine)
 	entry, prog, err := n.program()
 	if err != nil {
 		return nil, err
@@ -138,8 +154,12 @@ func NewSolverEngine(n NormSpec) (Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &solverEngine{ns: n, entry: entry, state: state, out: state.Output(), runner: runner,
-		written: writtenFields(&prog.Program, state)}, nil
+	e := &solverEngine{ns: n, entry: entry, state: state, out: state.Output(), runner: runner,
+		written: writtenFields(&prog.Program, state), workers: ec.Machine.Nodes[0].Cores}
+	if ec.Strategy != exec.Original {
+		e.blockI = exec.ResolveBlockI(ec.Machine, n.Domain, ec.BlockI)
+	}
+	return e, nil
 }
 
 // writtenFields derives from the program which state fields its steps write:
@@ -237,10 +257,12 @@ func (e *solverEngine) SetProfiling(on bool) {
 // Profile returns the runner's aggregated profile (nil when off).
 func (e *solverEngine) Profile() *exec.Profile { return e.runner.Profile() }
 
-// Info reports the compiled schedule's effective temporal blocking.
+// Info reports the compiled schedule's effective temporal blocking and the
+// executed shape.
 func (e *solverEngine) Info() EngineInfo {
 	sch := e.runner.Schedule()
-	return EngineInfo{KSteps: sch.KSteps(), KStepFallback: sch.KStepFallbackReason()}
+	return EngineInfo{KSteps: sch.KSteps(), KStepFallback: sch.KStepFallbackReason(),
+		Workers: e.workers, BlockI: e.blockI}
 }
 
 // Close releases the runner's work teams.

@@ -131,7 +131,8 @@ func (e *streamEngine) budgetMB() int {
 // returned Residency is nil; otherwise tune.PickResidency chooses under
 // budgetMB, priced at diskBW bytes/s (0 = the model's default), and a domain
 // that fits the budget whole streams as one degenerate tile (k = the whole
-// run) rather than through a distinct code path.
+// run) rather than through a distinct code path. The pick is priced on the
+// UV 2000; the tile engines then run on the host's shape (host).
 func OpenStream(ns NormSpec, o stream.Options, budgetMB int, diskBW float64) (*stream.Streamer, *tune.Residency, error) {
 	cfg, err := ns.ExecConfig()
 	if err != nil {
@@ -158,6 +159,7 @@ func OpenStream(ns NormSpec, o stream.Options, budgetMB int, diskBW float64) (*s
 			tilePlanes, k = 0, ns.Steps
 		}
 	}
+	cfg.Machine = host().Run(cfg.Machine)
 	cfg.Steps = ns.Steps
 	cfg.KSteps = k
 	o.Exec, o.Domain, o.Program, o.TilePlanes = cfg, ns.Domain, prog, tilePlanes
@@ -280,12 +282,13 @@ func (e *streamEngine) SetProfiling(bool) {}
 // Profile returns nil (see SetProfiling).
 func (e *streamEngine) Profile() *exec.Profile { return nil }
 
-// Info reports the residency k as the effective temporal blocking.
+// Info reports the residency k as the effective temporal blocking, and the
+// tile engines' team size (their block width varies with the tile).
 func (e *streamEngine) Info() EngineInfo {
 	if e.streamer == nil {
 		return EngineInfo{}
 	}
-	return EngineInfo{KSteps: e.streamer.Plan().K}
+	return EngineInfo{KSteps: e.streamer.Plan().K, Workers: host().Workers(e.ns.Processors)}
 }
 
 // Close tears the tile engines down; anonymous stores are removed, named

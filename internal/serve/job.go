@@ -87,6 +87,10 @@ type Result struct {
 	// fell back to 1 (the mpdata-load silent-fallback gate audits these).
 	KSteps        int    `json:"ksteps,omitempty"`
 	KStepFallback string `json:"kstep_fallback,omitempty"`
+	// Workers and BlockI are the executed shape (EngineInfo): each island's
+	// team size on the host and the compiled (3+1)D block width.
+	Workers int `json:"workers,omitempty"`
+	BlockI  int `json:"block_i,omitempty"`
 	// Profile, when the spec requested it, embeds the same per-phase
 	// breakdown mpdata-sim -profile prints.
 	Profile *ProfileReport `json:"profile,omitempty"`

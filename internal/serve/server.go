@@ -454,6 +454,8 @@ func (s *Server) executeJob(j *Job, lease *Lease, tuned NormSpec, dec *tune.Deci
 		RequestedConfig: j.ns.ConfigLabel(),
 		KSteps:          info.KSteps,
 		KStepFallback:   info.KStepFallback,
+		Workers:         info.Workers,
+		BlockI:          info.BlockI,
 	}
 	if steps > 0 {
 		result.StepMsAvg = result.WallMs / float64(steps)
