@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"islands/internal/serve"
+	"islands/internal/topology"
 	"islands/internal/tune"
 )
 
@@ -57,6 +58,10 @@ func main() {
 	spillDir := flag.String("spill-dir", "", "root directory for streamed jobs' tile stores (\"\" = $TMPDIR/mpdata-spill; docs/STREAMING.md)")
 	streamBudget := flag.Int("stream-budget-mb", 0, "default memory budget of streamed jobs whose spec leaves memory_budget_mb unset (0 = 512)")
 	flag.Parse()
+
+	h := topology.ThisHost()
+	log.Printf("host: %v; the default %d islands run %d worker(s) each",
+		h, serve.DefaultProcessors, h.Workers(serve.DefaultProcessors))
 
 	var tuner *tune.Tuner
 	if *tuneOn {

@@ -35,6 +35,9 @@ const (
 	MaxSteps = 1_000_000
 	// MaxProcessors is the simulated UV 2000's socket count.
 	MaxProcessors = 14
+	// DefaultProcessors is the island count of a spec that leaves
+	// processors unset.
+	DefaultProcessors = 2
 )
 
 // ErrGridTooLarge rejects a domain over its job class's cell bound. The
@@ -75,7 +78,9 @@ type Spec struct {
 	Steps int `json:"steps"`
 	// Strategy is "original", "3+1d" or "islands" ("" = islands).
 	Strategy string `json:"strategy,omitempty"`
-	// Processors is the simulated UV 2000 socket count (1..14, 0 = 2).
+	// Processors is the island count (1..14, 0 = 2): the priced UV 2000's
+	// socket count, and one work team each on the host, whose CPUs are
+	// shared out over the teams.
 	Processors int `json:"processors,omitempty"`
 	// Placement is "serial", "parallel" or "interleaved" ("" = parallel).
 	Placement string `json:"placement,omitempty"`
@@ -236,7 +241,7 @@ func (s Spec) Normalize() (NormSpec, error) {
 	}
 	n.Processors = s.Processors
 	if n.Processors == 0 {
-		n.Processors = 2
+		n.Processors = DefaultProcessors
 	}
 	if n.Processors < 0 {
 		return n, fmt.Errorf("processors (worker teams) must be positive, got %d", n.Processors)

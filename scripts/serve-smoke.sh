@@ -4,8 +4,10 @@
 #
 #   1. Single server: start mpdata-serve on a random port, push one small job
 #      per strategy through it with mpdata-load, assert the server-side
-#      metrics report zero failures, then SIGTERM the server and require a
-#      clean drain (exit 0).
+#      metrics report zero failures, serve one periodic islands job whose
+#      parts end in a one-plane block and require the original arm's
+#      checksum sum, then SIGTERM the server and require a clean drain
+#      (exit 0).
 #   2. Fleet: start two replicas and an mpdata-router on random ports, drive
 #      mixed traffic through the router, kill -9 one replica mid-run, and
 #      assert zero failed jobs in the router's /metrics (every affected job
@@ -79,6 +81,22 @@ metric_value() {
     curl -fsS "$1/metrics" | awk -v s="$2" '$1 == s {print $2}'
 }
 
+# serve_sum URL SPEC: run one job spec through the server, require that it
+# succeeded, and print its checksum sum as the server encoded it.
+serve_sum() {
+    _id=$(curl -fsS -XPOST "$1/v1/jobs" -d "$2" | sed -n 's/^  "id": "\(.*\)",$/\1/p')
+    _res=""
+    for _ in $(seq 1 300); do
+        _res=$(curl -fsS "$1/v1/jobs/$_id/result" 2>/dev/null) && break
+        sleep 0.1
+    done
+    if ! echo "$_res" | grep -q '"state": "succeeded"'; then
+        echo "serve-smoke: job $_id ($2) did not succeed: $_res" >&2
+        exit 1
+    fi
+    echo "$_res" | sed -n 's/^ *"sum": \([^,]*\),$/\1/p' | head -n1
+}
+
 # ---------------------------------------------------------------- phase 1 --
 
 log="$bindir/serve.log"
@@ -104,6 +122,17 @@ if [ "$succeeded" != "$jobs" ]; then
     exit 1
 fi
 
+# The periodic seam on this runner's shape: a 26-plane grid without block_i
+# leaves each island part ending in a one-plane block at host-cache widths.
+# The islands job must sum to the bits of the unblocked original job.
+seam='"grid":"26x128x16","steps":3,"processors":2,"boundary":"periodic"'
+islands_sum=$(serve_sum "$url" "{$seam,\"strategy\":\"islands\"}")
+original_sum=$(serve_sum "$url" "{$seam,\"strategy\":\"original\"}")
+if [ -z "$islands_sum" ] || [ "$islands_sum" != "$original_sum" ]; then
+    echo "serve-smoke: periodic 26x128x16 islands sum $islands_sum, original $original_sum" >&2
+    exit 1
+fi
+
 # Graceful drain: SIGTERM must exit 0 and log the clean-drain line.
 kill -TERM "$server_pid"
 rc=0
@@ -119,7 +148,7 @@ if ! grep -q "drained cleanly" "$log"; then
     exit 1
 fi
 pids=""
-echo "serve-smoke: phase 1 OK ($succeeded jobs, clean drain)"
+echo "serve-smoke: phase 1 OK ($succeeded jobs, periodic seam sum $islands_sum on both arms, clean drain)"
 
 # ---------------------------------------------------------------- phase 2 --
 
