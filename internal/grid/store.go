@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 )
@@ -37,6 +38,21 @@ const (
 // PlaneBytes returns the byte size of one i-plane of a field of size s.
 func PlaneBytes(s Size) int64 { return int64(s.NJ) * int64(s.NK) * CellBytes }
 
+// planeFileBytes returns the byte extent of a plane file holding a field of
+// size s — header plus NI planes — and false when s is invalid or the extent
+// overflows int64 (a corrupt header can claim any extents).
+func planeFileBytes(s Size) (int64, bool) {
+	if !s.Valid() {
+		return 0, false
+	}
+	const limit = math.MaxInt64 - planeHeaderSize
+	nj, nk, ni := int64(s.NJ), int64(s.NK), int64(s.NI)
+	if nj > limit/CellBytes/nk || ni > limit/(nj*nk*CellBytes) {
+		return 0, false
+	}
+	return planeHeaderSize + ni*nj*nk*CellBytes, true
+}
+
 // PlaneFile is one dense 3D float64 field stored on disk as NI chunked
 // i-planes behind a fixed header. Reads go through pread (or mmap when
 // EnableMmap succeeded); writes go through pwrite. A PlaneFile is safe for
@@ -56,7 +72,8 @@ type PlaneFile struct {
 // given size, preallocating the full extent so later positioned writes
 // cannot fail with a short file.
 func CreatePlaneFile(path string, s Size) (*PlaneFile, error) {
-	if !s.Valid() {
+	extent, ok := planeFileBytes(s)
+	if !ok {
 		return nil, fmt.Errorf("grid: invalid plane file size %v", s)
 	}
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -73,7 +90,7 @@ func CreatePlaneFile(path string, s Size) (*PlaneFile, error) {
 		f.Close()
 		return nil, err
 	}
-	if err := f.Truncate(planeHeaderSize + int64(s.NI)*PlaneBytes(s)); err != nil {
+	if err := f.Truncate(extent); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -100,7 +117,8 @@ func OpenPlaneFile(path string) (*PlaneFile, error) {
 		NJ: int(binary.LittleEndian.Uint64(hdr[16:])),
 		NK: int(binary.LittleEndian.Uint64(hdr[24:])),
 	}
-	if !s.Valid() {
+	want, ok := planeFileBytes(s)
+	if !ok {
 		f.Close()
 		return nil, fmt.Errorf("grid: %s has invalid size %v", path, s)
 	}
@@ -109,7 +127,7 @@ func OpenPlaneFile(path string) (*PlaneFile, error) {
 		f.Close()
 		return nil, err
 	}
-	if want := planeHeaderSize + int64(s.NI)*PlaneBytes(s); st.Size() < want {
+	if st.Size() < want {
 		f.Close()
 		return nil, fmt.Errorf("grid: %s is truncated: %d bytes, want %d", path, st.Size(), want)
 	}
@@ -214,7 +232,8 @@ func (p *PlaneFile) EnableMmap() (bool, error) {
 	if p.mm != nil {
 		return true, nil
 	}
-	mm, err := mmapFile(p.f, planeHeaderSize+int64(p.size.NI)*PlaneBytes(p.size))
+	extent, _ := planeFileBytes(p.size) // validated when the file was created or opened
+	mm, err := mmapFile(p.f, extent)
 	if err != nil || mm == nil {
 		return false, err
 	}
@@ -231,13 +250,15 @@ func (p *PlaneFile) Close() error {
 	return p.f.Close()
 }
 
-// WriteFileAtomic writes data to path with the crash-safety contract of the
-// streamed checkpoint: the bytes go to a same-directory temp file first,
-// fsync makes them durable, an atomic rename publishes them, and a directory
-// fsync makes the rename durable. Readers never observe a partial file, and
-// a crash at any point leaves either the old content or the new one (plus at
-// worst one *.tmp partial, which the store's partial sweep removes).
-func WriteFileAtomic(path string, data []byte) error {
+// WriteFileAtomic writes data to path through a same-directory temp file and
+// an atomic rename, so readers never observe a partial file. With a non-nil
+// sync it also has the crash-safety contract of the streamed checkpoint:
+// sync makes the temp file durable before the rename and the directory after
+// it, so a crash at any point leaves either the old content or the new one
+// (plus at worst one *.tmp partial, which the store's partial sweep removes).
+// A nil sync skips both, for files nothing reopens after a crash. A failed
+// directory sync is not reported: the rename itself has succeeded.
+func WriteFileAtomic(path string, data []byte, sync func(*os.File) error) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".*.tmp")
 	if err != nil {
@@ -252,9 +273,11 @@ func WriteFileAtomic(path string, data []byte) error {
 		cleanup()
 		return err
 	}
-	if err := tmp.Sync(); err != nil {
-		cleanup()
-		return err
+	if sync != nil {
+		if err := sync(tmp); err != nil {
+			cleanup()
+			return err
+		}
 	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmpName)
@@ -264,8 +287,11 @@ func WriteFileAtomic(path string, data []byte) error {
 		os.Remove(tmpName)
 		return err
 	}
+	if sync == nil {
+		return nil
+	}
 	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
+		_ = sync(d)
 		d.Close()
 	}
 	return nil

@@ -199,10 +199,10 @@ func TestOpenPlaneFileRejectsGarbage(t *testing.T) {
 func TestWriteFileAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ckpt.json")
-	if err := WriteFileAtomic(path, []byte("v1")); err != nil {
+	if err := WriteFileAtomic(path, []byte("v1"), (*os.File).Sync); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFileAtomic(path, []byte("v2")); err != nil {
+	if err := WriteFileAtomic(path, []byte("v2"), nil); err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(path)

@@ -56,6 +56,13 @@ type Options struct {
 	// Resume continues from a compatible checkpoint in Dir when one
 	// exists (a fresh store is built otherwise). An incompatible
 	// checkpoint is an error, never silently overwritten.
+	//
+	// Resume also makes the store durable: only a resumable store fsyncs —
+	// the seeded planes, each tile's written planes, and each checkpoint's
+	// temp file and directory — so that a crash at any instant resumes on
+	// the correct tile. Without Resume nothing can reopen the store (its
+	// owner deletes it after the run), so none of its writes is synced;
+	// checkpoints still go through temp file and rename.
 	Resume bool
 	// Progress, when set, is called after each tile's compute completes
 	// (from the RunSweep goroutine).
@@ -89,8 +96,9 @@ type Stats struct {
 	// IOTime is the time actually spent inside plane reads, writes and
 	// syncs (summed across the loader and writer, which overlap compute).
 	// BytesRead+BytesWritten over IOTime is the store's observed disk
-	// throughput — what the serving layer's bandwidth EWMA feeds back into
-	// residency pricing.
+	// throughput — for a resumable store, what the serving layer's
+	// bandwidth EWMA feeds back into residency pricing; a scratch store is
+	// never synced, so its figure is the page cache's.
 	IOTime time.Duration
 	// Mmap reports that plane reads go through a mapping; false where the
 	// platform has none and reads fall back to pread.
@@ -133,10 +141,10 @@ type Checksums struct {
 	MassIn        float64
 }
 
-// checkpoint is the store's durable progress record: the next unit of work
-// (sweep, tile) plus an echo of the geometry it is only valid for. It is
-// written with grid.WriteFileAtomic after each tile's planes are synced, so
-// a kill at any instant resumes on the correct tile.
+// checkpoint is the store's progress record: the next unit of work (sweep,
+// tile) plus an echo of the geometry it is only valid for. It is written with
+// grid.WriteFileAtomic after each tile's planes, both synced when the store is
+// resumable, so a kill at any instant resumes on the correct tile.
 type checkpoint struct {
 	Version int    `json:"version"`
 	Domain  [3]int `json:"domain"`
@@ -359,11 +367,11 @@ func (s *Streamer) openStore() error {
 	if err != nil {
 		return err
 	}
-	if err := s.files[0].Sync(); err != nil {
+	if err := s.sync(s.files[0]); err != nil {
 		return err
 	}
 	s.ck = s.checkpointAt(0, 0, massIn)
-	return s.writeCheckpoint()
+	return s.writeCheckpoint(s.ck)
 }
 
 // seedChunk is how many planes the seeding pipeline generates per hand-off.
@@ -494,12 +502,29 @@ func (s *Streamer) resumeStore(raw []byte) error {
 	return nil
 }
 
-func (s *Streamer) writeCheckpoint() error {
-	raw, err := json.Marshal(s.ck)
+// fsync makes one store file durable. It is a variable so that tests can
+// count the calls.
+var fsync = func(f interface{ Sync() error }) error { return f.Sync() }
+
+// sync fsyncs f when the store is resumable (see Options.Resume).
+func (s *Streamer) sync(f interface{ Sync() error }) error {
+	if !s.o.Resume {
+		return nil
+	}
+	return fsync(f)
+}
+
+// writeCheckpoint publishes ck atomically (and durably when resumable).
+func (s *Streamer) writeCheckpoint(ck checkpoint) error {
+	raw, err := json.Marshal(ck)
 	if err != nil {
 		return err
 	}
-	return grid.WriteFileAtomic(filepath.Join(s.o.Dir, checkpointFile), raw)
+	var sync func(*os.File) error
+	if s.o.Resume {
+		sync = func(f *os.File) error { return fsync(f) }
+	}
+	return grid.WriteFileAtomic(filepath.Join(s.o.Dir, checkpointFile), raw, sync)
 }
 
 // Plan exposes the tile geometry.
@@ -696,13 +721,14 @@ func (s *Streamer) computeTile(sweep, t, steps int, buf, out []float64) error {
 }
 
 // writeTile persists tile t's owned planes into the sweep's output file,
-// syncs them, and advances the durable checkpoint past the tile.
+// syncs them when the store is resumable, and advances the checkpoint past
+// the tile.
 func (s *Streamer) writeTile(out *grid.PlaneFile, sweep, t int, buf []float64) (int64, error) {
 	tile := s.plan.Tiles[t]
 	t0 := time.Now()
 	err := out.WritePlanes(buf, tile.Lo, tile.Width())
 	if err == nil {
-		err = out.Sync()
+		err = s.sync(out)
 	}
 	s.statsMu.Lock()
 	s.stats.IOTime += time.Since(t0)
@@ -714,11 +740,7 @@ func (s *Streamer) writeTile(out *grid.PlaneFile, sweep, t int, buf []float64) (
 	if t+1 == len(s.plan.Tiles) {
 		next = s.checkpointAt(sweep+1, 0, s.ck.MassIn)
 	}
-	raw, err := json.Marshal(next)
-	if err != nil {
-		return 0, err
-	}
-	if err := grid.WriteFileAtomic(filepath.Join(s.o.Dir, checkpointFile), raw); err != nil {
+	if err := s.writeCheckpoint(next); err != nil {
 		return 0, err
 	}
 	return int64(tile.Width()) * grid.PlaneBytes(s.o.Domain), nil

@@ -359,6 +359,52 @@ func TestStreamStoreLifecycle(t *testing.T) {
 	}
 }
 
+// TestOnlyResumableStoresSync pins which store writes fsync. A scratch store
+// (no Resume) is deleted after its run, so it syncs nothing; a resumable one
+// syncs the seeded planes once, each tile's planes once, and each checkpoint
+// twice (its temp file and then the directory).
+func TestOnlyResumableStoresSync(t *testing.T) {
+	machine, err := topology.UV2000(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	domain := grid.Sz(12, 5, 4)
+	cfg := exec.Config{Machine: machine, Strategy: exec.Original, Boundary: stencil.Clamp, Steps: 2, KSteps: 1}
+	defer func(orig func(interface{ Sync() error }) error) { fsync = orig }(fsync)
+	syncs := 0
+	fsync = func(f interface{ Sync() error }) error {
+		syncs++
+		return f.Sync()
+	}
+	for _, resume := range []bool{false, true} {
+		syncs = 0
+		s, err := New(Options{Dir: t.TempDir(), Exec: cfg, Domain: domain, TilePlanes: 5, Resume: resume})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		st := s.Stats()
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if st.Tiles < 2 || st.Sweeps < 2 {
+			t.Fatalf("plan has %d tiles x %d sweeps, want a multi-tile, multi-sweep run", st.Tiles, st.Sweeps)
+		}
+		// Seed: one plane sync and the first checkpoint; each tile write:
+		// its planes and its checkpoint.
+		want := 0
+		if resume {
+			writes := st.Tiles * st.Sweeps
+			want = 1 + 2 + writes*(1+2)
+		}
+		if syncs != want {
+			t.Errorf("Resume=%v: %d fsyncs over %d tiles x %d sweeps, want %d", resume, syncs, st.Tiles, st.Sweeps, want)
+		}
+	}
+}
+
 // TestNewFailsCleanAfterSetupStarted covers New's error path after the set-up
 // goroutine has started: openStore launches precompile, seeds the store, and
 // only then writes the first checkpoint. A non-empty directory at the

@@ -15,10 +15,12 @@
 #      clean SIGTERM drain of the router.
 #   3. Streaming (docs/STREAMING.md): start a server with a 1 MiB default
 #      stream budget, push a batch of streamed jobs whose domains exceed the
-#      budget several times over (>= 4 tiles each), then kill -9 the server
-#      mid-way through a long durable streamed job, restart it on the same
-#      spill directory, resubmit the same stream_id, and assert the job
-#      completes with zero failures from the surviving checkpoint.
+#      budget several times over (>= 4 tiles each) and require that their
+#      unsynced scratch stores left the disk-bandwidth gauge at 0, then kill
+#      -9 the server mid-way through a long durable streamed job, restart it
+#      on the same spill directory, resubmit the same stream_id, and assert
+#      the job completes with zero failures from the surviving checkpoint and
+#      moves the gauge above 0.
 #   4. Solver catalog (docs/SOLVERS.md): submit one job per catalog solver
 #      through a router and assert each succeeded, with the replica's
 #      per-solver metric labels accounting for every entry.
@@ -280,7 +282,14 @@ if [ "$leftovers" != "0" ]; then
     echo "serve-smoke: $leftovers anonymous tile stores leaked in $spill" >&2
     exit 1
 fi
-echo "serve-smoke: phase 3a OK ($sjobs streamed jobs, $stiles tile residencies)"
+# Scratch stores are never synced, so their throughput is the page cache's:
+# it must not reach the disk-bandwidth estimate that prices residencies.
+diskbw=$(metric_value "$st_url" serve_stream_disk_bw_bytes)
+if [ "$diskbw" != "0" ]; then
+    echo "serve-smoke: serve_stream_disk_bw_bytes=$diskbw after anonymous jobs only, want 0" >&2
+    exit 1
+fi
+echo "serve-smoke: phase 3a OK ($sjobs streamed jobs, $stiles tile residencies, disk estimate untouched)"
 
 # 3b: kill -9 the server mid-way through a long durable streamed job, then
 # restart on the same spill directory and resubmit the same stream_id. The
@@ -332,8 +341,14 @@ st_url=$(scrape_url "$stlog" "$stream_pid" mpdata-serve)
 
 failed=$(metric_value "$st_url" serve_jobs_failed_total)
 resumed=$(metric_value "$st_url" serve_stream_resumed_total)
+diskbw=$(metric_value "$st_url" serve_stream_disk_bw_bytes)
 if [ "$failed" != "0" ]; then
     echo "serve-smoke: restarted streaming server reports $failed failed jobs" >&2
+    exit 1
+fi
+# The durable store's throughput is the device's: it feeds the estimate.
+if [ "$(awk -v b="$diskbw" 'BEGIN{print (b+0 > 0) ? 1 : 0}')" != "1" ]; then
+    echo "serve-smoke: serve_stream_disk_bw_bytes=$diskbw after the durable job, want > 0" >&2
     exit 1
 fi
 
@@ -351,7 +366,7 @@ if ! grep -q "drained cleanly" "$stlog"; then
     exit 1
 fi
 pids=""
-echo "serve-smoke: phase 3 OK (crash survived, resumed_total=$resumed, clean drain)"
+echo "serve-smoke: phase 3 OK (crash survived, resumed_total=$resumed, disk estimate $diskbw B/s, clean drain)"
 
 # ---------------------------------------------------------------- phase 4 --
 # Solver catalog: one job per catalog entry through the router. Every solver
