@@ -41,10 +41,11 @@ cross-check:
 # The committed seeds alone (go test) only replay the corpus: run each Fuzz*
 # target for 5 s past them — the AVX2 bodies against their scalar oracles in
 # internal/mpdata, job specs through the submit decoder and Spec.Admit in
-# internal/serve, field files and plane-file headers in internal/grid. go test
-# fuzzes one target per call. About 55 s; CI runs it, `make all` does not.
+# internal/serve, field files and plane-file headers in internal/grid, and
+# damaged checkpoints of a resumable store in internal/stream. go test fuzzes
+# one target per call. About 75 s; CI runs it, `make all` does not.
 fuzz-smoke:
-	for p in ./internal/mpdata ./internal/serve ./internal/grid; do \
+	for p in ./internal/mpdata ./internal/serve ./internal/grid ./internal/stream; do \
 		for t in $$($(GO) test -list '^Fuzz' $$p | grep '^Fuzz'); do \
 			$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime 5s $$p || exit 1; \
 		done; \

@@ -59,26 +59,33 @@ func BenchmarkFullStep(b *testing.B) {
 	b.ReportMetric(cells*229*float64(b.N)/b.Elapsed().Seconds()/1e9, "Gflop/s")
 }
 
-// BenchmarkFusedRows measures each registered group kernel on the shape the
-// repository's benchmark runs (bench/: 128x128x16, standard problem, clamp):
-// the (i,j) interior over the whole k range — 16-cell rows whose two end cells
-// read across a k face. ns/cell, arms:
+// BenchmarkFusedRows measures each registered group kernel on the shapes the
+// repository's benchmark runs (bench/: standard problem, clamp): 128x128x16,
+// the resident-sweep grid and the streamed tiles' depth, and 128x128x8, the
+// depth of serve-mix's mpdata classes — the (i,j) interior over the whole k
+// range, rows whose two end cells read across a k face. ns/cell, arms (under
+// nk16/ and nk8/):
 //
 //	separate  the member stages' scalar fast paths back to back, piecewise
 //	          (what fusion saves)
 //	scalar    the kernel's scalar body, whole rows
 //	pieces    its AVX2 body piecewise, as a schedule ran it before the kernels
-//	          were row-capable: the k interior (14-cell rows), then the k = 0
+//	          were row-capable: the k interior (NK-2-cell rows), then the k = 0
 //	          and k = NK-1 faces as k-pinned pieces of one-cell rows
 //	faces     those two pieces alone, per face cell
 //	rows      the AVX2 body once over the whole rows, end cells riding along
 //
 // pieces, faces and rows run the scalar body where there is no AVX2.
 func BenchmarkFusedRows(b *testing.B) {
-	domain := grid.Sz(128, 128, 16)
+	scalar, vector := programWithBody(b, false), programWithBody(b, vectorAvailable)
+	for _, nk := range []int{16, 8} {
+		b.Run(fmt.Sprintf("nk%d", nk), func(b *testing.B) { benchFusedRows(b, scalar, vector, grid.Sz(128, 128, nk)) })
+	}
+}
+
+func benchFusedRows(b *testing.B, scalar, vector *stencil.KernelProgram, domain grid.Size) {
 	state := NewState(domain)
 	state.SetStandardProblem()
-	scalar, vector := programWithBody(b, false), programWithBody(b, vectorAvailable)
 	env, err := stencil.NewEnv(&scalar.Program, domain, state.InputMap())
 	if err != nil {
 		b.Fatal(err)

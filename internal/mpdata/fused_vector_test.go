@@ -164,8 +164,8 @@ func subRegion(r grid.Region, planes, rows, nk int, rng *rand.Rand) grid.Region 
 
 // TestVectorBodiesMatchScalarMembers is the table half of the differential
 // test: for every fused kernel, the AVX2 body against its members' scalar fast
-// paths on bit patterns — row lengths 1..17 (every tail length after 0..4
-// whole vectors), 1..5 rows, one and several planes on the interior, and
+// paths on bit patterns — row lengths 1..17 (short rows, and every overlap of
+// the last vector after 1..4 whole ones), 1..5 rows, one and several planes on the interior, and
 // every border piece (k-pinned pieces are one-cell rows, j-pinned ones single
 // rows, i-pinned ones single planes) whole and cut down, under both boundary
 // conditions, on ordinary data and on data salted with the special values.
@@ -224,13 +224,15 @@ func kRanges(nk int) [][2]int {
 // the interior and the (i,j)-pinned pieces of stencil.RowPieces, whole and cut
 // down, over the k ranges of kRanges — against its members' scalar fast paths
 // run piecewise, the faces on k-pinned environments. Domains from one cell
-// deep (every row is one end cell) through 2 (two end cells, no body) to 17,
-// both boundary conditions, ordinary data and data salted with the specials.
+// deep (every row is one end cell) through 2 (two end cells, no body), 4 (one
+// vector holding both end cells), 5-7 (first and last vector overlapping) and
+// 8 (two vectors) to 18, both boundary conditions, ordinary data and data
+// salted with the specials.
 func TestRowsFormMatchesPiecewiseMembers(t *testing.T) {
 	for _, vector := range []bool{false, true} {
 		t.Run(map[bool]string{false: "scalar", true: "vector"}[vector], func(t *testing.T) {
 			kp := programWithBody(t, vector)
-			for _, nk := range []int{1, 2, 3, 5, 8, 16, 17} {
+			for _, nk := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 17, 18} {
 				domain := grid.Sz(5, 6, nk)
 				whole := grid.WholeRegion(domain)
 				for _, bc := range []stencil.Boundary{stencil.Clamp, stencil.Periodic} {

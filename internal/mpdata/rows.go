@@ -133,7 +133,12 @@ func (p *rowPass) vec(s int) vecRegion {
 // at returns the stream pointer for a stream whose first cell is s[first+o].
 // The slice expression is the bounds proof for everything the vector body
 // will touch through it — one check per stream and segment instead of one per
-// cell — so a region reaching outside the fields panics here, in Go.
+// cell — so a region reaching outside the fields panics here, in Go. A
+// vector body walks a row's end cells as lanes of its first and last vector
+// (fused_amd64.s): a stream whose k offset does not cross the face resolves
+// to the same offset under the pinned environment (Env.Step), so its end
+// segment's proof covers that lane of the body's pointer; a stream whose
+// offset crosses it is read there through its end segment's pointer only.
 func (g *vecRegion) at(s []float64, o int) *float64 {
 	lo := g.first + o
 	return &s[lo : lo+g.span : len(s)][0]

@@ -134,11 +134,13 @@ func (e *streamEngine) budgetMB() int {
 // in o (Dir, Resume, Progress); the engine configuration, solver program and
 // residency come from ns. A checkpoint found in o.Dir under o.Resume keeps its
 // recorded residency (resume validation rejects changed geometry) and the
-// returned Residency is nil; otherwise tune.PickResidency chooses under
-// budgetMB, priced at diskBW bytes/s (0 = the model's default), and a domain
-// that fits the budget whole streams as one degenerate tile (k = the whole
-// run) rather than through a distinct code path. The pick is priced on the
-// UV 2000; the tile engines then run on the host's shape (host).
+// returned Residency is nil; that residency is priced as the picker prices
+// one, and a budgetMB it overflows fails the open with a diagnostic.
+// Otherwise tune.PickResidency chooses under budgetMB, priced at diskBW
+// bytes/s (0 = the model's default), and a domain that fits the budget whole
+// streams as one degenerate tile (k = the whole run) rather than through a
+// distinct code path. The pick is priced on the UV 2000; the tile engines
+// then run on the host's shape (host).
 func OpenStream(ns NormSpec, o stream.Options, budgetMB int, diskBW float64) (*stream.Streamer, *tune.Residency, error) {
 	cfg, err := ns.ExecConfig()
 	if err != nil {
@@ -155,7 +157,18 @@ func OpenStream(ns NormSpec, o stream.Options, budgetMB int, diskBW float64) (*s
 	if o.Resume {
 		tilePlanes, k, stored = stream.StoredResidency(o.Dir)
 	}
-	if !stored {
+	if stored {
+		// The residency cannot change mid-run, so a budget it overflows
+		// fails the job rather than being ignored.
+		need, err := tune.ResidentBytes(cfg.Machine, &prog.Program, ClassOf(ns), tune.KnobsOf(cfg, ns.Domain), tilePlanes, k)
+		if err != nil {
+			return nil, nil, err
+		}
+		if need > float64(int64(budgetMB)<<20) {
+			return nil, nil, fmt.Errorf("checkpointed residency w%dk%d needs %.1f MiB, over the %d MiB budget (a resumed store keeps its residency)",
+				tilePlanes, k, need/(1<<20), budgetMB)
+		}
+	} else {
 		picked, err = tune.PickResidency(cfg.Machine, &prog.Program, ClassOf(ns), tune.KnobsOf(cfg, ns.Domain), ns.Steps, int64(budgetMB)<<20, diskBW)
 		if err != nil {
 			return nil, nil, fmt.Errorf("no streaming residency under %d MiB: %w", budgetMB, err)

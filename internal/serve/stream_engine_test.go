@@ -2,13 +2,16 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"net/http/httptest"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"islands/internal/stream"
+	"islands/internal/tune"
 )
 
 // streamedSpec is a streamed job the 1 MiB budget cuts into several tiles.
@@ -178,5 +181,82 @@ func TestCompletedStoreResubmitKeepsItsChecksums(t *testing.T) {
 	}
 	if again.Result.Checksums != first.Result.Checksums {
 		t.Fatalf("resubmitted checksums %+v, want the first run's %+v", again.Result.Checksums, first.Result.Checksums)
+	}
+}
+
+// TestResumedStoreKeepsToItsBudget is the regression test of a named store
+// that resumed under a budget smaller than its recorded residency needs: the
+// residency cannot change mid-run, so the job must fail with a diagnostic that
+// names the residency, its MiB and the budget, and leave the store to a job
+// under a budget that holds it — which resumes it to the checksums of an
+// uninterrupted run.
+func TestResumedStoreKeepsToItsBudget(t *testing.T) {
+	spill := t.TempDir()
+	srv := NewServer(Options{Slots: 1, SpillDir: spill})
+	defer srv.Close()
+	spec := streamedSpec(9, "budget")
+	spec.MemoryBudgetMB = 4
+	ns, err := spec.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The store one sweep in, as a job killed after its first sweep leaves it.
+	st, picked, err := OpenStream(ns, stream.Options{Dir: filepath.Join(spill, "stream-"+spec.StreamID), Resume: true}, ns.MemoryBudgetMB, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if picked == nil || picked.Resident || st.Plan().Sweeps < 2 {
+		t.Fatalf("4 MiB pick %+v: want a residency of several sweeps", picked)
+	}
+	if err := st.RunSweep(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := ns.ExecConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, prog, err := ns.program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	need, err := tune.ResidentBytes(cfg.Machine, &prog.Program, ClassOf(ns), tune.KnobsOf(cfg, ns.Domain), picked.TilePlanes, picked.K)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if need <= 1<<20 {
+		t.Fatalf("%s needs %.0f bytes: it fits the 1 MiB budget, so the test checks nothing", picked.Label, need)
+	}
+
+	spec.MemoryBudgetMB = 1
+	small := runStreamed(t, srv, spec)
+	residency := fmt.Sprintf("w%dk%d", picked.TilePlanes, picked.K)
+	if small.State != StateFailed {
+		t.Fatalf("resumed %s under 1 MiB: %s, want failed", residency, small.State)
+	}
+	for _, want := range []string{residency, fmt.Sprintf("%.1f MiB", need/(1<<20)), "1 MiB budget"} {
+		if !strings.Contains(small.Error, want) {
+			t.Errorf("diagnostic %q does not name %q", small.Error, want)
+		}
+	}
+
+	spec.MemoryBudgetMB = 4
+	resumed := runStreamed(t, srv, spec)
+	if resumed.State != StateSucceeded {
+		t.Fatalf("resumed under 4 MiB: %s (%s)", resumed.State, resumed.Error)
+	}
+	if rep := resumed.Result.Stream; rep.ResumedSteps == 0 || rep.Residency != "checkpointed "+residency {
+		t.Fatalf("resumed job report %+v: want %s resumed past its first sweep", rep, residency)
+	}
+	spec.StreamID = ""
+	whole := runStreamed(t, srv, spec)
+	if whole.State != StateSucceeded {
+		t.Fatalf("uninterrupted job: %s (%s)", whole.State, whole.Error)
+	}
+	if resumed.Result.Checksums != whole.Result.Checksums {
+		t.Fatalf("resumed checksums %+v, uninterrupted %+v", resumed.Result.Checksums, whole.Result.Checksums)
 	}
 }

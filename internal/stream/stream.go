@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -161,6 +162,25 @@ type checkpoint struct {
 	Sweep      int     `json:"sweep"`
 	Tile       int     `json:"tile"`
 	MassIn     float64 `json:"mass_in"`
+	// Digest is the CRC-32 (IEEE) of the record's JSON with Digest zero. The
+	// plane files cannot tell one progress record from another, so a
+	// checkpoint damaged into another well-formed one — an in-range sweep or
+	// tile whose planes the store does not hold — fails its resume instead of
+	// computing from the wrong planes.
+	Digest uint32 `json:"digest"`
+}
+
+// digest computes ck's Digest.
+func (ck checkpoint) digest() (uint32, error) {
+	ck.Digest = 0
+	raw, err := json.Marshal(ck)
+	return crc32.ChecksumIEEE(raw), err
+}
+
+// intact reports whether ck carries the digest of its fields.
+func (ck checkpoint) intact() bool {
+	d, err := ck.digest()
+	return err == nil && d == ck.Digest
 }
 
 // StoredResidency reports the residency (tile width and k) recorded in dir's
@@ -173,7 +193,7 @@ func StoredResidency(dir string) (tilePlanes, k int, ok bool) {
 		return 0, 0, false
 	}
 	var ck checkpoint
-	if err := json.Unmarshal(raw, &ck); err != nil || ck.TilePlanes < 1 || ck.K < 1 {
+	if err := json.Unmarshal(raw, &ck); err != nil || !ck.intact() || ck.TilePlanes < 1 || ck.K < 1 {
 		return 0, 0, false
 	}
 	return ck.TilePlanes, ck.K, true
@@ -452,7 +472,7 @@ func (s *Streamer) precompile(sweep, tile int) {
 // checkpointAt builds the progress record for the next unit of work.
 func (s *Streamer) checkpointAt(sweep, tile int, massIn float64) checkpoint {
 	return checkpoint{
-		Version:    1,
+		Version:    2,
 		Domain:     [3]int{s.o.Domain.NI, s.o.Domain.NJ, s.o.Domain.NK},
 		Solver:     s.o.Solver,
 		Steps:      s.plan.Steps,
@@ -476,10 +496,15 @@ func (s *Streamer) resumeStore(raw []byte) error {
 		return fmt.Errorf("stream: corrupt checkpoint in %s: %w", s.o.Dir, err)
 	}
 	want := s.checkpointAt(ck.Sweep, ck.Tile, ck.MassIn)
+	want.Digest = ck.Digest
 	if ck != want {
-		return fmt.Errorf("stream: checkpoint in %s was written by an incompatible run (solver=%s domain %dx%dx%d steps=%d k=%d tile_planes=%d)",
-			s.o.Dir, ck.Solver, ck.Domain[0], ck.Domain[1], ck.Domain[2], ck.Steps, ck.K, ck.TilePlanes)
+		return fmt.Errorf("stream: checkpoint in %s was written by an incompatible run (version %d solver=%s domain %dx%dx%d steps=%d k=%d tile_planes=%d)",
+			s.o.Dir, ck.Version, ck.Solver, ck.Domain[0], ck.Domain[1], ck.Domain[2], ck.Steps, ck.K, ck.TilePlanes)
 	}
+	if !ck.intact() {
+		return fmt.Errorf("stream: corrupt checkpoint in %s: its digest does not match its fields", s.o.Dir)
+	}
+	ck.Digest = 0
 	if ck.Sweep < 0 || ck.Sweep > s.plan.Sweeps || ck.Tile < 0 || ck.Tile >= len(s.plan.Tiles) {
 		return fmt.Errorf("stream: checkpoint in %s records out-of-range progress sweep=%d tile=%d", s.o.Dir, ck.Sweep, ck.Tile)
 	}
@@ -516,6 +541,10 @@ func (s *Streamer) sync(f interface{ Sync() error }) error {
 
 // writeCheckpoint publishes ck atomically (and durably when resumable).
 func (s *Streamer) writeCheckpoint(ck checkpoint) error {
+	var err error
+	if ck.Digest, err = ck.digest(); err != nil {
+		return err
+	}
 	raw, err := json.Marshal(ck)
 	if err != nil {
 		return err

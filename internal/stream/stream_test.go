@@ -434,6 +434,14 @@ func TestNewFailsCleanAfterSetupStarted(t *testing.T) {
 		t.Fatalf("New = %v, want the checkpoint rename's error", err)
 	}
 
+	requireNothingLeft(t, dir, baseGoroutines)
+}
+
+// requireNothingLeft checks what a failed New leaves behind: no more than the
+// baseGoroutines running before it, and no descriptor, mapping or partial
+// file of the store in dir.
+func requireNothingLeft(t *testing.T, dir string, baseGoroutines int) {
+	t.Helper()
 	// Closed runners' workers may take a moment to return.
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > baseGoroutines && time.Now().Before(deadline) {

@@ -129,3 +129,21 @@ func PickResidency(m *topology.Machine, prog *stencil.Program, class Class, knob
 	}
 	return best, nil
 }
+
+// ResidentBytes prices the footprint of one residency — tilePlanes owned
+// planes advanced k steps a visit — as PickResidency prices its candidates:
+// exec.StreamResidentBytes under the class's configuration at knobs. A
+// resumed store keeps the residency it recorded; this is what checks it
+// against the resuming job's budget.
+func ResidentBytes(m *topology.Machine, prog *stencil.Program, class Class, knobs Knobs, tilePlanes, k int) (float64, error) {
+	an, err := stencil.Analyze(prog)
+	if err != nil {
+		return 0, err
+	}
+	fext, err := exec.StreamHalo(prog, an)
+	if err != nil {
+		return 0, err
+	}
+	cfg := ApplyKnobs(class.BaseConfig(m), knobs.Canon())
+	return exec.StreamResidentBytes(cfg, prog, fext, class.Domain, tilePlanes, k), nil
+}
