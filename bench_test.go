@@ -339,86 +339,6 @@ func BenchmarkComputeSolvers(b *testing.B) {
 	}
 }
 
-// kstepBench is the temporal-blocking ablation: the islands strategies
-// advancing 8 steps per op with k inner steps between global joins. Every
-// arm does identical work per op. Two figures of merit come out of each
-// arm:
-//
-//   - ns/op, the real execution on the host. Goroutine "islands" share one
-//     address space, so a machine-wide join costs the same arrival churn as
-//     an island-local barrier and the sweep mostly exposes the widened
-//     trapezoids' redundant compute — the cost side of the trade.
-//   - modeled-speedup-x, the paper machine's prediction for the same
-//     configuration (UV2000 NUMAlink joins at tens of microseconds),
-//     where amortizing the global join is the whole point. This is the
-//     benefit side, and the number the advisor trades against redundancy.
-//
-// The islands arms run the strong-scaling configuration temporal blocking
-// targets — 14 nodes on a thin-cross-section grid with wide i-parts, where
-// the modeled join is ~20% of a step — while the core-islands arms stay on
-// the compute-bound BenchmarkCompute grid (their sub-islands subdivide j,
-// and 128x64x16 is the feasibility envelope: k=2 fits, k >= 4 skips
-// loudly instead of silently re-measuring k=1).
-func kstepBench(b *testing.B, coreIslands bool, k int) {
-	b.Helper()
-	domain, p := grid.Sz(512, 8, 4), 14
-	if coreIslands {
-		domain, p = grid.Sz(128, 64, 16), 2
-	}
-	const stepsPerOp = 8
-	m, err := topology.UV2000(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	state := mpdata.NewState(domain)
-	state.SetGaussian(float64(domain.NI)/2, float64(domain.NJ)/2, float64(domain.NK)/2, 4, 1, 0.1)
-	state.SetUniformVelocity(0.2, 0.1, 0.05)
-	runner, err := exec.NewRunner(exec.Config{
-		Machine: m, Strategy: exec.IslandsOfCores, CoreIslands: coreIslands,
-		Boundary: stencil.Clamp, Steps: stepsPerOp, BlockI: 16, KSteps: k,
-	}, mpdata.NewProgram(), state.InputMap(), mpdata.InPsi)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer runner.Close()
-	if st := runner.Schedule().Stats(); st.KSteps != k {
-		b.Skipf("ksteps=%d infeasible at %v: %s", k, domain, st.KStepFallbackReason)
-	}
-	model := func(kk int) float64 {
-		r, err := exec.Model(exec.Config{
-			Machine: m, Strategy: exec.IslandsOfCores, CoreIslands: coreIslands,
-			Placement: grid.FirstTouchParallel, Boundary: stencil.Clamp,
-			Steps: stepsPerOp, KSteps: kk,
-		}, &mpdata.NewProgram().Program, domain)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return r.TotalTime
-	}
-	modeledSpeedup := model(1) / model(k)
-	if err := runner.Run(); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := runner.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(domain.Cells())*stepsPerOp*float64(b.N)/b.Elapsed().Seconds(), "cells/s")
-	b.ReportMetric(modeledSpeedup, "modeled-speedup-x")
-}
-
-func BenchmarkComputeIslandsK1(b *testing.B)     { kstepBench(b, false, 1) }
-func BenchmarkComputeIslandsK2(b *testing.B)     { kstepBench(b, false, 2) }
-func BenchmarkComputeIslandsK4(b *testing.B)     { kstepBench(b, false, 4) }
-func BenchmarkComputeIslandsK8(b *testing.B)     { kstepBench(b, false, 8) }
-func BenchmarkComputeCoreIslandsK1(b *testing.B) { kstepBench(b, true, 1) }
-func BenchmarkComputeCoreIslandsK2(b *testing.B) { kstepBench(b, true, 2) }
-func BenchmarkComputeCoreIslandsK4(b *testing.B) { kstepBench(b, true, 4) }
-func BenchmarkComputeCoreIslandsK8(b *testing.B) { kstepBench(b, true, 8) }
-
 // BenchmarkComputeIslandsNoFuse is the stage-fusion ablation: the same
 // islands schedule compiled with one phase per stage (17 barriers per block
 // instead of 7). The gap to BenchmarkComputeIslands is the fusion payoff.
@@ -431,8 +351,8 @@ func BenchmarkComputeIslandsNoFuse(b *testing.B) {
 // Before the timer starts it calibrates the top modeled candidates with
 // short real runs — the one-shot tuning mode — including the default
 // islands arm as the incumbent, so the winner is never worse than default
-// by construction. Custom metrics record the chosen knobs (tuned-blocki,
-// tuned-ksteps) and the measured advantage over the default islands arm
+// by construction. Custom metrics record the chosen block width
+// (tuned-blocki) and the measured advantage over the default islands arm
 // (tuned-vs-default-x >= 1 within noise). The timed loop itself is the
 // usual alloc-free dispatch.
 func BenchmarkComputeTuned(b *testing.B) {
@@ -454,8 +374,7 @@ func BenchmarkComputeTuned(b *testing.B) {
 	const calibSteps = 2 // timed steps per candidate: cheap enough for -benchtime 1x CI smoke
 	measure := func(k tune.Knobs) (tune.Observation, error) {
 		cfg := tune.ApplyKnobs(base, k)
-		kblock := max(k.KSteps, 1)
-		cfg.Steps = kblock
+		cfg.Steps = 1
 		state := mpdata.NewState(domain)
 		state.SetGaussian(64, 32, 8, 4, 1, 0.1)
 		state.SetUniformVelocity(0.2, 0.1, 0.05)
@@ -464,18 +383,16 @@ func BenchmarkComputeTuned(b *testing.B) {
 			return tune.Observation{}, err
 		}
 		defer r.Close()
-		if err := r.Run(); err != nil { // warm-up block
+		if err := r.Run(); err != nil { // warm-up step
 			return tune.Observation{}, err
 		}
-		reps := (calibSteps + kblock - 1) / kblock
 		t0 := time.Now()
-		for i := 0; i < reps; i++ {
+		for i := 0; i < calibSteps; i++ {
 			if err := r.Run(); err != nil {
 				return tune.Observation{}, err
 			}
 		}
-		n := reps * kblock
-		return tune.Observation{StepSeconds: time.Since(t0).Seconds() / float64(n), Steps: n}, nil
+		return tune.Observation{StepSeconds: time.Since(t0).Seconds() / calibSteps, Steps: calibSteps}, nil
 	}
 
 	// The default islands arm (BenchmarkComputeIslands' config) is the
@@ -489,8 +406,7 @@ func BenchmarkComputeTuned(b *testing.B) {
 	}
 	defObs.Knobs = def
 	tn.Observe(class, defObs)
-	const stepsPerOp = 8 // feasibility window: admits k in {1,2,4,8}
-	dec, err := tn.Calibrate(class, def, stepsPerOp, measure)
+	dec, err := tn.Calibrate(class, def, measure)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -502,8 +418,7 @@ func BenchmarkComputeTuned(b *testing.B) {
 	}
 
 	cfg := tune.ApplyKnobs(base, dec.Knobs)
-	kblock := max(dec.Knobs.KSteps, 1)
-	cfg.Steps = kblock
+	cfg.Steps = 1
 	state := mpdata.NewState(domain)
 	state.SetGaussian(64, 32, 8, 4, 1, 0.1)
 	state.SetUniformVelocity(0.2, 0.1, 0.05)
@@ -522,9 +437,8 @@ func BenchmarkComputeTuned(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(domain.Cells())*float64(kblock)*float64(b.N)/b.Elapsed().Seconds(), "cells/s")
+	b.ReportMetric(float64(domain.Cells())*float64(b.N)/b.Elapsed().Seconds(), "cells/s")
 	b.ReportMetric(float64(dec.Knobs.BlockI), "tuned-blocki")
-	b.ReportMetric(float64(kblock), "tuned-ksteps")
 	if tunedStep > 0 {
 		b.ReportMetric(defObs.StepSeconds/tunedStep, "tuned-vs-default-x")
 	}

@@ -121,11 +121,6 @@ type jobOutcome struct {
 	requested string
 	tuned     string
 	explored  bool
-	// silentKFallback marks a job that ran at a different temporal-blocking
-	// factor than requested without the server reporting either a tuned
-	// substitution or the executor's fallback reason — a contract violation
-	// the load generator turns into a non-zero exit.
-	silentKFallback bool
 }
 
 // summaryJSON is the -json report consumed by scripts/serve-bench.sh and the
@@ -174,7 +169,6 @@ func main() {
 	p := flag.Int("p", 2, "simulated UV 2000 sockets per job")
 	strategies := flag.String("strategies", "original,3+1d,islands,islands+core", "comma-separated strategy rotation (suffix +core for core islands)")
 	solversFlag := flag.String("solvers", "mpdata", "comma-separated catalog solver rotation for mixed-solver traffic (docs/SOLVERS.md)")
-	ksteps := flag.Int("ksteps", 0, "temporal blocking factor requested per job (islands strategies only)")
 	pin := flag.Bool("pin", false, "pin jobs to the requested config (opt out of server-side autotuning)")
 	streamed := flag.Bool("streamed", false, "submit streamed (out-of-core) jobs: the server tiles each domain under -budget-mb (docs/STREAMING.md)")
 	budgetMB := flag.Int("budget-mb", 0, "memory_budget_mb of streamed jobs (0 = server default; requires -streamed)")
@@ -208,10 +202,10 @@ func main() {
 	}
 	// Validate every (strategy, grid, solver) template once, client-side,
 	// by the server's own admission check — a bad flag (a non-streamable
-	// solver under -streamed, a grid violating a solver's domain constraint,
-	// -steps no multiple of -ksteps) fails fast instead of 100 times.
+	// solver under -streamed, a grid violating a solver's domain constraint)
+	// fails fast instead of 100 times.
 	template := serve.Spec{
-		Steps: *steps, Processors: *p, KSteps: *ksteps, Pin: *pin,
+		Steps: *steps, Processors: *p, Pin: *pin,
 		Streamed: *streamed, MemoryBudgetMB: *budgetMB,
 	}
 	for _, w := range loads {
@@ -323,23 +317,14 @@ func runOne(ctx context.Context, client *serveclient.Client, spec serve.Spec, na
 		out.requested = r.RequestedConfig
 		out.tuned = r.TunedConfig
 		out.explored = r.Explored
-		// The silent-fallback gate: the engine compiled a different k than
-		// requested, no tuner substitution explains it, and the executor's
-		// fallback reason is missing. Streamed jobs are exempt — their k is
-		// derived from the memory budget by design (reported in r.Stream.K).
-		want := max(spec.KSteps, 1)
-		if !spec.Streamed && r.KSteps != 0 && r.KSteps != want && !r.Tuned && !r.Explored && r.KStepFallback == "" {
-			out.silentKFallback = true
-		}
 	}
 	return out
 }
 
 // summarize prints the aggregate and per-strategy report and returns the
-// machine-readable summary. Failed jobs and silent k-step fallbacks both
-// fail the run (silent fallbacks are folded into Failed).
+// machine-readable summary. Failed jobs fail the run.
 func summarize(outcomes []jobOutcome, elapsed time.Duration, rejected int64, slo time.Duration) summaryJSON {
-	var ok, failed, silent, canceled, hits, explored, reroutes int
+	var ok, failed, canceled, hits, explored, reroutes int
 	latencies := make([]time.Duration, 0, len(outcomes))
 	perStrategy := map[string][]time.Duration{}
 	perSolver := map[string][]time.Duration{}
@@ -373,10 +358,6 @@ func summarize(outcomes []jobOutcome, elapsed time.Duration, rejected int64, slo
 				}
 				configs[o.strategy][line]++
 			}
-			if o.silentKFallback {
-				silent++
-				log.Printf("SILENT K-STEP FALLBACK [%s]: engine ran a different ksteps than requested with no fallback reason", o.strategy)
-			}
 		case serve.StateCanceled:
 			canceled++
 		default:
@@ -389,7 +370,7 @@ func summarize(outcomes []jobOutcome, elapsed time.Duration, rejected int64, slo
 	fmt.Printf("wall: %.2fs, throughput %.1f jobs/s, schedule-cache hits %d/%d\n",
 		elapsed.Seconds(), float64(len(outcomes))/elapsed.Seconds(), hits, ok)
 	sum := summaryJSON{
-		Jobs: len(outcomes), OK: ok, Failed: failed + silent, Canceled: canceled,
+		Jobs: len(outcomes), OK: ok, Failed: failed, Canceled: canceled,
 		RetriedRejects: rejected, Reroutes: reroutes,
 		WallSeconds:   elapsed.Seconds(),
 		JobsPerSecond: float64(len(outcomes)) / elapsed.Seconds(),
@@ -474,9 +455,6 @@ func summarize(outcomes []jobOutcome, elapsed time.Duration, rejected int64, slo
 	}
 	if reroutes > 0 {
 		fmt.Printf("replica-fault reroutes survived: %d\n", reroutes)
-	}
-	if silent > 0 {
-		fmt.Printf("silent k-step fallbacks: %d jobs (failing the run)\n", silent)
 	}
 	return sum
 }

@@ -76,13 +76,10 @@ var arms = []arm{
 }
 
 // armConfig is the run's configuration with the strategy replaced by the
-// arm's; the temporal-blocking request reaches the islands arms only.
+// arm's.
 func (r *run) armConfig(a arm) (exec.Config, error) {
 	key := r.ns.Key()
 	key.Strategy, key.CoreIslands = a.strategy, a.coreIslands
-	if a.strategy != exec.IslandsOfCores {
-		key.KSteps = 1
-	}
 	return r.execConfig(key)
 }
 
@@ -112,7 +109,6 @@ func main() {
 	profile := flag.Bool("profile", false, "run every strategy with the runtime profiler and print per-phase, per-island and measured-vs-model tables")
 	traceOut := flag.String("trace", "", "profile the selected strategy and write a Chrome trace-event JSON timeline to this file (chrome://tracing, Perfetto)")
 	coreIslands := flag.Bool("coreislands", false, "apply islands inside each socket (per-core sub-islands)")
-	ksteps := flag.Int("ksteps", 0, "temporal blocking: islands advance this many steps between global joins (0/1 = off, islands strategy only)")
 	iord := flag.Int("iord", 2, "MPDATA order (number of passes, 1..4)")
 	dump := flag.String("dump", "", "write the final psi field to this file (grid field format)")
 	streamBudget := flag.Int("stream-budget-mb", 0, "run out of core under this resident-memory budget in MiB: the domain is streamed through disk-backed tiles (0 = resident; docs/STREAMING.md)")
@@ -124,8 +120,7 @@ func main() {
 
 	spec := serve.Spec{
 		Grid: *gridFlag, Solver: *solverFlag, Steps: *steps, Strategy: *strategyFlag,
-		Processors: *p, Placement: *placementFlag, Variant: *variantFlag,
-		CoreIslands: *coreIslands, KSteps: *ksteps,
+		Processors: *p, Placement: *placementFlag, Variant: *variantFlag, CoreIslands: *coreIslands,
 		Streamed: *streamBudget != 0, MemoryBudgetMB: *streamBudget,
 	}
 	// -iord's default belongs to the solvers that read it; the spec rejects
@@ -248,9 +243,6 @@ func adviceReport(ranked []*exec.ModelResult) string {
 	}
 	best, slowest := ranked[0], ranked[len(ranked)-1]
 	s := fmt.Sprintf("recommended: %s (%.3f s)\n", exec.CandidateLabel(best.Config), best.TotalTime)
-	if k := best.Config.KSteps; k > 1 {
-		s += fmt.Sprintf("  temporal blocking pays here: set KSteps=%d — one global join per %d steps buys back its redundant compute\n", k, k)
-	}
 	for i, r := range ranked {
 		s += fmt.Sprintf("  %2d. %-26s %9.3f s  %5.1fx  %s\n",
 			i+1, exec.CandidateLabel(r.Config), r.TotalTime, slowest.TotalTime/r.TotalTime, r.Rationale())

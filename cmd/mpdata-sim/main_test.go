@@ -36,16 +36,12 @@ var cliCases = []cliCase{
 	{name: "compute_heat", args: "-solver heat -grid 64x32x12 -steps 4 -p 2"},
 	{name: "compute_original_serial_B", args: "-grid 48x24x8 -steps 3 -p 3 -strategy original -placement serial -variant B"},
 	{name: "compute_coreislands_iord3", args: "-grid 48x24x8 -steps 3 -p 2 -coreislands -iord 3"},
-	{name: "compute_remainder_block", args: "-grid 64x32x12 -steps 10 -p 2 -ksteps 4"},
 	{name: "dump", args: "-grid 32x16x8 -steps 3 -p 2 -dump $TMP/psi.bin", hashFile: "psi.bin"},
 	{name: "dump_lbm", args: "-solver lbm -grid 32x16x9 -steps 3 -p 2 -dump $TMP/f.bin", hashFile: "f.bin"},
 	{name: "plan", args: "-grid 64x32x12 -steps 4 -p 2 -plan"},
-	{name: "plan_ksteps", args: "-grid 64x32x12 -steps 4 -p 2 -ksteps 2 -plan"},
-	{name: "schedule_ksteps", args: "-grid 64x32x12 -steps 4 -p 2 -schedule -ksteps 2"},
 	{name: "schedule_heat", args: "-solver heat -grid 32x16x8 -steps 2 -p 2 -schedule"},
 	{name: "advise", args: "-grid 64x32x12 -steps 4 -p 4 -advise"},
 	{name: "topology", args: "-p 3 -topology"},
-	{name: "model_counters_trace_ksteps", args: "-grid 64x32x12 -steps 4 -p 2 -ksteps 2 -compute=false -counters -modeltrace"},
 	{name: "model_counters_trace", args: "-grid 64x32x12 -steps 4 -p 2 -strategy 3+1d -compute=false -counters -modeltrace"},
 	{name: "model_heat", args: "-solver heat -grid 64x32x12 -steps 4 -p 2 -compute=false"},
 	{name: "stream_tiled", args: "-grid 96x32x8 -steps 2 -p 2 -stream-budget-mb 2", cut: "out-of-core stream:"},
@@ -53,7 +49,7 @@ var cliCases = []cliCase{
 	{name: "stream_resume", args: "-grid 96x32x8 -steps 2 -p 2 -stream-budget-mb 2 -spill-dir $TMP/store", cut: "out-of-core stream:", twice: true},
 	{name: "tune_ranking", args: "-grid 32x16x8 -steps 4 -p 2 -tune", cut: "calibration runs"},
 	{name: "profile_header", args: "-grid 32x16x8 -steps 2 -p 2 -profile", cut: "Runtime profile:"},
-	{name: "trace", args: "-grid 32x16x8 -steps 2 -p 2 -ksteps 2 -trace $TMP/trace.json"},
+	{name: "trace", args: "-grid 32x16x8 -steps 2 -p 2 -trace $TMP/trace.json"},
 	{name: "help", args: "-help"},
 	{name: "reject_grid", args: "-grid 0x1x1"},
 	{name: "reject_grid_shape", args: "-grid 64x32"},
@@ -64,11 +60,7 @@ var cliCases = []cliCase{
 	{name: "reject_variant", args: "-variant C"},
 	{name: "reject_solver", args: "-solver nope"},
 	{name: "reject_solver_domain", args: "-solver lbm -grid 32x16x8"},
-	{name: "reject_ksteps_negative", args: "-ksteps -1"},
-	{name: "reject_ksteps_strategy", args: "-ksteps 2 -strategy original"},
-	{name: "reject_ksteps_infeasible", args: "-grid 16x16x8 -steps 4 -p 2 -ksteps 4"},
 	{name: "reject_iord_solver", args: "-solver heat -iord 2"},
-	{name: "reject_ksteps_streamed", args: "-grid 96x32x8 -steps 2 -ksteps 2 -stream-budget-mb 2"},
 	{name: "reject_dump_nocompute", args: "-grid 32x16x8 -steps 2 -compute=false -dump $TMP/psi.bin"},
 }
 

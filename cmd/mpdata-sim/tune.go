@@ -40,7 +40,7 @@ func runTune(r *run, seed int64) error {
 
 	// Seed the class (Best is greedy and side-effect free apart from
 	// seeding) so the modeled ranking can be printed before any run.
-	tn.Best(class, req, ns.Steps)
+	tn.Best(class, req)
 	snap := tn.Snapshot(class)
 	if snap == nil {
 		return fmt.Errorf("tune: candidate seeding failed for %v", ns.Domain)
@@ -62,8 +62,7 @@ func runTune(r *run, seed int64) error {
 	fmt.Println("calibration runs (real compiled engine, warmed up):")
 	measure := func(k tune.Knobs) (tune.Observation, error) {
 		ec := tune.ApplyKnobs(base, k)
-		kblock := max(k.KSteps, 1)
-		ec.Steps = kblock // one dispatch advances one temporal block
+		ec.Steps = 1 // one dispatch advances one step, as a served engine's does
 		state, err := r.entry.NewProblemState(ns.Domain)
 		if err != nil {
 			return tune.Observation{}, err
@@ -73,20 +72,18 @@ func runTune(r *run, seed int64) error {
 			return tune.Observation{}, err
 		}
 		defer runner.Close()
-		if err := runner.Run(); err != nil { // warm-up block (first touch, caches)
+		if err := runner.Run(); err != nil { // warm-up step (first touch, caches)
 			return tune.Observation{}, err
 		}
 		runner.EnableProfile(false)
-		reps := (calibrationSteps + kblock - 1) / kblock
 		start := time.Now()
-		for i := 0; i < reps; i++ {
+		for i := 0; i < calibrationSteps; i++ {
 			if err := runner.Run(); err != nil {
 				return tune.Observation{}, err
 			}
 		}
 		wall := time.Since(start)
-		n := reps * kblock
-		obs := tune.Observation{StepSeconds: wall.Seconds() / float64(n), Steps: n}
+		obs := tune.Observation{StepSeconds: wall.Seconds() / calibrationSteps, Steps: calibrationSteps}
 		if p := runner.Profile(); p != nil {
 			obs.ImbalancePct = p.Summary().MaxImbalancePct
 		}
@@ -94,7 +91,7 @@ func runTune(r *run, seed int64) error {
 			label(k), obs.StepSeconds*1e3, obs.ImbalancePct)
 		return obs, nil
 	}
-	dec, err := tn.Calibrate(class, req, ns.Steps, measure)
+	dec, err := tn.Calibrate(class, req, measure)
 	if err != nil {
 		return err
 	}

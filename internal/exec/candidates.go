@@ -18,7 +18,7 @@ import (
 // mpdata-sim -advise is that ranking; the autotuner (internal/tune) seeds from
 // it and additionally measures the promising candidates through the compiled
 // compute backend. Every knob the enumeration toggles — strategy,
-// CoreIslands, BlockI, KSteps, fusion, placement — is bit-identity-preserving
+// CoreIslands, BlockI, fusion, placement — is bit-identity-preserving
 // by construction, so any candidate is a legal substitute for any other with
 // the same program and domain.
 
@@ -28,11 +28,6 @@ type CandidateSpace struct {
 	// strategies. 0 means "derive from the node's LLC" (the executor
 	// default); other values are used as-is. Nil means {0}.
 	BlockIs []int
-	// KSteps lists the temporal-blocking factors to try for the islands
-	// strategies (values <= 1 mean no temporal blocking). Infeasible
-	// factors (CheckKSteps) are silently skipped — they would run as k=1
-	// and only duplicate an existing candidate. Nil means {1}.
-	KSteps []int
 	// Placements lists the NUMA page placements to try. Nil means
 	// {FirstTouchParallel}, the paper's placement.
 	Placements []grid.PlacementPolicy
@@ -44,19 +39,11 @@ type CandidateSpace struct {
 	// island-grid factorization of the node count (the advisor's full
 	// mapping sweep). Off, only the base config's Variant is used.
 	Mappings2D bool
-	// ClampForK forces the clamp boundary on the temporally blocked arms
-	// (the advisor's historical pricing convention: a periodic wrap across
-	// island ownership always falls back, so k arms are priced under
-	// clamp). The tuner leaves this off — switching the boundary would
-	// change results, so k arms keep the base boundary and CheckKSteps
-	// decides feasibility.
-	ClampForK bool
 }
 
 // TuneSpace returns the autotuner's default candidate space for a machine and
-// domain: block widths at half/default/double the LLC-derived choice,
-// temporal blocking k in {1,2,4,8}, both first-touch-parallel and interleaved
-// placement, and the fusion ablation. The serial first-touch placement is
+// domain: block widths at half/default/double the LLC-derived choice, both
+// first-touch-parallel and interleaved placement, and the fusion ablation. The serial first-touch placement is
 // excluded — it is dominated by parallel first touch for every strategy the
 // moment more than one node computes (all pages land on node 0).
 func TuneSpace(m *topology.Machine, domain grid.Size) CandidateSpace {
@@ -70,7 +57,6 @@ func TuneSpace(m *topology.Machine, domain grid.Size) CandidateSpace {
 	}
 	return CandidateSpace{
 		BlockIs:        blocks,
-		KSteps:         []int{1, 2, 4, 8},
 		Placements:     []grid.PlacementPolicy{grid.FirstTouchParallel, grid.Interleaved},
 		FusionAblation: true,
 	}
@@ -78,15 +64,13 @@ func TuneSpace(m *topology.Machine, domain grid.Size) CandidateSpace {
 
 // AdvisorSpace returns the candidate space of the strategy advice
 // (islands.Advise, mpdata-sim -advise): the historical mapping sweep (1D A/B,
-// every 2D factorization, core sub-islands) with k in {1,2,4,8} at the
-// default block width and parallel first-touch placement.
+// every 2D factorization, core sub-islands) at the default block width and
+// parallel first-touch placement.
 func AdvisorSpace() CandidateSpace {
 	return CandidateSpace{
 		BlockIs:    []int{0},
-		KSteps:     []int{1, 2, 4, 8},
 		Placements: []grid.PlacementPolicy{grid.FirstTouchParallel},
 		Mappings2D: true,
-		ClampForK:  true,
 	}
 }
 
@@ -142,9 +126,6 @@ func (r *ModelResult) Rationale() string {
 	case r.Config.Strategy == Plus31D:
 		return fmt.Sprintf("cache-blocked but machine-wide: per-stage sync and remote halo pulls dominate (%.1f GB NUMAlink)",
 			r.RemoteTrafficBytes/1e9)
-	case r.Config.KSteps > 1:
-		return fmt.Sprintf("temporally blocked islands: barriers amortized over %d-step blocks for %.2f%% redundant elements, %.1f GB NUMAlink",
-			r.Config.KSteps, r.ExtraElementsPct, r.RemoteTrafficBytes/1e9)
 	default:
 		return fmt.Sprintf("independent islands: %.2f%% redundant elements, %.1f GB NUMAlink",
 			r.ExtraElementsPct, r.RemoteTrafficBytes/1e9)
@@ -154,17 +135,12 @@ func (r *ModelResult) Rationale() string {
 // enumerateCandidates builds every feasible configuration over the space's
 // knob axes for the machine, program and domain. Machine and the tuned knobs
 // are overwritten per candidate. Candidates come back in deterministic order:
-// strategy-major, then placement, block, k. Only feasible configs are
-// returned — every result passes Config.Validate, CheckConfig, and (for k > 1)
-// CheckKSteps.
+// strategy-major, then placement, block. Only feasible configs are returned —
+// every result passes Config.Validate and CheckConfig.
 func enumerateCandidates(m *topology.Machine, prog *stencil.Program, domain grid.Size, base Config, space CandidateSpace) []Config {
 	blocks := space.BlockIs
 	if len(blocks) == 0 {
 		blocks = []int{0}
-	}
-	ks := space.KSteps
-	if len(ks) == 0 {
-		ks = []int{1}
 	}
 	placements := space.Placements
 	if len(placements) == 0 {
@@ -175,9 +151,6 @@ func enumerateCandidates(m *topology.Machine, prog *stencil.Program, domain grid
 	add := func(cfg Config) {
 		cfg.Machine = m
 		if CheckConfig(cfg, prog, domain) != nil {
-			return
-		}
-		if cfg.KSteps > 1 && CheckKSteps(cfg, prog, domain) != nil {
 			return
 		}
 		out = append(out, cfg)
@@ -239,20 +212,12 @@ func enumerateCandidates(m *topology.Machine, prog *stencil.Program, domain grid
 			}
 			for _, pl := range placements {
 				for _, b := range blocks {
-					for _, k := range ks {
-						cfg := proto
-						cfg.Strategy = IslandsOfCores
-						cfg.Variant, cfg.IslandGrid = mp.variant, mp.igrid
-						cfg.CoreIslands = coreIslands
-						cfg.Placement, cfg.BlockI = pl, b
-						if k > 1 {
-							cfg.KSteps = k
-							if space.ClampForK {
-								cfg.Boundary = stencil.Clamp
-							}
-						}
-						add(cfg)
-					}
+					cfg := proto
+					cfg.Strategy = IslandsOfCores
+					cfg.Variant, cfg.IslandGrid = mp.variant, mp.igrid
+					cfg.CoreIslands = coreIslands
+					cfg.Placement, cfg.BlockI = pl, b
+					add(cfg)
 				}
 			}
 			if space.FusionAblation {
@@ -272,8 +237,8 @@ func enumerateCandidates(m *topology.Machine, prog *stencil.Program, domain grid
 
 // CandidateLabel names a candidate the way the advisor's reports always have:
 // "original", "(3+1)D", "islands 1D-A"/"islands 1D-B" (just "islands" on one
-// node), "islands 2x4", "islands + core sub-islands" — with " k=N" for
-// temporal blocking and, for non-default knobs the tuner explores, " b=N"
+// node), "islands 2x4", "islands + core sub-islands" — with, for non-default
+// knobs the tuner explores, " b=N"
 // (explicit block width), " nofuse" (fusion ablation) and " interleaved"
 // (placement).
 func CandidateLabel(cfg Config) string {
@@ -298,9 +263,6 @@ func CandidateLabel(cfg Config) string {
 		}
 	default:
 		name = cfg.Strategy.String()
-	}
-	if cfg.KSteps > 1 {
-		name += fmt.Sprintf(" k=%d", cfg.KSteps)
 	}
 	if cfg.BlockI > 0 && cfg.Strategy != Original {
 		name += fmt.Sprintf(" b=%d", cfg.BlockI)

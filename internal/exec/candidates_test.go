@@ -6,6 +6,7 @@ import (
 
 	"islands/internal/grid"
 	"islands/internal/mpdata"
+	"islands/internal/stencil"
 	"islands/internal/topology"
 )
 
@@ -82,26 +83,31 @@ func TestRankCandidatesValidation(t *testing.T) {
 	}
 }
 
-func TestRankCandidatesPricesTemporalBlocking(t *testing.T) {
-	labels := byLabel(rankAdvice(t, 4, grid.Sz(256, 128, 16)))
-	for _, want := range []string{"islands 1D-A k=2", "islands 1D-A k=4", "islands 1D-A k=8"} {
-		r := labels[want]
-		if r == nil {
-			t.Errorf("missing temporally blocked candidate %q", want)
-			continue
-		}
-		if why := r.Rationale(); !strings.Contains(why, "amortized") || !strings.Contains(why, "redundant") {
-			t.Errorf("%s rationale misses the trade-off: %s", want, why)
+// TestModelPricesTemporalBlock: the advice ranks step-at-a-time arms only,
+// and the model prices a temporal block (KSteps == Steps) as the trade the
+// block makes — more redundant elements the wider k is.
+func TestModelPricesTemporalBlock(t *testing.T) {
+	domain := grid.Sz(256, 128, 16)
+	for _, r := range rankAdvice(t, 4, domain) {
+		if r.Config.KSteps > 1 {
+			t.Errorf("advice ranks a temporally blocked arm: %s", CandidateLabel(r.Config))
 		}
 	}
-	// An infeasible k must be skipped, not priced as a silent k=1 twin: 4
-	// islands on NI=16 leave 4-wide parts, narrower than the 12-cell halo of
-	// k=4.
-	thin := byLabel(rankAdvice(t, 4, grid.Sz(16, 128, 16)))
-	for _, name := range []string{"islands 1D-A k=4", "islands 1D-A k=8"} {
-		if thin[name] != nil {
-			t.Errorf("infeasible candidate %q priced", name)
+	m, err := topology.UV2000(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := &mpdata.NewProgram().Program
+	prev := -1.0
+	for _, k := range []int{1, 2, 4, 8} {
+		r, err := Model(Config{Machine: m, Strategy: IslandsOfCores, Boundary: stencil.Clamp, Steps: k, KSteps: k}, prog, domain)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if r.ExtraElementsPct <= prev {
+			t.Errorf("k=%d: %.3f%% redundant elements, want more than k/2's %.3f%%", k, r.ExtraElementsPct, prev)
+		}
+		prev = r.ExtraElementsPct
 	}
 }
 

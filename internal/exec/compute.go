@@ -37,19 +37,17 @@ type Runner struct {
 	// schedule is the compiled one-step program; stepFns are the per-team
 	// worker closures dispatched every step (built once, so the dispatch
 	// allocates nothing). With temporal blocking one dispatch advances
-	// schedule.KSteps() steps; remFns dispatches the remainder sub-block
-	// (nil when the step count divides evenly).
+	// schedule.KSteps() steps: the whole Run.
 	schedule *Schedule
 	stepFns  []func(worker int)
-	remFns   []func(worker int)
 	// OnStepEnd, when set, is invoked after every completed time step
 	// (outside any parallel region, with all outputs published). Hooks
 	// may mutate the step inputs — e.g. update time-dependent velocity
 	// fields — or record diagnostics. Under temporal blocking the hook
-	// fires once per k-block, with the index of the block's last completed
-	// step — inner steps are uninterruptible by construction (that is the
-	// point of the block), so per-step hooks and KSteps > 1 are mutually
-	// exclusive semantics the driver must choose between.
+	// fires once, after the block, with the index of its last step — inner
+	// steps are uninterruptible by construction (that is the point of the
+	// block), so per-step hooks and KSteps > 1 are mutually exclusive
+	// semantics the driver must choose between.
 	OnStepEnd func(step int)
 	// halo is the swap+halo exchange geometry (nil outside that mode), and
 	// swapPairs precomputes each environment's (feedback, output) field
@@ -164,14 +162,6 @@ func NewRunnerIn(arena *grid.Arena, cfg Config, prog *stencil.KernelProgram, inp
 		items := r.schedule.items[t]
 		r.stepFns[t] = func(w int) { r.runWorker(t, w, items[w]) }
 	}
-	if r.schedule.remainder != nil {
-		r.remFns = make([]func(worker int), len(r.sch.Teams))
-		for t := range r.sch.Teams {
-			t := t
-			items := r.schedule.remainder[t]
-			r.remFns[t] = func(w int) { r.runWorker(t, w, items[w]) }
-		}
-	}
 	return r, nil
 }
 
@@ -259,21 +249,16 @@ func (r *Runner) Run() (err error) {
 		}
 	}()
 	// One loop iteration dispatches one compiled program walk: a single time
-	// step without temporal blocking, a k-block of schedule.ksteps steps
-	// with it (plus the compiled remainder sub-block when the step count
-	// does not divide evenly). The feedback publication below runs once per
-	// walk — the inner steps of a block swap island-locally inside the
-	// schedule itself.
-	for done := 0; done < r.plan.cfg.Steps; {
-		fns, n := r.stepFns, r.schedule.ksteps
-		if left := r.plan.cfg.Steps - done; left < n {
-			fns, n = r.remFns, left
-		}
+	// step without temporal blocking, the whole Run's k-block of
+	// schedule.ksteps steps with it. The feedback publication below runs
+	// once per walk — the inner steps of a block swap island-locally inside
+	// the schedule itself.
+	for done, n := 0, r.schedule.ksteps; done < r.plan.cfg.Steps; {
 		var t0 time.Time
 		if r.prof != nil {
 			t0 = time.Now()
 		}
-		r.sch.RunFns(fns)
+		r.sch.RunFns(r.stepFns)
 		switch r.schedule.mode {
 		case FeedbackSwap:
 			grid.SwapData(r.inputs[r.feedback], r.haloEnvs[0].Field(r.prog.Output))

@@ -87,12 +87,8 @@ func (r *Runner) DescribeSchedule() string {
 		b.WriteByte('\n')
 	}
 	if st.KSteps > 1 {
-		fmt.Fprintf(&b, "  temporal block: %d inner steps between global joins, widened halo %d bytes per join",
+		fmt.Fprintf(&b, "  temporal block: %d inner steps between global joins, widened halo %d bytes per join\n",
 			st.KSteps, st.HaloBytes)
-		if st.RemainderSteps > 0 {
-			fmt.Fprintf(&b, ", %d-step remainder block", st.RemainderSteps)
-		}
-		b.WriteByte('\n')
 	} else if st.KStepFallbackReason != "" {
 		fmt.Fprintf(&b, "  temporal block: requested ksteps=%d fell back to 1 — %s\n",
 			r.plan.cfg.KSteps, st.KStepFallbackReason)

@@ -82,20 +82,22 @@ type Config struct {
 	// synchronization within each block. Only meaningful with
 	// IslandsOfCores.
 	CoreIslands bool
-	// KSteps enables temporal blocking for the island strategies: every
-	// island advances KSteps full time steps on its private buffers
-	// between global joins. Within such a k-block the per-phase barriers
+	// KSteps > 1 runs the whole Run as one temporal block: every island
+	// advances KSteps == Steps full time steps on its private buffers with
+	// no global join in between. Within the block the per-phase barriers
 	// stay island-local, the redundant trapezoids widen by one step extent
 	// per remaining inner step (the classic time-skewed trapezoid, earliest
 	// step widest), and the halo-strip exchange plus feedback swap happen
-	// once per block instead of once per step. 0 or 1 means today's
-	// step-at-a-time execution. KSteps > 1 requires the islands-of-cores
-	// strategy and a program with a declared Feedback input; when the
-	// partition cannot carry the k-step halo (parts narrower than
-	// fext.Scale(k), or periodic wrap reads that would cross island
-	// ownership mid-block) the runner falls back loudly to k=1 and records
-	// the reason (ScheduleStats.KStepFallbackReason). Results are
-	// bit-identical to k=1 execution for every k.
+	// once, at the end. 0 or 1 means step-at-a-time execution; any other
+	// value must equal Steps (Validate). Streamed tiles set it
+	// (StreamTileConfig): a tile is loaded, advanced and written back as one
+	// block. KSteps > 1 requires the islands-of-cores strategy and a program
+	// with a declared Feedback input; when the partition cannot carry the
+	// k-step halo (parts narrower than fext.Scale(k), or periodic wrap reads
+	// that would cross island ownership mid-block) the runner falls back
+	// loudly to k=1 and records the reason
+	// (ScheduleStats.KStepFallbackReason). Results are bit-identical to k=1
+	// execution for every k.
 	KSteps int
 	// ModelParams overrides the machine-model constants for sensitivity
 	// studies (nil = the calibrated defaults of params.go).
@@ -111,8 +113,8 @@ type Config struct {
 	// read: the plan partitions Keep instead of the domain, so the backward
 	// extents sweep exactly the time-skewed trapezoid under the window and
 	// nothing outside it. Cells outside Keep are unspecified after Run, which
-	// is why the window holds only while one Run is a single block (Steps <=
-	// the effective KSteps): a second block would read them. Otherwise the
+	// is why the window holds only while one Run is a single block (Steps ==
+	// 1 or the effective KSteps): a second block would read them. Otherwise the
 	// plan partitions the whole domain as without a window and records why
 	// (ScheduleStats.WindowFallbackReason). Internal: internal/stream sets it
 	// to a tile's owned planes; no spec field, flag or variable reaches it.
@@ -157,6 +159,9 @@ func (c *Config) Validate() error {
 	if c.KSteps > 1 && c.Strategy != IslandsOfCores {
 		return fmt.Errorf("exec: KSteps > 1 requires the islands-of-cores strategy")
 	}
+	if c.KSteps > 1 && c.KSteps != c.Steps {
+		return fmt.Errorf("exec: KSteps %d must equal Steps %d (a temporal block is the whole Run)", c.KSteps, c.Steps)
+	}
 	if c.NodeOrder != nil {
 		if c.Strategy != IslandsOfCores {
 			return fmt.Errorf("exec: NodeOrder requires the islands-of-cores strategy")
@@ -171,26 +176,6 @@ func (c *Config) Validate() error {
 			}
 			seen[n] = true
 		}
-	}
-	return nil
-}
-
-// CheckKSteps reports whether a requested temporal-blocking factor would
-// actually be honored for the given program and domain, returning an error
-// carrying the fallback reason when it would silently drop to k=1. The CLI
-// and the serving job validation share this check (and its error text), so a
-// k that cannot run as k anywhere is rejected up front instead of surfacing
-// only in ScheduleStats.KStepFallbackReason.
-func CheckKSteps(cfg Config, prog *stencil.Program, domain grid.Size) error {
-	if cfg.KSteps <= 1 {
-		return nil
-	}
-	p, err := newPlan(cfg, prog, domain)
-	if err != nil {
-		return err
-	}
-	if p.ksteps != cfg.KSteps {
-		return fmt.Errorf("exec: ksteps=%d falls back to 1: %s", cfg.KSteps, p.kstepReason)
 	}
 	return nil
 }
@@ -340,7 +325,7 @@ func newPlanWith(cfg Config, prog *stencil.Program, analysis *stencil.HaloAnalys
 		case p.kstepReason != "":
 			reason = fmt.Sprintf("%d steps do not run as one block (ksteps fell back to 1: %s)", cfg.Steps, p.kstepReason)
 		default:
-			reason = fmt.Sprintf("%d steps run as blocks of %d, and every block but the last needs the whole domain", cfg.Steps, p.ksteps)
+			reason = fmt.Sprintf("%d steps run one at a time, and every step but the last needs the whole domain", cfg.Steps)
 		}
 		err = p.partition(whole)
 		p.windowReason = reason
@@ -581,12 +566,8 @@ func (p *plan) islandCellsAvg(i, s int) float64 {
 // compiled schedule's kernel items cover (periodic wrap bands aside), which
 // is how the stream cost model prices a tile.
 func (p *plan) runCells() (stages, output int64) {
-	blocks, rem := p.cfg.Steps/p.ksteps, p.cfg.Steps%p.ksteps
+	walks := int64(p.cfg.Steps / p.ksteps) // Steps blocks of one step, or one of Steps
 	for d := 0; d < p.ksteps; d++ {
-		walks := int64(blocks)
-		if d < rem {
-			walks++
-		}
 		for i := range p.parts {
 			for s := range p.prog.Stages {
 				cells := p.islandCellsAt(d, i, s)

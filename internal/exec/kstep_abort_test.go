@@ -130,7 +130,7 @@ func TestKStepAbortMidBlock(t *testing.T) {
 	in.Fill(1)
 	r, err := NewRunner(Config{
 		Machine: m, Strategy: IslandsOfCores, Boundary: stencil.Clamp,
-		Steps: 1000, BlockI: 8, KSteps: 4,
+		Steps: 4, BlockI: 8, KSteps: 4,
 	}, prog, map[string]*grid.Field{"in": in}, "in")
 	if err != nil {
 		t.Fatal(err)

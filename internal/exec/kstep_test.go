@@ -16,6 +16,14 @@ import (
 func runKStep(t *testing.T, cfg Config, domain grid.Size) (*grid.Field, ScheduleStats) {
 	t.Helper()
 	state := freshState(domain)
+	st := runBlock(t, cfg, state)
+	return state.Psi, st
+}
+
+// runBlock runs one Runner of cfg over state and syncs its feedback back
+// into state.Psi, returning the compiled schedule stats.
+func runBlock(t *testing.T, cfg Config, state *mpdata.State) ScheduleStats {
+	t.Helper()
 	runner, err := NewRunner(cfg, mpdata.NewProgram(), state.InputMap(), mpdata.InPsi)
 	if err != nil {
 		t.Fatal(err)
@@ -26,13 +34,15 @@ func runKStep(t *testing.T, cfg Config, domain grid.Size) (*grid.Field, Schedule
 		t.Fatal(err)
 	}
 	runner.SyncFeedback()
-	return state.Psi, st
+	return st
 }
 
 // TestKStepMatchesReference is the tentpole equivalence test: temporally
 // blocked island execution must stay bit-identical to the sequential
-// reference for every k, across island/core-island strategies, even and odd
-// shapes, and step counts with and without a remainder sub-block.
+// reference for every k, across island/core-island strategies and even and
+// odd shapes. A k-block is a whole Run (KSteps == Steps), so a step count
+// that k does not divide runs the way a streamed residency's sweeps do: Runs
+// of k steps, then one Run of the remaining steps as its own shorter block.
 func TestKStepMatchesReference(t *testing.T) {
 	m2, err := topology.UV2000(2)
 	if err != nil {
@@ -61,18 +71,19 @@ func TestKStepMatchesReference(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, want := referenceMPDATA(tc.domain, tc.steps)
-			cfg := Config{
-				Machine: m2, Strategy: IslandsOfCores, Boundary: stencil.Clamp,
-				Steps: tc.steps, BlockI: tc.blockI, CoreIslands: tc.core, KSteps: tc.k,
+			state := freshState(tc.domain)
+			for done := 0; done < tc.steps; {
+				k := min(tc.k, tc.steps-done)
+				cfg := Config{
+					Machine: m2, Strategy: IslandsOfCores, Boundary: stencil.Clamp,
+					Steps: k, BlockI: tc.blockI, CoreIslands: tc.core, KSteps: k,
+				}
+				if st := runBlock(t, cfg, state); st.KSteps != k {
+					t.Fatalf("ksteps = %d (fallback: %q), want %d", st.KSteps, st.KStepFallbackReason, k)
+				}
+				done += k
 			}
-			got, st := runKStep(t, cfg, tc.domain)
-			if st.KSteps != tc.k {
-				t.Fatalf("ksteps = %d (fallback: %q), want %d", st.KSteps, st.KStepFallbackReason, tc.k)
-			}
-			if wantRem := tc.steps % tc.k; st.RemainderSteps != wantRem {
-				t.Fatalf("remainder steps = %d, want %d", st.RemainderSteps, wantRem)
-			}
-			if d := grid.MaxAbsDiff(want, got); d != 0 {
+			if d := grid.MaxAbsDiff(want, state.Psi); d != 0 {
 				t.Errorf("max diff vs reference %g, want exact match", d)
 			}
 		})
@@ -89,20 +100,20 @@ func TestKStepIdenticalToK1(t *testing.T) {
 		Machine: m2, Strategy: IslandsOfCores, Boundary: stencil.Clamp,
 		Steps: 6, BlockI: 7,
 	}
-	ref, refStats := runKStep(t, base, domain)
+	_, refStats := runKStep(t, base, domain)
 
 	one := base
 	one.KSteps = 1
-	got1, oneStats := runKStep(t, one, domain)
-	if d := grid.MaxAbsDiff(ref, got1); d != 0 {
-		t.Errorf("KSteps=1 differs from zero value by %g", d)
-	}
+	_, oneStats := runKStep(t, one, domain)
 	if fmt.Sprintf("%+v", oneStats) != fmt.Sprintf("%+v", refStats) {
 		t.Errorf("KSteps=1 stats differ:\n  %+v\n  %+v", oneStats, refStats)
 	}
 
 	for _, k := range []int{2, 3, 4} {
-		cfg := base
+		step := base
+		step.Steps = k
+		ref, _ := runKStep(t, step, domain)
+		cfg := step
 		cfg.KSteps = k
 		got, st := runKStep(t, cfg, domain)
 		if st.KSteps != k {
@@ -122,7 +133,7 @@ func TestKStepIdenticalToK1(t *testing.T) {
 // bands (wrap.go), and this pins that they compose with temporal blocking.
 func TestKStepPeriodicSingleIsland(t *testing.T) {
 	domain := grid.Sz(24, 16, 6)
-	const steps = 5
+	const steps = 2
 	state := mpdata.NewState(domain)
 	state.SetGaussian(12, 8, 3, 2, 1, 0.1)
 	state.SetUniformVelocity(0.3, -0.2, 0.1)
@@ -139,7 +150,7 @@ func TestKStepPeriodicSingleIsland(t *testing.T) {
 	par.SetUniformVelocity(0.3, -0.2, 0.1)
 	runner, err := NewRunner(Config{
 		Machine: m1, Strategy: IslandsOfCores, Boundary: stencil.Periodic,
-		Steps: steps, BlockI: 7, KSteps: 2,
+		Steps: steps, BlockI: 7, KSteps: steps,
 	}, mpdata.NewProgram(), par.InputMap(), mpdata.InPsi)
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +177,7 @@ func TestKStepScheduleShape(t *testing.T) {
 	state := freshState(domain)
 	runner, err := NewRunner(Config{
 		Machine: m2, Strategy: IslandsOfCores, Boundary: stencil.Clamp,
-		Steps: 10, BlockI: 7, KSteps: 4,
+		Steps: 4, BlockI: 7, KSteps: 4,
 	}, mpdata.NewProgram(), state.InputMap(), mpdata.InPsi)
 	if err != nil {
 		t.Fatal(err)
@@ -175,9 +186,6 @@ func TestKStepScheduleShape(t *testing.T) {
 	st := runner.Schedule().Stats()
 	if st.KSteps != 4 || st.KStepFallbackReason != "" {
 		t.Fatalf("ksteps = %d (%q), want 4", st.KSteps, st.KStepFallbackReason)
-	}
-	if st.RemainderSteps != 2 {
-		t.Fatalf("remainder = %d, want 2 (10 mod 4)", st.RemainderSteps)
 	}
 	// 2 islands, 3 inner transitions each: one swap item per island per
 	// transition in the main block.
@@ -203,7 +211,7 @@ func TestKStepScheduleShape(t *testing.T) {
 	// The k-step halo exchange must be strictly wider than the one-step one.
 	one, err := NewRunner(Config{
 		Machine: m2, Strategy: IslandsOfCores, Boundary: stencil.Clamp,
-		Steps: 10, BlockI: 7,
+		Steps: 4, BlockI: 7,
 	}, mpdata.NewProgram(), freshState(domain).InputMap(), mpdata.InPsi)
 	if err != nil {
 		t.Fatal(err)
@@ -215,7 +223,7 @@ func TestKStepScheduleShape(t *testing.T) {
 
 	// The schedule report names the block structure and widened halo.
 	desc := runner.DescribeSchedule()
-	for _, want := range []string{"4 inner steps between global joins", "2-step remainder", "widened halo"} {
+	for _, want := range []string{"4 inner steps between global joins", "widened halo"} {
 		if !strings.Contains(desc, want) {
 			t.Errorf("DescribeSchedule missing %q:\n%s", want, desc)
 		}
@@ -223,8 +231,7 @@ func TestKStepScheduleShape(t *testing.T) {
 }
 
 // TestKStepFallbackReasons pins the loud-fallback rule: infeasible requests
-// run at k=1 and record why, and CheckKSteps surfaces the same reason as an
-// error for up-front validation.
+// run at k=1 and record why.
 func TestKStepFallbackReasons(t *testing.T) {
 	m2, _ := topology.UV2000(2)
 	prog := mpdata.NewProgram()
@@ -236,7 +243,7 @@ func TestKStepFallbackReasons(t *testing.T) {
 	}{
 		{
 			"periodic-multi-island",
-			Config{Machine: m2, Strategy: IslandsOfCores, Boundary: stencil.Periodic, Steps: 4, KSteps: 2, BlockI: 7},
+			Config{Machine: m2, Strategy: IslandsOfCores, Boundary: stencil.Periodic, Steps: 2, KSteps: 2, BlockI: 7},
 			grid.Sz(48, 20, 8),
 			"periodic wrap along i crosses island ownership mid-block",
 		},
@@ -265,23 +272,10 @@ func TestKStepFallbackReasons(t *testing.T) {
 			if err := runner.Run(); err != nil {
 				t.Fatal(err)
 			}
-			err = CheckKSteps(tc.cfg, &prog.Program, tc.domain)
-			if err == nil {
-				t.Fatal("CheckKSteps accepted an infeasible k")
-			}
-			wantPrefix := fmt.Sprintf("exec: ksteps=%d falls back to 1: ", tc.cfg.KSteps)
-			if !strings.HasPrefix(err.Error(), wantPrefix) || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("CheckKSteps error %q, want prefix %q and reason %q", err, wantPrefix, tc.want)
-			}
 		})
 	}
-	// A feasible request passes the same check.
-	ok := Config{Machine: m2, Strategy: IslandsOfCores, Boundary: stencil.Clamp, Steps: 4, KSteps: 4, BlockI: 7}
-	if err := CheckKSteps(ok, &prog.Program, grid.Sz(48, 20, 8)); err != nil {
-		t.Fatalf("CheckKSteps rejected a feasible k: %v", err)
-	}
 	// KSteps outside the islands strategy is a configuration error.
-	bad := Config{Machine: m2, Strategy: Plus31D, Boundary: stencil.Clamp, Steps: 4, KSteps: 2}
+	bad := Config{Machine: m2, Strategy: Plus31D, Boundary: stencil.Clamp, Steps: 2, KSteps: 2}
 	state := freshState(grid.Sz(48, 20, 8))
 	if _, err := NewRunner(bad, prog, state.InputMap(), mpdata.InPsi); err == nil {
 		t.Fatal("expected validation error for KSteps with Plus31D")
@@ -292,18 +286,40 @@ func TestKStepFallbackReasons(t *testing.T) {
 	}
 }
 
+// TestKStepsMustEqualSteps pins the one shape of a temporal block: the whole
+// Run. A KSteps > 1 that differs from Steps is a configuration error, not a
+// multi-block run.
+func TestKStepsMustEqualSteps(t *testing.T) {
+	m2, _ := topology.UV2000(2)
+	for _, cfg := range []Config{
+		{Machine: m2, Strategy: IslandsOfCores, KSteps: 2, Steps: 5},
+		{Machine: m2, Strategy: IslandsOfCores, KSteps: 4, Steps: 2},
+	} {
+		err := cfg.Validate()
+		if err == nil || !strings.Contains(err.Error(), "must equal Steps") {
+			t.Errorf("Validate(KSteps %d, Steps %d) = %v, want a KSteps != Steps error", cfg.KSteps, cfg.Steps, err)
+		}
+	}
+	for _, k := range []int{0, 1} {
+		cfg := Config{Machine: m2, Strategy: IslandsOfCores, KSteps: k, Steps: 5}
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("Validate(KSteps %d, Steps 5) = %v, want step-at-a-time accepted", k, err)
+		}
+	}
+}
+
 // TestKStepOnStepEnd pins the block-granular hook contract: OnStepEnd fires
-// once per k-block (and once for the remainder) with the index of the last
-// completed step, and the synced feedback it observes matches the reference
-// at that step.
+// once per k-block, after its last inner step, with that step's index, and
+// the synced feedback it observes matches the reference at that step.
 func TestKStepOnStepEnd(t *testing.T) {
 	m2, _ := topology.UV2000(2)
 	domain := grid.Sz(48, 20, 8)
-	const steps, k = 8, 3
+	const k = 3
+	_, want := referenceMPDATA(domain, k)
 	state := freshState(domain)
 	runner, err := NewRunner(Config{
 		Machine: m2, Strategy: IslandsOfCores, Boundary: stencil.Clamp,
-		Steps: steps, BlockI: 7, KSteps: k,
+		Steps: k, BlockI: 7, KSteps: k,
 	}, mpdata.NewProgram(), state.InputMap(), mpdata.InPsi)
 	if err != nil {
 		t.Fatal(err)
@@ -313,12 +329,16 @@ func TestKStepOnStepEnd(t *testing.T) {
 		t.Fatalf("fell back: %q", st.KStepFallbackReason)
 	}
 	var got []int
-	runner.OnStepEnd = func(step int) { got = append(got, step) }
+	runner.OnStepEnd = func(step int) {
+		got = append(got, step)
+		if d := grid.MaxAbsDiff(want, state.Psi); d != 0 {
+			t.Errorf("feedback at step %d differs from the reference by %g", step, d)
+		}
+	}
 	if err := runner.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := []int{2, 5, 7} // blocks of 3, 3, then the 2-step remainder
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("OnStepEnd steps = %v, want %v", got, want)
+	if fmt.Sprint(got) != fmt.Sprint([]int{k - 1}) {
+		t.Fatalf("OnStepEnd steps = %v, want [%d]", got, k-1)
 	}
 }

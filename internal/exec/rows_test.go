@@ -84,7 +84,7 @@ func TestRowCapableKernelsGetWholeRows(t *testing.T) {
 			{Strategy: IslandsOfCores, DisableFusion: true},
 		} {
 			for _, bc := range []stencil.Boundary{stencil.Clamp, stencil.Periodic} {
-				cfg.Machine, cfg.Boundary, cfg.BlockI, cfg.Steps = m, bc, 5, 4
+				cfg.Machine, cfg.Boundary, cfg.BlockI, cfg.Steps = m, bc, 5, max(cfg.KSteps, 1)
 				t.Run(fmt.Sprintf("%s/%v/k%d/nofuse=%v/bc%d", name, cfg.Strategy, cfg.KSteps, cfg.DisableFusion, bc), func(t *testing.T) {
 					var c counts
 					state := mpdata.NewState(domain)

@@ -89,22 +89,14 @@ type phaseInfo struct {
 type Schedule struct {
 	// items[t][w] is the step program of worker w of team t. With temporal
 	// blocking (ksteps > 1) one walk of items advances ksteps time steps —
-	// a full k-block between global joins.
+	// the whole Run as one k-block.
 	items [][][]schedItem
-	// remainder[t][w] is the trailing sub-block program when the step
-	// count is not a multiple of ksteps (Steps mod ksteps inner steps,
-	// reusing the tail of the same trapezoid geometry, the same barriers
-	// and the same phase ids). Nil when no remainder is needed.
-	remainder [][][]schedItem
 	// ksteps is the temporal-blocking factor the schedule was compiled
-	// with (1 = one step per walk, today's schedules); kstepReason records
-	// why a requested Config.KSteps > 1 fell back to 1; remSteps is the
-	// remainder program's inner-step count (0 when remainder is nil).
+	// with (1 = one step per walk); kstepReason records why a requested
+	// Config.KSteps > 1 fell back to 1.
 	ksteps      int
 	kstepReason string
-	remSteps    int
 	// barriers lists every barrier in the schedule, for Abort on failure.
-	// The remainder program shares them, so one poisoning aborts both.
 	barriers []*sched.Barrier
 	// mode records how the schedule publishes feedback between steps:
 	// a buffer swap on the single shared environment (Original, Plus31D),
@@ -246,22 +238,16 @@ type scheduleCompiler struct {
 	// phaseByGroup maps a fused group and its inner-step distance d (from
 	// the temporal block's final step; always 0 without temporal blocking)
 	// to its phase id, so a group swept once per block and sweeper still
-	// aggregates into a single phase per inner step. Keying by d rather
-	// than by inner-step index lets the remainder program — whose r inner
-	// steps are the tail of the k-block's geometry — share the k-block's
-	// phase ids.
+	// aggregates into a single phase per inner step.
 	phaseByGroup map[groupKey]int32
 	// phaseByLabel caches the synthetic phases ("global-join",
-	// "halo-exchange", "publish", "inner-swap") so the remainder program
-	// reuses the k-block's ids.
+	// "halo-exchange", "publish", "inner-swap") so every emission of one
+	// shares its id.
 	phaseByLabel map[string]int32
-	// tbars / gbar cache the per-team and global barriers so the remainder
-	// program waits at the same objects as the k-block (one Abort poisons
-	// both).
+	// tbars / gbar cache the per-team and global barriers: every phase of a
+	// sweeper waits at the same object.
 	tbars []*sched.Barrier
 	gbar  *sched.Barrier
-	// rem redirects emission into the schedule's remainder program.
-	rem bool
 	// feedback names the step input the inner-step swaps publish into.
 	feedback string
 	// halo is the swap+halo exchange geometry, nil when the island
@@ -297,17 +283,11 @@ func newScheduleCompiler(p *plan, prog *stencil.KernelProgram, envs []*stencil.E
 	for s := range prog.Stages {
 		c.exts[s] = stencil.InputsExtent(prog.Stages[s].Inputs)
 	}
-	c.sch.items = c.newProgram()
-	return c, nil
-}
-
-// newProgram allocates one empty item list per worker of every team.
-func (c *scheduleCompiler) newProgram() [][][]schedItem {
-	prog := make([][][]schedItem, c.p.cfg.Machine.NumNodes())
-	for t, node := range c.p.cfg.Machine.Nodes {
-		prog[t] = make([][]schedItem, node.Cores)
+	c.sch.items = make([][][]schedItem, p.cfg.Machine.NumNodes())
+	for t, node := range p.cfg.Machine.Nodes {
+		c.sch.items[t] = make([][]schedItem, node.Cores)
 	}
-	return prog
+	return c, nil
 }
 
 // addKernel appends stage s over region r to worker wk, pre-splitting
@@ -466,11 +446,7 @@ func (c *scheduleCompiler) bindEnv(env *stencil.Env, pc stencil.BorderPiece) *st
 
 func (c *scheduleCompiler) push(wk workerID, it schedItem) {
 	it.phase = c.curPhase
-	prog := c.sch.items
-	if c.rem {
-		prog = c.sch.remainder
-	}
-	prog[wk.team][wk.worker] = append(prog[wk.team][wk.worker], it)
+	c.sch.items[wk.team][wk.worker] = append(c.sch.items[wk.team][wk.worker], it)
 }
 
 // newPhase registers a profiling phase and returns its id.
@@ -481,7 +457,7 @@ func (c *scheduleCompiler) newPhase(label string, group int) int32 {
 }
 
 // syntheticPhase returns (creating on first use) the phase of a synthetic
-// (non-compute) label, so the remainder program shares the k-block's ids.
+// (non-compute) label.
 func (c *scheduleCompiler) syntheticPhase(label string) int32 {
 	if id, ok := c.phaseByLabel[label]; ok {
 		return id
@@ -531,8 +507,7 @@ func (c *scheduleCompiler) globalBarrier() *sched.Barrier {
 }
 
 // joinBarrier returns the barrier sweeper sw's workers meet at between
-// phases (creating it on first use; the remainder program waits at the same
-// objects as the k-block), nil for a sweeper with nothing to join.
+// phases (creating it on first use), nil for a sweeper with nothing to join.
 func (c *scheduleCompiler) joinBarrier(sw *sweeper) *sched.Barrier {
 	switch sw.join {
 	case joinGlobal:
@@ -581,16 +556,6 @@ func compileSchedule(p *plan, prog *stencil.KernelProgram, envs []*stencil.Env, 
 	c.compileSweeps(p.ksteps)
 	c.compileFeedback()
 	c.sch.wrapReason, c.sch.windowReason = p.wrapReason, p.windowReason
-	if rem := p.cfg.Steps % p.ksteps; p.ksteps > 1 && rem > 0 {
-		// The trailing sub-block runs the last rem inner steps of the same
-		// trapezoid geometry (distances rem-1 .. 0), waiting at the same
-		// barriers and accounted to the same phase ids as the k-block.
-		c.rem = true
-		c.sch.remainder = c.newProgram()
-		c.compileSweeps(rem)
-		c.compileFeedback()
-		c.sch.remSteps = rem
-	}
 	return c.sch, nil
 }
 
@@ -713,8 +678,8 @@ type TeamStats struct {
 }
 
 // ScheduleStats summarizes a compiled schedule for inspection. Item counts
-// cover one walk of the main program — one time step without temporal
-// blocking, one k-block of KSteps steps with it.
+// cover one walk of the program — one time step without temporal blocking,
+// the one k-block of KSteps steps with it.
 type ScheduleStats struct {
 	// KernelItems / CopyItems / SwapItems / BarrierWaits total the per-team
 	// counts of Teams (indexed like the scheduler's teams) over all
@@ -735,12 +700,9 @@ type ScheduleStats struct {
 	PhaseGroups int
 	// KSteps is the temporal-blocking factor one walk of the schedule
 	// advances (1 = step-at-a-time); KStepFallbackReason says why a
-	// requested Config.KSteps > 1 fell back to 1. RemainderSteps counts the
-	// trailing sub-block's inner steps when the configured step count is
-	// not a multiple of KSteps.
+	// requested Config.KSteps > 1 fell back to 1.
 	KSteps              int
 	KStepFallbackReason string
-	RemainderSteps      int
 	// Feedback is the schedule's feedback-publication mode; SwapFeedback
 	// mirrors Schedule.SwapFeedback (the shared-environment swap).
 	Feedback     FeedbackMode
@@ -765,7 +727,7 @@ func (s *Schedule) Stats() ScheduleStats {
 		Feedback: s.mode, SwapFeedback: s.mode == FeedbackSwap,
 		HaloStrips: s.haloStrips, HaloBytes: s.haloBytes, FallbackReason: s.fallbackReason,
 		Stages: s.stages, PhaseGroups: s.groups,
-		KSteps: s.ksteps, KStepFallbackReason: s.kstepReason, RemainderSteps: s.remSteps,
+		KSteps: s.ksteps, KStepFallbackReason: s.kstepReason,
 		WrapFallbackReason: s.wrapReason, WindowFallbackReason: s.windowReason}
 	for t, team := range s.items {
 		ts := &st.Teams[t]
@@ -801,11 +763,7 @@ func (st ScheduleStats) String() string {
 	fmt.Fprintf(&b, "schedule: %d stages in %d phase groups, %d kernel items, %d copy items, %d waits at %d barriers, max %d items/worker, feedback=%s",
 		st.Stages, st.PhaseGroups, st.KernelItems, st.CopyItems, st.BarrierWaits, st.Barriers, st.MaxItemsPerWorker, st.Feedback)
 	if st.KSteps > 1 {
-		fmt.Fprintf(&b, ", ksteps=%d (%d inner swaps", st.KSteps, st.SwapItems)
-		if st.RemainderSteps > 0 {
-			fmt.Fprintf(&b, ", %d-step remainder", st.RemainderSteps)
-		}
-		b.WriteString(")")
+		fmt.Fprintf(&b, ", ksteps=%d (%d inner swaps)", st.KSteps, st.SwapItems)
 	}
 	if st.Feedback == FeedbackSwapHalo {
 		fmt.Fprintf(&b, " (%d strips, %d B/step)", st.HaloStrips, st.HaloBytes)

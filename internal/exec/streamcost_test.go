@@ -147,12 +147,7 @@ func scheduleKernelCells(r *Runner, log *[]string) int64 {
 		}
 		return cells
 	}
-	sch := r.schedule
-	cells := int64(r.plan.cfg.Steps/sch.ksteps) * walk(sch.items)
-	if sch.remainder != nil {
-		cells += walk(sch.remainder)
-	}
-	return cells
+	return int64(r.plan.cfg.Steps/r.schedule.ksteps) * walk(r.schedule.items)
 }
 
 // TestStreamCostCellsMatchCompiledSchedule pins the cost model to the

@@ -43,8 +43,9 @@ func runWindowed(t *testing.T, cfg Config, domain grid.Size) (*grid.Field, Sched
 // configuration on every cell of Keep — for every strategy, both boundaries,
 // k in {1,2,3}, on odd shapes, for windows touching neither, one or both
 // domain edges — and it honours the window exactly when one Run is a single
-// block (Steps <= the k the window's own partition can carry), falling back
-// to the whole-domain partition with a recorded reason otherwise.
+// block (Steps == the k the window's own partition can carry), falling back
+// to the whole-domain partition with a recorded reason otherwise. A k > 1
+// run of k+1 steps would need a second block: Validate rejects it.
 func TestKeepWindowMatchesWholeDomain(t *testing.T) {
 	m2, err := topology.UV2000(2)
 	if err != nil {
@@ -92,7 +93,8 @@ func TestKeepWindowMatchesWholeDomain(t *testing.T) {
 					continue // rejected by Config.Validate
 				}
 				// steps == k is the single-block run the window is for;
-				// steps == k+1 needs a second block and must fall back.
+				// steps == k+1 needs a second block: at k = 1 it falls
+				// back, at k > 1 it is no valid configuration.
 				for _, steps := range []int{k, k + 1} {
 					cfg := sc.cfg
 					cfg.Boundary, cfg.KSteps, cfg.Steps = bc.bc, k, steps
@@ -103,6 +105,14 @@ func TestKeepWindowMatchesWholeDomain(t *testing.T) {
 						}
 						name := fmt.Sprintf("%s/%s/k%d/steps%d/%s", sc.name, bc.name, k, steps, w.name)
 						t.Run(name, func(t *testing.T) {
+							if steps > k && k > 1 {
+								kcfg := cfg
+								kcfg.Keep = w.keep
+								if err := kcfg.Validate(); err == nil || !strings.Contains(err.Error(), "must equal Steps") {
+									t.Fatalf("Validate = %v, want the KSteps != Steps rejection", err)
+								}
+								return
+							}
 							if want == nil {
 								want, _, _ = runWindowed(t, cfg, d)
 							}

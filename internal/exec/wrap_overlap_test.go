@@ -60,7 +60,7 @@ func TestWrapBandUnitsDisjoint(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg
 			cfg.Boundary = stencil.Periodic
-			cfg.Steps = 1
+			cfg.Steps = max(cfg.KSteps, 1)
 			p, err := newPlan(cfg, &kp.Program, tc.domain)
 			if err != nil {
 				t.Fatal(err)

@@ -243,7 +243,7 @@ func affinityKey(ns serve.NormSpec) uint64 {
 // or a validation error for a bad spec. On success a watcher goroutine
 // follows the job to its terminal state, rerouting on replica faults.
 func (r *Router) Submit(ctx context.Context, spec serve.Spec) (*Job, error) {
-	ns, err := spec.Admit()
+	ns, err := spec.Normalize()
 	if err != nil {
 		return nil, err
 	}

@@ -485,10 +485,11 @@ func TestFleetHTTPDialect(t *testing.T) {
 		t.Fatalf("bad spec through router = %v, want 400", err)
 	}
 	// The router admits by the replicas' rule, with their words.
-	const wholeBlocks = "steps 5 is not a multiple of ksteps 2 (served jobs advance whole k-step blocks)"
-	if _, err := client.Submit(ctx, serve.Spec{Grid: "32x16x8", Steps: 5, KSteps: 2}); !errors.As(err, &apiErr) ||
-		apiErr.StatusCode != 400 || apiErr.Message != wholeBlocks {
-		t.Fatalf("remainder block through router = %v, want 400 %q", err, wholeBlocks)
+	spec := serve.Spec{Grid: "32x16x8", Steps: 5, KSteps: 2}
+	want := spec.Validate().Error()
+	if _, err := client.Submit(ctx, spec); !errors.As(err, &apiErr) ||
+		apiErr.StatusCode != 400 || apiErr.Message != want {
+		t.Fatalf("ksteps 2 through router = %v, want 400 %q", err, want)
 	}
 	if _, err := client.Status(ctx, "f99999999"); !errors.As(err, &apiErr) || apiErr.StatusCode != 404 {
 		t.Fatalf("unknown job through router = %v, want 404", err)

@@ -106,13 +106,15 @@ func TestSmootherCompiledMatchesReference(t *testing.T) {
 			x, b := seed()
 			r, err := exec.NewRunner(exec.Config{
 				Machine: machine, Strategy: exec.IslandsOfCores, Boundary: bc,
-				Steps: sweeps, BlockI: 5, KSteps: ksteps,
+				Steps: ksteps, BlockI: 5, KSteps: ksteps,
 			}, prog, map[string]*grid.Field{InX: x, InB: b}, InX)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := r.Run(); err != nil {
-				t.Fatal(err)
+			for i := 0; i < sweeps/ksteps; i++ { // one k-sweep block per Run
+				if err := r.Run(); err != nil {
+					t.Fatal(err)
+				}
 			}
 			r.SyncFeedback()
 			r.Close()

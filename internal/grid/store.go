@@ -257,7 +257,9 @@ func (p *PlaneFile) Close() error {
 // it, so a crash at any point leaves either the old content or the new one
 // (plus at worst one *.tmp partial, which the store's partial sweep removes).
 // A nil sync skips both, for files nothing reopens after a crash. A failed
-// directory sync is not reported: the rename itself has succeeded.
+// directory sync is reported although the rename has succeeded: the new
+// content is in place but may not survive a crash, and a caller that goes on
+// as if it would can later overwrite what the old content still needs.
 func WriteFileAtomic(path string, data []byte, sync func(*os.File) error) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".*.tmp")
@@ -290,11 +292,12 @@ func WriteFileAtomic(path string, data []byte, sync func(*os.File) error) error 
 	if sync == nil {
 		return nil
 	}
-	if d, err := os.Open(dir); err == nil {
-		_ = sync(d)
-		d.Close()
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
 	}
-	return nil
+	defer d.Close()
+	return sync(d)
 }
 
 // RemovePartials deletes every *.tmp leftover under dir (non-recursive) — a

@@ -74,7 +74,8 @@ func TestEnginesMatchReferenceUnderBothBodies(t *testing.T) {
 					{Strategy: exec.IslandsOfCores, CoreIslands: true},
 					{Strategy: exec.IslandsOfCores, KSteps: 2},
 				} {
-					cfg.Machine, cfg.Boundary, cfg.Steps = machine, bc, steps
+					// A k-step block is one whole Run: steps/k Runs of it.
+					cfg.Machine, cfg.Boundary, cfg.Steps = machine, bc, max(cfg.KSteps, 1)
 					st, err := entry.NewProblemState(domain)
 					if err != nil {
 						t.Fatal(err)
@@ -83,7 +84,9 @@ func TestEnginesMatchReferenceUnderBothBodies(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					err = r.Run()
+					for i := 0; i < steps/cfg.Steps && err == nil; i++ {
+						err = r.Run()
+					}
 					r.SyncFeedback()
 					r.Close()
 					if err != nil {

@@ -57,7 +57,7 @@ func (p BackoffPolicy) withDefaults() BackoffPolicy {
 // rand * min(Max, Initial*2^attempt). The hint floor keeps the delay honest
 // (a server asking for 3s is never retried sooner); the jitter spreads a
 // synchronized client cohort across the window instead of letting them
-// stampede back in lockstep.
+// stampede back in lockstep. The sum saturates at the longest Duration.
 func (p BackoffPolicy) Delay(attempt int, hint time.Duration) time.Duration {
 	p = p.withDefaults()
 	exp := p.Initial
@@ -70,7 +70,11 @@ func (p BackoffPolicy) Delay(attempt int, hint time.Duration) time.Duration {
 	if hint < 0 {
 		hint = 0
 	}
-	return hint + time.Duration(p.Rand()*float64(exp))
+	jitter := time.Duration(p.Rand() * float64(exp))
+	if hint > maxDuration-jitter {
+		return maxDuration
+	}
+	return hint + jitter
 }
 
 // SleepContext sleeps for d unless the context is done first, returning the

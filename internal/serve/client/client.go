@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -94,11 +95,7 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 		} else {
 			apiErr.Message = strings.TrimSpace(string(data))
 		}
-		if ra := resp.Header.Get("Retry-After"); ra != "" {
-			if secs, err := strconv.Atoi(ra); err == nil {
-				apiErr.RetryAfter = time.Duration(secs) * time.Second
-			}
-		}
+		apiErr.RetryAfter = retryAfter(resp.Header.Get("Retry-After"))
 		return apiErr
 	}
 	if out == nil {
@@ -106,6 +103,24 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 		return nil
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// maxDuration is the longest time.Duration: a backoff hint saturates here
+// instead of wrapping negative.
+const maxDuration = time.Duration(math.MaxInt64)
+
+// retryAfter reads a Retry-After header given in delay-seconds (the form the
+// server sends). A count of seconds too large for a time.Duration saturates
+// at maxDuration; an empty, malformed or negative value is no hint (0).
+func retryAfter(h string) time.Duration {
+	secs, err := strconv.ParseUint(h, 10, 64)
+	if err != nil && !errors.Is(err, strconv.ErrRange) {
+		return 0
+	}
+	if err != nil || secs > uint64(maxDuration/time.Second) {
+		return maxDuration
+	}
+	return time.Duration(secs) * time.Second
 }
 
 // Submit posts a job spec and returns the accepted job's status.

@@ -2,6 +2,7 @@ package serveclient
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -88,5 +89,49 @@ func TestEventsBufferGrows(t *testing.T) {
 		if !tc.wantOK && err == nil {
 			t.Fatalf("%d-byte event: oversized event ended the stream without an error", tc.pad)
 		}
+	}
+}
+
+// TestRetryAfterNeverWraps sends a 429 with each Retry-After header and reads
+// the hint the client decoded: seconds convert exactly, a count too large for
+// a time.Duration saturates at the longest one (9223372037 s used to wrap to
+// about -2562047 h, which Delay clamped to an immediate retry), and a
+// malformed or negative value is no hint.
+func TestRetryAfterNeverWraps(t *testing.T) {
+	var header atomic.Value
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Retry-After", header.Load().(string))
+		w.WriteHeader(http.StatusTooManyRequests)
+	}))
+	defer hs.Close()
+	for _, tc := range []struct {
+		header string
+		want   time.Duration
+	}{
+		{"", 0},
+		{"0", 0},
+		{"3", 3 * time.Second},
+		{"9223372036", 9223372036 * time.Second},
+		{"9223372037", maxDuration},
+		{"18446744073709551615", maxDuration},
+		{"99999999999999999999999", maxDuration},
+		{"-5", 0},
+		{"soon", 0},
+		{"Wed, 21 Oct 2015 07:28:00 GMT", 0},
+	} {
+		header.Store(tc.header)
+		_, err := New(hs.URL).Status(context.Background(), "j1")
+		var apiErr *APIError
+		if !errors.As(err, &apiErr) {
+			t.Fatalf("Retry-After %q: %v, want an APIError", tc.header, err)
+		}
+		if apiErr.RetryAfter != tc.want {
+			t.Errorf("Retry-After %q: hint %v, want %v", tc.header, apiErr.RetryAfter, tc.want)
+		}
+	}
+	// The longest hint plus any jitter stays the longest delay.
+	p := BackoffPolicy{Rand: func() float64 { return 0.999 }}
+	if d := p.Delay(3, maxDuration); d != maxDuration {
+		t.Errorf("Delay(longest hint) = %v, want %v", d, maxDuration)
 	}
 }

@@ -36,24 +36,21 @@ type Engine interface {
 	// Profile returns the aggregated runtime profile (nil when off).
 	Profile() *exec.Profile
 	// Info reports compiled-schedule facts the job result surfaces: the
-	// effective temporal-blocking factor and the fallback reason when a
-	// requested k was dropped to 1.
+	// temporal-blocking factor and the executed shape.
 	Info() EngineInfo
 	// Close releases the engine's work teams.
 	Close()
 }
 
-// EngineInfo is the compiled schedule's effective temporal blocking: KSteps
-// as actually compiled, plus the executor's reason when a requested factor
-// fell back to 1 — what the mpdata-load silent-fallback gate audits. Workers
-// and BlockI are the executed shape: the team size of each island on the
-// host, and the (3+1)D block width the schedule compiled (0 when the
+// EngineInfo is what the engine executes: KSteps is the temporal block one
+// Run advances (1 for a resident engine, the residency k for a streamed one).
+// Workers and BlockI are the executed shape: the team size of each island on
+// the host, and the (3+1)D block width the schedule compiled (0 when the
 // strategy does not block, or when it varies per tile of a streamed run).
 type EngineInfo struct {
-	KSteps        int    `json:"ksteps"`
-	KStepFallback string `json:"kstep_fallback,omitempty"`
-	Workers       int    `json:"workers,omitempty"`
-	BlockI        int    `json:"block_i,omitempty"`
+	KSteps  int `json:"ksteps"`
+	Workers int `json:"workers,omitempty"`
+	BlockI  int `json:"block_i,omitempty"`
 }
 
 // host is the machine engines execute on. Engines compile for the priced
@@ -101,24 +98,6 @@ type solverEngine struct {
 	synced  bool
 	// workers and blockI are the executed shape Info reports.
 	workers, blockI int
-}
-
-// CheckKSteps verifies a temporal-blocking request would actually compile at
-// the requested k for the solver's program — Normalize's feasibility gate,
-// which rejects an infeasible k with the executor's own error text.
-func (n CacheKey) CheckKSteps() error {
-	if n.KSteps <= 1 {
-		return nil
-	}
-	ec, err := n.ExecConfig()
-	if err != nil {
-		return err
-	}
-	_, prog, err := n.program()
-	if err != nil {
-		return err
-	}
-	return exec.CheckKSteps(ec, &prog.Program, n.Domain)
 }
 
 // program resolves the catalog entry and builds its kernel program for the
@@ -257,12 +236,9 @@ func (e *solverEngine) SetProfiling(on bool) {
 // Profile returns the runner's aggregated profile (nil when off).
 func (e *solverEngine) Profile() *exec.Profile { return e.runner.Profile() }
 
-// Info reports the compiled schedule's effective temporal blocking and the
-// executed shape.
+// Info reports the executed shape: one step per Run, on the host's teams.
 func (e *solverEngine) Info() EngineInfo {
-	sch := e.runner.Schedule()
-	return EngineInfo{KSteps: sch.KSteps(), KStepFallback: sch.KStepFallbackReason(),
-		Workers: e.workers, BlockI: e.blockI}
+	return EngineInfo{KSteps: 1, Workers: e.workers, BlockI: e.blockI}
 }
 
 // Close releases the runner's work teams.

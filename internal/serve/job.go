@@ -82,11 +82,9 @@ type Result struct {
 	// TuneReason explains the tuner's choice: "measured", "model",
 	// "explore", "requested", or a seed error.
 	TuneReason string `json:"tune_reason,omitempty"`
-	// KSteps is the temporal-blocking factor the engine actually compiled;
-	// KStepFallback carries the executor's reason when a requested k > 1
-	// fell back to 1 (the mpdata-load silent-fallback gate audits these).
-	KSteps        int    `json:"ksteps,omitempty"`
-	KStepFallback string `json:"kstep_fallback,omitempty"`
+	// KSteps is the temporal block one engine Run advanced (EngineInfo): 1
+	// for a resident job, the residency k for a streamed one.
+	KSteps int `json:"ksteps,omitempty"`
 	// Workers and BlockI are the executed shape (EngineInfo): each island's
 	// team size on the host and the compiled (3+1)D block width.
 	Workers int `json:"workers,omitempty"`

@@ -214,7 +214,7 @@ func (s *Server) QueueDepth() int { return s.queue.depth() }
 // ErrDraining while the server drains, an *ErrQueueFull when the queue is at
 // depth, or a validation error for a bad spec.
 func (s *Server) Submit(spec Spec) (*Job, error) {
-	ns, err := spec.Admit()
+	ns, err := spec.Normalize()
 	if err != nil {
 		return nil, err
 	}
@@ -411,11 +411,8 @@ func (s *Server) executeJob(j *Job, lease *Lease, tuned NormSpec, dec *tune.Deci
 			j.progress(steps)
 		}
 	} else {
-		// One engine Step is one dispatch unit: a whole k-step block under
-		// temporal blocking (Admit — and the tuner's feasibility filter —
-		// guarantee the stride divides Steps).
-		stride := tuned.StepsPerDispatch()
-		for st := 0; st < j.ns.Steps; st += stride {
+		// One engine Step is one time step.
+		for steps < j.ns.Steps {
 			if j.ctx.Err() != nil {
 				break
 			}
@@ -424,7 +421,7 @@ func (s *Server) executeJob(j *Job, lease *Lease, tuned NormSpec, dec *tune.Deci
 				break
 			}
 			s.metrics.ObserveStep(label, time.Since(t0))
-			steps = st + stride
+			steps++
 			j.progress(steps)
 		}
 	}
@@ -458,7 +455,6 @@ func (s *Server) executeJob(j *Job, lease *Lease, tuned NormSpec, dec *tune.Deci
 		CacheHit:        lease.Hit,
 		RequestedConfig: j.ns.ConfigLabel(),
 		KSteps:          info.KSteps,
-		KStepFallback:   info.KStepFallback,
 		Workers:         info.Workers,
 		BlockI:          info.BlockI,
 	}

@@ -445,17 +445,17 @@ func TestCancelRunningRealEngine(t *testing.T) {
 	}
 }
 
-// TestServeKStepJobs is the serving half of the temporal-blocking
-// acceptance: a k=4 job and a k=1 job of the same shape produce identical
-// checksums but never share an engine (KSteps is part of the cache key —
-// the block structure and widened halos are compiled in), repeat k=4 jobs
-// do reuse theirs, and progress advances in whole blocks.
+// TestServeKStepJobs is the serving half of temporal blocking: a resident
+// job advances one step per dispatch, so a ksteps above 1 is refused at
+// submission, and ksteps 0 and 1 are the same run on the same cached engine.
 func TestServeKStepJobs(t *testing.T) {
 	srv := serve.NewServer(serve.Options{Slots: 1, Logf: t.Logf})
 	defer srv.Close()
 
-	// NI=32 over 2 islands leaves 16-wide parts, enough for the 12-cell
-	// k=4 halo of MPDATA.
+	if _, err := srv.Submit(serve.Spec{Grid: "32x16x8", Steps: 4, Processors: 2, KSteps: 4}); err == nil ||
+		!strings.Contains(err.Error(), "ksteps must be 0 or 1") {
+		t.Fatalf("ksteps=4 submission: %v, want the one-step-at-a-time rejection", err)
+	}
 	run := func(ksteps int) *serve.Result {
 		t.Helper()
 		j, err := srv.Submit(serve.Spec{Grid: "32x16x8", Steps: 4, Processors: 2, KSteps: ksteps})
@@ -466,57 +466,63 @@ func TestServeKStepJobs(t *testing.T) {
 			t.Fatalf("ksteps=%d: state %s, err %q", ksteps, st, srv.Status(j).Error)
 		}
 		res := srv.Status(j).Result
-		if res.Steps != 4 {
-			t.Fatalf("ksteps=%d: result steps = %d, want 4", ksteps, res.Steps)
+		if res.Steps != 4 || res.KSteps != 1 {
+			t.Fatalf("ksteps=%d: result steps = %d in blocks of %d, want 4 in blocks of 1", ksteps, res.Steps, res.KSteps)
 		}
 		return res
 	}
-	plain := run(1)
-	blocked := run(4)
-	if blocked.CacheHit {
-		t.Fatal("k=4 job reused the k=1 engine — KSteps missing from the cache key")
+	zero := run(0)
+	one := run(1)
+	if !one.CacheHit {
+		t.Fatal("ksteps=1 job missed the ksteps=0 job's engine")
 	}
-	if blocked.Checksums != plain.Checksums {
-		t.Fatalf("k=4 checksums %+v differ from k=1's %+v", blocked.Checksums, plain.Checksums)
-	}
-	if again := run(4); !again.CacheHit {
-		t.Fatal("repeat k=4 job missed the engine cache")
-	}
-	ps := srv.PoolStats()
-	if ps.Misses != 2 {
-		t.Fatalf("cache misses = %d, want 2 (one engine per k)", ps.Misses)
+	if one.Checksums != zero.Checksums {
+		t.Fatalf("ksteps=1 checksums %+v differ from ksteps=0's %+v", one.Checksums, zero.Checksums)
 	}
 }
 
-// TestCancelKStepMidBlock cancels a temporally blocked job while workers are
-// inside a k-step block on a real engine: the barrier-abort path must stop
-// the block promptly and the job must come back canceled, not stuck or
-// succeeded.
+// TestCancelKStepMidBlock cancels a streamed islands job, whose tile engines
+// each run their residency's k steps as one temporal block, while workers are
+// inside a tile: the barrier-abort path must stop the block promptly, the job
+// must come back canceled, not stuck or succeeded, and the slot must keep
+// serving.
 func TestCancelKStepMidBlock(t *testing.T) {
-	srv := serve.NewServer(serve.Options{Slots: 1, Logf: t.Logf})
+	srv := serve.NewServer(serve.Options{Slots: 1, SpillDir: t.TempDir(), Logf: t.Logf})
 	defer srv.Close()
 
-	j, err := srv.Submit(serve.Spec{Grid: "48x32x8", Steps: 100000, Processors: 2, KSteps: 4})
+	// The streamed workload's class: its residency runs 2-step blocks.
+	spec := serve.Spec{Grid: "384x64x16", Steps: 400, Processors: 2, Streamed: true, MemoryBudgetMB: 16}
+	tilesBefore := srv.Metrics().StreamTiles.Load()
+	j, err := srv.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitState(t, j, serve.StateRunning)
-	time.Sleep(20 * time.Millisecond) // land inside the block loop
+	deadline := time.Now().Add(30 * time.Second)
+	for srv.Metrics().StreamTiles.Load() == tilesBefore && !j.State().Terminal() {
+		if time.Now().After(deadline) {
+			t.Fatal("no tile completed before the cancel deadline")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	srv.Cancel(j, "canceled by client")
 	if st := waitTerminal(t, j); st != serve.StateCanceled {
 		t.Fatalf("state = %s, want canceled (err %q)", st, srv.Status(j).Error)
 	}
-	if done := srv.Status(j); done.Step >= 100000 {
+	if done := srv.Status(j); done.Step >= spec.Steps {
 		t.Fatalf("job ran to completion (%d steps) despite the cancel", done.Step)
 	}
-	// The slot must keep serving: the poisoned engine is discarded and a
-	// fresh one compiled.
-	next, err := srv.Submit(serve.Spec{Grid: "48x32x8", Steps: 4, Processors: 2, KSteps: 4})
+	// The same class with fewer steps runs to completion on the slot, and
+	// its tiles were k-step blocks.
+	spec.Steps = 4
+	next, err := srv.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st := waitTerminal(t, next); st != serve.StateSucceeded {
 		t.Fatalf("follow-up job state = %s, err %q", st, srv.Status(next).Error)
+	}
+	if k := srv.Status(next).Result.KSteps; k < 2 {
+		t.Fatalf("follow-up streamed job ran blocks of %d steps, want a k-step residency", k)
 	}
 }
 

@@ -90,13 +90,10 @@ type Spec struct {
 	Boundary string `json:"boundary,omitempty"`
 	// CoreIslands applies the islands approach inside every island (§6).
 	CoreIslands bool `json:"core_islands,omitempty"`
-	// KSteps temporally blocks the island strategies: islands advance
-	// KSteps full time steps on private buffers between global joins
-	// (0 or 1 = step at a time). Requires the islands strategy and a
-	// partition wide enough to carry the k-step halo — an infeasible k is
-	// rejected with the executor's fallback reason rather than silently
-	// running at k=1. A served job also needs a steps count divisible by
-	// KSteps (Admit).
+	// KSteps may only be 0 or 1: every job advances one step at a time,
+	// and a streamed job's temporal block (one per tile) is the residency k
+	// the cost model picks from its memory budget. Any other value is
+	// rejected.
 	KSteps int `json:"ksteps,omitempty"`
 	// IORD is the MPDATA order, 1..4 (0 = the paper's default of 2).
 	IORD int `json:"iord,omitempty"`
@@ -118,7 +115,7 @@ type Spec struct {
 	// cut into disk-backed tiles streamed through a resident engine under
 	// MemoryBudgetMB, so grids up to MaxStreamCells are accepted. The
 	// residency (tile width and temporal factor k) is chosen by the cost
-	// model, so ksteps must be left unset.
+	// model.
 	Streamed bool `json:"streamed,omitempty"`
 	// MemoryBudgetMB caps a streamed job's resident footprint in MiB
 	// (0 = the server's default budget). Ignored for resident jobs.
@@ -262,17 +259,8 @@ func (s Spec) Normalize() (NormSpec, error) {
 		return n, fmt.Errorf("core_islands requires the islands strategy")
 	}
 	n.CoreIslands = s.CoreIslands
-	if s.KSteps < 0 {
-		return n, fmt.Errorf("ksteps must be non-negative, got %d", s.KSteps)
-	}
-	n.KSteps = s.KSteps
-	if n.KSteps == 0 {
-		n.KSteps = 1
-	}
-	if n.KSteps > 1 {
-		if n.Strategy != exec.IslandsOfCores {
-			return n, fmt.Errorf("ksteps > 1 requires the islands strategy")
-		}
+	if s.KSteps != 0 && s.KSteps != 1 {
+		return n, fmt.Errorf("ksteps must be 0 or 1, got %d: jobs advance one step at a time (a streamed job takes its temporal block from the memory budget)", s.KSteps)
 	}
 	if !entry.MPDATAOptions {
 		// The scheme knobs are MPDATA-specific; a non-default value on
@@ -319,20 +307,6 @@ func (s Spec) Normalize() (NormSpec, error) {
 	}
 	n.MemoryBudgetMB = s.MemoryBudgetMB
 	n.StreamID = s.StreamID
-	if n.Streamed {
-		// Streamed jobs derive their temporal factor k from the memory
-		// budget (the tile engines' k is the residency k, not the spec's),
-		// so an explicit ksteps is a contradiction, not a knob.
-		if s.KSteps > 1 {
-			return n, fmt.Errorf("ksteps does not apply to streamed jobs (the residency picker derives k from the memory budget)")
-		}
-		return n, nil
-	}
-	// With every field resolved, reject a temporal-blocking factor the
-	// compiled schedule would silently drop to 1.
-	if err := n.CheckKSteps(); err != nil {
-		return n, err
-	}
 	return n, nil
 }
 
@@ -356,20 +330,9 @@ func validateStreamID(id string) error {
 	return nil
 }
 
-// Admit normalizes a spec submitted as a job and applies the one rule that is
-// about serving rather than about the run: a cached engine dispatches whole
-// k-step blocks, so the step count must be a multiple of ksteps.
-func (s Spec) Admit() (NormSpec, error) {
-	n, err := s.Normalize()
-	if err == nil && n.Steps%n.KSteps != 0 {
-		err = fmt.Errorf("steps %d is not a multiple of ksteps %d (served jobs advance whole k-step blocks)", n.Steps, n.KSteps)
-	}
-	return n, err
-}
-
 // Validate reports whether a server would admit the spec.
 func (s Spec) Validate() error {
-	_, err := s.Admit()
+	_, err := s.Normalize()
 	return err
 }
 
@@ -384,13 +347,11 @@ func (n CacheKey) StrategyName() string {
 }
 
 // CacheKey identifies a compiled engine: every field of a run that shapes the
-// compiled schedule, the environments or the halo geometry — KSteps included,
-// since the temporal block structure, widened halo shells and inner-swap items
-// are all compiled in. The pool caches engines under it and the fleet router
-// hashes it, so a field added here keys both. A run's remaining fields
-// (NormSpec's Steps, Pin, Profile, TimeoutMs) stay out: a cached engine
-// advances one k-step block (one step when KSteps <= 1) per dispatch, so jobs
-// of any length and any deadline reuse it.
+// compiled schedule, the environments or the halo geometry. The pool caches
+// engines under it and the fleet router hashes it, so a field added here keys
+// both. A run's remaining fields (NormSpec's Steps, Pin, Profile, TimeoutMs)
+// stay out: a cached engine advances one step per dispatch, so jobs of any
+// length and any deadline reuse it.
 type CacheKey struct {
 	Domain grid.Size
 	// Solver is the canonical catalog name (never empty after Normalize):
@@ -403,7 +364,6 @@ type CacheKey struct {
 	Variant     decomp.Variant
 	Boundary    stencil.Boundary
 	CoreIslands bool
-	KSteps      int
 	IORD        int
 	Unlimited   bool
 	BlockI      int
@@ -423,10 +383,9 @@ type CacheKey struct {
 func (n NormSpec) Key() CacheKey { return n.CacheKey }
 
 // ExecConfig builds the executor configuration of the engine with the runner
-// compiled for one dispatch unit per Run: one k-step block under temporal
-// blocking, one step otherwise. Progress, deadlines and engine reuse all meet
-// between dispatches; a caller that runs the whole job in one Run sets Steps
-// on the result.
+// compiled for one step per Run. Progress, deadlines and engine reuse all
+// meet between dispatches; a caller that runs the whole job in one Run sets
+// Steps on the result.
 func (n CacheKey) ExecConfig() (exec.Config, error) {
 	m, err := topology.UV2000(n.Processors)
 	if err != nil {
@@ -438,17 +397,18 @@ func (n CacheKey) ExecConfig() (exec.Config, error) {
 		Placement:     n.Placement,
 		Variant:       n.Variant,
 		Boundary:      n.Boundary,
-		Steps:         max(n.KSteps, 1),
+		Steps:         1,
 		BlockI:        n.BlockI,
 		CoreIslands:   n.CoreIslands,
-		KSteps:        n.KSteps,
 		DisableFusion: n.DisableFusion,
 	}, nil
 }
 
-// StepsPerDispatch is the number of time steps one engine Step advances: the
-// temporal block size, or 1 without temporal blocking.
-func (n CacheKey) StepsPerDispatch() int { return max(n.KSteps, 1) }
+// StepsPerDispatch is the number of time steps one engine Step advances:
+// always 1, since served jobs run step at a time. It stays only because the
+// separately-moduled benchmark under bench/ calls it; ROADMAP item 2's
+// [benchmark] change drops it.
+func (n CacheKey) StepsPerDispatch() int { return 1 }
 
 // SolverEntry resolves the catalog entry. Normalize canonicalized the name,
 // so a lookup failure on a normalized spec is a programming error.
@@ -463,7 +423,7 @@ func (n CacheKey) SolverOptions() solver.Options {
 }
 
 // ConfigLabel names the execution configuration in the advisor's candidate
-// vocabulary ("islands 1D-A k=4 b=16", ...) — the requested-vs-tuned label
+// vocabulary ("islands 1D-A b=16", ...) — the requested-vs-tuned label
 // of job results and load reports.
 func (n CacheKey) ConfigLabel() string {
 	ec, err := n.ExecConfig()

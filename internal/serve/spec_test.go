@@ -46,6 +46,9 @@ func TestSpecStrategyNames(t *testing.T) {
 	}
 }
 
+// ksRejection is the one message every ksteps other than 0 or 1 gets.
+const ksRejection = "ksteps must be 0 or 1"
+
 func TestSpecValidationRejections(t *testing.T) {
 	cases := []struct {
 		name string
@@ -66,13 +69,15 @@ func TestSpecValidationRejections(t *testing.T) {
 		{"unknown boundary", Spec{Grid: "16x8x4", Steps: 1, Boundary: "wrap"}, "boundary"},
 		{"core islands on original", Spec{Grid: "16x8x4", Steps: 1, Strategy: "original", CoreIslands: true}, "core"},
 		{"bad iord", Spec{Grid: "16x8x4", Steps: 1, IORD: 9}, "iord"},
-		{"negative ksteps", Spec{Grid: "16x8x4", Steps: 1, KSteps: -2}, "ksteps"},
-		{"ksteps on original", Spec{Grid: "16x8x4", Steps: 2, Strategy: "original", KSteps: 2}, "islands"},
-		{"ksteps not dividing steps", Spec{Grid: "32x16x8", Steps: 5, KSteps: 2}, "multiple"},
-		// 2 islands over NI=16 leave 8-wide parts, narrower than the
-		// 12-cell k=4 halo: the executor's fallback reason must surface
-		// verbatim at submission (same text mpdata-sim -ksteps prints).
-		{"infeasible ksteps", Spec{Grid: "16x16x8", Steps: 4, KSteps: 4}, "falls back to 1"},
+		// Every job advances one step at a time: any ksteps but 0 or 1 is
+		// refused with one message, feasible or not, resident or streamed,
+		// before anything is planned.
+		{"negative ksteps", Spec{Grid: "16x8x4", Steps: 1, KSteps: -2}, ksRejection},
+		{"ksteps on original", Spec{Grid: "16x8x4", Steps: 2, Strategy: "original", KSteps: 2}, ksRejection},
+		{"ksteps not dividing steps", Spec{Grid: "32x16x8", Steps: 5, KSteps: 2}, ksRejection},
+		{"infeasible ksteps", Spec{Grid: "16x16x8", Steps: 4, KSteps: 4}, ksRejection},
+		{"feasible ksteps", Spec{Grid: "32x16x8", Steps: 4, KSteps: 4}, ksRejection},
+		{"ksteps on a streamed job", Spec{Grid: "32x16x8", Steps: 4, Streamed: true, KSteps: 2}, ksRejection},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -115,19 +120,15 @@ func TestCacheKeyIgnoresStepsAndProfile(t *testing.T) {
 		t.Fatal("cache key ignores processor count; jobs would reuse a wrong topology")
 	}
 
-	blocked := Spec{Grid: "32x16x8", Steps: 4, Processors: 2, KSteps: 4}
-	d, err := blocked.Normalize()
+	// ksteps 0 and 1 are the same step-at-a-time run: one engine.
+	one := base
+	one.KSteps = 1
+	d, err := one.Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain := blocked
-	plain.KSteps = 1
-	e, err := plain.Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Key() == e.Key() {
-		t.Fatal("cache key ignores ksteps; a k=4 job would reuse a k=1 schedule")
+	if a.Key() != d.Key() {
+		t.Fatal("cache key varies between ksteps 0 and 1; both run one step per dispatch")
 	}
 }
 
@@ -147,10 +148,10 @@ func TestParseGridAgreesWithCLI(t *testing.T) {
 }
 
 // FuzzSpecAdmit drives arbitrary bytes through the decoding POST /v1/jobs
-// applies and then Spec.Admit: no input may panic, and every admitted spec
-// must lie inside the documented bounds and yield an executor configuration.
-// The seeds in testdata/fuzz/FuzzSpecAdmit are the bodies the wire tests and
-// scripts/serve-smoke.sh send.
+// applies and then Spec.Normalize, the server's admission check: no input may
+// panic, and every admitted spec must lie inside the documented bounds and
+// yield an executor configuration. The seeds in testdata/fuzz/FuzzSpecAdmit
+// are the bodies the wire tests and scripts/serve-smoke.sh send.
 func FuzzSpecAdmit(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var spec Spec
@@ -159,12 +160,7 @@ func FuzzSpecAdmit(f *testing.F) {
 		if dec.Decode(&spec) != nil {
 			return
 		}
-		// Admitting ksteps > 1 plans the k-step schedule, in time linear in
-		// NI / block_i: keep the plans small enough to fuzz at speed.
-		if sz, err := ParseGrid(spec.Grid); err == nil && spec.KSteps > 1 && sz.NI > 1<<12 {
-			t.Skip()
-		}
-		ns, err := spec.Admit()
+		ns, err := spec.Normalize()
 		if err != nil {
 			return
 		}
@@ -181,8 +177,8 @@ func FuzzSpecAdmit(f *testing.F) {
 		if ns.Processors < 1 || ns.Processors > MaxProcessors {
 			t.Fatalf("admitted %d processors: %s", ns.Processors, body)
 		}
-		if ns.KSteps < 1 || ns.Steps%ns.KSteps != 0 {
-			t.Fatalf("admitted %d steps in blocks of %d: %s", ns.Steps, ns.KSteps, body)
+		if spec.KSteps > 1 {
+			t.Fatalf("admitted ksteps %d: %s", spec.KSteps, body)
 		}
 		if _, err := ns.ExecConfig(); err != nil {
 			t.Fatalf("admitted spec has no executor configuration (%v): %s", err, body)

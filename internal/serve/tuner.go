@@ -99,7 +99,6 @@ func applyKnobs(ns NormSpec, k tune.Knobs) NormSpec {
 	ns.Strategy = k.Strategy
 	ns.CoreIslands = k.CoreIslands
 	ns.BlockI = k.BlockI
-	ns.KSteps = max(k.KSteps, 1)
 	ns.DisableFusion = k.DisableFusion
 	ns.Placement = k.Placement
 	return ns

@@ -72,9 +72,10 @@ func testDomain(t *testing.T, e *Entry, rng *rand.Rand) grid.Size {
 
 // TestCrossSolverBitIdentity is the catalog's property test: every entry,
 // under pseudo-random shapes, both boundary conditions, all four strategies
-// and temporal blocking k in {1,2,4}, must be bit-identical to its
-// sequential reference. Infeasible k falls back loudly inside the executor
-// (the schedule stats carry the reason) but identity must hold regardless.
+// and temporal blocking k in {1,2,4} (steps/k Runs of one k-step block
+// each), must be bit-identical to its sequential reference. Infeasible k
+// falls back loudly inside the executor (the schedule stats carry the reason)
+// but identity must hold regardless.
 func TestCrossSolverBitIdentity(t *testing.T) {
 	m2, err := topology.UV2000(2)
 	if err != nil {
@@ -125,9 +126,9 @@ func TestCrossSolverBitIdentity(t *testing.T) {
 								continue // executor rejects ksteps elsewhere
 							}
 							cfg.Boundary = bc
-							cfg.Steps = steps
+							cfg.Steps = k
 							cfg.KSteps = k
-							got := runCompiled(t, e, cfg, domain)
+							got := runCompiled(t, e, cfg, domain, steps/k)
 							if d := grid.MaxAbsDiff(want, got); d != 0 {
 								t.Errorf("%v %s %s k=%d: max diff vs reference %g, want exact",
 									domain, bcName, st.name, k, d)
@@ -141,8 +142,9 @@ func TestCrossSolverBitIdentity(t *testing.T) {
 }
 
 // runCompiled advances one entry through the compiled executor from the
-// standard problem and returns the synced feedback field.
-func runCompiled(t *testing.T, e *Entry, cfg exec.Config, domain grid.Size) *grid.Field {
+// standard problem, runs Runs of cfg.Steps each, and returns the synced
+// feedback field.
+func runCompiled(t *testing.T, e *Entry, cfg exec.Config, domain grid.Size, runs int) *grid.Field {
 	t.Helper()
 	st, err := e.NewProblemState(domain)
 	if err != nil {
@@ -157,8 +159,10 @@ func runCompiled(t *testing.T, e *Entry, cfg exec.Config, domain grid.Size) *gri
 		t.Fatal(err)
 	}
 	defer runner.Close()
-	if err := runner.Run(); err != nil {
-		t.Fatal(err)
+	for i := 0; i < runs; i++ {
+		if err := runner.Run(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	runner.SyncFeedback()
 	return st.Output()

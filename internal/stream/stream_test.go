@@ -18,7 +18,10 @@ import (
 )
 
 // residentRun advances the standard problem on a resident domain with the
-// same executor configuration the streamed run uses per tile. Every
+// same executor configuration the streamed run uses per tile: sweeps of
+// cfg.KSteps steps (the last one shorter when k does not divide Steps), each
+// one Run of a whole-domain runner, temporally blocked where the strategy
+// supports it. Every
 // strategy/boundary combination is solver-exact on the resident path —
 // including IslandsOfCores under a Periodic boundary, which the executor's
 // wrap bands (internal/exec/wrap.go) made exact — so the baseline runs the
@@ -36,18 +39,25 @@ func residentRun(t *testing.T, cfg exec.Config, domain grid.Size, iord int, unli
 	state := mpdata.NewState(domain)
 	state.SetStandardProblem()
 	massIn := state.Psi.Sum()
-	if cfg.Strategy != exec.IslandsOfCores {
-		cfg.KSteps = 0
+	k := max(cfg.KSteps, 1)
+	for done := 0; done < cfg.Steps; done += k {
+		sweep := cfg
+		sweep.Steps = min(k, cfg.Steps-done)
+		sweep.KSteps = 0
+		if cfg.Strategy == exec.IslandsOfCores {
+			sweep.KSteps = sweep.Steps
+		}
+		r, err := exec.NewRunner(sweep, prog, state.InputMap(), mpdata.InPsi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = r.Run()
+		r.SyncFeedback()
+		r.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
-	r, err := exec.NewRunner(cfg, prog, state.InputMap(), mpdata.InPsi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if err := r.Run(); err != nil {
-		t.Fatal(err)
-	}
-	r.SyncFeedback()
 	return state.Psi, massIn
 }
 
@@ -401,6 +411,87 @@ func TestOnlyResumableStoresSync(t *testing.T) {
 		}
 		if syncs != want {
 			t.Errorf("Resume=%v: %d fsyncs over %d tiles x %d sweeps, want %d", resume, syncs, st.Tiles, st.Sweeps, want)
+		}
+	}
+}
+
+// TestFsyncFailureAtEveryCall fails the n-th fsync of a resumable store's
+// run, for every n the uninterrupted run makes: the seed, each tile's planes,
+// and each checkpoint's temp file and directory. Every such run ends in one
+// error from New or Run, and after Close nothing of the store is left open
+// or half written. A following Resume open with working syncs then either
+// fails cleanly or finishes bit-identical to the uninterrupted run.
+func TestFsyncFailureAtEveryCall(t *testing.T) {
+	machine, err := topology.UV2000(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := exec.Config{Machine: machine, Strategy: exec.IslandsOfCores, Boundary: stencil.Clamp, Steps: 4, KSteps: 2}
+	options := func(dir string) Options {
+		return Options{Dir: dir, Exec: cfg, Domain: grid.Sz(24, 6, 4), TilePlanes: 6, Resume: true}
+	}
+	defer func(orig func(interface{ Sync() error }) error) { fsync = orig }(fsync)
+	calls, failAt := 0, 0
+	errInjected := errors.New("injected fsync failure")
+	fsync = func(f interface{ Sync() error }) error {
+		calls++
+		if calls == failAt {
+			return errInjected
+		}
+		return f.Sync()
+	}
+
+	whole, err := New(options(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := whole.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := whole.Checksums()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := whole.Stats()
+	whole.Close()
+	total := calls
+	if st.Tiles < 2 || st.Sweeps < 2 || total < 1+2+st.Tiles*st.Sweeps*3 {
+		t.Fatalf("%d fsyncs over %d tiles x %d sweeps: want a multi-tile, multi-sweep durable run", total, st.Tiles, st.Sweeps)
+	}
+
+	for n := 1; n <= total; n++ {
+		dir := t.TempDir()
+		calls, failAt = 0, n
+		baseGoroutines := runtime.NumGoroutine()
+		s, err := New(options(dir))
+		if err == nil {
+			err = s.Run()
+			if cerr := s.Close(); cerr != nil {
+				t.Errorf("fsync %d: Close after the run: %v", n, cerr)
+			}
+		}
+		if !errors.Is(err, errInjected) {
+			t.Fatalf("fsync %d of %d failed: the run ended in %v, want the injected error", n, total, err)
+		}
+		requireNothingLeft(t, dir, baseGoroutines)
+
+		failAt = 0
+		baseGoroutines = runtime.NumGoroutine()
+		r, err := New(options(dir))
+		if err != nil {
+			requireNothingLeft(t, dir, baseGoroutines)
+			continue
+		}
+		if err := r.Run(); err != nil {
+			t.Fatalf("fsync %d: resumed run: %v", n, err)
+		}
+		got, err := r.Checksums()
+		r.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("fsync %d: resumed run ended on %+v, the uninterrupted run on %+v", n, got, want)
 		}
 	}
 }

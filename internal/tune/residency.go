@@ -44,7 +44,7 @@ func PickResidency(m *topology.Machine, prog *stencil.Program, class Class, knob
 	if budgetBytes <= 0 {
 		return nil, fmt.Errorf("tune: residency: budget must be positive, got %d", budgetBytes)
 	}
-	cfg := ApplyKnobs(class.BaseConfig(m), knobs.Canon())
+	cfg := ApplyKnobs(class.BaseConfig(m), knobs)
 	domain := class.Domain
 	budget := float64(budgetBytes)
 
@@ -144,6 +144,6 @@ func ResidentBytes(m *topology.Machine, prog *stencil.Program, class Class, knob
 	if err != nil {
 		return 0, err
 	}
-	cfg := ApplyKnobs(class.BaseConfig(m), knobs.Canon())
+	cfg := ApplyKnobs(class.BaseConfig(m), knobs)
 	return exec.StreamResidentBytes(cfg, prog, fext, class.Domain, tilePlanes, k), nil
 }

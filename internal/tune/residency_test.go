@@ -22,7 +22,7 @@ func residencySetup(t *testing.T) (*topology.Machine, *stencil.Program, Class, K
 		t.Fatal(err)
 	}
 	class := Class{Domain: grid.Sz(192, 16, 16), Processors: 2, Boundary: stencil.Clamp, IORD: 2}
-	knobs := Knobs{Strategy: exec.IslandsOfCores, KSteps: 1}.Canon()
+	knobs := Knobs{Strategy: exec.IslandsOfCores}
 	return m, &prog.Program, class, knobs
 }
 

@@ -41,7 +41,6 @@ func KnobsOf(cfg exec.Config, domain grid.Size) Knobs {
 		Strategy:      cfg.Strategy,
 		CoreIslands:   cfg.CoreIslands,
 		BlockI:        cfg.BlockI,
-		KSteps:        cfg.KSteps,
 		DisableFusion: cfg.DisableFusion,
 		Placement:     cfg.Placement,
 	}
@@ -51,7 +50,7 @@ func KnobsOf(cfg exec.Config, domain grid.Size) Knobs {
 	if cfg.Strategy == exec.Original {
 		k.BlockI = 0
 	}
-	return k.Canon()
+	return k
 }
 
 // ApplyKnobs overlays the tunable axes onto a base config (the class's
@@ -61,7 +60,6 @@ func ApplyKnobs(base exec.Config, k Knobs) exec.Config {
 	cfg.Strategy = k.Strategy
 	cfg.CoreIslands = k.CoreIslands
 	cfg.BlockI = k.BlockI
-	cfg.KSteps = k.KSteps
 	cfg.DisableFusion = k.DisableFusion
 	cfg.Placement = k.Placement
 	cfg.IslandGrid = [2]int{}
@@ -69,8 +67,7 @@ func ApplyKnobs(base exec.Config, k Knobs) exec.Config {
 }
 
 // SeedCandidates is exec.RankCandidates over a class's machine/program/domain
-// and exec.TuneSpace (strategy x CoreIslands x BlockI x feasible KSteps x
-// fusion x placement) as tuner candidates, ranked by modeled per-step cost.
+// and exec.TuneSpace (strategy x CoreIslands x BlockI x fusion x placement) as tuner candidates, ranked by modeled per-step cost.
 // This is the default Seeder behind NewModelSeeder; BlockI comes back
 // explicit so candidate knobs are canonical cache keys.
 func SeedCandidates(m *topology.Machine, prog *stencil.Program, class Class) ([]Candidate, error) {

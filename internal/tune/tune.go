@@ -3,7 +3,7 @@
 // tuner decides. For every problem class (domain, socket count, boundary —
 // everything a request cannot trade away) it seeds a candidate set from the
 // model over the executor's bit-identity-preserving knobs (strategy,
-// CoreIslands, BlockI, KSteps, fusion, placement), measures the promising
+// CoreIslands, BlockI, fusion, placement), measures the promising
 // candidates through the real compiled engine, and keeps refining the
 // ranking as served jobs report their profiles — with a bounded
 // epsilon-greedy re-exploration so the tuner notices when the machine
@@ -59,20 +59,9 @@ type Knobs struct {
 	CoreIslands bool
 	// BlockI is the explicit (3+1)D block width (always > 0 in canonical
 	// form — exec.ResolveBlockI resolves the "auto" request).
-	BlockI int
-	// KSteps is the temporal-blocking factor (>= 1 in canonical form).
-	KSteps        int
+	BlockI        int
 	DisableFusion bool
 	Placement     grid.PlacementPolicy
-}
-
-// Canon returns the knobs in canonical form: KSteps >= 1. (BlockI
-// canonicalization needs the machine and domain — exec.ResolveBlockI.)
-func (k Knobs) Canon() Knobs {
-	if k.KSteps < 1 {
-		k.KSteps = 1
-	}
-	return k
 }
 
 // Candidate is one knob combination with its modeled and measured costs.
@@ -235,7 +224,6 @@ func (t *Tuner) problemFor(class Class) *problem {
 	} else {
 		sort.SliceStable(cands, func(i, j int) bool { return cands[i].ModeledStep < cands[j].ModeledStep })
 		for _, c := range cands {
-			c.Knobs = c.Knobs.Canon()
 			if _, dup := p.index[c.Knobs]; dup {
 				continue
 			}
@@ -252,7 +240,6 @@ func (t *Tuner) problemFor(class Class) *problem {
 // (unmodeled, unmeasured) when the enumeration did not cover them. Caller
 // holds t.mu.
 func (p *problem) ensure(knobs Knobs) int {
-	knobs = knobs.Canon()
 	if i, ok := p.index[knobs]; ok {
 		return i
 	}
@@ -278,21 +265,15 @@ func (p *problem) score(c *Candidate) float64 {
 	return math.Inf(1)
 }
 
-// feasible reports whether a candidate can serve a job of the given length:
-// served jobs advance whole k-step blocks, so KSteps must divide steps.
-func feasible(c *Candidate, steps int) bool {
-	return c.Knobs.KSteps <= 1 || steps%c.Knobs.KSteps == 0
-}
-
-// best picks the lowest-scoring eligible candidate, starting from the
+// best picks the lowest-scoring candidate of the TopM, starting from the
 // requested one as the incumbent — the tuner never returns knobs scored
 // worse than the request. Within TiePct of the winner, a lower measured
 // imbalance wins. Caller holds t.mu.
-func (t *Tuner) best(p *problem, reqIdx int, steps int) int {
+func (t *Tuner) best(p *problem, reqIdx int) int {
 	bestIdx := reqIdx
 	bestScore := p.score(&p.cands[reqIdx])
 	for i := 0; i < p.seeded && i < t.opts.TopM; i++ {
-		if i == reqIdx || !feasible(&p.cands[i], steps) {
+		if i == reqIdx {
 			continue
 		}
 		// A later candidate must win by more than rounding: after a single
@@ -310,7 +291,7 @@ func (t *Tuner) best(p *problem, reqIdx int, steps int) int {
 	window := bestScore * (1 + t.opts.TiePct/100)
 	for i := 0; i < p.seeded && i < t.opts.TopM; i++ {
 		c := &p.cands[i]
-		if i == bestIdx || c.Obs == 0 || !feasible(c, steps) {
+		if i == bestIdx || c.Obs == 0 {
 			continue
 		}
 		if c.MeasuredStep <= window && c.Imbalance < p.cands[bestIdx].Imbalance {
@@ -320,13 +301,13 @@ func (t *Tuner) best(p *problem, reqIdx int, steps int) int {
 	return bestIdx
 }
 
-// exploreTarget picks the least-observed eligible candidate other than best,
-// or -1. Deterministic: lowest observation count, then best modeled rank.
+// exploreTarget picks the least-observed TopM candidate other than best, or
+// -1. Deterministic: lowest observation count, then best modeled rank.
 // Caller holds t.mu.
-func (t *Tuner) exploreTarget(p *problem, bestIdx, steps int) int {
+func (t *Tuner) exploreTarget(p *problem, bestIdx int) int {
 	target := -1
 	for i := 0; i < p.seeded && i < t.opts.TopM; i++ {
-		if i == bestIdx || !feasible(&p.cands[i], steps) {
+		if i == bestIdx {
 			continue
 		}
 		if target < 0 || p.cands[i].Obs < p.cands[target].Obs {
@@ -347,16 +328,15 @@ func (t *Tuner) Decide(class Class, requested Knobs, steps int) Decision {
 	defer t.mu.Unlock()
 	t.counters.Decisions++
 	p := t.problemFor(class)
-	requested = requested.Canon()
 	if p.seedErr != nil {
 		return Decision{Knobs: requested, Label: "requested", Reason: fmt.Sprintf("seed-error: %v", p.seedErr)}
 	}
 	reqIdx := p.ensure(requested)
 	p.decidedSteps += int64(steps)
-	bestIdx := t.best(p, reqIdx, steps)
+	bestIdx := t.best(p, reqIdx)
 
 	if t.opts.Epsilon > 0 && t.rng.Float64() < t.opts.Epsilon {
-		if target := t.exploreTarget(p, bestIdx, steps); target >= 0 &&
+		if target := t.exploreTarget(p, bestIdx); target >= 0 &&
 			float64(p.exploreSteps+int64(steps)) <= t.opts.ExploreFrac*float64(p.decidedSteps) {
 			p.exploreSteps += int64(steps)
 			t.counters.Explored++
@@ -387,16 +367,15 @@ func (t *Tuner) Decide(class Class, requested Knobs, steps int) Decision {
 // Best returns the greedy decision for a request — the current best-known
 // candidate, never an exploration — without charging the budget or the
 // decision counters. Reporting and tests use it to read the standings.
-func (t *Tuner) Best(class Class, requested Knobs, steps int) Decision {
+func (t *Tuner) Best(class Class, requested Knobs) Decision {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	p := t.problemFor(class)
-	requested = requested.Canon()
 	if p.seedErr != nil {
 		return Decision{Knobs: requested, Label: "requested", Reason: fmt.Sprintf("seed-error: %v", p.seedErr)}
 	}
 	reqIdx := p.ensure(requested)
-	bestIdx := t.best(p, reqIdx, steps)
+	bestIdx := t.best(p, reqIdx)
 	c := &p.cands[bestIdx]
 	d := Decision{Knobs: c.Knobs, Label: c.Label, Tuned: c.Knobs != requested}
 	switch {
@@ -445,23 +424,21 @@ func (t *Tuner) Observe(class Class, obs Observation) {
 // real compiled engine with the runtime profiler enabled.
 type Measurer func(Knobs) (Observation, error)
 
-// Calibrate measures every eligible candidate of a class (the TopM modeled
-// prefix that can serve jobs of the given length) through the measurer and
-// returns the resulting greedy decision — the one-shot tuning mode of
-// mpdata-sim -tune. Measurement errors skip the candidate (it stays ranked
-// by model); the first error is reported after all candidates ran.
-func (t *Tuner) Calibrate(class Class, requested Knobs, steps int, measure Measurer) (Decision, error) {
+// Calibrate measures every candidate of a class's TopM modeled prefix
+// through the measurer and returns the resulting greedy decision — the
+// one-shot tuning mode of mpdata-sim -tune. Measurement errors skip the
+// candidate (it stays ranked by model); the first error is reported after all
+// candidates ran.
+func (t *Tuner) Calibrate(class Class, requested Knobs, measure Measurer) (Decision, error) {
 	t.mu.Lock()
 	p := t.problemFor(class)
 	if p.seedErr != nil {
 		t.mu.Unlock()
-		return Decision{Knobs: requested.Canon(), Label: "requested", Reason: fmt.Sprintf("seed-error: %v", p.seedErr)}, p.seedErr
+		return Decision{Knobs: requested, Label: "requested", Reason: fmt.Sprintf("seed-error: %v", p.seedErr)}, p.seedErr
 	}
 	var targets []Knobs
 	for i := 0; i < p.seeded && i < t.opts.TopM; i++ {
-		if feasible(&p.cands[i], steps) {
-			targets = append(targets, p.cands[i].Knobs)
-		}
+		targets = append(targets, p.cands[i].Knobs)
 	}
 	t.mu.Unlock()
 
@@ -480,9 +457,8 @@ func (t *Tuner) Calibrate(class Class, requested Knobs, steps int, measure Measu
 
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	requested = requested.Canon()
 	reqIdx := p.ensure(requested)
-	bestIdx := t.best(p, reqIdx, steps)
+	bestIdx := t.best(p, reqIdx)
 	c := &p.cands[bestIdx]
 	d := Decision{Knobs: c.Knobs, Label: c.Label, Tuned: c.Knobs != requested, Reason: "measured"}
 	if c.Obs == 0 {

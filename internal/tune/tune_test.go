@@ -15,10 +15,10 @@ import (
 func fixedSeeder(t *testing.T) (Seeder, []Knobs) {
 	t.Helper()
 	knobs := []Knobs{
-		{Strategy: exec.IslandsOfCores, BlockI: 16, KSteps: 1, Placement: grid.FirstTouchParallel},
-		{Strategy: exec.IslandsOfCores, BlockI: 16, KSteps: 2, Placement: grid.FirstTouchParallel},
-		{Strategy: exec.IslandsOfCores, BlockI: 8, KSteps: 1, Placement: grid.Interleaved},
-		{Strategy: exec.Plus31D, BlockI: 16, KSteps: 1, Placement: grid.FirstTouchParallel},
+		{Strategy: exec.IslandsOfCores, BlockI: 16, Placement: grid.FirstTouchParallel},
+		{Strategy: exec.IslandsOfCores, BlockI: 32, Placement: grid.FirstTouchParallel},
+		{Strategy: exec.IslandsOfCores, BlockI: 8, Placement: grid.Interleaved},
+		{Strategy: exec.Plus31D, BlockI: 16, Placement: grid.FirstTouchParallel},
 	}
 	seeder := func(Class) ([]Candidate, error) {
 		return []Candidate{
@@ -37,9 +37,8 @@ func testClass() Class {
 
 // TestSeededCandidatesAlwaysFeasible is the property test of the satellite
 // contract: the tuner never emits a candidate the executor would reject —
-// every seeded candidate's config passes Config.Validate, the plan builds
-// (CheckConfig), and a temporally blocked candidate really runs at its k
-// (CheckKSteps), across random machines and domains.
+// every seeded candidate's config passes Config.Validate and the plan builds
+// (CheckConfig), across random machines and domains.
 func TestSeededCandidatesAlwaysFeasible(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	prog := &mpdata.NewProgram().Program
@@ -64,40 +63,16 @@ func TestSeededCandidatesAlwaysFeasible(t *testing.T) {
 		}
 		for _, c := range cands {
 			cfg := ApplyKnobs(class.BaseConfig(m), c.Knobs)
-			cfg.Steps = c.Knobs.KSteps
+			cfg.Steps = 1
 			if err := cfg.Validate(); err != nil {
 				t.Errorf("p=%d domain=%v %s: Validate: %v", p, domain, c.Label, err)
 			}
 			if err := exec.CheckConfig(cfg, prog, domain); err != nil {
 				t.Errorf("p=%d domain=%v %s: CheckConfig: %v", p, domain, c.Label, err)
 			}
-			if err := exec.CheckKSteps(cfg, prog, domain); err != nil {
-				t.Errorf("p=%d domain=%v %s: CheckKSteps: %v", p, domain, c.Label, err)
-			}
 			if c.Knobs.BlockI <= 0 && c.Knobs.Strategy != exec.Original {
 				t.Errorf("p=%d domain=%v %s: non-canonical BlockI %d", p, domain, c.Label, c.Knobs.BlockI)
 			}
-		}
-	}
-}
-
-// TestDecideNeverInfeasibleForSteps checks the served-steps feasibility
-// filter: a decision for an n-step job never picks a k that does not divide
-// n, across random step counts.
-func TestDecideNeverInfeasibleForSteps(t *testing.T) {
-	seeder, _ := fixedSeeder(t)
-	tn, err := New(Options{Seed: 1, Seeder: seeder, Epsilon: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	class := testClass()
-	req := Knobs{Strategy: exec.IslandsOfCores, BlockI: 16, KSteps: 1, Placement: grid.FirstTouchParallel}
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 500; i++ {
-		steps := 1 + rng.Intn(12)
-		d := tn.Decide(class, req, steps)
-		if d.Knobs.KSteps > 1 && steps%d.Knobs.KSteps != 0 {
-			t.Fatalf("decision k=%d for %d-step job", d.Knobs.KSteps, steps)
 		}
 	}
 }
@@ -126,7 +101,7 @@ func TestDeterminism(t *testing.T) {
 				Knobs: d.Knobs, StepSeconds: cost[d.Knobs], ImbalancePct: 1, Steps: 4, Explored: d.Explore,
 			})
 		}
-		final := tn.Best(class, req, 4)
+		final := tn.Best(class, req)
 		return ds, final
 	}
 	ds1, f1 := run()
@@ -203,7 +178,7 @@ func TestNeverWorseThanRequested(t *testing.T) {
 	// A request outside the enumeration passes through only until a
 	// measured candidate beats... it has no score, so the best-known
 	// candidate is substituted (reason "model" or "measured").
-	exotic := Knobs{Strategy: exec.IslandsOfCores, BlockI: 7, KSteps: 1, Placement: grid.FirstTouchParallel}
+	exotic := Knobs{Strategy: exec.IslandsOfCores, BlockI: 7, Placement: grid.FirstTouchParallel}
 	d = tn.Decide(class, exotic, 4)
 	if d.Knobs == exotic {
 		t.Fatalf("exotic request should map to a known candidate, got %+v", d)
@@ -223,7 +198,7 @@ func TestSeedErrorPassthrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	class := testClass()
-	req := Knobs{Strategy: exec.IslandsOfCores, BlockI: 16, KSteps: 2, Placement: grid.FirstTouchParallel}
+	req := Knobs{Strategy: exec.IslandsOfCores, BlockI: 24, Placement: grid.FirstTouchParallel}
 	for i := 0; i < 3; i++ {
 		d := tn.Decide(class, req, 4)
 		if d.Tuned || d.Knobs != req {
@@ -238,7 +213,7 @@ func TestSeedErrorPassthrough(t *testing.T) {
 	}
 }
 
-// TestCalibrate measures every eligible candidate once and returns the
+// TestCalibrate measures every TopM candidate once and returns the
 // measured winner.
 func TestCalibrate(t *testing.T) {
 	seeder, knobs := fixedSeeder(t)
@@ -251,7 +226,7 @@ func TestCalibrate(t *testing.T) {
 		knobs[0]: 0.012, knobs[1]: 0.007, knobs[2]: 0.009, knobs[3]: 0.014,
 	}
 	measured := 0
-	d, err := tn.Calibrate(class, knobs[0], 4, func(k Knobs) (Observation, error) {
+	d, err := tn.Calibrate(class, knobs[0], func(k Knobs) (Observation, error) {
 		measured++
 		return Observation{StepSeconds: cost[k], ImbalancePct: 2, Steps: 4}, nil
 	})

@@ -104,14 +104,6 @@ type Config struct {
 	// core becomes a sub-island with private redundant trapezoids and no
 	// intra-block synchronization — the paper's §6 future work.
 	CoreIslands bool
-	// KSteps, when > 1, temporally blocks the island strategies: every
-	// island advances KSteps full time steps on its private buffers
-	// (redundant trapezoidal halo compute shrinking step by step) between
-	// global joins, so barriers and halo exchanges are paid once per block
-	// instead of once per step. 0 or 1 means no temporal blocking.
-	// Infeasible requests run at k=1 and record the reason in the compiled
-	// schedule (exec.ScheduleStats.KStepFallbackReason).
-	KSteps int
 	// IORD selects the MPDATA order (number of passes); 0 means the
 	// paper's default of 2. Higher orders append corrective stage groups.
 	IORD int
@@ -129,7 +121,7 @@ func (c Config) engine(domain Size) (exec.Config, *stencil.KernelProgram, error)
 	key := serve.CacheKey{
 		Domain: domain, Solver: "mpdata", Strategy: c.Strategy, Processors: c.Processors,
 		Placement: c.Placement, Variant: c.Variant, Boundary: c.Boundary,
-		CoreIslands: c.CoreIslands, KSteps: c.KSteps, IORD: c.IORD, Unlimited: c.Unlimited,
+		CoreIslands: c.CoreIslands, IORD: c.IORD, Unlimited: c.Unlimited,
 		BlockI: c.BlockI,
 	}
 	ec, err := key.ExecConfig()
@@ -151,9 +143,7 @@ type Simulation struct {
 	// OnStep, when set, is invoked after every completed time step with
 	// the zero-based step index; the state is fully published at that
 	// point. Use it to update time-dependent velocities (via the State
-	// setters) or to record diagnostics. Under temporal blocking
-	// (Config.KSteps > 1) it fires once per k-step block, with the index
-	// of the block's last completed step.
+	// setters) or to record diagnostics.
 	OnStep func(step int)
 
 	cfg Config
