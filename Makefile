@@ -44,7 +44,7 @@ cross-check:
 # internal/serve, field files and plane-file headers in internal/grid,
 # damaged checkpoints of a resumable store in internal/stream, and fuzzed
 # server replies through the client's decoding in internal/serve/client. go
-# test fuzzes one target per call. About DURATION s; CI runs it, `make all`
+# test fuzzes one target per call. About 85 s; CI runs it, `make all`
 # does not.
 fuzz-smoke:
 	for p in ./internal/mpdata ./internal/serve ./internal/grid ./internal/stream ./internal/serve/client; do \

@@ -37,7 +37,7 @@ type Runner struct {
 	// schedule is the compiled one-step program; stepFns are the per-team
 	// worker closures dispatched every step (built once, so the dispatch
 	// allocates nothing). With temporal blocking one dispatch advances
-	// schedule.KSteps() steps: the whole Run.
+	// schedule.ksteps steps: the whole Run.
 	schedule *Schedule
 	stepFns  []func(worker int)
 	// OnStepEnd, when set, is invoked after every completed time step

@@ -157,16 +157,6 @@ func (s *Schedule) SwapFeedback() bool { return s.mode == FeedbackSwap }
 // why the halo-strip exchange was not compiled ("" otherwise).
 func (s *Schedule) FallbackReason() string { return s.fallbackReason }
 
-// KSteps returns the temporal-blocking factor the schedule executes: the
-// number of full time steps one walk of the compiled k-block advances
-// between global joins (1 = no temporal blocking).
-func (s *Schedule) KSteps() int { return s.ksteps }
-
-// KStepFallbackReason returns why a requested Config.KSteps > 1 fell back to
-// step-at-a-time execution ("" when temporal blocking was not requested or
-// compiled as requested).
-func (s *Schedule) KStepFallbackReason() string { return s.kstepReason }
-
 // fail records the first worker failure and poisons every barrier so the
 // remaining workers unwind instead of deadlocking at the next phase.
 func (s *Schedule) fail(p any) {

@@ -130,8 +130,8 @@ func scheduleDigest(t *testing.T, cfg Config, domain grid.Size) (string, int) {
 	render("main", r.schedule.items)
 	st := r.schedule.Stats()
 	fmt.Fprintf(&buf, "phases %s\n", strings.Join(r.schedule.PhaseLabels(), " | "))
-	// "rem=0" is what the rendering printed when a schedule could carry a
-	// remainder program; it stays so unchanged schedules keep their digests.
+	// The literal "rem=0" keeps the digests of schedules recorded before the
+	// remainder field went.
 	fmt.Fprintf(&buf, "stats %s | swaps=%d barriers=%d ksteps=%d rem=0\n",
 		st, st.SwapItems, st.Barriers, st.KSteps)
 	return fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())), items

@@ -21,12 +21,11 @@ import (
 // same executor configuration the streamed run uses per tile: sweeps of
 // cfg.KSteps steps (the last one shorter when k does not divide Steps), each
 // one Run of a whole-domain runner, temporally blocked where the strategy
-// supports it. Every
-// strategy/boundary combination is solver-exact on the resident path —
-// including IslandsOfCores under a Periodic boundary, which the executor's
-// wrap bands (internal/exec/wrap.go) made exact — so the baseline runs the
-// requested configuration verbatim; TestStreamIslandsPeriodicSolverExact
-// pins the periodic case.
+// supports it. Every strategy/boundary combination is solver-exact on the
+// resident path — including IslandsOfCores under a Periodic boundary, which
+// the executor's wrap bands (internal/exec/wrap.go) made exact — so the
+// baseline runs the requested configuration verbatim;
+// TestStreamIslandsPeriodicSolverExact pins the periodic case.
 func residentRun(t *testing.T, cfg exec.Config, domain grid.Size, iord int, unlimited bool) (*grid.Field, float64) {
 	t.Helper()
 	if iord <= 0 {
