@@ -18,7 +18,7 @@ import (
 	"islands/internal/topology"
 )
 
-var updateDigests = flag.Bool("update", false, "rewrite testdata/schedule_digests.txt from the schedules this tree compiles")
+var updateDigests = flag.Bool("update", false, "rewrite the testdata digest files (schedule_digests.txt, model_digests.txt) from what this tree computes")
 
 // recordingProgram returns MPDATA's stage graph with every kernel path
 // replaced by a stub that, instead of computing, appends which path of which
