@@ -38,14 +38,11 @@ func DescribePlan(cfg Config, prog *stencil.Program, domain grid.Size) (string, 
 				cfg.KSteps, p.kstepReason)
 		}
 		totalExtra := 0.0
+		cells := p.islandCells()
 		for i, part := range p.parts {
 			var extra float64
 			for s := range prog.Stages {
-				cells := p.islandCellsAvg(i, s)
-				if cfg.CoreIslands {
-					cells = p.coreIslandCellsAvg(i, s, cfg.Machine.Nodes[i].Cores)
-				}
-				extra += cells - float64(part.Cells())
+				extra += float64(cells[i][s])/float64(p.ksteps) - float64(part.Cells())
 			}
 			totalExtra += extra
 			fmt.Fprintf(&b, "  island %2d on node %2d: part %v, %d blocks, %.0f redundant cells/step\n",

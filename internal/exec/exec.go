@@ -195,6 +195,20 @@ const (
 	joinNone
 )
 
+// residency names where a sweeper's stage arrays live between phases — the
+// level the model prices their traffic at.
+type residency uint8
+
+const (
+	// inCache keeps them in the last-level cache: the sweeper walks (3+1)D
+	// blocks sized to it, and only the step inputs and output stream from
+	// main memory.
+	inCache residency = iota
+	// inMemory spills them to main memory: the sweeper runs every stage over
+	// its whole region as one block (the original version).
+	inMemory
+)
+
 // workerID addresses one worker of the scheduler: its team and its index
 // within the team.
 type workerID struct{ team, worker int }
@@ -219,6 +233,8 @@ type sweeper struct {
 	// dim is the dimension phase units are cut along.
 	dim  int
 	join joinKind
+	// level is where the sweeper's stage arrays live between phases.
+	level residency
 }
 
 // plan captures the geometry shared by both backends: the island partition,
@@ -364,7 +380,7 @@ func (p *plan) partition(keep grid.Region) error {
 	case Original:
 		p.parts = []grid.Region{keep}
 		p.blocks = [][]grid.Region{{keep}}
-		p.sweepers = []sweeper{{owned: keep, workers: cores, dim: 0, join: joinGlobal}}
+		p.sweepers = []sweeper{{owned: keep, workers: cores, dim: 0, join: joinGlobal, level: inMemory}}
 	case Plus31D:
 		p.parts = []grid.Region{keep}
 		p.blocks = [][]grid.Region{decomp.BlocksAlongI(keep, blockI)}
@@ -417,7 +433,7 @@ func (p *plan) partition(keep grid.Region) error {
 		p.spans[i] = make([][]grid.Region, len(prog.Stages))
 		for s := range prog.Stages {
 			stageRegion := p.analysis.StageRegion(s, part, domain)
-			if cfg.Strategy == Original {
+			if p.sweepers[0].level == inMemory {
 				// No blocking: the stage covers the whole domain.
 				p.spans[i][s] = []grid.Region{stageRegion}
 				continue
@@ -530,34 +546,34 @@ func (p *plan) span(sw *sweeper, d, s, b int) grid.Region {
 	return p.workerRegionAt(d, sw.island, s, b, sw.owned)
 }
 
-// stageChunks returns the per-worker chunks of stage s's span in block b of
-// island i, split along dim across n workers — what the model backend prices
-// for the original strategy (the same decomp.SplitDim cut the compiled
-// schedule makes of each phase unit).
-func (p *plan) stageChunks(island, s, b, dim, n int) []grid.Region {
-	return decomp.SplitDim(p.spans[island][s][b], dim, n)
-}
-
-// islandCellsAt returns the total cells island i computes for stage s
-// (including redundant trapezoids) in the inner step at distance d from a
-// k-block's final step (d = 0 is the plain one-step geometry).
-func (p *plan) islandCellsAt(d, i, s int) int64 {
+// sweepCells returns the cells sweeper sw computes for stage s over one
+// k-block: its span in every block of its island at every inner step,
+// redundant trapezoids included.
+func (p *plan) sweepCells(sw *sweeper, s int) int64 {
 	var c int64
-	for _, r := range p.spansK[d][i][s] {
-		c += int64(r.Cells())
+	for d := 0; d < p.ksteps; d++ {
+		for b := range p.spansK[d][sw.island][s] {
+			c += int64(p.span(sw, d, s, b).Cells())
+		}
 	}
 	return c
 }
 
-// islandCellsAvg returns island i's per-step cell count for stage s averaged
-// over the inner steps of a temporal block (islandCellsAt(0, ...) at k=1) —
-// the per-step redundancy the model prices under temporal blocking.
-func (p *plan) islandCellsAvg(i, s int) float64 {
-	var c int64
-	for d := 0; d < p.ksteps; d++ {
-		c += p.islandCellsAt(d, i, s)
+// islandCells returns, per island and stage, the cells the island's sweepers
+// compute over one k-block (sweepCells summed over them). Divided by ksteps
+// it is the per-step count the model prices and measures redundancy by.
+func (p *plan) islandCells() [][]int64 {
+	out := make([][]int64, len(p.parts))
+	for i := range out {
+		out[i] = make([]int64, len(p.prog.Stages))
 	}
-	return float64(c) / float64(p.ksteps)
+	for e := range p.sweepers {
+		sw := &p.sweepers[e]
+		for s := range p.prog.Stages {
+			out[sw.island][s] += p.sweepCells(sw, s)
+		}
+	}
+	return out
 }
 
 // runCells returns the stage cells one Run computes — every stage over every
@@ -567,17 +583,12 @@ func (p *plan) islandCellsAvg(i, s int) float64 {
 // is how the stream cost model prices a tile.
 func (p *plan) runCells() (stages, output int64) {
 	walks := int64(p.cfg.Steps / p.ksteps) // Steps blocks of one step, or one of Steps
-	for d := 0; d < p.ksteps; d++ {
-		for i := range p.parts {
-			for s := range p.prog.Stages {
-				cells := p.islandCellsAt(d, i, s)
-				if p.cfg.CoreIslands {
-					cells = p.coreIslandCellsAt(d, i, s, p.cfg.Machine.Nodes[i].Cores)
-				}
-				stages += walks * cells
-				if p.prog.Stages[s].Name == p.prog.Output {
-					output += walks * cells
-				}
+	out := p.prog.StageIndex(p.prog.Output)
+	for _, cells := range p.islandCells() {
+		for s, c := range cells {
+			stages += walks * c
+			if s == out {
+				output += walks * c
 			}
 		}
 	}
@@ -605,30 +616,6 @@ func (p *plan) workerRegionAt(d, i, s, b int, sub grid.Region) grid.Region {
 		return grid.Region{}
 	}
 	return out
-}
-
-// coreIslandCellsAt returns the total cells island i computes for stage s in
-// the inner step at distance d when its part is further split into n
-// core-level sub-islands along j.
-func (p *plan) coreIslandCellsAt(d, i, s, n int) int64 {
-	subs := decomp.SplitDim(p.parts[i], 1, n)
-	var c int64
-	for b := range p.spansK[d][i][s] {
-		for _, sub := range subs {
-			c += int64(p.workerRegionAt(d, i, s, b, sub).Cells())
-		}
-	}
-	return c
-}
-
-// coreIslandCellsAvg averages coreIslandCellsAt over a temporal block's
-// inner steps.
-func (p *plan) coreIslandCellsAvg(i, s, n int) float64 {
-	var c int64
-	for d := 0; d < p.ksteps; d++ {
-		c += p.coreIslandCellsAt(d, i, s, n)
-	}
-	return float64(c) / float64(p.ksteps)
 }
 
 // UsefulFlopsPerStep returns the baseline flop count of one step (each stage

@@ -100,39 +100,3 @@ func TestFusionScheduleStats(t *testing.T) {
 		t.Fatalf("barrier-wait ratio fused/unfused = %.2f, want < 0.5 (17 -> 7 phases)", ratio)
 	}
 }
-
-// TestFusionModelAblation checks the model-side knob: pricing with
-// Params.FuseStages must predict a faster step than the default per-stage
-// pricing (fewer barriers and merged halo pulls), while the default stays
-// the paper's per-stage execution.
-func TestFusionModelAblation(t *testing.T) {
-	m, err := topology.UV2000(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog := &mpdata.NewProgram().Program
-	domain := grid.Sz(256, 256, 64)
-	base := Config{
-		Machine: m, Strategy: IslandsOfCores, Placement: grid.FirstTouchParallel, Steps: 50,
-	}
-	def, err := Model(base, prog, domain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par := DefaultParams()
-	par.FuseStages = true
-	fusedCfg := base
-	fusedCfg.ModelParams = &par
-	fused, err := Model(fusedCfg, prog, domain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fused.StepTime >= def.StepTime {
-		t.Fatalf("fused model step %.4g >= per-stage %.4g — fusion pricing must be faster",
-			fused.StepTime, def.StepTime)
-	}
-	// Compute work is identical; only synchronization and halo pulls shrink.
-	if fused.UsefulFlops != def.UsefulFlops {
-		t.Fatalf("useful flops changed under fusion pricing: %g vs %g", fused.UsefulFlops, def.UsefulFlops)
-	}
-}

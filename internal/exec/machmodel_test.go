@@ -140,7 +140,7 @@ func TestStageHaloSums(t *testing.T) {
 	prog := mustMPDATA()
 	// psiStar reads f1 at i-1, f2 at j-1, f3 at k-1, psi and h pointwise.
 	idx := prog.StageIndex("psiStar")
-	h := stageHalo(&prog.Stages[idx])
+	h := groupHalo(stencil.SingletonFusion(prog), idx)
 	if h.iLo != 1 || h.iHi != 0 || h.jLo != 1 || h.jHi != 0 {
 		t.Fatalf("psiStar halo = %+v", h)
 	}

@@ -186,30 +186,14 @@ func allNodes(n int) []int {
 	return out
 }
 
-// stageInputHalo sums, over a stage's inputs, the per-side halo columns read
-// beyond the computed region, as byte multipliers per (column of the given
-// cross-section area).
+// sideHalo sums per-side halo columns over a sweep's input arrays.
 type sideHalo struct {
 	iLo, iHi, jLo, jHi float64 // summed over input arrays, in columns
-}
-
-func stageHalo(st *stencil.Stage) sideHalo {
-	var h sideHalo
-	for _, in := range st.Inputs {
-		e := stencil.OffsetsExtent(in.Offsets)
-		h.iLo += float64(e.ILo)
-		h.iHi += float64(e.IHi)
-		h.jLo += float64(e.JLo)
-		h.jHi += float64(e.JHi)
-	}
-	return h
 }
 
 // groupHalo sums the per-side halo columns of one fused group's sweep: the
 // group's distinct inputs, each counted once at its merged (maximum) extent
 // — a fused sweep pulls each shared input's halo once, not once per member.
-// For singleton groups over stages that read each producer once (every
-// MPDATA stage) it equals stageHalo.
 func groupHalo(fp *stencil.FusionPlan, gi int) sideHalo {
 	var h sideHalo
 	for _, e := range fp.GroupInputs(gi) {
@@ -219,17 +203,6 @@ func groupHalo(fp *stencil.FusionPlan, gi int) sideHalo {
 		h.jHi += float64(e.JHi)
 	}
 	return h
-}
-
-// modelFusion returns the phase grouping the model prices: per-stage
-// (singleton) groups by default — the paper's per-stage execution, keeping
-// Tables 1-4 reproducing — or the plan's fused groups when the
-// Params.FuseStages ablation knob is set.
-func (p *plan) modelFusion() *stencil.FusionPlan {
-	if p.params().FuseStages {
-		return p.fuse
-	}
-	return stencil.SingletonFusion(p.prog)
 }
 
 // Model prices one configuration and returns the timing and traffic
@@ -263,27 +236,23 @@ func model(cfg Config, prog *stencil.Program, domain grid.Size, trace bool) (*Mo
 // modelPlan prices an already built plan.
 func modelPlan(p *plan, trace bool) (*ModelResult, error) {
 	cfg, prog, domain := p.cfg, p.prog, p.domain
-	var err error
 	p.trace = trace
 	res := &ModelResult{
 		Config:      cfg,
 		Domain:      domain,
 		UsefulFlops: UsefulFlopsPerStep(prog, domain) * float64(cfg.Steps),
 	}
-	// Redundancy accounting (exact, from the halo analysis): the spans
-	// tile each island's stage regions, so cells beyond the island's own
-	// part are the trapezoid recomputation. With core-level sub-islands,
-	// the per-worker j-trapezoids add another exact layer; with temporal
+	// Redundancy accounting (exact, from the halo analysis): the sweepers'
+	// spans tile each island's stage regions, so cells beyond the island's
+	// own part are the trapezoid recomputation — with core-level
+	// sub-islands, the per-worker j-trapezoids as well. With temporal
 	// blocking the per-step count averages the widening trapezoids over a
 	// k-block's inner steps (equal to the plain count at k=1).
+	cells := p.islandCells()
 	var redundantFlops, redundantCells float64
-	for i := range p.parts {
+	for i, part := range p.parts {
 		for s := range prog.Stages {
-			cells := p.islandCellsAvg(i, s)
-			if cfg.CoreIslands {
-				cells = p.coreIslandCellsAvg(i, s, cfg.Machine.Nodes[i].Cores)
-			}
-			extra := cells - float64(p.parts[i].Cells())
+			extra := float64(cells[i][s])/float64(p.ksteps) - float64(part.Cells())
 			redundantCells += extra
 			redundantFlops += extra * float64(prog.Stages[s].Flops)
 		}
@@ -291,337 +260,103 @@ func modelPlan(p *plan, trace bool) (*ModelResult, error) {
 	res.RedundantFlops = redundantFlops * float64(cfg.Steps)
 	res.ExtraElementsPct = 100 * redundantCells / (float64(len(prog.Stages)) * float64(domain.Cells()))
 
-	switch cfg.Strategy {
-	case Original:
-		err = modelOriginal(p, res)
-	case Plus31D, IslandsOfCores:
-		err = modelBlocked(p, res)
-	}
-	if err != nil {
+	if err := p.walk(res, cells); err != nil {
 		return nil, err
 	}
 	res.TotalTime = res.StepTime * float64(cfg.Steps)
 	return res, nil
 }
 
-// modelOriginal simulates one full stage-by-stage step: every core sweeps
-// its chunk of every stage, streaming all stage inputs from and the output
-// to main memory at the pages' home nodes.
-func modelOriginal(p *plan, res *ModelResult) error {
-	cfg := p.cfg
-	m := cfg.Machine
-	mm := newMachModel(m, p.params())
-	if p.trace {
-		mm.sim.EnableTrace()
-	}
-	cores := m.TotalCores()
-	nodes := m.NumNodes()
-
-	// Parallel first-touch follows the compute loops: pages are homed on
-	// the node of the core whose chunk initializes (and later sweeps)
-	// them, so the owner map is derived from the same per-core split the
-	// stages use — not from a coarse per-node split.
-	coreChunks := decomp.SplitDim(grid.WholeRegion(p.domain), 0, cores)
-	iToNode := make([]int, p.domain.NI)
-	for c, chunk := range coreChunks {
-		for i := chunk.I0; i < chunk.I1; i++ {
-			iToNode[i] = m.CoreNode(c)
-		}
-	}
-	rowCells := p.domain.NJ * p.domain.NK
-	placement := grid.NewPlacement(p.domain, cfg.Placement, nodes, func(cell int) int {
-		return iToNode[cell/rowCells]
-	})
-
-	procs := make([]*simmach.Proc, cores)
-	for c := range procs {
-		procs[c] = mm.sim.AddProc(fmt.Sprintf("core%d", c))
-	}
-	rowBytes := float64(p.domain.NJ) * float64(p.domain.NK) * grid.CellBytes
-
-	// One simulated phase per fused group (per stage by default; merged
-	// with Params.FuseStages): members share their distinct input streams
-	// and halo pulls, and the whole group meets at one barrier.
-	fuse := p.modelFusion()
-	var remoteHalo float64
-	for gi := range fuse.Groups {
-		g := &fuse.Groups[gi]
-		// The same per-core chunks the compiled compute schedule executes.
-		chunks := make([][]grid.Region, len(g.Stages))
-		for mi, s := range g.Stages {
-			chunks[mi] = p.stageChunks(0, s, 0, 0, cores)
-		}
-		bar := mm.sim.NewBarrier(cores, mm.barrierCost(allNodes(nodes), cores))
-		halo := groupHalo(fuse, gi)
-		nInputs := float64(len(fuse.GroupInputs(gi)))
-		for c := 0; c < cores; c++ {
-			node := m.CoreNode(c)
-			for mi, s := range g.Stages {
-				st := &p.prog.Stages[s]
-				item := simmach.Item{Tag: fmt.Sprintf("stage%d", s)}
-				chunk := chunks[mi][c]
-				if !chunk.Empty() {
-					cells := float64(chunk.Cells())
-					item.Flows = append(item.Flows, simmach.Flow{
-						Demand:    cells * float64(st.Flops),
-						Resources: []int{mm.coreRes[c]},
-					})
-					// Reads and the output write, split by page home. The
-					// group's distinct inputs are streamed once per fused
-					// sweep, carried by the first member's item; every
-					// member writes its own output.
-					perNode := placement.RegionBytesPerNode(chunk)
-					for h, b := range perNode {
-						if b == 0 {
-							continue
-						}
-						if mi == 0 {
-							item.Flows = append(item.Flows,
-								mm.readFlow(node, h, float64(b)*nInputs))
-						}
-						item.Flows = append(item.Flows, mm.writeFlows(node, h, float64(b))...)
-					}
-					// Halo reads at chunk edges crossing node boundaries:
-					// in the original version the producer's output lives
-					// in main memory, so these are memory streams from
-					// wherever the placement homed the halo rows. The
-					// group's merged halo is pulled once, with the shared
-					// input streams.
-					if mi == 0 {
-						if chunk.I0 > 0 && c > 0 && m.CoreNode(c-1) != node {
-							home := placement.NodeOfCell((chunk.I0 - 1) * rowCells)
-							if home != node {
-								b := halo.iLo * rowBytes
-								item.Flows = append(item.Flows, mm.readFlow(node, home, b))
-								remoteHalo += b
-							}
-						}
-						if chunk.I1 < p.domain.NI && c+1 < cores && m.CoreNode(c+1) != node {
-							home := placement.NodeOfCell(chunk.I1 * rowCells)
-							if home != node {
-								b := halo.iHi * rowBytes
-								item.Flows = append(item.Flows, mm.readFlow(node, home, b))
-								remoteHalo += b
-							}
-						}
-					}
-				}
-				procs[c].Add(item)
-			}
-			procs[c].Add(simmach.Item{Tag: "barrier", Barrier: bar})
-		}
-	}
-
-	simRes, err := mm.sim.Run()
-	if err != nil {
-		return err
-	}
-	res.sim, res.simRes = mm.sim, simRes
-	res.StepTime = simRes.Makespan
-	res.MemTrafficBytes = float64(OriginalTraversals(p.prog)) * domainBytes(p.domain) * float64(cfg.Steps)
-	res.RemoteTrafficBytes = linkBytes(mm, simRes) * float64(cfg.Steps)
-	fillCounters(res, mm, simRes, float64(cfg.Steps))
-	return nil
+// sweepGroup is one island's sweepers as the model prices them: the
+// simulated cores their workers run on, the nodes those cores span, and the
+// island's block count. An island's sweepers share their join kind and
+// residency level.
+type sweepGroup struct {
+	island   int
+	sweepers []sweeper
+	cores    []int
+	nodes    []int
+	nblocks  int
 }
 
-// modelBlocked simulates one representative (3+1)D block per island and
-// scales by the island's block count; Plus31D is the degenerate case of a
-// single island spanning the machine.
-func modelBlocked(p *plan, res *ModelResult) error {
+// sweepGroups groups the plan's sweepers by island and maps worker w of team
+// t to simulated core w of the node Config.nodeOf(t) — the identity unless a
+// NodeOrder scatters the islands.
+func (p *plan) sweepGroups() []sweepGroup {
+	m := p.cfg.Machine
+	// coreStart[n] is the first global core id of node n.
+	coreStart := make([]int, m.NumNodes())
+	for n := 1; n < len(coreStart); n++ {
+		coreStart[n] = coreStart[n-1] + m.Nodes[n-1].Cores
+	}
+	var groups []sweepGroup
+	for lo := 0; lo < len(p.sweepers); {
+		island := p.sweepers[lo].island
+		hi := lo
+		for hi < len(p.sweepers) && p.sweepers[hi].island == island {
+			hi++
+		}
+		g := sweepGroup{island: island, sweepers: p.sweepers[lo:hi], nblocks: len(p.blocks[island])}
+		onNode := make([]bool, m.NumNodes())
+		for _, sw := range g.sweepers {
+			for _, w := range sw.workers {
+				c := coreStart[p.cfg.nodeOf(w.team)] + w.worker
+				g.cores = append(g.cores, c)
+				onNode[m.CoreNode(c)] = true
+			}
+		}
+		for n, on := range onNode {
+			if on {
+				g.nodes = append(g.nodes, n)
+			}
+		}
+		groups = append(groups, g)
+		lo = hi
+	}
+	return groups
+}
+
+// blockedSweeps is the main-memory traffic of one cache-level step in
+// whole-array sweeps: the step inputs read and the output written once,
+// inflated by the spill factor.
+func blockedSweeps(prog *stencil.Program, par Params) float64 {
+	return float64(len(prog.StepInputs)+1) * par.SpillFactor
+}
+
+// walk simulates one representative step of the plan's sweepers — one
+// representative block per island — and fills in res's step time, traffic
+// and counters. Steps are homogeneous, so the step is scaled to the run and
+// each island's block to its block count. Two properties of an island's
+// sweepers decide what is emitted:
+//
+//   - Residency level. A memory-level sweeper streams every stage's inputs
+//     and output at the pages' homes in exact per-worker chunks (emitMemory);
+//     a cache-level one pays a block's fill, its compute-overlapped stream and
+//     the neighbour islands' input halo (emitCache).
+//   - Join kind. joinGlobal and joinTeam workers meet at a barrier after every
+//     stage — at the cache level after pulling their j-neighbours' halo from
+//     cache to cache; joinNone workers run through unsynchronized.
+func (p *plan) walk(res *ModelResult, cells [][]int64) error {
 	cfg := p.cfg
 	m := cfg.Machine
 	mm := newMachModel(m, p.params())
 	if p.trace {
 		mm.sim.EnableTrace()
 	}
-	nodes := m.NumNodes()
-
-	// Per-island core sets.
-	type island struct {
-		id      int
-		cores   []int
-		nodeSet []int
-		nblocks int
-	}
-	var islands []island
-	switch cfg.Strategy {
-	case Plus31D:
-		all := make([]int, m.TotalCores())
-		for c := range all {
-			all[c] = c
-		}
-		islands = []island{{id: 0, cores: all, nodeSet: allNodes(nodes), nblocks: len(p.blocks[0])}}
-	case IslandsOfCores:
-		// coreStart[n] is the first global core id of node n.
-		coreStart := make([]int, nodes)
-		for n := 1; n < nodes; n++ {
-			coreStart[n] = coreStart[n-1] + m.Nodes[n-1].Cores
-		}
-		for i := range m.Nodes {
-			// Island i runs on the node the affinity order assigns —
-			// identity preserves neighbour adjacency (§4.2), a
-			// permutation models scattered thread placement.
-			node := cfg.nodeOf(i)
-			var cs []int
-			for w := 0; w < m.Nodes[node].Cores; w++ {
-				cs = append(cs, coreStart[node]+w)
-			}
-			islands = append(islands, island{id: i, cores: cs, nodeSet: []int{node}, nblocks: len(p.blocks[i])})
-		}
-	}
-
 	procs := make([]*simmach.Proc, m.TotalCores())
 	for c := range procs {
 		procs[c] = mm.sim.AddProc(fmt.Sprintf("core%d", c))
 	}
-
-	blockedSweeps := float64(len(p.prog.StepInputs)+1) * mm.par.SpillFactor
-	totalFlopsPerCell := float64(p.prog.TotalFlopsPerCellStep())
-	for _, isl := range islands {
-		part := p.parts[isl.id]
-		bmid := isl.nblocks / 2
-		blk := p.blocks[isl.id][bmid]
-
-		// Pages of this block, as homed by parallel first-touch under
-		// the strategy's own loop structure: the islands strategy
-		// touches its part with its own team (all local); the pure
-		// (3+1)D strategy touches every block with all cores chunked
-		// along j, whose fine interleaving stripes the pages across
-		// every node near-uniformly.
-		type homeShare struct {
-			node  int
-			share float64
-		}
-		var homes []homeShare
-		switch {
-		case nodes == 1:
-			homes = []homeShare{{0, 1}}
-		case cfg.Strategy == IslandsOfCores:
-			switch cfg.Placement {
-			case grid.FirstTouchSerial:
-				// Pathological: every island's data on node 0.
-				homes = []homeShare{{0, 1}}
-			case grid.Interleaved:
-				for n := 0; n < nodes; n++ {
-					homes = append(homes, homeShare{n, 1 / float64(nodes)})
-				}
-			default:
-				// Parallel first-touch: each island initializes and
-				// owns its part, whatever the partition dimension.
-				homes = []homeShare{{cfg.nodeOf(isl.id), 1}}
-			}
-		default:
-			// Pure (3+1)D touches every block with all cores chunked
-			// along j; the fine interleave stripes pages everywhere.
-			for n := 0; n < nodes; n++ {
-				homes = append(homes, homeShare{n, 1 / float64(nodes)})
-			}
-		}
-
-		// Memory traffic of one block: the compulsory sweeps plus
-		// spills, split into a serial fill and an overlapped stream.
-		partBytes := float64(part.Cells()) * grid.CellBytes
-		blockBytes := blockedSweeps * partBytes / float64(isl.nblocks)
-		serial := mm.par.MemSerialFraction * blockBytes
-		overlapped := blockBytes - serial
-
-		// Remote halo of the step inputs at island boundaries (cells of
-		// neighbouring islands' first-touch pages each input must be
-		// read on, exact from the halo analysis), amortized per block.
-		var inputHalo float64
-		if cfg.Strategy == IslandsOfCores && nodes > 1 {
-			for name := range p.analysis.InputExtents {
-				r := p.analysis.InputRegion(name, part, p.domain)
-				inputHalo += float64(r.Cells()-part.Cells()) * grid.CellBytes
-			}
-			inputHalo /= float64(isl.nblocks)
-		}
-
-		ncores := len(isl.cores)
-		// Serial fill item: the start-of-block reads the prefetchers
-		// cannot hide, shared across the island's cores.
-		for _, c := range isl.cores {
-			fill := simmach.Item{Tag: "fill"}
-			for _, h := range homes {
-				fill.Flows = append(fill.Flows,
-					mm.readFlow(m.CoreNode(c), h.node, serial*h.share/float64(ncores)))
-			}
-			if inputHalo > 0 {
-				// The halo lives on the neighbouring island's node:
-				// under adjacency-preserving affinity that node is one
-				// hop away; under scattered affinity it can be across
-				// the machine (or the cluster).
-				neighbor := cfg.nodeOf((isl.id + 1) % nodes)
-				fill.Flows = append(fill.Flows, mm.readFlow(m.CoreNode(c), neighbor, inputHalo/float64(ncores)))
-			}
-			procs[c].Add(fill)
-		}
-
-		// One phase per fused group (per stage by default; merged with
-		// Params.FuseStages): the group's halo pulls are merged over its
-		// distinct inputs and paid once, and one per-group barrier joins
-		// the team instead of one per stage.
-		fuse := p.modelFusion()
-		// Chunk geometry for halo sizing: the block's i-width times NK
-		// columns.
-		iWidth := float64(blk.I1 - blk.I0)
-		colBytes := iWidth * float64(p.domain.NK) * grid.CellBytes
-		for gi := range fuse.Groups {
-			g := &fuse.Groups[gi]
-			halo := groupHalo(fuse, gi)
-			var bar *simmach.Barrier
-			if !cfg.CoreIslands {
-				bar = mm.sim.NewBarrier(ncores, mm.barrierCost(isl.nodeSet, ncores))
-			}
-			for ci, c := range isl.cores {
-				node := m.CoreNode(c)
-				if !cfg.CoreIslands {
-					// Halo pulls from the j-neighbours' caches stall the
-					// consumer before it can compute: demand misses on
-					// another cache's fresh output are not prefetchable.
-					// One merged pull per group sweep.
-					haloItem := simmach.Item{Tag: fmt.Sprintf("isl%d.halo.g%d", isl.id, gi)}
-					if ci > 0 {
-						from := m.CoreNode(isl.cores[ci-1])
-						haloItem.Flows = append(haloItem.Flows, mm.c2cFlow(from, node, halo.jLo*colBytes))
-					}
-					if ci+1 < ncores {
-						from := m.CoreNode(isl.cores[ci+1])
-						haloItem.Flows = append(haloItem.Flows, mm.c2cFlow(from, node, halo.jHi*colBytes))
-					}
-					procs[c].Add(haloItem)
-				}
-				for _, s := range g.Stages {
-					st := &p.prog.Stages[s]
-					// Average stage cells per block for this island
-					// (includes the trapezoid redundancy spread over
-					// blocks; with core-level sub-islands, also the
-					// per-worker j-trapezoids; with temporal blocking,
-					// averaged over a k-block's inner steps so the
-					// representative block prices the mean inner step).
-					islCells := p.islandCellsAvg(isl.id, s)
-					if cfg.CoreIslands {
-						islCells = p.coreIslandCellsAvg(isl.id, s, ncores)
-					}
-					chunkCells := islCells / float64(isl.nblocks) / float64(ncores)
-					item := simmach.Item{Tag: fmt.Sprintf("isl%d.stage%d", isl.id, s)}
-					item.Flows = append(item.Flows, simmach.Flow{
-						Demand:    chunkCells * float64(st.Flops),
-						Resources: []int{mm.coreRes[c]},
-					})
-					// Overlapped memory, apportioned to stages by their
-					// share of the block's compute so streaming hides
-					// evenly under arithmetic.
-					memShare := overlapped * float64(st.Flops) / totalFlopsPerCell / float64(ncores)
-					for _, h := range homes {
-						item.Flows = append(item.Flows, mm.readFlow(node, h.node, memShare*h.share))
-					}
-					procs[c].Add(item)
-				}
-				if !cfg.CoreIslands {
-					procs[c].Add(simmach.Item{Tag: "stagebar", Barrier: bar})
-				}
-			}
+	// The model prices the paper's per-stage execution: one phase, and one
+	// set of halo pulls, per stage.
+	fuse := stencil.SingletonFusion(p.prog)
+	groups := p.sweepGroups()
+	for gi := range groups {
+		g := &groups[gi]
+		if g.sweepers[0].level == inMemory {
+			p.emitMemory(mm, procs, fuse, g)
+		} else {
+			p.emitCache(mm, procs, fuse, g, cells[g.island])
 		}
 	}
 
@@ -629,60 +364,246 @@ func modelBlocked(p *plan, res *ModelResult) error {
 	if err != nil {
 		return err
 	}
-
 	res.sim, res.simRes = mm.sim, simRes
-	// Step time: each island repeats its representative block nblocks
-	// times; the step ends at the slowest island plus one global barrier.
+	// Each island repeats its representative block nblocks times; the step
+	// ends at the slowest island.
 	var stepTime float64
-	for _, isl := range islands {
+	maxBlocks := 0
+	for _, g := range groups {
 		var blockTime float64
-		for _, c := range isl.cores {
+		for _, c := range g.cores {
 			if t := simRes.ProcEnd[c]; t > blockTime {
 				blockTime = t
 			}
 		}
-		t := blockTime * float64(isl.nblocks)
-		if t > stepTime {
+		if t := blockTime * float64(g.nblocks); t > stepTime {
 			stepTime = t
 		}
+		maxBlocks = max(maxBlocks, g.nblocks)
 	}
-	if p.ksteps > 1 {
-		// Temporal blocking: the machine-wide join is paid once per
-		// k-block, and each of the k-1 inner-step transitions costs one
-		// island-local barrier crossing — the private feedback swap rides
-		// the release of the end-of-step team barrier (Barrier.WaitDo), so
-		// there is no second crossing (and none at all for core-level
-		// sub-islands, which swap unsynchronized). The per-step
+	sweeps := float64(OriginalTraversals(p.prog))
+	if p.sweepers[0].level == inCache {
+		sweeps = blockedSweeps(p.prog, mm.par)
+		// A memory-level step ends at its last stage's machine-wide barrier;
+		// blocked islands add one global join. Under temporal blocking that
+		// join is paid once per k-block, and each of the k-1 inner-step
+		// transitions costs one island-local barrier crossing — the private
+		// feedback swap rides the release of the end-of-step team barrier
+		// (Barrier.WaitDo), so there is no second crossing (and none at all
+		// for joinNone sub-islands, which swap unsynchronized). The per-step
 		// synchronization cost is the per-block cost over k — the barrier
 		// saving the advisor trades against the widened trapezoids'
 		// redundant compute priced above.
-		var swapBar float64
-		if !cfg.CoreIslands {
-			for _, isl := range islands {
-				if b := mm.barrierCost(isl.nodeSet, len(isl.cores)); b > swapBar {
+		global := mm.barrierCost(allNodes(m.NumNodes()), m.TotalCores())
+		if p.ksteps > 1 {
+			var swapBar float64
+			for _, g := range groups {
+				if g.sweepers[0].join == joinNone {
+					continue
+				}
+				if b := mm.barrierCost(g.nodes, len(g.cores)); b > swapBar {
 					swapBar = b
 				}
 			}
+			k := float64(p.ksteps)
+			stepTime += (global + (k-1)*swapBar) / k
+		} else {
+			stepTime += global
 		}
-		k := float64(p.ksteps)
-		stepTime += (mm.barrierCost(allNodes(nodes), m.TotalCores()) + (k-1)*swapBar) / k
-	} else {
-		stepTime += mm.barrierCost(allNodes(nodes), m.TotalCores())
 	}
 	res.StepTime = stepTime
-
-	res.MemTrafficBytes = blockedSweeps * domainBytes(p.domain) * float64(cfg.Steps)
+	res.MemTrafficBytes = sweeps * domainBytes(p.domain) * float64(cfg.Steps)
 	// Remote traffic scales with each island's block count; approximate
 	// with the max block count (they differ by at most one).
-	maxBlocks := 0
-	for _, isl := range islands {
-		if isl.nblocks > maxBlocks {
-			maxBlocks = isl.nblocks
-		}
-	}
 	res.RemoteTrafficBytes = linkBytes(mm, simRes) * float64(maxBlocks) * float64(cfg.Steps)
 	fillCounters(res, mm, simRes, float64(maxBlocks)*float64(cfg.Steps))
 	return nil
+}
+
+// emitMemory prices a memory-level group's step: every worker sweeps its
+// chunk of every stage — the decomp.SplitDim cut the compiled schedule makes
+// of the sweeper's span — streaming the stage's inputs from and its output to
+// main memory at the pages' home nodes.
+func (p *plan) emitMemory(mm *machModel, procs []*simmach.Proc, fuse *stencil.FusionPlan, g *sweepGroup) {
+	m := p.cfg.Machine
+	ncores := len(g.cores)
+	join := g.sweepers[0].join
+	// Parallel first-touch follows the compute loops: pages are homed on the
+	// node of the core whose i-chunk initializes (and later sweeps) them,
+	// not on a coarse per-node split.
+	iToNode := make([]int, p.domain.NI)
+	for ci, chunk := range decomp.SplitDim(grid.WholeRegion(p.domain), 0, ncores) {
+		for i := chunk.I0; i < chunk.I1; i++ {
+			iToNode[i] = m.CoreNode(g.cores[ci])
+		}
+	}
+	rowCells := p.domain.NJ * p.domain.NK
+	placement := grid.NewPlacement(p.domain, p.cfg.Placement, m.NumNodes(), func(cell int) int {
+		return iToNode[cell/rowCells]
+	})
+	rowBytes := float64(p.domain.NJ) * float64(p.domain.NK) * grid.CellBytes
+
+	for s := range p.prog.Stages {
+		st := &p.prog.Stages[s]
+		var chunks []grid.Region
+		for e := range g.sweepers {
+			sw := &g.sweepers[e]
+			chunks = append(chunks, decomp.SplitDim(p.span(sw, 0, s, 0), sw.dim, len(sw.workers))...)
+		}
+		var bar *simmach.Barrier
+		if join != joinNone {
+			bar = mm.sim.NewBarrier(ncores, mm.barrierCost(g.nodes, ncores))
+		}
+		halo := groupHalo(fuse, s)
+		nInputs := float64(len(fuse.GroupInputs(s)))
+		for ci, c := range g.cores {
+			node := m.CoreNode(c)
+			item := simmach.Item{Tag: fmt.Sprintf("stage%d", s)}
+			if chunk := chunks[ci]; !chunk.Empty() {
+				item.Flows = append(item.Flows, simmach.Flow{
+					Demand:    float64(chunk.Cells()) * float64(st.Flops),
+					Resources: []int{mm.coreRes[c]},
+				})
+				// Reads and the output write, split by page home.
+				for h, b := range placement.RegionBytesPerNode(chunk) {
+					if b == 0 {
+						continue
+					}
+					item.Flows = append(item.Flows, mm.readFlow(node, h, float64(b)*nInputs))
+					item.Flows = append(item.Flows, mm.writeFlows(node, h, float64(b))...)
+				}
+				// Halo reads at chunk edges crossing node boundaries: the
+				// producer's output lives in main memory, so these are
+				// memory streams from wherever the placement homed the halo
+				// rows.
+				if chunk.I0 > 0 && ci > 0 && m.CoreNode(g.cores[ci-1]) != node {
+					if home := placement.NodeOfCell((chunk.I0 - 1) * rowCells); home != node {
+						item.Flows = append(item.Flows, mm.readFlow(node, home, halo.iLo*rowBytes))
+					}
+				}
+				if chunk.I1 < p.domain.NI && ci+1 < ncores && m.CoreNode(g.cores[ci+1]) != node {
+					if home := placement.NodeOfCell(chunk.I1 * rowCells); home != node {
+						item.Flows = append(item.Flows, mm.readFlow(node, home, halo.iHi*rowBytes))
+					}
+				}
+			}
+			procs[c].Add(item)
+			if bar != nil {
+				procs[c].Add(simmach.Item{Tag: "barrier", Barrier: bar})
+			}
+		}
+	}
+}
+
+// emitCache prices a cache-level group's representative (middle) block:
+// a serial fill, then every stage's average chunk per worker — cells from
+// cells (the island's per-stage count over one k-block) spread over its
+// inner steps, blocks and cores — with the block's overlapped memory stream
+// apportioned to stages by their share of the compute.
+func (p *plan) emitCache(mm *machModel, procs []*simmach.Proc, fuse *stencil.FusionPlan, g *sweepGroup, cells []int64) {
+	cfg := p.cfg
+	m := cfg.Machine
+	nodes := m.NumNodes()
+	ncores := len(g.cores)
+	join := g.sweepers[0].join
+	part := p.parts[g.island]
+	blk := p.blocks[g.island][g.nblocks/2]
+
+	// Pages of the block, as homed by parallel first-touch under the group's
+	// own loops: an island touches its part with its own team, all on its
+	// node; the machine-wide sweeper touches every block with all cores
+	// chunked along j, whose fine interleave stripes the pages across every
+	// node near-uniformly — whatever the placement. Otherwise serial first
+	// touch homes an island's data on node 0, and interleaving everywhere.
+	homes := g.nodes
+	switch {
+	case cfg.Placement == grid.Interleaved:
+		homes = allNodes(nodes)
+	case cfg.Placement == grid.FirstTouchSerial && join != joinGlobal:
+		homes = []int{0}
+	}
+	share := 1 / float64(len(homes))
+
+	// Memory traffic of one block: the compulsory sweeps plus spills, split
+	// into a serial fill and an overlapped stream.
+	partBytes := float64(part.Cells()) * grid.CellBytes
+	blockBytes := blockedSweeps(p.prog, mm.par) * partBytes / float64(g.nblocks)
+	serial := mm.par.MemSerialFraction * blockBytes
+	overlapped := blockBytes - serial
+
+	// Remote halo of the step inputs at island boundaries (cells of
+	// neighbouring islands' first-touch pages each input must be read on,
+	// exact from the halo analysis), amortized per block.
+	var inputHalo float64
+	if join != joinGlobal && nodes > 1 {
+		for name := range p.analysis.InputExtents {
+			r := p.analysis.InputRegion(name, part, p.domain)
+			inputHalo += float64(r.Cells()-part.Cells()) * grid.CellBytes
+		}
+		inputHalo /= float64(g.nblocks)
+	}
+
+	// Serial fill item: the start-of-block reads the prefetchers cannot
+	// hide, shared across the island's cores.
+	for _, c := range g.cores {
+		fill := simmach.Item{Tag: "fill"}
+		for _, h := range homes {
+			fill.Flows = append(fill.Flows, mm.readFlow(m.CoreNode(c), h, serial*share/float64(ncores)))
+		}
+		if inputHalo > 0 {
+			// The halo lives on the neighbouring island's node: under
+			// adjacency-preserving affinity that node is one hop away;
+			// under scattered affinity it can be across the machine (or
+			// the cluster).
+			neighbor := cfg.nodeOf((g.island + 1) % nodes)
+			fill.Flows = append(fill.Flows, mm.readFlow(m.CoreNode(c), neighbor, inputHalo/float64(ncores)))
+		}
+		procs[c].Add(fill)
+	}
+
+	totalFlopsPerCell := float64(p.prog.TotalFlopsPerCellStep())
+	// Chunk geometry for halo sizing: the block's i-width times NK columns.
+	colBytes := float64(blk.I1-blk.I0) * float64(p.domain.NK) * grid.CellBytes
+	for s := range p.prog.Stages {
+		st := &p.prog.Stages[s]
+		halo := groupHalo(fuse, s)
+		var bar *simmach.Barrier
+		if join != joinNone {
+			bar = mm.sim.NewBarrier(ncores, mm.barrierCost(g.nodes, ncores))
+		}
+		chunkCells := float64(cells[s]) / float64(p.ksteps) / float64(g.nblocks) / float64(ncores)
+		memShare := overlapped * float64(st.Flops) / totalFlopsPerCell / float64(ncores)
+		for ci, c := range g.cores {
+			node := m.CoreNode(c)
+			if bar != nil {
+				// Halo pulls from the j-neighbours' caches stall the
+				// consumer before it can compute: demand misses on another
+				// cache's fresh output are not prefetchable.
+				haloItem := simmach.Item{Tag: fmt.Sprintf("isl%d.halo.g%d", g.island, s)}
+				if ci > 0 {
+					from := m.CoreNode(g.cores[ci-1])
+					haloItem.Flows = append(haloItem.Flows, mm.c2cFlow(from, node, halo.jLo*colBytes))
+				}
+				if ci+1 < ncores {
+					from := m.CoreNode(g.cores[ci+1])
+					haloItem.Flows = append(haloItem.Flows, mm.c2cFlow(from, node, halo.jHi*colBytes))
+				}
+				procs[c].Add(haloItem)
+			}
+			item := simmach.Item{Tag: fmt.Sprintf("isl%d.stage%d", g.island, s)}
+			item.Flows = append(item.Flows, simmach.Flow{
+				Demand:    chunkCells * float64(st.Flops),
+				Resources: []int{mm.coreRes[c]},
+			})
+			for _, h := range homes {
+				item.Flows = append(item.Flows, mm.readFlow(node, h, memShare*share))
+			}
+			procs[c].Add(item)
+			if bar != nil {
+				procs[c].Add(simmach.Item{Tag: "stagebar", Barrier: bar})
+			}
+		}
+	}
 }
 
 func domainBytes(d grid.Size) float64 {

@@ -17,12 +17,6 @@ type Params struct {
 	BarrierPerLevel         float64
 	BarrierPerNode          float64
 	BarrierHopFactor        float64
-	// FuseStages prices the model step with the compute backend's stage
-	// fusion (one barrier and one merged set of halo pulls per fused
-	// group instead of per stage). It defaults to false so the modeled
-	// tables keep reproducing the paper's per-stage execution; enable it
-	// to quantify fusion as an ablation against the measured runtimes.
-	FuseStages bool
 }
 
 // DefaultParams returns the calibrated model constants (see params.go and

@@ -150,71 +150,119 @@ func scheduleKernelCells(r *Runner, log *[]string) int64 {
 	return int64(r.plan.cfg.Steps/r.schedule.ksteps) * walk(r.schedule.items)
 }
 
+// compiledCells plans and compiles cfg on domain and returns the stage cells
+// the model prices for one Run (plan.runCells) and the cells the compiled
+// kernel items sweep, with the compiled schedule's stats.
+func compiledCells(t *testing.T, cfg Config, prog *stencil.Program, an *stencil.HaloAnalysis, domain grid.Size) (priced, compiled int64, st ScheduleStats) {
+	t.Helper()
+	p, err := newPlanWith(cfg, prog, an, domain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	priced, _ = p.runCells()
+	var log []string
+	r, err := NewRunner(cfg, recordingProgram(&log), mpdata.NewState(domain).InputMap(), mpdata.InPsi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	return priced, scheduleKernelCells(r, &log), r.Schedule().Stats()
+}
+
+// streamCellCases are the strategies and temporal-blocking factors the cell
+// tests cover — every strategy at k = 1, the islands shapes also at k = 2, 4 —
+// with the domain's j-width: core-level sub-islands need 96 j-cells over 8
+// workers to carry k = 4 rather than fall back to k = 1.
+var streamCellCases = []struct {
+	name string
+	cfg  Config
+	ks   []int
+	nj   int
+}{
+	{"original", Config{Strategy: Original}, []int{1}, 12},
+	{"plus31d", Config{Strategy: Plus31D}, []int{1}, 12},
+	{"islands", Config{Strategy: IslandsOfCores}, []int{1, 2, 4}, 12},
+	{"core-islands", Config{Strategy: IslandsOfCores, CoreIslands: true}, []int{1, 2, 4}, 100},
+}
+
 // TestStreamCostCellsMatchCompiledSchedule pins the cost model to the
-// executor: for the first, an interior and the last tile of a stream at k in
-// {1,2,4}, the stage cells StreamCost prices for the tile are exactly the
-// cells the tile engine's compiled kernel items sweep — window honoured or
-// fallen back (the narrow last tile cannot carry k=4 on its own planes). The
-// picker's ranking and the engine cannot drift apart without failing here.
+// executor: for the first, an interior and the last tile of a stream, for
+// every strategy, the stage cells StreamCost prices for the tile are exactly
+// the cells the tile engine's compiled kernel items sweep — window honoured
+// or fallen back (the narrow last tile cannot carry k=4 on its own planes). The picker's ranking and the engine cannot drift apart without
+// failing here.
 func TestStreamCostCellsMatchCompiledSchedule(t *testing.T) {
-	cfg, prog, an := streamTestSetup(t)
-	domain := grid.Sz(100, 12, 6)
+	base, prog, an := streamTestSetup(t)
 	const tilePlanes = 26
 	fext := an.InputExtents[prog.Feedback]
-	for _, k := range []int{1, 2, 4} {
-		e := fext.Scale(k)
-		tiles := streamTiles(domain, tilePlanes, e.ILo, e.IHi, false)
-		if len(tiles) != 4 {
-			t.Fatalf("k=%d: %d tiles, want 4", k, len(tiles))
-		}
-		var sweepCells int64
-		fallbacks := 0
-		for ti, tile := range tiles {
-			tileCfg, size := StreamTileConfig(cfg, k, domain, tile.lo, tile.width, tile.ext)
-			p, err := newPlanWith(tileCfg, prog, an, size)
+	for _, sc := range streamCellCases {
+		domain := grid.Sz(100, sc.nj, 6)
+		for _, k := range sc.ks {
+			cfg := sc.cfg
+			cfg.Machine, cfg.Boundary, cfg.Steps = base.Machine, base.Boundary, base.Steps
+			e := fext.Scale(k)
+			tiles := streamTiles(domain, tilePlanes, e.ILo, e.IHi, false)
+			if len(tiles) != 4 {
+				t.Fatalf("%s k=%d: %d tiles, want 4", sc.name, k, len(tiles))
+			}
+			var sweepCells int64
+			fallbacks := 0
+			for ti, tile := range tiles {
+				tileCfg, size := StreamTileConfig(cfg, k, domain, tile.lo, tile.width, tile.ext)
+				priced, compiled, st := compiledCells(t, tileCfg, prog, an, size)
+				sweepCells += priced
+				if priced != compiled {
+					t.Errorf("%s k=%d tile %d %+v: model prices %d stage cells, the compiled schedule sweeps %d (%s)",
+						sc.name, k, ti, tile, priced, compiled, st)
+				}
+				if st.WindowFallbackReason != "" {
+					fallbacks++
+				}
+				// The window is the point: an honoured one sweeps fewer cells
+				// than the same engine partitioning everything it loaded.
+				tileCfg.Keep = grid.Region{}
+				whole, err := newPlanWith(tileCfg, prog, an, size)
+				if err != nil {
+					t.Fatal(err)
+				}
+				loaded, _ := whole.runCells()
+				if st.WindowFallbackReason == "" && compiled >= loaded {
+					t.Errorf("%s k=%d tile %d: windowed schedule sweeps %d cells, no fewer than the whole loaded extent's %d",
+						sc.name, k, ti, compiled, loaded)
+				}
+			}
+			if want := map[int]int{1: 0, 2: 0, 4: 1}[k]; fallbacks != want {
+				t.Errorf("%s k=%d: %d tiles fell back to the whole extent, want %d", sc.name, k, fallbacks, want)
+			}
+			cost, err := StreamCost(cfg, prog, an, domain, k, StreamChoice{TilePlanes: tilePlanes, K: k}, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			priced, _ := p.runCells()
-			sweepCells += priced
+			if cost.StageCells != float64(sweepCells) {
+				t.Errorf("%s k=%d: StreamCost.StageCells = %v, want the tiles' %d", sc.name, k, cost.StageCells, sweepCells)
+			}
+		}
+	}
+}
 
-			var log []string
-			state := mpdata.NewState(size)
-			r, err := NewRunner(tileCfg, recordingProgram(&log), state.InputMap(), mpdata.InPsi)
-			if err != nil {
-				t.Fatal(err)
-			}
-			compiled := scheduleKernelCells(r, &log)
-			st := r.Schedule().Stats()
-			r.Close()
+// TestRunCellsMatchCompiledSchedule is the resident half of the pin: without
+// an output window, on a clamped odd-shaped multi-block grid, the cells the
+// model prices for a Run of every strategy are exactly the cells its
+// compiled kernel items sweep — two single steps at k = 1, one k-step block
+// otherwise.
+func TestRunCellsMatchCompiledSchedule(t *testing.T) {
+	base, prog, an := streamTestSetup(t)
+	for _, sc := range streamCellCases {
+		domain := grid.Sz(37, sc.nj, 5)
+		for _, k := range sc.ks {
+			cfg := sc.cfg
+			cfg.Machine, cfg.Boundary, cfg.BlockI = base.Machine, stencil.Clamp, 5
+			cfg.Steps, cfg.KSteps = max(k, 2), k
+			priced, compiled, st := compiledCells(t, cfg, prog, an, domain)
 			if priced != compiled {
-				t.Errorf("k=%d tile %d %+v: model prices %d stage cells, the compiled schedule sweeps %d (%s)",
-					k, ti, tile, priced, compiled, st)
+				t.Errorf("%s k=%d: model prices %d stage cells, the compiled schedule sweeps %d (%s)",
+					sc.name, k, priced, compiled, st)
 			}
-			if st.WindowFallbackReason != "" {
-				fallbacks++
-			}
-			// The window is the point: an honoured one sweeps fewer cells
-			// than the same engine partitioning everything it loaded.
-			tileCfg.Keep = grid.Region{}
-			whole, err := newPlanWith(tileCfg, prog, an, size)
-			if err != nil {
-				t.Fatal(err)
-			}
-			loaded, _ := whole.runCells()
-			if st.WindowFallbackReason == "" && compiled >= loaded {
-				t.Errorf("k=%d tile %d: windowed schedule sweeps %d cells, no fewer than the whole loaded extent's %d", k, ti, compiled, loaded)
-			}
-		}
-		if want := map[int]int{1: 0, 2: 0, 4: 1}[k]; fallbacks != want {
-			t.Errorf("k=%d: %d tiles fell back to the whole extent, want %d", k, fallbacks, want)
-		}
-		cost, err := StreamCost(cfg, prog, an, domain, k, StreamChoice{TilePlanes: tilePlanes, K: k}, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cost.StageCells != float64(sweepCells) {
-			t.Errorf("k=%d: StreamCost.StageCells = %v, want the tiles' %d", k, cost.StageCells, sweepCells)
 		}
 	}
 }
