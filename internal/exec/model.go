@@ -543,6 +543,17 @@ func (p *plan) emitCache(mm *machModel, procs []*simmach.Proc, fuse *stencil.Fus
 		inputHalo /= float64(g.nblocks)
 	}
 
+	// The halo lives on a neighbouring island's node: the next island's, or
+	// — for the last island of a clamped domain, which has no next one — the
+	// previous island's. Under adjacency-preserving affinity that node is one
+	// hop away; under scattered affinity it can be across the machine (or
+	// the cluster).
+	next := (g.island + 1) % nodes
+	if next == 0 && cfg.Boundary != stencil.Periodic {
+		next = g.island - 1
+	}
+	neighbor := cfg.nodeOf(next)
+
 	// Serial fill item: the start-of-block reads the prefetchers cannot
 	// hide, shared across the island's cores.
 	for _, c := range g.cores {
@@ -551,11 +562,6 @@ func (p *plan) emitCache(mm *machModel, procs []*simmach.Proc, fuse *stencil.Fus
 			fill.Flows = append(fill.Flows, mm.readFlow(m.CoreNode(c), h, serial*share/float64(ncores)))
 		}
 		if inputHalo > 0 {
-			// The halo lives on the neighbouring island's node: under
-			// adjacency-preserving affinity that node is one hop away;
-			// under scattered affinity it can be across the machine (or
-			// the cluster).
-			neighbor := cfg.nodeOf((g.island + 1) % nodes)
 			fill.Flows = append(fill.Flows, mm.readFlow(m.CoreNode(c), neighbor, inputHalo/float64(ncores)))
 		}
 		procs[c].Add(fill)

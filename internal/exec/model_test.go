@@ -6,6 +6,7 @@ import (
 
 	"islands/internal/grid"
 	"islands/internal/mpdata"
+	"islands/internal/stencil"
 	"islands/internal/topology"
 )
 
@@ -221,6 +222,33 @@ func TestModelRemoteTraffic(t *testing.T) {
 	if serial.RemoteTrafficBytes <= 10*ft.RemoteTrafficBytes {
 		t.Errorf("serial placement remote traffic (%.0f) should dwarf first-touch (%.0f)",
 			serial.RemoteTrafficBytes, ft.RemoteTrafficBytes)
+	}
+}
+
+// TestModelClampHaloFromNeighbour: each island reads its step inputs' halo
+// from a neighbouring island's node. Under a clamp boundary the last island's
+// only neighbour is the one before it, one blade away on the UV 2000's
+// chain; under a periodic boundary it also wraps to island 0 at the far end,
+// which the model prices. So from p = 4 on a clamped run moves fewer NUMAlink
+// bytes than the periodic one, while at p = 2 the two neighbours coincide.
+func TestModelClampHaloFromNeighbour(t *testing.T) {
+	prog := &mpdata.NewProgram().Program
+	domain := grid.Sz(128, 64, 16)
+	remote := func(p int, bc stencil.Boundary) float64 {
+		r, err := Model(Config{Machine: uv(t, p), Strategy: IslandsOfCores,
+			Placement: grid.FirstTouchParallel, Boundary: bc, Steps: 2}, prog, domain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.RemoteTrafficBytes
+	}
+	for _, p := range []int{4, 8, 14} {
+		if clamp, periodic := remote(p, stencil.Clamp), remote(p, stencil.Periodic); clamp >= periodic {
+			t.Errorf("p=%d: clamped islands move %.0f NUMAlink bytes, no fewer than periodic's %.0f", p, clamp, periodic)
+		}
+	}
+	if clamp, periodic := remote(2, stencil.Clamp), remote(2, stencil.Periodic); clamp != periodic {
+		t.Errorf("p=2: clamped islands move %.0f NUMAlink bytes, periodic %.0f; the one neighbour is the same", clamp, periodic)
 	}
 }
 
