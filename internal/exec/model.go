@@ -385,7 +385,7 @@ func (p *plan) walk(res *ModelResult, cells [][]int64) error {
 	if p.sweepers[0].level == inCache {
 		sweeps = blockedSweeps(p.prog, mm.par)
 		// A memory-level step ends at its last stage's machine-wide barrier;
-		// blocked islands add one global join. Under temporal blocking that
+		// a cache-level one adds one global join. Under temporal blocking that
 		// join is paid once per k-block, and each of the k-1 inner-step
 		// transitions costs one island-local barrier crossing — the private
 		// feedback swap rides the release of the end-of-step team barrier
@@ -393,7 +393,7 @@ func (p *plan) walk(res *ModelResult, cells [][]int64) error {
 		// for joinNone sub-islands, which swap unsynchronized). The per-step
 		// synchronization cost is the per-block cost over k — the barrier
 		// saving the advisor trades against the widened trapezoids'
-		// redundant compute priced above.
+		// redundant compute in the stage items.
 		global := mm.barrierCost(allNodes(m.NumNodes()), m.TotalCores())
 		if p.ksteps > 1 {
 			var swapBar float64

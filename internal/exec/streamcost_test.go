@@ -189,8 +189,9 @@ var streamCellCases = []struct {
 // executor: for the first, an interior and the last tile of a stream, for
 // every strategy, the stage cells StreamCost prices for the tile are exactly
 // the cells the tile engine's compiled kernel items sweep — window honoured
-// or fallen back (the narrow last tile cannot carry k=4 on its own planes). The picker's ranking and the engine cannot drift apart without
-// failing here.
+// or fallen back (the narrow last tile cannot carry k=4 on its own planes).
+// The picker's ranking and the engine cannot drift apart without failing
+// here.
 func TestStreamCostCellsMatchCompiledSchedule(t *testing.T) {
 	base, prog, an := streamTestSetup(t)
 	const tilePlanes = 26
