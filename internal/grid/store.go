@@ -241,12 +241,18 @@ func (p *PlaneFile) EnableMmap() (bool, error) {
 	return true, nil
 }
 
-// Close unmaps and closes the file.
-func (p *PlaneFile) Close() error {
+// DisableMmap drops the read mapping (reads go back to pread) so that an
+// idle file holds no mapped pages; EnableMmap maps it again.
+func (p *PlaneFile) DisableMmap() {
 	if p.mm != nil {
 		munmapFile(p.mm)
 		p.mm = nil
 	}
+}
+
+// Close unmaps and closes the file.
+func (p *PlaneFile) Close() error {
+	p.DisableMmap()
 	return p.f.Close()
 }
 

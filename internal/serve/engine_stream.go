@@ -18,7 +18,9 @@ import (
 // tune.PickResidency under the job's memory budget, priced with the server's
 // disk-bandwidth estimate (fed by durable stores only); named stores (spec
 // stream_id) are durable, survive the job and resume from their checkpoint on
-// resubmission.
+// resubmission. An anonymous job's engine goes back to the pool with its
+// seeded store, so the next job of its class and step count rewinds the store
+// instead of seeding a new one.
 
 // TileProgress is a streamed job's tile-granular progress report.
 type TileProgress struct {
@@ -81,19 +83,23 @@ type StreamEngine interface {
 	Scan() error
 }
 
-// streamEngine adapts a stream.Streamer to the Engine contract. It is never
-// returned to the pool cache (the store's checkpoint, not a warm engine, is
-// what makes repeat jobs cheap), so Close always tears the tile engines down
-// and removes anonymous stores.
+// streamEngine adapts a stream.Streamer to the Engine contract. An anonymous
+// engine is cached between jobs holding only its streamer's open store — the
+// seed and two result files, whose directory is gone — and its residency: the
+// streamer releases its tile engines and budget memory after each job's scan
+// and rebuilds them when the next job rewinds it. A named engine is never
+// cached: its store's checkpoint is what makes the follow-up job cheap.
 type streamEngine struct {
 	srv *Server
 	ns  NormSpec
 
-	dir   string
-	named bool
+	// dir is a named store's directory ("" for an anonymous one).
+	dir string
 
 	streamer *stream.Streamer
-	report   *StreamReport
+	// residency labels the residency the streamer was opened with.
+	residency string
+	report    *StreamReport
 	// sums is the final field's summary (see Scan).
 	sums Checksums
 
@@ -104,19 +110,12 @@ type streamEngine struct {
 // newStreamEngine builds the engine shell; the store and streamer are
 // created in Reset (the Engine contract's per-job initialization point).
 func newStreamEngine(srv *Server, ns NormSpec) (Engine, error) {
-	root := srv.spillDir()
-	if err := os.MkdirAll(root, 0o755); err != nil {
+	if err := os.MkdirAll(srv.spillDir(), 0o755); err != nil {
 		return nil, fmt.Errorf("serve: stream spill root: %w", err)
 	}
-	e := &streamEngine{srv: srv, ns: ns, named: ns.StreamID != ""}
-	if e.named {
-		e.dir = filepath.Join(root, "stream-"+ns.StreamID)
-	} else {
-		dir, err := os.MkdirTemp(root, "job-")
-		if err != nil {
-			return nil, fmt.Errorf("serve: stream spill dir: %w", err)
-		}
-		e.dir = dir
+	e := &streamEngine{srv: srv, ns: ns}
+	if ns.StreamID != "" {
+		e.dir = filepath.Join(srv.spillDir(), "stream-"+ns.StreamID)
 	}
 	return e, nil
 }
@@ -187,17 +186,48 @@ func OpenStream(ns NormSpec, o stream.Options, budgetMB int, diskBW float64) (*s
 	return st, picked, err
 }
 
-// Reset opens (or resumes) the spill store and prepares the streamer.
+// Reset opens (or resumes) the spill store and prepares the streamer. On a
+// cached engine it rewinds the store instead: the seed is already there, and
+// the residency it was priced with stays, as a cached resident engine keeps
+// its compiled schedule.
 func (e *streamEngine) Reset() error {
-	if e.streamer != nil {
-		// Engines are never cache-reused, so a second Reset means the
-		// dispatch retried; start the streamer over from the store.
-		_ = e.streamer.Close()
-		e.streamer = nil
+	if e.streamer == nil {
+		if err := e.open(); err != nil {
+			return err
+		}
+	} else if err := e.streamer.Rewind(); err != nil {
+		return err
+	}
+	// A new report per job: the previous job's result still points at its own.
+	plan := e.streamer.Plan()
+	e.report = &StreamReport{
+		Residency:    e.residency,
+		TilePlanes:   plan.TilePlanes,
+		K:            plan.K,
+		Tiles:        len(plan.Tiles),
+		Sweeps:       plan.Sweeps,
+		BudgetMB:     e.budgetMB(),
+		ResumedSteps: e.streamer.ResumedSteps(),
+		StoreDir:     e.dir,
+	}
+	return nil
+}
+
+// open opens the streamer. An anonymous store's directory is removed as soon
+// as the store is open: its files live on through their descriptors, so
+// nothing of it outlives the process, whatever ends it.
+func (e *streamEngine) open() error {
+	dir := e.dir
+	if dir == "" {
+		var err error
+		if dir, err = os.MkdirTemp(e.srv.spillDir(), "job-"); err != nil {
+			return fmt.Errorf("serve: stream spill dir: %w", err)
+		}
+		defer os.RemoveAll(dir)
 	}
 	st, picked, err := OpenStream(e.ns, stream.Options{
-		Dir:    e.dir,
-		Resume: e.named,
+		Dir:    dir,
+		Resume: e.dir != "",
 		Progress: func(p stream.Progress) {
 			e.mu.Lock()
 			sink := e.sink
@@ -215,21 +245,9 @@ func (e *streamEngine) Reset() error {
 		return err
 	}
 	e.streamer = st
-	plan := st.Plan()
-	e.report = &StreamReport{
-		Residency:    fmt.Sprintf("checkpointed w%dk%d", plan.TilePlanes, plan.K),
-		TilePlanes:   plan.TilePlanes,
-		K:            plan.K,
-		Tiles:        len(plan.Tiles),
-		Sweeps:       plan.Sweeps,
-		BudgetMB:     e.budgetMB(),
-		ResumedSteps: st.ResumedSteps(),
-	}
+	e.residency = fmt.Sprintf("checkpointed w%dk%d", st.Plan().TilePlanes, st.Plan().K)
 	if picked != nil {
-		e.report.Residency = picked.Label
-	}
-	if e.named {
-		e.report.StoreDir = e.dir
+		e.residency = picked.Label
 	}
 	return nil
 }
@@ -250,12 +268,14 @@ var scanStream = (*stream.Streamer).Checksums
 // Scan records the final field's checksums from the completed store. The sum
 // is computed with the same compensated accumulator and visitation order as a
 // resident field, so a streamed job's checksums are bit-identical to the
-// resident run's.
+// resident run's. The job is then done with its tile engines and budget
+// memory, which the streamer releases.
 func (e *streamEngine) Scan() error {
 	ck, err := scanStream(e.streamer)
 	if err != nil {
 		return fmt.Errorf("serve: final checksum scan: %w", err)
 	}
+	e.streamer.Release()
 	var drift float64
 	if ck.MassIn != 0 {
 		drift = (ck.Sum - ck.MassIn) / ck.MassIn
@@ -284,7 +304,7 @@ func (e *streamEngine) SetProgress(f func(TileProgress)) {
 	e.mu.Unlock()
 }
 
-// Report finalizes and returns the stream summary.
+// Report finalizes and returns the stream summary of the current job.
 func (e *streamEngine) Report() *StreamReport {
 	if e.report == nil {
 		return nil
@@ -318,17 +338,11 @@ func (e *streamEngine) Info() EngineInfo {
 	return EngineInfo{KSteps: e.streamer.Plan().K, Workers: host().Workers(e.ns.Processors)}
 }
 
-// Close tears the tile engines down; anonymous stores are removed, named
-// ones kept on disk for resumption.
+// Close tears the tile engines down and closes the store: an anonymous one
+// goes with its last descriptor, a named one stays on disk for resumption.
 func (e *streamEngine) Close() {
 	if e.streamer != nil {
-		// Close before the removal below, always: it stops the tile engines'
-		// workers and unmaps the plane files, which deleting the directory
-		// under a live streamer does not.
 		_ = e.streamer.Close()
 		e.streamer = nil
-	}
-	if !e.named {
-		_ = os.RemoveAll(e.dir)
 	}
 }

@@ -135,9 +135,16 @@ func (p *Pool) Acquire(ctx context.Context, ns NormSpec) (*Lease, error) {
 		return nil, fmt.Errorf("serve: pool closed")
 	}
 	key := ns.Key()
-	if list := p.idle[key]; len(list) > 0 {
-		entry := list[len(list)-1]
-		p.idle[key] = list[:len(list)-1]
+	list := p.idle[key]
+	for i := len(list) - 1; i >= 0; i-- {
+		entry := list[i]
+		// A streamed engine's residency and tile plan depend on the step
+		// count, so it serves only jobs of its own; a resident engine
+		// advances one step per dispatch and serves jobs of any length.
+		if key.Streamed && entry.ns.Steps != ns.Steps {
+			continue
+		}
+		p.idle[key] = append(list[:i], list[i+1:]...)
 		if len(p.idle[key]) == 0 {
 			delete(p.idle, key)
 		}

@@ -18,6 +18,19 @@ import (
 // ErrDraining rejects submissions while the server drains (HTTP 503).
 var ErrDraining = errors.New("serve: server is draining, not admitting jobs")
 
+// ErrStreamBusy rejects a streamed job naming a stream_id whose store a live
+// (queued or running) job holds (HTTP 409): two jobs on one store would
+// truncate and overwrite each other's planes.
+type ErrStreamBusy struct {
+	StreamID string
+	// Holder is the id of the job that holds the store.
+	Holder string
+}
+
+func (e *ErrStreamBusy) Error() string {
+	return fmt.Sprintf("serve: stream_id %q is held by job %s until it finishes", e.StreamID, e.Holder)
+}
+
 // DrainAbortReason is the error reported by jobs the drain timeout aborts.
 // It is part of the replica contract: the fleet router (internal/fleet)
 // recognizes it as a replica fault — the job did nothing wrong, its executor
@@ -47,7 +60,8 @@ type Options struct {
 	// SpillDir is the root directory for streamed jobs' tile stores
 	// ("" = a "mpdata-spill" directory under the OS temp dir). Named
 	// stores (spec stream_id) live at SpillDir/stream-<id> and survive
-	// their jobs; anonymous stores are private and removed.
+	// their jobs; anonymous stores are private, and their directories are
+	// removed as soon as they are open.
 	SpillDir string
 	// StreamBudgetMB is the default resident-memory budget of streamed
 	// jobs whose spec leaves memory_budget_mb unset (0 = 512).
@@ -70,6 +84,8 @@ type Server struct {
 	jobs    map[string]*Job // in flight, plus the finished ones retired still holds
 	retired Retention
 	nextID  uint64
+	// streams maps a stream_id to the live job that holds its store.
+	streams map[string]*Job
 
 	running  atomic.Int64
 	draining atomic.Bool
@@ -99,6 +115,7 @@ func NewServer(opts Options) *Server {
 		metrics: newMetrics(),
 		tuner:   opts.Tuner,
 		jobs:    make(map[string]*Job),
+		streams: make(map[string]*Job),
 	}
 	factory := opts.EngineFactory
 	if factory == nil {
@@ -212,7 +229,8 @@ func (s *Server) QueueDepth() int { return s.queue.depth() }
 
 // Submit validates a spec and admits it as a queued job. It returns
 // ErrDraining while the server drains, an *ErrQueueFull when the queue is at
-// depth, or a validation error for a bad spec.
+// depth, an *ErrStreamBusy when a live job holds the spec's stream_id, or a
+// validation error for a bad spec.
 func (s *Server) Submit(spec Spec) (*Job, error) {
 	ns, err := spec.Normalize()
 	if err != nil {
@@ -222,16 +240,24 @@ func (s *Server) Submit(spec Spec) (*Job, error) {
 		return nil, ErrDraining
 	}
 	s.mu.Lock()
+	if holder := s.streams[ns.StreamID]; holder != nil {
+		s.mu.Unlock()
+		return nil, &ErrStreamBusy{StreamID: ns.StreamID, Holder: holder.ID}
+	}
 	s.nextID++
 	id := fmt.Sprintf("j%08d", s.nextID)
 	j := newJob(id, spec, ns, time.Now())
 	s.jobs[id] = j
+	if ns.StreamID != "" {
+		s.streams[ns.StreamID] = j
+	}
 	s.mu.Unlock()
 
 	s.jobsWG.Add(1)
 	if err := s.queue.push(j); err != nil {
 		s.mu.Lock()
 		delete(s.jobs, id)
+		delete(s.streams, ns.StreamID)
 		s.mu.Unlock()
 		s.jobsWG.Done()
 		if qf := (*ErrQueueFull)(nil); errors.As(err, &qf) {
@@ -501,10 +527,10 @@ func (s *Server) executeJob(j *Job, lease *Lease, tuned NormSpec, dec *tune.Deci
 				s.observeDiskBW(rep.DiskBWBytes)
 			}
 		}
-		// Never cache a streamed engine: the store's checkpoint, not a
-		// warm engine, is what makes the follow-up job cheap, and Close
-		// is what removes an anonymous store.
-		return false, StateSucceeded, "", result
+		// An anonymous engine goes back to the pool with its seeded store;
+		// a named one never does: its store's checkpoint is what makes the
+		// follow-up job cheap.
+		return j.ns.StreamID == "", StateSucceeded, "", result
 	}
 	return true, StateSucceeded, "", result
 }
@@ -528,6 +554,11 @@ func (s *Server) finishJob(j *Job, state JobState, errMsg string, result *Result
 	s.mu.Lock()
 	if expired := s.retired.Retire(j.ID); expired != "" {
 		delete(s.jobs, expired)
+	}
+	// The store is closed by now: the lease was released before this
+	// transition.
+	if s.streams[j.ns.StreamID] == j {
+		delete(s.streams, j.ns.StreamID)
 	}
 	s.mu.Unlock()
 	switch state {
@@ -708,6 +739,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		var qf *ErrQueueFull
 		var tooLarge *ErrGridTooLarge
+		var busy *ErrStreamBusy
 		switch {
 		case errors.Is(err, ErrDraining):
 			w.Header().Set("Retry-After", "10")
@@ -720,6 +752,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			// resident-class error names the streamed job class, so a
 			// client holding a too-big grid knows its next move.
 			writeJSON(w, http.StatusRequestEntityTooLarge, apiError{Error: err.Error()})
+		case errors.As(err, &busy):
+			writeJSON(w, http.StatusConflict, apiError{Error: err.Error()})
 		default:
 			writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
 		}

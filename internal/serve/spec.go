@@ -351,7 +351,9 @@ func (n CacheKey) StrategyName() string {
 // engines under it and the fleet router hashes it, so a field added here keys
 // both. A run's remaining fields (NormSpec's Steps, Pin, Profile, TimeoutMs)
 // stay out: a cached engine advances one step per dispatch, so jobs of any
-// length and any deadline reuse it.
+// length and any deadline reuse it. A cached streamed engine, whose residency
+// and tile plan depend on the step count, is leased only to jobs of its own
+// step count: the pool matches Steps, the key does not carry it.
 type CacheKey struct {
 	Domain grid.Size
 	// Solver is the canonical catalog name (never empty after Normalize):

@@ -1,12 +1,19 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -258,5 +265,234 @@ func TestResumedStoreKeepsToItsBudget(t *testing.T) {
 	}
 	if resumed.Result.Checksums != whole.Result.Checksums {
 		t.Fatalf("resumed checksums %+v, uninterrupted %+v", resumed.Result.Checksums, whole.Result.Checksums)
+	}
+}
+
+// tileSpy is a streamed engine whose tile-progress sink calls onTile first,
+// from the sweep's own goroutine while the job runs.
+type tileSpy struct {
+	StreamEngine
+	onTile func(TileProgress)
+}
+
+func (e *tileSpy) SetProgress(f func(TileProgress)) {
+	e.StreamEngine.SetProgress(func(p TileProgress) {
+		e.onTile(p)
+		f(p)
+	})
+}
+
+// spiedServer is a one-slot server whose streamed engines are tile spies.
+func spiedServer(t *testing.T, spill string, onTile func(TileProgress)) *Server {
+	t.Helper()
+	var srv *Server
+	srv = NewServer(Options{Slots: 1, SpillDir: spill, EngineFactory: func(ns NormSpec) (Engine, error) {
+		if !ns.Streamed {
+			return NewSolverEngine(ns)
+		}
+		e, err := newStreamEngine(srv, ns)
+		if err != nil {
+			return nil, err
+		}
+		return &tileSpy{StreamEngine: e.(StreamEngine), onTile: onTile}, nil
+	}})
+	return srv
+}
+
+// TestStreamedJobHasNoDirectoryWhileItRuns: an anonymous store's directory
+// is removed as soon as the store is open, so the spill root holds no job-*
+// entry while a job runs, on a fresh engine or a cached one.
+func TestStreamedJobHasNoDirectoryWhileItRuns(t *testing.T) {
+	spill := t.TempDir()
+	var tiles atomic.Int64
+	var mu sync.Mutex
+	var seen []string
+	srv := spiedServer(t, spill, func(TileProgress) {
+		tiles.Add(1)
+		entries, err := os.ReadDir(spill)
+		mu.Lock()
+		defer mu.Unlock()
+		if err != nil {
+			seen = append(seen, err.Error())
+		}
+		for _, e := range entries {
+			if strings.HasPrefix(e.Name(), "job-") && !slices.Contains(seen, e.Name()) {
+				seen = append(seen, e.Name())
+			}
+		}
+	})
+	defer srv.Close()
+	for n := 0; n < 2; n++ {
+		if st := runStreamed(t, srv, streamedSpec(4, "")); st.State != StateSucceeded {
+			t.Fatalf("job %d: %s (%s)", n, st.State, st.Error)
+		}
+	}
+	if tiles.Load() == 0 {
+		t.Fatal("no tile progress reached the spy")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(seen) != 0 {
+		t.Fatalf("the spill root held %v while a job ran", seen)
+	}
+}
+
+// TestDiscardedStreamedEnginesAreNotReused: a canceled or failed job that
+// leased a cached streamed engine discards it, so the next job of the class
+// misses the cache and builds a fresh one.
+func TestDiscardedStreamedEnginesAreNotReused(t *testing.T) {
+	var cancelRunning atomic.Bool
+	var srv *Server
+	srv = spiedServer(t, t.TempDir(), func(TileProgress) {
+		if !cancelRunning.Swap(false) {
+			return
+		}
+		srv.mu.Lock()
+		var running []*Job
+		for _, j := range srv.jobs {
+			if j.State() == StateRunning {
+				running = append(running, j)
+			}
+		}
+		srv.mu.Unlock()
+		for _, j := range running {
+			srv.Cancel(j, "test cancel")
+		}
+	})
+	defer srv.Close()
+	spec := streamedSpec(4, "")
+	cached := func(what string) {
+		t.Helper()
+		st := runStreamed(t, srv, spec)
+		if st.State != StateSucceeded {
+			t.Fatalf("%s: %s (%s)", what, st.State, st.Error)
+		}
+		if st.Result.CacheHit {
+			t.Fatalf("%s leased a discarded engine", what)
+		}
+		if ps := srv.PoolStats(); ps.Idle != 1 {
+			t.Fatalf("after %s: %d idle engines, want its engine cached", what, ps.Idle)
+		}
+	}
+
+	cached("the first job")
+	cancelRunning.Store(true)
+	if st := runStreamed(t, srv, spec); st.State != StateCanceled {
+		t.Fatalf("job canceled on its first tile: %s (%s)", st.State, st.Error)
+	}
+	if ps := srv.PoolStats(); ps.Idle != 0 {
+		t.Fatalf("the canceled job's engine was cached: %+v", ps)
+	}
+	cached("the job after the canceled one")
+
+	orig := scanStream
+	defer func() { scanStream = orig }()
+	scanStream = func(*stream.Streamer) (stream.Checksums, error) {
+		return stream.Checksums{}, errors.New("injected scan failure")
+	}
+	if st := runStreamed(t, srv, spec); st.State != StateFailed {
+		t.Fatalf("job with a failed scan: %s", st.State)
+	}
+	scanStream = orig
+	if ps := srv.PoolStats(); ps.Idle != 0 {
+		t.Fatalf("the failed job's engine was cached: %+v", ps)
+	}
+	cached("the job after the failed one")
+}
+
+// TestOneLiveJobPerStreamID is the regression test of two live jobs sharing
+// one named store: on a two-slot server both opened it at once, and one
+// truncated planes the other had mapped. Of two concurrent submissions of one
+// stream_id, one runs — bit-identical to an uninterrupted run — and the other
+// is refused with 409 naming the holder. Once the holder finishes, the
+// stream_id is free again and a resubmission returns the stored checksums.
+func TestOneLiveJobPerStreamID(t *testing.T) {
+	srv := NewServer(Options{Slots: 2, SpillDir: t.TempDir()})
+	defer srv.Close()
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+
+	// The first scan waits for the test, so the holder stays live however
+	// fast it runs.
+	orig := scanStream
+	defer func() { scanStream = orig }()
+	held := make(chan struct{})
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(held) }) }
+	defer release()
+	var scans atomic.Int64
+	scanStream = func(st *stream.Streamer) (stream.Checksums, error) {
+		if scans.Add(1) == 1 {
+			<-held
+		}
+		return orig(st)
+	}
+
+	spec := streamedSpec(6, "shared")
+	body, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type answer struct {
+		code int
+		body []byte
+	}
+	answers := make([]answer, 2)
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i := range answers {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			resp, err := http.Post(hs.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			var buf bytes.Buffer
+			_, _ = buf.ReadFrom(resp.Body)
+			answers[i] = answer{resp.StatusCode, buf.Bytes()}
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	if answers[0].code != http.StatusAccepted {
+		answers[0], answers[1] = answers[1], answers[0]
+	}
+	if answers[0].code != http.StatusAccepted || answers[1].code != http.StatusConflict {
+		t.Fatalf("two submissions of one stream_id answered %d and %d, want 202 and 409", answers[0].code, answers[1].code)
+	}
+	var accepted JobStatus
+	if err := json.Unmarshal(answers[0].body, &accepted); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(answers[1].body), accepted.ID) {
+		t.Fatalf("409 body %s does not name the holder %s", answers[1].body, accepted.ID)
+	}
+
+	release()
+	holder, ok := srv.Job(accepted.ID)
+	if !ok {
+		t.Fatalf("no job %s", accepted.ID)
+	}
+	waitDone(t, holder)
+	st := srv.Status(holder)
+	if st.State != StateSucceeded {
+		t.Fatalf("holder: %s (%s)", st.State, st.Error)
+	}
+	whole := runStreamed(t, srv, streamedSpec(6, ""))
+	if whole.State != StateSucceeded || st.Result.Checksums != whole.Result.Checksums {
+		t.Fatalf("holder checksums %+v, an uninterrupted run's %+v (%s)", st.Result.Checksums, whole.Result.Checksums, whole.State)
+	}
+
+	again := runStreamed(t, srv, spec)
+	if again.State != StateSucceeded {
+		t.Fatalf("resubmission after the holder finished: %s (%s)", again.State, again.Error)
+	}
+	if again.Result.Checksums != st.Result.Checksums || again.Result.Stream.TilesDone != 0 {
+		t.Fatalf("resubmission: checksums %+v after %d tiles, want the stored %+v after none",
+			again.Result.Checksums, again.Result.Stream.TilesDone, st.Result.Checksums)
 	}
 }

@@ -270,3 +270,81 @@ func TestStreamedJobsReleaseTheirStores(t *testing.T) {
 		t.Errorf("spill root after the jobs: %v (err %v), want empty", entries, err)
 	}
 }
+
+// TestCachedStreamedEnginesRewindTheirStore runs an anonymous streamed class
+// of several sweeps, so that psi.1 and psi.2 both take turns as a sweep's
+// input, three times: the 2nd and 3rd jobs lease the first one's engine,
+// rewind its store and land on the resident run's checksums, each with its
+// own tile and byte counts, and the first job's report stays as it was. A job
+// of the same key but another step count misses the cache, and a named job is
+// never cached.
+func TestCachedStreamedEnginesRewindTheirStore(t *testing.T) {
+	srv := serve.NewServer(serve.Options{Slots: 1, SpillDir: t.TempDir()})
+	defer srv.Close()
+	run := func(spec serve.Spec) serve.JobStatus {
+		t.Helper()
+		j, err := srv.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := waitTerminal(t, j); st != serve.StateSucceeded {
+			t.Fatalf("job %+v: %s (%s)", spec, st, srv.Status(j).Error)
+		}
+		return srv.Status(j)
+	}
+	streamed := func(steps int) serve.Spec {
+		spec := streamTestSpec(steps)
+		spec.Streamed, spec.MemoryBudgetMB = true, 1
+		return spec
+	}
+
+	want := run(streamTestSpec(6)).Result.Checksums
+	first := run(streamed(6))
+	rep := *first.Result.Stream
+	if rep.Sweeps < 3 {
+		t.Fatalf("residency %s runs %d sweeps, want >= 3 so that both result files are read", rep.Residency, rep.Sweeps)
+	}
+	if first.Result.CacheHit || first.Result.Checksums != want {
+		t.Fatalf("first streamed job: cache hit %v, checksums %+v, resident %+v", first.Result.CacheHit, first.Result.Checksums, want)
+	}
+	for n := 2; n <= 3; n++ {
+		st := run(streamed(6))
+		if !st.Result.CacheHit {
+			t.Fatalf("job %d of the class missed the cache", n)
+		}
+		if st.Result.Checksums != want {
+			t.Fatalf("job %d on a rewound store: checksums %+v, resident %+v", n, st.Result.Checksums, want)
+		}
+		got := st.Result.Stream
+		if got.TilesDone != got.Tiles*got.Sweeps || got.TilesDone != rep.TilesDone ||
+			got.BytesRead != rep.BytesRead || got.BytesWritten != rep.BytesWritten || got.ResumedSteps != 0 {
+			t.Fatalf("job %d report %+v: want its own counts, as the first job's %+v", n, got, rep)
+		}
+		if got.Residency != rep.Residency {
+			t.Fatalf("job %d ran residency %s, the cached engine was priced %s", n, got.Residency, rep.Residency)
+		}
+	}
+	if *first.Result.Stream != rep {
+		t.Fatalf("the first job's report changed after later jobs ran its engine:\n  was %+v\n  now %+v", rep, *first.Result.Stream)
+	}
+
+	other := run(streamed(5))
+	if other.Result.CacheHit {
+		t.Fatal("a job of another step count leased the cached streamed engine")
+	}
+	if wantOther := run(streamTestSpec(5)).Result.Checksums; other.Result.Checksums != wantOther {
+		t.Fatalf("5-step streamed job: checksums %+v, resident %+v", other.Result.Checksums, wantOther)
+	}
+
+	named := streamed(6)
+	named.StreamID = "never-cached"
+	idle := srv.PoolStats().Idle
+	for n := 0; n < 2; n++ {
+		if st := run(named); st.Result.CacheHit {
+			t.Fatalf("named job %d leased a cached engine", n)
+		}
+		if got := srv.PoolStats().Idle; got != idle {
+			t.Fatalf("a named job's engine was cached: %d idle engines, %d before", got, idle)
+		}
+	}
+}

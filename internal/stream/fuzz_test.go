@@ -52,7 +52,7 @@ func FuzzResumeCheckpoint(f *testing.F) {
 	}
 	s.Close()
 	planes := map[string][]byte{}
-	for _, name := range []string{psiFile0, psiFile1} {
+	for _, name := range psiFiles {
 		if planes[name], err = os.ReadFile(filepath.Join(store, name)); err != nil {
 			f.Fatal(err)
 		}

@@ -19,15 +19,26 @@ import (
 	"islands/internal/stencil"
 )
 
-// Store file names inside Options.Dir. Psi ping/pongs between the two plane
-// files — sweep s reads file s%2 and writes file (s+1)%2 — so every tile of a
+// Store file names inside Options.Dir. psi.0 is the seed: seedStore writes
+// the initial condition into it once and nothing writes it again. Sweep s
+// reads psi.0 when s = 0 and psi.(1+(s-1)%2) otherwise, and writes
+// psi.(1+s%2): psi ping/pongs between the other two files, so every tile of a
 // sweep reads only sweep-(s-1) data and tiles are mutually independent, which
 // is what makes both the prefetch overlap and the per-tile checkpoint sound.
-const (
-	psiFile0       = "psi.0.planes"
-	psiFile1       = "psi.1.planes"
-	checkpointFile = "checkpoint.json"
-)
+// The untouched seed is what lets Rewind run the store again.
+var psiFiles = [3]string{"psi.0.planes", "psi.1.planes", "psi.2.planes"}
+
+const checkpointFile = "checkpoint.json"
+
+// sweepInput and sweepOutput index the plane file sweep reads and writes.
+func sweepInput(sweep int) int {
+	if sweep == 0 {
+		return 0
+	}
+	return 1 + (sweep-1)%2
+}
+
+func sweepOutput(sweep int) int { return 1 + sweep%2 }
 
 // Options configures one streamed run.
 type Options struct {
@@ -62,8 +73,8 @@ type Options struct {
 	// the seeded planes, each tile's written planes, and each checkpoint's
 	// temp file and directory — so that a crash at any instant resumes on
 	// the correct tile. Without Resume nothing can reopen the store (its
-	// owner deletes it after the run), so none of its writes is synced;
-	// checkpoints still go through temp file and rename.
+	// owner deletes it after the run), so none of its writes is synced and
+	// it writes no checkpoint at all: its progress lives in memory only.
 	Resume bool
 	// Progress, when set, is called after each tile's compute completes
 	// (from the RunSweep goroutine).
@@ -143,9 +154,10 @@ type Checksums struct {
 }
 
 // checkpoint is the store's progress record: the next unit of work (sweep,
-// tile) plus an echo of the geometry it is only valid for. It is written with
-// grid.WriteFileAtomic after each tile's planes, both synced when the store is
-// resumable, so a kill at any instant resumes on the correct tile.
+// tile) plus an echo of the geometry it is only valid for. A resumable store
+// writes it with grid.WriteFileAtomic after each tile's planes, both synced,
+// so a kill at any instant resumes on the correct tile; a scratch store keeps
+// it in memory only.
 type checkpoint struct {
 	Version int    `json:"version"`
 	Domain  [3]int `json:"domain"`
@@ -222,7 +234,7 @@ type Streamer struct {
 	entry *solver.Entry
 	prog  *stencil.KernelProgram
 
-	files [2]*grid.PlaneFile
+	files [3]*grid.PlaneFile
 	ck    checkpoint
 
 	// engines holds the compiled tile engines. Their fields all come from
@@ -236,7 +248,7 @@ type Streamer struct {
 	setup   sync.WaitGroup
 
 	// Reusable pipeline buffers: two load + two writeback, sized for the
-	// widest tile, allocated once.
+	// widest tile, allocated by the first sweep that needs them.
 	loadFree  chan []float64
 	writeFree chan []float64
 
@@ -318,22 +330,38 @@ func New(o Options) (*Streamer, error) {
 		_ = s.Close()
 		return nil, err
 	}
+	s.mapFiles()
+	return s, nil
+}
+
+// mapFiles switches the store's reads to memory mappings where the platform
+// has them.
+func (s *Streamer) mapFiles() {
+	mapped := false
 	for _, f := range s.files {
 		if ok, err := f.EnableMmap(); err == nil && ok {
-			s.stats.Mmap = true
+			mapped = true
 		}
 	}
+	s.statsMu.Lock()
+	s.stats.Mmap = mapped
+	s.statsMu.Unlock()
+}
 
-	planeCells := int(grid.PlaneBytes(o.Domain) / grid.CellBytes)
-	maxCells := plan.MaxResidentPlanes() * planeCells
-	ownedCells := min(plan.TilePlanes, o.Domain.NI) * planeCells
+// allocBuffers allocates the pipeline buffers unless they exist.
+func (s *Streamer) allocBuffers() {
+	if s.loadFree != nil {
+		return
+	}
+	planeCells := int(grid.PlaneBytes(s.o.Domain) / grid.CellBytes)
+	maxCells := s.plan.MaxResidentPlanes() * planeCells
+	ownedCells := min(s.plan.TilePlanes, s.o.Domain.NI) * planeCells
 	s.loadFree = make(chan []float64, 2)
 	s.writeFree = make(chan []float64, 2)
 	for n := 0; n < 2; n++ {
 		s.loadFree <- make([]float64, maxCells)
 		s.writeFree <- make([]float64, ownedCells)
 	}
-	return s, nil
 }
 
 // checkIslandWidth rejects plans whose narrowest tile cannot host the
@@ -357,9 +385,9 @@ func checkIslandWidth(cfg exec.Config, p *Plan) error {
 	return nil
 }
 
-// openStore creates a fresh ping/pong store (seeding psi from the standard
-// problem and recording the initial mass) or, under Resume, revalidates and
-// adopts an existing one.
+// openStore creates a fresh store (seeding psi.0 from the standard problem
+// and recording the initial mass) or, under Resume, revalidates and adopts an
+// existing one.
 func (s *Streamer) openStore() error {
 	ckPath := filepath.Join(s.o.Dir, checkpointFile)
 	if s.o.Resume {
@@ -373,12 +401,11 @@ func (s *Streamer) openStore() error {
 			return err
 		}
 	}
-	var err error
-	if s.files[0], err = grid.CreatePlaneFile(filepath.Join(s.o.Dir, psiFile0), s.o.Domain); err != nil {
-		return err
-	}
-	if s.files[1], err = grid.CreatePlaneFile(filepath.Join(s.o.Dir, psiFile1), s.o.Domain); err != nil {
-		return err
+	for i, name := range psiFiles {
+		var err error
+		if s.files[i], err = grid.CreatePlaneFile(filepath.Join(s.o.Dir, name), s.o.Domain); err != nil {
+			return err
+		}
 	}
 	// The first tiles' engines compile while the store is seeded, instead of
 	// inside tiles 0 and 1.
@@ -472,7 +499,7 @@ func (s *Streamer) precompile(sweep, tile int) {
 // checkpointAt builds the progress record for the next unit of work.
 func (s *Streamer) checkpointAt(sweep, tile int, massIn float64) checkpoint {
 	return checkpoint{
-		Version:    2,
+		Version:    3,
 		Domain:     [3]int{s.o.Domain.NI, s.o.Domain.NJ, s.o.Domain.NK},
 		Solver:     s.o.Solver,
 		Steps:      s.plan.Steps,
@@ -508,16 +535,13 @@ func (s *Streamer) resumeStore(raw []byte) error {
 	if ck.Sweep < 0 || ck.Sweep > s.plan.Sweeps || ck.Tile < 0 || ck.Tile >= len(s.plan.Tiles) {
 		return fmt.Errorf("stream: checkpoint in %s records out-of-range progress sweep=%d tile=%d", s.o.Dir, ck.Sweep, ck.Tile)
 	}
-	var err error
-	if s.files[0], err = grid.OpenPlaneFile(filepath.Join(s.o.Dir, psiFile0)); err != nil {
-		return err
-	}
-	if s.files[1], err = grid.OpenPlaneFile(filepath.Join(s.o.Dir, psiFile1)); err != nil {
-		return err
-	}
-	for _, f := range s.files {
-		if f.Size() != s.o.Domain {
-			return fmt.Errorf("stream: store in %s holds a %v field, want %v", s.o.Dir, f.Size(), s.o.Domain)
+	for i, name := range psiFiles {
+		var err error
+		if s.files[i], err = grid.OpenPlaneFile(filepath.Join(s.o.Dir, name)); err != nil {
+			return err
+		}
+		if s.files[i].Size() != s.o.Domain {
+			return fmt.Errorf("stream: store in %s holds a %v field, want %v", s.o.Dir, s.files[i].Size(), s.o.Domain)
 		}
 	}
 	s.ck = ck
@@ -539,8 +563,12 @@ func (s *Streamer) sync(f interface{ Sync() error }) error {
 	return fsync(f)
 }
 
-// writeCheckpoint publishes ck atomically (and durably when resumable).
+// writeCheckpoint publishes ck atomically and durably when the store is
+// resumable. A scratch store writes none: nothing can reopen it.
 func (s *Streamer) writeCheckpoint(ck checkpoint) error {
+	if !s.o.Resume {
+		return nil
+	}
 	var err error
 	if ck.Digest, err = ck.digest(); err != nil {
 		return err
@@ -549,11 +577,7 @@ func (s *Streamer) writeCheckpoint(ck checkpoint) error {
 	if err != nil {
 		return err
 	}
-	var sync func(*os.File) error
-	if s.o.Resume {
-		sync = func(f *os.File) error { return fsync(f) }
-	}
-	return grid.WriteFileAtomic(filepath.Join(s.o.Dir, checkpointFile), raw, sync)
+	return grid.WriteFileAtomic(filepath.Join(s.o.Dir, checkpointFile), raw, func(f *os.File) error { return fsync(f) })
 }
 
 // Plan exposes the tile geometry.
@@ -615,6 +639,7 @@ func (s *Streamer) RunSweep() error {
 	}
 	sweep := s.ck.Sweep
 	t0 := time.Now()
+	s.allocBuffers()
 	err := s.runSweepPipelined(sweep)
 	s.statsMu.Lock()
 	s.stats.Wall += time.Since(t0)
@@ -802,7 +827,7 @@ func (s *Streamer) reportProgress(sweep, t int) {
 // ordering beyond the buffer hand-offs; prefetch deliberately does not cross
 // the sweep boundary (the next sweep reads this sweep's output).
 func (s *Streamer) runSweepPipelined(sweep int) error {
-	in, out := s.files[sweep%2], s.files[(sweep+1)%2]
+	in, out := s.files[sweepInput(sweep)], s.files[sweepOutput(sweep)]
 	kEff := s.plan.KEffAt(sweep)
 	tiles := len(s.plan.Tiles)
 
@@ -915,7 +940,7 @@ func (s *Streamer) Checksums() (Checksums, error) {
 	if !s.Done() {
 		return Checksums{}, fmt.Errorf("stream: checksums requested before completion (sweep %d/%d)", s.ck.Sweep, s.plan.Sweeps)
 	}
-	res := s.files[s.plan.Sweeps%2]
+	res := s.files[sweepOutput(s.plan.Sweeps-1)]
 	planeCells := int(grid.PlaneBytes(s.o.Domain) / grid.CellBytes)
 	buf := make([]float64, planeCells)
 	var acc grid.SumAccumulator
@@ -948,21 +973,64 @@ func (s *Streamer) ReadResult() (*grid.Field, error) {
 		return nil, fmt.Errorf("stream: result requested before completion")
 	}
 	f := grid.NewField(s.prog.Program.Feedback, s.o.Domain)
-	res := s.files[s.plan.Sweeps%2]
+	res := s.files[sweepOutput(s.plan.Sweeps-1)]
 	if err := res.ReadPlanes(f.Data, 0, s.o.Domain.NI); err != nil {
 		return nil, err
 	}
 	return f, nil
 }
 
-// Close releases the engines and the store's file handles. The spill data
-// and checkpoint stay on disk (for resume); call Remove to delete them.
-func (s *Streamer) Close() error {
+// Release drops what only a running sweep needs — the tile engines, their
+// arena, the pipeline buffers and the read mappings — and keeps the store and
+// its progress: Checksums and ReadResult still read it (through pread), and
+// Rewind makes it runnable again.
+func (s *Streamer) Release() {
+	s.closeEngines()
+	s.arena = nil
+	s.loadFree, s.writeFree = nil, nil
+	for _, f := range s.files {
+		if f != nil {
+			f.DisableMmap()
+		}
+	}
+}
+
+// Rewind starts the run over on the same store: the checkpoint goes back to
+// sweep 0, tile 0 with the recorded MassIn, the per-job Stats restart from
+// zero, and the first sweep's tile engines are rebuilt in the background, as
+// a fresh store's are while it is seeded. Nothing writes the seed, so a
+// rewound run reproduces the first one bit for bit. An aborted streamer stays
+// aborted.
+func (s *Streamer) Rewind() error {
+	if s.aborted.Load() {
+		return s.abortErr()
+	}
+	s.setup.Wait()
+	s.ck = s.checkpointAt(0, 0, s.ck.MassIn)
+	if err := s.writeCheckpoint(s.ck); err != nil {
+		return err
+	}
+	s.statsMu.Lock()
+	s.stats = Stats{Tiles: len(s.plan.Tiles), Sweeps: s.plan.Sweeps}
+	s.statsMu.Unlock()
+	s.mapFiles()
+	s.precompile(0, 0)
+	return nil
+}
+
+// closeEngines joins the set-up goroutine and closes every tile engine.
+func (s *Streamer) closeEngines() {
 	s.setup.Wait()
 	for _, e := range s.engines {
 		e.runner.Close()
 	}
 	s.engines = map[engineKey]*tileEngine{}
+}
+
+// Close releases the engines and the store's file handles. The spill data
+// and checkpoint stay on disk (for resume); call Remove to delete them.
+func (s *Streamer) Close() error {
+	s.closeEngines()
 	var err error
 	for i, f := range s.files {
 		if f != nil {

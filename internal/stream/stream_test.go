@@ -1,7 +1,9 @@
 package stream
 
 import (
+	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -182,7 +184,7 @@ func TestStreamResumeMidSweep(t *testing.T) {
 
 	var s1 *Streamer
 	s1, err = New(Options{
-		Dir: dir, Exec: cfg, Domain: domain, TilePlanes: 5,
+		Dir: dir, Exec: cfg, Domain: domain, TilePlanes: 5, Resume: true,
 		Progress: func(p Progress) {
 			if p.Sweep == 0 && p.Tile == 0 {
 				s1.Abort("test kill")
@@ -239,7 +241,7 @@ func TestStreamResumeAcrossSweeps(t *testing.T) {
 	cfg := exec.Config{Machine: machine, Strategy: exec.Plus31D, Boundary: stencil.Periodic, Steps: 6, KSteps: 2}
 	dir := t.TempDir()
 
-	s1, err := New(Options{Dir: dir, Exec: cfg, Domain: domain, TilePlanes: 4})
+	s1, err := New(Options{Dir: dir, Exec: cfg, Domain: domain, TilePlanes: 4, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +286,7 @@ func TestStreamRejectsIncompatibleCheckpoint(t *testing.T) {
 	domain := grid.Sz(16, 6, 4)
 	cfg := exec.Config{Machine: machine, Strategy: exec.Plus31D, Boundary: stencil.Periodic, Steps: 6, KSteps: 2}
 	dir := t.TempDir()
-	s1, err := New(Options{Dir: dir, Exec: cfg, Domain: domain, TilePlanes: 4})
+	s1, err := New(Options{Dir: dir, Exec: cfg, Domain: domain, TilePlanes: 4, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,6 +299,85 @@ func TestStreamRejectsIncompatibleCheckpoint(t *testing.T) {
 	other.Steps = 8
 	if _, err := New(Options{Dir: dir, Exec: other, Domain: domain, TilePlanes: 4, Resume: true}); err == nil {
 		t.Fatal("incompatible checkpoint adopted")
+	}
+}
+
+// TestRewindReproducesTheRun runs a scratch store of three sweeps, so that
+// psi.1 and psi.2 both take turns as a sweep's input, then releases it and
+// rewinds it twice, under a clamp and a periodic boundary. Every run ends on
+// the first run's field and checksums bit for bit with the same per-run I/O,
+// and the seed file's bytes never change.
+func TestRewindReproducesTheRun(t *testing.T) {
+	machine, err := topology.UV2000(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	domain := grid.Sz(20, 6, 4)
+	for _, bc := range []stencil.Boundary{stencil.Clamp, stencil.Periodic} {
+		cfg := exec.Config{Machine: machine, Strategy: exec.IslandsOfCores, Boundary: bc, Steps: 6, KSteps: 2}
+		dir := t.TempDir()
+		s, err := New(Options{Dir: dir, Exec: cfg, Domain: domain, TilePlanes: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seed, err := os.ReadFile(filepath.Join(dir, psiFiles[0]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Plan().Sweeps < 3 {
+			t.Fatalf("%v: %d sweeps, want >= 3", bc, s.Plan().Sweeps)
+		}
+		var first *grid.Field
+		var firstSums Checksums
+		var firstStats Stats
+		for run := 0; run < 3; run++ {
+			if run > 0 {
+				if err := s.Rewind(); err != nil {
+					t.Fatal(err)
+				}
+				if s.Done() || s.StepsDone() != 0 {
+					t.Fatalf("%v run %d: rewound store reports done=%v, %d steps done", bc, run, s.Done(), s.StepsDone())
+				}
+			}
+			if err := s.Run(); err != nil {
+				t.Fatalf("%v run %d: %v", bc, run, err)
+			}
+			got, err := s.ReadResult()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sums, err := s.Checksums()
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := s.Stats()
+			s.Release()
+			if after, err := os.ReadFile(filepath.Join(dir, psiFiles[0])); err != nil || !bytes.Equal(after, seed) {
+				t.Fatalf("%v run %d: the seed file changed (err %v)", bc, run, err)
+			}
+			if run == 0 {
+				first, firstSums, firstStats = got, sums, st
+				want, _ := residentRun(t, cfg, domain, 0, false)
+				if d := grid.MaxAbsDiff(got, want); d != 0 {
+					t.Fatalf("%v: first run differs from resident by %v", bc, d)
+				}
+				continue
+			}
+			for i := range got.Data {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(first.Data[i]) {
+					t.Fatalf("%v run %d: cell %d is %v, the first run's %v", bc, run, i, got.Data[i], first.Data[i])
+				}
+			}
+			if sums != firstSums {
+				t.Fatalf("%v run %d: checksums %+v, the first run's %+v", bc, run, sums, firstSums)
+			}
+			if st.TilesDone != firstStats.TilesDone || st.BytesRead != firstStats.BytesRead || st.BytesWritten != firstStats.BytesWritten || st.ResumedSteps != 0 {
+				t.Fatalf("%v run %d: stats %+v, want the first run's per-run counts %+v", bc, run, st, firstStats)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -337,8 +418,9 @@ func TestPlanValidation(t *testing.T) {
 	}
 }
 
-// TestStreamStoreLifecycle pins the cleanup contract: Close keeps the store
-// for resume, Remove deletes it.
+// TestStreamStoreLifecycle pins the cleanup contract: Close keeps a
+// resumable store for resume, Remove deletes it, and a scratch store never
+// writes a checkpoint.
 func TestStreamStoreLifecycle(t *testing.T) {
 	machine, err := topology.UV2000(2)
 	if err != nil {
@@ -346,25 +428,31 @@ func TestStreamStoreLifecycle(t *testing.T) {
 	}
 	domain := grid.Sz(12, 5, 4)
 	cfg := exec.Config{Machine: machine, Strategy: exec.Original, Boundary: stencil.Clamp, Steps: 2, KSteps: 1}
-	dir := filepath.Join(t.TempDir(), "spill")
-	s, err := New(Options{Dir: dir, Exec: cfg, Domain: domain, TilePlanes: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, checkpointFile)); err != nil {
-		t.Fatalf("checkpoint gone after Close: %v", err)
-	}
-	if err := s.Remove(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(dir); !os.IsNotExist(err) {
-		t.Fatalf("spill dir survived Remove: %v", err)
+	for _, resume := range []bool{true, false} {
+		dir := filepath.Join(t.TempDir(), "spill")
+		s, err := New(Options{Dir: dir, Exec: cfg, Domain: domain, TilePlanes: 5, Resume: resume})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		_, err = os.Stat(filepath.Join(dir, checkpointFile))
+		if resume && err != nil {
+			t.Fatalf("checkpoint gone after Close: %v", err)
+		}
+		if !resume && !os.IsNotExist(err) {
+			t.Fatalf("scratch store wrote a checkpoint: %v", err)
+		}
+		if err := s.Remove(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := os.Stat(dir); !os.IsNotExist(err) {
+			t.Fatalf("spill dir survived Remove: %v", err)
+		}
 	}
 }
 
@@ -496,11 +584,12 @@ func TestFsyncFailureAtEveryCall(t *testing.T) {
 }
 
 // TestNewFailsCleanAfterSetupStarted covers New's error path after the set-up
-// goroutine has started: openStore launches precompile, seeds the store, and
-// only then writes the first checkpoint. A non-empty directory at the
-// checkpoint path makes that write's atomic rename fail. New must return the
-// rename error having joined the goroutine and closed what it opened: no
-// goroutine, descriptor, mapping or temp file of the store outlives the call.
+// goroutine has started: openStore launches precompile, seeds the store, syncs
+// the seed and only then writes a resumable store's first checkpoint. Failing
+// that checkpoint's temp-file sync — the second fsync — makes New fail after
+// the seeding. New must return that error having joined the goroutine and
+// closed what it opened: no goroutine, descriptor, mapping or temp file of the
+// store outlives the call.
 func TestNewFailsCleanAfterSetupStarted(t *testing.T) {
 	machine, err := topology.UV2000(2)
 	if err != nil {
@@ -509,19 +598,24 @@ func TestNewFailsCleanAfterSetupStarted(t *testing.T) {
 	domain := grid.Sz(24, 6, 4)
 	cfg := exec.Config{Machine: machine, Strategy: exec.IslandsOfCores, Boundary: stencil.Clamp, Steps: 4, KSteps: 2}
 	dir := t.TempDir()
-	if err := os.MkdirAll(filepath.Join(dir, checkpointFile, "occupied"), 0o755); err != nil {
-		t.Fatal(err)
+	defer func(orig func(interface{ Sync() error }) error) { fsync = orig }(fsync)
+	calls := 0
+	errInjected := errors.New("injected checkpoint sync failure")
+	fsync = func(f interface{ Sync() error }) error {
+		if calls++; calls == 2 {
+			return errInjected
+		}
+		return f.Sync()
 	}
 	baseGoroutines := runtime.NumGoroutine()
 
-	s, err := New(Options{Dir: dir, Exec: cfg, Domain: domain, TilePlanes: 6})
+	s, err := New(Options{Dir: dir, Exec: cfg, Domain: domain, TilePlanes: 6, Resume: true})
 	if err == nil {
 		s.Close()
-		t.Fatal("New succeeded with a directory at the checkpoint path")
+		t.Fatal("New succeeded with its first checkpoint's sync failing")
 	}
-	var linkErr *os.LinkError
-	if !errors.As(err, &linkErr) || linkErr.Op != "rename" {
-		t.Fatalf("New = %v, want the checkpoint rename's error", err)
+	if !errors.Is(err, errInjected) {
+		t.Fatalf("New = %v, want the checkpoint sync's error", err)
 	}
 
 	requireNothingLeft(t, dir, baseGoroutines)

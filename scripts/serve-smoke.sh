@@ -275,6 +275,13 @@ if [ "$(awk -v t="$stiles" -v j="$stream_jobs" 'BEGIN{print (t+0 >= 4*j) ? 1 : 0
     echo "serve-smoke: serve_stream_tiles_total=$stiles, want >= $((4 * stream_jobs))" >&2
     exit 1
 fi
+# Anonymous streamed engines go back to the pool with their seeded stores: on
+# two slots at most the first two jobs build one, every later job rewinds one.
+shits=$(metric_value "$st_url" serve_schedule_cache_hits_total)
+if [ "$(awk -v h="$shits" -v j="$stream_jobs" 'BEGIN{print (h+0 >= j-2) ? 1 : 0}')" != "1" ]; then
+    echo "serve-smoke: serve_schedule_cache_hits_total=$shits, want >= $((stream_jobs - 2))" >&2
+    exit 1
+fi
 # Anonymous stores are removed when their engine retires; only the spill root
 # (and any durable stream-* stores) may remain.
 leftovers=$(find "$spill" -maxdepth 1 -name 'job-*' 2>/dev/null | wc -l)
@@ -289,7 +296,7 @@ if [ "$diskbw" != "0" ]; then
     echo "serve-smoke: serve_stream_disk_bw_bytes=$diskbw after anonymous jobs only, want 0" >&2
     exit 1
 fi
-echo "serve-smoke: phase 3a OK ($sjobs streamed jobs, $stiles tile residencies, disk estimate untouched)"
+echo "serve-smoke: phase 3a OK ($sjobs streamed jobs, $shits engine reuses, $stiles tile residencies, disk estimate untouched)"
 
 # 3b: kill -9 the server mid-way through a long durable streamed job, then
 # restart on the same spill directory and resubmit the same stream_id. The
