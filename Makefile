@@ -33,10 +33,14 @@ race-core:
 # internal/mpdata's fused kernels have AVX2 bodies on amd64 and a scalar-only
 # build everywhere else (and at GOAMD64=v3): compile everything for arm64 and
 # for amd64 v3 and vet the package there, so the builds no amd64 machine runs
-# cannot rot. Cross-compiling pure Go needs nothing but the toolchain.
+# cannot rot. internal/grid's plane-file reads have a Linux mmap path and a
+# pread-only one everywhere else (store_mmap_other.go): compile everything for
+# darwin/arm64 and vet the package there. Cross-compiling pure Go needs nothing
+# but the toolchain.
 cross-check:
 	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/mpdata/
 	GOAMD64=v3 $(GO) build ./... && GOAMD64=v3 $(GO) vet ./internal/mpdata/
+	GOOS=darwin GOARCH=arm64 $(GO) build ./... && GOOS=darwin GOARCH=arm64 $(GO) vet ./internal/grid/
 
 # The committed seeds alone (go test) only replay the corpus: run each Fuzz*
 # target for 5 s past them — the AVX2 bodies against their scalar oracles in

@@ -172,7 +172,7 @@ func TestModelDigests(t *testing.T) {
 		for _, k := range []int{1, 2, 4} {
 			cfg := scfg
 			cfg.CoreIslands = core
-			c, err := StreamCost(cfg, sprog, an, grid.Sz(100, 16, 6), 4, StreamChoice{TilePlanes: 26, K: k}, 0)
+			c, err := streamCost(cfg, sprog, an, grid.Sz(100, 16, 6), 4, StreamChoice{TilePlanes: 26, K: k}, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -27,24 +27,86 @@ func streamTestSetup(t *testing.T) (Config, *stencil.Program, *stencil.HaloAnaly
 	return Config{Machine: m, Strategy: IslandsOfCores, Boundary: stencil.Clamp, Steps: 1}, &prog.Program, an
 }
 
+// streamCost plans choice over domain and steps under cfg's boundary and
+// prices the plan.
+func streamCost(cfg Config, prog *stencil.Program, an *stencil.HaloAnalysis, domain grid.Size, steps int, choice StreamChoice, diskBW float64) (*StreamCostResult, error) {
+	sp, err := NewStreamPlan(domain, steps, choice, an.InputExtents[prog.Feedback], cfg.Boundary)
+	if err != nil {
+		return nil, err
+	}
+	return StreamCost(cfg, prog, an, sp, diskBW)
+}
+
+// TestStreamPlanValidation covers the planner's feasibility errors, its
+// clamped and wrapped halos and its sweep arithmetic.
+func TestStreamPlanValidation(t *testing.T) {
+	ext := stencil.Extent{ILo: 3, IHi: 3}
+	if _, err := NewStreamPlan(grid.Sz(8, 4, 4), 4, StreamChoice{TilePlanes: 4, K: 1}, ext, stencil.Periodic); err == nil {
+		t.Fatal("periodic halo overflow accepted")
+	}
+	if _, err := NewStreamPlan(grid.Sz(8, 4, 4), 0, StreamChoice{TilePlanes: 4, K: 1}, ext, stencil.Clamp); err == nil {
+		t.Fatal("zero steps accepted")
+	}
+	p, err := NewStreamPlan(grid.Sz(8, 4, 4), 4, StreamChoice{TilePlanes: 4, K: 1}, ext, stencil.Clamp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Tiles) != 2 || p.MaxResidentPlanes() != 7 {
+		t.Fatalf("unexpected clamp plan: %+v (maxResident %d)", p, p.MaxResidentPlanes())
+	}
+	if first := p.Tiles[0]; first.Base() != 0 || first.ExtLo != 0 || first.ExtNI != 7 {
+		t.Fatalf("clamped first tile %+v: its halo should stop at the domain edge", first)
+	}
+	// Under Periodic the first tile's halo wraps to the top of the ring.
+	p, err = NewStreamPlan(grid.Sz(12, 4, 4), 4, StreamChoice{TilePlanes: 4, K: 1}, ext, stencil.Periodic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first := p.Tiles[0]; first.Base() != -3 || first.ExtNI != 10 || p.GlobalPlane(first, 0) != 9 || p.GlobalPlane(first, 3) != 0 {
+		t.Fatalf("periodic first tile %+v: want base -3 over 10 planes, wrapping 0 -> 9", first)
+	}
+	// Whole-domain degenerate tile has no halo.
+	p, err = NewStreamPlan(grid.Sz(8, 4, 4), 4, StreamChoice{TilePlanes: 0, K: 2}, ext, stencil.Periodic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Tiles) != 1 || p.ExtLo != 0 || p.ExtHi != 0 || p.MaxResidentPlanes() != 8 || p.TilePlanes != 8 {
+		t.Fatalf("unexpected whole-domain plan: %+v", p)
+	}
+	if p.Sweeps != 2 || p.KEffAt(1) != 2 {
+		t.Fatalf("sweep arithmetic wrong: %+v", p)
+	}
+	// Remainder sweep, and k clamped to the run.
+	p, err = NewStreamPlan(grid.Sz(8, 4, 4), 7, StreamChoice{TilePlanes: 0, K: 4}, ext, stencil.Clamp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Sweeps != 2 || p.KEffAt(0) != 4 || p.KEffAt(1) != 3 || p.StepsBefore(1) != 4 || p.StepsBefore(2) != 7 {
+		t.Fatalf("remainder sweep arithmetic wrong: %+v", p)
+	}
+	if p, err = NewStreamPlan(grid.Sz(8, 4, 4), 3, StreamChoice{TilePlanes: 4, K: 8}, ext, stencil.Clamp); err != nil || p.K != 3 || p.Sweeps != 1 {
+		t.Fatalf("k=8 over 3 steps: %+v, %v; want k clamped to 3", p, err)
+	}
+}
+
 func TestStreamCostArithmetic(t *testing.T) {
 	cfg, prog, an := streamTestSetup(t)
 	domain := grid.Sz(96, 16, 16)
 
-	res, err := StreamCost(cfg, prog, an, domain, 10, StreamChoice{TilePlanes: 16, K: 2}, 1e9)
+	res, err := streamCost(cfg, prog, an, domain, 10, StreamChoice{TilePlanes: 16, K: 2}, 1e9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Tiles != 6 || res.Sweeps != 5 {
-		t.Fatalf("plan shape: tiles %d sweeps %d, want 6 and 5", res.Tiles, res.Sweeps)
+	if sp := res.Plan; len(sp.Tiles) != 6 || sp.Sweeps != 5 {
+		t.Fatalf("plan shape: tiles %d sweeps %d, want 6 and 5", len(sp.Tiles), sp.Sweeps)
 	}
-	if res.ExtLo != 6 || res.ExtHi != 6 {
-		t.Fatalf("k=2 halo: [%d,%d], want [6,6]", res.ExtLo, res.ExtHi)
+	if sp := res.Plan; sp.ExtLo != 6 || sp.ExtHi != 6 {
+		t.Fatalf("k=2 halo: [%d,%d], want [6,6]", sp.ExtLo, sp.ExtHi)
 	}
-	if res.MaxResidentPlanes != 16+12 {
-		t.Fatalf("MaxResidentPlanes %d, want 28", res.MaxResidentPlanes)
+	if got := res.Plan.MaxResidentPlanes(); got != 16+12 {
+		t.Fatalf("MaxResidentPlanes %d, want 28", got)
 	}
-	if res.BytesMoved <= 0 || res.ResidentBytes <= 0 {
+	if res.BytesMoved <= 0 || res.Plan.ResidentBytes(cfg, prog) <= 0 {
 		t.Fatalf("missing accounting: %+v", res)
 	}
 	if res.OverlapBound <= 0 || res.OverlapBound > 1 {
@@ -55,12 +117,12 @@ func TestStreamCostArithmetic(t *testing.T) {
 	}
 
 	// A degenerate whole-domain choice has one tile and no halo.
-	res, err = StreamCost(cfg, prog, an, domain, 10, StreamChoice{TilePlanes: 0, K: 2}, 1e9)
+	res, err = streamCost(cfg, prog, an, domain, 10, StreamChoice{TilePlanes: 0, K: 2}, 1e9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Tiles != 1 || res.ExtLo != 0 || res.ExtHi != 0 || res.MaxResidentPlanes != domain.NI {
-		t.Fatalf("degenerate plan: %+v", res)
+	if sp := res.Plan; len(sp.Tiles) != 1 || sp.ExtLo != 0 || sp.ExtHi != 0 || sp.MaxResidentPlanes() != domain.NI {
+		t.Fatalf("degenerate plan: %+v", sp)
 	}
 }
 
@@ -69,7 +131,7 @@ func TestStreamCostPeriodicInfeasible(t *testing.T) {
 	cfg.Boundary = stencil.Periodic
 	// k=4 halo is 12+12 planes; a 10-plane tile cannot fit beside it in a
 	// 24-plane periodic ring.
-	if _, err := StreamCost(cfg, prog, an, grid.Sz(24, 8, 8), 8, StreamChoice{TilePlanes: 10, K: 4}, 1e9); err == nil {
+	if _, err := streamCost(cfg, prog, an, grid.Sz(24, 8, 8), 8, StreamChoice{TilePlanes: 10, K: 4}, 1e9); err == nil {
 		t.Fatal("periodic halo overflow accepted")
 	}
 }
@@ -79,7 +141,11 @@ func TestStreamResidentBytesMonotone(t *testing.T) {
 	domain := grid.Sz(128, 16, 16)
 	prev := 0.0
 	for _, w := range []int{4, 8, 16, 32, 64} {
-		b := StreamResidentBytes(cfg, prog, an.InputExtents[prog.Feedback], domain, w, 2)
+		sp, err := NewStreamPlan(domain, 2, StreamChoice{TilePlanes: w, K: 2}, an.InputExtents[prog.Feedback], cfg.Boundary)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := sp.ResidentBytes(cfg, prog)
 		if b <= prev {
 			t.Fatalf("resident bytes not increasing at width %d: %v <= %v", w, b, prev)
 		}
@@ -92,11 +158,11 @@ func TestStreamCostDiskBound(t *testing.T) {
 	domain := grid.Sz(96, 16, 16)
 	choice := StreamChoice{TilePlanes: 24, K: 1}
 
-	slow, err := StreamCost(cfg, prog, an, domain, 8, choice, 1e6)
+	slow, err := streamCost(cfg, prog, an, domain, 8, choice, 1e6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := StreamCost(cfg, prog, an, domain, 8, choice, 1e12)
+	fast, err := streamCost(cfg, prog, an, domain, 8, choice, 1e12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +173,7 @@ func TestStreamCostDiskBound(t *testing.T) {
 		t.Fatalf("slower disk should bound overlap lower: %v >= %v", slow.OverlapBound, fast.OverlapBound)
 	}
 	// On a crawling disk, doubling k (half the sweeps) must cut the total.
-	k2, err := StreamCost(cfg, prog, an, domain, 8, StreamChoice{TilePlanes: 24, K: 2}, 1e6)
+	k2, err := streamCost(cfg, prog, an, domain, 8, StreamChoice{TilePlanes: 24, K: 2}, 1e6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,15 +267,17 @@ func TestStreamCostCellsMatchCompiledSchedule(t *testing.T) {
 		for _, k := range sc.ks {
 			cfg := sc.cfg
 			cfg.Machine, cfg.Boundary, cfg.Steps = base.Machine, base.Boundary, base.Steps
-			e := fext.Scale(k)
-			tiles := streamTiles(domain, tilePlanes, e.ILo, e.IHi, false)
-			if len(tiles) != 4 {
-				t.Fatalf("%s k=%d: %d tiles, want 4", sc.name, k, len(tiles))
+			sp, err := NewStreamPlan(domain, k, StreamChoice{TilePlanes: tilePlanes, K: k}, fext, cfg.Boundary)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(sp.Tiles) != 4 {
+				t.Fatalf("%s k=%d: %d tiles, want 4", sc.name, k, len(sp.Tiles))
 			}
 			var sweepCells int64
 			fallbacks := 0
-			for ti, tile := range tiles {
-				tileCfg, size := StreamTileConfig(cfg, k, domain, tile.lo, tile.width, tile.ext)
+			for ti, tile := range sp.Tiles {
+				tileCfg, size := StreamTileConfig(cfg, k, domain, tile.StreamShape)
 				priced, compiled, st := compiledCells(t, tileCfg, prog, an, size)
 				sweepCells += priced
 				if priced != compiled {
@@ -235,7 +303,7 @@ func TestStreamCostCellsMatchCompiledSchedule(t *testing.T) {
 			if want := map[int]int{1: 0, 2: 0, 4: 1}[k]; fallbacks != want {
 				t.Errorf("%s k=%d: %d tiles fell back to the whole extent, want %d", sc.name, k, fallbacks, want)
 			}
-			cost, err := StreamCost(cfg, prog, an, domain, k, StreamChoice{TilePlanes: tilePlanes, K: k}, 0)
+			cost, err := streamCost(cfg, prog, an, domain, k, StreamChoice{TilePlanes: tilePlanes, K: k}, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -241,6 +241,36 @@ func (a *SumAccumulator) Add(v float64) {
 // Value returns the compensated total so far.
 func (a *SumAccumulator) Value() float64 { return a.sum + a.comp }
 
+// Summary is a field's compensated sum and extrema in progress. Add folds
+// cells in visitation order, so a resident field summarized whole and a
+// stored one summarized plane by plane get the same bits, and the sum is
+// Field.Sum's.
+type Summary struct {
+	acc      SumAccumulator
+	Min, Max float64
+}
+
+// NewSummary returns an empty summary; its extrema start at +Inf and -Inf.
+func NewSummary() Summary { return Summary{Min: math.Inf(1), Max: math.Inf(-1)} }
+
+// Add folds cells into the summary.
+func (s *Summary) Add(cells []float64) {
+	acc, lo, hi := s.acc, s.Min, s.Max
+	for _, v := range cells {
+		acc.Add(v)
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
+	}
+	s.acc, s.Min, s.Max = acc, lo, hi
+}
+
+// Sum returns the compensated total so far.
+func (s *Summary) Sum() float64 { return s.acc.Value() }
+
 // Sum returns the sum of all cells (used for conservation checks).
 // It uses Neumaier compensated summation: conservation tests need tight
 // tolerances even when large terms cancel.

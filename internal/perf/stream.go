@@ -3,6 +3,7 @@ package perf
 import (
 	"fmt"
 
+	"islands/internal/exec"
 	"islands/internal/stream"
 )
 
@@ -11,7 +12,7 @@ import (
 // the measured disk traffic, stall budget and compute/I-O overlap. It is the
 // mpdata-sim -stream-budget-mb report and the profiler-side face of the
 // serving layer's StreamReport.
-func StreamTable(plan *stream.Plan, st stream.Stats) *Table {
+func StreamTable(plan *exec.StreamPlan, st stream.Stats) *Table {
 	t := &Table{
 		Title: fmt.Sprintf("out-of-core stream: %v in %d tiles x %d sweeps (w=%d, k=%d)",
 			plan.Domain, len(plan.Tiles), plan.Sweeps, plan.TilePlanes, plan.K),

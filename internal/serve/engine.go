@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"math"
 
 	"islands/internal/exec"
 	"islands/internal/grid"
@@ -205,23 +204,14 @@ func (e *solverEngine) Checksums() Checksums {
 	// One walk over the field: the sum accumulates in Field.Sum's order (its
 	// bits are the streamed engine's and the references'), the extrema ride
 	// along.
-	var acc grid.SumAccumulator
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, v := range e.out.Data {
-		acc.Add(v)
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	sum := acc.Value()
+	sm := grid.NewSummary()
+	sm.Add(e.out.Data)
+	sum := sm.Sum()
 	var drift float64
 	if e.massIn != 0 {
 		drift = (sum - e.massIn) / e.massIn
 	}
-	return Checksums{Sum: sum, Min: lo, Max: hi, MassDrift: drift}
+	return Checksums{Sum: sum, Min: sm.Min, Max: sm.Max, MassDrift: drift}
 }
 
 // SetProfiling toggles the runner's per-phase profiler.

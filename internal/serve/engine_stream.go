@@ -138,8 +138,9 @@ func (e *streamEngine) budgetMB() int {
 // Otherwise tune.PickResidency chooses under budgetMB, priced at diskBW
 // bytes/s (0 = the model's default), and a domain that fits the budget whole
 // streams as one degenerate tile (k = the whole run) rather than through a
-// distinct code path. The pick is priced on the UV 2000; the tile engines
-// then run on the host's shape (host).
+// distinct code path. The tile engines run on the host's shape (host), and
+// the footprint is priced on that shape; the pick's time model stays on the
+// UV 2000.
 func OpenStream(ns NormSpec, o stream.Options, budgetMB int, diskBW float64) (*stream.Streamer, *tune.Residency, error) {
 	cfg, err := ns.ExecConfig()
 	if err != nil {
@@ -150,6 +151,8 @@ func OpenStream(ns NormSpec, o stream.Options, budgetMB int, diskBW float64) (*s
 	if err != nil {
 		return nil, nil, err
 	}
+	class, knobs := ClassOf(ns), tune.KnobsOf(cfg, ns.Domain)
+	cfg.Machine = host().Run(cfg.Machine)
 	var picked *tune.Residency
 	var tilePlanes, k int
 	stored := false
@@ -159,7 +162,7 @@ func OpenStream(ns NormSpec, o stream.Options, budgetMB int, diskBW float64) (*s
 	if stored {
 		// The residency cannot change mid-run, so a budget it overflows
 		// fails the job rather than being ignored.
-		need, err := tune.ResidentBytes(cfg.Machine, &prog.Program, ClassOf(ns), tune.KnobsOf(cfg, ns.Domain), tilePlanes, k)
+		need, err := tune.ResidentBytes(cfg.Machine, &prog.Program, class, knobs, ns.Steps, tilePlanes, k)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -168,16 +171,12 @@ func OpenStream(ns NormSpec, o stream.Options, budgetMB int, diskBW float64) (*s
 				tilePlanes, k, need/(1<<20), budgetMB)
 		}
 	} else {
-		picked, err = tune.PickResidency(cfg.Machine, &prog.Program, ClassOf(ns), tune.KnobsOf(cfg, ns.Domain), ns.Steps, int64(budgetMB)<<20, diskBW)
+		picked, err = tune.PickResidency(cfg.Machine, &prog.Program, class, knobs, ns.Steps, int64(budgetMB)<<20, diskBW)
 		if err != nil {
 			return nil, nil, fmt.Errorf("no streaming residency under %d MiB: %w", budgetMB, err)
 		}
 		tilePlanes, k = picked.TilePlanes, picked.K
-		if picked.Resident {
-			tilePlanes, k = 0, ns.Steps
-		}
 	}
-	cfg.Machine = host().Run(cfg.Machine)
 	cfg.Steps = ns.Steps
 	cfg.KSteps = k
 	o.Exec, o.Domain, o.Program, o.TilePlanes = cfg, ns.Domain, prog, tilePlanes

@@ -6,6 +6,7 @@ import (
 
 	"islands/internal/stream"
 	"islands/internal/topology"
+	"islands/internal/tune"
 )
 
 // withHost makes engines built during the test execute on h.
@@ -120,5 +121,65 @@ func TestHostShapedEnginesAreBitIdentical(t *testing.T) {
 	}
 	if got := (Checksums{Sum: ck.Sum, Min: ck.Min, Max: ck.Max, MassDrift: want.MassDrift}); !sameBits(got, want) {
 		t.Errorf("streamed %s on %d cpus: checksums %+v, resident %+v", spec.Grid, h.CPUs, got, want)
+	}
+}
+
+// TestStreamedFootprintFollowsTheHost: a streamed core-islands job's tile
+// engines run on the host's shape, with one stage environment per host core,
+// so its footprint is priced on that shape and not on the UV 2000's 8 cores
+// per socket. On a 2-, 16- and 64-CPU host the engines' arena stays within
+// both what the pick priced and the budget, and the streamed result stays
+// bit-identical to the resident run on the same host.
+func TestStreamedFootprintFollowsTheHost(t *testing.T) {
+	const budgetMB = 96
+	spec := Spec{Grid: "384x64x16", Steps: 4, Strategy: "islands", CoreIslands: true}
+	for _, cpus := range []int{2, 16, 64} {
+		withHost(t, topology.Host{Nodes: 1, CPUs: cpus})
+		eng, want := runSpec(t, spec)
+		eng.Close()
+		streamed := spec
+		streamed.Streamed, streamed.MemoryBudgetMB = true, budgetMB
+		ns, err := streamed.Normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, picked, err := OpenStream(ns, stream.Options{Dir: t.TempDir()}, budgetMB, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Run(); err != nil {
+			t.Fatal(err)
+		}
+		ck, err := st.Checksums()
+		if err != nil {
+			t.Fatal(err)
+		}
+		peak := st.Stats().PeakEngineBytes
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if picked.Resident {
+			t.Fatalf("%d cpus: %s fits %d MiB whole, so the test checks nothing", cpus, spec.Grid, budgetMB)
+		}
+		// The footprint as the picker priced it: on the host's shape.
+		cfg, err := ns.ExecConfig()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, prog, err := ns.program()
+		if err != nil {
+			t.Fatal(err)
+		}
+		priced, err := tune.ResidentBytes(host().Run(cfg.Machine), &prog.Program, ClassOf(ns), tune.KnobsOf(cfg, ns.Domain), ns.Steps, picked.TilePlanes, picked.K)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if float64(peak) > priced || peak > budgetMB<<20 {
+			t.Errorf("%d cpus, %s: tile engines hold %.1f MiB, priced %.1f MiB under a %d MiB budget",
+				cpus, picked.Label, float64(peak)/(1<<20), priced/(1<<20), budgetMB)
+		}
+		if got := (Checksums{Sum: ck.Sum, Min: ck.Min, Max: ck.Max, MassDrift: want.MassDrift}); !sameBits(got, want) {
+			t.Errorf("streamed %s on %d cpus: checksums %+v, resident %+v", spec.Grid, cpus, got, want)
+		}
 	}
 }

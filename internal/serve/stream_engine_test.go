@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strconv"
 	"strings"
@@ -230,7 +231,7 @@ func TestResumedStoreKeepsToItsBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	need, err := tune.ResidentBytes(cfg.Machine, &prog.Program, ClassOf(ns), tune.KnobsOf(cfg, ns.Domain), picked.TilePlanes, picked.K)
+	need, err := tune.ResidentBytes(cfg.Machine, &prog.Program, ClassOf(ns), tune.KnobsOf(cfg, ns.Domain), ns.Steps, picked.TilePlanes, picked.K)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,5 +495,42 @@ func TestOneLiveJobPerStreamID(t *testing.T) {
 	if again.Result.Checksums != st.Result.Checksums || again.Result.Stream.TilesDone != 0 {
 		t.Fatalf("resubmission: checksums %+v after %d tiles, want the stored %+v after none",
 			again.Result.Checksums, again.Result.Stream.TilesDone, st.Result.Checksums)
+	}
+}
+
+// TestPickedPlanIsTheStreamedPlan: the plan tune.PickResidency priced is the
+// plan the streamer OpenStream opens with it runs — tile for tile, halo for
+// halo — on both boundaries, at k = 1, 2 and 4, remainder sweeps included.
+func TestPickedPlanIsTheStreamedPlan(t *testing.T) {
+	cases := []struct {
+		budgetMB int
+		diskBW   float64
+		k        int
+	}{{1, 1e13, 1}, {1, 1e7, 2}, {2, 1e7, 4}}
+	for _, bc := range []string{"clamp", "periodic"} {
+		for _, c := range cases {
+			spec := Spec{Grid: "96x16x8", Steps: 5, Strategy: "islands", Boundary: bc, Streamed: true, MemoryBudgetMB: c.budgetMB}
+			ns, err := spec.Normalize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, picked, err := OpenStream(ns, stream.Options{Dir: t.TempDir()}, c.budgetMB, c.diskBW)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan := st.Plan()
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if picked.Resident || picked.K != c.k {
+				t.Fatalf("%s, %d MiB at %g B/s: picked %s, want a k=%d stream", bc, c.budgetMB, c.diskBW, picked.Label, c.k)
+			}
+			if c.k > 1 && plan.KEffAt(plan.Sweeps-1) == c.k {
+				t.Fatalf("%s %s: no remainder sweep over %d steps", bc, picked.Label, ns.Steps)
+			}
+			if !reflect.DeepEqual(picked.Cost.Plan, plan) {
+				t.Errorf("%s %s: priced plan %+v, streamed plan %+v", bc, picked.Label, picked.Cost.Plan, plan)
+			}
+		}
 	}
 }

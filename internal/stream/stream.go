@@ -1,3 +1,30 @@
+// Package stream implements the out-of-core tile streaming executor: it runs
+// MPDATA on domains too large for the configured memory budget by cutting the
+// domain along the outer (i) axis into resident tiles widened by k-step
+// halos, backing the full psi field with an on-disk ping/pong plane store
+// (grid.PlaneFile), and driving each tile through the existing compiled-
+// schedule engine for k steps per residency while a prefetch goroutine
+// double-buffers the next tile's load (and the previous tile's writeback)
+// against compute.
+//
+// Correctness rests on the same redundant-trapezoid argument as the paper's
+// islands: a tile's input is its owned plane range grown by the feedback
+// stencil's k-step extent, so after k uninterrupted steps the owned cells are
+// bit-identical to a resident run — contamination from the cut edges (where
+// the tile engine applies the global boundary condition to what is really
+// domain interior) propagates at most one step-extent per step and dies in
+// the discarded halo shell. Real domain edges coincide with tile edges, so
+// the boundary condition is applied exactly where the resident run applies
+// it; under a periodic i-boundary the halo planes are loaded mod NI. The
+// tile engine computes no more than that trapezoid wherever it can run the
+// k steps as one block: its output window (exec.Config.Keep) is the owned
+// planes, so the halo planes are read and never recomputed. See
+// docs/STREAMING.md.
+//
+// Because the halo argument holds regardless of the boundary condition, the
+// streamed result is solver-exact even for IslandsOfCores under Periodic —
+// a combination where the resident executor itself leaves stale wrap-edge
+// values (see TestStreamIslandsPeriodicSolverExact).
 package stream
 
 import (
@@ -122,8 +149,8 @@ type Stats struct {
 	OutputCells int64
 	// PeakEngineBytes is the field storage the run's tile engines occupy —
 	// all shapes together, since they share one arena. It stays within the
-	// engine term of exec.StreamResidentBytes: exec.StreamEngineFields fields
-	// of the widest tile.
+	// engine term of exec.StreamPlan.ResidentBytes: exec.StreamEngineFields
+	// fields of the widest tile.
 	PeakEngineBytes int64
 }
 
@@ -211,12 +238,12 @@ func StoredResidency(dir string) (tilePlanes, k int, ok bool) {
 	return ck.TilePlanes, ck.K, true
 }
 
-// engineKey identifies a compiled tile engine: tiles sharing a loaded width,
-// the owned window's place in it and the per-residency step count reuse one
-// runner (at most three distinct keys per sweep in practice — first,
-// interior and last tiles).
+// engineKey identifies a compiled tile engine: tiles of one plan shape
+// advanced the same steps reuse one runner (at most three distinct keys per
+// sweep in practice — first, interior and last tiles).
 type engineKey struct {
-	extNI, extLo, width, steps int
+	shape exec.StreamShape
+	steps int
 }
 
 type tileEngine struct {
@@ -230,7 +257,7 @@ type tileEngine struct {
 // for Abort, which may be called from any goroutine.
 type Streamer struct {
 	o     Options
-	plan  *Plan
+	plan  *exec.StreamPlan
 	entry *solver.Entry
 	prog  *stencil.KernelProgram
 
@@ -298,15 +325,11 @@ func New(o Options) (*Streamer, error) {
 	if err != nil {
 		return nil, err
 	}
-	k := o.Exec.KSteps
-	if k <= 0 {
-		k = 1
+	fext, err := exec.StreamHalo(&prog.Program, analysis)
+	if err != nil {
+		return nil, err
 	}
-	if o.Exec.Steps > 0 && k > o.Exec.Steps {
-		k = o.Exec.Steps
-	}
-	fext := analysis.InputExtents[prog.Program.Feedback]
-	plan, err := NewPlan(o.Domain, o.Exec.Steps, k, o.TilePlanes, fext.Scale(k), o.Exec.Boundary)
+	plan, err := exec.NewStreamPlan(o.Domain, o.Exec.Steps, exec.StreamChoice{TilePlanes: o.TilePlanes, K: o.Exec.KSteps}, fext, o.Exec.Boundary)
 	if err != nil {
 		return nil, err
 	}
@@ -355,7 +378,7 @@ func (s *Streamer) allocBuffers() {
 	}
 	planeCells := int(grid.PlaneBytes(s.o.Domain) / grid.CellBytes)
 	maxCells := s.plan.MaxResidentPlanes() * planeCells
-	ownedCells := min(s.plan.TilePlanes, s.o.Domain.NI) * planeCells
+	ownedCells := s.plan.TilePlanes * planeCells
 	s.loadFree = make(chan []float64, 2)
 	s.writeFree = make(chan []float64, 2)
 	for n := 0; n < 2; n++ {
@@ -367,7 +390,7 @@ func (s *Streamer) allocBuffers() {
 // checkIslandWidth rejects plans whose narrowest tile cannot host the
 // configured island partition (1D variant A cuts along i, so each loaded
 // sub-domain must span at least one plane per island).
-func checkIslandWidth(cfg exec.Config, p *Plan) error {
+func checkIslandWidth(cfg exec.Config, p *exec.StreamPlan) error {
 	if cfg.Strategy != exec.IslandsOfCores || cfg.IslandGrid != [2]int{} {
 		return nil
 	}
@@ -375,11 +398,11 @@ func checkIslandWidth(cfg exec.Config, p *Plan) error {
 		return nil
 	}
 	nodes := cfg.Machine.NumNodes()
-	for t := range p.Tiles {
-		if _, _, ext := p.tileGeom(t); ext < nodes {
+	for t, tile := range p.Tiles {
+		if tile.ExtNI < nodes {
 			return fmt.Errorf(
 				"stream: tile %d loads %d planes but the machine has %d islands along i; widen TilePlanes to at least %d",
-				t, ext, nodes, nodes)
+				t, tile.ExtNI, nodes, nodes)
 		}
 	}
 	return nil
@@ -461,20 +484,18 @@ func (s *Streamer) seedStore() (float64, error) {
 			ready <- c
 		}
 	}()
-	var acc grid.SumAccumulator
+	mass := grid.NewSummary()
 	var err error
 	for c := range ready {
 		// After a write error keep draining, so the generator can finish.
 		if err == nil {
 			cells := c.buf[:c.n*planeCells]
-			for _, v := range cells {
-				acc.Add(v)
-			}
+			mass.Add(cells)
 			err = s.files[0].WritePlanes(cells, c.lo, c.n)
 		}
 		free <- c.buf
 	}
-	return acc.Value(), err
+	return mass.Sum(), err
 }
 
 // precompile builds, on its own goroutine, the engines of every tile shape the
@@ -489,7 +510,7 @@ func (s *Streamer) precompile(sweep, tile int) {
 	go func() {
 		defer s.setup.Done()
 		for t := tile; t < len(s.plan.Tiles); t++ {
-			if _, err := s.buildEngine(s.engineKeyOf(t, steps)); err != nil {
+			if _, err := s.buildEngine(engineKey{s.plan.Tiles[t].StreamShape, steps}); err != nil {
 				return
 			}
 		}
@@ -545,9 +566,7 @@ func (s *Streamer) resumeStore(raw []byte) error {
 		}
 	}
 	s.ck = ck
-	for sw := 0; sw < ck.Sweep; sw++ {
-		s.stats.ResumedSteps += s.plan.KEffAt(sw)
-	}
+	s.stats.ResumedSteps = s.plan.StepsBefore(ck.Sweep)
 	return nil
 }
 
@@ -581,7 +600,7 @@ func (s *Streamer) writeCheckpoint(ck checkpoint) error {
 }
 
 // Plan exposes the tile geometry.
-func (s *Streamer) Plan() *Plan { return s.plan }
+func (s *Streamer) Plan() *exec.StreamPlan { return s.plan }
 
 // Done reports whether every sweep has committed.
 func (s *Streamer) Done() bool { return s.ck.Sweep >= s.plan.Sweeps }
@@ -590,13 +609,7 @@ func (s *Streamer) Done() bool { return s.ck.Sweep >= s.plan.Sweeps }
 func (s *Streamer) ResumedSteps() int { return s.stats.ResumedSteps }
 
 // StepsDone returns the globally committed steps (whole sweeps only).
-func (s *Streamer) StepsDone() int {
-	done := 0
-	for sw := 0; sw < s.ck.Sweep; sw++ {
-		done += s.plan.KEffAt(sw)
-	}
-	return done
-}
+func (s *Streamer) StepsDone() int { return s.plan.StepsBefore(s.ck.Sweep) }
 
 // Stats snapshots the I/O and overlap accounting.
 func (s *Streamer) Stats() Stats {
@@ -662,13 +675,6 @@ func (s *Streamer) Run() error {
 	return nil
 }
 
-// engineKeyOf returns the engine shape tile t runs on when advanced steps
-// steps.
-func (s *Streamer) engineKeyOf(t, steps int) engineKey {
-	_, extLo, extNI := s.plan.tileGeom(t)
-	return engineKey{extNI: extNI, extLo: extLo, width: s.plan.Tiles[t].Width(), steps: steps}
-}
-
 // engine returns (building on first use) the compiled tile engine of a shape,
 // once the set-up goroutine has handed the engines over.
 func (s *Streamer) engine(key engineKey) (*tileEngine, error) {
@@ -686,7 +692,7 @@ func (s *Streamer) buildEngine(key engineKey) (*tileEngine, error) {
 	if e, ok := s.engines[key]; ok {
 		return e, nil
 	}
-	cfg, size := exec.StreamTileConfig(s.o.Exec, key.steps, s.o.Domain, key.extLo, key.width, key.extNI)
+	cfg, size := exec.StreamTileConfig(s.o.Exec, key.steps, s.o.Domain, key.shape)
 	prog := &s.prog.Program
 	if s.arena == nil {
 		// One widest-tile engine's worth of fields, allocated (and zeroed)
@@ -713,36 +719,36 @@ func (s *Streamer) buildEngine(key engineKey) (*tileEngine, error) {
 
 // loadTile reads tile t's extended plane range from the sweep's input file.
 func (s *Streamer) loadTile(in *grid.PlaneFile, t int, buf []float64) (int64, error) {
-	base, _, extNI := s.plan.tileGeom(t)
+	tile := s.plan.Tiles[t]
 	t0 := time.Now()
 	var err error
 	if s.plan.Boundary == stencil.Periodic {
-		err = in.ReadPlanesWrap(buf, base, extNI)
+		err = in.ReadPlanesWrap(buf, tile.Base(), tile.ExtNI)
 	} else {
-		err = in.ReadPlanes(buf, base, extNI)
+		err = in.ReadPlanes(buf, tile.Base(), tile.ExtNI)
 	}
 	s.statsMu.Lock()
 	s.stats.IOTime += time.Since(t0)
 	s.statsMu.Unlock()
-	return int64(extNI) * grid.PlaneBytes(s.o.Domain), err
+	return int64(tile.ExtNI) * grid.PlaneBytes(s.o.Domain), err
 }
 
 // computeTile advances tile t by steps steps on psi planes already staged in
 // buf, leaving the owned output planes in out.
 func (s *Streamer) computeTile(sweep, t, steps int, buf, out []float64) error {
-	base, extLo, extNI := s.plan.tileGeom(t)
-	eng, err := s.engine(s.engineKeyOf(t, steps))
+	tile := s.plan.Tiles[t]
+	eng, err := s.engine(engineKey{tile.StreamShape, steps})
 	if err != nil {
 		return err
 	}
 	planeCells := int(grid.PlaneBytes(s.o.Domain) / grid.CellBytes)
 	fb := eng.state.Output()
-	copy(fb.Data, buf[:extNI*planeCells])
+	copy(fb.Data, buf[:tile.ExtNI*planeCells])
 	if s.entry.Stream.FillWindow != nil {
 		// Non-feedback step inputs (mpdata's velocities) are refilled from
 		// the tile's global plane coordinates.
 		s.entry.Stream.FillWindow(eng.state, s.o.Domain, func(li int) int {
-			return s.plan.globalPlane(base, li)
+			return s.plan.GlobalPlane(tile, li)
 		})
 	}
 	eng.runner.ReloadFeedback()
@@ -769,8 +775,7 @@ func (s *Streamer) computeTile(sweep, t, steps int, buf, out []float64) error {
 		return s.abortErr()
 	}
 	eng.runner.SyncFeedback()
-	width := s.plan.Tiles[t].Width()
-	copy(out[:width*planeCells], fb.Data[extLo*planeCells:(extLo+width)*planeCells])
+	copy(out[:tile.Width*planeCells], fb.Data[tile.ExtLo*planeCells:(tile.ExtLo+tile.Width)*planeCells])
 	return nil
 }
 
@@ -780,7 +785,7 @@ func (s *Streamer) computeTile(sweep, t, steps int, buf, out []float64) error {
 func (s *Streamer) writeTile(out *grid.PlaneFile, sweep, t int, buf []float64) (int64, error) {
 	tile := s.plan.Tiles[t]
 	t0 := time.Now()
-	err := out.WritePlanes(buf, tile.Lo, tile.Width())
+	err := out.WritePlanes(buf, tile.Lo, tile.Width)
 	if err == nil {
 		err = s.sync(out)
 	}
@@ -797,7 +802,7 @@ func (s *Streamer) writeTile(out *grid.PlaneFile, sweep, t int, buf []float64) (
 	if err := s.writeCheckpoint(next); err != nil {
 		return 0, err
 	}
-	return int64(tile.Width()) * grid.PlaneBytes(s.o.Domain), nil
+	return int64(tile.Width) * grid.PlaneBytes(s.o.Domain), nil
 }
 
 // reportProgress invokes the progress hook for a completed tile compute.
@@ -808,14 +813,10 @@ func (s *Streamer) reportProgress(sweep, t int) {
 	if s.o.Progress == nil {
 		return
 	}
-	done := 0
-	for sw := 0; sw < sweep; sw++ {
-		done += s.plan.KEffAt(sw)
-	}
 	s.o.Progress(Progress{
 		Sweep: sweep, Sweeps: s.plan.Sweeps,
 		Tile: t, Tiles: len(s.plan.Tiles),
-		StepsDone: done,
+		StepsDone: s.plan.StepsBefore(sweep),
 	})
 }
 
@@ -943,27 +944,14 @@ func (s *Streamer) Checksums() (Checksums, error) {
 	res := s.files[sweepOutput(s.plan.Sweeps-1)]
 	planeCells := int(grid.PlaneBytes(s.o.Domain) / grid.CellBytes)
 	buf := make([]float64, planeCells)
-	var acc grid.SumAccumulator
-	lo, hi := 0.0, 0.0
+	sm := grid.NewSummary()
 	for i := 0; i < s.o.Domain.NI; i++ {
 		if err := res.ReadPlanes(buf, i, 1); err != nil {
 			return Checksums{}, err
 		}
-		for n, v := range buf {
-			acc.Add(v)
-			if i == 0 && n == 0 {
-				lo, hi = v, v
-				continue
-			}
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
+		sm.Add(buf)
 	}
-	return Checksums{Sum: acc.Value(), Min: lo, Max: hi, MassIn: s.ck.MassIn}, nil
+	return Checksums{Sum: sm.Sum(), Min: sm.Min, Max: sm.Max, MassIn: s.ck.MassIn}, nil
 }
 
 // ReadResult copies the final psi field into a resident grid (tests and

@@ -381,43 +381,6 @@ func TestRewindReproducesTheRun(t *testing.T) {
 	}
 }
 
-// TestPlanValidation covers the planner's feasibility errors.
-func TestPlanValidation(t *testing.T) {
-	ext := stencil.Extent{ILo: 3, IHi: 3}
-	if _, err := NewPlan(grid.Sz(8, 4, 4), 4, 1, 4, ext, stencil.Periodic); err == nil {
-		t.Fatal("periodic halo overflow accepted")
-	}
-	if _, err := NewPlan(grid.Sz(8, 4, 4), 0, 1, 4, ext, stencil.Clamp); err == nil {
-		t.Fatal("zero steps accepted")
-	}
-	p, err := NewPlan(grid.Sz(8, 4, 4), 4, 1, 4, ext, stencil.Clamp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p.Tiles) != 2 || p.MaxResidentPlanes() != 7 {
-		t.Fatalf("unexpected clamp plan: %+v (maxResident %d)", p, p.MaxResidentPlanes())
-	}
-	// Whole-domain degenerate tile has no halo.
-	p, err = NewPlan(grid.Sz(8, 4, 4), 4, 2, 0, ext, stencil.Periodic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p.Tiles) != 1 || p.ExtLo != 0 || p.ExtHi != 0 || p.MaxResidentPlanes() != 8 {
-		t.Fatalf("unexpected whole-domain plan: %+v", p)
-	}
-	if p.Sweeps != 2 || p.KEffAt(1) != 2 {
-		t.Fatalf("sweep arithmetic wrong: %+v", p)
-	}
-	// Remainder sweep.
-	p, err = NewPlan(grid.Sz(8, 4, 4), 7, 4, 0, ext, stencil.Clamp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Sweeps != 2 || p.KEffAt(0) != 4 || p.KEffAt(1) != 3 {
-		t.Fatalf("remainder sweep arithmetic wrong: %+v", p)
-	}
-}
-
 // TestStreamStoreLifecycle pins the cleanup contract: Close keeps a
 // resumable store for resume, Remove deletes it, and a scratch store never
 // writes a checkpoint.

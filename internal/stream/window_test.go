@@ -35,7 +35,7 @@ func requireIdentical(t *testing.T, s *Streamer, want *grid.Field) {
 // 906, where engines partitioning everything they loaded swept 1104 and the
 // result needs 768. The three engine shapes share one arena, so the run
 // holds the memory of one widest-tile engine, the term
-// exec.StreamResidentBytes prices.
+// exec.StreamPlan.ResidentBytes prices.
 func TestStreamedTilesComputeTheirTrapezoid(t *testing.T) {
 	machine, err := topology.UV2000(2)
 	if err != nil {
@@ -70,7 +70,7 @@ func TestStreamedTilesComputeTheirTrapezoid(t *testing.T) {
 	}
 	priced := int64(exec.StreamEngineFields(cfg, &prog.Program)*s.Plan().MaxResidentPlanes()) * grid.PlaneBytes(domain)
 	if st.PeakEngineBytes <= 0 || st.PeakEngineBytes > priced {
-		t.Errorf("tile engines hold %d bytes, want within the %d exec.StreamResidentBytes prices for one widest-tile engine",
+		t.Errorf("tile engines hold %d bytes, want within the %d exec.StreamPlan.ResidentBytes prices for one widest-tile engine",
 			st.PeakEngineBytes, priced)
 	}
 }

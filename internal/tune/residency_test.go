@@ -7,7 +7,6 @@ import (
 	"islands/internal/grid"
 	"islands/internal/mpdata"
 	"islands/internal/stencil"
-	"islands/internal/stream"
 	"islands/internal/topology"
 )
 
@@ -26,13 +25,14 @@ func residencySetup(t *testing.T) (*topology.Machine, *stencil.Program, Class, K
 	return m, &prog.Program, class, knobs
 }
 
-func feedbackHalo(t *testing.T, prog *stencil.Program) stencil.Extent {
+// wholeBytes is the footprint of the class's whole domain held resident.
+func wholeBytes(t *testing.T, m *topology.Machine, prog *stencil.Program, class Class, knobs Knobs) float64 {
 	t.Helper()
-	an, err := stencil.Analyze(prog)
+	b, err := ResidentBytes(m, prog, class, knobs, 1, class.Domain.NI, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return an.InputExtents[prog.Feedback]
+	return b
 }
 
 func TestPickResidencyResident(t *testing.T) {
@@ -48,8 +48,7 @@ func TestPickResidencyResident(t *testing.T) {
 
 func TestPickResidencyUnderBudget(t *testing.T) {
 	m, prog, class, knobs := residencySetup(t)
-	cfg := ApplyKnobs(class.BaseConfig(m), knobs)
-	whole := exec.StreamResidentBytes(cfg, prog, feedbackHalo(t, prog), class.Domain, class.Domain.NI, 1)
+	whole := wholeBytes(t, m, prog, class, knobs)
 	budget := int64(whole / 6)
 	r, err := PickResidency(m, prog, class, knobs, 20, budget, 0)
 	if err != nil {
@@ -58,11 +57,11 @@ func TestPickResidencyUnderBudget(t *testing.T) {
 	if r.Resident {
 		t.Fatalf("budget %d (1/6 of resident) should stream", budget)
 	}
-	if r.Cost.Tiles < 4 {
-		t.Fatalf("expected >= 4 tiles at 1/6 budget, got %d (width %d)", r.Cost.Tiles, r.TilePlanes)
+	if tiles := len(r.Cost.Plan.Tiles); tiles < 4 {
+		t.Fatalf("expected >= 4 tiles at 1/6 budget, got %d (width %d)", tiles, r.TilePlanes)
 	}
-	if r.Cost.ResidentBytes > float64(budget) {
-		t.Fatalf("chosen plan over budget: %v > %d", r.Cost.ResidentBytes, budget)
+	if need, err := ResidentBytes(m, prog, class, knobs, 20, r.TilePlanes, r.K); err != nil || need > float64(budget) {
+		t.Fatalf("chosen plan over budget: %v > %d (%v)", need, budget, err)
 	}
 	if r.Label == "" || r.K < 1 {
 		t.Fatalf("malformed decision: %+v", r)
@@ -71,8 +70,7 @@ func TestPickResidencyUnderBudget(t *testing.T) {
 
 func TestPickResidencySlowDiskPrefersLargerK(t *testing.T) {
 	m, prog, class, knobs := residencySetup(t)
-	cfg := ApplyKnobs(class.BaseConfig(m), knobs)
-	whole := exec.StreamResidentBytes(cfg, prog, feedbackHalo(t, prog), class.Domain, class.Domain.NI, 1)
+	whole := wholeBytes(t, m, prog, class, knobs)
 	budget := int64(whole / 4)
 	slow, err := PickResidency(m, prog, class, knobs, 32, budget, 1e6)
 	if err != nil {
@@ -100,33 +98,36 @@ func TestPickResidencyImpossibleBudget(t *testing.T) {
 	}
 }
 
-// TestStreamCostGeometryMatchesPlanner pins exec's mirrored tile arithmetic
-// to the streaming executor's actual planner.
-func TestStreamCostGeometryMatchesPlanner(t *testing.T) {
-	m, prog, _, _ := residencySetup(t)
-	an, err := stencil.Analyze(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fext := an.InputExtents[prog.Feedback]
-	domain := grid.Sz(40, 8, 8)
-	for _, bc := range []stencil.Boundary{stencil.Clamp, stencil.Periodic} {
-		for _, c := range []exec.StreamChoice{{TilePlanes: 5, K: 1}, {TilePlanes: 8, K: 2}, {TilePlanes: 13, K: 4}} {
-			cfg := exec.Config{Machine: m, Strategy: exec.Original, Boundary: bc, Steps: 1}
-			cost, err := exec.StreamCost(cfg, prog, an, domain, 12, c, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			plan, err := stream.NewPlan(domain, 12, c.K, c.TilePlanes, fext.Scale(c.K), bc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if cost.Tiles != len(plan.Tiles) || cost.Sweeps != plan.Sweeps ||
-				cost.MaxResidentPlanes != plan.MaxResidentPlanes() ||
-				cost.ExtLo != plan.ExtLo || cost.ExtHi != plan.ExtHi {
-				t.Fatalf("bc %v choice %+v: cost geometry %+v does not match plan %+v (maxResident %d)",
-					bc, c, cost, plan, plan.MaxResidentPlanes())
-			}
+// TestPickResidencyPricesFootprintOnTheRunningMachine: the footprint is
+// priced on m, the machine that runs the tile engines, and the time model on
+// the class's UV 2000. On a 64-CPU host shape plain islands, one stage
+// environment per island, pick what they pick on the UV 2000 at the same
+// modeled time; core islands, one environment per core, pick a narrower tile
+// that fits the budget there.
+func TestPickResidencyPricesFootprintOnTheRunningMachine(t *testing.T) {
+	uv, prog, class, knobs := residencySetup(t)
+	wide := topology.Host{Nodes: 1, CPUs: 64}.Run(uv)
+	class.Domain.NI = 1536
+	const budget = 64 << 20
+	for _, core := range []bool{false, true} {
+		knobs.CoreIslands = core
+		onUV, err := PickResidency(uv, prog, class, knobs, 20, budget, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		onHost, err := PickResidency(wide, prog, class, knobs, 20, budget, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if need, err := ResidentBytes(wide, prog, class, knobs, 20, onHost.TilePlanes, onHost.K); err != nil || need > budget {
+			t.Errorf("core=%v: %s needs %.0f bytes on the 64-CPU shape, over the %d-byte budget (%v)", core, onHost.Label, need, budget, err)
+		}
+		if narrower := onHost.TilePlanes < onUV.TilePlanes; narrower != core {
+			t.Errorf("core=%v: picked %s on the 64-CPU shape and %s on the UV 2000", core, onHost.Label, onUV.Label)
+		}
+		if !core && onHost.Cost.TotalSec != onUV.Cost.TotalSec {
+			t.Errorf("%s modeled at %v s on the 64-CPU shape, %v s on the UV 2000: the time model must not follow m",
+				onHost.Label, onHost.Cost.TotalSec, onUV.Cost.TotalSec)
 		}
 	}
 }
