@@ -3,13 +3,13 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check vet test race race-core cross-check fuzz-smoke bench-check bench-smoke bench benchall loc tables report report-check examples clean
+.PHONY: all build fmt-check vet test race race-core cross-check fuzz-smoke bench-check benchall loc tables report report-check examples clean
 
 # Tier-1 gate: format + build + vet + full test suite + race detector on the
 # concurrency-bearing packages + the separately-moduled benchmark still
 # compiling against this tree + the committed report matching the code + every
 # example running to completion. CI (.github/workflows/ci.yml) runs these same
-# targets.
+# targets, plus fuzz-smoke, `shellcheck scripts/*.sh` and scripts/serve-smoke.sh.
 all: fmt-check build vet test race-core cross-check bench-check report-check examples
 
 build:
@@ -62,25 +62,6 @@ fuzz-smoke:
 # here, not in a benchmark run.
 bench-check:
 	cd bench && $(GO) vet . && $(GO) test -short .
-
-# Benchstat-style regression smoke (CI's "Bench smoke" step): 200 iterations
-# of the compute benchmarks (about a minute), compared by benchjson against the
-# last run recorded in BENCH_compute.json without writing to it. Timing deltas
-# are advisory; the target fails only on allocs/op > 0 — the compiled-schedule
-# backend's hard invariant. 200, not 1: allocs/op is an integer mean of the
-# process's mallocs over the iterations, and while the Go runtime fills its
-# per-P sudog caches for the parked workers (sched.Team.worker's select) a
-# random arm makes up to ~80 allocations that are not the step loop's — 1-32
-# allocs/op at 1x, still 1-3 at 20x, 0 at 200x. A step loop that allocates
-# does so every step and reads >= 8 allocs/op at any iteration count.
-bench-smoke: SHELL := /bin/bash
-bench-smoke:
-	set -o pipefail; $(GO) test -run '^$$' -bench '^BenchmarkCompute' -benchmem -benchtime 200x . | $(GO) run ./cmd/benchjson -smoke -o BENCH_compute.json
-
-# Run the compute benchmarks and append the results to BENCH_compute.json
-# (see docs/PERFORMANCE.md for the trajectory format).
-bench:
-	scripts/bench.sh
 
 benchall:
 	$(GO) test -bench . -benchmem ./...

@@ -12,9 +12,10 @@ package islands
 // compute/I-O overlap efficiency — the share of wall time the pipeline did
 // not leave exposed to a load or writeback stall.
 //
-// These names deliberately do not share the ^BenchmarkCompute prefix: the CI
-// bench-smoke gate fails on allocs/op > 0, a compiled-schedule invariant the
-// streaming path does not have (tile loads allocate by design).
+// These names deliberately do not share the ^BenchmarkCompute prefix: those
+// arms step with 0 allocs/op (internal/exec TestStepLoopAllocFree gates it), a
+// compiled-schedule invariant the streaming path does not have (tile loads
+// allocate by design).
 
 import (
 	"testing"

@@ -259,9 +259,8 @@ func computeBench(b *testing.B, strat exec.Strategy, coreIslands, disableFusion 
 	defer runner.Close()
 	// One untimed step first: the initial Run pays one-time costs (lazy
 	// allocations, first-touch page faults on private buffers) that the
-	// steady-state loop never sees again. Warming up makes allocs/op the
-	// steady-state number even at -benchtime 1x, which is what the CI
-	// bench-smoke gate checks against zero.
+	// steady-state loop never sees again. internal/exec TestStepLoopAllocFree
+	// is the gate that a warm step allocates nothing.
 	if err := runner.Run(); err != nil {
 		b.Fatal(err)
 	}
@@ -291,8 +290,8 @@ var solverBenchDomains = map[string]grid.Size{
 }
 
 // BenchmarkComputeSolvers runs one compiled islands-strategy step of every
-// catalog solver — the per-solver arms of the BENCH_compute.json trajectory.
-// Like computeBench, each arm must stay at 0 allocs/op in steady state.
+// catalog solver. Like computeBench, each arm must stay at 0 allocs/op in
+// steady state.
 func BenchmarkComputeSolvers(b *testing.B) {
 	m, err := topology.UV2000(2)
 	if err != nil {

@@ -12,15 +12,12 @@
 // (docs/SOLVERS.md). Admission-control
 // rejections (429/503) are retried through serveclient.BackoffPolicy — capped
 // exponential backoff with full jitter, the server's Retry-After hint as a
-// floor, and cancellation-aware sleeps — bounded by -retries. -slo reports
-// the fraction of successful jobs finishing inside the target latency, and
-// -json writes the summary for benchmark trajectories. The exit status is
-// non-zero if any job fails, so scripts can gate on it.
+// floor, and cancellation-aware sleeps — bounded by -retries. The exit status
+// is non-zero if any job fails, so scripts can gate on it.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -45,66 +42,49 @@ type workload struct {
 	coreIslands bool
 }
 
-func parseWorkloads(s string) ([]workload, error) {
-	var out []workload
+// parseList parses a comma-separated flag value item by item, skipping blank
+// items; an empty list is an error naming what.
+func parseList[T any](s, what string, parse func(string) (T, error)) ([]T, error) {
+	var out []T
 	for _, part := range strings.Split(s, ",") {
-		name := strings.TrimSpace(part)
-		if name == "" {
-			continue
+		if item := strings.TrimSpace(part); item != "" {
+			v, err := parse(item)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, v)
 		}
-		w := workload{name: name, strategy: name}
-		if base, ok := strings.CutSuffix(strings.ToLower(name), "+core"); ok {
-			w.strategy = base
-			w.coreIslands = true
-		}
-		if _, err := serve.ParseStrategy(w.strategy); err != nil {
-			return nil, err
-		}
-		out = append(out, w)
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("no strategies given")
+		return nil, fmt.Errorf("no %s given", what)
 	}
 	return out, nil
 }
 
-// parseSolvers resolves a comma-separated list of catalog solver names to
-// their canonical forms (solver.Lookup accepts case/space variants).
-func parseSolvers(s string) ([]string, error) {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		name := strings.TrimSpace(part)
-		if name == "" {
-			continue
-		}
-		entry, err := solver.Lookup(name)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, entry.Name)
+// parseWorkload resolves one strategy arm; a +core suffix selects core
+// islands.
+func parseWorkload(name string) (workload, error) {
+	w := workload{name: name, strategy: name}
+	if base, ok := strings.CutSuffix(strings.ToLower(name), "+core"); ok {
+		w.strategy, w.coreIslands = base, true
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no solvers given")
-	}
-	return out, nil
+	_, err := serve.ParseStrategy(w.strategy)
+	return w, err
 }
 
-func parseGrids(s string) ([]string, error) {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		g := strings.TrimSpace(part)
-		if g == "" {
-			continue
-		}
-		if _, err := serve.ParseGrid(g); err != nil {
-			return nil, err
-		}
-		out = append(out, g)
+// parseSolver resolves a catalog solver name to its canonical form
+// (solver.Lookup accepts case/space variants).
+func parseSolver(name string) (string, error) {
+	entry, err := solver.Lookup(name)
+	if err != nil {
+		return "", err
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no grids given")
-	}
-	return out, nil
+	return entry.Name, nil
+}
+
+func parseGrid(g string) (string, error) {
+	_, err := serve.ParseGrid(g)
+	return g, err
 }
 
 // jobOutcome is one completed submission's accounting.
@@ -121,41 +101,6 @@ type jobOutcome struct {
 	requested string
 	tuned     string
 	explored  bool
-}
-
-// summaryJSON is the -json report consumed by scripts/serve-bench.sh and the
-// BENCH_serve.json trajectory.
-type summaryJSON struct {
-	Label          string  `json:"label,omitempty"`
-	Jobs           int     `json:"jobs"`
-	OK             int     `json:"ok"`
-	Failed         int     `json:"failed"`
-	Canceled       int     `json:"canceled"`
-	RetriedRejects int64   `json:"retried_rejections"`
-	Reroutes       int     `json:"reroutes"`
-	WallSeconds    float64 `json:"wall_seconds"`
-	JobsPerSecond  float64 `json:"jobs_per_second"`
-	P50Ms          float64 `json:"p50_ms"`
-	P90Ms          float64 `json:"p90_ms"`
-	P99Ms          float64 `json:"p99_ms"`
-	MaxMs          float64 `json:"max_ms"`
-	CacheHits      int     `json:"cache_hits"`
-	CacheHitRate   float64 `json:"cache_hit_rate"`
-	SLOMs          float64 `json:"slo_ms,omitempty"`
-	SLOAttainment  float64 `json:"slo_attainment,omitempty"`
-	// PerSolver breaks successful-job latency (and SLO attainment when -slo
-	// is set) down by catalog solver — the mixed-traffic view of a -solvers
-	// rotation.
-	PerSolver     map[string]solverSummary `json:"per_solver,omitempty"`
-	ServerMetrics map[string]float64       `json:"server_metrics,omitempty"`
-}
-
-// solverSummary is one catalog solver's slice of the run.
-type solverSummary struct {
-	Jobs          int     `json:"jobs"`
-	P50Ms         float64 `json:"p50_ms"`
-	P99Ms         float64 `json:"p99_ms"`
-	SLOAttainment float64 `json:"slo_attainment,omitempty"`
 }
 
 func main() {
@@ -177,23 +122,20 @@ func main() {
 	retries := flag.Int("retries", 8, "max submission attempts per job (admission rejections)")
 	retryInitial := flag.Duration("retry-initial", 100*time.Millisecond, "base of the exponential retry backoff")
 	retryMax := flag.Duration("retry-max", 5*time.Second, "cap on the exponential retry component")
-	slo := flag.Duration("slo", 0, "target end-to-end latency; report attainment when set")
-	jsonPath := flag.String("json", "", "write the run summary as JSON to this file")
-	label := flag.String("label", "", "label recorded in the -json summary")
 	flag.Parse()
 
 	if *jobs <= 0 || *concurrency <= 0 {
 		log.Fatal("jobs and concurrency must be positive")
 	}
-	loads, err := parseWorkloads(*strategies)
+	loads, err := parseList(*strategies, "strategies", parseWorkload)
 	if err != nil {
 		log.Fatal(err)
 	}
-	grids, err := parseGrids(*gridsFlag)
+	grids, err := parseList(*gridsFlag, "grids", parseGrid)
 	if err != nil {
 		log.Fatal(err)
 	}
-	solvers, err := parseSolvers(*solversFlag)
+	solvers, err := parseList(*solversFlag, "solvers", parseSolver)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -281,15 +223,9 @@ func main() {
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	sum := summarize(outcomes, elapsed, rejected.Load(), *slo)
-	sum.Label = *label
-	sum.ServerMetrics = printServerMetrics(ctx, client)
-	if *jsonPath != "" {
-		if err := writeSummary(*jsonPath, sum); err != nil {
-			log.Fatalf("write -json summary: %v", err)
-		}
-	}
-	if sum.Failed > 0 {
+	failed := summarize(outcomes, elapsed, rejected.Load())
+	printServerMetrics(ctx, client)
+	if failed > 0 {
 		os.Exit(1)
 	}
 }
@@ -322,8 +258,8 @@ func runOne(ctx context.Context, client *serveclient.Client, spec serve.Spec, na
 }
 
 // summarize prints the aggregate and per-strategy report and returns the
-// machine-readable summary. Failed jobs fail the run.
-func summarize(outcomes []jobOutcome, elapsed time.Duration, rejected int64, slo time.Duration) summaryJSON {
+// number of failed jobs, which fail the run.
+func summarize(outcomes []jobOutcome, elapsed time.Duration, rejected int64) int {
 	var ok, failed, canceled, hits, explored, reroutes int
 	latencies := make([]time.Duration, 0, len(outcomes))
 	perStrategy := map[string][]time.Duration{}
@@ -369,35 +305,9 @@ func summarize(outcomes []jobOutcome, elapsed time.Duration, rejected int64, slo
 		ok, failed, canceled, rejected, reroutes)
 	fmt.Printf("wall: %.2fs, throughput %.1f jobs/s, schedule-cache hits %d/%d\n",
 		elapsed.Seconds(), float64(len(outcomes))/elapsed.Seconds(), hits, ok)
-	sum := summaryJSON{
-		Jobs: len(outcomes), OK: ok, Failed: failed, Canceled: canceled,
-		RetriedRejects: rejected, Reroutes: reroutes,
-		WallSeconds:   elapsed.Seconds(),
-		JobsPerSecond: float64(len(outcomes)) / elapsed.Seconds(),
-		CacheHits:     hits,
-	}
-	if ok > 0 {
-		sum.CacheHitRate = float64(hits) / float64(ok)
-	}
 	if len(latencies) > 0 {
-		sum.P50Ms = ms(pct(latencies, 50))
-		sum.P90Ms = ms(pct(latencies, 90))
-		sum.P99Ms = ms(pct(latencies, 99))
-		sum.MaxMs = ms(pct(latencies, 100))
 		fmt.Printf("latency: p50 %s  p90 %s  p99 %s  max %s\n",
 			pct(latencies, 50), pct(latencies, 90), pct(latencies, 99), pct(latencies, 100))
-		if slo > 0 {
-			within := 0
-			for _, l := range latencies {
-				if l <= slo {
-					within++
-				}
-			}
-			sum.SLOMs = ms(slo)
-			sum.SLOAttainment = float64(within) / float64(len(latencies))
-			fmt.Printf("slo: %d/%d jobs within %s (%.1f%% attainment)\n",
-				within, len(latencies), slo, 100*sum.SLOAttainment)
-		}
 	}
 	names := make([]string, 0, len(perStrategy))
 	for name := range perStrategy {
@@ -416,38 +326,20 @@ func summarize(outcomes []jobOutcome, elapsed time.Duration, rejected int64, slo
 			fmt.Printf("      %3d x %s\n", configs[name][line], line)
 		}
 	}
-	// Per-solver breakdown: the mixed-traffic view of a -solvers rotation.
-	// Always recorded in the JSON summary; printed only when more than one
-	// solver ran (a single-solver run's numbers equal the aggregate above).
-	if len(perSolver) > 0 {
-		sum.PerSolver = map[string]solverSummary{}
+	// Per-solver breakdown: the mixed-traffic view of a -solvers rotation,
+	// printed only when more than one solver ran (a single-solver run's
+	// numbers equal the aggregate above).
+	if len(perSolver) > 1 {
 		solverNames := make([]string, 0, len(perSolver))
 		for name := range perSolver {
 			solverNames = append(solverNames, name)
 		}
 		sort.Strings(solverNames)
-		if len(solverNames) > 1 {
-			fmt.Println("per-solver:")
-		}
+		fmt.Println("per-solver:")
 		for _, name := range solverNames {
 			ls := perSolver[name]
-			ss := solverSummary{Jobs: len(ls), P50Ms: ms(pct(ls, 50)), P99Ms: ms(pct(ls, 99))}
-			line := fmt.Sprintf("  %-10s %3d jobs  p50 %s  p99 %s  max %s",
+			fmt.Printf("  %-10s %3d jobs  p50 %s  p99 %s  max %s\n",
 				name, len(ls), pct(ls, 50), pct(ls, 99), pct(ls, 100))
-			if slo > 0 {
-				within := 0
-				for _, l := range ls {
-					if l <= slo {
-						within++
-					}
-				}
-				ss.SLOAttainment = float64(within) / float64(len(ls))
-				line += fmt.Sprintf("  slo %d/%d (%.1f%%)", within, len(ls), 100*ss.SLOAttainment)
-			}
-			sum.PerSolver[name] = ss
-			if len(solverNames) > 1 {
-				fmt.Println(line)
-			}
 		}
 	}
 	if explored > 0 {
@@ -456,22 +348,18 @@ func summarize(outcomes []jobOutcome, elapsed time.Duration, rejected int64, slo
 	if reroutes > 0 {
 		fmt.Printf("replica-fault reroutes survived: %d\n", reroutes)
 	}
-	return sum
+	return failed
 }
 
-func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-// pct returns the q-th percentile of the (unsorted) latencies.
+// pct returns the q-th percentile of the (unsorted) latencies by nearest
+// rank: the smallest latency at least q% of them do not exceed.
 func pct(ds []time.Duration, q int) time.Duration {
 	sorted := make([]time.Duration, len(ds))
 	copy(sorted, ds)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := len(sorted)*q/100 - 1
+	idx := (len(sorted)*q+99)/100 - 1
 	if idx < 0 {
 		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
 	}
 	return sorted[idx].Round(time.Millisecond)
 }
@@ -479,14 +367,13 @@ func pct(ds []time.Duration, q int) time.Duration {
 // printServerMetrics scrapes the target's counters — both the single-replica
 // serve_* series and the router's fleet_* series, whichever the target
 // exposes — so the operator (and the CI smoke script) sees the server-side
-// view. The scraped values are also returned for the -json summary.
-func printServerMetrics(ctx context.Context, client *serveclient.Client) map[string]float64 {
+// view.
+func printServerMetrics(ctx context.Context, client *serveclient.Client) {
 	m, err := client.Metrics(ctx)
 	if err != nil {
 		log.Printf("metrics scrape failed: %v", err)
-		return nil
+		return
 	}
-	out := map[string]float64{}
 	for _, series := range []string{
 		"serve_jobs_succeeded_total", "serve_jobs_failed_total",
 		"serve_jobs_rejected_total",
@@ -504,16 +391,6 @@ func printServerMetrics(ctx context.Context, client *serveclient.Client) map[str
 	} {
 		if v, found := serveclient.MetricValue(m, series); found {
 			fmt.Printf("server %s %g\n", series, v)
-			out[series] = v
 		}
 	}
-	return out
-}
-
-func writeSummary(path string, sum summaryJSON) error {
-	b, err := json.MarshalIndent(sum, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
 }

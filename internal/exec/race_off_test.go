@@ -1,0 +1,6 @@
+//go:build !race
+
+package exec
+
+// raceEnabled reports a -race build, under which timing-heavy tests skip.
+const raceEnabled = false

@@ -57,6 +57,10 @@ var psiFiles = [3]string{"psi.0.planes", "psi.1.planes", "psi.2.planes"}
 
 const checkpointFile = "checkpoint.json"
 
+// lockFile is a resumable store's lock (lockStore): it holds the pid of the
+// process whose Streamer has the store open.
+const lockFile = "lock"
+
 // sweepInput and sweepOutput index the plane file sweep reads and writes.
 func sweepInput(sweep int) int {
 	if sweep == 0 {
@@ -263,6 +267,8 @@ type Streamer struct {
 
 	files [3]*grid.PlaneFile
 	ck    checkpoint
+	// lock holds a resumable store's flock until Close (nil otherwise).
+	lock *os.File
 
 	// engines holds the compiled tile engines. Their fields all come from
 	// arena, rewound before each build: the shapes alias one another's
@@ -339,15 +345,24 @@ func New(o Options) (*Streamer, error) {
 	if err := os.MkdirAll(o.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	// A dirty previous exit can leave *.tmp partials (an interrupted
-	// checkpoint rename or plane-file creation); sweep them first.
-	if _, err := grid.RemovePartials(o.Dir); err != nil {
-		return nil, err
-	}
-
 	s := &Streamer{o: o, plan: plan, entry: entry, prog: prog, engines: make(map[engineKey]*tileEngine)}
 	s.stats.Tiles = len(plan.Tiles)
 	s.stats.Sweeps = plan.Sweeps
+	// A resumable store outlives its Streamer, so another process (a second
+	// server on the same spill root, a CLI run on a server's store) can open
+	// it too: lock it before anything in it is touched. An anonymous store's
+	// directory is its opener's alone.
+	if o.Resume {
+		if s.lock, err = lockStore(o.Dir); err != nil {
+			return nil, err
+		}
+	}
+	// A dirty previous exit can leave *.tmp partials (an interrupted
+	// checkpoint rename or plane-file creation); sweep them first.
+	if _, err := grid.RemovePartials(o.Dir); err != nil {
+		_ = s.Close()
+		return nil, err
+	}
 
 	if err := s.openStore(); err != nil {
 		_ = s.Close()
@@ -1015,8 +1030,9 @@ func (s *Streamer) closeEngines() {
 	s.engines = map[engineKey]*tileEngine{}
 }
 
-// Close releases the engines and the store's file handles. The spill data
-// and checkpoint stay on disk (for resume); call Remove to delete them.
+// Close releases the engines, the store's file handles and its lock. The
+// spill data and checkpoint stay on disk (for resume); call Remove to delete
+// them.
 func (s *Streamer) Close() error {
 	s.closeEngines()
 	var err error
@@ -1027,6 +1043,12 @@ func (s *Streamer) Close() error {
 			}
 			s.files[i] = nil
 		}
+	}
+	if s.lock != nil {
+		if e := s.lock.Close(); e != nil && err == nil {
+			err = e
+		}
+		s.lock = nil
 	}
 	return err
 }
