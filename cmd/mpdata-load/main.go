@@ -23,6 +23,7 @@ import (
 	"log"
 	"os"
 	"os/signal"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -150,18 +151,22 @@ func main() {
 		Steps: *steps, Processors: *p, Pin: *pin,
 		Streamed: *streamed, MemoryBudgetMB: *budgetMB,
 	}
+	// specFor is job n's spec on one (strategy, grid, solver) arm.
+	specFor := func(w workload, g, sv string, n int64) serve.Spec {
+		s := template
+		s.Strategy, s.CoreIslands, s.Grid, s.Solver = w.strategy, w.coreIslands, g, sv
+		if *streamID != "" {
+			// Per-job suffix: stores are keyed by stream_id, and a shared
+			// one would make rotating grids/strategies fight over a single
+			// checkpoint.
+			s.StreamID = fmt.Sprintf("%s-%d", *streamID, n)
+		}
+		return s
+	}
 	for _, w := range loads {
 		for _, g := range grids {
 			for _, sv := range solvers {
-				s := template
-				s.Strategy = w.strategy
-				s.CoreIslands = w.coreIslands
-				s.Grid = g
-				s.Solver = sv
-				if *streamID != "" {
-					s.StreamID = *streamID + "-0"
-				}
-				if err := s.Validate(); err != nil {
+				if err := specFor(w, g, sv, 0).Validate(); err != nil {
 					log.Fatalf("bad spec for %s/%s @ %s: %v", sv, w.name, g, err)
 				}
 			}
@@ -202,17 +207,8 @@ func main() {
 					return
 				}
 				w := loads[n%int64(len(loads))]
-				spec := template
-				spec.Strategy = w.strategy
-				spec.CoreIslands = w.coreIslands
-				spec.Grid = grids[(n/int64(len(loads)))%int64(len(grids))]
-				spec.Solver = solvers[(n/int64(len(loads)*len(grids)))%int64(len(solvers))]
-				if *streamID != "" {
-					// Per-job suffix: stores are keyed by stream_id, and a
-					// shared one would make rotating grids/strategies fight
-					// over a single checkpoint.
-					spec.StreamID = fmt.Sprintf("%s-%d", *streamID, n)
-				}
+				spec := specFor(w, grids[(n/int64(len(loads)))%int64(len(grids))],
+					solvers[(n/int64(len(loads)*len(grids)))%int64(len(solvers))], n)
 				out := runOne(ctx, client, spec, w.name, *timeout, policy)
 				mu.Lock()
 				outcomes = append(outcomes, out)
@@ -309,20 +305,10 @@ func summarize(outcomes []jobOutcome, elapsed time.Duration, rejected int64) int
 		fmt.Printf("latency: p50 %s  p90 %s  p99 %s  max %s\n",
 			pct(latencies, 50), pct(latencies, 90), pct(latencies, 99), pct(latencies, 100))
 	}
-	names := make([]string, 0, len(perStrategy))
-	for name := range perStrategy {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedKeys(perStrategy) {
 		ls := perStrategy[name]
 		fmt.Printf("  %-16s %3d jobs  p50 %s  max %s\n", name, len(ls), pct(ls, 50), pct(ls, 100))
-		lines := make([]string, 0, len(configs[name]))
-		for line := range configs[name] {
-			lines = append(lines, line)
-		}
-		sort.Strings(lines)
-		for _, line := range lines {
+		for _, line := range sortedKeys(configs[name]) {
 			fmt.Printf("      %3d x %s\n", configs[name][line], line)
 		}
 	}
@@ -330,13 +316,8 @@ func summarize(outcomes []jobOutcome, elapsed time.Duration, rejected int64) int
 	// printed only when more than one solver ran (a single-solver run's
 	// numbers equal the aggregate above).
 	if len(perSolver) > 1 {
-		solverNames := make([]string, 0, len(perSolver))
-		for name := range perSolver {
-			solverNames = append(solverNames, name)
-		}
-		sort.Strings(solverNames)
 		fmt.Println("per-solver:")
-		for _, name := range solverNames {
+		for _, name := range sortedKeys(perSolver) {
 			ls := perSolver[name]
 			fmt.Printf("  %-10s %3d jobs  p50 %s  p99 %s  max %s\n",
 				name, len(ls), pct(ls, 50), pct(ls, 99), pct(ls, 100))
@@ -354,14 +335,19 @@ func summarize(outcomes []jobOutcome, elapsed time.Duration, rejected int64) int
 // pct returns the q-th percentile of the (unsorted) latencies by nearest
 // rank: the smallest latency at least q% of them do not exceed.
 func pct(ds []time.Duration, q int) time.Duration {
-	sorted := make([]time.Duration, len(ds))
-	copy(sorted, ds)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := (len(sorted)*q+99)/100 - 1
-	if idx < 0 {
-		idx = 0
+	sorted := slices.Clone(ds)
+	slices.Sort(sorted)
+	return sorted[max((len(sorted)*q+99)/100-1, 0)].Round(time.Millisecond)
+}
+
+// sortedKeys returns m's keys in order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	return sorted[idx].Round(time.Millisecond)
+	sort.Strings(keys)
+	return keys
 }
 
 // printServerMetrics scrapes the target's counters — both the single-replica

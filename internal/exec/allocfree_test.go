@@ -14,8 +14,12 @@ import (
 // warm Runner.Run allocates nothing, so a step costs kernels and barriers and
 // no garbage collection stalls a team at its next barrier. It covers every
 // MPDATA strategy arm of the root BenchmarkCompute* set, the fusion ablation,
-// and every catalog solver on islands. Allocations do not depend on the
-// domain, so the domain is small.
+// and every catalog solver on islands. The domain is small, but it picks the
+// feedback publish: core sub-islands narrower than the step halo fall back to
+// the copy publish, which the benchmarks' 128x64x16 grid never runs. So each
+// subtest requires the publish its benchmark arm runs (swap for the shared
+// environment, swap+halo for islands), and 32x32x8 gives every core part at
+// least the step halo's width.
 //
 // The untimed warm-up runs let the Go runtime fill its per-P sudog caches for
 // the parked workers (sched.Team's select): those one-time allocations are the
@@ -30,14 +34,17 @@ func TestStepLoopAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	domain := grid.Sz(32, 16, 8)
-	check := func(t *testing.T, cfg Config, prog *stencil.KernelProgram, inputs map[string]*grid.Field, feedback string) {
+	domain := grid.Sz(32, 32, 8)
+	check := func(t *testing.T, cfg Config, prog *stencil.KernelProgram, inputs map[string]*grid.Field, feedback string, mode FeedbackMode) {
 		cfg.Machine, cfg.Boundary, cfg.Steps = m, stencil.Clamp, 1
 		r, err := NewRunner(cfg, prog, inputs, feedback)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer r.Close()
+		if got := r.Schedule().Stats().Feedback; got != mode {
+			t.Fatalf("%v publishes by %v, want %v as its benchmark arm does", domain, got, mode)
+		}
 		for i := 0; i < warm; i++ {
 			if err := r.Run(); err != nil {
 				t.Fatal(err)
@@ -55,20 +62,21 @@ func TestStepLoopAllocFree(t *testing.T) {
 	for _, arm := range []struct {
 		name string
 		cfg  Config
+		mode FeedbackMode
 	}{
-		{"original", Config{Strategy: Original}},
-		{"plus31d", Config{Strategy: Plus31D}},
-		{"islands", Config{Strategy: IslandsOfCores}},
-		{"coreislands", Config{Strategy: IslandsOfCores, CoreIslands: true}},
-		{"islands-nofuse", Config{Strategy: IslandsOfCores, DisableFusion: true}},
+		{"original", Config{Strategy: Original}, FeedbackSwap},
+		{"plus31d", Config{Strategy: Plus31D}, FeedbackSwap},
+		{"islands", Config{Strategy: IslandsOfCores}, FeedbackSwapHalo},
+		{"coreislands", Config{Strategy: IslandsOfCores, CoreIslands: true}, FeedbackSwapHalo},
+		{"islands-nofuse", Config{Strategy: IslandsOfCores, DisableFusion: true}, FeedbackSwapHalo},
 	} {
 		t.Run(arm.name, func(t *testing.T) {
 			state := mpdata.NewState(domain)
-			state.SetGaussian(16, 8, 4, 3, 1, 0.1)
+			state.SetGaussian(16, 16, 4, 3, 1, 0.1)
 			state.SetUniformVelocity(0.2, 0.1, 0.05)
 			cfg := arm.cfg
 			cfg.BlockI = 4
-			check(t, cfg, mpdata.NewProgram(), state.InputMap(), mpdata.InPsi)
+			check(t, cfg, mpdata.NewProgram(), state.InputMap(), mpdata.InPsi, arm.mode)
 		})
 	}
 
@@ -92,7 +100,7 @@ func TestStepLoopAllocFree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			check(t, Config{Strategy: IslandsOfCores, BlockI: 4}, kp, state.Inputs, state.Feedback)
+			check(t, Config{Strategy: IslandsOfCores, BlockI: 4}, kp, state.Inputs, state.Feedback, FeedbackSwapHalo)
 		})
 	}
 }

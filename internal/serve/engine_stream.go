@@ -157,7 +157,9 @@ func OpenStream(ns NormSpec, o stream.Options, budgetMB int, diskBW float64) (*s
 	var tilePlanes, k int
 	stored := false
 	if o.Resume {
-		tilePlanes, k, stored = stream.StoredResidency(o.Dir)
+		if tilePlanes, k, stored, err = stream.StoredResidency(o.Dir); err != nil {
+			return nil, nil, err
+		}
 	}
 	if stored {
 		// The residency cannot change mid-run, so a budget it overflows

@@ -210,7 +210,8 @@ func TestResumedStoreKeepsToItsBudget(t *testing.T) {
 	}
 
 	// The store one sweep in, as a job killed after its first sweep leaves it.
-	st, picked, err := OpenStream(ns, stream.Options{Dir: filepath.Join(spill, "stream-"+spec.StreamID), Resume: true}, ns.MemoryBudgetMB, 0)
+	dir := filepath.Join(spill, "stream-"+spec.StreamID)
+	st, picked, err := OpenStream(ns, stream.Options{Dir: dir, Resume: true}, ns.MemoryBudgetMB, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,6 +220,11 @@ func TestResumedStoreKeepsToItsBudget(t *testing.T) {
 	}
 	if err := st.RunSweep(); err != nil {
 		t.Fatal(err)
+	}
+	// While the store is held, a second opener fails on its lock before it
+	// reads the checkpoint and prices that residency against its budget.
+	if _, _, err := OpenStream(ns, stream.Options{Dir: dir, Resume: true}, 1, 0); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("is held by pid %d", os.Getpid())) {
+		t.Fatalf("opening the held store under 1 MiB: %v, want a failure naming the holder's pid", err)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"os"
 	osexec "os/exec"
+	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 
 	"islands/internal/exec"
@@ -86,5 +88,26 @@ func TestNamedStoreLockedAcrossProcesses(t *testing.T) {
 	}
 	if out, err := osexec.Command(os.Args[0], "open-store", dir).CombinedOutput(); err != nil {
 		t.Fatalf("child opener of a released store: %v, output %q", err, out)
+	}
+}
+
+// TestLockWithoutPidNamesNoPid holds a store's lock without writing a pid, as
+// a holder does between taking the lock and writing its pid: a second opener
+// must then say that another process holds it, not print an empty pid.
+func TestLockWithoutPidNamesNoPid(t *testing.T) {
+	dir := t.TempDir()
+	f, err := os.OpenFile(filepath.Join(dir, lockFile), os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := newNamedStore(dir); err == nil {
+		s.Close()
+		t.Fatal("New opened a store whose lock is held")
+	} else if want := fmt.Sprintf("store %s is held by another process", dir); err.Error() != "stream: "+want {
+		t.Fatalf("New on a held store with no pid: %v, want %q", err, want)
 	}
 }

@@ -16,18 +16,26 @@ import (
 // lockStore takes an exclusive, non-blocking flock on dir's lock file and
 // writes this process's pid into it. While the returned file stays open no
 // other opener — another process, or another New in this one — can hold the
-// store; the second fails with the holder's pid. Closing the file releases
+// store; the second fails naming the holder's pid. Closing the file releases
 // the lock, and a process that dies releases it with its descriptors.
+//
+// The pid is best effort: a holder writes it just after it takes the lock,
+// so an opener refused in between finds no pid (and says so) or the previous
+// holder's.
 func lockStore(dir string) (*os.File, error) {
 	f, err := os.OpenFile(filepath.Join(dir, lockFile), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, err
 	}
 	if err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
-		holder, _ := io.ReadAll(f) // the pid only names the holder in the error
+		raw, _ := io.ReadAll(f) // the pid only names the holder in the error
 		f.Close()
 		if errors.Is(err, syscall.EWOULDBLOCK) {
-			return nil, fmt.Errorf("stream: store %s is held by pid %s", dir, strings.TrimSpace(string(holder)))
+			holder := "another process"
+			if pid := strings.TrimSpace(string(raw)); pid != "" {
+				holder = "pid " + pid
+			}
+			return nil, fmt.Errorf("stream: store %s is held by %s", dir, holder)
 		}
 		return nil, fmt.Errorf("stream: lock store %s: %w", dir, err)
 	}

@@ -229,17 +229,26 @@ func (ck checkpoint) intact() bool {
 // StoredResidency reports the residency (tile width and k) recorded in dir's
 // checkpoint, if any. Callers resuming a named store use it to keep the
 // checkpointed residency even when a fresh cost-model pick would now differ
-// (resume validation rejects a changed tile geometry).
-func StoredResidency(dir string) (tilePlanes, k int, ok bool) {
-	raw, err := os.ReadFile(filepath.Join(dir, checkpointFile))
+// (resume validation rejects a changed tile geometry). It reads the
+// checkpoint under the store's lock, so a store that another Streamer holds
+// fails here, naming the holder, before the caller prices a residency the
+// holder may be rewriting.
+func StoredResidency(dir string) (tilePlanes, k int, ok bool, err error) {
+	path := filepath.Join(dir, checkpointFile)
+	if _, err := os.Stat(path); err != nil {
+		return 0, 0, false, nil
+	}
+	lock, err := lockStore(dir)
 	if err != nil {
-		return 0, 0, false
+		return 0, 0, false, err
 	}
+	defer lock.Close() // a nil lock (no flock on this platform) closes as a no-op
+	raw, err := os.ReadFile(path)
 	var ck checkpoint
-	if err := json.Unmarshal(raw, &ck); err != nil || !ck.intact() || ck.TilePlanes < 1 || ck.K < 1 {
-		return 0, 0, false
+	if err != nil || json.Unmarshal(raw, &ck) != nil || !ck.intact() || ck.TilePlanes < 1 || ck.K < 1 {
+		return 0, 0, false, nil
 	}
-	return ck.TilePlanes, ck.K, true
+	return ck.TilePlanes, ck.K, true, nil
 }
 
 // engineKey identifies a compiled tile engine: tiles of one plan shape
