@@ -12,27 +12,23 @@
 //	mpdata-router -addr 127.0.0.1:8080 \
 //	    -replicas http://127.0.0.1:8081,http://127.0.0.1:8082
 //
-// The router speaks the same API dialect as a replica (POST /v1/jobs, status,
-// result, cancel, /metrics, /healthz), so mpdata-load and serveclient work
-// against it unchanged; GET /v1/fleet adds the membership view. See
+// The router serves a replica's job routes through the same code (POST
+// /v1/jobs, status, events, result, cancel, /healthz), so mpdata-load and
+// serveclient work against it unchanged; GET /v1/fleet adds the membership
+// view and /metrics is the fleet's. See
 // docs/FLEET.md for the routing hash, the work-stealing rule, the
 // backpressure semantics and the failure model.
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
+	"fmt"
 	"log"
-	"net"
-	"net/http"
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"islands/internal/fleet"
+	"islands/internal/serve"
 )
 
 func main() {
@@ -77,39 +73,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
+	about := fmt.Sprintf("(%d replicas)", len(urls))
+	if err := serve.ListenAndDrain(*addr, router.Handler(), about, router.Drain, *drainTimeout); err != nil {
 		log.Fatal(err)
-	}
-	hs := &http.Server{Handler: router.Handler()}
-
-	// The listening line is machine-readable: scripts (the fleet smoke,
-	// local tooling) scrape the URL from it when -addr picks a random port.
-	log.Printf("listening on http://%s (%d replicas)", ln.Addr().String(), len(urls))
-
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
-
-	select {
-	case sig := <-sigc:
-		log.Printf("received %s: draining (timeout %s)", sig, *drainTimeout)
-		if err := router.Drain(*drainTimeout); err != nil {
-			log.Printf("drain: %v", err)
-			hs.Close()
-			os.Exit(1)
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := hs.Shutdown(ctx); err != nil {
-			log.Printf("http shutdown: %v", err)
-		}
-		log.Printf("drained cleanly")
-	case err := <-errc:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			log.Fatal(err)
-		}
 	}
 }

@@ -20,15 +20,9 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
+	"fmt"
 	"log"
-	"net"
-	"net/http"
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"islands/internal/serve"
@@ -93,40 +87,8 @@ func main() {
 		Logf:           log.Printf,
 	})
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
+	about := fmt.Sprintf("(%d slots, queue depth %d)", srv.PoolStats().Capacity, *queueDepth)
+	if err := serve.ListenAndDrain(*addr, srv.Handler(), about, srv.Drain, *drainTimeout); err != nil {
 		log.Fatal(err)
-	}
-	hs := &http.Server{Handler: srv.Handler()}
-
-	// The listening line is machine-readable: scripts (CI smoke, local
-	// tooling) scrape the URL from it when -addr picks a random port.
-	log.Printf("listening on http://%s (%d slots, queue depth %d)",
-		ln.Addr().String(), srv.PoolStats().Capacity, *queueDepth)
-
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
-
-	select {
-	case sig := <-sigc:
-		log.Printf("received %s: draining (timeout %s)", sig, *drainTimeout)
-		if err := srv.Drain(*drainTimeout); err != nil {
-			log.Printf("drain: %v", err)
-			hs.Close()
-			os.Exit(1)
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := hs.Shutdown(ctx); err != nil {
-			log.Printf("http shutdown: %v", err)
-		}
-		log.Printf("drained cleanly")
-	case err := <-errc:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			log.Fatal(err)
-		}
 	}
 }

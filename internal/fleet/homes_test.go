@@ -291,7 +291,7 @@ func TestFleetCapacityAwareHomes(t *testing.T) {
 	fronts[down].CloseClientConnections()
 	fronts[down].Close()
 	deadline := time.Now().Add(10 * time.Second)
-	for r.memberByName(down).Healthy() {
+	for r.members[down].Healthy() {
 		if time.Now().After(deadline) {
 			t.Fatalf("replica %s never left the ring", down)
 		}

@@ -39,7 +39,6 @@ type member struct {
 	healthy     bool
 	consecFails int
 	stats       serve.ReplicaStats
-	lastSeen    time.Time
 	// up is canceled when the member goes down and replaced when a probe
 	// succeeds again; whileUp ties a request's lifetime to it, so a replica
 	// that accepts connections and never answers cannot hold a job forever.
@@ -67,10 +66,10 @@ func (m *member) Healthy() bool {
 }
 
 // Stats returns the last successful probe's snapshot.
-func (m *member) Stats() (serve.ReplicaStats, time.Time) {
+func (m *member) Stats() serve.ReplicaStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.stats, m.lastSeen
+	return m.stats
 }
 
 // whileUp derives a context from parent that also ends, with cause
@@ -107,7 +106,6 @@ func (m *member) probe(stats serve.ReplicaStats, err error, failThreshold int) (
 	} else {
 		m.consecFails = 0
 		m.stats = stats
-		m.lastSeen = time.Now()
 		m.healthy = !stats.Draining
 		if m.up.Err() != nil {
 			m.up, m.putDown = context.WithCancel(context.Background())

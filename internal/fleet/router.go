@@ -14,6 +14,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"sort"
 	"strings"
 	"sync"
@@ -26,10 +27,10 @@ import (
 
 // ErrNoReplicas rejects submissions when no healthy replica is reachable
 // (HTTP 503 at the API).
-var ErrNoReplicas = errors.New("fleet: no healthy replica reachable")
+var ErrNoReplicas error = serve.Unavailable{Msg: "fleet: no healthy replica reachable", RetryAfter: 1}
 
 // ErrDraining rejects submissions while the router drains (HTTP 503).
-var ErrDraining = errors.New("fleet: router is draining, not admitting jobs")
+var ErrDraining error = serve.Unavailable{Msg: "fleet: router is draining, not admitting jobs", RetryAfter: 1}
 
 // BusyError is the aggregate backpressure rejection: every healthy replica
 // refused the job with a 429. RetryAfter is the honest fleet-wide hint — the
@@ -42,6 +43,11 @@ type BusyError struct {
 
 func (e *BusyError) Error() string {
 	return fmt.Sprintf("fleet: all %d healthy replicas saturated, retry after %s", e.Replicas, e.RetryAfter)
+}
+
+// Answer implements serve.Rejection: 429 with the fleet-wide hint.
+func (e *BusyError) Answer() (int, int, string) {
+	return http.StatusTooManyRequests, serve.RetryAfterSeconds(e.RetryAfter), e.Error()
 }
 
 // Options configures a Router. The zero value of every field selects the
@@ -99,29 +105,34 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Router is the fleet coordinator: health-checked membership, the consistent
-// hash ring, the routed-job registry and the HTTP API. Create with NewRouter,
-// serve Handler(), stop with Drain or Close.
+// Router is the fleet coordinator: health-checked membership and the
+// consistent hash ring behind a serve.Front, the job registry, drain and HTTP
+// API a replica has too. Create with NewRouter, serve Handler(), stop with
+// Drain or Close.
 type Router struct {
 	opts    Options
+	front   *serve.Front
 	metrics *Metrics
 
 	mu      sync.Mutex
 	members map[string]*member
-	ring    *ring           // healthy members only
-	homes   *homes          // sticky, capacity-aware key→home choices over the ring
-	jobs    map[string]*Job // in flight, plus the finished ones retired still holds
-	retired serve.Retention
-	nextID  uint64
+	ring    *ring  // healthy members only
+	homes   *homes // sticky, capacity-aware key→home choices over the ring
 
 	inflight atomic.Int64
-	draining atomic.Bool
 
-	jobsWG   sync.WaitGroup
 	healthWG sync.WaitGroup
 	stop     chan struct{}
+}
 
-	closeOnce sync.Once
+// routed is the router's side of one routed job: its ring point and the
+// placement its watcher follows. Only Submit, before the watcher starts, and
+// then the watcher touch it.
+type routed struct {
+	*serve.Job
+	key      uint64
+	member   *member
+	remoteID string
 }
 
 // NewRouter builds the coordinator, probes every replica once — so the first
@@ -138,9 +149,21 @@ func NewRouter(opts Options) (*Router, error) {
 		metrics: &Metrics{},
 		members: make(map[string]*member, len(opts.Replicas)),
 		homes:   newHomes(),
-		jobs:    make(map[string]*Job),
 		stop:    make(chan struct{}),
 	}
+	r.front = serve.NewFront(serve.FrontOps{
+		IDPrefix: "f",
+		Submit:   r.Submit,
+		Settle:   r.settle,
+		Unready: func() string {
+			if healthy, _ := r.healthyCount(); healthy == 0 {
+				return "no healthy replicas"
+			}
+			return ""
+		},
+		Shutdown: r.shutdown,
+		Logf:     opts.Logf,
+	})
 	for _, name := range opts.Replicas {
 		name = strings.TrimRight(strings.TrimSpace(name), "/")
 		if name == "" {
@@ -211,8 +234,7 @@ func (r *Router) placementOrder(key uint64) []*member {
 	defer r.mu.Unlock()
 	names := r.ring.successors(key, len(r.members))
 	home := r.homes.resolve(key, names, func(name string) int {
-		stats, _ := r.members[name].Stats()
-		return stats.CacheCapacity
+		return r.members[name].Stats().CacheCapacity
 	})
 	out := make([]*member, 0, len(names))
 	if home != "" {
@@ -242,49 +264,36 @@ func affinityKey(ns serve.NormSpec) uint64 {
 // rejected the job with backpressure, ErrNoReplicas when none was reachable,
 // or a validation error for a bad spec. On success a watcher goroutine
 // follows the job to its terminal state, rerouting on replica faults.
-func (r *Router) Submit(ctx context.Context, spec serve.Spec) (*Job, error) {
+func (r *Router) Submit(ctx context.Context, spec serve.Spec) (*serve.Job, error) {
 	ns, err := spec.Normalize()
 	if err != nil {
 		return nil, err
 	}
-	if r.draining.Load() {
+	if r.front.Draining() {
 		return nil, ErrDraining
 	}
-
-	key := affinityKey(ns)
-	r.mu.Lock()
-	r.nextID++
-	id := fmt.Sprintf("f%08d", r.nextID)
-	j := newFleetJob(id, spec, key)
-	r.jobs[id] = j
-	r.mu.Unlock()
-
-	m, st, err := r.placeOnce(ctx, j)
-	if err != nil {
-		r.mu.Lock()
-		delete(r.jobs, id)
-		r.mu.Unlock()
+	j := &routed{Job: r.front.Register(spec, ns), key: affinityKey(ns)}
+	if err := r.placeOnce(ctx, j); err != nil {
+		r.front.Unregister(j.Job)
 		if errors.As(err, new(*BusyError)) {
 			r.metrics.Rejected.Add(1)
 		}
 		return nil, err
 	}
-	j.place(m.name, st.ID)
 	r.metrics.Submitted.Add(1)
 	r.inflight.Add(1)
-	r.jobsWG.Add(1)
 	go r.watch(j)
-	return j, nil
+	return j.Job, nil
 }
 
-// placeOnce walks the job's affinity order and submits to the first replica
+// placeOnce walks the job's affinity order and places it on the first replica
 // that accepts. Every-replica-429 aggregates into *BusyError carrying the
 // minimum Retry-After hint; unreachable/draining replicas are skipped (and
 // struck toward their fail threshold); no candidates at all is ErrNoReplicas.
-func (r *Router) placeOnce(ctx context.Context, j *Job) (*member, serve.JobStatus, error) {
+func (r *Router) placeOnce(ctx context.Context, j *routed) error {
 	order := r.placementOrder(j.key)
 	if len(order) == 0 {
-		return nil, serve.JobStatus{}, ErrNoReplicas
+		return ErrNoReplicas
 	}
 	var (
 		busy    int
@@ -299,10 +308,12 @@ func (r *Router) placeOnce(ctx context.Context, j *Job) (*member, serve.JobStatu
 			if i > 0 {
 				r.metrics.Steals.Add(1)
 			}
-			return m, st, nil
+			j.member, j.remoteID = m, st.ID
+			j.Place(m.name)
+			return nil
 		}
 		if ctx.Err() != nil {
-			return nil, serve.JobStatus{}, ctx.Err()
+			return ctx.Err()
 		}
 		var apiErr *serveclient.APIError
 		switch {
@@ -318,7 +329,7 @@ func (r *Router) placeOnce(ctx context.Context, j *Job) (*member, serve.JobStatu
 		case errors.As(err, &apiErr):
 			// Permanent rejection (the router validated the spec, so this
 			// is a replica-side contract violation): surface it.
-			return nil, serve.JobStatus{}, err
+			return err
 		default:
 			// Transport error: strike the member so a dead replica leaves
 			// the ring after FailThreshold strikes, then try the next one.
@@ -332,27 +343,23 @@ func (r *Router) placeOnce(ctx context.Context, j *Job) (*member, serve.JobStatu
 		if minHint < time.Second {
 			minHint = time.Second // honest floor: never tell clients to hammer
 		}
-		return nil, serve.JobStatus{}, &BusyError{Replicas: busy, RetryAfter: minHint}
+		return &BusyError{Replicas: busy, RetryAfter: minHint}
 	}
-	return nil, serve.JobStatus{}, ErrNoReplicas
+	return ErrNoReplicas
 }
 
 // watch follows one routed job to its terminal state: one placement after
 // another, classifying how each ended, forwarding cancellation, and rerouting
 // on replica faults. It is the only goroutine that transitions the job, so
 // reroutes are sequential and the terminal transition is unique.
-func (r *Router) watch(j *Job) {
-	defer r.jobsWG.Done()
-	defer r.inflight.Add(-1)
-
+func (r *Router) watch(j *routed) {
 	for {
-		memberName, remoteID := j.placement()
-		st, err := r.follow(j, r.memberByName(memberName), remoteID)
+		memberName := j.member.name
+		st, err := r.follow(j)
 		var fault string
 		switch {
-		case j.ctx.Err() != nil:
-			r.cancelRemote(j)
-			r.finishJob(j, serve.StateCanceled, cancelCause(j.ctx), nil)
+		case j.Context().Err() != nil:
+			r.abandon(j)
 			return
 		case err != nil:
 			fault = fmt.Sprintf("replica %s lost (last error: %v)", memberName, err)
@@ -364,18 +371,18 @@ func (r *Router) watch(j *Job) {
 					r.metrics.CacheMisses.Add(1)
 				}
 			}
-			r.finishJob(j, serve.StateSucceeded, "", st.Result)
+			r.front.Finish(j.Job, serve.StateSucceeded, "", st.Result)
 			return
 		case st.State == serve.StateFailed && strings.Contains(st.Error, serve.DrainAbortReason):
 			// The replica's drain aborted the job — a replica fault, not a
 			// job failure: re-run it elsewhere.
 			fault = fmt.Sprintf("replica %s drain-aborted the job", memberName)
 		case st.State == serve.StateFailed:
-			r.finishJob(j, serve.StateFailed, st.Error, nil)
+			r.front.Finish(j.Job, serve.StateFailed, st.Error, nil)
 			return
 		case strings.Contains(st.Error, "deadline"):
 			// Canceled by the job's own deadline: honest terminal cancellation.
-			r.finishJob(j, serve.StateCanceled, st.Error, nil)
+			r.front.Finish(j.Job, serve.StateCanceled, st.Error, nil)
 			return
 		default:
 			// Canceled by a replica shutdown the job did not ask for.
@@ -400,15 +407,16 @@ func (r *Router) watch(j *Job) {
 // the member), a restarted one (404) and a front without event streams (the
 // job's status comes back fine) apart, and after the PollInterval pause the
 // stream is tried again.
-func (r *Router) follow(j *Job, m *member, remoteID string) (serve.JobStatus, error) {
-	ctx, release := m.whileUp(j.ctx)
+func (r *Router) follow(j *routed) (serve.JobStatus, error) {
+	m, remoteID := j.member, j.remoteID
+	ctx, release := m.whileUp(j.Context())
 	defer release()
 
 	fails := 0
 	for {
 		var done *serve.Event
 		_ = m.client.Events(ctx, remoteID, func(ev serve.Event) bool {
-			j.progress(ev.Step)
+			j.Progress(ev.Step)
 			if ev.Type == "done" {
 				done = &ev
 			}
@@ -427,7 +435,7 @@ func (r *Router) follow(j *Job, m *member, remoteID string) (serve.JobStatus, er
 		case err == nil && st.State.Terminal():
 			return st, nil
 		case err == nil:
-			j.progress(st.Step)
+			j.Progress(st.Step)
 			fails = 0
 		case ctx.Err() != nil:
 			return st, context.Cause(ctx)
@@ -458,11 +466,11 @@ func (r *Router) follow(j *Job, m *member, remoteID string) (serve.JobStatus, er
 // somewhere again; on false the job has reached a terminal state (reroute
 // budget or admission attempts exhausted, or canceled mid-backoff) — either
 // way the job is never silently dropped.
-func (r *Router) reroute(j *Job, why string) bool {
-	n := j.noteReroute()
+func (r *Router) reroute(j *routed, why string) bool {
+	n := j.NoteReroute()
 	r.metrics.Rerouted.Add(1)
 	if n > r.opts.MaxReroutes {
-		r.finishJob(j, serve.StateFailed,
+		r.front.Finish(j.Job, serve.StateFailed,
 			fmt.Sprintf("fleet: job exceeded %d reroutes: %s", r.opts.MaxReroutes, why), nil)
 		return false
 	}
@@ -474,14 +482,12 @@ func (r *Router) reroute(j *Job, why string) bool {
 		attempts = 8
 	}
 	for attempt := 0; attempt < attempts; attempt++ {
-		if j.ctx.Err() != nil {
-			r.cancelRemote(j)
-			r.finishJob(j, serve.StateCanceled, cancelCause(j.ctx), nil)
+		if j.Context().Err() != nil {
+			r.abandon(j)
 			return false
 		}
-		m, st, err := r.placeOnce(j.ctx, j)
+		err := r.placeOnce(j.Context(), j)
 		if err == nil {
-			j.place(m.name, st.ID)
 			return true
 		}
 		var hint time.Duration
@@ -494,167 +500,72 @@ func (r *Router) reroute(j *Job, why string) bool {
 			// fresh one may be marked healthy again.
 			hint = r.opts.HealthInterval
 		default:
-			if j.ctx.Err() != nil {
-				r.cancelRemote(j)
-				r.finishJob(j, serve.StateCanceled, cancelCause(j.ctx), nil)
+			if j.Context().Err() != nil {
+				r.abandon(j)
 				return false
 			}
-			r.finishJob(j, serve.StateFailed, fmt.Sprintf("fleet: re-placement failed: %v", err), nil)
+			r.front.Finish(j.Job, serve.StateFailed, fmt.Sprintf("fleet: re-placement failed: %v", err), nil)
 			return false
 		}
-		if serveclient.SleepContext(j.ctx, policy.Delay(attempt, hint)) != nil {
-			r.cancelRemote(j)
-			r.finishJob(j, serve.StateCanceled, cancelCause(j.ctx), nil)
+		if serveclient.SleepContext(j.Context(), policy.Delay(attempt, hint)) != nil {
+			r.abandon(j)
 			return false
 		}
 	}
-	r.finishJob(j, serve.StateFailed,
+	r.front.Finish(j.Job, serve.StateFailed,
 		fmt.Sprintf("fleet: no replica accepted the rerouted job after %d attempts: %s", attempts, why), nil)
 	return false
 }
 
-// cancelRemote best-effort cancels the job's current placement so an
-// abandoned attempt does not keep burning a replica slot.
-func (r *Router) cancelRemote(j *Job) {
-	memberName, remoteID := j.placement()
-	if remoteID == "" {
-		return
-	}
-	m := r.memberByName(memberName)
+// abandon ends a job whose context ended: its current placement is canceled
+// best effort, so an abandoned attempt does not keep burning a replica slot,
+// and the job ends canceled with the cause.
+func (r *Router) abandon(j *routed) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	_ = m.client.Cancel(ctx, remoteID)
+	_ = j.member.client.Cancel(ctx, j.remoteID)
+	r.front.Finish(j.Job, serve.StateCanceled, j.CancelCause(), nil)
 }
 
-// memberByName looks a member up; it always exists (membership is static).
-func (r *Router) memberByName(name string) *member {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.members[name]
-}
-
-// finishJob performs the terminal transition and bumps the counters exactly
-// once.
-func (r *Router) finishJob(j *Job, state serve.JobState, errMsg string, result *serve.Result) {
-	if !j.finish(state, errMsg, result) {
-		return
-	}
-	r.mu.Lock()
-	if expired := r.retired.Retire(j.ID); expired != "" {
-		delete(r.jobs, expired)
-	}
-	r.mu.Unlock()
+// settle books a routed job's terminal transition in the fleet counters.
+func (r *Router) settle(_ *serve.Job, state serve.JobState) {
+	r.inflight.Add(-1)
 	switch state {
 	case serve.StateSucceeded:
 		r.metrics.Succeeded.Add(1)
 	case serve.StateFailed:
 		r.metrics.Failed.Add(1)
-		r.opts.Logf("job %s failed: %s", j.ID, errMsg)
 	case serve.StateCanceled:
 		r.metrics.Canceled.Add(1)
 	}
-	// Last: whoever wakes on Done finds the counters and registry settled.
-	close(j.done)
-}
-
-// cancelCause extracts the cancellation reason of a job context.
-func cancelCause(ctx context.Context) string {
-	cause := context.Cause(ctx)
-	if cause == nil {
-		cause = ctx.Err()
-	}
-	if cause == nil {
-		return "canceled"
-	}
-	if cause == context.DeadlineExceeded {
-		return "deadline exceeded"
-	}
-	return cause.Error()
 }
 
 // Job looks a routed job up by id.
-func (r *Router) Job(id string) (*Job, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	j, ok := r.jobs[id]
-	return j, ok
-}
+func (r *Router) Job(id string) (*serve.Job, bool) { return r.front.Job(id) }
 
 // Status returns a job's API snapshot.
-func (r *Router) Status(j *Job) serve.JobStatus { return j.status() }
+func (r *Router) Status(j *serve.Job) serve.JobStatus { return r.front.Status(j) }
 
 // Cancel requests a routed job's cancellation; the watcher forwards it to
 // the replica currently running the job.
-func (r *Router) Cancel(j *Job, reason string) { j.Cancel(reason) }
-
-// Draining reports whether the router has stopped admitting jobs.
-func (r *Router) Draining() bool { return r.draining.Load() }
+func (r *Router) Cancel(j *serve.Job, reason string) { r.front.Cancel(j, reason) }
 
 // Drain performs the graceful shutdown contract: stop admitting, let routed
 // jobs reach terminal states within the timeout, then cancel survivors and
 // wait for their watchers to unwind.
 func (r *Router) Drain(timeout time.Duration) error {
-	r.draining.Store(true)
-	done := make(chan struct{})
-	go func() {
-		r.jobsWG.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(timeout):
-		survivors := 0
-		r.mu.Lock()
-		jobs := make([]*Job, 0, len(r.jobs))
-		for _, j := range r.jobs {
-			jobs = append(jobs, j)
-		}
-		r.mu.Unlock()
-		for _, j := range jobs {
-			if !j.State().Terminal() {
-				survivors++
-				j.Cancel("aborted by router drain")
-			}
-		}
-		r.opts.Logf("drain timeout: canceled %d surviving jobs", survivors)
-		select {
-		case <-done:
-		case <-time.After(30 * time.Second):
-			r.shutdown()
-			return fmt.Errorf("fleet: drain: %d jobs did not unwind after cancel", survivors)
-		}
-	}
-	r.shutdown()
-	return nil
+	return r.front.Drain(timeout, func(j *serve.Job) { j.Cancel("aborted by router drain") })
 }
 
 // Close shuts the router down without waiting for jobs to finish naturally:
 // every non-terminal job is canceled. Intended for tests and error paths.
-func (r *Router) Close() {
-	r.draining.Store(true)
-	r.mu.Lock()
-	jobs := make([]*Job, 0, len(r.jobs))
-	for _, j := range r.jobs {
-		jobs = append(jobs, j)
-	}
-	r.mu.Unlock()
-	for _, j := range jobs {
-		if !j.State().Terminal() {
-			j.Cancel("router closed")
-		}
-	}
-	r.jobsWG.Wait()
-	r.shutdown()
-}
+func (r *Router) Close() { r.front.Close("router closed") }
 
-// shutdown stops the health loop and drops the members' idle connections
-// (idempotent).
+// shutdown stops the health loop and drops the members' idle connections.
 func (r *Router) shutdown() {
-	r.closeOnce.Do(func() {
-		close(r.stop)
-		r.healthWG.Wait()
-		for _, m := range r.memberList() {
-			m.close()
-		}
-	})
+	close(r.stop)
+	r.healthWG.Wait()
+	for _, m := range r.memberList() {
+		m.close()
+	}
 }

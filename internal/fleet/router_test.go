@@ -142,7 +142,7 @@ func fleetSpec(steps int) serve.Spec {
 }
 
 // waitFleetJob blocks until the routed job finishes (or the test times out).
-func waitFleetJob(t *testing.T, j *fleet.Job) serve.JobState {
+func waitFleetJob(t *testing.T, j *serve.Job) serve.JobState {
 	t.Helper()
 	select {
 	case <-j.Done():
@@ -292,7 +292,7 @@ func TestFleetWorkStealingAndAggregate429(t *testing.T) {
 			gate <- struct{}{}
 		}
 	}()
-	for i, j := range []*fleet.Job{j1, j2, j3, j4} {
+	for i, j := range []*serve.Job{j1, j2, j3, j4} {
 		if st := waitFleetJob(t, j); st != serve.StateSucceeded {
 			t.Fatalf("job %d finished %s: %s", i+1, st, router.Status(j).Error)
 		}
@@ -320,7 +320,7 @@ func TestFleetFailureInjection(t *testing.T) {
 	// Same spec for every job: all of them home onto one replica, so killing
 	// it hits one running job plus a deep queue.
 	const jobs = 6
-	routed := make([]*fleet.Job, 0, jobs)
+	routed := make([]*serve.Job, 0, jobs)
 	for i := 0; i < jobs; i++ {
 		j, err := router.Submit(ctx, fleetSpec(4))
 		if err != nil {
@@ -461,12 +461,61 @@ func TestFleetDrainAbortReroute(t *testing.T) {
 	}
 }
 
+// answer is one HTTP exchange as the dialect comparison sees it: the status,
+// the Retry-After header and the JSON body, with the job ids given replaced
+// by "ID" and the router's placement field dropped.
+type answer struct {
+	code       int
+	retryAfter string
+	body       string
+}
+
+func ask(t *testing.T, method, url, body string, ids ...string) answer {
+	t.Helper()
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var v map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+		t.Fatalf("%s %s: body is not JSON: %v", method, url, err)
+	}
+	delete(v, "id")
+	delete(v, "replica")
+	raw, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := string(raw)
+	for _, id := range ids {
+		out = strings.ReplaceAll(out, id, "ID")
+	}
+	return answer{resp.StatusCode, resp.Header.Get("Retry-After"), out}
+}
+
 // TestFleetHTTPDialect drives the router through the shared typed client:
 // the router speaks the same wire dialect as a replica, so serveclient's
-// submit/wait/cancel flow works unchanged, and bad input maps to the same
-// status codes.
+// submit/wait/cancel flow works unchanged, and a bad spec, an unknown id, a
+// result asked for too early and a cancel get the same status, Retry-After
+// and body from both.
 func TestFleetHTTPDialect(t *testing.T) {
-	_, urls := startReplicas(t, 2, serve.Options{Slots: 1, EngineFactory: blockFactory(closedGate(), 0)})
+	held := make(chan struct{})
+	defer close(held)
+	_, urls := startReplicas(t, 2, serve.Options{
+		Slots: 2,
+		// A 7-step job blocks until canceled; every other job free-runs.
+		EngineFactory: func(ns serve.NormSpec) (serve.Engine, error) {
+			if ns.Steps == 7 {
+				return blockFactory(held, 0)(ns)
+			}
+			return blockFactory(closedGate(), 0)(ns)
+		},
+	})
 	router, err := fleet.NewRouter(fastRouterOptions(urls, t))
 	if err != nil {
 		t.Fatal(err)
@@ -510,6 +559,67 @@ func TestFleetHTTPDialect(t *testing.T) {
 		t.Fatal("router status does not report the serving replica")
 	}
 
+	// The same requests to the router and to a replica get the same answers.
+	same := func(what string, viaRouter, viaReplica answer) {
+		t.Helper()
+		if viaRouter != viaReplica {
+			t.Errorf("%s: router answers %+v, a replica %+v", what, viaRouter, viaReplica)
+		}
+	}
+	both := func(what, method, path, body string, ids ...string) {
+		t.Helper()
+		same(what, ask(t, method, rhs.URL+path, body, ids...), ask(t, method, urls[0]+path, body, ids...))
+	}
+	both("bad spec", "POST", "/v1/jobs", `{"grid":"0x0x0","steps":1}`)
+	both("undecodable spec", "POST", "/v1/jobs", `{"grid":"32x16x8","steps":1,"nope":1}`)
+	both("unknown id", "GET", "/v1/jobs/nosuchjob", "")
+	both("cancel of an unknown id", "POST", "/v1/jobs/nosuchjob/cancel", "")
+
+	// A held job on each: running, so its result is not ready. Its own grid
+	// keeps it off the free-running engine the pool cached above.
+	heldSpec := fleetSpec(7)
+	heldSpec.Grid = "24x16x8"
+	routedJob, err := client.Submit(ctx, heldSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replicaClient := serveclient.New(urls[0])
+	direct, err := replicaClient.Submit(ctx, heldSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for direct.State != serve.StateRunning {
+		time.Sleep(2 * time.Millisecond)
+		if direct, err = replicaClient.Status(ctx, direct.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ids := []string{routedJob.ID, direct.ID}
+	path := func(id, suffix string) string { return "/v1/jobs/" + id + suffix }
+	same("result before the job is terminal",
+		ask(t, "GET", rhs.URL+path(routedJob.ID, "/result"), "", ids...),
+		ask(t, "GET", urls[0]+path(direct.ID, "/result"), "", ids...))
+
+	// Cancel both; once they have ended, their status, result and a second
+	// cancel read the same.
+	for _, c := range []struct{ base, id string }{{rhs.URL, routedJob.ID}, {urls[0], direct.ID}} {
+		if a := ask(t, "POST", c.base+path(c.id, "/cancel"), "", ids...); a.code != http.StatusAccepted {
+			t.Fatalf("cancel %s = %+v, want 202", c.id, a)
+		}
+		end, err := serveclient.New(c.base).Wait(ctx, c.id, 2*time.Millisecond)
+		if err != nil || end.State != serve.StateCanceled {
+			t.Fatalf("canceled job %s ended %+v (%v), want canceled", c.id, end, err)
+		}
+	}
+	for _, suffix := range []string{"", "/result"} {
+		same("GET "+suffix+" of a canceled job",
+			ask(t, "GET", rhs.URL+path(routedJob.ID, suffix), "", ids...),
+			ask(t, "GET", urls[0]+path(direct.ID, suffix), "", ids...))
+	}
+	same("cancel of a canceled job",
+		ask(t, "POST", rhs.URL+path(routedJob.ID, "/cancel"), "", ids...),
+		ask(t, "POST", urls[0]+path(direct.ID, "/cancel"), "", ids...))
+
 	// The fleet view lists both replicas with their stats.
 	resp, err := http.Get(rhs.URL + "/v1/fleet")
 	if err != nil {
@@ -518,6 +628,86 @@ func TestFleetHTTPDialect(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != 200 {
 		t.Fatalf("GET /v1/fleet = %d", resp.StatusCode)
+	}
+}
+
+// TestFleetEventsThroughTheRouter: the router serves a routed job's event
+// stream as a replica serves its own: progress that never goes back, then
+// "done" carrying the result.
+func TestFleetEventsThroughTheRouter(t *testing.T) {
+	gate := make(chan struct{})
+	_, urls := startReplicas(t, 2, serve.Options{Slots: 1, EngineFactory: blockFactory(gate, 0)})
+	router, err := fleet.NewRouter(fastRouterOptions(urls, t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+	rhs := httptest.NewServer(router.Handler())
+	defer rhs.Close()
+	client := serveclient.New(rhs.URL)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	st, err := client.Submit(ctx, fleetSpec(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []serve.Event
+	err = client.Events(ctx, st.ID, func(ev serve.Event) bool {
+		if len(events) == 0 {
+			// The stream is open: let the job run.
+			go func() {
+				for i := 0; i < 3; i++ {
+					gate <- struct{}{}
+				}
+			}()
+		}
+		events = append(events, ev)
+		return true
+	})
+	if err != nil {
+		t.Fatalf("following %s over the router: %v", st.ID, err)
+	}
+	last := events[len(events)-1]
+	if last.Type != "done" || last.State != serve.StateSucceeded || last.Step != 3 ||
+		last.Result == nil || last.Result.Checksums != (serve.Checksums{Sum: 1}) {
+		t.Fatalf("last event = %+v, want done, succeeded at step 3 with the checksums", last)
+	}
+	for i := 1; i < len(events); i++ {
+		if events[i].Step < events[i-1].Step {
+			t.Fatalf("progress went back: %+v", events)
+		}
+	}
+}
+
+// TestFleetJobDeadline: a routed job's timeout_ms is a deadline on the
+// router's job too. Its engine never steps, so the job ends canceled with
+// "deadline exceeded", once: no reroute, no second count.
+func TestFleetJobDeadline(t *testing.T) {
+	replicas, urls := startReplicas(t, 1, serve.Options{Slots: 1, EngineFactory: blockFactory(make(chan struct{}), 0)})
+	router, err := fleet.NewRouter(fastRouterOptions(urls, t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+
+	spec := fleetSpec(2)
+	spec.TimeoutMs = 100
+	j, err := router.Submit(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitFleetJob(t, j); st != serve.StateCanceled {
+		t.Fatalf("job with a deadline finished %s: %s", st, router.Status(j).Error)
+	}
+	if msg := router.Status(j).Error; msg != "deadline exceeded" {
+		t.Fatalf("error = %q, want deadline exceeded", msg)
+	}
+	// The replica's run ends too; the router counts the job once.
+	waitReplicaRunning(t, replicas[urls[0]], 0)
+	m := router.Metrics()
+	if c, f, s, rr := m.Canceled.Load(), m.Failed.Load(), m.Succeeded.Load(), m.Rerouted.Load(); c != 1 || f != 0 || s != 0 || rr != 0 {
+		t.Fatalf("canceled %d, failed %d, succeeded %d, rerouted %d — want 1, 0, 0, 0", c, f, s, rr)
 	}
 }
 

@@ -109,9 +109,12 @@ func (p *Placement) NodeOfCell(cell int) int {
 // how many bytes live on each node. The result slice has NumNodes entries.
 func (p *Placement) BytesPerNode(cell0, cell1 int) []int64 {
 	out := make([]int64, p.NumNodes)
-	if cell1 <= cell0 {
-		return out
-	}
+	p.addBytesPerNode(out, cell0, cell1)
+	return out
+}
+
+// addBytesPerNode adds the bytes of [cell0, cell1) to out, node by node.
+func (p *Placement) addBytesPerNode(out []int64, cell0, cell1 int) {
 	for c := cell0; c < cell1; {
 		pg := c / cellsPerPage
 		end := (pg + 1) * cellsPerPage
@@ -121,7 +124,6 @@ func (p *Placement) BytesPerNode(cell0, cell1 int) []int64 {
 		out[p.pageNode[pg]] += int64(end-c) * CellBytes
 		c = end
 	}
-	return out
 }
 
 // RegionBytesPerNode returns how many bytes of the field region r live on
@@ -135,12 +137,8 @@ func (p *Placement) RegionBytesPerNode(r Region) []int64 {
 	nj, nk := p.Size.NJ, p.Size.NK
 	for i := r.I0; i < r.I1; i++ {
 		for j := r.J0; j < r.J1; j++ {
-			start := (i*nj+j)*nk + r.K0
-			end := (i*nj+j)*nk + r.K1
-			per := p.BytesPerNode(start, end)
-			for n, b := range per {
-				out[n] += b
-			}
+			row := (i*nj + j) * nk
+			p.addBytesPerNode(out, row+r.K0, row+r.K1)
 		}
 	}
 	return out

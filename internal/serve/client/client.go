@@ -49,6 +49,15 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("serve API %d: %s", e.StatusCode, e.Message)
 }
 
+// Answer implements serve.Rejection, so a fleet router passes a replica's
+// refusal through unchanged: its status, Retry-After and message.
+func (e *APIError) Answer() (code, retryAfter int, msg string) {
+	if e.RetryAfter > 0 {
+		retryAfter = serve.RetryAfterSeconds(e.RetryAfter)
+	}
+	return e.StatusCode, retryAfter, e.Message
+}
+
 // IsRetryable reports whether the request was rejected by admission control
 // or drain (the client should back off and retry).
 func (e *APIError) IsRetryable() bool {

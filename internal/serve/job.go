@@ -155,6 +155,9 @@ type Job struct {
 	started  time.Time
 	finished time.Time
 	subs     map[chan Event]struct{}
+	// replica and reroutes are a routed job's placement (Place, NoteReroute).
+	replica  string
+	reroutes int
 
 	// done is closed on the terminal transition.
 	done chan struct{}
@@ -200,6 +203,10 @@ func (j *Job) Cancel(reason string) {
 // Done returns the channel closed at the terminal transition.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
+// Context is the job's cancellation context: it ends on Cancel or at the
+// spec's timeout_ms deadline.
+func (j *Job) Context() context.Context { return j.ctx }
+
 // State returns the current state.
 func (j *Job) State() JobState {
 	j.mu.Lock()
@@ -207,8 +214,9 @@ func (j *Job) State() JobState {
 	return j.state
 }
 
-// cancelCause extracts the cancellation reason of the job's context.
-func (j *Job) cancelCause() string {
+// CancelCause is the reason the job's context ended: the Cancel reason, or
+// "deadline exceeded".
+func (j *Job) CancelCause() string {
 	cause := context.Cause(j.ctx)
 	if cause == nil {
 		cause = j.ctx.Err()
@@ -237,9 +245,33 @@ func (j *Job) setRunning(now time.Time) bool {
 	return true
 }
 
-// progress records a completed step and notifies subscribers.
-func (j *Job) progress(step int) {
+// Place records the replica a fleet router placed the job on; the first
+// placement moves the job to running.
+func (j *Job) Place(replica string) {
 	j.mu.Lock()
+	j.replica = replica
+	j.mu.Unlock()
+	j.setRunning(time.Now())
+}
+
+// NoteReroute counts a replica fault the routed job survived and returns the
+// new total.
+func (j *Job) NoteReroute() int {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.reroutes++
+	return j.reroutes
+}
+
+// Progress records completed steps and notifies subscribers. It only moves
+// forward: a routed job re-run after a reroute reports its replica's steps
+// from 1 again, and neither its status nor its events go back.
+func (j *Job) Progress(step int) {
+	j.mu.Lock()
+	if step <= j.step {
+		j.mu.Unlock()
+		return
+	}
 	j.step = step
 	j.mu.Unlock()
 	j.publish(Event{Type: "progress", State: StateRunning, Step: step, Steps: j.ns.Steps})
@@ -257,7 +289,7 @@ func (j *Job) progressTiles(step, tile, tiles int) {
 
 // finish performs the terminal transition exactly once, reporting whether
 // this call did it; extra calls (e.g. a cancel racing a natural completion)
-// are ignored. The transition is not announced yet: the server settles its
+// are ignored. The transition is not announced yet: the front settles its
 // counters and registry first and then calls announce, so whoever wakes on
 // Done or on the "done" event finds them already consistent with it.
 func (j *Job) finish(state JobState, errMsg string, result *Result, now time.Time) bool {
@@ -307,44 +339,19 @@ func (j *Job) subscribe() (chan Event, func()) {
 }
 
 // status snapshots the job for the API (queue position filled by the
-// server).
+// front).
 func (j *Job) status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return JobStatus{
-		ID:     j.ID,
-		State:  j.state,
-		Step:   j.step,
-		Steps:  j.ns.Steps,
-		Error:  j.errMsg,
-		Result: j.result,
-		Spec:   j.Spec,
+		ID:       j.ID,
+		State:    j.state,
+		Step:     j.step,
+		Steps:    j.ns.Steps,
+		Error:    j.errMsg,
+		Result:   j.result,
+		Spec:     j.Spec,
+		Replica:  j.replica,
+		Reroutes: j.reroutes,
 	}
-}
-
-// TerminalRetention is how many finished jobs a process keeps answerable by
-// id. Jobs in flight are always kept; of the finished ones only the most
-// recent TerminalRetention are, and an older id answers 404 — a result is
-// meant to be fetched soon after the job ends, and a registry that never
-// forgets grows without limit in a long-lived binary. The server and the
-// fleet router apply the same bound.
-const TerminalRetention = 4096
-
-// Retention is the FIFO window behind that bound: the ids of the most recent
-// TerminalRetention finished jobs, in finish order. The zero value is ready.
-type Retention struct {
-	ids  []string
-	next int
-}
-
-// Retire records a finished job's id and returns the id that left the window
-// to make room ("" while the window is still filling).
-func (r *Retention) Retire(id string) (expired string) {
-	if len(r.ids) < TerminalRetention {
-		r.ids = append(r.ids, id)
-		return ""
-	}
-	expired, r.ids[r.next] = r.ids[r.next], id
-	r.next = (r.next + 1) % TerminalRetention
-	return expired
 }

@@ -2,13 +2,14 @@ package serve
 
 import (
 	"fmt"
+	"net/http"
 	"sync"
 	"time"
 )
 
 // ErrQueueFull is the admission-control rejection: the queue is at its
-// configured depth, and the client should retry after the hinted delay (the
-// HTTP layer maps it to 429 + Retry-After).
+// configured depth, and the client should retry after the hinted delay (on the
+// wire: 429 + Retry-After).
 type ErrQueueFull struct {
 	Depth      int
 	RetryAfter time.Duration
@@ -16,6 +17,11 @@ type ErrQueueFull struct {
 
 func (e *ErrQueueFull) Error() string {
 	return fmt.Sprintf("serve: job queue full (depth %d), retry after %s", e.Depth, e.RetryAfter)
+}
+
+// Answer implements Rejection: 429 with the hinted backoff.
+func (e *ErrQueueFull) Answer() (int, int, string) {
+	return http.StatusTooManyRequests, RetryAfterSeconds(e.RetryAfter), e.Error()
 }
 
 // queue is the bounded FIFO admission queue. Submissions beyond maxDepth are

@@ -1,7 +1,7 @@
 package serve
 
 import (
-	"encoding/json"
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -16,7 +16,7 @@ import (
 )
 
 // ErrDraining rejects submissions while the server drains (HTTP 503).
-var ErrDraining = errors.New("serve: server is draining, not admitting jobs")
+var ErrDraining error = Unavailable{Msg: "serve: server is draining, not admitting jobs", RetryAfter: 10}
 
 // ErrStreamBusy rejects a streamed job naming a stream_id whose store a live
 // (queued or running) job holds (HTTP 409): two jobs on one store would
@@ -30,6 +30,9 @@ type ErrStreamBusy struct {
 func (e *ErrStreamBusy) Error() string {
 	return fmt.Sprintf("serve: stream_id %q is held by job %s until it finishes", e.StreamID, e.Holder)
 }
+
+// Answer implements Rejection: 409.
+func (e *ErrStreamBusy) Answer() (int, int, string) { return http.StatusConflict, 0, e.Error() }
 
 // DrainAbortReason is the error reported by jobs the drain timeout aborts.
 // It is part of the replica contract: the fleet router (internal/fleet)
@@ -70,25 +73,23 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
-// Server is the simulation serving subsystem: the admission queue, the
-// runner-slot pool with its schedule cache, the job registry and the HTTP
-// API. Create with NewServer, serve Handler(), stop with Drain or Close.
+// Server is the simulation serving subsystem: the admission queue and the
+// runner-slot pool with its schedule cache behind a job Front (registry,
+// drain, HTTP API). Create with NewServer, serve Handler(), stop with Drain
+// or Close.
 type Server struct {
 	opts    Options
+	front   *Front
 	pool    *Pool
 	queue   *queue
 	metrics *Metrics
 	tuner   *tune.Tuner
 
-	mu      sync.Mutex
-	jobs    map[string]*Job // in flight, plus the finished ones retired still holds
-	retired Retention
-	nextID  uint64
+	mu sync.Mutex
 	// streams maps a stream_id to the live job that holds its store.
 	streams map[string]*Job
 
-	running  atomic.Int64
-	draining atomic.Bool
+	running atomic.Int64
 
 	// diskBWBits is an EWMA of the disk throughput observed by completed
 	// durable (named) streamed jobs (float64 bits; 0 = no observation yet).
@@ -96,12 +97,8 @@ type Server struct {
 	// actual store device instead of the model's default.
 	diskBWBits atomic.Uint64
 
-	// jobsWG tracks admitted jobs until their terminal transition; drain
-	// waits on it. dispatchWG tracks the dispatcher goroutines.
-	jobsWG     sync.WaitGroup
+	// dispatchWG tracks the dispatcher goroutines.
 	dispatchWG sync.WaitGroup
-
-	closeOnce sync.Once
 }
 
 // NewServer builds the subsystem and starts one dispatcher per runner slot.
@@ -114,9 +111,17 @@ func NewServer(opts Options) *Server {
 		queue:   newQueue(opts.QueueDepth, opts.RetryAfter),
 		metrics: newMetrics(),
 		tuner:   opts.Tuner,
-		jobs:    make(map[string]*Job),
 		streams: make(map[string]*Job),
 	}
+	s.front = NewFront(FrontOps{
+		IDPrefix: "j",
+		Submit:   func(_ context.Context, spec Spec) (*Job, error) { return s.Submit(spec) },
+		Withdraw: s.queue.remove,
+		Position: s.queue.position,
+		Settle:   s.settle,
+		Shutdown: s.shutdown,
+		Logf:     opts.Logf,
+	})
 	factory := opts.EngineFactory
 	if factory == nil {
 		// The default factory routes streamed specs to the out-of-core
@@ -212,7 +217,7 @@ func (s *Server) Stats() ReplicaStats {
 		SlotsBusy:     ps.Busy,
 		SlotsTotal:    ps.Capacity,
 		Running:       int(s.running.Load()),
-		Draining:      s.draining.Load(),
+		Draining:      s.front.Draining(),
 		CacheHits:     ps.Hits,
 		CacheMisses:   ps.Misses,
 		CacheCapacity: ps.MaxCached,
@@ -236,7 +241,7 @@ func (s *Server) Submit(spec Spec) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.draining.Load() {
+	if s.front.Draining() {
 		return nil, ErrDraining
 	}
 	s.mu.Lock()
@@ -244,22 +249,17 @@ func (s *Server) Submit(spec Spec) (*Job, error) {
 		s.mu.Unlock()
 		return nil, &ErrStreamBusy{StreamID: ns.StreamID, Holder: holder.ID}
 	}
-	s.nextID++
-	id := fmt.Sprintf("j%08d", s.nextID)
-	j := newJob(id, spec, ns, time.Now())
-	s.jobs[id] = j
+	j := s.front.Register(spec, ns)
 	if ns.StreamID != "" {
 		s.streams[ns.StreamID] = j
 	}
 	s.mu.Unlock()
 
-	s.jobsWG.Add(1)
 	if err := s.queue.push(j); err != nil {
 		s.mu.Lock()
-		delete(s.jobs, id)
 		delete(s.streams, ns.StreamID)
 		s.mu.Unlock()
-		s.jobsWG.Done()
+		s.front.Unregister(j)
 		if qf := (*ErrQueueFull)(nil); errors.As(err, &qf) {
 			s.metrics.JobRejected(ns.Solver)
 		}
@@ -270,31 +270,15 @@ func (s *Server) Submit(spec Spec) (*Job, error) {
 }
 
 // Job looks a job up by id.
-func (s *Server) Job(id string) (*Job, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	return j, ok
-}
+func (s *Server) Job(id string) (*Job, bool) { return s.front.Job(id) }
 
 // Status returns a job's API snapshot with its live queue position.
-func (s *Server) Status(j *Job) JobStatus {
-	st := j.status()
-	if st.State == StateQueued {
-		st.QueuePosition = s.queue.position(j)
-	}
-	return st
-}
+func (s *Server) Status(j *Job) JobStatus { return s.front.Status(j) }
 
 // Cancel requests a job's cancellation: queued jobs are withdrawn
 // immediately, running jobs are aborted mid-step through the barrier-abort
 // path and finish as canceled.
-func (s *Server) Cancel(j *Job, reason string) {
-	j.Cancel(reason)
-	if s.queue.remove(j) {
-		s.finishJob(j, StateCanceled, j.cancelCause(), nil)
-	}
-}
+func (s *Server) Cancel(j *Job, reason string) { s.front.Cancel(j, reason) }
 
 // dispatch is one slot's job loop: pop, lease an engine, execute, release.
 func (s *Server) dispatch() {
@@ -302,7 +286,7 @@ func (s *Server) dispatch() {
 	for {
 		j, skipped := s.queue.pop()
 		for _, sk := range skipped {
-			s.finishJob(sk, sk.terminalOnCancel(), sk.cancelCause(), nil)
+			s.front.Finish(sk, sk.terminalOnCancel(), sk.CancelCause(), nil)
 		}
 		if j == nil {
 			if len(skipped) == 0 {
@@ -317,7 +301,7 @@ func (s *Server) dispatch() {
 // runJob executes one admitted job on a leased engine.
 func (s *Server) runJob(j *Job) {
 	if !j.setRunning(time.Now()) {
-		s.finishJob(j, j.terminalOnCancel(), j.cancelCause(), nil)
+		s.front.Finish(j, j.terminalOnCancel(), j.CancelCause(), nil)
 		return
 	}
 	s.running.Add(1)
@@ -325,7 +309,7 @@ func (s *Server) runJob(j *Job) {
 	// Off the gauge before the terminal transition, not after: whoever sees
 	// the job done must not still find it counted as running.
 	s.running.Add(-1)
-	s.finishJob(j, state, errMsg, result)
+	s.front.Finish(j, state, errMsg, result)
 }
 
 // leaseAndExecute runs a job that is already marked running and returns its
@@ -339,7 +323,7 @@ func (s *Server) leaseAndExecute(j *Job) (JobState, string, *Result) {
 	lease, err := s.pool.Acquire(j.ctx, tuned)
 	if err != nil {
 		if j.ctx.Err() != nil {
-			return j.terminalOnCancel(), j.cancelCause(), nil
+			return j.terminalOnCancel(), j.CancelCause(), nil
 		}
 		return StateFailed, err.Error(), nil
 	}
@@ -403,7 +387,7 @@ func (s *Server) executeJob(j *Job, lease *Lease, tuned NormSpec, dec *tune.Deci
 		defer watcherWG.Done()
 		select {
 		case <-j.ctx.Done():
-			eng.Abort(j.cancelCause())
+			eng.Abort(j.CancelCause())
 		case <-watcherStop:
 		}
 	}()
@@ -434,7 +418,7 @@ func (s *Server) executeJob(j *Job, lease *Lease, tuned NormSpec, dec *tune.Deci
 			}
 			s.metrics.ObserveStep(streamStepLabel, time.Since(t0))
 			steps = se.StepsDone()
-			j.progress(steps)
+			j.Progress(steps)
 		}
 	} else {
 		// One engine Step is one time step.
@@ -448,7 +432,7 @@ func (s *Server) executeJob(j *Job, lease *Lease, tuned NormSpec, dec *tune.Deci
 			}
 			s.metrics.ObserveStep(label, time.Since(t0))
 			steps++
-			j.progress(steps)
+			j.Progress(steps)
 		}
 	}
 	wall := time.Since(start)
@@ -464,7 +448,7 @@ func (s *Server) executeJob(j *Job, lease *Lease, tuned NormSpec, dec *tune.Deci
 	case j.ctx.Err() != nil:
 		// Canceled or expired — even if the abort raced a completed step,
 		// the engine's barriers may be poisoned, so never reuse it.
-		return false, j.terminalOnCancel(), j.cancelCause(), nil
+		return false, j.terminalOnCancel(), j.CancelCause(), nil
 	case runErr != nil:
 		// Worker failures surface verbatim: the error carries the
 		// original kernel panic (exec's sticky failure path).
@@ -545,18 +529,11 @@ func (j *Job) terminalOnCancel() JobState {
 	return StateCanceled
 }
 
-// finishJob performs the terminal transition and bumps the counters exactly
-// once.
-func (s *Server) finishJob(j *Job, state JobState, errMsg string, result *Result) {
-	if !j.finish(state, errMsg, result, time.Now()) {
-		return
-	}
+// settle books a job's terminal transition: its stream_id is free again (the
+// store is closed by now: the lease was released before the transition) and
+// the per-solver counters move.
+func (s *Server) settle(j *Job, state JobState) {
 	s.mu.Lock()
-	if expired := s.retired.Retire(j.ID); expired != "" {
-		delete(s.jobs, expired)
-	}
-	// The store is closed by now: the lease was released before this
-	// transition.
 	if s.streams[j.ns.StreamID] == j {
 		delete(s.streams, j.ns.StreamID)
 	}
@@ -566,92 +543,35 @@ func (s *Server) finishJob(j *Job, state JobState, errMsg string, result *Result
 		s.metrics.JobSucceeded(j.ns.Solver)
 	case StateFailed:
 		s.metrics.JobFailed(j.ns.Solver)
-		s.opts.Logf("job %s failed: %s", j.ID, errMsg)
 	case StateCanceled:
 		s.metrics.JobCanceled(j.ns.Solver)
 	}
-	j.announce()
-	s.jobsWG.Done()
 }
 
 // Drain performs the graceful shutdown contract: stop admitting, let queued
 // and running jobs finish within the timeout, then abort survivors (reported
-// failed) and wait for them to unwind. It returns nil when every job reached
-// a terminal state.
+// failed, so a fleet router reroutes them) and wait for them to unwind at
+// their next barrier. It returns nil when every job reached a terminal state.
 func (s *Server) Drain(timeout time.Duration) error {
-	s.draining.Store(true)
-	done := make(chan struct{})
-	go func() {
-		s.jobsWG.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(timeout):
-		survivors := 0
-		s.mu.Lock()
-		jobs := make([]*Job, 0, len(s.jobs))
-		for _, j := range s.jobs {
-			jobs = append(jobs, j)
-		}
-		s.mu.Unlock()
-		for _, j := range jobs {
-			if !j.State().Terminal() {
-				survivors++
-				j.drainKilled.Store(true)
-				j.Cancel(DrainAbortReason)
-				if s.queue.remove(j) {
-					s.finishJob(j, StateFailed, DrainAbortReason, nil)
-				}
-			}
-		}
-		s.opts.Logf("drain timeout: aborted %d surviving jobs", survivors)
-		// Aborted steps unwind at the next barrier; give them a bounded
-		// grace period before declaring the drain failed.
-		select {
-		case <-done:
-		case <-time.After(30 * time.Second):
-			s.shutdown()
-			return fmt.Errorf("serve: drain: %d jobs did not unwind after abort", survivors)
-		}
-	}
-	s.shutdown()
-	return nil
+	return s.front.Drain(timeout, func(j *Job) {
+		j.drainKilled.Store(true)
+		s.front.Cancel(j, DrainAbortReason)
+	})
 }
 
 // Close shuts the server down without waiting: every non-terminal job is
 // canceled. Intended for tests and error paths; production uses Drain.
-func (s *Server) Close() {
-	s.draining.Store(true)
-	s.mu.Lock()
-	jobs := make([]*Job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		jobs = append(jobs, j)
-	}
-	s.mu.Unlock()
-	for _, j := range jobs {
-		if !j.State().Terminal() {
-			j.Cancel("server closed")
-			if s.queue.remove(j) {
-				s.finishJob(j, StateCanceled, "server closed", nil)
-			}
-		}
-	}
-	s.jobsWG.Wait()
-	s.shutdown()
-}
+func (s *Server) Close() { s.front.Close("server closed") }
 
-// shutdown stops the dispatchers and releases the pool (idempotent).
+// shutdown stops the dispatchers and releases the pool.
 func (s *Server) shutdown() {
-	s.closeOnce.Do(func() {
-		s.queue.close()
-		s.dispatchWG.Wait()
-		s.pool.Close()
-	})
+	s.queue.close()
+	s.dispatchWG.Wait()
+	s.pool.Close()
 }
 
 // Draining reports whether the server has stopped admitting jobs.
-func (s *Server) Draining() bool { return s.draining.Load() }
+func (s *Server) Draining() bool { return s.front.Draining() }
 
 // profileReport renders the job's runtime profile in both rendered-table and
 // structured form — the same per-phase breakdown mpdata-sim -profile prints.
@@ -674,202 +594,16 @@ func profileReport(label string, eng Engine) *ProfileReport {
 
 // --- HTTP API ---
 
-// Handler returns the HTTP API:
+// Handler returns the HTTP API: the job routes every front serves
+// (Front.Handler) plus
 //
-//	POST /v1/jobs              submit a job spec        -> 202 JobStatus
-//	GET  /v1/jobs/{id}         status + queue position  -> 200 JobStatus
-//	GET  /v1/jobs/{id}/events  SSE per-step progress
-//	GET  /v1/jobs/{id}/result  result once terminal     -> 200 JobStatus
-//	POST /v1/jobs/{id}/cancel  cancel queued or running -> 202 JobStatus
 //	GET  /v1/stats             replica load snapshot    -> 200 ReplicaStats
 //	GET  /metrics              text exposition
-//	GET  /healthz              200 ok / 503 draining
 func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleStatus)
-	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
-	mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleResult)
-	mux.HandleFunc("POST /v1/jobs/{id}/cancel", s.handleCancel)
+	mux := s.front.Handler()
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	return mux
-}
-
-// RetryAfterSeconds renders a backoff hint as the whole seconds of a
-// Retry-After header: integer ceiling (no float drift for exact values) and
-// clamped to >= 1 — "Retry-After: 0" tells clients to hammer the queue
-// immediately, which is exactly what admission control exists to prevent.
-// The fleet router uses the same rendering for its aggregate rejections, so
-// the wire contract is identical one replica deep or N.
-func RetryAfterSeconds(d time.Duration) int {
-	if d <= 0 {
-		return 1
-	}
-	secs := int((d + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return secs
-}
-
-// apiError is the JSON error envelope.
-type apiError struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec Spec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: fmt.Sprintf("bad job spec: %v", err)})
-		return
-	}
-	j, err := s.Submit(spec)
-	if err != nil {
-		var qf *ErrQueueFull
-		var tooLarge *ErrGridTooLarge
-		var busy *ErrStreamBusy
-		switch {
-		case errors.Is(err, ErrDraining):
-			w.Header().Set("Retry-After", "10")
-			writeJSON(w, http.StatusServiceUnavailable, apiError{Error: err.Error()})
-		case errors.As(err, &qf):
-			w.Header().Set("Retry-After", fmt.Sprintf("%d", RetryAfterSeconds(qf.RetryAfter)))
-			writeJSON(w, http.StatusTooManyRequests, apiError{Error: err.Error()})
-		case errors.As(err, &tooLarge):
-			// 413: the domain, not the request framing, is too large. The
-			// resident-class error names the streamed job class, so a
-			// client holding a too-big grid knows its next move.
-			writeJSON(w, http.StatusRequestEntityTooLarge, apiError{Error: err.Error()})
-		case errors.As(err, &busy):
-			writeJSON(w, http.StatusConflict, apiError{Error: err.Error()})
-		default:
-			writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
-		}
-		return
-	}
-	w.Header().Set("Location", "/v1/jobs/"+j.ID)
-	writeJSON(w, http.StatusAccepted, s.Status(j))
-}
-
-func (s *Server) jobOr404(w http.ResponseWriter, r *http.Request) (*Job, bool) {
-	j, ok := s.Job(r.PathValue("id"))
-	if !ok {
-		writeJSON(w, http.StatusNotFound, apiError{Error: "no such job"})
-		return nil, false
-	}
-	return j, true
-}
-
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	if j, ok := s.jobOr404(w, r); ok {
-		writeJSON(w, http.StatusOK, s.Status(j))
-	}
-}
-
-func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobOr404(w, r)
-	if !ok {
-		return
-	}
-	st := s.Status(j)
-	if !st.State.Terminal() {
-		writeJSON(w, http.StatusConflict, apiError{Error: fmt.Sprintf("job %s is %s, not finished", j.ID, st.State)})
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
-}
-
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobOr404(w, r)
-	if !ok {
-		return
-	}
-	s.Cancel(j, "canceled by client")
-	writeJSON(w, http.StatusAccepted, s.Status(j))
-}
-
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobOr404(w, r)
-	if !ok {
-		return
-	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeJSON(w, http.StatusNotImplemented, apiError{Error: "streaming unsupported"})
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-
-	ch, unsubscribe := j.subscribe()
-	defer unsubscribe()
-
-	writeEvent := func(ev Event) bool {
-		data, err := json.Marshal(ev)
-		if err != nil {
-			return false
-		}
-		if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Type, data); err != nil {
-			return false
-		}
-		fl.Flush()
-		return true
-	}
-
-	// Opening snapshot so late subscribers see where the job stands.
-	st := s.Status(j)
-	if !writeEvent(Event{Type: "state", State: st.State, Step: st.Step, Steps: st.Steps, Error: st.Error}) {
-		return
-	}
-	if st.State.Terminal() {
-		writeEvent(doneEvent(st))
-		return
-	}
-	for {
-		select {
-		case ev := <-ch:
-			if !writeEvent(ev) {
-				return
-			}
-			if ev.Type == "done" {
-				return
-			}
-		case <-j.Done():
-			// Flush any buffered events, then make sure a terminal
-			// event is delivered even if the buffer dropped it.
-			for {
-				select {
-				case ev := <-ch:
-					if !writeEvent(ev) {
-						return
-					}
-					if ev.Type == "done" {
-						return
-					}
-					continue
-				default:
-				}
-				break
-			}
-			writeEvent(doneEvent(s.Status(j)))
-			return
-		case <-r.Context().Done():
-			return
-		}
-	}
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
@@ -884,7 +618,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		CacheSize:     ps.Idle,
 		CacheEvicted:  ps.Evictions,
 		Running:       int(s.running.Load()),
-		Draining:      s.draining.Load(),
+		Draining:      s.front.Draining(),
 		StreamDiskBW:  s.diskBWEstimate(),
 	}
 	if s.tuner != nil {
@@ -901,14 +635,5 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	if s.draining.Load() {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintln(w, "draining")
-		return
-	}
-	fmt.Fprintln(w, "ok")
+	WriteJSON(w, http.StatusOK, s.Stats())
 }

@@ -10,6 +10,7 @@ package serve
 
 import (
 	"fmt"
+	"net/http"
 	"strings"
 
 	"islands/internal/decomp"
@@ -61,6 +62,13 @@ func (e *ErrGridTooLarge) Error() string {
 		return fmt.Sprintf("grid %s (%s) exceeds the streamed limit of %d cells", e.Grid, cells, e.Limit)
 	}
 	return fmt.Sprintf(`grid %s (%s) exceeds the resident limit of %d cells; resubmit with "streamed": true (and a memory_budget_mb) to run it out of core`, e.Grid, cells, e.Limit)
+}
+
+// Answer implements Rejection: 413, the domain and not the request framing is
+// too large. The resident-class message names the streamed job class, so a
+// client holding a too-big grid knows its next move.
+func (e *ErrGridTooLarge) Answer() (int, int, string) {
+	return http.StatusRequestEntityTooLarge, 0, e.Error()
 }
 
 // Spec describes one run: the wire format of POST /v1/jobs, and what

@@ -354,16 +354,10 @@ func TestDiscardedStreamedEnginesAreNotReused(t *testing.T) {
 		if !cancelRunning.Swap(false) {
 			return
 		}
-		srv.mu.Lock()
-		var running []*Job
-		for _, j := range srv.jobs {
+		for _, j := range srv.front.unfinished() {
 			if j.State() == StateRunning {
-				running = append(running, j)
+				srv.Cancel(j, "test cancel")
 			}
-		}
-		srv.mu.Unlock()
-		for _, j := range running {
-			srv.Cancel(j, "test cancel")
 		}
 	})
 	defer srv.Close()

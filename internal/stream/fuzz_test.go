@@ -9,6 +9,8 @@ import (
 
 	"islands/internal/exec"
 	"islands/internal/grid"
+	"islands/internal/mpdata"
+	"islands/internal/solver"
 	"islands/internal/stencil"
 	"islands/internal/topology"
 )
@@ -20,14 +22,28 @@ import (
 // uninterrupted run's. The store's own checkpoint is the first seed; the
 // committed ones under testdata/fuzz are it truncated, at sweep = Sweeps,
 // with a negative tile and with tile_planes 0.
+//
+// An input must cost well under a millisecond: the fuzzer minimizes every
+// input that widens coverage by running thousands of shrunk copies of it,
+// and none of those count as execs. So the program is built once, and each
+// process keeps one store whose planes are rewritten only after a resumed
+// run changed them.
 func FuzzResumeCheckpoint(f *testing.F) {
 	machine, err := topology.UV2000(2)
 	if err != nil {
 		f.Fatal(err)
 	}
+	entry, err := solver.Lookup("")
+	if err != nil {
+		f.Fatal(err)
+	}
+	prog, err := entry.NewProgram(solver.Options{IORD: mpdata.DefaultOptions().IORD})
+	if err != nil {
+		f.Fatal(err)
+	}
 	cfg := exec.Config{Machine: machine, Strategy: exec.Plus31D, Boundary: stencil.Periodic, Steps: 6, KSteps: 2}
 	options := func(dir string) Options {
-		return Options{Dir: dir, Exec: cfg, Domain: grid.Sz(16, 6, 4), TilePlanes: 4, Resume: true}
+		return Options{Dir: dir, Exec: cfg, Domain: grid.Sz(16, 6, 4), TilePlanes: 4, Resume: true, Program: prog}
 	}
 	whole, err := New(options(f.TempDir()))
 	if err != nil {
@@ -63,13 +79,17 @@ func FuzzResumeCheckpoint(f *testing.F) {
 	}
 	f.Add(own)
 
-	f.Fuzz(func(t *testing.T, ck []byte) {
-		dir := t.TempDir()
+	dir := f.TempDir()
+	writePlanes := func(tb testing.TB) {
 		for name, raw := range planes {
 			if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
-				t.Fatal(err)
+				tb.Fatal(err)
 			}
 		}
+	}
+	writePlanes(f)
+
+	f.Fuzz(func(t *testing.T, ck []byte) {
 		if err := os.WriteFile(filepath.Join(dir, checkpointFile), ck, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -79,6 +99,7 @@ func FuzzResumeCheckpoint(f *testing.F) {
 			requireNothingLeft(t, dir, baseGoroutines)
 			return
 		}
+		defer writePlanes(t) // the resumed run rewrote them
 		defer s.Close()
 		if err := s.Run(); err != nil {
 			t.Fatalf("resumed from %q: %v", ck, err)
