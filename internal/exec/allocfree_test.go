@@ -36,7 +36,10 @@ func TestStepLoopAllocFree(t *testing.T) {
 	}
 	domain := grid.Sz(32, 32, 8)
 	check := func(t *testing.T, cfg Config, prog *stencil.KernelProgram, inputs map[string]*grid.Field, feedback string, mode FeedbackMode) {
-		cfg.Machine, cfg.Boundary, cfg.Steps = m, stencil.Clamp, 1
+		if cfg.Machine == nil {
+			cfg.Machine = m
+		}
+		cfg.Boundary, cfg.Steps = stencil.Clamp, 1
 		r, err := NewRunner(cfg, prog, inputs, feedback)
 		if err != nil {
 			t.Fatal(err)
@@ -69,6 +72,9 @@ func TestStepLoopAllocFree(t *testing.T) {
 		{"islands", Config{Strategy: IslandsOfCores}, FeedbackSwapHalo},
 		{"coreislands", Config{Strategy: IslandsOfCores, CoreIslands: true}, FeedbackSwapHalo},
 		{"islands-nofuse", Config{Strategy: IslandsOfCores, DisableFusion: true}, FeedbackSwapHalo},
+		// Owned barriers (TestOwnedBarriersFollowTheSlots) read the clock
+		// while they spin; that must not allocate either.
+		{"plus31d-owned", Config{Machine: ownedHostMachine(t), Strategy: Plus31D}, FeedbackSwap},
 	} {
 		t.Run(arm.name, func(t *testing.T) {
 			state := mpdata.NewState(domain)

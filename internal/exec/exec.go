@@ -10,6 +10,7 @@ package exec
 
 import (
 	"fmt"
+	"runtime"
 
 	"islands/internal/decomp"
 	"islands/internal/grid"
@@ -119,6 +120,20 @@ type Config struct {
 	// (ScheduleStats.WindowFallbackReason). Internal: internal/stream sets it
 	// to a tile's owned planes; no spec field, flag or variable reaches it.
 	Keep grid.Region
+	// Slots is how many runners like this one the process may run at once
+	// (0 = 1, a standalone runner). When Slots times the machine's workers
+	// fit in GOMAXPROCS, the runner's teams own the CPUs they run on, and
+	// the schedule compiles owned barriers (sched.NewOwnedBarrier) that spin
+	// through the Go scheduler's wake latency; otherwise shared ones. Results
+	// do not depend on it. Internal: serve sets it to a server's slot count;
+	// no spec field, flag or variable reaches it.
+	Slots int
+}
+
+// ownsMachine reports whether a runner of this configuration compiles owned
+// barriers: Slots runners of the machine's workers fit in GOMAXPROCS.
+func (c *Config) ownsMachine() bool {
+	return max(1, c.Slots)*c.Machine.TotalCores() <= runtime.GOMAXPROCS(0)
 }
 
 // params resolves the model constants for this plan.

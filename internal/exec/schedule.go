@@ -481,9 +481,14 @@ func (c *scheduleCompiler) groupPhase(gi, d int) int32 {
 	return id
 }
 
-// newBarrier creates and registers a barrier of n participants.
+// newBarrier creates and registers a barrier of n participants: an owned one
+// when the runner's teams own the machine (Config.Slots).
 func (c *scheduleCompiler) newBarrier(n int) *sched.Barrier {
-	b := sched.NewBarrier(n)
+	newBarrier := sched.NewBarrier
+	if c.p.cfg.ownsMachine() {
+		newBarrier = sched.NewOwnedBarrier
+	}
+	b := newBarrier(n)
 	c.sch.barriers = append(c.sch.barriers, b)
 	return b
 }

@@ -4,9 +4,17 @@ import (
 	"math/rand"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
+
+// barrierModes are the two park paths: every abort and panic test runs under
+// both.
+var barrierModes = []struct {
+	name string
+	new  func(n int) *Barrier
+}{{"shared", NewBarrier}, {"owned", NewOwnedBarrier}}
 
 // TestBarrierAbortUnderLoad fires Abort while a full team is crossing the
 // barrier as fast as it can, across many interleavings: workers mid-spin,
@@ -15,12 +23,18 @@ import (
 // (the test would time out) and none may sail past an abort that raced with
 // its own release. Runs under -race via the race-core gate.
 func TestBarrierAbortUnderLoad(t *testing.T) {
+	for _, mode := range barrierModes {
+		t.Run(mode.name, func(t *testing.T) { testBarrierAbortUnderLoad(t, mode.new) })
+	}
+}
+
+func testBarrierAbortUnderLoad(t *testing.T, newBarrier func(int) *Barrier) {
 	const workers = 8
 	const rounds = 60
 	rng := rand.New(rand.NewSource(1))
 	for round := 0; round < rounds; round++ {
 		team := NewTeam(0, 0, workers, 0)
-		bar := NewBarrier(workers)
+		bar := newBarrier(workers)
 		team.Dispatch(func(w int) {
 			for {
 				// Jittered busy work desynchronizes the arrivals so
@@ -52,20 +66,24 @@ func TestBarrierAbortUnderLoad(t *testing.T) {
 // immediately rather than park forever waiting for a broadcast that already
 // happened.
 func TestBarrierAbortLateArriver(t *testing.T) {
-	bar := NewBarrier(3)
-	bar.Abort()
-	done := make(chan any, 1)
-	go func() {
-		defer func() { done <- recover() }()
-		bar.Wait()
-	}()
-	select {
-	case p := <-done:
-		if p == nil {
-			t.Fatal("Wait after Abort returned normally")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Wait after Abort deadlocked")
+	for _, mode := range barrierModes {
+		t.Run(mode.name, func(t *testing.T) {
+			bar := mode.new(3)
+			bar.Abort()
+			done := make(chan any, 1)
+			go func() {
+				defer func() { done <- recover() }()
+				bar.Wait()
+			}()
+			select {
+			case p := <-done:
+				if p == nil {
+					t.Fatal("Wait after Abort returned normally")
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Wait after Abort deadlocked")
+			}
+		})
 	}
 }
 
@@ -74,24 +92,34 @@ func TestBarrierAbortLateArriver(t *testing.T) {
 // synchronizes correctly, and the reported spin/park components are
 // non-negative.
 func TestBarrierWaitProfiledMatchesWait(t *testing.T) {
-	const workers = 6
-	const phases = 100
-	team := NewTeam(0, 0, workers, 0)
-	defer team.Close()
-	bar := NewBarrier(workers)
+	for _, mode := range barrierModes {
+		t.Run(mode.name, func(t *testing.T) {
+			const workers = 6
+			const phases = 100
+			team := NewTeam(0, 0, workers, 0)
+			defer team.Close()
+			bar := mode.new(workers)
 
-	errs := make(chan string, workers)
-	dispatchWait(team, func(w int) {
-		for p := 0; p < phases; p++ {
-			spin, park := bar.WaitProfiled()
-			if spin < 0 || park < 0 {
-				errs <- "negative wait component"
-				return
+			var done [phases]atomic.Int32
+			errs := make(chan string, workers)
+			dispatchWait(team, func(w int) {
+				for p := 0; p < phases; p++ {
+					done[p].Add(1)
+					spin, park := bar.WaitProfiled()
+					if spin < 0 || park < 0 {
+						errs <- "negative wait component"
+						return
+					}
+					if done[p].Load() != workers {
+						errs <- "barrier released early"
+						return
+					}
+				}
+			})
+			close(errs)
+			if msg, ok := <-errs; ok {
+				t.Fatal(msg)
 			}
-		}
-	})
-	close(errs)
-	if msg, ok := <-errs; ok {
-		t.Fatal(msg)
+		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestBarrierPhases drives many workers through many phases and checks that
@@ -166,23 +167,80 @@ func TestBarrierWaitDoSingleParticipant(t *testing.T) {
 // barrier so the waiting teammates unwind instead of parking forever, and
 // the last arriver re-raises the original panic value.
 func TestBarrierWaitDoPanic(t *testing.T) {
-	const workers = 4
-	team := NewTeam(0, 0, workers, 0)
-	defer team.Close()
-	bar := NewBarrier(workers)
+	for _, mode := range barrierModes {
+		t.Run(mode.name, func(t *testing.T) {
+			const workers = 4
+			team := NewTeam(0, 0, workers, 0)
+			defer team.Close()
+			bar := mode.new(workers)
 
-	team.Dispatch(func(w int) {
-		bar.WaitDo(func() { panic("serial boom") })
-	})
-	p := team.WaitRecover()
-	if p == nil {
-		t.Fatal("no panic propagated from the serial section")
+			team.Dispatch(func(w int) {
+				bar.WaitDo(func() { panic("serial boom") })
+			})
+			p := team.WaitRecover()
+			if p == nil {
+				t.Fatal("no panic propagated from the serial section")
+			}
+			s := p.(string)
+			if !strings.Contains(s, "serial boom") && !strings.Contains(s, "barrier aborted") {
+				t.Fatalf("unexpected panic %q", s)
+			}
+			if !bar.Aborted() {
+				t.Fatal("barrier not poisoned after serial-section panic")
+			}
+		})
 	}
-	s := p.(string)
-	if !strings.Contains(s, "serial boom") && !strings.Contains(s, "barrier aborted") {
-		t.Fatalf("unexpected panic %q", s)
+}
+
+// TestOwnedSpinBound pins when a waiter keeps spinning: a shared barrier
+// never past its first barrierSpin yields; an owned one until ownedSpin after
+// them, and not at all while the process runs more workers than
+// GOMAXPROCS.
+func TestOwnedSpinBound(t *testing.T) {
+	var until time.Time
+	if NewBarrier(2).spinOn(barrierSpin, &until) {
+		t.Fatal("a shared barrier spins past barrierSpin yields")
 	}
-	if !bar.Aborted() {
-		t.Fatal("barrier not poisoned after serial-section panic")
+	owned := NewOwnedBarrier(2)
+	if !owned.Owned() || NewBarrier(2).Owned() {
+		t.Fatal("Owned does not tell the constructors apart")
+	}
+	before := time.Now()
+	if !owned.spinOn(barrierSpin, &until) {
+		t.Fatal("an owned barrier parks after barrierSpin yields")
+	}
+	if after := time.Now(); until.Before(before.Add(ownedSpin)) || until.After(after.Add(ownedSpin)) {
+		t.Fatalf("the owned spin's deadline is %v after its start, want %v", until.Sub(before), ownedSpin)
+	}
+	future := time.Now().Add(time.Hour)
+	if !owned.spinOn(2*barrierSpin, &future) {
+		t.Fatal("an owned barrier parks before its deadline")
+	}
+	past := time.Now().Add(-time.Microsecond)
+	if owned.spinOn(2*barrierSpin, &past) {
+		t.Fatal("an owned barrier spins past its deadline")
+	}
+	extra := owned.procs + 1 - running.Load()
+	running.Add(extra)
+	defer running.Add(-extra)
+	if owned.spinOn(barrierSpin, &until) {
+		t.Fatal("an owned barrier spins while the process runs more workers than GOMAXPROCS")
+	}
+}
+
+// TestRunFnsCountsRunningWorkers checks that a RunFns round counts its
+// workers in running while they run, and only then.
+func TestRunFnsCountsRunningWorkers(t *testing.T) {
+	s := &Scheduler{Teams: []*Team{NewTeam(0, 0, 2, 0), NewTeam(1, 1, 3, 2)}}
+	defer s.Close()
+	base := running.Load()
+	var seen atomic.Int32
+	fn := func(int) { seen.Store(running.Load()) }
+	s.RunFns([]func(int){fn, fn})
+	if got := seen.Load() - base; got != 5 {
+		t.Fatalf("a worker saw %d running workers of its round, want 5", got)
+	}
+	if got := running.Load(); got != base {
+		t.Fatalf("running = %d after the join, want %d", got, base)
 	}
 }

@@ -19,19 +19,50 @@ import (
 	"islands/internal/topology"
 )
 
-// barrierSpin is how many cooperative yields a worker attempts before
-// parking on the barrier's condition variable. Workers of one island are
-// expected to arrive close together (they just finished equal chunks of the
-// same stage), so a short spin usually avoids the sleep/wake round trip; the
-// blocking fallback keeps oversubscribed machines (more workers than
-// GOMAXPROCS) from burning the scheduler.
+// barrierSpin is how many cooperative yields a worker attempts before it
+// parks on the barrier's condition variable, or, at an owned barrier, before
+// it first reads the clock. Workers of one island are expected to arrive close
+// together (they just finished equal chunks of the same stage), so a short
+// spin usually avoids the sleep/wake round trip; the blocking fallback keeps
+// oversubscribed machines (more workers than GOMAXPROCS) from burning the
+// scheduler.
 const barrierSpin = 32
+
+// ownedSpin bounds the spin of an owned barrier (NewOwnedBarrier): its waiter
+// keeps yielding until this long after its first barrierSpin yields, reading
+// the clock once every barrierSpin yields, and only then parks. A parked
+// waiter is readied into the releasing worker's run queue, where an idle P
+// may steal it only after the Go scheduler's runqgrab usleep(3), which timer
+// slack stretches to tens of µs: that one wake was most of the barrier time
+// of a traced plus31d step. On a 2-vCPU Xeon guest (Go 1.24), over 10
+// alternating 20 s runs of resident-sweep against the 32-yield spin, a
+// 100 µs bound took job_ms_p50 from 53.4 to 47.7 ms (medians) and plus31d's
+// traced barrier share from 36 % to 11-13 %. In 3 further rounds there,
+// bounds of 50 µs and 200 µs read 50.5/47.4/46.9 and 48.5/47.3/45.3 ms
+// against 100 µs's 45.5/46.5/49.7 ms (the 32-yield spin: 51.6/54.1/54.9):
+// within one another's spread, so 100 µs sits inside a plateau rather than
+// at an edge of it.
+const ownedSpin = 100 * time.Microsecond
+
+// running counts the workers of every RunFns dispatch in flight in the
+// process. An owned barrier stops spinning early once it exceeds GOMAXPROCS:
+// engines that each own the machine (two 1-slot servers in one process, say)
+// must not spin against each other's workers.
+var running atomic.Int32
 
 // Barrier is a reusable sense-reversing phase barrier: n participants call
 // Wait repeatedly, and each call returns only once all n have arrived at the
 // same phase. Unlike a Team dispatch+join, a phase crossing performs no
 // channel operations and no allocations — it is the cheap
 // per-stage synchronization point of a compiled execution schedule.
+//
+// A barrier has one of two park paths, fixed when it is made. A shared
+// barrier (NewBarrier) parks after barrierSpin yields, for workers that share
+// the machine's CPUs with other work. An owned barrier (NewOwnedBarrier) is
+// for teams that have the CPUs to themselves: it spins for up to ownedSpin
+// before it parks, since a parked waiter waits on the Go scheduler's wake
+// latency rather than on its teammates. Both park the same way, and both
+// cross with the same memory ordering.
 //
 // Abort poisons the barrier: it releases every current and future waiter by
 // panicking in them, so a panicking worker cannot strand its teammates at
@@ -43,9 +74,14 @@ type Barrier struct {
 	aborted atomic.Bool
 	mu      sync.Mutex
 	cond    *sync.Cond
+	// owned selects the bounded spin; procs is GOMAXPROCS when the barrier
+	// was made, the most running workers an owned spin tolerates.
+	owned bool
+	procs int32
 }
 
-// NewBarrier creates a barrier for n participants.
+// NewBarrier creates a shared barrier for n participants: a waiter parks
+// after barrierSpin yields.
 func NewBarrier(n int) *Barrier {
 	if n <= 0 {
 		panic("sched: barrier needs at least one participant")
@@ -54,6 +90,20 @@ func NewBarrier(n int) *Barrier {
 	b.cond = sync.NewCond(&b.mu)
 	return b
 }
+
+// NewOwnedBarrier creates an owned barrier for n participants: a waiter spins
+// for up to ownedSpin before it parks, and parks at once when the process
+// runs more workers than GOMAXPROCS had when the barrier was made.
+func NewOwnedBarrier(n int) *Barrier {
+	b := NewBarrier(n)
+	b.owned = true
+	b.procs = int32(runtime.GOMAXPROCS(0))
+	return b
+}
+
+// Owned reports whether the barrier spins through the wake latency
+// (NewOwnedBarrier).
+func (b *Barrier) Owned() bool { return b.owned }
 
 // Size returns the number of participants.
 func (b *Barrier) Size() int { return b.n }
@@ -93,8 +143,9 @@ func (b *Barrier) WaitDoProfiled(f func()) (spin, park time.Duration) {
 
 // wait implements Wait and, when timed, reports how the crossing was spent:
 // time spinning (cooperative yields) and time parked on the condition
-// variable. With timed=false no clocks are read at all — the plain Wait path
-// of the disabled-profiler executor stays exactly as cheap as before.
+// variable. With timed=false the only clock reads are an owned barrier's,
+// one every barrierSpin yields (spinOn); a shared barrier's plain Wait, the
+// disabled-profiler executor's path, reads none.
 func (b *Barrier) wait(timed bool, f func()) (spin, park time.Duration) {
 	if b.aborted.Load() {
 		panic("sched: barrier aborted")
@@ -126,8 +177,11 @@ func (b *Barrier) wait(timed bool, f func()) (spin, park time.Duration) {
 		}
 		return 0, 0
 	}
-	var start time.Time
-	for spins := 0; spins < barrierSpin; spins++ {
+	var start, until time.Time
+	for spins := 0; ; spins++ {
+		if spins%barrierSpin == 0 && spins > 0 && !b.spinOn(spins, &until) {
+			break
+		}
 		if b.gen.Load() != gen {
 			if b.aborted.Load() {
 				panic("sched: barrier aborted")
@@ -162,6 +216,22 @@ func (b *Barrier) wait(timed bool, f func()) (spin, park time.Duration) {
 		panic("sched: barrier aborted")
 	}
 	return spin, park
+}
+
+// spinOn reports whether a waiter that has yielded spins times, a multiple of
+// barrierSpin, keeps spinning. A shared barrier never does. An owned one does
+// until ownedSpin has passed since its first barrierSpin yields (until holds
+// that deadline), or until the process runs more workers than it has CPUs.
+func (b *Barrier) spinOn(spins int, until *time.Time) bool {
+	if !b.owned || running.Load() > b.procs {
+		return false
+	}
+	now := time.Now()
+	if spins == barrierSpin {
+		*until = now.Add(ownedSpin)
+		return true
+	}
+	return now.Before(*until)
 }
 
 // WaitProfiled is Wait with wall-clock accounting: it additionally returns
@@ -330,11 +400,18 @@ func New(m *topology.Machine) *Scheduler {
 // machine. With closures precompiled once (per team, not per call), a RunFns
 // round performs no allocations — it is the steady-state dispatch of the
 // compiled-schedule executor: one round per time step, with all per-stage
-// synchronization handled by Barriers inside the worker functions.
+// synchronization handled by Barriers inside the worker functions. The
+// round's workers count in running from before the dispatch to after the
+// join.
 func (s *Scheduler) RunFns(fns []func(worker int)) {
 	if len(fns) != len(s.Teams) {
 		panic(fmt.Sprintf("sched: RunFns got %d fns for %d teams", len(fns), len(s.Teams)))
 	}
+	workers := 0
+	for _, t := range s.Teams {
+		workers += t.Size()
+	}
+	running.Add(int32(workers))
 	for i, t := range s.Teams {
 		t.Dispatch(fns[i])
 	}
@@ -346,6 +423,7 @@ func (s *Scheduler) RunFns(fns []func(worker int)) {
 			p = r
 		}
 	}
+	running.Add(-int32(workers))
 	if p != nil {
 		panic(p)
 	}

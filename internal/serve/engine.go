@@ -111,15 +111,22 @@ func (n CacheKey) program() (*solver.Entry, *stencil.KernelProgram, error) {
 }
 
 // NewSolverEngine compiles the spec's catalog solver — the pool's default
-// factory — on the host's shape (host). The compile cost this pays
-// (schedule, environments, halo strips) is exactly what the cache amortizes
-// across repeat jobs.
+// factory — on the host's shape (host), as a standalone engine: one slot (see
+// exec.Config.Slots). The compile cost this pays (schedule, environments,
+// halo strips) is exactly what the cache amortizes across repeat jobs.
 func NewSolverEngine(n NormSpec) (Engine, error) {
+	return newSolverEngine(n, 1)
+}
+
+// newSolverEngine is NewSolverEngine for an engine that runs beside up to
+// slots-1 others, a server's slot count.
+func newSolverEngine(n NormSpec, slots int) (Engine, error) {
 	ec, err := n.ExecConfig()
 	if err != nil {
 		return nil, err
 	}
 	ec.Machine = host().Run(ec.Machine)
+	ec.Slots = slots
 	entry, prog, err := n.program()
 	if err != nil {
 		return nil, err

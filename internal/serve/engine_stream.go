@@ -78,7 +78,7 @@ type StreamEngine interface {
 	SetProgress(func(TileProgress))
 	// Report summarizes the run for the job result (nil before Reset).
 	Report() *StreamReport
-	// Scan reads the final field's summary from the completed store, for
+	// Scan takes the final field's summary from the completed run, for
 	// Checksums to return; an error fails the job.
 	Scan() error
 }
@@ -130,11 +130,12 @@ func (e *streamEngine) budgetMB() int {
 
 // OpenStream opens the streamed run of a spec: the one place a residency is
 // chosen and mapped onto stream.Options. The caller supplies what is its own
-// in o (Dir, Resume, Progress); the engine configuration, solver program and
-// residency come from ns. A checkpoint found in o.Dir under o.Resume keeps its
-// recorded residency (resume validation rejects changed geometry) and the
-// returned Residency is nil; that residency is priced as the picker prices
-// one, and a budgetMB it overflows fails the open with a diagnostic.
+// in o (Dir, Resume, Progress, and Exec.Slots: how many engines it runs at
+// once, 0 for one); the rest of the engine configuration, the solver program
+// and the residency come from ns. A checkpoint found in o.Dir under o.Resume
+// keeps its recorded residency (resume validation rejects changed geometry)
+// and the returned Residency is nil; that residency is priced as the picker
+// prices one, and a budgetMB it overflows fails the open with a diagnostic.
 // Otherwise tune.PickResidency chooses under budgetMB, priced at diskBW
 // bytes/s (0 = the model's default), and a domain that fits the budget whole
 // streams as one degenerate tile (k = the whole run) rather than through a
@@ -181,6 +182,7 @@ func OpenStream(ns NormSpec, o stream.Options, budgetMB int, diskBW float64) (*s
 	}
 	cfg.Steps = ns.Steps
 	cfg.KSteps = k
+	cfg.Slots = o.Exec.Slots
 	o.Exec, o.Domain, o.Program, o.TilePlanes = cfg, ns.Domain, prog, tilePlanes
 	o.Solver, o.IORD, o.Unlimited = ns.Solver, ns.IORD, ns.Unlimited
 	st, err := stream.New(o)
@@ -228,6 +230,7 @@ func (e *streamEngine) open() error {
 	}
 	st, picked, err := OpenStream(e.ns, stream.Options{
 		Dir:    dir,
+		Exec:   exec.Config{Slots: e.srv.pool.Capacity()},
 		Resume: e.dir != "",
 		Progress: func(p stream.Progress) {
 			e.mu.Lock()
@@ -262,12 +265,13 @@ func (e *streamEngine) Step() error {
 	return e.streamer.RunSweep()
 }
 
-// scanStream reads the final field's checksums from a completed store. It is
-// a variable so that tests can inject a failing scan.
+// scanStream returns the final field's checksums of a completed run: folded
+// by its last sweep, or read back from the store (stream.Streamer.Checksums).
+// It is a variable so that tests can inject a failing scan.
 var scanStream = (*stream.Streamer).Checksums
 
-// Scan records the final field's checksums from the completed store. The sum
-// is computed with the same compensated accumulator and visitation order as a
+// Scan records the final field's checksums of the completed run. The sum is
+// computed with the same compensated accumulator and visitation order as a
 // resident field, so a streamed job's checksums are bit-identical to the
 // resident run's. The job is then done with its tile engines and budget
 // memory, which the streamer releases.

@@ -125,12 +125,13 @@ func NewServer(opts Options) *Server {
 	factory := opts.EngineFactory
 	if factory == nil {
 		// The default factory routes streamed specs to the out-of-core
-		// engine; a custom factory (tests) owns the whole decision.
+		// engine; a custom factory (tests) owns the whole decision. Both
+		// compile for the server's slot count.
 		factory = func(ns NormSpec) (Engine, error) {
 			if ns.Streamed {
 				return newStreamEngine(s, ns)
 			}
-			return NewSolverEngine(ns)
+			return newSolverEngine(ns, s.pool.Capacity())
 		}
 	}
 	s.pool = NewPool(opts.Slots, opts.MaxCached, factory)

@@ -57,6 +57,10 @@ var psiFiles = [3]string{"psi.0.planes", "psi.1.planes", "psi.2.planes"}
 
 const checkpointFile = "checkpoint.json"
 
+// checkpointVersion is the version of the checkpoint format New writes;
+// stores of any other version are incompatible runs and are not resumed.
+const checkpointVersion = 3
+
 // lockFile is a resumable store's lock (lockStore): it holds the pid of the
 // process whose Streamer has the store open.
 const lockFile = "lock"
@@ -243,12 +247,32 @@ func StoredResidency(dir string) (tilePlanes, k int, ok bool, err error) {
 		return 0, 0, false, err
 	}
 	defer lock.Close() // a nil lock (no flock on this platform) closes as a no-op
-	raw, err := os.ReadFile(path)
-	var ck checkpoint
-	if err != nil || json.Unmarshal(raw, &ck) != nil || !ck.intact() || ck.TilePlanes < 1 || ck.K < 1 {
+	ck, found, err := readCheckpoint(dir)
+	if err != nil || !found || !ck.intact() || ck.TilePlanes < 1 || ck.K < 1 {
 		return 0, 0, false, nil
 	}
 	return ck.TilePlanes, ck.K, true, nil
+}
+
+// readCheckpoint reads dir's checkpoint, if any, and checks that it is
+// well-formed JSON and, when it has this format's version, that it carries
+// the digest of its fields. Whether it describes the run at hand is
+// resumeStore's question.
+func readCheckpoint(dir string) (ck checkpoint, found bool, err error) {
+	raw, err := os.ReadFile(filepath.Join(dir, checkpointFile))
+	if errors.Is(err, os.ErrNotExist) {
+		return ck, false, nil
+	}
+	if err != nil {
+		return ck, false, err
+	}
+	if err := json.Unmarshal(raw, &ck); err != nil {
+		return ck, false, fmt.Errorf("stream: corrupt checkpoint in %s: %w", dir, err)
+	}
+	if ck.Version == checkpointVersion && !ck.intact() {
+		return ck, false, fmt.Errorf("stream: corrupt checkpoint in %s: its digest does not match its fields", dir)
+	}
+	return ck, true, nil
 }
 
 // engineKey identifies a compiled tile engine: tiles of one plan shape
@@ -301,6 +325,12 @@ type Streamer struct {
 
 	statsMu sync.Mutex
 	stats   Stats
+
+	// final is the final field's summary, folded by the last sweep's writer
+	// (runSweepPipelined). It is nil when that sweep did not run whole in
+	// this process — a resume into it, or an error — and Checksums then
+	// scans the store instead.
+	final *grid.Summary
 }
 
 // New opens (or creates) the spill store and prepares the tile plan. With
@@ -330,41 +360,33 @@ func New(o Options) (*Streamer, error) {
 	if entry.MPDATAOptions && o.IORD <= 0 {
 		o.IORD = mpdata.DefaultOptions().IORD
 	}
-	prog := o.Program
-	if prog == nil {
-		if prog, err = entry.NewProgram(solver.Options{IORD: o.IORD, Unlimited: o.Unlimited}); err != nil {
-			return nil, err
-		}
-	}
-	analysis, err := stencil.Analyze(&prog.Program)
-	if err != nil {
-		return nil, err
-	}
-	fext, err := exec.StreamHalo(&prog.Program, analysis)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := exec.NewStreamPlan(o.Domain, o.Exec.Steps, exec.StreamChoice{TilePlanes: o.TilePlanes, K: o.Exec.KSteps}, fext, o.Exec.Boundary)
-	if err != nil {
-		return nil, err
-	}
-	if err := checkIslandWidth(o.Exec, plan); err != nil {
-		return nil, err
-	}
 	if err := os.MkdirAll(o.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	s := &Streamer{o: o, plan: plan, entry: entry, prog: prog, engines: make(map[engineKey]*tileEngine)}
-	s.stats.Tiles = len(plan.Tiles)
-	s.stats.Sweeps = plan.Sweeps
+	s := &Streamer{o: o, entry: entry, engines: make(map[engineKey]*tileEngine)}
 	// A resumable store outlives its Streamer, so another process (a second
 	// server on the same spill root, a CLI run on a server's store) can open
-	// it too: lock it before anything in it is touched. An anonymous store's
-	// directory is its opener's alone.
+	// it too: lock it before anything in it is touched. Its checkpoint is
+	// read and checked under the lock before anything is built, so a damaged
+	// one fails the open at once. An anonymous store's directory is its
+	// opener's alone.
+	var stored *checkpoint
 	if o.Resume {
 		if s.lock, err = lockStore(o.Dir); err != nil {
 			return nil, err
 		}
+		ck, found, err := readCheckpoint(o.Dir)
+		if err != nil {
+			_ = s.Close()
+			return nil, err
+		}
+		if found {
+			stored = &ck
+		}
+	}
+	if err := s.prepare(); err != nil {
+		_ = s.Close()
+		return nil, err
 	}
 	// A dirty previous exit can leave *.tmp partials (an interrupted
 	// checkpoint rename or plane-file creation); sweep them first.
@@ -372,13 +394,44 @@ func New(o Options) (*Streamer, error) {
 		_ = s.Close()
 		return nil, err
 	}
-
-	if err := s.openStore(); err != nil {
+	if err := s.openStore(stored); err != nil {
 		_ = s.Close()
 		return nil, err
 	}
 	s.mapFiles()
 	return s, nil
+}
+
+// prepare builds the solver program (unless Options.Program supplies it) and
+// the tile plan, and checks that the plan's tiles can host the island
+// partition.
+func (s *Streamer) prepare() error {
+	o := &s.o
+	s.prog = o.Program
+	if s.prog == nil {
+		var err error
+		if s.prog, err = s.entry.NewProgram(solver.Options{IORD: o.IORD, Unlimited: o.Unlimited}); err != nil {
+			return err
+		}
+	}
+	analysis, err := stencil.Analyze(&s.prog.Program)
+	if err != nil {
+		return err
+	}
+	fext, err := exec.StreamHalo(&s.prog.Program, analysis)
+	if err != nil {
+		return err
+	}
+	s.plan, err = exec.NewStreamPlan(o.Domain, o.Exec.Steps, exec.StreamChoice{TilePlanes: o.TilePlanes, K: o.Exec.KSteps}, fext, o.Exec.Boundary)
+	if err != nil {
+		return err
+	}
+	if err := checkIslandWidth(o.Exec, s.plan); err != nil {
+		return err
+	}
+	s.stats.Tiles = len(s.plan.Tiles)
+	s.stats.Sweeps = s.plan.Sweeps
+	return nil
 }
 
 // mapFiles switches the store's reads to memory mappings where the platform
@@ -433,20 +486,15 @@ func checkIslandWidth(cfg exec.Config, p *exec.StreamPlan) error {
 }
 
 // openStore creates a fresh store (seeding psi.0 from the standard problem
-// and recording the initial mass) or, under Resume, revalidates and adopts an
-// existing one.
-func (s *Streamer) openStore() error {
-	ckPath := filepath.Join(s.o.Dir, checkpointFile)
-	if s.o.Resume {
-		if raw, err := os.ReadFile(ckPath); err == nil {
-			if err := s.resumeStore(raw); err != nil {
-				return err
-			}
-			s.precompile(s.ck.Sweep, s.ck.Tile)
-			return nil
-		} else if !errors.Is(err, os.ErrNotExist) {
+// and recording the initial mass) or, given the checkpoint a resumable store
+// holds, revalidates and adopts the existing one.
+func (s *Streamer) openStore(stored *checkpoint) error {
+	if stored != nil {
+		if err := s.resumeStore(*stored); err != nil {
 			return err
 		}
+		s.precompile(s.ck.Sweep, s.ck.Tile)
+		return nil
 	}
 	for i, name := range psiFiles {
 		var err error
@@ -544,7 +592,7 @@ func (s *Streamer) precompile(sweep, tile int) {
 // checkpointAt builds the progress record for the next unit of work.
 func (s *Streamer) checkpointAt(sweep, tile int, massIn float64) checkpoint {
 	return checkpoint{
-		Version:    3,
+		Version:    checkpointVersion,
 		Domain:     [3]int{s.o.Domain.NI, s.o.Domain.NJ, s.o.Domain.NK},
 		Solver:     s.o.Solver,
 		Steps:      s.plan.Steps,
@@ -560,21 +608,15 @@ func (s *Streamer) checkpointAt(sweep, tile int, massIn float64) checkpoint {
 	}
 }
 
-// resumeStore adopts an existing store after validating that its checkpoint
-// describes this exact run (geometry, program variant, strategy).
-func (s *Streamer) resumeStore(raw []byte) error {
-	var ck checkpoint
-	if err := json.Unmarshal(raw, &ck); err != nil {
-		return fmt.Errorf("stream: corrupt checkpoint in %s: %w", s.o.Dir, err)
-	}
+// resumeStore adopts an existing store after validating that its checkpoint,
+// intact (readCheckpoint), describes this exact run (geometry, program
+// variant, strategy).
+func (s *Streamer) resumeStore(ck checkpoint) error {
 	want := s.checkpointAt(ck.Sweep, ck.Tile, ck.MassIn)
 	want.Digest = ck.Digest
 	if ck != want {
 		return fmt.Errorf("stream: checkpoint in %s was written by an incompatible run (version %d solver=%s domain %dx%dx%d steps=%d k=%d tile_planes=%d)",
 			s.o.Dir, ck.Version, ck.Solver, ck.Domain[0], ck.Domain[1], ck.Domain[2], ck.Steps, ck.K, ck.TilePlanes)
-	}
-	if !ck.intact() {
-		return fmt.Errorf("stream: corrupt checkpoint in %s: its digest does not match its fields", s.o.Dir)
 	}
 	ck.Digest = 0
 	if ck.Sweep < 0 || ck.Sweep > s.plan.Sweeps || ck.Tile < 0 || ck.Tile >= len(s.plan.Tiles) {
@@ -851,10 +893,21 @@ func (s *Streamer) reportProgress(sweep, t int) {
 // sweep only read sweep-(s-1) planes, so the pipeline needs no intra-sweep
 // ordering beyond the buffer hand-offs; prefetch deliberately does not cross
 // the sweep boundary (the next sweep reads this sweep's output).
+//
+// The last sweep, run from its first tile, also folds the final field's
+// summary as the writer writes it: the tiles own consecutive plane ranges in
+// ascending order and reach the writer in that order, so the fold visits the
+// cells in Field.Sum's order and its checksums are the scan's bit for bit.
 func (s *Streamer) runSweepPipelined(sweep int) error {
 	in, out := s.files[sweepInput(sweep)], s.files[sweepOutput(sweep)]
 	kEff := s.plan.KEffAt(sweep)
 	tiles := len(s.plan.Tiles)
+	planeCells := int(grid.PlaneBytes(s.o.Domain) / grid.CellBytes)
+	var fold *grid.Summary
+	if sweep == s.plan.Sweeps-1 && s.ck.Tile == 0 {
+		sm := grid.NewSummary()
+		fold = &sm
+	}
 
 	type loadMsg struct {
 		tile int
@@ -905,6 +958,9 @@ func (s *Streamer) runSweepPipelined(sweep int) error {
 				s.stats.BytesWritten += nw
 				s.statsMu.Unlock()
 				werr = err
+				if err == nil && fold != nil {
+					fold.Add(m.buf[:s.plan.Tiles[m.tile].Width*planeCells])
+				}
 			}
 			s.writeFree <- m.buf
 		}
@@ -956,15 +1012,28 @@ func (s *Streamer) runSweepPipelined(sweep int) error {
 	if computeErr != nil {
 		return computeErr
 	}
+	if werr == nil && fold != nil {
+		s.final = fold
+	}
 	return werr
 }
 
-// Checksums scans the final field once the run is done. MassIn is the
-// initial-condition sum recorded when the store was seeded.
+// Checksums summarizes the final field once the run is done: the summary
+// the last sweep's writer folded when that sweep ran whole in this process,
+// a scan of the store otherwise. MassIn is the initial-condition sum
+// recorded when the store was seeded.
 func (s *Streamer) Checksums() (Checksums, error) {
 	if !s.Done() {
 		return Checksums{}, fmt.Errorf("stream: checksums requested before completion (sweep %d/%d)", s.ck.Sweep, s.plan.Sweeps)
 	}
+	if s.final != nil {
+		return Checksums{Sum: s.final.Sum(), Min: s.final.Min, Max: s.final.Max, MassIn: s.ck.MassIn}, nil
+	}
+	return s.scan()
+}
+
+// scan reads the final field back from the store and summarizes it.
+func (s *Streamer) scan() (Checksums, error) {
 	res := s.files[sweepOutput(s.plan.Sweeps-1)]
 	planeCells := int(grid.PlaneBytes(s.o.Domain) / grid.CellBytes)
 	buf := make([]float64, planeCells)
@@ -1019,6 +1088,7 @@ func (s *Streamer) Rewind() error {
 	}
 	s.setup.Wait()
 	s.ck = s.checkpointAt(0, 0, s.ck.MassIn)
+	s.final = nil
 	if err := s.writeCheckpoint(s.ck); err != nil {
 		return err
 	}

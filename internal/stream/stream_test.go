@@ -302,6 +302,35 @@ func TestStreamRejectsIncompatibleCheckpoint(t *testing.T) {
 	}
 }
 
+// TestDamagedCheckpointFailsFirst pins the order of New's checks: a
+// resumable store's checkpoint is read and checked under the lock before the
+// program's analysis and the tile plan are built, so a damaged one fails the
+// open even when the options would fail the plan, and leaves nothing behind.
+func TestDamagedCheckpointFailsFirst(t *testing.T) {
+	machine, err := topology.UV2000(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A periodic 8-plane domain cannot hold 6-plane tiles plus their k-step
+	// halo: NewStreamPlan rejects it.
+	cfg := exec.Config{Machine: machine, Strategy: exec.Plus31D, Boundary: stencil.Periodic, Steps: 4, KSteps: 2}
+	o := Options{Dir: t.TempDir(), Exec: cfg, Domain: grid.Sz(8, 6, 4), TilePlanes: 6, Resume: true}
+	if _, err := New(o); err == nil || strings.Contains(err.Error(), "checkpoint") {
+		t.Fatalf("without a checkpoint: %v, want the plan's error", err)
+	}
+	for _, ck := range []string{`{"version":3,"domain":[8,6`, `{"version":3,"steps":4,"digest":1}`} {
+		if err := os.WriteFile(filepath.Join(o.Dir, checkpointFile), []byte(ck), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		base := runtime.NumGoroutine()
+		_, err := New(o)
+		if err == nil || !strings.Contains(err.Error(), "corrupt checkpoint") {
+			t.Fatalf("checkpoint %s: %v, want a corrupt-checkpoint error", ck, err)
+		}
+		requireNothingLeft(t, o.Dir, base)
+	}
+}
+
 // TestRewindReproducesTheRun runs a scratch store of three sweeps, so that
 // psi.1 and psi.2 both take turns as a sweep's input, then releases it and
 // rewinds it twice, under a clamp and a periodic boundary. Every run ends on

@@ -9,10 +9,11 @@
 #      checksum sum, then SIGTERM the server and require a clean drain
 #      (exit 0).
 #   2. Fleet: start two replicas and an mpdata-router on random ports, drive
-#      mixed traffic through the router, kill -9 one replica mid-run, and
-#      assert zero failed jobs in the router's /metrics (every affected job
-#      rerouted and re-run), the dead replica evicted from membership, and a
-#      clean SIGTERM drain of the router.
+#      mixed traffic through the router, kill -9 one replica once it runs a
+#      job, and assert zero failed jobs and at least one reroute in the
+#      router's /metrics (every affected job rerouted and re-run), the dead
+#      replica evicted from membership, and a clean SIGTERM drain of the
+#      router.
 #   3. Streaming (docs/STREAMING.md): start a server with a 1 MiB default
 #      stream budget, push a batch of streamed jobs whose domains exceed the
 #      budget several times over (>= 4 tiles each) and require that their
@@ -181,11 +182,24 @@ echo "serve-smoke: fleet router at $router_url over $r1_url + $r2_url"
 load_pid=$!
 pids="$pids $load_pid"
 
-# Kill one replica mid-run — kill -9, no drain: queued and running jobs on it
-# must be rerouted by the router, not lost.
-sleep 1
+# Kill one replica mid-run — kill -9, no drain — once its /metrics shows a
+# running job: that job, and any queued on it, must be rerouted by the
+# router, not lost.
+busy=""
+for _ in $(seq 1 200); do
+    running=$(metric_value "$r1_url" serve_jobs_running 2>/dev/null || true)
+    if [ -n "$running" ] && [ "$running" != "0" ]; then
+        busy=1
+        break
+    fi
+    sleep 0.05
+done
+if [ -z "$busy" ]; then
+    echo "serve-smoke: replica 1 never showed a running job to be killed under" >&2
+    exit 1
+fi
 kill -9 "$r1_pid" 2>/dev/null || true
-echo "serve-smoke: killed replica 1 (pid $r1_pid) mid-run"
+echo "serve-smoke: killed replica 1 (pid $r1_pid) with $running job(s) running"
 
 rc=0
 wait "$load_pid" || rc=$?
@@ -220,7 +234,13 @@ if [ "$healthy" != "1" ]; then
     echo "serve-smoke: fleet_replicas_healthy=$healthy, want 1 after the kill" >&2
     exit 1
 fi
+# The job replica 1 was running when it died must have been re-run elsewhere.
 reroutes=$(metric_value "$router_url" fleet_reroutes_total)
+if [ "$(awk -v r="$reroutes" 'BEGIN{print (r+0 >= 1) ? 1 : 0}')" != "1" ]; then
+    echo "serve-smoke: fleet_reroutes_total=$reroutes, want >= 1 after killing a busy replica" >&2
+    curl -fsS "$router_url/metrics" >&2
+    exit 1
+fi
 
 # Graceful router drain: SIGTERM must exit 0 and log the clean-drain line.
 kill -TERM "$router_pid"
