@@ -44,17 +44,19 @@ cross-check:
 
 # The committed seeds alone (go test) only replay the corpus: run each Fuzz*
 # target for 5 s past them — the AVX2 bodies against their scalar oracles in
-# internal/mpdata, job specs through the submit decoder and Spec.Normalize in
+# internal/mpdata, every catalog stage's fast path over the schedule
+# compiler's cut against its per-cell slow path in internal/solver, job
+# specs through the submit decoder and Spec.Normalize in
 # internal/serve, field files and plane-file headers in internal/grid,
 # damaged checkpoints of a resumable store in internal/stream, and fuzzed
 # server replies through the client's decoding in internal/serve/client. go
 # test fuzzes one target per call. The fuzzer shrinks every input that widens
 # coverage for up to -fuzzminimizetime (60 s by default) and counts none of
 # those runs as execs; capped at 1 s, a 5 s run fuzzes instead of shrinking
-# (a crasher is still reported, less shrunk). About 75 s; CI runs it,
+# (a crasher is still reported, less shrunk). About 80 s; CI runs it,
 # `make all` does not.
 fuzz-smoke:
-	for p in ./internal/mpdata ./internal/serve ./internal/grid ./internal/stream ./internal/serve/client; do \
+	for p in ./internal/mpdata ./internal/solver ./internal/serve ./internal/grid ./internal/stream ./internal/serve/client; do \
 		for t in $$($(GO) test -list '^Fuzz' $$p | grep '^Fuzz'); do \
 			$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime 5s -fuzzminimizetime 1s $$p || exit 1; \
 		done; \

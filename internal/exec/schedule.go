@@ -210,7 +210,7 @@ type scheduleCompiler struct {
 	envs []*stencil.Env
 	out  *grid.Field
 	// exts[s] is stage s's combined input extent, the interior-split
-	// boundary width (identical to what splitKernel uses at run time).
+	// boundary width (identical to what stencil.SplitKernel uses at run time).
 	exts []stencil.Extent
 	// groups holds the executable form of the plan's fused groups; the
 	// compiler emits one phase (one sweep, one barrier) per group instead

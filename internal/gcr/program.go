@@ -44,37 +44,61 @@ func NewSmootherProgram() (*stencil.KernelProgram, error) {
 		{DK: -1}, {DK: 1},
 	}
 	point := []stencil.Offset{{}}
+	axInputs := []stencil.Input{{From: InX, Offsets: sevenPoint}}
+	axSlow := func(env *stencil.Env, r grid.Region) {
+		x, out := env.Field(InX), env.Field("ax")
+		stencil.ForEach(r, func(i, j, k int) {
+			out.Set(i, j, k, applyA(env, x, i, j, k))
+		})
+	}
+	// Row-capable: the cells at the k faces are computed inside their rows
+	// (stencil.ForEachStarRun).
+	axFast := func(env *stencil.Env, r grid.Region) {
+		x, out := env.Field(InX).Data, env.Field("ax").Data
+		stencil.ForEachStarRun(env, r, func(n0, n1 int, d stencil.StarSteps) {
+			m := n1 - n0
+			row := out[n0:n1:n1]
+			c := x[n0 : n0+m]
+			im, ip := x[n0+d[0]:n0+d[0]+m], x[n0+d[1]:n0+d[1]+m]
+			jm, jp := x[n0+d[2]:n0+d[2]+m], x[n0+d[3]:n0+d[3]+m]
+			km, kp := x[n0+d[4]:n0+d[4]+m], x[n0+d[5]:n0+d[5]+m]
+			for n := range row {
+				row[n] = opA(c[n], im[n], ip[n], jm[n], jp[n], km[n], kp[n])
+			}
+		})
+	}
+	xnewInputs := []stencil.Input{
+		{From: "ax", Offsets: point},
+		{From: InX, Offsets: point},
+		{From: InB, Offsets: point},
+	}
+	xnewSlow := func(env *stencil.Env, r grid.Region) {
+		ax, x, b := env.Field("ax"), env.Field(InX), env.Field(InB)
+		out := env.Field("xnew")
+		stencil.ForEach(r, func(i, j, k int) {
+			out.Set(i, j, k, relax(x.At(i, j, k), b.At(i, j, k), ax.At(i, j, k)))
+		})
+	}
+	xnewFast := func(env *stencil.Env, r grid.Region) {
+		ax, x, b := env.Field("ax").Data, env.Field(InX).Data, env.Field(InB).Data
+		out := env.Field("xnew").Data
+		stencil.ForEachRun(env.Domain, r, func(n0, n1 int) {
+			m := n1 - n0
+			row := out[n0:n1:n1]
+			xs, bs, as := x[n0:n0+m], b[n0:n0+m], ax[n0:n0+m]
+			for n := range row {
+				row[n] = relax(xs[n], bs[n], as[n])
+			}
+		})
+	}
 	stages := []stencil.KernelStage{
 		{
-			Stage: stencil.Stage{
-				Name:   "ax",
-				Inputs: []stencil.Input{{From: InX, Offsets: sevenPoint}},
-				Flops:  7,
-			},
-			Kernel: func(env *stencil.Env, r grid.Region) {
-				x, out := env.Field(InX), env.Field("ax")
-				stencil.ForEach(r, func(i, j, k int) {
-					out.Set(i, j, k, applyA(env, x, i, j, k))
-				})
-			},
+			Stage:  stencil.Stage{Name: "ax", Inputs: axInputs, Flops: 7},
+			Kernel: stencil.SplitKernel(axInputs, axFast, axSlow), Fast: axFast, Slow: axSlow, Rows: true,
 		},
 		{
-			Stage: stencil.Stage{
-				Name: "xnew",
-				Inputs: []stencil.Input{
-					{From: "ax", Offsets: point},
-					{From: InX, Offsets: point},
-					{From: InB, Offsets: point},
-				},
-				Flops: 4,
-			},
-			Kernel: func(env *stencil.Env, r grid.Region) {
-				ax, x, b := env.Field("ax"), env.Field(InX), env.Field(InB)
-				out := env.Field("xnew")
-				stencil.ForEach(r, func(i, j, k int) {
-					out.Set(i, j, k, relax(x.At(i, j, k), b.At(i, j, k), ax.At(i, j, k)))
-				})
-			},
+			Stage:  stencil.Stage{Name: "xnew", Inputs: xnewInputs, Flops: 4},
+			Kernel: stencil.SplitKernel(xnewInputs, xnewFast, xnewSlow), Fast: xnewFast, Slow: xnewSlow, Rows: true,
 		},
 	}
 	kp, err := stencil.BuildProgram("gcr-smoother", []string{InX, InB}, "xnew", stages)
@@ -85,17 +109,25 @@ func NewSmootherProgram() (*stencil.KernelProgram, error) {
 	return kp, nil
 }
 
-// applyA evaluates the 7-point operator at one cell; shared by the program
-// kernel and SmootherReference so both sides perform the identical float
-// operation sequence (the bit-identity contract).
-func applyA(env *stencil.Env, x *grid.Field, i, j, k int) float64 {
-	return 6*x.At(i, j, k) -
-		env.AtP(x, i-1, j, k) - env.AtP(x, i+1, j, k) -
-		env.AtP(x, i, j-1, k) - env.AtP(x, i, j+1, k) -
-		env.AtP(x, i, j, k-1) - env.AtP(x, i, j, k+1)
+// opA is the 7-point operator at one cell from its value and its six face
+// neighbours (-i, +i, -j, +j, -k, +k): the one per-cell function of the
+// program's fast and slow paths and of SmootherReference, so every side
+// performs the identical float operation sequence (the bit-identity
+// contract).
+func opA(c, im, ip, jm, jp, km, kp float64) float64 {
+	return 6*c - im - ip - jm - jp - km - kp
 }
 
-// relax is the damped-Jacobi update at one cell (see applyA).
+// applyA is opA at cell (i,j,k) of x, its neighbours read through the
+// environment's boundary condition.
+func applyA(env *stencil.Env, x *grid.Field, i, j, k int) float64 {
+	return opA(x.At(i, j, k),
+		env.AtP(x, i-1, j, k), env.AtP(x, i+1, j, k),
+		env.AtP(x, i, j-1, k), env.AtP(x, i, j+1, k),
+		env.AtP(x, i, j, k-1), env.AtP(x, i, j, k+1))
+}
+
+// relax is the damped-Jacobi update at one cell (see opA).
 func relax(x, b, ax float64) float64 { return x + Omega/6*(b-ax) }
 
 // SmootherReference advances x by the given number of damped-Jacobi sweeps

@@ -323,7 +323,9 @@ func SwapData(a, b *Field) {
 }
 
 // CopyRegion copies the cells of region r from src into dst. Both fields
-// must have identical sizes.
+// must have identical sizes. Cells contiguous in memory move in one copy: a
+// region spanning whole k-rows copies one slice per i-plane, and one
+// spanning whole planes copies one slice in all.
 func CopyRegion(dst, src *Field, r Region) {
 	if dst.Size != src.Size {
 		panic(fmt.Sprintf("grid: size mismatch %v vs %v", dst.Size, src.Size))
@@ -332,12 +334,23 @@ func CopyRegion(dst, src *Field, r Region) {
 	if r.Empty() {
 		return
 	}
-	nk := dst.Size.NK
-	for i := r.I0; i < r.I1; i++ {
-		for j := r.J0; j < r.J1; j++ {
-			base := (i*dst.Size.NJ + j) * nk
-			copy(dst.Data[base+r.K0:base+r.K1], src.Data[base+r.K0:base+r.K1])
+	nj, nk := dst.Size.NJ, dst.Size.NK
+	switch {
+	case r.K0 != 0 || r.K1 != nk:
+		for i := r.I0; i < r.I1; i++ {
+			for j := r.J0; j < r.J1; j++ {
+				base := (i*nj + j) * nk
+				copy(dst.Data[base+r.K0:base+r.K1], src.Data[base+r.K0:base+r.K1])
+			}
 		}
+	case r.J0 != 0 || r.J1 != nj:
+		for i := r.I0; i < r.I1; i++ {
+			lo, hi := (i*nj+r.J0)*nk, (i*nj+r.J1)*nk
+			copy(dst.Data[lo:hi], src.Data[lo:hi])
+		}
+	default:
+		lo, hi := r.I0*nj*nk, r.I1*nj*nk
+		copy(dst.Data[lo:hi], src.Data[lo:hi])
 	}
 }
 

@@ -344,6 +344,50 @@ func TestCopyRegionDirect(t *testing.T) {
 	CopyRegion(NewField("small", Sz(2, 2, 2)), src, r)
 }
 
+// TestCopyRegionMatchesCellByCell pins CopyRegion's contiguous copies (one
+// slice per i-plane for whole k-rows, one slice for whole planes) to a
+// cell-by-cell copy over random sizes and regions, regions reaching past the
+// domain and whole-row and whole-plane ones included.
+func TestCopyRegionMatchesCellByCell(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	span := func(n int) (int, int) {
+		switch rng.Intn(4) {
+		case 0:
+			return 0, n // whole extent: the contiguous cases
+		case 1:
+			return -rng.Intn(3), n + rng.Intn(3) // past both faces, clamped
+		}
+		a, b := rng.Intn(n+1), rng.Intn(n+1)
+		return min(a, b), max(a, b)
+	}
+	for trial := 0; trial < 500; trial++ {
+		size := Sz(1+rng.Intn(7), 1+rng.Intn(7), 1+rng.Intn(7))
+		var r Region
+		r.I0, r.I1 = span(size.NI)
+		r.J0, r.J1 = span(size.NJ)
+		r.K0, r.K1 = span(size.NK)
+		src := NewField("src", size)
+		src.FillFunc(func(i, j, k int) float64 { return float64(1 + (i*size.NJ+j)*size.NK + k) })
+		got, want := NewField("got", size), NewField("want", size)
+		got.Fill(-1)
+		want.Fill(-1)
+		CopyRegion(got, src, r)
+		c := r.Clamp(size)
+		for i := c.I0; i < c.I1; i++ {
+			for j := c.J0; j < c.J1; j++ {
+				for k := c.K0; k < c.K1; k++ {
+					want.Set(i, j, k, src.At(i, j, k))
+				}
+			}
+		}
+		for n := range want.Data {
+			if got.Data[n] != want.Data[n] {
+				t.Fatalf("size %v region %v: cell %d = %v, want %v", size, r, n, got.Data[n], want.Data[n])
+			}
+		}
+	}
+}
+
 // TestSwapData checks the O(1) buffer exchange used by the buffer-swap
 // feedback path: contents trade places, other metadata stays put, and a size
 // mismatch panics.

@@ -72,24 +72,6 @@ func off(di, dj, dk int) stencil.Offset { return stencil.Offset{DI: di, DJ: dj, 
 // center is the single zero offset.
 var center = []stencil.Offset{off(0, 0, 0)}
 
-// splitKernel builds a kernel that runs the stride-based fast path on the
-// region's interior (where every read stays in-domain, so flat indexing is
-// safe) and the generic boundary-condition path on the remaining shell.
-// Kernels built this way are several times faster on production-shaped
-// regions while remaining bit-identical to the generic path.
-func splitKernel(inputs []stencil.Input, fast, slow stencil.Kernel) stencil.Kernel {
-	ext := stencil.InputsExtent(inputs)
-	return func(env *stencil.Env, r grid.Region) {
-		interior, border := stencil.InteriorSplit(r, ext, env.Domain)
-		if !interior.Empty() {
-			fast(env, interior)
-		}
-		for _, b := range border {
-			slow(env, b)
-		}
-	}
-}
-
 // NewProgram builds the paper's 17-stage MPDATA kernel program (IORD = 2,
 // non-oscillatory).
 //
@@ -144,7 +126,7 @@ func fluxStageNamed(name, uName string, di, dj, dk int, psiName string) stencil.
 	}
 	return stencil.KernelStage{
 		Stage:  stencil.Stage{Name: name, Inputs: inputs, Flops: 5},
-		Kernel: splitKernel(inputs, fast, slow), Fast: fast, Slow: slow,
+		Kernel: stencil.SplitKernel(inputs, fast, slow), Fast: fast, Slow: slow,
 	}
 }
 
@@ -227,7 +209,7 @@ func extremaStageNamed(name string, isMax bool, curName string) stencil.KernelSt
 	}
 	return stencil.KernelStage{
 		Stage:  stencil.Stage{Name: name, Inputs: inputs, Flops: 13},
-		Kernel: splitKernel(inputs, fast, slow), Fast: fast, Slow: slow,
+		Kernel: stencil.SplitKernel(inputs, fast, slow), Fast: fast, Slow: slow,
 	}
 }
 
@@ -356,7 +338,7 @@ func pseudoVelStageNamed(name string, dir int, curName, v1Name, v2Name, v3Name s
 	}
 	return stencil.KernelStage{
 		Stage:  stencil.Stage{Name: name, Inputs: inputs, Flops: 34},
-		Kernel: splitKernel(inputs, fast, slow), Fast: fast, Slow: slow,
+		Kernel: stencil.SplitKernel(inputs, fast, slow), Fast: fast, Slow: slow,
 	}
 }
 
@@ -441,7 +423,7 @@ func limiterFluxStageNamed(name string, in bool, curName, v1Name, v2Name, v3Name
 	}
 	return stencil.KernelStage{
 		Stage:  stencil.Stage{Name: name, Inputs: inputs, Flops: 17},
-		Kernel: splitKernel(inputs, fast, slow), Fast: fast, Slow: slow,
+		Kernel: stencil.SplitKernel(inputs, fast, slow), Fast: fast, Slow: slow,
 	}
 }
 
@@ -478,7 +460,7 @@ func betaStageNamed(name string, up bool, curName, extName, fluxName string) ste
 	}
 	return stencil.KernelStage{
 		Stage:  stencil.Stage{Name: name, Inputs: inputs, Flops: 4},
-		Kernel: splitKernel(inputs, fast, fast), Fast: fast, Slow: fast,
+		Kernel: stencil.SplitKernel(inputs, fast, fast), Fast: fast, Slow: fast,
 	}
 }
 
@@ -535,7 +517,7 @@ func limitedFluxStageNamed(name, vName string, di, dj, dk int, curName, buName, 
 	}
 	return stencil.KernelStage{
 		Stage:  stencil.Stage{Name: name, Inputs: inputs, Flops: 10},
-		Kernel: splitKernel(inputs, fast, slow), Fast: fast, Slow: slow,
+		Kernel: stencil.SplitKernel(inputs, fast, slow), Fast: fast, Slow: slow,
 	}
 }
 
@@ -587,6 +569,6 @@ func psiNewStageNamed(name, baseName, g1Name, g2Name, g3Name string) stencil.Ker
 	}
 	return stencil.KernelStage{
 		Stage:  stencil.Stage{Name: name, Inputs: inputs, Flops: 7},
-		Kernel: splitKernel(inputs, fast, slow), Fast: fast, Slow: slow,
+		Kernel: stencil.SplitKernel(inputs, fast, slow), Fast: fast, Slow: slow,
 	}
 }

@@ -47,32 +47,59 @@ func init() {
 			neighborOffsets = append(neighborOffsets, stencil.Offset{DI: di, DJ: dj})
 		}
 	}
+	collInputs := []stencil.Input{{From: lbmIn, Offsets: columnOffsets}}
+	collSlow := func(env *stencil.Env, r grid.Region) {
+		src, out := env.Field(lbmIn), env.Field("coll")
+		stencil.ForEach(r, func(i, j, q int) {
+			out.Set(i, j, q, lbmCollideAt(src, i, j, q))
+		})
+	}
+	// Column-pointwise and row-capable: every read is an absolute component
+	// of the cell's own column, in-domain under any binding, so the moments
+	// are taken once per column.
+	collFast := func(env *stencil.Env, r grid.Region) {
+		src, out := env.Field(lbmIn).Data, env.Field("coll").Data
+		stencil.ForEachRow(env.Domain, r, func(_, _, base int) {
+			col := base - r.K0
+			f := src[col : col+lbmNQ : col+lbmNQ]
+			rho, ux, uy := lbmMoments(f)
+			for q := r.K0; q < r.K1; q++ {
+				out[col+q] = lbmCollide(q, f[q], rho, ux, uy)
+			}
+		})
+	}
+	streamInputs := []stencil.Input{{From: "coll", Offsets: neighborOffsets}}
+	streamSlow := func(env *stencil.Env, r grid.Region) {
+		coll, out := env.Field("coll"), env.Field("fq")
+		stencil.ForEach(r, func(i, j, q int) {
+			out.Set(i, j, q, env.AtP(coll, i-lbmCI[q], j-lbmCJ[q], q))
+		})
+	}
+	streamFast := func(env *stencil.Env, r grid.Region) {
+		coll, out := env.Field("coll").Data, env.Field("fq").Data
+		var d [lbmNQ]int
+		for q := range d {
+			d[q] = env.Step(0, -lbmCI[q]) + env.Step(1, -lbmCJ[q])
+		}
+		stencil.ForEachRow(env.Domain, r, func(_, _, base int) {
+			col := base - r.K0
+			for q := r.K0; q < r.K1; q++ {
+				out[col+q] = coll[col+q+d[q]]
+			}
+		})
+	}
 	stages := []stencil.KernelStage{
 		{
 			Stage: stencil.Stage{
 				Name:   "coll",
-				Inputs: []stencil.Input{{From: lbmIn, Offsets: columnOffsets}},
+				Inputs: collInputs,
 				Flops:  60, // moment sums + equilibrium + BGK relaxation per component
 			},
-			Kernel: func(env *stencil.Env, r grid.Region) {
-				src, out := env.Field(lbmIn), env.Field("coll")
-				stencil.ForEach(r, func(i, j, q int) {
-					out.Set(i, j, q, lbmCollide(src, i, j, q))
-				})
-			},
+			Kernel: stencil.SplitKernel(collInputs, collFast, collSlow), Fast: collFast, Slow: collSlow, Rows: true,
 		},
 		{
-			Stage: stencil.Stage{
-				Name:   "fq",
-				Inputs: []stencil.Input{{From: "coll", Offsets: neighborOffsets}},
-				Flops:  1,
-			},
-			Kernel: func(env *stencil.Env, r grid.Region) {
-				coll, out := env.Field("coll"), env.Field("fq")
-				stencil.ForEach(r, func(i, j, q int) {
-					out.Set(i, j, q, env.AtP(coll, i-lbmCI[q], j-lbmCJ[q], q))
-				})
-			},
+			Stage:  stencil.Stage{Name: "fq", Inputs: streamInputs, Flops: 1},
+			Kernel: stencil.SplitKernel(streamInputs, streamFast, streamSlow), Fast: streamFast, Slow: streamSlow, Rows: true,
 		},
 	}
 	newProgram := func(Options) (*stencil.KernelProgram, error) {
@@ -96,28 +123,39 @@ func init() {
 	})
 }
 
-// lbmCollide returns the post-collision value of component q at (i,j):
-// moments summed over the packed column, BGK relaxation toward the D2Q9
-// equilibrium. All reads are in-domain (the column is never cut by the
-// partitioner), so no boundary resolution is involved.
-func lbmCollide(f *grid.Field, i, j, q int) float64 {
-	var rho, jx, jy float64
-	for r := 0; r < lbmNQ; r++ {
-		v := f.At(i, j, r)
+// lbmMoments returns the density and velocity of one column's nine
+// distributions — the moment sums the collision relaxes toward.
+func lbmMoments(f []float64) (rho, ux, uy float64) {
+	var jx, jy float64
+	for r, v := range f[:lbmNQ] {
 		rho += v
 		jx += float64(lbmCI[r]) * v
 		jy += float64(lbmCJ[r]) * v
 	}
-	ux, uy := jx/rho, jy/rho
-	usq := ux*ux + uy*uy
-	cu := float64(lbmCI[q])*ux + float64(lbmCJ[q])*uy
-	feq := lbmW[q] * rho * (1 + 3*cu + 4.5*cu*cu - 1.5*usq)
-	fq := f.At(i, j, q)
+	return rho, jx / rho, jy / rho
+}
+
+// lbmCollide returns the post-collision value of component q, of value fq,
+// in a column of moments rho, ux, uy: BGK relaxation toward the D2Q9
+// equilibrium. It is the one per-cell function of the collide stage's fast
+// and slow paths and of the reference.
+func lbmCollide(q int, fq, rho, ux, uy float64) float64 {
+	feq := lbmEquilibrium(q, rho, ux, uy)
 	return fq + (feq-fq)/lbmTau
 }
 
+// lbmCollideAt is lbmCollide at component q of column (i,j) of f, the
+// moments taken from that column. All reads are in-domain (the column is
+// never cut by the partitioner), so no boundary resolution is involved.
+func lbmCollideAt(f *grid.Field, i, j, q int) float64 {
+	n := f.Index(i, j, 0)
+	rho, ux, uy := lbmMoments(f.Data[n : n+lbmNQ])
+	return lbmCollide(q, f.At(i, j, q), rho, ux, uy)
+}
+
 // lbmEquilibrium returns the equilibrium distribution for component q at
-// density rho and velocity (ux, uy) — the initial-condition fill.
+// density rho and velocity (ux, uy) — the initial-condition fill and the
+// collision's target.
 func lbmEquilibrium(q int, rho, ux, uy float64) float64 {
 	usq := ux*ux + uy*uy
 	cu := float64(lbmCI[q])*ux + float64(lbmCJ[q])*uy
@@ -147,7 +185,7 @@ func lbmReference(st *State, steps int, bc stencil.Boundary, _ Options) error {
 	whole := grid.WholeRegion(st.Domain)
 	for t := 0; t < steps; t++ {
 		stencil.ForEach(whole, func(i, j, q int) {
-			coll.Set(i, j, q, lbmCollide(f, i, j, q))
+			coll.Set(i, j, q, lbmCollideAt(f, i, j, q))
 		})
 		stencil.ForEach(whole, func(i, j, q int) {
 			next.Set(i, j, q, env.AtP(coll, i-lbmCI[q], j-lbmCJ[q], q))

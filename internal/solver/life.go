@@ -22,21 +22,43 @@ func init() {
 			moore = append(moore, stencil.Offset{DI: di, DJ: dj})
 		}
 	}
-	stages := []stencil.KernelStage{
-		{
-			Stage: stencil.Stage{
-				Name:   "next",
-				Inputs: []stencil.Input{{From: lifeIn, Offsets: moore}},
-				Flops:  10,
-			},
-			Kernel: func(env *stencil.Env, r grid.Region) {
-				src, out := env.Field(lifeIn), env.Field("next")
-				stencil.ForEach(r, func(i, j, k int) {
-					out.Set(i, j, k, lifeRule(env, src, i, j, k))
-				})
-			},
-		},
+	inputs := []stencil.Input{{From: lifeIn, Offsets: moore}}
+	slow := func(env *stencil.Env, r grid.Region) {
+		src, out := env.Field(lifeIn), env.Field("next")
+		stencil.ForEach(r, func(i, j, k int) {
+			out.Set(i, j, k, lifeRuleAt(env, src, i, j, k))
+		})
 	}
+	// Each board is read in its own k slice only, the same way at every
+	// cell, so the fast path visits by runs (whole boards at once).
+	fast := func(env *stencil.Env, r grid.Region) {
+		src, out := env.Field(lifeIn).Data, env.Field("next").Data
+		var d [8]int
+		n := 0
+		for di := -1; di <= 1; di++ {
+			for dj := -1; dj <= 1; dj++ {
+				if di != 0 || dj != 0 {
+					d[n] = env.Step(0, di) + env.Step(1, dj)
+					n++
+				}
+			}
+		}
+		stencil.ForEachRun(env.Domain, r, func(n0, n1 int) {
+			for n := n0; n < n1; n++ {
+				live := 0
+				for _, dn := range d {
+					if src[n+dn] != 0 {
+						live++
+					}
+				}
+				out[n] = lifeRule(src[n], live)
+			}
+		})
+	}
+	stages := []stencil.KernelStage{{
+		Stage:  stencil.Stage{Name: "next", Inputs: inputs, Flops: 10},
+		Kernel: stencil.SplitKernel(inputs, fast, slow), Fast: fast, Slow: slow, Rows: true,
+	}}
 	newProgram := func(Options) (*stencil.KernelProgram, error) {
 		kp, err := stencil.BuildProgram("game-of-life", []string{lifeIn}, "next", stages)
 		if err != nil {
@@ -57,10 +79,21 @@ func init() {
 	})
 }
 
-// lifeRule evaluates B3/S23 at one cell; the Clamp boundary replicates edge
-// cells into the outside (edges see their own value as the missing
-// neighbours), Periodic is the usual torus.
-func lifeRule(env *stencil.Env, src *grid.Field, i, j, k int) float64 {
+// lifeRule is B3/S23 at one cell of value c with live Moore neighbours: the
+// one per-cell function of the stage's fast and slow paths and of the
+// reference.
+func lifeRule(c float64, live int) float64 {
+	if live == 3 || (c != 0 && live == 2) {
+		return 1
+	}
+	return 0
+}
+
+// lifeRuleAt is lifeRule at cell (i,j,k) of src, its neighbours read through
+// the environment's boundary condition: Clamp replicates edge cells into the
+// outside (edges see their own value as the missing neighbours), Periodic is
+// the usual torus.
+func lifeRuleAt(env *stencil.Env, src *grid.Field, i, j, k int) float64 {
 	var live int
 	for di := -1; di <= 1; di++ {
 		for dj := -1; dj <= 1; dj++ {
@@ -72,11 +105,7 @@ func lifeRule(env *stencil.Env, src *grid.Field, i, j, k int) float64 {
 			}
 		}
 	}
-	alive := src.At(i, j, k) != 0
-	if live == 3 || (alive && live == 2) {
-		return 1
-	}
-	return 0
+	return lifeRule(src.At(i, j, k), live)
 }
 
 // lifeSetProblem seeds a deterministic ~40% soup from a cell-coordinate
@@ -104,7 +133,7 @@ func lifeReference(st *State, steps int, bc stencil.Boundary, _ Options) error {
 	whole := grid.WholeRegion(st.Domain)
 	for t := 0; t < steps; t++ {
 		stencil.ForEach(whole, func(i, j, k int) {
-			next.Set(i, j, k, lifeRule(env, f, i, j, k))
+			next.Set(i, j, k, lifeRuleAt(env, f, i, j, k))
 		})
 		f.CopyFrom(next)
 	}

@@ -75,7 +75,9 @@ func testDomain(t *testing.T, e *Entry, rng *rand.Rand) grid.Size {
 // and temporal blocking k in {1,2,4} (steps/k Runs of one k-step block
 // each), must be bit-identical to its sequential reference. Infeasible k
 // falls back loudly inside the executor (the schedule stats carry the reason)
-// but identity must hold regardless.
+// but identity must hold regardless. Each strategy runs on the UV 2000's
+// shape (8 workers per island) and on a 2-CPU host's (one worker per
+// island), the shape served engines compile for.
 func TestCrossSolverBitIdentity(t *testing.T) {
 	m2, err := topology.UV2000(2)
 	if err != nil {
@@ -85,13 +87,22 @@ func TestCrossSolverBitIdentity(t *testing.T) {
 		name string
 		cfg  func() exec.Config
 	}
-	strategies := []strat{
-		{"original", func() exec.Config { return exec.Config{Machine: m2, Strategy: exec.Original} }},
-		{"3+1d", func() exec.Config { return exec.Config{Machine: m2, Strategy: exec.Plus31D, BlockI: 7} }},
-		{"islands", func() exec.Config { return exec.Config{Machine: m2, Strategy: exec.IslandsOfCores, BlockI: 7} }},
-		{"islands+core", func() exec.Config {
-			return exec.Config{Machine: m2, Strategy: exec.IslandsOfCores, BlockI: 7, CoreIslands: true}
-		}},
+	var strategies []strat
+	for _, shape := range []struct {
+		prefix string
+		m      *topology.Machine
+	}{{"", m2}, {"host/", topology.Host{CPUs: 2}.Run(m2)}} {
+		m := shape.m
+		strategies = append(strategies,
+			strat{shape.prefix + "original", func() exec.Config { return exec.Config{Machine: m, Strategy: exec.Original} }},
+			strat{shape.prefix + "3+1d", func() exec.Config { return exec.Config{Machine: m, Strategy: exec.Plus31D, BlockI: 7} }},
+			strat{shape.prefix + "islands", func() exec.Config {
+				return exec.Config{Machine: m, Strategy: exec.IslandsOfCores, BlockI: 7}
+			}},
+			strat{shape.prefix + "islands+core", func() exec.Config {
+				return exec.Config{Machine: m, Strategy: exec.IslandsOfCores, BlockI: 7, CoreIslands: true}
+			}},
+		)
 	}
 	const steps = 4
 	for _, name := range Names() {

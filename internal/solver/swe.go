@@ -42,50 +42,67 @@ func init() {
 	iNbrs := []stencil.Offset{{DI: -1}, {DI: 1}}
 	jNbrs := []stencil.Offset{{DJ: -1}, {DJ: 1}}
 	cross := []stencil.Offset{{DI: -1}, {DI: 1}, {DJ: -1}, {DJ: 1}}
+	fluxInputs := []stencil.Input{{From: sweIn, Offsets: columnOffsets}}
+	fluxStage := func(name string, flux func(h, hu, hv float64) [sweNC]float64) stencil.KernelStage {
+		slow := func(env *stencil.Env, r grid.Region) {
+			u, out := env.Field(sweIn), env.Field(name)
+			stencil.ForEach(r, func(i, j, c int) {
+				out.Set(i, j, c, flux(u.At(i, j, sweH), u.At(i, j, sweHU), u.At(i, j, sweHV))[c])
+			})
+		}
+		// Column-pointwise and row-capable: the three conserved components
+		// are read once per column, by absolute index, and the column's
+		// flux is evaluated once.
+		fast := func(env *stencil.Env, r grid.Region) {
+			u, out := env.Field(sweIn).Data, env.Field(name).Data
+			stencil.ForEachRow(env.Domain, r, func(_, _, base int) {
+				col := base - r.K0
+				f := flux(u[col+sweH], u[col+sweHU], u[col+sweHV])
+				copy(out[base:base+r.K1-r.K0], f[r.K0:r.K1])
+			})
+		}
+		return stencil.KernelStage{
+			Stage:  stencil.Stage{Name: name, Inputs: fluxInputs, Flops: 6},
+			Kernel: stencil.SplitKernel(fluxInputs, fast, slow), Fast: fast, Slow: slow, Rows: true,
+		}
+	}
+	updateInputs := []stencil.Input{
+		{From: sweIn, Offsets: cross},
+		{From: "fx", Offsets: iNbrs},
+		{From: "gy", Offsets: jNbrs},
+	}
+	updateSlow := func(env *stencil.Env, r grid.Region) {
+		u, fx, gy := env.Field(sweIn), env.Field("fx"), env.Field("gy")
+		out := env.Field("unew")
+		stencil.ForEach(r, func(i, j, c int) {
+			out.Set(i, j, c, sweUpdateAt(env, u, fx, gy, i, j, c))
+		})
+	}
+	// The combiner reads nothing across a k face and the same way at every
+	// component, so it visits by runs.
+	updateFast := func(env *stencil.Env, r grid.Region) {
+		u, fx, gy := env.Field(sweIn).Data, env.Field("fx").Data, env.Field("gy").Data
+		out := env.Field("unew").Data
+		siN, siP := env.Step(0, -1), env.Step(0, 1)
+		sjN, sjP := env.Step(1, -1), env.Step(1, 1)
+		stencil.ForEachRun(env.Domain, r, func(n0, n1 int) {
+			m := n1 - n0
+			row := out[n0:n1:n1]
+			uim, uip := u[n0+siN:n0+siN+m], u[n0+siP:n0+siP+m]
+			ujm, ujp := u[n0+sjN:n0+sjN+m], u[n0+sjP:n0+sjP+m]
+			fxm, fxp := fx[n0+siN:n0+siN+m], fx[n0+siP:n0+siP+m]
+			gym, gyp := gy[n0+sjN:n0+sjN+m], gy[n0+sjP:n0+sjP+m]
+			for x := range row {
+				row[x] = sweUpdate(uim[x], uip[x], ujm[x], ujp[x], fxm[x], fxp[x], gym[x], gyp[x])
+			}
+		})
+	}
 	stages := []stencil.KernelStage{
+		fluxStage("fx", sweFluxX),
+		fluxStage("gy", sweFluxY),
 		{
-			Stage: stencil.Stage{
-				Name:   "fx",
-				Inputs: []stencil.Input{{From: sweIn, Offsets: columnOffsets}},
-				Flops:  6,
-			},
-			Kernel: func(env *stencil.Env, r grid.Region) {
-				u, out := env.Field(sweIn), env.Field("fx")
-				stencil.ForEach(r, func(i, j, c int) {
-					out.Set(i, j, c, sweFluxX(u, i, j, c))
-				})
-			},
-		},
-		{
-			Stage: stencil.Stage{
-				Name:   "gy",
-				Inputs: []stencil.Input{{From: sweIn, Offsets: columnOffsets}},
-				Flops:  6,
-			},
-			Kernel: func(env *stencil.Env, r grid.Region) {
-				u, out := env.Field(sweIn), env.Field("gy")
-				stencil.ForEach(r, func(i, j, c int) {
-					out.Set(i, j, c, sweFluxY(u, i, j, c))
-				})
-			},
-		},
-		{
-			Stage: stencil.Stage{
-				Name: "unew",
-				Inputs: []stencil.Input{
-					{From: sweIn, Offsets: cross},
-					{From: "fx", Offsets: iNbrs},
-					{From: "gy", Offsets: jNbrs},
-				},
-				Flops: 10,
-			},
-			Kernel: func(env *stencil.Env, r grid.Region) {
-				u, fx, gy := env.Field(sweIn), env.Field("fx"), env.Field("gy")
-				out := env.Field("unew")
-				stencil.ForEach(r, func(i, j, c int) {
-					out.Set(i, j, c, sweUpdate(env, u, fx, gy, i, j, c))
-				})
-			},
+			Stage:  stencil.Stage{Name: "unew", Inputs: updateInputs, Flops: 10},
+			Kernel: stencil.SplitKernel(updateInputs, updateFast, updateSlow), Fast: updateFast, Slow: updateSlow, Rows: true,
 		},
 	}
 	newProgram := func(Options) (*stencil.KernelProgram, error) {
@@ -109,45 +126,36 @@ func init() {
 	})
 }
 
-// sweFluxX returns component c of the x flux F(U) at (i,j) — all reads
-// in-domain on the packed column.
-func sweFluxX(u *grid.Field, i, j, c int) float64 {
-	h := u.At(i, j, sweH)
-	hu := u.At(i, j, sweHU)
-	hv := u.At(i, j, sweHV)
-	switch c {
-	case sweH:
-		return hu
-	case sweHU:
-		return hu*hu/h + 0.5*sweG*h*h
-	default:
-		return hu * hv / h
-	}
+// sweFluxX returns the x flux F(U) of a column holding depth h and momenta
+// hu, hv, one value per packed component: the one per-column function of the
+// fx stage's fast and slow paths and of the reference.
+func sweFluxX(h, hu, hv float64) [sweNC]float64 {
+	return [sweNC]float64{sweH: hu, sweHU: hu*hu/h + 0.5*sweG*h*h, sweHV: hu * hv / h}
 }
 
-// sweFluxY returns component c of the y flux G(U) at (i,j).
-func sweFluxY(u *grid.Field, i, j, c int) float64 {
-	h := u.At(i, j, sweH)
-	hu := u.At(i, j, sweHU)
-	hv := u.At(i, j, sweHV)
-	switch c {
-	case sweH:
-		return hv
-	case sweHU:
-		return hu * hv / h
-	default:
-		return hv*hv/h + 0.5*sweG*h*h
-	}
+// sweFluxY returns the y flux G(U) of a column (see sweFluxX).
+func sweFluxY(h, hu, hv float64) [sweNC]float64 {
+	return [sweNC]float64{sweH: hv, sweHU: hu * hv / h, sweHV: hv*hv/h + 0.5*sweG*h*h}
 }
 
-// sweUpdate is the Lax-Friedrichs combiner at one cell: the 4-neighbour
-// average minus central flux differences.
-func sweUpdate(env *stencil.Env, u, fx, gy *grid.Field, i, j, c int) float64 {
-	avg := 0.25 * (env.AtP(u, i-1, j, c) + env.AtP(u, i+1, j, c) +
-		env.AtP(u, i, j-1, c) + env.AtP(u, i, j+1, c))
-	dfx := env.AtP(fx, i+1, j, c) - env.AtP(fx, i-1, j, c)
-	dgy := env.AtP(gy, i, j+1, c) - env.AtP(gy, i, j-1, c)
+// sweUpdate is the Lax-Friedrichs combiner at one cell from the state at its
+// four neighbours (-i, +i, -j, +j) and the fluxes across them: the
+// 4-neighbour average minus central flux differences. It is the one per-cell
+// function of the combiner's fast and slow paths and of the reference.
+func sweUpdate(uim, uip, ujm, ujp, fxm, fxp, gym, gyp float64) float64 {
+	avg := 0.25 * (uim + uip + ujm + ujp)
+	dfx := fxp - fxm
+	dgy := gyp - gym
 	return avg - 0.5*sweDtDx*dfx - 0.5*sweDtDx*dgy
+}
+
+// sweUpdateAt is sweUpdate at cell (i,j,c), its neighbours read through the
+// environment's boundary condition.
+func sweUpdateAt(env *stencil.Env, u, fx, gy *grid.Field, i, j, c int) float64 {
+	return sweUpdate(env.AtP(u, i-1, j, c), env.AtP(u, i+1, j, c),
+		env.AtP(u, i, j-1, c), env.AtP(u, i, j+1, c),
+		env.AtP(fx, i-1, j, c), env.AtP(fx, i+1, j, c),
+		env.AtP(gy, i, j-1, c), env.AtP(gy, i, j+1, c))
 }
 
 // sweSetProblem writes the standard dam-break-like problem: still water of
@@ -177,13 +185,13 @@ func sweReference(st *State, steps int, bc stencil.Boundary, _ Options) error {
 	whole := grid.WholeRegion(st.Domain)
 	for t := 0; t < steps; t++ {
 		stencil.ForEach(whole, func(i, j, c int) {
-			fx.Set(i, j, c, sweFluxX(u, i, j, c))
+			fx.Set(i, j, c, sweFluxX(u.At(i, j, sweH), u.At(i, j, sweHU), u.At(i, j, sweHV))[c])
 		})
 		stencil.ForEach(whole, func(i, j, c int) {
-			gy.Set(i, j, c, sweFluxY(u, i, j, c))
+			gy.Set(i, j, c, sweFluxY(u.At(i, j, sweH), u.At(i, j, sweHU), u.At(i, j, sweHV))[c])
 		})
 		stencil.ForEach(whole, func(i, j, c int) {
-			next.Set(i, j, c, sweUpdate(env, u, fx, gy, i, j, c))
+			next.Set(i, j, c, sweUpdateAt(env, u, fx, gy, i, j, c))
 		})
 		u.CopyFrom(next)
 	}

@@ -32,21 +32,36 @@ func init() {
 		{}, {DK: -1}, {DK: 1},
 		{DI: -1}, {DI: 1}, {DJ: -1}, {DJ: 1},
 	}
-	stages := []stencil.KernelStage{
-		{
-			Stage: stencil.Stage{
-				Name:   "w",
-				Inputs: []stencil.Input{{From: waveIn, Offsets: offsets}},
-				Flops:  8,
-			},
-			Kernel: func(env *stencil.Env, r grid.Region) {
-				u, out := env.Field(waveIn), env.Field("w")
-				stencil.ForEach(r, func(i, j, k int) {
-					out.Set(i, j, k, waveUpdate(env, u, i, j, k))
-				})
-			},
-		},
+	inputs := []stencil.Input{{From: waveIn, Offsets: offsets}}
+	slow := func(env *stencil.Env, r grid.Region) {
+		u, out := env.Field(waveIn), env.Field("w")
+		stencil.ForEach(r, func(i, j, k int) {
+			out.Set(i, j, k, waveUpdateAt(env, u, i, j, k))
+		})
 	}
+	// Row-capable: both time levels are read by absolute k index, in-domain
+	// under any binding, and the in-plane neighbours through the steps.
+	fast := func(env *stencil.Env, r grid.Region) {
+		u, out := env.Field(waveIn).Data, env.Field("w").Data
+		siN, siP := env.Step(0, -1), env.Step(0, 1)
+		sjN, sjP := env.Step(1, -1), env.Step(1, 1)
+		stencil.ForEachRow(env.Domain, r, func(_, _, base int) {
+			col := base - r.K0
+			cur := col + waveCur
+			for k := r.K0; k < r.K1; k++ {
+				if k == wavePrev {
+					out[col+k] = u[cur]
+					continue
+				}
+				out[col+k] = waveLeap(u[cur], u[col+wavePrev],
+					u[cur+siN], u[cur+siP], u[cur+sjN], u[cur+sjP])
+			}
+		})
+	}
+	stages := []stencil.KernelStage{{
+		Stage:  stencil.Stage{Name: "w", Inputs: inputs, Flops: 8},
+		Kernel: stencil.SplitKernel(inputs, fast, slow), Fast: fast, Slow: slow, Rows: true,
+	}}
 	newProgram := func(Options) (*stencil.KernelProgram, error) {
 		kp, err := stencil.BuildProgram("wave-leapfrog", []string{waveIn}, "w", stages)
 		if err != nil {
@@ -68,17 +83,26 @@ func init() {
 	})
 }
 
-// waveUpdate computes the packed output at one cell: the k=0 plane becomes
-// the old current level, the k=1 plane the leapfrog step
-// 2u − u_prev + c²∇²u with the in-plane 5-point Laplacian.
-func waveUpdate(env *stencil.Env, u *grid.Field, i, j, k int) float64 {
+// waveLeap is the leapfrog step 2u − u_prev + c²∇²u at one cell from its
+// current and previous levels and its four in-plane neighbours (-i, +i, -j,
+// +j) at the current level: the one per-cell function of the stage's fast
+// and slow paths and of the reference.
+func waveLeap(c, prev, im, ip, jm, jp float64) float64 {
+	lap := im + ip + jm + jp - 4*c
+	return 2*c - prev + waveC2*lap
+}
+
+// waveUpdateAt computes the packed output at one cell: the k=0 plane becomes
+// the old current level, the k=1 plane the leapfrog step with the in-plane
+// 5-point Laplacian, its neighbours read through the environment's boundary
+// condition.
+func waveUpdateAt(env *stencil.Env, u *grid.Field, i, j, k int) float64 {
 	if k == wavePrev {
 		return u.At(i, j, waveCur)
 	}
-	c := u.At(i, j, waveCur)
-	lap := env.AtP(u, i-1, j, waveCur) + env.AtP(u, i+1, j, waveCur) +
-		env.AtP(u, i, j-1, waveCur) + env.AtP(u, i, j+1, waveCur) - 4*c
-	return 2*c - u.At(i, j, wavePrev) + waveC2*lap
+	return waveLeap(u.At(i, j, waveCur), u.At(i, j, wavePrev),
+		env.AtP(u, i-1, j, waveCur), env.AtP(u, i+1, j, waveCur),
+		env.AtP(u, i, j-1, waveCur), env.AtP(u, i, j+1, waveCur))
 }
 
 // waveSetProblem writes a centered Gaussian displacement at rest (both time
@@ -104,7 +128,7 @@ func waveReference(st *State, steps int, bc stencil.Boundary, _ Options) error {
 	whole := grid.WholeRegion(st.Domain)
 	for t := 0; t < steps; t++ {
 		stencil.ForEach(whole, func(i, j, k int) {
-			next.Set(i, j, k, waveUpdate(env, u, i, j, k))
+			next.Set(i, j, k, waveUpdateAt(env, u, i, j, k))
 		})
 		u.CopyFrom(next)
 	}

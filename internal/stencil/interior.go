@@ -146,6 +146,92 @@ func Subtract(r, inner grid.Region) []grid.Region {
 	return out
 }
 
+// SplitKernel builds a stage's combined kernel from its split paths: fast on
+// the region's interior (per InteriorSplit with the stage's input extent,
+// where every read stays in-domain) and slow on the remaining shell. It is
+// what KernelStage.Kernel must equal; a compiled schedule splits once at
+// plan time instead and runs fast on the border pieces too.
+func SplitKernel(inputs []Input, fast, slow Kernel) Kernel {
+	ext := InputsExtent(inputs)
+	return func(env *Env, r grid.Region) {
+		interior, border := InteriorSplit(r, ext, env.Domain)
+		if !interior.Empty() {
+			fast(env, interior)
+		}
+		for _, b := range border {
+			slow(env, b)
+		}
+	}
+}
+
+// ForEachRun visits region r as runs [n0, n1) of consecutive flat indices:
+// rows spanning the whole k extent merge across j, and i-planes spanning the
+// whole j and k extents merge across i. Only a kernel whose per-cell code
+// depends on nothing but the flat index and its environment's steps — not on
+// the cell's coordinates — may visit by runs.
+func ForEachRun(domain grid.Size, r grid.Region, fn func(n0, n1 int)) {
+	if r.Empty() {
+		return
+	}
+	nk, row := domain.NK, r.K1-r.K0
+	switch {
+	case row != nk:
+		ForEachRow(domain, r, func(_, _, base int) { fn(base, base+row) })
+	case r.J1-r.J0 != domain.NJ:
+		for i := r.I0; i < r.I1; i++ {
+			base := (i*domain.NJ + r.J0) * nk
+			fn(base, base+(r.J1-r.J0)*nk)
+		}
+	default:
+		fn(r.I0*domain.NJ*nk, r.I1*domain.NJ*nk)
+	}
+}
+
+// StarSteps holds the flat displacements of a cell's six face neighbours, in
+// the order -i, +i, -j, +j, -k, +k.
+type StarSteps [6]int
+
+// ForEachStarRun visits region r for a row-capable kernel reading the 7-point
+// star (one cell along each axis; see Kernel). fn receives runs [n0, n1) of
+// one row whose cells share the neighbour displacements d: the row's body,
+// read through env's steps, and — when env is not pinned along k and the row
+// reaches a k face — the end cell at that face as a run of its own, its k
+// displacements resolved through env.PinK at its k, in the visit of its row.
+func ForEachStarRun(env *Env, r grid.Region, fn func(n0, n1 int, d StarSteps)) {
+	if r.Empty() {
+		return
+	}
+	body := StarSteps{env.Step(0, -1), env.Step(0, 1), env.Step(1, -1), env.Step(1, 1), env.Step(2, -1), env.Step(2, 1)}
+	nk := env.Domain.NK
+	k0, k1 := r.K0, r.K1
+	lo, hi := body, body
+	loEnd, hiEnd := false, false
+	if !env.KPinned() {
+		if k0 == 0 {
+			e := env.PinK(0)
+			lo[4], lo[5], loEnd, k0 = e.Step(2, -1), e.Step(2, 1), true, 1
+		}
+		if k1 == nk && k0 < nk {
+			e := env.PinK(nk - 1)
+			hi[4], hi[5], hiEnd, k1 = e.Step(2, -1), e.Step(2, 1), true, nk-1
+		}
+	}
+	for i := r.I0; i < r.I1; i++ {
+		for j := r.J0; j < r.J1; j++ {
+			col := (i*env.Domain.NJ + j) * nk
+			if loEnd {
+				fn(col, col+1, lo)
+			}
+			if k1 > k0 {
+				fn(col+k0, col+k1, body)
+			}
+			if hiEnd {
+				fn(col+nk-1, col+nk, hi)
+			}
+		}
+	}
+}
+
 // ForEachRow visits the region row by row: fn receives (i, j) and the flat
 // index of cell (i, j, r.K0); the caller iterates k itself over
 // [base, base + (r.K1-r.K0)). This removes per-cell index arithmetic and
