@@ -21,6 +21,11 @@ import (
 // environment, swap+halo for islands), and 32x32x8 gives every core part at
 // least the step halo's width.
 //
+// The rebound arms run an unbound runner (NewUnboundRunner) on an arena
+// another runner stepped on last, as a server's slot lends it: the steps stay
+// alloc-free, and so does the bind of a cache hit, which finds the arena large
+// enough.
+//
 // The untimed warm-up runs let the Go runtime fill its per-P sudog caches for
 // the parked workers (sched.Team's select): those one-time allocations are the
 // runtime's, not the step loop's, and a loop that allocates does so on every
@@ -35,16 +40,42 @@ func TestStepLoopAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	domain := grid.Sz(32, 32, 8)
-	check := func(t *testing.T, cfg Config, prog *stencil.KernelProgram, inputs map[string]*grid.Field, feedback string, mode FeedbackMode) {
+	check := func(t *testing.T, cfg Config, prog *stencil.KernelProgram, inputs map[string]*grid.Field, feedback string, mode FeedbackMode, rebound bool) {
 		if cfg.Machine == nil {
 			cfg.Machine = m
 		}
 		cfg.Boundary, cfg.Steps = stencil.Clamp, 1
-		r, err := NewRunner(cfg, prog, inputs, feedback)
+		newRunner := NewRunner
+		if rebound {
+			newRunner = NewUnboundRunner
+		}
+		r, err := newRunner(cfg, prog, inputs, feedback)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer r.Close()
+		if rebound {
+			// The arena's last user: the same program on the shared
+			// environment, over fields of its own.
+			var arena grid.Arena
+			other, err := NewUnboundRunner(Config{Machine: m, Strategy: Plus31D, BlockI: 4, Boundary: stencil.Clamp, Steps: 1}, prog, cloneInputs(inputs), feedback)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer other.Close()
+			other.BindScratch(&arena)
+			if err := other.Run(); err != nil {
+				t.Fatal(err)
+			}
+			other.UnbindScratch()
+			r.BindScratch(&arena)
+			if n := testing.AllocsPerRun(measured, func() {
+				r.UnbindScratch()
+				r.BindScratch(&arena)
+			}); n != 0 {
+				t.Fatalf("binding a large-enough arena allocates %v times, want 0", n)
+			}
+		}
 		if got := r.Schedule().Stats().Feedback; got != mode {
 			t.Fatalf("%v publishes by %v, want %v as its benchmark arm does", domain, got, mode)
 		}
@@ -63,18 +94,22 @@ func TestStepLoopAllocFree(t *testing.T) {
 	}
 
 	for _, arm := range []struct {
-		name string
-		cfg  Config
-		mode FeedbackMode
+		name    string
+		cfg     Config
+		mode    FeedbackMode
+		rebound bool
 	}{
-		{"original", Config{Strategy: Original}, FeedbackSwap},
-		{"plus31d", Config{Strategy: Plus31D}, FeedbackSwap},
-		{"islands", Config{Strategy: IslandsOfCores}, FeedbackSwapHalo},
-		{"coreislands", Config{Strategy: IslandsOfCores, CoreIslands: true}, FeedbackSwapHalo},
-		{"islands-nofuse", Config{Strategy: IslandsOfCores, DisableFusion: true}, FeedbackSwapHalo},
+		{"original", Config{Strategy: Original}, FeedbackSwap, false},
+		{"plus31d", Config{Strategy: Plus31D}, FeedbackSwap, false},
+		{"islands", Config{Strategy: IslandsOfCores}, FeedbackSwapHalo, false},
+		{"coreislands", Config{Strategy: IslandsOfCores, CoreIslands: true}, FeedbackSwapHalo, false},
+		{"islands-nofuse", Config{Strategy: IslandsOfCores, DisableFusion: true}, FeedbackSwapHalo, false},
 		// Owned barriers (TestOwnedBarriersFollowTheSlots) read the clock
 		// while they spin; that must not allocate either.
-		{"plus31d-owned", Config{Machine: ownedHostMachine(t), Strategy: Plus31D}, FeedbackSwap},
+		{"plus31d-owned", Config{Machine: ownedHostMachine(t), Strategy: Plus31D}, FeedbackSwap, false},
+		{"original-rebound", Config{Strategy: Original}, FeedbackSwap, true},
+		{"islands-rebound", Config{Strategy: IslandsOfCores}, FeedbackSwapHalo, true},
+		{"coreislands-rebound", Config{Strategy: IslandsOfCores, CoreIslands: true}, FeedbackSwapHalo, true},
 	} {
 		t.Run(arm.name, func(t *testing.T) {
 			state := mpdata.NewState(domain)
@@ -82,7 +117,7 @@ func TestStepLoopAllocFree(t *testing.T) {
 			state.SetUniformVelocity(0.2, 0.1, 0.05)
 			cfg := arm.cfg
 			cfg.BlockI = 4
-			check(t, cfg, mpdata.NewProgram(), state.InputMap(), mpdata.InPsi, arm.mode)
+			check(t, cfg, mpdata.NewProgram(), state.InputMap(), mpdata.InPsi, arm.mode, arm.rebound)
 		})
 	}
 
@@ -106,7 +141,16 @@ func TestStepLoopAllocFree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			check(t, Config{Strategy: IslandsOfCores, BlockI: 4}, kp, state.Inputs, state.Feedback, FeedbackSwapHalo)
+			check(t, Config{Strategy: IslandsOfCores, BlockI: 4}, kp, state.Inputs, state.Feedback, FeedbackSwapHalo, false)
 		})
 	}
+}
+
+// cloneInputs deep-copies a runner's step inputs.
+func cloneInputs(in map[string]*grid.Field) map[string]*grid.Field {
+	out := make(map[string]*grid.Field, len(in))
+	for k, f := range in {
+		out[k] = f.Clone()
+	}
+	return out
 }

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -57,6 +58,11 @@ type Runner struct {
 	halo      *haloGeom
 	swapPairs [][2]*grid.Field
 	fbStale   bool
+	// scratch is every environment's stage outputs but the program output
+	// (FieldCount.Scratch), which BindScratch may point at an arena; unbound
+	// marks them without storage, and Run refuses to step.
+	scratch []*grid.Field
+	unbound bool
 	// prof is the runtime profiler state (nil = profiling off, the
 	// default; see profile.go). Set via EnableProfile, never during Run.
 	prof *profiler
@@ -65,6 +71,44 @@ type Runner struct {
 	// hold a recorded panic, so the runner cannot execute further steps.
 	err error
 }
+
+// FieldCount is the domain-sized fields a runner holds, split by lifetime.
+type FieldCount struct {
+	// State carries values from one step to the next: the step inputs, each
+	// environment's output stage (the feedback swaps with it) and, on the
+	// island strategies, each environment's private feedback buffer.
+	State int
+	// Scratch is every other stage output of every environment. A step
+	// writes each scratch cell before it reads it, so runners that never run
+	// at once can share one set of scratch storage.
+	Scratch int
+}
+
+// Total is every field the runner holds.
+func (c FieldCount) Total() int { return c.State + c.Scratch }
+
+// EngineFields counts the fields a runner of cfg holds for prog. It is the
+// one count of an engine's memory: the streaming executor sizes its tile
+// engines' arena and StreamPlan.ResidentBytes prices it, a server sizes its
+// slot arenas from Scratch and admits a resident job by Total. cfg must carry
+// the machine the runner executes on — the environment count follows its
+// cores. Island runners narrower than the step halo fall back to the copy
+// publish and hold no private feedback buffers, so State is an upper bound
+// there.
+func EngineFields(cfg Config, prog *stencil.Program) FieldCount {
+	envs, private := 1, 0
+	if cfg.Strategy == IslandsOfCores {
+		envs = cfg.Machine.NumNodes()
+		if cfg.CoreIslands {
+			envs = cfg.Machine.TotalCores()
+		}
+		private = envs
+	}
+	return FieldCount{State: len(prog.StepInputs) + envs + private, Scratch: envs * (len(prog.Stages) - 1)}
+}
+
+// errUnbound is Run's answer while the runner's scratch has no storage.
+var errUnbound = errors.New("exec: runner scratch is unbound (BindScratch first)")
 
 // NewRunner prepares an execution. The feedback name selects the step input
 // that receives the program output after every step (psi for MPDATA).
@@ -77,6 +121,23 @@ func NewRunner(cfg Config, prog *stencil.KernelProgram, inputs map[string]*grid.
 // (nil = the heap). Runners built in one rewound arena share its storage and
 // must never run concurrently.
 func NewRunnerIn(arena *grid.Arena, cfg Config, prog *stencil.KernelProgram, inputs map[string]*grid.Field, feedback string) (*Runner, error) {
+	return newRunner(arena, arena.NewField, cfg, prog, inputs, feedback)
+}
+
+// NewUnboundRunner is NewRunner without scratch storage: the runner holds its
+// state (FieldCount.State) on the heap and runs only while BindScratch has
+// lent it an arena's storage for its scratch.
+func NewUnboundRunner(cfg Config, prog *stencil.KernelProgram, inputs map[string]*grid.Field, feedback string) (*Runner, error) {
+	r, err := newRunner(nil, grid.NewUnboundField, cfg, prog, inputs, feedback)
+	if err == nil {
+		r.unbound = len(r.scratch) > 0
+	}
+	return r, err
+}
+
+// newRunner builds a runner whose state fields come from arena and whose
+// scratch fields from scratch.
+func newRunner(arena *grid.Arena, scratch func(string, grid.Size) *grid.Field, cfg Config, prog *stencil.KernelProgram, inputs map[string]*grid.Field, feedback string) (*Runner, error) {
 	fb, ok := inputs[feedback]
 	if !ok {
 		return nil, fmt.Errorf("exec: feedback input %q not provided", feedback)
@@ -139,7 +200,15 @@ func NewRunnerIn(arena *grid.Arena, cfg Config, prog *stencil.KernelProgram, inp
 			priv.CopyFrom(fb)
 			envInputs[feedback] = priv
 		}
-		env, err := stencil.NewEnvIn(arena, &prog.Program, fb.Size, envInputs)
+		env, err := stencil.NewEnvWith(&prog.Program, fb.Size, envInputs, func(s int) *grid.Field {
+			name := prog.Stages[s].Name
+			if name == prog.Output {
+				return arena.NewField(name, fb.Size)
+			}
+			f := scratch(name, fb.Size)
+			r.scratch = append(r.scratch, f)
+			return f
+		})
 		if err != nil {
 			r.Close()
 			return nil, err
@@ -187,6 +256,26 @@ func (r *Runner) runWorker(t, w int, items []schedItem) {
 // Close releases the runner's work teams.
 func (r *Runner) Close() { r.sch.Close() }
 
+// BindScratch points the runner's scratch fields at a's storage (Arena.Bind:
+// grown when too small, never zeroed), where they stay until the next
+// BindScratch or UnbindScratch. Every step writes a scratch cell before it
+// reads it, so the runner computes the same bits whatever a held before, and
+// runners bound to one arena must never run concurrently. Kernels look their
+// fields up on every call, so the compiled schedule stands.
+func (r *Runner) BindScratch(a *grid.Arena) {
+	a.Bind(r.scratch)
+	r.unbound = false
+}
+
+// UnbindScratch drops the runner's hold on its scratch storage, leaving it
+// only its state; Run fails until the next BindScratch.
+func (r *Runner) UnbindScratch() {
+	for _, f := range r.scratch {
+		f.Data = nil
+	}
+	r.unbound = len(r.scratch) > 0
+}
+
 // Plan exposes the execution geometry (islands, blocks, spans) for
 // inspection by tests and reports.
 func (r *Runner) Plan() *PlanInfo {
@@ -232,6 +321,9 @@ func (r *Runner) Schedule() *Schedule { return r.schedule }
 func (r *Runner) Run() (err error) {
 	if r.err != nil {
 		return r.err
+	}
+	if r.unbound {
+		return errUnbound
 	}
 	defer func() {
 		if p := recover(); p != nil {

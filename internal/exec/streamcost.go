@@ -149,7 +149,7 @@ func (p *StreamPlan) GlobalPlane(t StreamTile, li int) int {
 func (p *StreamPlan) ResidentBytes(cfg Config, prog *stencil.Program) float64 {
 	planeBytes := float64(grid.PlaneBytes(p.Domain))
 	loaded := float64(p.MaxResidentPlanes())
-	resident := float64(StreamEngineFields(cfg, prog)) * loaded * planeBytes
+	resident := float64(EngineFields(cfg, prog).Total()) * loaded * planeBytes
 	if len(p.Tiles) > 1 {
 		resident += 4 * loaded * planeBytes
 	}
@@ -198,29 +198,6 @@ func StreamTileConfig(cfg Config, steps int, domain grid.Size, sh StreamShape) (
 	}
 	cfg.Keep = grid.Box(sh.ExtLo, sh.ExtLo+sh.Width, 0, domain.NJ, 0, domain.NK)
 	return cfg, grid.Sz(sh.ExtNI, domain.NJ, domain.NK)
-}
-
-// streamEnvCount is the number of stage environments the tile engine
-// allocates: one shared set for the single-island strategies, one per
-// island for islands-of-cores, one per core with core-level sub-islands.
-func streamEnvCount(cfg Config) int {
-	if cfg.Strategy != IslandsOfCores {
-		return 1
-	}
-	if cfg.CoreIslands {
-		return cfg.Machine.TotalCores()
-	}
-	return cfg.Machine.NumNodes()
-}
-
-// StreamEngineFields counts the tile-sized fields a tile engine holds: the
-// step inputs, each environment's stage arrays, and the per-environment
-// feedback clone. The streaming executor sizes the one arena its tile engines
-// share from it, so a run holds the engine memory StreamPlan.ResidentBytes
-// prices.
-func StreamEngineFields(cfg Config, prog *stencil.Program) int {
-	envs := streamEnvCount(cfg)
-	return len(prog.StepInputs) + envs*len(prog.Stages) + envs
 }
 
 // StreamHalo returns the one-step halo of the program's feedback input (the

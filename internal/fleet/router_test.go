@@ -19,6 +19,7 @@ import (
 	"islands/internal/fleet"
 	"islands/internal/serve"
 	serveclient "islands/internal/serve/client"
+	"islands/internal/topology"
 )
 
 // blockEngine is a deterministic test engine: every Step consumes one token
@@ -539,6 +540,15 @@ func TestFleetHTTPDialect(t *testing.T) {
 	if _, err := client.Submit(ctx, spec); !errors.As(err, &apiErr) ||
 		apiErr.StatusCode != 400 || apiErr.Message != want {
 		t.Fatalf("ksteps 2 through router = %v, want 400 %q", err, want)
+	}
+	// A replica's refusal to price a resident engine over the machine's
+	// memory reaches the client as the replica answered it.
+	if topology.ThisMemory() > 0 {
+		big := serve.Spec{Grid: "2048x1024x1024", Steps: 1, Strategy: "islands"}
+		if _, err := client.Submit(ctx, big); !errors.As(err, &apiErr) ||
+			apiErr.StatusCode != 413 || !strings.Contains(apiErr.Message, `"streamed": true`) {
+			t.Fatalf("2^31-cell resident spec through router = %v, want the replica's 413", err)
+		}
 	}
 	if _, err := client.Status(ctx, "f99999999"); !errors.As(err, &apiErr) || apiErr.StatusCode != 404 {
 		t.Fatalf("unknown job through router = %v, want 404", err)

@@ -128,10 +128,21 @@ func NewField(name string, s Size) *Field {
 	return &Field{Size: s, Data: make([]float64, s.Cells()), name: name}
 }
 
+// NewUnboundField returns a field of the given size without storage: its Data
+// is nil until an Arena binds it.
+func NewUnboundField(name string, s Size) *Field {
+	if !s.Valid() {
+		panic(fmt.Sprintf("grid: invalid field size %v", s))
+	}
+	return &Field{Size: s, name: name}
+}
+
 // Arena hands out field storage from one backing array, so that several sets
 // of fields of which only one is in use at a time — the out-of-core tile
-// engines of one streamed run, one per tile shape — occupy the memory of the
-// largest set. A nil Arena allocates every field on the heap.
+// engines of one streamed run, one per tile shape, or the engines one server
+// slot runs one after another — occupy the memory of the largest set. A nil
+// Arena allocates every field on the heap; the zero Arena has no storage
+// until Bind grows it.
 type Arena struct {
 	buf     []float64
 	off     int
@@ -168,6 +179,34 @@ func (a *Arena) NewField(name string, s Size) *Field {
 // Cells returns the storage the arena's fields have occupied: its capacity
 // plus whatever spilled to the heap.
 func (a *Arena) Cells() int { return len(a.buf) + a.spilled }
+
+// Bind points the fields at the arena's storage, one after another from its
+// start, as a rewound arena's NewField would, first growing the arena to
+// exactly their cells when they do not fit. It never zeroes: a bound field
+// holds whatever the arena held, so whoever binds must write every cell
+// before reading it.
+func (a *Arena) Bind(fields []*Field) {
+	n := 0
+	for _, f := range fields {
+		n += f.Size.Cells()
+	}
+	if n > len(a.buf) {
+		a.buf = make([]float64, n)
+	}
+	a.off = 0
+	for _, f := range fields {
+		c := f.Size.Cells()
+		f.Data = a.buf[a.off : a.off+c : a.off+c]
+		a.off += c
+	}
+}
+
+// Fill sets every cell of the arena's storage to v.
+func (a *Arena) Fill(v float64) {
+	for i := range a.buf {
+		a.buf[i] = v
+	}
+}
 
 // Name returns the field's diagnostic name.
 func (f *Field) Name() string { return f.name }

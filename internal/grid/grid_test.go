@@ -447,3 +447,44 @@ func TestArena(t *testing.T) {
 		t.Fatal("nil arena did not allocate a zeroed heap field")
 	}
 }
+
+// TestArenaBind: Bind hands unbound fields disjoint storage from the arena's
+// start, grows the arena to exactly their cells when they do not fit, keeps
+// its storage (contents included, never zeroed) when they do, and aliases
+// whatever it bound before.
+func TestArenaBind(t *testing.T) {
+	small, big := Sz(2, 3, 4), Sz(3, 3, 4)
+	f, g := NewUnboundField("f", small), NewUnboundField("g", big)
+	if f.Data != nil || f.Name() != "f" || f.Size != small {
+		t.Fatalf("unbound field: data %v, name %q, size %v", f.Data, f.Name(), f.Size)
+	}
+	var a Arena
+	a.Bind([]*Field{f, g})
+	if a.Cells() != small.Cells()+big.Cells() || len(f.Data) != small.Cells() || len(g.Data) != big.Cells() {
+		t.Fatalf("bound %d+%d cells in an arena of %d", len(f.Data), len(g.Data), a.Cells())
+	}
+	f.Fill(1)
+	g.Fill(2)
+	if f.Sum() != float64(small.Cells()) || g.Sum() != 2*float64(big.Cells()) {
+		t.Fatalf("bound fields overlap: sums %v, %v", f.Sum(), g.Sum())
+	}
+
+	h := NewUnboundField("h", big)
+	a.Bind([]*Field{h})
+	if a.Cells() != small.Cells()+big.Cells() {
+		t.Fatalf("a bind that fits reallocated the arena to %d cells", a.Cells())
+	}
+	if h.At(0, 0, 0) != 1 || h.At(2, 2, 3) != 2 {
+		t.Fatalf("rebinding zeroed or moved the storage: %v ... %v", h.At(0, 0, 0), h.At(2, 2, 3))
+	}
+	a.Fill(-1)
+	if f.At(0, 0, 0) != -1 || h.At(2, 2, 3) != -1 {
+		t.Fatal("Fill missed bound storage")
+	}
+
+	wide := NewUnboundField("wide", Sz(4, 4, 4))
+	a.Bind([]*Field{wide, h})
+	if want := 64 + big.Cells(); a.Cells() != want || len(h.Data) != big.Cells() {
+		t.Fatalf("grown arena holds %d cells, want %d", a.Cells(), want)
+	}
+}

@@ -97,6 +97,11 @@ type solverEngine struct {
 	synced  bool
 	// workers and blockI are the executed shape Info reports.
 	workers, blockI int
+	// bytes is what the engine holds between jobs (its state and first
+	// fill, plus its scratch when it owns it); scratch is the cells of stage
+	// scratch a pool slot lends it (0 when it owns its scratch).
+	bytes   int64
+	scratch int
 }
 
 // program resolves the catalog entry and builds its kernel program for the
@@ -112,20 +117,22 @@ func (n CacheKey) program() (*solver.Entry, *stencil.KernelProgram, error) {
 
 // NewSolverEngine compiles the spec's catalog solver — the pool's default
 // factory — on the host's shape (host), as a standalone engine: one slot (see
-// exec.Config.Slots). The compile cost this pays (schedule, environments,
-// halo strips) is exactly what the cache amortizes across repeat jobs.
+// exec.Config.Slots) and scratch storage of its own. The compile cost this
+// pays (schedule, environments, halo strips) is exactly what the cache
+// amortizes across repeat jobs.
 func NewSolverEngine(n NormSpec) (Engine, error) {
-	return newSolverEngine(n, 1)
+	return newSolverEngine(n, 1, false)
 }
 
 // newSolverEngine is NewSolverEngine for an engine that runs beside up to
-// slots-1 others, a server's slot count.
-func newSolverEngine(n NormSpec, slots int) (Engine, error) {
-	ec, err := n.ExecConfig()
+// slots-1 others, a server's slot count. A lent engine holds no stage scratch
+// of its own: the pool slot that leases it binds its scratch to the slot's
+// arena (slotEngine), so idle it holds only its state.
+func newSolverEngine(n NormSpec, slots int, lent bool) (Engine, error) {
+	ec, err := n.hostConfig()
 	if err != nil {
 		return nil, err
 	}
-	ec.Machine = host().Run(ec.Machine)
 	ec.Slots = slots
 	entry, prog, err := n.program()
 	if err != nil {
@@ -135,7 +142,11 @@ func newSolverEngine(n NormSpec, slots int) (Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	runner, err := exec.NewRunner(ec, prog, state.Inputs, state.Feedback)
+	newRunner := exec.NewRunner
+	if lent {
+		newRunner = exec.NewUnboundRunner
+	}
+	runner, err := newRunner(ec, prog, state.Inputs, state.Feedback)
 	if err != nil {
 		return nil, err
 	}
@@ -144,8 +155,78 @@ func newSolverEngine(n NormSpec, slots int) (Engine, error) {
 	if ec.Strategy != exec.Original {
 		e.blockI = exec.ResolveBlockI(ec.Machine, n.Domain, ec.BlockI)
 	}
+	fc, cells := exec.EngineFields(ec, &prog.Program), n.Domain.Cells()
+	e.bytes = int64(fc.State+len(e.written)) * int64(cells) * grid.CellBytes
+	if lent {
+		e.scratch = fc.Scratch * cells
+	} else {
+		e.bytes += int64(fc.Scratch) * int64(cells) * grid.CellBytes
+	}
 	return e, nil
 }
+
+// hostConfig is the spec's executor configuration on the machine its engine
+// runs on: the priced UV 2000 reshaped by host().Run.
+func (n CacheKey) hostConfig() (exec.Config, error) {
+	ec, err := n.ExecConfig()
+	if err != nil {
+		return ec, err
+	}
+	ec.Machine = host().Run(ec.Machine)
+	return ec, nil
+}
+
+// memory is the machine memory in bytes admission prices resident jobs
+// against (0 = unknown, admit). Tests substitute small values.
+var memory = topology.ThisMemory
+
+// programKey names a catalog program: its solver and build options.
+type programKey struct {
+	solver string
+	opt    solver.Options
+}
+
+// engineFields counts the fields a resident engine of n holds for its
+// program: exec.EngineFields on the machine it runs on.
+func (n CacheKey) engineFields(prog *stencil.Program) (exec.FieldCount, error) {
+	ec, err := n.hostConfig()
+	if err != nil {
+		return exec.FieldCount{}, err
+	}
+	return exec.EngineFields(ec, prog), nil
+}
+
+// admitResident rejects a resident spec whose engine — its state and its
+// scratch — would not fit the machine's memory with an *ErrOverMemory, before
+// anything is allocated.
+func (s *Server) admitResident(gridSpec string, n NormSpec) error {
+	limit := memory()
+	if limit <= 0 {
+		return nil
+	}
+	pk := programKey{n.Solver, n.SolverOptions()}
+	prog, ok := s.programs.Load(pk)
+	if !ok {
+		_, kp, err := n.program()
+		if err != nil {
+			return err
+		}
+		prog, _ = s.programs.LoadOrStore(pk, &kp.Program)
+	}
+	fc, err := n.engineFields(prog.(*stencil.Program))
+	if err != nil {
+		return err
+	}
+	if need := int64(fc.Total()) * int64(n.Domain.Cells()) * grid.CellBytes; need > limit {
+		return &ErrOverMemory{Grid: gridSpec, Bytes: need, Limit: limit}
+	}
+	return nil
+}
+
+func (e *solverEngine) idleBytes() int64          { return e.bytes }
+func (e *solverEngine) scratchCells() int         { return e.scratch }
+func (e *solverEngine) bindScratch(a *grid.Arena) { e.runner.BindScratch(a) }
+func (e *solverEngine) unbindScratch()            { e.runner.UnbindScratch() }
 
 // writtenFields derives from the program which state fields its steps write:
 // the feedback field the output is swapped into, plus any step input a stage

@@ -192,6 +192,8 @@ type gauges struct {
 	CacheMisses   uint64
 	CacheSize     int
 	CacheEvicted  uint64
+	CacheBytes    int64
+	SlotScratch   int64
 	Running       int
 	Draining      bool
 
@@ -272,6 +274,8 @@ func (m *Metrics) write(w io.Writer, g gauges) {
 	WriteCounter(w, "serve_schedule_cache_misses_total", "Jobs that compiled a fresh runner.", g.CacheMisses)
 	WriteCounter(w, "serve_schedule_cache_evictions_total", "Cached runners discarded by the LRU bound.", g.CacheEvicted)
 	WriteGauge(w, "serve_schedule_cache_size", "Idle compiled runners currently cached.", int64(g.CacheSize))
+	WriteGauge(w, "serve_schedule_cache_bytes", "State bytes the idle cached runners hold.", g.CacheBytes)
+	WriteGauge(w, "serve_slot_scratch_bytes", "Capacity in bytes of the runner slots' stage-scratch arenas.", g.SlotScratch)
 	WriteBoolGauge(w, "serve_draining", "1 while the server drains (no admissions).", g.Draining)
 	WriteBoolGauge(w, "serve_tuner_enabled", "1 when the autotuner maps job specs to tuned configs.", g.TunerEnabled)
 	WriteCounter(w, "serve_tuner_decisions_total", "Tuning decisions taken for served jobs.", g.TunerDecisions)

@@ -91,6 +91,11 @@ type Server struct {
 
 	running atomic.Int64
 
+	// programs holds each (solver, options) program admission has priced
+	// (programKey -> *stencil.Program), so pricing a submission builds no
+	// kernels.
+	programs sync.Map
+
 	// diskBWBits is an EWMA of the disk throughput observed by completed
 	// durable (named) streamed jobs (float64 bits; 0 = no observation yet).
 	// It feeds the residency picker, so the tile-width/k trade tracks the
@@ -126,12 +131,13 @@ func NewServer(opts Options) *Server {
 	if factory == nil {
 		// The default factory routes streamed specs to the out-of-core
 		// engine; a custom factory (tests) owns the whole decision. Both
-		// compile for the server's slot count.
+		// compile for the server's slot count, and resident engines borrow
+		// their stage scratch from the slot that leases them.
 		factory = func(ns NormSpec) (Engine, error) {
 			if ns.Streamed {
 				return newStreamEngine(s, ns)
 			}
-			return newSolverEngine(ns, s.pool.Capacity())
+			return newSolverEngine(ns, s.pool.Capacity(), true)
 		}
 	}
 	s.pool = NewPool(opts.Slots, opts.MaxCached, factory)
@@ -207,23 +213,29 @@ type ReplicaStats struct {
 	CacheCapacity int    `json:"cache_capacity"`
 	Succeeded     uint64 `json:"succeeded"`
 	Failed        uint64 `json:"failed"`
+	// CacheBytes is the state the idle cached engines hold, and
+	// SlotScratchBytes the capacity of the slots' scratch arenas.
+	CacheBytes       int64 `json:"cache_bytes"`
+	SlotScratchBytes int64 `json:"slot_scratch_bytes"`
 }
 
 // Stats snapshots the replica for the fleet router.
 func (s *Server) Stats() ReplicaStats {
 	ps := s.pool.Stats()
 	return ReplicaStats{
-		QueueDepth:    s.queue.depth(),
-		QueueCapacity: s.queue.maxDepth,
-		SlotsBusy:     ps.Busy,
-		SlotsTotal:    ps.Capacity,
-		Running:       int(s.running.Load()),
-		Draining:      s.front.Draining(),
-		CacheHits:     ps.Hits,
-		CacheMisses:   ps.Misses,
-		CacheCapacity: ps.MaxCached,
-		Succeeded:     s.metrics.Succeeded.Load(),
-		Failed:        s.metrics.Failed.Load(),
+		QueueDepth:       s.queue.depth(),
+		QueueCapacity:    s.queue.maxDepth,
+		SlotsBusy:        ps.Busy,
+		SlotsTotal:       ps.Capacity,
+		Running:          int(s.running.Load()),
+		Draining:         s.front.Draining(),
+		CacheHits:        ps.Hits,
+		CacheMisses:      ps.Misses,
+		CacheCapacity:    ps.MaxCached,
+		Succeeded:        s.metrics.Succeeded.Load(),
+		Failed:           s.metrics.Failed.Load(),
+		CacheBytes:       ps.CacheBytes,
+		SlotScratchBytes: ps.SlotScratchBytes,
 	}
 }
 
@@ -235,12 +247,18 @@ func (s *Server) QueueDepth() int { return s.queue.depth() }
 
 // Submit validates a spec and admits it as a queued job. It returns
 // ErrDraining while the server drains, an *ErrQueueFull when the queue is at
-// depth, an *ErrStreamBusy when a live job holds the spec's stream_id, or a
-// validation error for a bad spec.
+// depth, an *ErrStreamBusy when a live job holds the spec's stream_id, an
+// *ErrOverMemory when a resident job's engine would not fit the machine's
+// memory, or a validation error for a bad spec.
 func (s *Server) Submit(spec Spec) (*Job, error) {
 	ns, err := spec.Normalize()
 	if err != nil {
 		return nil, err
+	}
+	if !ns.Streamed {
+		if err := s.admitResident(spec.Grid, ns); err != nil {
+			return nil, err
+		}
 	}
 	if s.front.Draining() {
 		return nil, ErrDraining
@@ -618,6 +636,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		CacheMisses:   ps.Misses,
 		CacheSize:     ps.Idle,
 		CacheEvicted:  ps.Evictions,
+		CacheBytes:    ps.CacheBytes,
+		SlotScratch:   ps.SlotScratchBytes,
 		Running:       int(s.running.Load()),
 		Draining:      s.front.Draining(),
 		StreamDiskBW:  s.diskBWEstimate(),

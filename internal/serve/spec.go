@@ -71,6 +71,26 @@ func (e *ErrGridTooLarge) Answer() (int, int, string) {
 	return http.StatusRequestEntityTooLarge, 0, e.Error()
 }
 
+// ErrOverMemory rejects a resident job whose engine — its state and stage
+// scratch, exec.EngineFields on the machine it runs on — would not fit the
+// machine's memory (HTTP 413). Like a resident *ErrGridTooLarge, the message
+// names the streamed job class, which runs the domain under a memory budget.
+type ErrOverMemory struct {
+	// Grid is the spec's grid string verbatim.
+	Grid string
+	// Bytes is the engine's price, Limit the machine's memory.
+	Bytes, Limit int64
+}
+
+func (e *ErrOverMemory) Error() string {
+	return fmt.Sprintf(`grid %s needs %d bytes resident, over this machine's %d; resubmit with "streamed": true (and a memory_budget_mb) to run it out of core`, e.Grid, e.Bytes, e.Limit)
+}
+
+// Answer implements Rejection: 413.
+func (e *ErrOverMemory) Answer() (int, int, string) {
+	return http.StatusRequestEntityTooLarge, 0, e.Error()
+}
+
 // Spec describes one run: the wire format of POST /v1/jobs, and what
 // mpdata-sim builds from its flags. The zero value of every optional field
 // selects the documented default.

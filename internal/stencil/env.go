@@ -234,12 +234,14 @@ func (e *Env) OffsetStride(o Offset) int {
 // NewEnv creates an execution environment for prog on the given domain,
 // binding the provided step-input fields and allocating stage outputs.
 func NewEnv(prog *Program, domain grid.Size, inputs map[string]*grid.Field) (*Env, error) {
-	return NewEnvIn(nil, prog, domain, inputs)
+	return NewEnvWith(prog, domain, inputs, func(s int) *grid.Field { return grid.NewField(prog.Stages[s].Name, domain) })
 }
 
-// NewEnvIn is NewEnv with the stage outputs allocated from arena (nil = the
-// heap).
-func NewEnvIn(arena *grid.Arena, prog *Program, domain grid.Size, inputs map[string]*grid.Field) (*Env, error) {
+// NewEnvWith is NewEnv with stage s's output made by stage(s): from an arena,
+// the heap, or without storage (grid.NewUnboundField) for a caller that binds
+// it later. Kernels look their fields up on every call, so a field's storage
+// may change between calls.
+func NewEnvWith(prog *Program, domain grid.Size, inputs map[string]*grid.Field, stage func(s int) *grid.Field) (*Env, error) {
 	env := &Env{Domain: domain, fields: make(map[string]*grid.Field)}
 	for _, name := range prog.StepInputs {
 		f, ok := inputs[name]
@@ -252,8 +254,7 @@ func NewEnvIn(arena *grid.Arena, prog *Program, domain grid.Size, inputs map[str
 		env.fields[name] = f
 	}
 	for i := range prog.Stages {
-		name := prog.Stages[i].Name
-		env.fields[name] = arena.NewField(name, domain)
+		env.fields[prog.Stages[i].Name] = stage(i)
 	}
 	return env, nil
 }

@@ -157,7 +157,7 @@ type Stats struct {
 	OutputCells int64
 	// PeakEngineBytes is the field storage the run's tile engines occupy —
 	// all shapes together, since they share one arena. It stays within the
-	// engine term of exec.StreamPlan.ResidentBytes: exec.StreamEngineFields
+	// engine term of exec.StreamPlan.ResidentBytes: exec.EngineFields
 	// fields of the widest tile.
 	PeakEngineBytes int64
 }
@@ -764,7 +764,7 @@ func (s *Streamer) buildEngine(key engineKey) (*tileEngine, error) {
 		// One widest-tile engine's worth of fields, allocated (and zeroed)
 		// here so that it, too, overlaps the store seeding.
 		widest := grid.Sz(s.plan.MaxResidentPlanes(), s.o.Domain.NJ, s.o.Domain.NK)
-		s.arena = grid.NewArena(exec.StreamEngineFields(s.o.Exec, prog) * widest.Cells())
+		s.arena = grid.NewArena(exec.EngineFields(s.o.Exec, prog).Total() * widest.Cells())
 	}
 	s.arena.Rewind()
 	state := &solver.State{Domain: size, Inputs: make(map[string]*grid.Field, len(prog.StepInputs)), Feedback: prog.Feedback}

@@ -68,7 +68,7 @@ func TestStreamedTilesComputeTheirTrapezoid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	priced := int64(exec.StreamEngineFields(cfg, &prog.Program)*s.Plan().MaxResidentPlanes()) * grid.PlaneBytes(domain)
+	priced := int64(exec.EngineFields(cfg, &prog.Program).Total()*s.Plan().MaxResidentPlanes()) * grid.PlaneBytes(domain)
 	if st.PeakEngineBytes <= 0 || st.PeakEngineBytes > priced {
 		t.Errorf("tile engines hold %d bytes, want within the %d exec.StreamPlan.ResidentBytes prices for one widest-tile engine",
 			st.PeakEngineBytes, priced)

@@ -30,6 +30,33 @@ var ThisHost = sync.OnceValue(func() Host {
 	return readHost(os.DirFS("/sys/devices/system"), runtime.NumCPU())
 })
 
+// ThisMemory returns the memory the process may use in bytes, read once: the
+// physical memory (/proc/meminfo MemTotal), or the cgroup v2 limit
+// (/sys/fs/cgroup/memory.max) when that is smaller. 0 when neither is
+// readable.
+var ThisMemory = sync.OnceValue(func() int64 { return readMemory(os.DirFS("/")) })
+
+// readMemory parses proc/meminfo and sys/fs/cgroup/memory.max under root.
+func readMemory(root fs.FS) int64 {
+	var total int64
+	if b, err := fs.ReadFile(root, "proc/meminfo"); err == nil {
+		for _, line := range strings.Split(string(b), "\n") {
+			if rest, ok := strings.CutPrefix(line, "MemTotal:"); ok {
+				if kb, err := strconv.ParseInt(strings.TrimSuffix(strings.TrimSpace(rest), " kB"), 10, 64); err == nil && kb > 0 {
+					total = kb << 10
+				}
+			}
+		}
+	}
+	if b, err := fs.ReadFile(root, "sys/fs/cgroup/memory.max"); err == nil {
+		// "max" (no limit) fails the parse and leaves the physical memory.
+		if n, err := strconv.ParseInt(strings.TrimSpace(string(b)), 10, 64); err == nil && n > 0 && (total == 0 || n < total) {
+			total = n
+		}
+	}
+	return total
+}
+
 // readHost parses a sysfs devices/system tree: the NUMA nodes that have CPUs
 // (node/has_cpu), and cpu0's level-2 and level-3 data or unified cache
 // sizes. Anything missing keeps its fallback: one node, unknown caches.

@@ -135,3 +135,28 @@ func TestHostRun(t *testing.T) {
 		}
 	}
 }
+
+// TestReadMemory: the physical memory, the cgroup v2 limit when it is the
+// smaller, "max" as no limit, and 0 when nothing is readable.
+func TestReadMemory(t *testing.T) {
+	meminfo := &fstest.MapFile{Data: []byte("MemTotal:        8222320 kB\nMemFree:         6000000 kB\n")}
+	for _, c := range []struct {
+		name string
+		fsys fstest.MapFS
+		want int64
+	}{
+		{"meminfo", fstest.MapFS{"proc/meminfo": meminfo}, 8222320 << 10},
+		{"cgroup-smaller", fstest.MapFS{"proc/meminfo": meminfo, "sys/fs/cgroup/memory.max": {Data: []byte("1073741824\n")}}, 1 << 30},
+		{"cgroup-larger", fstest.MapFS{"proc/meminfo": meminfo, "sys/fs/cgroup/memory.max": {Data: []byte("1099511627776\n")}}, 8222320 << 10},
+		{"cgroup-max", fstest.MapFS{"proc/meminfo": meminfo, "sys/fs/cgroup/memory.max": {Data: []byte("max\n")}}, 8222320 << 10},
+		{"cgroup-only", fstest.MapFS{"sys/fs/cgroup/memory.max": {Data: []byte("536870912\n")}}, 512 << 20},
+		{"nothing", fstest.MapFS{}, 0},
+	} {
+		if got := readMemory(c.fsys); got != c.want {
+			t.Errorf("%s: %d bytes, want %d", c.name, got, c.want)
+		}
+	}
+	if ThisMemory() <= 0 {
+		t.Logf("this machine's memory is unreadable; admission will not price resident jobs")
+	}
+}

@@ -4,9 +4,10 @@
 #
 #   1. Single server: start mpdata-serve on a random port, push one small job
 #      per strategy through it with mpdata-load, assert the server-side
-#      metrics report zero failures, serve one periodic islands job whose
-#      parts end in a one-plane block and require the original arm's
-#      checksum sum, then SIGTERM the server and require a clean drain
+#      metrics report zero failures and count the bytes of the cached
+#      engines and of the slots' scratch arenas, serve one periodic islands
+#      job whose parts end in a one-plane block and require the original
+#      arm's checksum sum, then SIGTERM the server and require a clean drain
 #      (exit 0).
 #   2. Fleet: start two replicas and an mpdata-router on random ports, drive
 #      mixed traffic through the router, kill -9 one replica once it runs a
@@ -122,6 +123,14 @@ if [ "$failed" != "0" ]; then
 fi
 if [ "$succeeded" != "$jobs" ]; then
     echo "serve-smoke: server reports $succeeded succeeded jobs, want $jobs" >&2
+    exit 1
+fi
+# The idle cached engines hold their state and the slots' arenas the stage
+# scratch: after the jobs, both are counted.
+cache_bytes=$(metric_value "$url" serve_schedule_cache_bytes)
+scratch_bytes=$(metric_value "$url" serve_slot_scratch_bytes)
+if [ "${cache_bytes:-0}" = "0" ] || [ "${scratch_bytes:-0}" = "0" ]; then
+    echo "serve-smoke: cached engines hold ${cache_bytes:-?} bytes, slot arenas ${scratch_bytes:-?}; want both above 0" >&2
     exit 1
 fi
 
